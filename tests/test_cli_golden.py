@@ -1,0 +1,142 @@
+"""Golden reports of the command line: each case runs ``centrum.cli.main``
+in-process and compares its exit code and stdout byte for byte with the
+committed expectation under ``tests/data/cli/expected``.
+
+The cases are the benchmark's single-object queries (at fixed seeds),
+``validate`` of a good presentation of each object kind, an unknown
+constructor of each kind, and the error reports for bad input.  Reports
+embed the spec strings, so the cases run from ``tests/data/cli`` and name
+their input files by relative path.
+
+To rewrite the expectations after an intended change of the reports:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from centrum.cli import main
+
+DATA = Path(__file__).parent / "data" / "cli"
+EXPECTED = DATA / "expected"
+KINDS = ("algebra", "map", "bimodule", "bimodule-map", "cospan", "2diagram")
+
+# (case name, argv, exit code)
+CASES = [
+    # the benchmark's cli workload
+    ("center-matrix3", ["center", "--algebra", "matrix:3"], 0),
+    ("centralizer-diag3", ["centralizer", "--map", "diag:3"], 0),
+    ("z-hom-diag2", ["z-hom", "--map", "diag:2"], 0),
+    ("z-bimodule-regular-matrix2",
+     ["z-bimodule", "--bimodule", "regular:matrix:2"], 0),
+    ("z-2cell-id-regular-matrix2",
+     ["z-2cell", "--bimodule-map", "id:regular:matrix:2"], 0),
+    ("tensor-over-col3-row3",
+     ["tensor-over", "--left", "col:3", "--right", "row:3"], 0),
+    ("compose-cospans-c2",
+     ["compose-cospans", "--first", "identity:group:C2",
+      "--second", "identity:group:C2"], 0),
+    ("compose-2diagrams-vertical",
+     ["compose-2diagrams", "vertical",
+      "--first", "identity:identity:product:k^2",
+      "--second", "identity:identity:product:k^2"], 0),
+    ("compose-2diagrams-horizontal",
+     ["compose-2diagrams", "horizontal",
+      "--first", "identity:identity:product:k^2",
+      "--second", "identity:identity:product:k^2"], 0),
+    ("invertible-cospan-diag2", ["invertible", "cospan", "--map", "diag:2"],
+     1),
+    ("invertible-2cell-c2",
+     ["invertible", "2cell", "--diagram", "identity:identity:group:C2"], 0),
+    ("validate-bimodule-regular-matrix2",
+     ["validate", "bimodule", "regular:matrix:2"], 0),
+    ("validate-2diagram-identity-c2",
+     ["validate", "2diagram", "identity:identity:group:C2"], 0),
+    ("verify-morita-matrix2",
+     ["verify", "morita", "--algebra", "matrix:2", "--n", "2"], 0),
+    ("verify-triangle-seed1", ["verify", "triangle", "--seed", "1"], 0),
+    ("verify-lax-seed2", ["verify", "lax", "--seed", "2"], 0),
+    ("beta-check-seed3", ["beta-check", "--seed", "3"], 0),
+    # the remaining constructors
+    ("validate-algebra-product", ["validate", "algebra", "product:k^3"], 0),
+    ("validate-map-unit", ["validate", "map", "unit:product:k^2"], 0),
+    ("validate-bimodule-free",
+     ["validate", "bimodule", "free:matrix:2,k"], 0),
+    ("validate-cospan-identity", ["validate", "cospan", "identity:k"], 0),
+    ("center-gfp5", ["center", "--algebra", "group:C2", "--field", "gfp:5"],
+     0),
+    # a good file presentation of each kind, and an unknown constructor
+    *((f"validate-{kind}-file", ["validate", kind, f"@{kind}.json"], 0)
+      for kind in KINDS),
+    *((f"validate-{kind}-unknown", ["validate", kind, "nonesuch:2"], 2)
+      for kind in KINDS),
+    # bad input
+    ("malformed-json", ["validate", "algebra", "@malformed.json"], 2),
+    ("missing-file", ["center", "--algebra", "@missing.json"], 2),
+    ("wrong-kind", ["validate", "map", "@algebra.json"], 2),
+    ("algebra-fails-validator",
+     ["validate", "algebra", "@algebra_broken.json"], 2),
+    ("map-source-fails-validator",
+     ["validate", "map", "@map_broken_source.json"], 2),
+    ("map-fails-validator",
+     ["centralizer", "--map", "@map_not_multiplicative.json"], 2),
+    ("float-scalar", ["validate", "map", "@map_float.json"], 2),
+    ("cospan-apex-mismatch",
+     ["validate", "cospan", "@cospan_apex_mismatch.json"], 2),
+    ("2diagram-bimodule-fails-validator",
+     ["validate", "2diagram", "@2diagram_broken_bimodule.json"], 2),
+    ("algebra-size-not-integer", ["center", "--algebra", "matrix:x"], 2),
+    ("diag-size-zero", ["validate", "map", "diag:0"], 2),
+    ("free-one-algebra", ["validate", "bimodule", "free:k"], 2),
+    ("unknown-field", ["center", "--algebra", "k", "--field", "gfp:4"], 2),
+    ("tensor-over-mismatch",
+     ["tensor-over", "--left", "col:2", "--right", "col:2"], 2),
+    # flags that go together
+    ("beta-check-partial-grid",
+     ["beta-check", "--d1", "identity:identity:k"], 2),
+    ("pentagon-partial-chain", ["verify", "pentagon", "--b1", "regular:k"],
+     2),
+    ("triangle-left-only", ["verify", "triangle", "--left", "regular:k"], 2),
+    ("lax-h-without-g",
+     ["verify", "lax", "--f", "id:k", "--h", "id:k"], 2),
+    ("lax-f-only", ["verify", "lax", "--f", "id:k"], 2),
+    ("naturality-phi-only",
+     ["verify", "naturality", "--phi", "id:regular:k"], 2),
+    ("naturality-phip-only",
+     ["verify", "naturality", "--phi", "id:regular:k",
+      "--psi", "id:regular:k", "--phip", "id:regular:k"], 2),
+]
+
+
+def run_case(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_golden_report(name, argv, code, monkeypatch):
+    monkeypatch.chdir(DATA)
+    got_code, got = run_case(argv)
+    assert got_code == code
+    assert got == (EXPECTED / f"{name}.json").read_text(encoding="utf-8")
+
+
+def regenerate():
+    EXPECTED.mkdir(exist_ok=True)
+    os.chdir(DATA)
+    for name, argv, code in CASES:
+        got_code, got = run_case(argv)
+        if got_code != code:
+            raise SystemExit(f"{name}: exit {got_code}, expected {code}")
+        (EXPECTED / f"{name}.json").write_text(got, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
