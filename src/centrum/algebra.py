@@ -364,10 +364,12 @@ def named_algebra(spec: str, field=QQ) -> Algebra:
     group:C2."""
     if spec == "k":
         return alg_k(field)
-    if spec.startswith("matrix:"):
-        return alg_matrix(int(spec.split(":", 1)[1]), field)
-    if spec.startswith("product:k^"):
-        return alg_product_k(int(spec.split("^", 1)[1]), field)
+    for prefix, make in (("matrix:", alg_matrix), ("product:k^", alg_product_k)):
+        if spec.startswith(prefix):
+            n = int(spec[len(prefix):])
+            if n < 1:
+                raise ValueError(f"{spec}: the size must be at least 1")
+            return make(n, field)
     if spec == "dual_numbers":
         return alg_dual_numbers(field)
     if spec == "group:C2":

@@ -116,15 +116,6 @@ def restriction_bimodule(f: AlgebraMap) -> Bimodule:
     return Bimodule(f.src, b, b.dim, lact, ract)
 
 
-def corestriction_bimodule(f: AlgebraMap) -> Bimodule:
-    """The target of f as a (tgt, src)-bimodule: the source acts through f
-    on the right."""
-    b = f.tgt
-    lact = [b.left_mult(b.basis_vector(i)) for i in range(b.dim)]
-    ract = [b.right_mult(f.apply(f.src.basis_vector(j))) for j in range(f.src.dim)]
-    return Bimodule(b, f.src, b.dim, lact, ract)
-
-
 def free_bimodule(a: Algebra, b: Algebra, d: int) -> Bimodule:
     """A (x) k^d (x) B with outer multiplication actions."""
     Ib = Matrix.identity(b.dim, a.field)
@@ -298,19 +289,22 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule, end_tgt: EndAlgebra, end_src: End
     assert end_tgt.bimodule is tgt and end_src.bimodule is src
     basis = hom_space(src, tgt)
     f = src.field
-    d = len(basis)
+    lact = [hom_operator(basis, basis, lambda b, E=end_tgt.basis[i]: E @ b, f)
+            for i in range(end_tgt.dim)]
+    ract = [hom_operator(basis, basis, lambda b, E=end_src.basis[j]: b @ E, f)
+            for j in range(end_src.dim)]
+    return Bimodule(end_tgt.algebra, end_src.algebra, len(basis), lact, ract), basis
 
-    def act_matrix(transform):
-        cols = []
-        for b in basis:
-            coords = hom_coords(basis, transform(b))
-            assert coords is not None, "action leaves the hom space"
-            cols.append(coords)
-        return Matrix.from_columns(cols, d, f)
 
-    lact = [act_matrix(lambda b, E=end_tgt.basis[i]: E @ b) for i in range(end_tgt.dim)]
-    ract = [act_matrix(lambda b, E=end_src.basis[j]: b @ E) for j in range(end_src.dim)]
-    return Bimodule(end_tgt.algebra, end_src.algebra, d, lact, ract), basis
+def hom_operator(basis_out, basis_in, transform, field) -> Matrix:
+    """Matrix, in the coordinates of the hom basis basis_out, of the linear
+    map that sends each element of basis_in to transform(element)."""
+    cols = []
+    for e in basis_in:
+        coords = hom_coords(basis_out, transform(e))
+        assert coords is not None, "operator leaves the hom space"
+        cols.append(coords)
+    return Matrix.from_columns(cols, len(basis_out), field)
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +423,6 @@ class Node:
         self.leaves = left.leaves + right.leaves
         f = self.bim.field
         assert (self.flat_proj @ self.flat_sect) == Matrix.identity(self.bim.dim, f)
-
-
-def left_nested_tower(bims):
-    """(((b0 (x) b1) (x) b2) ...) as a tower."""
-    t = Leaf(bims[0])
-    for b in bims[1:]:
-        t = Node(t, Leaf(b))
-    return t
-
-
-def right_nested_tower(bims):
-    """(... (b_{n-2} (x) (b_{n-1} ...))) as a tower."""
-    t = Leaf(bims[-1])
-    for b in reversed(bims[:-1]):
-        t = Node(Leaf(b), t)
-    return t
 
 
 def descend_flat_map(F: Matrix, src, tgt) -> Matrix:

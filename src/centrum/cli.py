@@ -24,6 +24,8 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import corpus
 from .algebra import (
@@ -227,8 +229,8 @@ def _spec_int(text, what) -> int:
 
 
 class Session:
-    """One invocation's object store plus its configuration.  Labels are
-    unique and every stored object passed its validator at insertion."""
+    """One invocation's input manifest plus its configuration.  Labels are
+    unique and every recorded object passed its validator at insertion."""
 
     def __init__(self, field, seed: int, bound: int):
         self.field = field
@@ -243,22 +245,16 @@ class Session:
         if violations:
             raise InputError(f"{label} ({source}) fails validation",
                              violations)
-        self.objects[label] = {
-            "source": source,
-            "obj": obj,
-            "hash": content_hash(canonical),
-        }
+        self.objects[label] = {"source": source,
+                               "hash": content_hash(canonical)}
         return obj
 
     def inputs_manifest(self):
-        return {
-            label: {"source": entry["source"], "hash": entry["hash"]}
-            for label, entry in self.objects.items()
-        }
+        return {label: dict(entry) for label, entry in self.objects.items()}
 
 
 # ---------------------------------------------------------------------------
-# resolvers: spec string or @file -> validated object
+# the codec table: spec string, @file.json or inline JSON -> object
 
 
 def load_payload(spec):
@@ -288,7 +284,6 @@ def require_kind(payload, kind, what):
 
 
 def algebra_from_dict(payload, field):
-    require_kind(payload, "algebra", "algebra")
     dim = payload.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise InputError("algebra: dim must be a positive integer")
@@ -310,53 +305,18 @@ def algebra_from_dict(payload, field):
         raise InputError("algebra: malformed structure constants")
 
 
-def build_algebra(spec, field) -> Algebra:
-    payload = load_payload(spec)
-    if payload is not None:
-        return algebra_from_dict(payload, field)
-    try:
-        return named_algebra(spec, field)
-    except ValueError as exc:
-        raise InputError(f"{exc}; known constructors: k, matrix:n,"
-                         " product:k^m, dual_numbers, group:C2, @file.json")
-
-
-def checked_algebra(spec, field, what="algebra") -> Algebra:
-    a = build_algebra(spec, field)
-    bad = validate_algebra(a)
-    if bad:
-        raise InputError(f"{what} ({describe(spec)}) fails validation", bad)
-    return a
-
-
 def map_from_dict(payload, field):
-    require_kind(payload, "map", "map")
-    src = checked_algebra(payload.get("src"), field, "map source")
-    tgt = checked_algebra(payload.get("tgt"), field, "map target")
+    src = load("algebra", payload.get("src"), field, "map source")
+    tgt = load("algebra", payload.get("tgt"), field, "map target")
     mat = parse_matrix(payload.get("matrix"), (tgt.dim, src.dim), field,
                        "map matrix")
     return AlgebraMap(src, tgt, mat)
 
 
-def build_map(spec, field) -> AlgebraMap:
-    payload = load_payload(spec)
-    if payload is not None:
-        return map_from_dict(payload, field)
-    if spec.startswith("id:"):
-        return identity_map(checked_algebra(spec[3:], field))
-    if spec.startswith("unit:"):
-        return unit_map(checked_algebra(spec[5:], field))
-    if spec.startswith("diag:"):
-        return diagonal_inclusion(_spec_int(spec[5:], "diag"), field)
-    raise InputError(f"unknown map spec {spec!r}; known: id:<algebra>,"
-                     " unit:<algebra>, diag:<n>, @file.json")
-
-
 def bimodule_from_dict(payload, field):
-    require_kind(payload, "bimodule", "bimodule")
-    left = checked_algebra(payload.get("left"), field, "bimodule left algebra")
-    right = checked_algebra(payload.get("right"), field,
-                            "bimodule right algebra")
+    left = load("algebra", payload.get("left"), field, "bimodule left algebra")
+    right = load("algebra", payload.get("right"), field,
+                 "bimodule right algebra")
     dim = payload.get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise InputError("bimodule: dim must be a nonnegative integer")
@@ -379,41 +339,9 @@ def bimodule_from_dict(payload, field):
         raise InputError("bimodule: malformed action data")
 
 
-def build_bimodule(spec, field) -> Bimodule:
-    payload = load_payload(spec)
-    if payload is not None:
-        return bimodule_from_dict(payload, field)
-    if spec.startswith("regular:"):
-        return regular_bimodule(checked_algebra(spec[8:], field))
-    if spec.startswith("free:"):
-        parts = spec[5:].split(",")
-        if len(parts) != 2:
-            raise InputError("free: expects two algebra specs separated by a"
-                             " comma, e.g. free:matrix:2,k")
-        a = checked_algebra(parts[0], field, "free left algebra")
-        b = checked_algebra(parts[1], field, "free right algebra")
-        return free_bimodule(a, b, 1)
-    if spec.startswith("row:"):
-        return row_bimodule(_spec_int(spec[4:], "row"), field)
-    if spec.startswith("col:"):
-        return col_bimodule(_spec_int(spec[4:], "col"), field)
-    raise InputError(f"unknown bimodule spec {spec!r}; known:"
-                     " regular:<algebra>, free:<algebra>,<algebra>, row:<n>,"
-                     " col:<n>, @file.json")
-
-
-def checked_bimodule(spec, field, what="bimodule") -> Bimodule:
-    m = build_bimodule(spec, field)
-    bad = validate_bimodule(m)
-    if bad:
-        raise InputError(f"{what} ({describe(spec)}) fails validation", bad)
-    return m
-
-
 def bimodule_map_from_dict(payload, field):
-    require_kind(payload, "bimodule-map", "bimodule map")
-    src = checked_bimodule(payload.get("src"), field, "bimodule map source")
-    tgt = checked_bimodule(payload.get("tgt"), field, "bimodule map target")
+    src = load("bimodule", payload.get("src"), field, "bimodule map source")
+    tgt = load("bimodule", payload.get("tgt"), field, "bimodule map target")
     mat = parse_matrix(payload.get("matrix"), (tgt.dim, src.dim), field,
                        "bimodule map matrix")
     try:
@@ -422,49 +350,19 @@ def bimodule_map_from_dict(payload, field):
         raise InputError("bimodule map: source and target pairs do not match")
 
 
-def build_bimodule_map(spec, field) -> BimoduleMap:
-    payload = load_payload(spec)
-    if payload is not None:
-        return bimodule_map_from_dict(payload, field)
-    if spec.startswith("id:"):
-        return identity_bimodule_map(checked_bimodule(spec[3:], field))
-    raise InputError(f"unknown bimodule map spec {spec!r}; known:"
-                     " id:<bimodule>, @file.json")
-
-
 def cospan_from_dict(payload, field):
-    require_kind(payload, "cospan", "cospan")
-    leg_a = build_map(payload.get("leg_a"), field)
-    leg_b = build_map(payload.get("leg_b"), field)
+    leg_a = build("map", payload.get("leg_a"), field, "cospan leg_a")
+    leg_b = build("map", payload.get("leg_b"), field, "cospan leg_b")
     try:
         return Cospan(leg_a, leg_b)
     except AssertionError:
         raise InputError("cospan: the two legs must share one apex algebra")
 
 
-def build_cospan(spec, field) -> Cospan:
-    payload = load_payload(spec)
-    if payload is not None:
-        return cospan_from_dict(payload, field)
-    if spec.startswith("identity:"):
-        return identity_cospan(checked_algebra(spec[9:], field))
-    raise InputError(f"unknown cospan spec {spec!r}; known:"
-                     " identity:<algebra>, @file.json")
-
-
-def checked_cospan(spec, field, what="cospan") -> Cospan:
-    c = build_cospan(spec, field)
-    bad = validate_cospan(c)
-    if bad:
-        raise InputError(f"{what} ({describe(spec)}) fails validation", bad)
-    return c
-
-
 def diagram_from_dict(payload, field):
-    require_kind(payload, "2diagram", "2-diagram")
-    src = checked_cospan(payload.get("src"), field, "2-diagram source cospan")
-    tgt = checked_cospan(payload.get("tgt"), field, "2-diagram target cospan")
-    m = checked_bimodule(payload.get("bimodule"), field, "2-diagram bimodule")
+    src = load("cospan", payload.get("src"), field, "2-diagram source cospan")
+    tgt = load("cospan", payload.get("tgt"), field, "2-diagram target cospan")
+    m = load("bimodule", payload.get("bimodule"), field, "2-diagram bimodule")
     f = parse_matrix(payload.get("f"), (m.dim, src.apex.dim), field,
                      "2-diagram f")
     g = parse_matrix(payload.get("g"), (m.dim, tgt.apex.dim), field,
@@ -476,54 +374,136 @@ def diagram_from_dict(payload, field):
                          " source apex)")
 
 
-def build_2diagram(spec, field) -> TwoDiagram:
+def _named_algebra(spec, field) -> Algebra:
+    try:
+        return named_algebra(spec, field)
+    except ValueError as exc:
+        raise InputError(f"{exc}; known constructors: k, matrix:n,"
+                         " product:k^m, dual_numbers, group:C2, @file.json")
+
+
+def _free_bimodule(spec, field) -> Bimodule:
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise InputError("free: expects two algebra specs separated by a"
+                         " comma, e.g. free:matrix:2,k")
+    return free_bimodule(load("algebra", parts[0], field, "free left algebra"),
+                         load("algebra", parts[1], field,
+                              "free right algebra"), 1)
+
+
+@dataclass(frozen=True, slots=True)
+class Codec:
+    """How the CLI reads and writes one object kind.
+
+    `decode` gets a JSON object whose "kind" tag `build` has checked.
+    `constructors` pairs each named-constructor pattern with a function of
+    (the spec after the pattern's prefix, field); the prefix is the pattern
+    up to its first "<".  The validators are called through their module
+    names, so that rebinding those names (as a tracer does) reaches them."""
+
+    noun: str
+    encode: Callable
+    decode: Callable
+    constructors: tuple
+    validate: Callable
+    summary: Callable
+
+
+CODECS = {
+    "algebra": Codec(
+        "algebra", algebra_dict, algebra_from_dict,
+        (("<name>", _named_algebra),),
+        lambda a: validate_algebra(a),
+        lambda a: {"dim": a.dim}),
+    "map": Codec(
+        "map", map_dict, map_from_dict,
+        (("id:<algebra>",
+          lambda rest, field: identity_map(load("algebra", rest, field))),
+         ("unit:<algebra>",
+          lambda rest, field: unit_map(load("algebra", rest, field))),
+         ("diag:<n>", lambda rest, field: diagonal_inclusion(
+             _spec_int(rest, "diag"), field))),
+        lambda f: validate_algebra_map(f),
+        lambda f: {"src_dim": f.src.dim, "tgt_dim": f.tgt.dim}),
+    "bimodule": Codec(
+        "bimodule", bimodule_dict, bimodule_from_dict,
+        (("regular:<algebra>",
+          lambda rest, field: regular_bimodule(load("algebra", rest, field))),
+         ("free:<algebra>,<algebra>", _free_bimodule),
+         ("row:<n>",
+          lambda rest, field: row_bimodule(_spec_int(rest, "row"), field)),
+         ("col:<n>",
+          lambda rest, field: col_bimodule(_spec_int(rest, "col"), field))),
+        lambda m: validate_bimodule(m),
+        lambda m: {"dim": m.dim, "left_dim": m.left.dim,
+                   "right_dim": m.right.dim}),
+    "bimodule-map": Codec(
+        "bimodule map", bimodule_map_dict, bimodule_map_from_dict,
+        (("id:<bimodule>", lambda rest, field: identity_bimodule_map(
+            load("bimodule", rest, field))),),
+        lambda f: validate_bimodule_map(f),
+        lambda f: {"src_dim": f.src.dim, "tgt_dim": f.tgt.dim}),
+    "cospan": Codec(
+        "cospan", cospan_dict, cospan_from_dict,
+        (("identity:<algebra>",
+          lambda rest, field: identity_cospan(load("algebra", rest, field))),),
+        lambda c: validate_cospan(c),
+        lambda c: {"apex_dim": c.apex.dim, "a_dim": c.a.dim,
+                   "b_dim": c.b.dim}),
+    "2diagram": Codec(
+        "2-diagram", diagram_dict, diagram_from_dict,
+        (("identity:<cospan>", lambda rest, field: identity_2diagram(
+            load("cospan", rest, field))),),
+        lambda d: validate_2diagram(d),
+        lambda d: {"hom_dim": d.M.dim, "src_apex_dim": d.src.apex.dim,
+                   "tgt_apex_dim": d.tgt.apex.dim}),
+}
+
+
+def build(kind, spec, field, what=None):
+    """The object of this kind that a spec presents, not yet validated: an
+    @file.json or inline JSON object through the kind's decoder, a string
+    through its named constructors."""
+    codec = CODECS[kind]
     payload = load_payload(spec)
     if payload is not None:
-        return diagram_from_dict(payload, field)
-    if spec.startswith("identity:"):
-        return identity_2diagram(checked_cospan(spec[9:], field))
-    raise InputError(f"unknown 2-diagram spec {spec!r}; known:"
-                     " identity:<cospan>, @file.json")
+        require_kind(payload, kind, codec.noun)
+        return codec.decode(payload, field)
+    if not isinstance(spec, str):
+        raise InputError(f"{what or codec.noun}: expected a constructor"
+                         " string, @file.json or a JSON object, got"
+                         f" {json.dumps(spec)}")
+    for pattern, make in codec.constructors:
+        prefix = pattern.partition("<")[0]
+        if spec.startswith(prefix):
+            return make(spec[len(prefix):], field)
+    known = ", ".join(pattern for pattern, _ in codec.constructors)
+    raise InputError(f"unknown {codec.noun} spec {spec!r}; known: {known},"
+                     " @file.json")
+
+
+def load(kind, spec, field, what=None):
+    """build, then the kind's validator: a part nested in another object."""
+    what = what or CODECS[kind].noun
+    obj = build(kind, spec, field, what)
+    bad = CODECS[kind].validate(obj)
+    if bad:
+        raise InputError(f"{what} ({describe(spec)}) fails validation", bad)
+    return obj
+
+
+def resolve(session, kind, spec, label=None):
+    """build, then store the object in the session under label (the kind by
+    default), which runs the validator and records the content hash."""
+    codec = CODECS[kind]
+    obj = build(kind, spec, session.field)
+    return session.insert(label or kind, describe(spec), obj,
+                          codec.validate(obj), codec.encode(obj))
 
 
 def describe(spec) -> str:
     return spec if isinstance(spec, str) else "(inline)"
-
-
-def resolve_algebra(session, label, spec) -> Algebra:
-    a = build_algebra(spec, session.field)
-    return session.insert(label, describe(spec), a, validate_algebra(a),
-                          algebra_dict(a))
-
-
-def resolve_map(session, label, spec) -> AlgebraMap:
-    f = build_map(spec, session.field)
-    return session.insert(label, describe(spec), f, validate_algebra_map(f),
-                          map_dict(f))
-
-
-def resolve_bimodule(session, label, spec) -> Bimodule:
-    m = build_bimodule(spec, session.field)
-    return session.insert(label, describe(spec), m, validate_bimodule(m),
-                          bimodule_dict(m))
-
-
-def resolve_bimodule_map(session, label, spec) -> BimoduleMap:
-    f = build_bimodule_map(spec, session.field)
-    return session.insert(label, describe(spec), f,
-                          validate_bimodule_map(f), bimodule_map_dict(f))
-
-
-def resolve_cospan(session, label, spec) -> Cospan:
-    c = build_cospan(spec, session.field)
-    return session.insert(label, describe(spec), c, validate_cospan(c),
-                          cospan_dict(c))
-
-
-def resolve_2diagram(session, label, spec) -> TwoDiagram:
-    d = build_2diagram(spec, session.field)
-    return session.insert(label, describe(spec), d, validate_2diagram(d),
-                          diagram_dict(d))
 
 
 # ---------------------------------------------------------------------------
@@ -570,74 +550,45 @@ def emit(payload, out_path):
 # command handlers
 
 
-def _commutes_with_all(alg: Algebra, vec) -> bool:
-    for i in range(alg.dim):
-        e = alg.basis_vector(i)
-        if alg.multiply(vec, e) != alg.multiply(e, vec):
-            return False
-    return True
+def _commute(alg: Algebra, xs, ys) -> bool:
+    """Brute force: every x commutes with every y in alg."""
+    return all(alg.multiply(x, y) == alg.multiply(y, x)
+               for x in xs for y in ys)
+
+
+def _basis_image(f: AlgebraMap):
+    return [f.apply(f.src.basis_vector(i)) for i in range(f.src.dim)]
 
 
 def cmd_validate(args, s, rep):
-    resolvers = {
-        "algebra": (resolve_algebra, lambda a: {"dim": a.dim}),
-        "map": (resolve_map,
-                lambda f: {"src_dim": f.src.dim, "tgt_dim": f.tgt.dim}),
-        "bimodule": (resolve_bimodule,
-                     lambda m: {"dim": m.dim, "left_dim": m.left.dim,
-                                "right_dim": m.right.dim}),
-        "bimodule-map": (resolve_bimodule_map,
-                         lambda f: {"src_dim": f.src.dim,
-                                    "tgt_dim": f.tgt.dim}),
-        "cospan": (resolve_cospan,
-                   lambda c: {"apex_dim": c.apex.dim, "a_dim": c.a.dim,
-                              "b_dim": c.b.dim}),
-        "2diagram": (resolve_2diagram,
-                     lambda d: {"hom_dim": d.M.dim,
-                                "src_apex_dim": d.src.apex.dim,
-                                "tgt_apex_dim": d.tgt.apex.dim}),
-    }
-    resolver, summary = resolvers[args.kind]
-    obj = resolver(s, args.kind, args.spec)
-    rep.result = {"kind": args.kind, **summary(obj)}
+    obj = resolve(s, args.kind, args.spec)
+    rep.result = {"kind": args.kind, **CODECS[args.kind].summary(obj)}
     rep.check("object passes its validator", True)
 
 
 def cmd_center(args, s, rep):
-    a = resolve_algebra(s, "algebra", args.algebra)
+    a = resolve(s, "algebra", args.algebra)
     z = center(a)
     rep.result = {"dim": z.dim, "basis": fmt_matrix(z.incl)}
     rep.check("center is a commutative subalgebra", is_commutative(z.algebra))
     rep.check("center basis commutes with every basis element (brute force)",
-              all(_commutes_with_all(a, col) for col in z.incl.columns()))
+              _commute(a, z.incl.columns(),
+                       [a.basis_vector(i) for i in range(a.dim)]))
 
 
 def cmd_centralizer(args, s, rep):
-    f = resolve_map(s, "map", args.map)
+    f = resolve(s, "map", args.map)
     c = centralizer(f)
-    tgt = f.tgt
-    image = [f.apply(f.src.basis_vector(i)) for i in range(f.src.dim)]
-    brute = all(
-        tgt.multiply(col, u) == tgt.multiply(u, col)
-        for col in c.incl.columns()
-        for u in image
-    )
     rep.result = {"dim": c.dim, "basis": fmt_matrix(c.incl)}
     rep.check("centralizer basis commutes with the image (brute force)",
-              brute)
+              _commute(f.tgt, c.incl.columns(), _basis_image(f)))
     rep.check("centralizer is closed under multiplication and contains 1",
               True, "certified during subalgebra construction")
 
 
 def cmd_z_hom(args, s, rep):
-    f = resolve_map(s, "map", args.map)
+    f = resolve(s, "map", args.map)
     r = Z_hom(f)
-    brute = True
-    for col in r.realization.incl.columns():
-        for i in range(f.src.dim):
-            u = f.apply(f.src.basis_vector(i))
-            if f.tgt.multiply(col, u) != f.tgt.multiply(u, col):
-                brute = False
     rep.result = {
         "object": {"apex_dim": r.apex.dim},
         "cospan": {
@@ -649,11 +600,12 @@ def cmd_z_hom(args, s, rep):
     }
     rep.check("centralizer cospan passes its validator",
               validate_cospan(r.cospan) == [])
-    rep.check("apex basis commutes with the image (brute force)", brute)
+    rep.check("apex basis commutes with the image (brute force)",
+              _commute(f.tgt, r.realization.incl.columns(), _basis_image(f)))
 
 
 def cmd_z_bimodule(args, s, rep):
-    m = resolve_bimodule(s, "bimodule", args.bimodule)
+    m = resolve(s, "bimodule", args.bimodule)
     r = Z_bimodule(m)
     rep.result = {
         "object": {"apex_dim": r.apex.dim},
@@ -671,25 +623,18 @@ def cmd_z_bimodule(args, s, rep):
 
 
 def cmd_z_2cell(args, s, rep):
-    phi = resolve_bimodule_map(s, "bimodule-map", args.bimodule_map)
+    phi = resolve(s, "bimodule-map", args.bimodule_map)
     r = Z_2cell(phi)
     d = r.diagram
-    rep.result = {
-        "diagram": {
-            "hom_dim": d.M.dim,
-            "src_apex_dim": d.src.apex.dim,
-            "tgt_apex_dim": d.tgt.apex.dim,
-            "f": fmt_matrix(d.f),
-            "g": fmt_matrix(d.g),
-        },
-    }
+    rep.result = {"diagram": {**CODECS["2diagram"].summary(d),
+                              "f": fmt_matrix(d.f), "g": fmt_matrix(d.g)}}
     rep.check("induced 2-diagram passes its validator",
               validate_2diagram(d) == [])
 
 
 def cmd_tensor_over(args, s, rep):
-    m = resolve_bimodule(s, "left", args.left)
-    n = resolve_bimodule(s, "right", args.right)
+    m = resolve(s, "bimodule", args.left, "left")
+    n = resolve(s, "bimodule", args.right, "right")
     if not m.right.equal_on_the_nose(n.left):
         raise InputError("the right algebra of --left must equal the left"
                          " algebra of --right")
@@ -715,23 +660,17 @@ def cmd_tensor_over(args, s, rep):
 
 
 def cmd_compose_cospans(args, s, rep):
-    first = resolve_cospan(s, "first", args.first)
-    second = resolve_cospan(s, "second", args.second)
+    first = resolve(s, "cospan", args.first, "first")
+    second = resolve(s, "cospan", args.second, "second")
     if not first.b.equal_on_the_nose(second.a):
         raise InputError("the right foot of --first must equal the left foot"
                          " of --second")
     comp = compose_cospans(second, first)
     c = comp.cospan
     rel_rank = rank(comp.quot.relations)
-    rep.result = {
-        "cospan": {
-            "apex_dim": c.apex.dim,
-            "a_dim": c.a.dim,
-            "b_dim": c.b.dim,
-            "leg_a": fmt_matrix(c.leg_a.mat),
-            "leg_b": fmt_matrix(c.leg_b.mat),
-        },
-    }
+    rep.result = {"cospan": {**CODECS["cospan"].summary(c),
+                             "leg_a": fmt_matrix(c.leg_a.mat),
+                             "leg_b": fmt_matrix(c.leg_b.mat)}}
     rep.check("composite cospan passes its validator",
               validate_cospan(c) == [])
     rep.check("apex dimension equals flat tensor minus relation rank",
@@ -740,8 +679,8 @@ def cmd_compose_cospans(args, s, rep):
 
 
 def cmd_compose_2diagrams(args, s, rep):
-    first = resolve_2diagram(s, "first", args.first)
-    second = resolve_2diagram(s, "second", args.second)
+    first = resolve(s, "2diagram", args.first, "first")
+    second = resolve(s, "2diagram", args.second, "second")
     if args.how == "vertical":
         if not cospans_match(first.tgt, second.src):
             raise InputError("vertical composition needs the target cospan of"
@@ -753,28 +692,28 @@ def cmd_compose_2diagrams(args, s, rep):
             raise InputError("horizontal composition needs the right foot of"
                              " --first to equal the left foot of --second")
         out = horizontal_compose(second, first)
-    rep.result = {
-        "diagram": {
-            "hom_dim": out.M.dim,
-            "src_apex_dim": out.src.apex.dim,
-            "tgt_apex_dim": out.tgt.apex.dim,
-            "f": fmt_matrix(out.f),
-            "g": fmt_matrix(out.g),
-        },
-    }
+    rep.result = {"diagram": {**CODECS["2diagram"].summary(out),
+                              "f": fmt_matrix(out.f),
+                              "g": fmt_matrix(out.g)}}
     rep.check("composite 2-diagram passes its validator",
               validate_2diagram(out) == [])
+
+
+def _all_or_none(values, message) -> bool:
+    """Whether a group of flags that go together is given; an InputError
+    with the message when only some of them are."""
+    given = sum(v is not None for v in values)
+    if 0 < given < len(values):
+        raise InputError(message)
+    return given > 0
 
 
 def cmd_beta_check(args, s, rep):
     labels = ("d1p", "d1", "d2p", "d2")
     specs = (args.d1p, args.d1, args.d2p, args.d2)
-    given = [x for x in specs if x is not None]
-    if given and len(given) != 4:
-        raise InputError("provide all four of --d1p --d1 --d2p --d2, or none"
-                         " to generate a grid from the seed")
-    if given:
-        grid = tuple(resolve_2diagram(s, lbl, sp)
+    if _all_or_none(specs, "provide all four of --d1p --d1 --d2p --d2, or"
+                    " none to generate a grid from the seed"):
+        grid = tuple(resolve(s, "2diagram", sp, lbl)
                      for lbl, sp in zip(labels, specs))
     else:
         grid = random_interchanger_grid(s.rng, s.field)
@@ -805,10 +744,10 @@ def cmd_invertible(args, s, rep):
             raise InputError("give exactly one of --cospan or --map (the"
                              " latter takes the induced centralizer cospan)")
         if args.map is not None:
-            f = resolve_map(s, "map", args.map)
+            f = resolve(s, "map", args.map)
             c = Z_hom(f).cospan
         else:
-            c = resolve_cospan(s, "cospan", args.cospan)
+            c = resolve(s, "cospan", args.cospan)
         res = is_invertible_cospan(c)
         rep.result = {
             "invertible": res.invertible,
@@ -824,7 +763,7 @@ def cmd_invertible(args, s, rep):
         return
     if args.diagram is None:
         raise InputError("invertible 2cell needs --diagram")
-    d = resolve_2diagram(s, "diagram", args.diagram)
+    d = resolve(s, "2diagram", args.diagram, "diagram")
     legs_ok = is_invertible_2diagram(d)
     rep.result = {"legs_invertible": legs_ok}
     rep.check("both legs of the 2-diagram are invertible", legs_ok)
@@ -879,13 +818,10 @@ def _check_composable(ms):
 
 def _verify_pentagon(args, s, rep):
     specs = (args.b1, args.b2, args.b3, args.b4)
-    given = [x for x in specs if x is not None]
-    if given and len(given) != 4:
-        raise InputError("provide all four of --b1 --b2 --b3 --b4, or none"
-                         " to generate seeded instances")
-    if given:
+    if _all_or_none(specs, "provide all four of --b1 --b2 --b3 --b4, or"
+                    " none to generate seeded instances"):
         chains = [tuple(
-            resolve_bimodule(s, f"b{i + 1}", sp)
+            resolve(s, "bimodule", sp, f"b{i + 1}")
             for i, sp in enumerate(specs)
         )]
         _check_composable(chains[0])
@@ -902,12 +838,10 @@ def _verify_pentagon(args, s, rep):
 
 
 def _verify_triangle(args, s, rep):
-    if (args.left is None) != (args.right is None):
-        raise InputError("provide both --left and --right, or neither to"
-                         " generate seeded instances")
-    if args.left is not None:
-        pairs = [(resolve_bimodule(s, "left", args.left),
-                  resolve_bimodule(s, "right", args.right))]
+    if _all_or_none((args.left, args.right), "provide both --left and"
+                    " --right, or neither to generate seeded instances"):
+        pairs = [(resolve(s, "bimodule", args.left, "left"),
+                  resolve(s, "bimodule", args.right, "right"))]
         _check_composable(pairs[0])
     else:
         pairs = [tuple(corpus.random_pentagon_chain(s.rng, s.field)[:2])
@@ -922,16 +856,14 @@ def _verify_triangle(args, s, rep):
 
 
 def _verify_lax(args, s, rep):
-    given = [x for x in (args.f, args.g) if x is not None]
-    if args.h is not None and len(given) != 2:
+    if args.h is not None and None in (args.f, args.g):
         raise InputError("--h needs --f and --g as well")
-    if given and len(given) != 2:
-        raise InputError("provide --f and --g (and optionally --h), or none"
-                         " to generate seeded chains")
-    if given:
-        chain = [resolve_map(s, "f", args.f), resolve_map(s, "g", args.g)]
+    if _all_or_none((args.f, args.g), "provide --f and --g (and optionally"
+                    " --h), or none to generate seeded chains"):
+        chain = [resolve(s, "map", args.f, "f"),
+                 resolve(s, "map", args.g, "g")]
         if args.h is not None:
-            chain.append(resolve_map(s, "h", args.h))
+            chain.append(resolve(s, "map", args.h, "h"))
         for i in range(len(chain) - 1):
             if not chain[i].tgt.equal_on_the_nose(chain[i + 1].src):
                 raise InputError(f"maps {i + 1} and {i + 2} do not compose")
@@ -961,22 +893,19 @@ def _seeded_square_maps(rng, field):
 
 
 def _verify_naturality(args, s, rep):
-    named = [x for x in (args.phi, args.psi) if x is not None]
-    if named and len(named) != 2:
-        raise InputError("provide --phi and --psi together (and optionally"
-                         " --phip and --psip), or none to generate seeded"
-                         " instances")
-    if (args.phip is None) != (args.psip is None):
-        raise InputError("--phip and --psip go together")
+    named = _all_or_none((args.phi, args.psi), "provide --phi and --psi"
+                         " together (and optionally --phip and --psip), or"
+                         " none to generate seeded instances")
+    _all_or_none((args.phip, args.psip), "--phip and --psip go together")
     if named:
-        phi = resolve_bimodule_map(s, "phi", args.phi)
-        psi = resolve_bimodule_map(s, "psi", args.psi)
+        phi = resolve(s, "bimodule-map", args.phi, "phi")
+        psi = resolve(s, "bimodule-map", args.psi, "psi")
         if not phi.src.right.equal_on_the_nose(psi.src.left):
             raise InputError("--phi and --psi must share the middle algebra")
         phip = psip = None
         if args.phip is not None:
-            phip = resolve_bimodule_map(s, "phip", args.phip)
-            psip = resolve_bimodule_map(s, "psip", args.psip)
+            phip = resolve(s, "bimodule-map", args.phip, "phip")
+            psip = resolve(s, "bimodule-map", args.psip, "psip")
         _copy_entries(rep, "", verify_m_naturality(phi, psi, phip, psip))
         rep.result = {"instances": 1}
     else:
@@ -990,7 +919,10 @@ def _verify_naturality(args, s, rep):
 def _verify_morita(args, s, rep):
     if args.algebra is None:
         raise InputError("verify morita needs --algebra (and --n)")
-    a = resolve_algebra(s, "algebra", args.algebra)
+    if args.n < 1:
+        raise InputError(f"verify morita: --n must be at least 1, got"
+                         f" {args.n}")
+    a = resolve(s, "algebra", args.algebra)
     res = morita_center_check(a, args.n)
     rep.result = {
         "n": args.n,
@@ -1037,7 +969,7 @@ def cmd_corpus(args, s, rep):
 # argument parsing and entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rational",
                         help="rational (default) or gfp:<p>")
@@ -1057,8 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", parents=[common],
                        help="load an object and run its validator")
-    v.add_argument("kind", choices=["algebra", "map", "bimodule",
-                                    "bimodule-map", "cospan", "2diagram"])
+    v.add_argument("kind", choices=list(CODECS))
     v.add_argument("spec", help="constructor spec or @file.json")
     v.set_defaults(handler=cmd_validate)
 
@@ -1162,7 +1093,7 @@ def command_name(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = make_parser()
     args = parser.parse_args(argv)
     command = command_name(args)
 

@@ -184,10 +184,6 @@ class Matrix:
         return Matrix([[c[i] for c in cols] for i in range(ambient)], field,
                       ncols=len(cols))
 
-    @staticmethod
-    def column(vec, field) -> "Matrix":
-        return Matrix([[x] for x in vec], field)
-
     # -- basic ops ----------------------------------------------------------
 
     @property
@@ -204,9 +200,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.data, self.field, ncols=self.cols)
 
     def __add__(self, other) -> "Matrix":
         assert self.shape == other.shape
@@ -334,13 +327,6 @@ def stack_rows(mats) -> Matrix:
     return out
 
 
-def stack_cols(mats) -> Matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
-
-
 def tensor_permutation(dims, perm, field) -> Matrix:
     """Permutation matrix reordering tensor slots.
 
@@ -451,15 +437,6 @@ class Subspace:
         """Coordinates of vec in the canonical basis, or None."""
         return solve(self.basis, vec)
 
-    def leading_rows(self):
-        rows = []
-        for j in range(self.basis.cols):
-            for i in range(self.ambient):
-                if self.basis.data[i][j]:
-                    rows.append(i)
-                    break
-        return rows
-
 
 def kernel(m: Matrix) -> Subspace:
     """Kernel of m as a canonical subspace of the source."""
@@ -548,9 +525,6 @@ class Quotient:
 
     def project(self, vec):
         return self.proj.apply(vec)
-
-    def lift(self, vec):
-        return self.sect.apply(vec)
 
     def __repr__(self):
         return f"Quotient(k^{self.ambient} -> k^{self.dim})"

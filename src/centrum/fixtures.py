@@ -18,7 +18,6 @@ from .algebra import (
     compose_maps,
     identity_map,
     matrix_algebra,
-    product_algebra,
     tensor_algebra,
     unit_map,
 )
@@ -36,7 +35,6 @@ from .cospanbicat import (
     TwoDiagram,
     cospan_morphism_2diagram,
     identity_2diagram,
-    identity_cospan,
 )
 from .exactla import QQ, Matrix, inverse, is_invertible, random_matrix
 
@@ -136,30 +134,8 @@ def matrix_cospan(a: Algebra, b: Algebra, n: int) -> Cospan:
     return Cospan(leg_a, leg_b)
 
 
-def random_cospan(a: Algebra, b: Algebra, rng, allow_matrix=True) -> Cospan:
-    roll = rng.randrange(3 if allow_matrix else 2)
-    if roll == 0:
-        return tensor_product_cospan(a, b)
-    if roll == 1:
-        ext = random_commutative(rng, a.field, max_dim=2)
-        return extend_cospan(tensor_product_cospan(a, b), ext)[0]
-    return matrix_cospan(a, b, 2)
-
-
 # ---------------------------------------------------------------------------
 # 2-diagrams
-
-
-def direct_sum_2diagrams(parts) -> TwoDiagram:
-    """Direct sum of 2-diagrams between the same pair of cospans."""
-    src, tgt = parts[0].src, parts[0].tgt
-    M = direct_sum_bimodules([p.M for p in parts])
-    f = parts[0].f
-    g = parts[0].g
-    for p in parts[1:]:
-        f = f.vstack(p.f)
-        g = g.vstack(p.g)
-    return TwoDiagram(src, tgt, M, f, g)
 
 
 def twist_2diagram(d: TwoDiagram, P: Matrix) -> TwoDiagram:
@@ -183,27 +159,6 @@ def random_signed_permutation(dim: int, rng, field=QQ) -> Matrix:
     for i, j in enumerate(perm):
         rows[i][j] = 1 if rng.random() < 0.5 else -1
     return Matrix.from_int_rows(rows, field)
-
-
-def random_2diagram(src: Cospan, rng, extend_by=None) -> TwoDiagram:
-    """A random 2-diagram out of src: either the identity or an extension
-    morphism diagram, optionally twisted."""
-    if extend_by is None and rng.random() < 0.4:
-        d = identity_2diagram(src)
-    else:
-        ext = extend_by if extend_by is not None else random_commutative(rng, src.apex.field, max_dim=2)
-        _, d = extend_cospan(src, ext)
-    if rng.random() < 0.5:
-        d = twist_2diagram(d, random_invertible(d.M.dim, rng, d.M.field))
-    return d
-
-
-def random_vertical_pair(base: Cospan, rng, max_ext=2):
-    """Two stacked 2-diagrams base => mid => top, kept small."""
-    exts = [a for a in commutative_pool(base.apex.field) if a.dim <= max_ext]
-    lower = random_2diagram(base, rng, extend_by=exts[rng.randrange(len(exts))])
-    upper = random_2diagram(lower.tgt, rng)
-    return upper, lower
 
 
 def random_interchanger_grid(rng, field=QQ):
@@ -358,17 +313,3 @@ def random_map_chain(rng, length=2, field=QQ, pool=None):
             continue
         chain.append(nxt[rng.randrange(len(nxt))])
     return chain
-
-
-# ---------------------------------------------------------------------------
-# semisimple corpus
-
-
-def semisimple_pool(field=QQ):
-    """Products of matrix algebras (separable over the rationals)."""
-    return [
-        alg_k(field),
-        alg_product_k(2, field),
-        alg_matrix(2, field),
-        product_algebra([alg_k(field), alg_matrix(2, field)]),
-    ]

@@ -32,6 +32,7 @@ from .bimodule import (
     end_algebra,
     hom_bimodule,
     hom_coords,
+    hom_operator,
     hom_space,
     identity_bimodule_map,
     induced_map,
@@ -196,16 +197,6 @@ class Z2CellResult:
         self.basis = basis
 
 
-def _hom_operator(basis, transform, field) -> Matrix:
-    """Matrix, in hom-space coordinates, of a linear operator on a hom space."""
-    cols = []
-    for b in basis:
-        coords = hom_coords(basis, transform(b))
-        assert coords is not None, "operator leaves the hom space"
-        cols.append(coords)
-    return Matrix.from_columns(cols, len(basis), field)
-
-
 def Z_2cell(phi: BimoduleMap, z_src=None, z_tgt=None) -> Z2CellResult:
     """The 2-diagram from the cospan of phi's source to that of its target:
     bimodule [M, N] over the two endomorphism algebras, legs xi -> phi o xi
@@ -214,24 +205,14 @@ def Z_2cell(phi: BimoduleMap, z_src=None, z_tgt=None) -> Z2CellResult:
     zt = z_tgt if z_tgt is not None else Z_bimodule(phi.tgt)
     hom_bm, basis = hom_bimodule(phi.src, phi.tgt, zt.realization, zs.realization)
     field = phi.src.field
-    fmat = _hom_operator_into(basis, zs.realization.basis,
-                              lambda e: phi.mat @ e, field)
-    gmat = _hom_operator_into(basis, zt.realization.basis,
-                              lambda e: e @ phi.mat, field)
+    fmat = hom_operator(basis, zs.realization.basis,
+                        lambda e: phi.mat @ e, field)
+    gmat = hom_operator(basis, zt.realization.basis,
+                        lambda e: e @ phi.mat, field)
     d = TwoDiagram(zs.cospan, zt.cospan, hom_bm, fmat, gmat)
     bad = validate_2diagram(d)
     assert not bad, f"hom-space 2-diagram is invalid: {bad}"
     return Z2CellResult(phi, d, zs, zt, basis)
-
-
-def _hom_operator_into(basis_out, basis_in, transform, field) -> Matrix:
-    """Matrix of a map between hom spaces given on the input basis."""
-    cols = []
-    for e in basis_in:
-        coords = hom_coords(basis_out, transform(e))
-        assert coords is not None, "image leaves the hom space"
-        cols.append(coords)
-    return Matrix.from_columns(cols, len(basis_out), field)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +364,15 @@ def n_general(m: Bimodule, mp: Bimodule, n: Bimodule, np_: Bimodule,
     if pair_quot is None:
         zb = z_mid if z_mid is not None else center(m.right)
         rops = [
-            _hom_operator(basis_left,
-                          lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
-                          b @ m.ract_of(z), f)
+            hom_operator(basis_left, basis_left,
+                         lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
+                         b @ m.ract_of(z), f)
             for k in range(zb.dim)
         ]
         lops = [
-            _hom_operator(basis_right,
-                          lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
-                          b @ n.lact_of(z), f)
+            hom_operator(basis_right, basis_right,
+                         lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
+                         b @ n.lact_of(z), f)
             for k in range(zb.dim)
         ]
         rel = middle_relations(len(basis_left), len(basis_right), rops, lops, f)
@@ -468,8 +449,8 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
     # pre-unit map: the class of x (x) q composes x after the descended map
     blocks = []
     for a in range(end_tgt.dim):
-        post = _hom_operator(basis_t,
-                             lambda b, E=end_tgt.basis[a]: E @ b, f)
+        post = hom_operator(basis_t, basis_t,
+                            lambda b, E=end_tgt.basis[a]: E @ b, f)
         blocks.append(post @ n_res.mat)
     mprime_flat = blocks[0]
     for b in blocks[1:]:
@@ -503,13 +484,6 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
                          mprime=mprime, r_mat=r_mat, r_inverse=r_inverse,
                          cell=cell, valid=valid,
                          is_iso=is_invertible(cell_mat))
-
-
-def m_prime_and_m(phi: BimoduleMap, psi: BimoduleMap):
-    """The two-step construction of the square 3-cell: returns (mprime, m,
-    square) so the factored definition can be audited."""
-    sq = m_square(phi, psi)
-    return sq.mprime, sq.cell.mat, sq
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +663,10 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     end_src = sq.mult_src.zmn.realization
     end_tgt = sq.mult_tgt.zmn.realization
     basis_t = sq.n_res.basis_target
-    post_phi = _hom_operator_into(basis_t, end_src.basis,
-                                  lambda e: sq.induced.mat @ e, f)
-    pre_phi = _hom_operator_into(basis_t, end_tgt.basis,
-                                 lambda e: e @ sq.induced.mat, f)
+    post_phi = hom_operator(basis_t, end_src.basis,
+                            lambda e: sq.induced.mat @ e, f)
+    pre_phi = hom_operator(basis_t, end_tgt.basis,
+                           lambda e: e @ sq.induced.mat, f)
     rep.add("upper triangle via n",
             sq.cell.mat @ sq.lhs.f
             == sq.r_inverse @ sq.n_res.mat @ sq.hq.f)
@@ -703,14 +677,14 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     ok_r = True
     for y in range(sq.mult_src.comp.cospan.apex.dim):
         w = end_src.matrix_of(sq.mult_src.mult.mat.col_list(y))
-        pre = _hom_operator(basis_t, lambda b, W=w: b @ W, f)
+        pre = hom_operator(basis_t, basis_t, lambda b, W=w: b @ W, f)
         if sq.n_res.mat @ sq.hq.M.ract[y] != pre @ sq.n_res.mat:
             ok_r = False
     rep.add("descended map right equivariant", ok_r)
     ok_l = True
     for y in range(sq.mult_tgt.comp.cospan.apex.dim):
         w = end_tgt.matrix_of(sq.mult_tgt.mult.mat.col_list(y))
-        post = _hom_operator(basis_t, lambda b, W=w: W @ b, f)
+        post = hom_operator(basis_t, basis_t, lambda b, W=w: W @ b, f)
         if sq.n_res.mat @ sq.hq.M.lact[y] != post @ sq.n_res.mat:
             ok_l = False
     rep.add("descended map left equivariant", ok_l)

@@ -197,5 +197,61 @@ def test_content_hash_is_stable():
     assert content_hash(d) == content_hash(json.loads(json.dumps(d)))
 
 
+def run_main(argv, capsys):
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+# A nested part given as something other than a constructor string, an
+# @file spec or a JSON object; algebras are covered as the parts of maps
+# and bimodules, since an algebra nests no part itself.
+NON_STRING_PARTS = [
+    ("map", {"kind": "map"}, "map source"),
+    ("map", {"kind": "map", "src": "k", "tgt": 1.5, "matrix": [[1]]},
+     "map target"),
+    ("bimodule", {"kind": "bimodule", "left": True, "right": "k", "dim": 1,
+                  "lact": [[[1]]], "ract": [[[1]]]}, "bimodule left algebra"),
+    ("bimodule-map", {"kind": "bimodule-map", "src": [1],
+                      "tgt": "regular:k", "matrix": [[1]]},
+     "bimodule map source"),
+    ("cospan", {"kind": "cospan", "leg_a": None, "leg_b": "id:k"},
+     "cospan leg_a"),
+    ("2diagram", {"kind": "2diagram", "src": 0, "tgt": "identity:k",
+                  "bimodule": "regular:k", "f": [[1]], "g": [[1]]},
+     "2-diagram source cospan"),
+    ("2diagram", {"kind": "2diagram", "src": "identity:k",
+                  "tgt": "identity:k", "bimodule": False, "f": [[1]],
+                  "g": [[1]]}, "2-diagram bimodule"),
+]
+
+
+@pytest.mark.parametrize("kind,payload,what", NON_STRING_PARTS)
+def test_non_string_nested_spec_exits_two(kind, payload, what, tmp_path,
+                                          capsys):
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps(payload))
+    code, r = run_main(["validate", kind, f"@{path}"], capsys)
+    assert code == 2
+    assert r["ok"] is False
+    assert r["error"]["message"].startswith(
+        f"{what}: expected a constructor string")
+
+
+@pytest.mark.parametrize("spec", ["matrix:0", "product:k^0", "matrix:-1"])
+def test_center_of_empty_algebra_exits_two(spec, capsys):
+    code, r = run_main(["center", "--algebra", spec], capsys)
+    assert code == 2
+    assert "size must be at least 1" in r["error"]["message"]
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_morita_with_nonpositive_size_exits_two(n, capsys):
+    code, r = run_main(["verify", "morita", "--algebra", "k", "--n", n],
+                       capsys)
+    assert code == 2
+    assert r["error"]["message"] == (
+        f"verify morita: --n must be at least 1, got {n}")
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))
