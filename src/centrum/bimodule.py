@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, AlgebraMap
 from .exactla import (
+    FlatWitness,
     Matrix,
     cokernel,
     inverse,
@@ -171,6 +172,9 @@ class BimoduleMap:
     __slots__ = ("src", "tgt", "mat")
 
     def __init__(self, src: Bimodule, tgt: Bimodule, mat: Matrix):
+        for a, b in ((src.left, tgt.left), (src.right, tgt.right)):
+            if not (a is b or a.equal_on_the_nose(b)):
+                raise ValueError("bimodule map: source and target pairs do not match")
         assert mat.rows == tgt.dim and mat.cols == src.dim
         self.src = src
         self.tgt = tgt
@@ -388,80 +392,46 @@ def induced_map(
 
 
 # ---------------------------------------------------------------------------
-# towers of iterated tensor products and the canonical rebracketing maps
+# bracketings of iterated tensor products and the canonical rebracketing maps
 
 
-class Leaf:
-    """A single bimodule as a trivial tensor tower."""
-
-    __slots__ = ("bim", "flat_dim", "flat_proj", "flat_sect", "leaves")
-
-    def __init__(self, bim: Bimodule):
-        self.bim = bim
-        f = bim.field
-        self.flat_dim = bim.dim
-        self.flat_proj = Matrix.identity(bim.dim, f)
-        self.flat_sect = Matrix.identity(bim.dim, f)
-        self.leaves = [bim]
+def _bracketing(tree):
+    """The tensor product of a bracketing given as nested pairs of
+    bimodules, with its witness over the flat tensor of all leaves:
+    (bimodule, FlatWitness)."""
+    if isinstance(tree, Bimodule):
+        return tree, FlatWitness.leaf(tree.dim, tree.field)
+    left, wl = _bracketing(tree[0])
+    right, wr = _bracketing(tree[1])
+    t = tensor_over(left, right)
+    return t.product, wl.tensor(wr, t.quot)
 
 
-class Node:
-    """tensor_over of two towers; tracks the surjection from the flat
-    (unbracketed) tensor of all leaves and a section of it."""
-
-    __slots__ = ("left", "right", "tensor", "bim", "flat_dim", "flat_proj",
-                 "flat_sect", "leaves")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self.tensor = tensor_over(left.bim, right.bim)
-        self.bim = self.tensor.product
-        self.flat_dim = left.flat_dim * right.flat_dim
-        self.flat_proj = self.tensor.quot.proj @ left.flat_proj.kron(right.flat_proj)
-        self.flat_sect = left.flat_sect.kron(right.flat_sect) @ self.tensor.quot.sect
-        self.leaves = left.leaves + right.leaves
-        f = self.bim.field
-        assert (self.flat_proj @ self.flat_sect) == Matrix.identity(self.bim.dim, f)
+_TOWER_DESCENT = "flat map does not descend through the towers"
 
 
-def descend_flat_map(F: Matrix, src, tgt) -> Matrix:
-    """Descend a map between flat multi-tensors to the bracketed quotients.
-
-    F is tgt.flat_dim x src.flat_dim on the unbracketed tensors.  The descent
-    property (tgt.flat_proj o F factors through src.flat_proj) is verified
-    exactly; raises ValueError if it fails.
-    """
-    down = tgt.flat_proj @ F
-    mat = down @ src.flat_sect
-    if (mat @ src.flat_proj) != down:
-        raise ValueError("flat map does not descend through the towers")
-    return mat
-
-
-def rebracket_iso(src, tgt) -> Matrix:
-    """The canonical iso between two bracketings of the same leaf sequence."""
-    assert [l.dim for l in src.leaves] == [l.dim for l in tgt.leaves]
-    return descend_flat_map(Matrix.identity(src.flat_dim, src.bim.field), src, tgt)
+def _rebracket(src, tgt) -> Matrix:
+    """The canonical iso between two bracketings of one leaf sequence."""
+    return src.rebracket(tgt, _TOWER_DESCENT)
 
 
 def assoc_iso(m: Bimodule, n: Bimodule, p: Bimodule):
     """Both bracketings of M (x) N (x) P and the canonical iso between them.
 
-    Returns (left tower, right tower, iso, inverse iso); the iso is checked to
-    be a two-sided inverse and an equivariant map.
+    Returns ((M N) P, M (N P), iso, inverse iso); the iso is checked to be a
+    two-sided inverse and an equivariant map.
     """
-    tl = Node(Node(Leaf(m), Leaf(n)), Leaf(p))
-    tr = Node(Leaf(m), Node(Leaf(n), Leaf(p)))
-    fwd = rebracket_iso(tl, tr)
-    bwd = rebracket_iso(tr, tl)
+    bl, wl = _bracketing(((m, n), p))
+    br, wr = _bracketing((m, (n, p)))
+    fwd = _rebracket(wl, wr)
+    bwd = _rebracket(wr, wl)
     f = m.field
-    assert (bwd @ fwd) == Matrix.identity(tl.bim.dim, f)
-    assert (fwd @ bwd) == Matrix.identity(tr.bim.dim, f)
-    iso = BimoduleMap(tl.bim, tr.bim, fwd)
+    assert (bwd @ fwd) == Matrix.identity(bl.dim, f)
+    assert (fwd @ bwd) == Matrix.identity(br.dim, f)
+    iso = BimoduleMap(bl, br, fwd)
     bad = validate_bimodule_map(iso)
     assert not bad, f"associator is not equivariant: {bad}"
-    return tl, tr, iso, BimoduleMap(tr.bim, tl.bim, bwd)
+    return bl, br, iso, BimoduleMap(br, bl, bwd)
 
 
 def _left_action_collapse(m: Bimodule) -> Matrix:
@@ -490,9 +460,7 @@ def unit_iso_left(t: TensorResult) -> BimoduleMap:
     a = t.left_factor
     f = m.field
     assert a.dim == m.left.dim
-    act = _left_action_collapse(m)
-    assert (act @ t.quot.relations).is_zero(), "action does not descend"
-    mat = act @ t.quot.sect
+    mat = t.quot.descend(_left_action_collapse(m), "action does not descend")
     unit_col = Matrix.from_columns([a.left.unit], a.dim, f)
     back = t.quot.proj @ unit_col.kron(Matrix.identity(m.dim, f))
     assert (mat @ back) == Matrix.identity(m.dim, f)
@@ -508,9 +476,7 @@ def unit_iso_right(t: TensorResult) -> BimoduleMap:
     b = t.right_factor
     f = m.field
     assert b.dim == m.right.dim
-    act = _right_action_collapse(m)
-    assert (act @ t.quot.relations).is_zero(), "action does not descend"
-    mat = act @ t.quot.sect
+    mat = t.quot.descend(_right_action_collapse(m), "action does not descend")
     unit_col = Matrix.from_columns([b.left.unit], b.dim, f)
     back = t.quot.proj @ Matrix.identity(m.dim, f).kron(unit_col)
     assert (mat @ back) == Matrix.identity(m.dim, f)
@@ -520,13 +486,15 @@ def unit_iso_right(t: TensorResult) -> BimoduleMap:
 
 def pentagon_check(b1: Bimodule, b2: Bimodule, b3: Bimodule, b4: Bimodule) -> bool:
     """The rebracketing isos of a 4-fold product commute around the pentagon."""
-    t1 = Node(Node(Node(Leaf(b1), Leaf(b2)), Leaf(b3)), Leaf(b4))  # ((12)3)4
-    t2 = Node(Node(Leaf(b1), Node(Leaf(b2), Leaf(b3))), Leaf(b4))  # (1(23))4
-    t3 = Node(Node(Leaf(b1), Leaf(b2)), Node(Leaf(b3), Leaf(b4)))  # (12)(34)
-    t4 = Node(Leaf(b1), Node(Node(Leaf(b2), Leaf(b3)), Leaf(b4)))  # 1((23)4)
-    t5 = Node(Leaf(b1), Node(Leaf(b2), Node(Leaf(b3), Leaf(b4))))  # 1(2(34))
-    two_step = rebracket_iso(t3, t5) @ rebracket_iso(t1, t3)
-    three_step = rebracket_iso(t4, t5) @ rebracket_iso(t2, t4) @ rebracket_iso(t1, t2)
+    w1, w2, w3, w4, w5 = (_bracketing(tree)[1] for tree in (
+        (((b1, b2), b3), b4),
+        ((b1, (b2, b3)), b4),
+        ((b1, b2), (b3, b4)),
+        (b1, ((b2, b3), b4)),
+        (b1, (b2, (b3, b4))),
+    ))
+    two_step = _rebracket(w3, w5) @ _rebracket(w1, w3)
+    three_step = _rebracket(w4, w5) @ _rebracket(w2, w4) @ _rebracket(w1, w2)
     return two_step == three_step
 
 
@@ -534,17 +502,17 @@ def triangle_check(m: Bimodule, n: Bimodule) -> bool:
     """(M (x) B) (x) N -> M (x) (B (x) N) is compatible with the unit isos:
     (1 (x) collapse) o rebracket == (collapse (x) 1)."""
     B = regular_bimodule(m.right)
-    tl = Node(Node(Leaf(m), Leaf(B)), Leaf(n))
-    tr = Node(Leaf(m), Node(Leaf(B), Leaf(n)))
-    target = Node(Leaf(m), Leaf(n))
-    alpha = rebracket_iso(tl, tr)
+    _, wl = _bracketing(((m, B), n))
+    _, wr = _bracketing((m, (B, n)))
+    _, target = _bracketing((m, n))
+    alpha = _rebracket(wl, wr)
     f = m.field
-    left_map = descend_flat_map(
-        _right_action_collapse(m).kron(Matrix.identity(n.dim, f)), tl, target
-    )
-    right_map = descend_flat_map(
-        Matrix.identity(m.dim, f).kron(_left_action_collapse(n)), tr, target
-    )
+    left_map = wl.descend(
+        target.proj @ _right_action_collapse(m).kron(Matrix.identity(n.dim, f)),
+        _TOWER_DESCENT)
+    right_map = wr.descend(
+        target.proj @ Matrix.identity(m.dim, f).kron(_left_action_collapse(n)),
+        _TOWER_DESCENT)
     return (right_map @ alpha) == left_map
 
 
@@ -610,11 +578,9 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
             coords = hom_coords(basis_mp, bi @ bj)
             assert coords is not None, "composite leaves the hom space"
             cols.append(coords)
-    flat = Matrix.from_columns(cols, len(basis_mp), f)
-    assert (flat @ tensor.quot.relations).is_zero(), (
-        "composition does not factor through the middle tensor"
-    )
-    mat = flat @ tensor.quot.sect
+    mat = tensor.quot.descend(
+        Matrix.from_columns(cols, len(basis_mp), f),
+        "composition does not factor through the middle tensor")
     map_ = BimoduleMap(tensor.product, hom_mp, mat)
     bad = validate_bimodule_map(map_)
     assert not bad, f"descended composition is not equivariant: {bad}"

@@ -258,20 +258,17 @@ class Session:
 
 
 def load_payload(spec):
-    """The JSON payload of an @file spec (or an inline dict); None when the
-    spec is a plain constructor string."""
+    """The JSON payload of an @file spec, or an inline dict itself."""
     if isinstance(spec, dict):
         return spec
-    if isinstance(spec, str) and spec.startswith("@"):
-        path = spec[1:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON in {path}: {exc}")
-    return None
+    path = spec[1:]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}")
 
 
 def require_kind(payload, kind, what):
@@ -346,8 +343,8 @@ def bimodule_map_from_dict(payload, field):
                        "bimodule map matrix")
     try:
         return BimoduleMap(src, tgt, mat)
-    except AssertionError:
-        raise InputError("bimodule map: source and target pairs do not match")
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def cospan_from_dict(payload, field):
@@ -355,8 +352,8 @@ def cospan_from_dict(payload, field):
     leg_b = build("map", payload.get("leg_b"), field, "cospan leg_b")
     try:
         return Cospan(leg_a, leg_b)
-    except AssertionError:
-        raise InputError("cospan: the two legs must share one apex algebra")
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def diagram_from_dict(payload, field):
@@ -369,9 +366,8 @@ def diagram_from_dict(payload, field):
                      "2-diagram g")
     try:
         return TwoDiagram(src, tgt, m, f, g)
-    except AssertionError:
-        raise InputError("2-diagram: the bimodule pair must be (target apex,"
-                         " source apex)")
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def _named_algebra(spec, field) -> Algebra:
@@ -466,8 +462,8 @@ def build(kind, spec, field, what=None):
     @file.json or inline JSON object through the kind's decoder, a string
     through its named constructors."""
     codec = CODECS[kind]
-    payload = load_payload(spec)
-    if payload is not None:
+    if isinstance(spec, dict) or (isinstance(spec, str) and spec.startswith("@")):
+        payload = load_payload(spec)
         require_kind(payload, kind, codec.noun)
         return codec.decode(payload, field)
     if not isinstance(spec, str):

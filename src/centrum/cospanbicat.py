@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -47,6 +48,7 @@ from .bimodule import (
     validate_bimodule_map,
 )
 from .exactla import (
+    FlatWitness,
     Matrix,
     PrimeField,
     cokernel,
@@ -73,7 +75,8 @@ class Cospan:
     __slots__ = ("leg_a", "leg_b", "name")
 
     def __init__(self, leg_a: AlgebraMap, leg_b: AlgebraMap, name=""):
-        assert leg_a.tgt is leg_b.tgt or leg_a.tgt.equal_on_the_nose(leg_b.tgt)
+        if not (leg_a.tgt is leg_b.tgt or leg_a.tgt.equal_on_the_nose(leg_b.tgt)):
+            raise ValueError("cospan: the two legs must share one apex algebra")
         self.leg_a = leg_a
         self.leg_b = leg_b
         self.name = name
@@ -255,12 +258,9 @@ def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> 
         for vc in vcols:
             if U.multiply(wc, vc) != U.multiply(vc, wc):
                 raise ValueError("factor map images do not commute")
-    f = U.field
     cols = [U.multiply(wcols[i], vcols[j]) for i in range(T.dim) for j in range(S.dim)]
-    flat = Matrix.from_columns(cols, U.dim, f)
-    mat = flat @ comp.quot.sect
-    if (mat @ comp.quot.proj) != flat:
-        raise ValueError("universal map does not descend")
+    mat = comp.quot.descend(Matrix.from_columns(cols, U.dim, U.field),
+                            "universal map does not descend")
     out = AlgebraMap(comp.cospan.apex, U, mat)
     bad = validate_algebra_map(out)
     assert not bad, f"universal map is not an algebra map: {bad}"
@@ -283,8 +283,10 @@ class TwoDiagram:
 
     def __init__(self, src: Cospan, tgt: Cospan, M: Bimodule, f: Matrix, g: Matrix,
                  tensor=None, parts=None):
-        assert M.left is tgt.apex or M.left.equal_on_the_nose(tgt.apex)
-        assert M.right is src.apex or M.right.equal_on_the_nose(src.apex)
+        if not ((M.left is tgt.apex or M.left.equal_on_the_nose(tgt.apex))
+                and (M.right is src.apex or M.right.equal_on_the_nose(src.apex))):
+            raise ValueError("2-diagram: the bimodule pair must be (target apex,"
+                             " source apex)")
         assert f.shape == (M.dim, src.apex.dim)
         assert g.shape == (M.dim, tgt.apex.dim)
         self.src = src
@@ -429,14 +431,10 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram, check=True) -> TwoDi
         op = _flat_bilinear_op(src_comp.quot.sect.col_list(q), M1.ract, M2.ract, f)
         ract.append(quotient_induced(tens.quot, op, tens.quot))
     M = Bimodule(tgt_comp.cospan.apex, src_comp.cospan.apex, tens.dim, lact, ract)
-    f_flat = left.f.kron(right.f)
-    fmat = tens.quot.proj @ f_flat @ src_comp.quot.sect
-    if fmat @ src_comp.quot.proj != tens.quot.proj @ f_flat:
-        raise ValueError("f leg does not descend to the composite")
-    g_flat = left.g.kron(right.g)
-    gmat = tens.quot.proj @ g_flat @ tgt_comp.quot.sect
-    if gmat @ tgt_comp.quot.proj != tens.quot.proj @ g_flat:
-        raise ValueError("g leg does not descend to the composite")
+    fmat = src_comp.quot.descend(tens.quot.proj @ left.f.kron(right.f),
+                                 "f leg does not descend to the composite")
+    gmat = tgt_comp.quot.descend(tens.quot.proj @ left.g.kron(right.g),
+                                 "g leg does not descend to the composite")
     return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat,
                       tensor=tens, parts=("horizontal", right, left, src_comp, tgt_comp))
 
@@ -602,30 +600,23 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None, tries=3,
 # the interchanger between the two orders of composing a 2x2 grid
 
 
+@dataclass(slots=True)
 class BetaResult:
     """The invertible interchanger between vertical-then-horizontal and
     horizontal-then-vertical composition of a 2x2 grid of 2-diagrams.
 
     src_diagram composes horizontally first; tgt_diagram vertically first.
     cell and inverse_cell are the two descended comparison maps, verified to
-    be mutually inverse 3-cells.  The flat witnesses (projections/sections
-    between the four-fold flat tensor and the two apexes) are kept for
-    naturality checks."""
+    be mutually inverse 3-cells.  src_witness and tgt_witness present the two
+    apexes as nested quotients of the four-fold flat tensor (flat order
+    M' N' M N and M' M N' N), for naturality checks."""
 
-    __slots__ = ("src_diagram", "tgt_diagram", "cell", "inverse_cell",
-                 "phi_s", "sect_s", "phi_t", "sect_t", "dims")
-
-    def __init__(self, src_diagram, tgt_diagram, cell, inverse_cell,
-                 phi_s, sect_s, phi_t, sect_t, dims):
-        self.src_diagram = src_diagram
-        self.tgt_diagram = tgt_diagram
-        self.cell = cell
-        self.inverse_cell = inverse_cell
-        self.phi_s = phi_s
-        self.sect_s = sect_s
-        self.phi_t = phi_t
-        self.sect_t = sect_t
-        self.dims = dims
+    src_diagram: TwoDiagram
+    tgt_diagram: TwoDiagram
+    cell: ThreeCell
+    inverse_cell: ThreeCell
+    src_witness: FlatWitness
+    tgt_witness: FlatWitness
 
 
 def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
@@ -646,23 +637,18 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
     v_left = vertical_compose(d1p, d1)
     v_right = vertical_compose(d2p, d2)
     tgt_diag = horizontal_compose(v_right, v_left, check=check)
-    dmp, dnp, dm, dn = d1p.M.dim, d2p.M.dim, d1.M.dim, d2.M.dim
-    # flat order of the source: M' N' M N; of the target: M' M N' N
-    phi_s = src_diag.tensor.quot.proj @ h_up.tensor.quot.proj.kron(h_down.tensor.quot.proj)
-    sect_s = h_up.tensor.quot.sect.kron(h_down.tensor.quot.sect) @ src_diag.tensor.quot.sect
-    phi_t = tgt_diag.tensor.quot.proj @ v_left.tensor.quot.proj.kron(v_right.tensor.quot.proj)
-    sect_t = v_left.tensor.quot.sect.kron(v_right.tensor.quot.sect) @ tgt_diag.tensor.quot.sect
+    mp, np_, m, n = (FlatWitness.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
+    src_w = mp.tensor(np_, h_up.tensor.quot).tensor(
+        m.tensor(n, h_down.tensor.quot), src_diag.tensor.quot)
+    tgt_w = mp.tensor(m, v_left.tensor.quot).tensor(
+        np_.tensor(n, v_right.tensor.quot), tgt_diag.tensor.quot)
     # swap the middle two slots (the permutation is an involution)
-    P = tensor_permutation([dmp, dnp, dm, dn], [0, 2, 1, 3], f)
-    Pback = tensor_permutation([dmp, dm, dnp, dn], [0, 2, 1, 3], f)
-    down_t = phi_t @ P
-    beta = down_t @ sect_s
-    if beta @ phi_s != down_t:
-        raise ValueError("interchanger does not descend from the source")
-    down_s = phi_s @ Pback
-    beta_inv = down_s @ sect_t
-    if beta_inv @ phi_t != down_s:
-        raise ValueError("inverse interchanger does not descend from the target")
+    P = tensor_permutation(src_w.dims, [0, 2, 1, 3], f)
+    Pback = tensor_permutation(tgt_w.dims, [0, 2, 1, 3], f)
+    beta = src_w.descend(tgt_w.proj @ P,
+                         "interchanger does not descend from the source")
+    beta_inv = tgt_w.descend(src_w.proj @ Pback,
+                             "inverse interchanger does not descend from the target")
     assert beta @ beta_inv == Matrix.identity(tgt_diag.M.dim, f)
     assert beta_inv @ beta == Matrix.identity(src_diag.M.dim, f)
     cell = ThreeCell(src_diag, tgt_diag, beta)
@@ -670,8 +656,7 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
     if check:
         bad = validate_3cell(cell) + validate_3cell(inverse)
         assert not bad, f"interchanger is not a 3-cell: {bad}"
-    return BetaResult(src_diag, tgt_diag, cell, inverse,
-                      phi_s, sect_s, phi_t, sect_t, (dmp, dnp, dm, dn))
+    return BetaResult(src_diag, tgt_diag, cell, inverse, src_w, tgt_w)
 
 
 def check_beta_naturality(bd: BetaResult, be: BetaResult,
@@ -680,13 +665,14 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
     """The interchanger commutes with the maps induced by componentwise
     3-cells between two grids (delta maps go from the bd grid to the be
     grid, matching the grid positions of beta_cell's arguments)."""
-    big_src = delta1p.kron(delta2p).kron(delta1).kron(delta2)
-    ind_src = be.phi_s @ big_src @ bd.sect_s
-    if ind_src @ bd.phi_s != be.phi_s @ big_src:
-        return False
-    big_tgt = delta1p.kron(delta1).kron(delta2p).kron(delta2)
-    ind_tgt = be.phi_t @ big_tgt @ bd.sect_t
-    if ind_tgt @ bd.phi_t != be.phi_t @ big_tgt:
+    try:
+        ind_src = bd.src_witness.descend(
+            be.src_witness.proj @ delta1p.kron(delta2p).kron(delta1).kron(delta2),
+            "source map does not descend")
+        ind_tgt = bd.tgt_witness.descend(
+            be.tgt_witness.proj @ delta1p.kron(delta1).kron(delta2p).kron(delta2),
+            "target map does not descend")
+    except ValueError:
         return False
     return be.cell.mat @ ind_src == ind_tgt @ bd.cell.mat
 
@@ -695,38 +681,21 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
 # coherence of vertical composition (associativity and units)
 
 
-class _FlatWitness:
-    __slots__ = ("proj", "sect", "dims")
-
-    def __init__(self, proj, sect, dims):
-        self.proj = proj
-        self.sect = sect
-        self.dims = dims
-
-
-def _vertical_flat_witness(d: TwoDiagram) -> _FlatWitness:
-    """Projection/section between the flat tensor of a nested vertical
-    composite's elementary apexes (upper factors major) and its apex."""
+def _vertical_flat_witness(d: TwoDiagram) -> FlatWitness:
+    """The apex of a nested vertical composite as a nested quotient of the
+    flat tensor of its elementary apexes (upper factors major)."""
     if not (d.parts and d.parts[0] == "vertical"):
-        I = Matrix.identity(d.M.dim, d.M.field)
-        return _FlatWitness(I, I, [d.M.dim])
+        return FlatWitness.leaf(d.M.dim, d.M.field)
     _, upper, lower = d.parts
-    up = _vertical_flat_witness(upper)
-    low = _vertical_flat_witness(lower)
-    proj = d.tensor.quot.proj @ up.proj.kron(low.proj)
-    sect = up.sect.kron(low.sect) @ d.tensor.quot.sect
-    return _FlatWitness(proj, sect, up.dims + low.dims)
+    return _vertical_flat_witness(upper).tensor(_vertical_flat_witness(lower),
+                                                d.tensor.quot)
 
 
 def _rebracket_3cell(a: TwoDiagram, b: TwoDiagram) -> Matrix:
     """Canonical comparison between two bracketings of the same vertical
     chain; checked to descend and to intertwine the composite legs."""
-    wa = _vertical_flat_witness(a)
-    wb = _vertical_flat_witness(b)
-    assert wa.dims == wb.dims, "different elementary chains"
-    mat = wb.proj @ wa.sect
-    if mat @ wa.proj != wb.proj:
-        raise ValueError("rebracketing does not descend")
+    mat = _vertical_flat_witness(a).rebracket(_vertical_flat_witness(b),
+                                              "rebracketing does not descend")
     assert mat @ a.f == b.f, "rebracketing does not intertwine f legs"
     assert mat @ a.g == b.g, "rebracketing does not intertwine g legs"
     return mat

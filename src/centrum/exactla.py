@@ -5,7 +5,9 @@ dense lists-of-lists of field elements; vectors are plain lists.  Subspaces
 are stored in reduced column echelon form, so two equal subspaces have equal
 basis matrices and can be compared with ==.  Quotients carry explicit
 projection/section witnesses with proj @ sect == I and proj @ relations == 0,
-checked at construction time.
+checked at construction time.  A FlatWitness carries the same witnesses for a
+nested quotient of a flat multi-tensor; both kinds descend a map with one
+exact check (descend).
 """
 
 from __future__ import annotations
@@ -526,6 +528,13 @@ class Quotient:
     def project(self, vec):
         return self.proj.apply(vec)
 
+    def descend(self, down: Matrix, message: str) -> Matrix:
+        """The map on the quotient induced by down, a map out of the ambient
+        space; raises ValueError(message) unless down kills the relations."""
+        if not (down @ self.relations).is_zero():
+            raise ValueError(message)
+        return down @ self.sect
+
     def __repr__(self):
         return f"Quotient(k^{self.ambient} -> k^{self.dim})"
 
@@ -567,10 +576,53 @@ def quotient_induced(q_tgt: Quotient, F: Matrix, q_src: Quotient) -> Matrix:
     into the target relations).
     """
     assert F.rows == q_tgt.ambient and F.cols == q_src.ambient
-    down = q_tgt.proj @ F
-    if not (down @ q_src.relations).is_zero():
-        raise ValueError("map does not descend to the quotient")
-    return down @ q_src.sect
+    return q_src.descend(q_tgt.proj @ F, "map does not descend to the quotient")
+
+
+class FlatWitness:
+    """A nested quotient of a flat tensor k^dims[0] (x) k^dims[1] (x) ...
+    (leftmost slot major): proj maps the flat tensor onto the quotient
+    coordinates and sect back, with proj @ sect == I checked at every level.
+
+    A one-slot witness (from leaf) is the identity of its slot."""
+
+    __slots__ = ("proj", "sect", "dims")
+
+    def __init__(self, proj: Matrix, sect: Matrix, dims: tuple):
+        self.proj = proj
+        self.sect = sect
+        self.dims = dims
+
+    @staticmethod
+    def leaf(dim: int, field) -> "FlatWitness":
+        I = Matrix.identity(dim, field)
+        return FlatWitness(I, I, (dim,))
+
+    def tensor(self, other: "FlatWitness", quot: Quotient) -> "FlatWitness":
+        """The witness of quot, a quotient of (this quotient) (x) (other's)."""
+        if len(self.dims) == len(other.dims) == 1:
+            proj, sect = quot.proj, quot.sect
+        else:
+            proj = quot.proj @ self.proj.kron(other.proj)
+            sect = self.sect.kron(other.sect) @ quot.sect
+        if proj @ sect != Matrix.identity(quot.dim, quot.field):
+            raise ValueError("flat section is not a section of the projection")
+        return FlatWitness(proj, sect, self.dims + other.dims)
+
+    def descend(self, down: Matrix, message: str) -> Matrix:
+        """The map on the quotient induced by down, a map out of the flat
+        tensor; raises ValueError(message) unless down factors through proj."""
+        mat = down @ self.sect
+        if mat @ self.proj != down:
+            raise ValueError(message)
+        return mat
+
+    def rebracket(self, tgt: "FlatWitness", message: str) -> Matrix:
+        """The canonical map from this quotient to tgt, another nested
+        quotient of the same flat tensor: the flat identity, descended."""
+        if self.dims != tgt.dims:
+            raise ValueError("bracketings of different flat tensors")
+        return self.descend(tgt.proj, message)
 
 
 # ---------------------------------------------------------------------------

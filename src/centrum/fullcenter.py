@@ -377,10 +377,8 @@ def n_general(m: Bimodule, mp: Bimodule, n: Bimodule, np_: Bimodule,
         ]
         rel = middle_relations(len(basis_left), len(basis_right), rops, lops, f)
         pair_quot = cokernel(rel)
-    assert (flat @ pair_quot.relations).is_zero(), (
-        "tensor of maps does not respect the middle-center relations"
-    )
-    mat = flat @ pair_quot.sect
+    mat = pair_quot.descend(
+        flat, "tensor of maps does not respect the middle-center relations")
     return NGeneralResult(basis_left, basis_right, basis_target, tens_src,
                           tens_tgt, pair_quot, flat, mat)
 
@@ -455,11 +453,8 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
     mprime_flat = blocks[0]
     for b in blocks[1:]:
         mprime_flat = mprime_flat.hstack(b)
-    TL = lhs.tensor
-    assert (mprime_flat @ TL.quot.relations).is_zero(), (
-        "pre-unit map does not respect the composite relations"
-    )
-    mprime = mprime_flat @ TL.quot.sect
+    mprime = lhs.tensor.quot.descend(
+        mprime_flat, "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
     TR = rhs.tensor
     r_inverse = TR.quot.proj @ Matrix.identity(len(basis_t), f).kron(
@@ -471,8 +466,8 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
             coords = hom_coords(basis_t, op)
             assert coords is not None
             rcols.append(coords)
-    r_flat = Matrix.from_columns(rcols, len(basis_t), f)
-    r_mat = r_flat @ TR.quot.sect
+    r_mat = TR.quot.descend(Matrix.from_columns(rcols, len(basis_t), f),
+                            "unit collapse does not descend")
     assert r_mat @ r_inverse == Matrix.identity(len(basis_t), f)
     assert r_inverse @ r_mat == Matrix.identity(TR.quot.dim, f)
     cell_mat = r_inverse @ mprime
@@ -588,10 +583,10 @@ def check_m_unit_axiom(b: Algebra) -> bool:
     lflat = blocks[0]
     for blk in blocks[1:]:
         lflat = lflat.hstack(blk)
-    TL = sq.lhs.tensor
-    if not (lflat @ TL.quot.relations).is_zero():
+    try:
+        l_desc = sq.lhs.tensor.quot.descend(lflat, "left collapse does not descend")
+    except ValueError:
         return False
-    l_desc = lflat @ TL.quot.sect
     return sq.cell.mat == sq.r_inverse @ l_desc
 
 

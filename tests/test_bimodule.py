@@ -25,8 +25,6 @@ from centrum.algebra import (
 from centrum.bimodule import (
     Bimodule,
     BimoduleMap,
-    Leaf,
-    Node,
     comp_bar,
     direct_sum_bimodules,
     end_algebra,
@@ -38,7 +36,6 @@ from centrum.bimodule import (
     interchange_check,
     middle_relations,
     pentagon_check,
-    rebracket_iso,
     regular_bimodule,
     restriction_bimodule,
     assoc_iso,
@@ -333,8 +330,8 @@ def test_unit_iso_left_and_right():
 
 def test_assoc_iso_small_chain():
     tl, tr, iso, inv = assoc_iso(col_bimodule(2), row_bimodule(2), col_bimodule(2))
-    assert tl.bim.dim == tr.bim.dim == 2
-    assert iso.mat @ inv.mat == Matrix.identity(tr.bim.dim, QQ)
+    assert tl.dim == tr.dim == 2
+    assert iso.mat @ inv.mat == Matrix.identity(tr.dim, QQ)
 
 
 def test_assoc_iso_with_nontrivial_middles():
@@ -344,8 +341,8 @@ def test_assoc_iso_with_nontrivial_middles():
     n = free_bimodule(b, c, 1)
     p = free_bimodule(c, alg_k(), 1)
     tl, tr, iso, inv = assoc_iso(m, n, p)
-    assert tl.bim.dim == tr.bim.dim
-    assert iso.mat @ inv.mat == Matrix.identity(tr.bim.dim, QQ)
+    assert tl.dim == tr.dim
+    assert iso.mat @ inv.mat == Matrix.identity(tr.dim, QQ)
 
 
 def test_pentagon_matrix_chain():

@@ -253,5 +253,25 @@ def test_morita_with_nonpositive_size_exits_two(n, capsys):
         f"verify morita: --n must be at least 1, got {n}")
 
 
+# validate bimodule-map with source and target over different algebra
+# pairs, in both directions
+MISMATCHED_PAIRS = [
+    ("regular:k", "regular:dual_numbers", [["1"], ["0"]]),
+    ("regular:dual_numbers", "regular:k", [["1", "0"]]),
+]
+
+
+@pytest.mark.parametrize("src,tgt,matrix", MISMATCHED_PAIRS)
+def test_bimodule_map_between_different_pairs_exits_two(src, tgt, matrix,
+                                                        tmp_path, capsys):
+    path = tmp_path / "bimodule-map.json"
+    path.write_text(json.dumps({"kind": "bimodule-map", "src": src,
+                                "tgt": tgt, "matrix": matrix}))
+    code, r = run_main(["validate", "bimodule-map", f"@{path}"], capsys)
+    assert code == 2
+    assert r["error"]["message"] == (
+        "bimodule map: source and target pairs do not match")
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))

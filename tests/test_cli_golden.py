@@ -1,6 +1,7 @@
 """Golden reports of the command line: each case runs ``centrum.cli.main``
 in-process and compares its exit code and stdout byte for byte with the
-committed expectation under ``tests/data/cli/expected``.
+committed expectation under ``tests/data/cli/expected``; one more test
+replays every case in a ``python -O`` process, which strips ``assert``.
 
 The cases are the benchmark's single-object queries (at fixed seeds),
 ``validate`` of a good presentation of each object kind, an unknown
@@ -15,14 +16,18 @@ To rewrite the expectations after an intended change of the reports:
 
 import contextlib
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from centrum.cli import main
 
-DATA = Path(__file__).parent / "data" / "cli"
+TESTS = Path(__file__).parent
+DATA = TESTS / "data" / "cli"
 EXPECTED = DATA / "expected"
 KINDS = ("algebra", "map", "bimodule", "bimodule-map", "cospan", "2diagram")
 
@@ -79,6 +84,7 @@ CASES = [
     ("malformed-json", ["validate", "algebra", "@malformed.json"], 2),
     ("missing-file", ["center", "--algebra", "@missing.json"], 2),
     ("wrong-kind", ["validate", "map", "@algebra.json"], 2),
+    ("null-file", ["validate", "map", "@null.json"], 2),
     ("algebra-fails-validator",
      ["validate", "algebra", "@algebra_broken.json"], 2),
     ("map-source-fails-validator",
@@ -88,6 +94,8 @@ CASES = [
     ("float-scalar", ["validate", "map", "@map_float.json"], 2),
     ("cospan-apex-mismatch",
      ["validate", "cospan", "@cospan_apex_mismatch.json"], 2),
+    ("2diagram-pair-mismatch",
+     ["validate", "2diagram", "@2diagram_pair_mismatch.json"], 2),
     ("2diagram-bimodule-fails-validator",
      ["validate", "2diagram", "@2diagram_broken_bimodule.json"], 2),
     ("algebra-size-not-integer", ["center", "--algebra", "matrix:x"], 2),
@@ -126,6 +134,26 @@ def test_golden_report(name, argv, code, monkeypatch):
     got_code, got = run_case(argv)
     assert got_code == code
     assert got == (EXPECTED / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_golden_reports_under_optimize():
+    """Every case again in one ``python -O`` process, which strips assert
+    statements: no report may depend on them."""
+    script = ("import json, sys\n"
+              "import test_cli_golden as g\n"
+              "print(json.dumps([sys.flags.optimize]"
+              " + [g.run_case(argv) for _, argv, _ in g.CASES]))\n")
+    path = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], cwd=DATA,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    optimize, *results = json.loads(proc.stdout)
+    assert optimize == 1
+    differ = [name for (name, _, code), (got_code, got) in zip(CASES, results)
+              if got_code != code
+              or got != (EXPECTED / f"{name}.json").read_text(encoding="utf-8")]
+    assert differ == []
 
 
 def regenerate():

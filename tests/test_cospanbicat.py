@@ -48,7 +48,7 @@ from centrum.cospanbicat import (
     validate_cospan,
     vertical_compose,
 )
-from centrum.exactla import QQ, Matrix, is_invertible
+from centrum.exactla import QQ, Matrix, is_invertible, random_matrix
 from centrum.fixtures import (
     extend_cospan,
     matrix_cospan,
@@ -329,6 +329,14 @@ def test_beta_naturality_under_twists():
     e1p, e1, e2p, e2 = (twist_2diagram(x, P) for x, P in zip((d1p, d1, d2p, d2), ps))
     be = beta_cell(e1p, e1, e2p, e2)
     assert check_beta_naturality(bd, be, *ps)
+
+
+def test_beta_naturality_fails_for_maps_that_are_not_3cells():
+    rng = random.Random(3)
+    grid = random_interchanger_grid(rng)
+    bd = beta_cell(*grid)
+    deltas = [random_matrix(x.M.dim, x.M.dim, 3, rng, QQ) for x in grid]
+    assert check_beta_naturality(bd, bd, *deltas) is False
 
 
 # ---------------------------------------------------------------------------

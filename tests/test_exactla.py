@@ -12,6 +12,7 @@ import sympy
 
 from centrum.exactla import (
     QQ,
+    FlatWitness,
     Matrix,
     PrimeField,
     Quotient,
@@ -175,6 +176,52 @@ def test_quotient_induced_descends():
     bad = Matrix.from_int_rows([[1, 0], [0, 0]], QQ)
     with pytest.raises(ValueError):
         quotient_induced(q, bad, q)
+
+
+def test_quotient_descend():
+    # k^2 modulo span(e0 - e1): the swap descends, projection to e0 does not
+    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
+    swap = Matrix.from_int_rows([[0, 1], [1, 0]], QQ)
+    assert q.descend(q.proj @ swap, "no") == Matrix.identity(1, QQ)
+    bad = Matrix.from_int_rows([[1, 0]], QQ)
+    with pytest.raises(ValueError, match="^bad map$"):
+        q.descend(bad, "bad map")
+
+
+def symmetric_witness():
+    """(k^2 (x) k^2 modulo the swap) (x) k^2, modulo e_00 (x) e_0 - e_11 (x) e_1:
+    a two-level witness over the flat tensor k^2 (x) k^2 (x) k^2."""
+    swap = Matrix.from_int_rows([[0], [1], [-1], [0]], QQ)
+    inner = FlatWitness.leaf(2, QQ).tensor(FlatWitness.leaf(2, QQ), cokernel(swap))
+    outer = Matrix.from_int_rows([[1], [0], [0], [0], [0], [-1]], QQ)
+    return inner.tensor(FlatWitness.leaf(2, QQ), cokernel(outer))
+
+
+def test_flat_witness_two_levels():
+    w = symmetric_witness()
+    assert w.dims == (2, 2, 2)
+    assert w.proj.shape == (5, 8) and w.sect.shape == (8, 5)
+    assert w.proj @ w.sect == Matrix.identity(5, QQ)
+
+
+def test_flat_witness_descend():
+    w = symmetric_witness()
+    rng = random.Random(5)
+    g = random_matrix(3, 5, 4, rng, QQ)
+    assert w.descend(g @ w.proj, "no") == g
+    # the coordinate of e_0 (x) e_1 (x) e_0 alone is not swap-invariant
+    bad = Matrix.zeros(1, 8, QQ)
+    bad.data[0][2] = QQ.one
+    with pytest.raises(ValueError, match="^bad flat map$"):
+        w.descend(bad, "bad flat map")
+
+
+def test_flat_witness_rejects_a_false_section():
+    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
+    broken = Quotient(q.ambient, q.relations, q.dim, q.proj,
+                      q.sect.scale(QQ.from_int(2)), QQ)
+    with pytest.raises(ValueError):
+        FlatWitness.leaf(1, QQ).tensor(FlatWitness.leaf(2, QQ), broken)
 
 
 def test_random_point_reproducible():
