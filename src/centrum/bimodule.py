@@ -317,16 +317,27 @@ def hom_operator(basis_out, basis_in, transform, field) -> Matrix:
 
 def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matrix:
     """Relation matrix for M (x)_B N: columns span
-    { m.b (x) n  -  m (x) b.n } over all middle basis elements b."""
-    Im = Matrix.identity(dim_m, field)
-    In = Matrix.identity(dim_n, field)
-    blocks = [Rb.kron(In) - Im.kron(Lb) for Rb, Lb in zip(ract_mid, lact_mid)]
-    if not blocks:
-        return Matrix.zeros(dim_m * dim_n, 0, field)
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.hstack(b)
-    return out
+    { m.b (x) n  -  m (x) b.n } over all middle basis elements b.
+
+    Block b is R_b (x) I - I (x) L_b, written entry by entry: the entry at
+    row (i, k), column (j, l) is R_b[i][j] [k == l] - [i == j] L_b[k][l]."""
+    n = dim_m * dim_n
+    data = [[field.zero] * (n * len(ract_mid)) for _ in range(n)]
+    for b, (Rb, Lb) in enumerate(zip(ract_mid, lact_mid)):
+        base = b * n
+        for i, Ri in enumerate(Rb.data):
+            for j, a in enumerate(Ri):
+                if a:
+                    for k in range(dim_n):
+                        data[i * dim_n + k][base + j * dim_n + k] = a
+        for i in range(dim_m):
+            col = base + i * dim_n
+            for k, Lk in enumerate(Lb.data):
+                row = data[i * dim_n + k]
+                for l, a in enumerate(Lk):
+                    if a:
+                        row[col + l] = row[col + l] - a
+    return Matrix(data, field, ncols=n * len(ract_mid))
 
 
 class TensorResult:

@@ -338,7 +338,9 @@ def _automorphism_pool(field):
     du = alg_dual_numbers(field)
     swap = AlgebraMap(k2, k2, Matrix.from_int_rows([[0, 1], [1, 0]], field))
     sign = AlgebraMap(c2, c2, Matrix.from_int_rows([[1, 0], [0, -1]], field))
-    rescale = AlgebraMap(du, du, Matrix.from_int_rows([[1, 0], [0, 3]], field))
+    # 3 is zero in characteristic 3, so take the first of 3, 2, 1 that is not
+    c = next(c for c in (3, 2, 1) if field.from_int(c))
+    rescale = AlgebraMap(du, du, Matrix.from_int_rows([[1, 0], [0, c]], field))
     out = []
     for a, autos in ((k2, [swap]), (c2, [sign]), (du, [rescale])):
         for f in autos:

@@ -178,12 +178,12 @@ class CospanComposition:
 
     def __init__(self, second: Cospan, first: Cospan, check=True):
         B = first.b
-        assert second.a is B or second.a.equal_on_the_nose(B), (
-            "middle algebras must agree"
-        )
+        if not (second.a is B or second.a.equal_on_the_nose(B)):
+            raise ValueError("middle algebras must agree")
         if check:
             bad = validate_cospan(first) + validate_cospan(second)
-            assert not bad, f"invalid cospan: {bad}"
+            if bad:
+                raise ValueError(f"invalid cospan: {bad}")
         T, S = first.apex, second.apex
         f = T.field
         LT = [T.left_mult(T.basis_vector(i)) for i in range(T.dim)]
@@ -198,7 +198,8 @@ class CospanComposition:
         ]
         rel = middle_relations(T.dim, S.dim, ract_mid, lact_mid, f)
         quot = cokernel(rel)
-        for r in rel.columns():
+        # linear in the relation, so checking a basis of the span suffices
+        for r in quot.relations.columns():
             if not (quot.proj @ _flat_bilinear_op(r, LT, LS, f)).is_zero():
                 raise ValueError("multiplication does not descend (left side)")
             if not (quot.proj @ _flat_bilinear_op(r, RT, RS, f)).is_zero():
@@ -229,7 +230,8 @@ class CospanComposition:
         self.cospan = Cospan(leg_a, leg_b)
         if check:
             bad = validate_cospan(self.cospan)
-            assert not bad, f"composite is not a valid cospan: {bad}"
+            if bad:
+                raise ValueError(f"composite is not a valid cospan: {bad}")
 
     def __repr__(self):
         return f"CospanComposition({self.cospan!r})"
@@ -397,10 +399,20 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram, check=True) -> TwoDi
     target cospan's B leg; both choices agree with their counterparts by the
     2-diagram axioms.  The legs are the descended tensor products of the
     constituent legs."""
+    return _horizontal_compose(right, left, check)
+
+
+def _horizontal_compose(right: TwoDiagram, left: TwoDiagram, check: bool,
+                        src_comp: "CospanComposition | None" = None,
+                        tgt_comp: "CospanComposition | None" = None) -> TwoDiagram:
+    """horizontal_compose, reusing the composite of the source cospans or of
+    the target cospans when the caller has built it already."""
     B = left.src.b
     assert right.src.a is B or right.src.a.equal_on_the_nose(B)
-    src_comp = compose_cospans(right.src, left.src, check=check)
-    tgt_comp = compose_cospans(right.tgt, left.tgt, check=check)
+    if src_comp is None:
+        src_comp = compose_cospans(right.src, left.src, check=check)
+    if tgt_comp is None:
+        tgt_comp = compose_cospans(right.tgt, left.tgt, check=check)
     M1, M2 = left.M, right.M
     f = M1.field
     m1b = Bimodule(
@@ -631,12 +643,17 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
     identities and both inverse laws are verified exactly."""
     assert cospans_match(d1.tgt, d1p.src) and cospans_match(d2.tgt, d2p.src)
     f = d1.M.field
-    h_up = horizontal_compose(d2p, d1p, check=check)
-    h_down = horizontal_compose(d2, d1, check=check)
+    # each composite cospan is built once: that of S2 and T2 is the source
+    # of h_up and the target of h_down; those of S1 and T1 and of S3 and T3
+    # are the source of h_down and the target of h_up, and again of tgt_diag
+    h_up = _horizontal_compose(d2p, d1p, check)
+    _, _, _, mid, top = h_up.parts
+    h_down = _horizontal_compose(d2, d1, check, tgt_comp=mid)
+    bottom = h_down.parts[3]
     src_diag = vertical_compose(h_up, h_down)
     v_left = vertical_compose(d1p, d1)
     v_right = vertical_compose(d2p, d2)
-    tgt_diag = horizontal_compose(v_right, v_left, check=check)
+    tgt_diag = _horizontal_compose(v_right, v_left, check, bottom, top)
     mp, np_, m, n = (FlatWitness.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
     src_w = mp.tensor(np_, h_up.tensor.quot).tensor(
         m.tensor(n, h_down.tensor.quot), src_diag.tensor.quot)
@@ -649,8 +666,10 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
                          "interchanger does not descend from the source")
     beta_inv = tgt_w.descend(src_w.proj @ Pback,
                              "inverse interchanger does not descend from the target")
-    assert beta @ beta_inv == Matrix.identity(tgt_diag.M.dim, f)
-    assert beta_inv @ beta == Matrix.identity(src_diag.M.dim, f)
+    if beta @ beta_inv != Matrix.identity(tgt_diag.M.dim, f):
+        raise ValueError("interchanger after its inverse is not the identity")
+    if beta_inv @ beta != Matrix.identity(src_diag.M.dim, f):
+        raise ValueError("inverse after the interchanger is not the identity")
     cell = ThreeCell(src_diag, tgt_diag, beta)
     inverse = ThreeCell(tgt_diag, src_diag, beta_inv)
     if check:

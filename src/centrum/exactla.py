@@ -87,14 +87,36 @@ class FpElem:
         return f"{self.v}"
 
 
+# Miller-Rabin with the prime bases 2..41 is deterministic below this bound
+# (Sorenson and Webster 2017); larger fields are refused, never accepted as
+# probable primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is certified only"
+                         f" below {_MR_BOUND}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -281,7 +303,7 @@ class Matrix:
                 for j in range(self.cols):
                     a = ri[j]
                     if a:
-                        row.extend(a * b for b in rk)
+                        row.extend(a * b if b else z for b in rk)
                     else:
                         row.extend([z] * other.cols)
                 out.append(row)
@@ -363,9 +385,13 @@ def tensor_permutation(dims, perm, field) -> Matrix:
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (R, pivots)."""
+    """Reduced row echelon form.  Returns (R, pivots).
+
+    Each pivot row is subtracted only on its own nonzero columns, since
+    a - f*0 == a exactly."""
     R = [row[:] for row in m.data]
     rows, cols = m.rows, m.cols
+    one = m.field.one
     pivots = []
     r = 0
     for c in range(cols):
@@ -379,15 +405,20 @@ def rref(m: Matrix):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        pv = R[r][c]
-        if pv != m.field.one:
-            inv_row = [a / pv for a in R[r]]
-            R[r] = inv_row
+        Rr = R[r]
+        # rows r.. are zero left of column c, so the pivot row is too
+        nz = [j for j in range(c, cols) if Rr[j]]
+        pv = Rr[c]
+        if pv != one:
+            for j in nz:
+                Rr[j] = Rr[j] / pv
+        entries = [(j, Rr[j]) for j in nz]
         for i in range(rows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                Ri, Rr = R[i], R[r]
-                R[i] = [a - f * b for a, b in zip(Ri, Rr)]
+            Ri = R[i]
+            f = Ri[c]
+            if f and i != r:
+                for j, b in entries:
+                    Ri[j] = Ri[j] - f * b
         pivots.append(c)
         r += 1
     return Matrix(R, m.field, ncols=cols), pivots
@@ -494,7 +525,9 @@ def inverse(m: Matrix) -> "Matrix | None":
         return None
     if (m @ X) != Matrix.identity(m.rows, m.field):
         return None
-    assert (X @ m) == Matrix.identity(m.rows, m.field)
+    if (X @ m) != Matrix.identity(m.rows, m.field):
+        raise ValueError("a right inverse of a square matrix is not a left"
+                         " inverse")
     return X
 
 
@@ -540,32 +573,37 @@ class Quotient:
 
 
 def cokernel(rel: Matrix) -> Quotient:
-    """Quotient of the target space k^rel.rows by the column space of rel."""
+    """Quotient of the target space k^rel.rows by the column space of rel.
+
+    With B the reduced column echelon basis of the relations, x = B a +
+    sect c has quotient coordinates c: row r of proj is e_free[r] minus
+    sum_j B[free[r], j] e_lead[j], read off B without a second elimination."""
     field = rel.field
     n = rel.rows
     B = column_echelon(rel)
     d = B.cols
-    lead = set()
+    lead = []
     for j in range(d):
         for i in range(n):
             if B.data[i][j]:
-                lead.add(i)
+                lead.append(i)
                 break
-    free = [i for i in range(n) if i not in lead]
-    z, o = field.zero, field.one
+    leadset = set(lead)
+    free = [i for i in range(n) if i not in leadset]
+    o = field.one
     sect = Matrix.zeros(n, n - d, field)
-    for j, i in enumerate(free):
-        sect.data[i][j] = o
-    if d == 0:
-        proj = Matrix.identity(n, field)
-        return Quotient(n, B, n, proj, sect, field)
-    # write x uniquely as B a + sect c; quotient coords of x are c
-    MB = B.hstack(sect)
-    Minv = inverse(MB)
-    assert Minv is not None, "echelon basis + complement must be invertible"
-    proj = Matrix(Minv.data[d:], field, ncols=n)
-    assert (proj @ sect) == Matrix.identity(n - d, field)
-    assert (proj @ B).is_zero()
+    proj = Matrix.zeros(n - d, n, field)
+    for r, i in enumerate(free):
+        sect.data[i][r] = o
+        row = proj.data[r]
+        row[i] = o
+        for j, b in enumerate(B.data[i]):
+            if b:
+                row[lead[j]] = -b
+    if (proj @ sect) != Matrix.identity(n - d, field):
+        raise ValueError("cokernel section is not a section of the projection")
+    if not (proj @ B).is_zero():
+        raise ValueError("cokernel projection does not kill the relations")
     return Quotient(n, B, n - d, proj, sect, field)
 
 

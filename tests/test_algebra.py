@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from centrum.exactla import QQ, Matrix, rank
+from centrum.corpus import _automorphism_pool
+from centrum.exactla import QQ, Matrix, PrimeField, is_invertible, rank
 from centrum.algebra import (
     Algebra,
     AlgebraMap,
@@ -300,3 +301,12 @@ def test_subalgebra_map_restriction():
     f = subalgebra_map(c, c, swap)
     assert validate_algebra_map(f) == []
     assert rank(f.mat) == 2
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 1000003])
+def test_automorphism_pool_is_invertible_in_every_field(p):
+    field = QQ if p is None else PrimeField(p)
+    for _, maps in _automorphism_pool(field):
+        for f in maps:
+            assert validate_algebra_map(f) == []
+            assert is_invertible(f.mat)

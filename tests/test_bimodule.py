@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import sympy as sm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrum.algebra import (
     alg_dual_numbers,
@@ -47,7 +49,7 @@ from centrum.bimodule import (
     validate_bimodule,
     validate_bimodule_map,
 )
-from centrum.exactla import QQ, Matrix, random_matrix, is_invertible
+from centrum.exactla import QQ, Matrix, PrimeField, random_matrix, is_invertible
 
 
 def to_sympy(m: Matrix) -> sm.Matrix:
@@ -283,6 +285,46 @@ def test_tensor_dim_sympy_cross_check():
         t = tensor_over(m, n)
         assert t.dim == m.dim * n.dim - to_sympy(rel).rank()
         assert validate_bimodule(t.product) == []
+
+
+def kron_middle_relations(dim_m, dim_n, ract_mid, lact_mid, field) -> Matrix:
+    """Reference: the blocks R_b (x) I - I (x) L_b as Kronecker products with
+    identities, subtracted densely and stacked side by side."""
+    Im = Matrix.identity(dim_m, field)
+    In = Matrix.identity(dim_n, field)
+    out = Matrix.zeros(dim_m * dim_n, 0, field)
+    for Rb, Lb in zip(ract_mid, lact_mid):
+        block = Rb.kron(In) - Im.kron(Lb)
+        out = block if out.cols == 0 else out.hstack(block)
+    return out
+
+
+@st.composite
+def middle_actions(draw):
+    """Sizes and action matrices over QQ, GF(2), GF(3) or GF(1000003), each
+    matrix dense or sparse, entries in [-3, 3]."""
+    field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3),
+                                  PrimeField(1000003))))
+    dim_m, dim_n, nb = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                        draw(st.integers(0, 3)))
+
+    def mat(n):
+        sparse = draw(st.booleans())
+        cells = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+                              min_size=n * n, max_size=n * n))
+        vals = [v if not sparse or keep == 0 else 0 for v, keep in cells]
+        return Matrix([[field.from_int(vals[i * n + j]) for j in range(n)]
+                       for i in range(n)], field, ncols=n)
+
+    ract = [mat(dim_m) for _ in range(nb)]
+    lact = [mat(dim_n) for _ in range(nb)]
+    return dim_m, dim_n, ract, lact, field
+
+
+@settings(max_examples=150, deadline=None)
+@given(middle_actions())
+def test_middle_relations_match_kron_and_subtract(args):
+    assert middle_relations(*args) == kron_middle_relations(*args)
 
 
 def test_pure_respects_middle_relations():

@@ -275,3 +275,10 @@ def test_bimodule_map_between_different_pairs_exits_two(src, tgt, matrix,
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))
+
+
+def test_field_beyond_certified_primality_exits_two(capsys):
+    code, r = run_main(["center", "--algebra", "k", "--field",
+                        f"gfp:{2 ** 89 - 1}"], capsys)
+    assert code == 2
+    assert "too large" in r["error"]["message"]

@@ -1,7 +1,12 @@
 """Tests for cospans with central legs, 2-diagrams, 3-cells, composition in
 both directions, the interchanger, and the coherence checkers."""
 
+import importlib.util
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from centrum.algebra import (
     AlgebraMap,
@@ -21,6 +26,7 @@ from centrum.cospanbicat import (
     BetaResult,
     CoherenceReport,
     Cospan,
+    CospanComposition,
     ThreeCell,
     TwoDiagram,
     beta_cell,
@@ -337,6 +343,77 @@ def test_beta_naturality_fails_for_maps_that_are_not_3cells():
     bd = beta_cell(*grid)
     deltas = [random_matrix(x.M.dim, x.M.dim, 3, rng, QQ) for x in grid]
     assert check_beta_naturality(bd, bd, *deltas) is False
+
+
+def test_beta_cell_composes_each_cospan_once(monkeypatch):
+    import centrum.cospanbicat as cospanbicat
+    import centrum.exactla as exactla
+
+    grid = random_interchanger_grid(random.Random(2))
+    calls = {"compose_cospans": 0, "inverse": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cospanbicat, "compose_cospans")
+    counted(exactla, "inverse")
+    beta_cell(*grid)
+    assert calls == {"compose_cospans": 3, "inverse": 0}
+
+
+def load_bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_canon_walks_interchanger_results():
+    """The benchmark's tracer keys arguments by walking every slot of an
+    object; a composite cached on the cospans it came from would make that
+    walk cyclic."""
+    canon = load_bench_tracer().canon
+    grid = random_interchanger_grid(random.Random(2))
+    res = beta_cell(*grid)
+    comp = res.tgt_diagram.parts[3]
+    assert isinstance(res, BetaResult) and isinstance(comp, CospanComposition)
+    assert canon(comp)[0] == "CospanComposition"
+    assert canon(res) == canon(beta_cell(*grid))
+
+
+def test_composition_checks_survive_optimize():
+    """python -O strips assert statements; the composition checks are
+    explicit ValueErrors and still refuse bad inputs."""
+    script = (
+        "import sys\n"
+        "from centrum.algebra import alg_k, alg_matrix, alg_product_k, identity_map\n"
+        "from centrum.cospanbicat import Cospan, compose_cospans, identity_cospan\n"
+        "m2 = alg_matrix(2)\n"
+        "bad = Cospan(identity_map(m2), identity_map(m2))\n"
+        "print(sys.flags.optimize)\n"
+        "for second, first in ((identity_cospan(alg_product_k(2)),\n"
+        "                       identity_cospan(alg_k())), (bad, bad)):\n"
+        "    try:\n"
+        "        compose_cospans(second, first)\n"
+        "    except ValueError as exc:\n"
+        "        print(str(exc).split(':')[0])\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "1", "middle algebras must agree", "invalid cospan", ""]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ inverse; agreeing with them on random instances is the oracle for this layer.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrum.exactla import (
     QQ,
@@ -20,6 +23,7 @@ from centrum.exactla import (
     cokernel,
     column_echelon,
     column_space,
+    _is_prime,
     field_from_name,
     inverse,
     is_invertible,
@@ -252,3 +256,135 @@ def test_prime_field_linear_algebra():
     sing = Matrix.from_int_rows([[1, 2], [2, 4]], gf)
     assert inverse(sing) is None
     assert kernel(sing).dim == 1
+
+
+# ---------------------------------------------------------------------------
+# Miller-Rabin primality
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if _is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number and strong pseudoprimes to base 2, to bases 2..7
+    # and to bases 2..37
+    for n in (561, 2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+
+
+def test_large_prime_field_is_fast():
+    start = time.perf_counter()
+    gf = field_from_name("gfp:2305843009213693951")
+    assert time.perf_counter() - start < 0.5
+    assert gf.p == 2 ** 61 - 1
+
+
+def test_field_beyond_the_certified_bound_is_refused():
+    with pytest.raises(ValueError, match="too large"):
+        field_from_name(f"gfp:{2 ** 89 - 1}")
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the dense reference formulas
+
+
+FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(1000003))
+
+
+@st.composite
+def field_matrices(draw, max_rows=7, max_cols=7):
+    """A matrix over one of FIELDS with entries in [-4, 4]: dense, or sparse
+    with about one entry in five nonzero."""
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    sparse = draw(st.booleans())
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 4)),
+                          min_size=rows * cols, max_size=rows * cols))
+    vals = [v if not sparse or keep == 0 else 0 for v, keep in cells]
+    data = [[field.from_int(vals[i * cols + j]) for j in range(cols)]
+            for i in range(rows)]
+    return Matrix(data, field, ncols=cols)
+
+
+def dense_rref(m: Matrix):
+    """Reference elimination: every row update runs over every column."""
+    R = [row[:] for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r >= m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        pv = R[r][c]
+        R[r] = [a / pv for a in R[r]]
+        for i in range(m.rows):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(R, m.field, ncols=m.cols), pivots
+
+
+def dense_kernel_basis(m: Matrix) -> Matrix:
+    R, pivots = dense_rref(m)
+    z, o = m.field.zero, m.field.one
+    cols = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [z] * m.cols
+        v[j] = o
+        for i, p in enumerate(pivots):
+            v[p] = -R.data[i][j]
+        cols.append(v)
+    return column_echelon(Matrix.from_columns(cols, m.cols, m.field))
+
+
+def inverse_proj(rel: Matrix) -> Matrix:
+    """The cokernel projection as the last rows of the inverse of
+    [B | sect], B the reduced column echelon basis of the relations."""
+    field, n = rel.field, rel.rows
+    B = column_echelon(rel)
+    d = B.cols
+    lead = {next(i for i in range(n) if B.data[i][j]) for j in range(d)}
+    free = [i for i in range(n) if i not in lead]
+    sect = Matrix.zeros(n, n - d, field)
+    for j, i in enumerate(free):
+        sect.data[i][j] = field.one
+    MB = B.hstack(sect)
+    R, pivots = dense_rref(MB.hstack(Matrix.identity(n, field)))
+    assert pivots == list(range(n))
+    return Matrix([row[n:] for row in R.data[d:]], field, ncols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rref_matches_dense_row_updates(m):
+    R, pivots = rref(m)
+    R0, pivots0 = dense_rref(m)
+    assert pivots == pivots0
+    assert R == R0
+    assert kernel(m).basis == dense_kernel_basis(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_cokernel_projection_matches_the_inverse(rel):
+    q = cokernel(rel)
+    assert q.proj == inverse_proj(rel)
+    assert q.proj @ rel == Matrix.zeros(q.dim, rel.cols, rel.field)
