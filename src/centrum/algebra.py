@@ -14,8 +14,6 @@ from .exactla import (
     Subspace,
     inverse,
     kernel,
-    solve,
-    solve_matrix,
     stack_rows,
 )
 
@@ -153,32 +151,29 @@ class Subalgebra:
     """A subalgebra of `parent` spanned by the columns of `incl` (canonical
     column echelon), together with the induced structure constants."""
 
-    __slots__ = ("parent", "incl", "algebra")
+    __slots__ = ("parent", "subspace", "algebra")
 
     def __init__(self, parent: Algebra, subspace: Subspace):
         self.parent = parent
-        self.incl = subspace.basis
+        self.subspace = subspace
         d = subspace.dim
         f = parent.field
         # closure + induced structure constants: each product of basis columns
         # must be a combination of basis columns.
-        sc = [[None] * d for _ in range(d)]
         cols = self.incl.columns()
-        prods = []
-        for i in range(d):
-            for j in range(d):
-                prods.append(parent.multiply(cols[i], cols[j]))
-        P = Matrix.from_columns(prods, parent.dim, f)
-        X = solve_matrix(self.incl, P)
+        prods = [parent.multiply(cols[i], cols[j]) for i in range(d) for j in range(d)]
+        X = subspace.coords_matrix(Matrix.from_columns(prods, parent.dim, f))
         if X is None:
             raise ValueError("subspace is not closed under multiplication")
-        for i in range(d):
-            for j in range(d):
-                sc[i][j] = X.col_list(i * d + j)
-        unit = solve(self.incl, parent.unit)
+        sc = [[X.col_list(i * d + j) for j in range(d)] for i in range(d)]
+        unit = subspace.coords(parent.unit)
         if unit is None:
             raise ValueError("subspace does not contain the unit")
         self.algebra = Algebra(d, sc, unit, f)
+
+    @property
+    def incl(self) -> Matrix:
+        return self.subspace.basis
 
     @property
     def dim(self):
@@ -189,7 +184,7 @@ class Subalgebra:
         return self.incl.apply(coords)
 
     def coords(self, parent_vec):
-        return solve(self.incl, parent_vec)
+        return self.subspace.coords(parent_vec)
 
     def __repr__(self):
         return f"Subalgebra(dim {self.dim} of dim {self.parent.dim})"
@@ -199,25 +194,21 @@ def subalgebra_from_subspace(parent: Algebra, basis: Matrix) -> Subalgebra:
     return Subalgebra(parent, Subspace(parent.dim, basis, parent.field))
 
 
+def _commutant(a: Algebra, elements) -> Subalgebra:
+    """The subalgebra of a commuting with every one of elements: the kernel
+    of z -> (z u - u z for all u)."""
+    blocks = [a.right_mult(u) - a.left_mult(u) for u in elements]
+    return Subalgebra(a, kernel(stack_rows(blocks)))
+
+
 def center(a: Algebra) -> Subalgebra:
-    """Center as a subalgebra: kernel of z -> (z e_i - e_i z for all i)."""
-    blocks = []
-    for i in range(a.dim):
-        e = a.basis_vector(i)
-        blocks.append(a.right_mult(e) - a.left_mult(e))
-    sub = kernel(stack_rows(blocks))
-    return Subalgebra(a, sub)
+    """Center as a subalgebra: the commutant of the basis."""
+    return _commutant(a, [a.basis_vector(i) for i in range(a.dim)])
 
 
 def centralizer(f: "AlgebraMap") -> Subalgebra:
     """Centralizer of the image of f inside the target, as a subalgebra."""
-    b = f.tgt
-    blocks = []
-    for i in range(f.src.dim):
-        u = f.apply(f.src.basis_vector(i))
-        blocks.append(b.right_mult(u) - b.left_mult(u))
-    sub = kernel(stack_rows(blocks))
-    return Subalgebra(b, sub)
+    return _commutant(f.tgt, [f.apply(f.src.basis_vector(i)) for i in range(f.src.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +458,7 @@ def image_central_in(f: AlgebraMap) -> bool:
 def subalgebra_map(sub_src: Subalgebra, sub_tgt: Subalgebra, parent_map: Matrix) -> AlgebraMap:
     """Restrict a parent-level linear map to subalgebras (in their canonical
     bases).  Raises if the image does not land in the target subalgebra."""
-    carried = parent_map @ sub_src.incl
-    X = solve_matrix(sub_tgt.incl, carried)
+    X = sub_tgt.subspace.coords_matrix(parent_map @ sub_src.incl)
     if X is None:
         raise ValueError("image does not land in the target subalgebra")
     return AlgebraMap(sub_src.algebra, sub_tgt.algebra, X)

@@ -17,16 +17,17 @@ verifies the coequalizer property exactly at construction; failure raises.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import Algebra, AlgebraMap
 from .exactla import (
     FlatWitness,
     Matrix,
+    Subspace,
     cokernel,
     inverse,
     kernel,
     quotient_induced,
-    solve,
-    stack_rows,
 )
 
 
@@ -212,33 +213,41 @@ def hom_space(src: Bimodule, tgt: Bimodule):
     """
     f = src.field
     nt, ns = tgt.dim, src.dim
-    It = Matrix.identity(nt, f)
-    Is = Matrix.identity(ns, f)
-    blocks = []
-    # X L_src = L_tgt X  <=>  (L_tgt (x) I - I (x) L_src^T) vec(X) = 0
-    for i in range(src.left.dim):
-        blocks.append(tgt.lact[i].kron(Is) - It.kron(src.lact[i].transpose()))
-    for j in range(src.right.dim):
-        blocks.append(tgt.ract[j].kron(Is) - It.kron(src.ract[j].transpose()))
-    ker = kernel(stack_rows(blocks))
-    mats = []
-    for v in ker.basis.columns():
-        mats.append(
-            Matrix([[v[r * ns + c] for c in range(ns)] for r in range(nt)], f, ncols=ns)
-        )
-    return mats
+    # X S = T X for every action pair (S of src, T of tgt): its rows on
+    # vec(X) are the columns of T^T (x) I - I (x) S
+    rel = middle_relations(nt, ns, [T.transpose() for T in tgt.lact + tgt.ract],
+                           src.lact + src.ract, f)
+    return [Matrix([v[r * ns:(r + 1) * ns] for r in range(nt)], f, ncols=ns)
+            for v in kernel(rel.transpose()).basis.columns()]
+
+
+def hom_coords_matrix(basis, mats, field, message) -> Matrix:
+    """Coordinates of the maps mats in a hom-space basis, one column per map;
+    raises ValueError(message) if a map lies outside the span.  The basis
+    vectorizes to a canonical subspace, so no system is solved."""
+    some = basis or mats
+    n = some[0].rows * some[0].cols if some else 0
+
+    def vec(X):
+        return [a for row in X.data for a in row]
+
+    span = Subspace(n, Matrix.from_columns(map(vec, basis), n, field), field,
+                    canonical=True)
+    X = span.coords_matrix(Matrix.from_columns(map(vec, mats), n, field))
+    if X is None:
+        raise ValueError(message)
+    return X
 
 
 def hom_coords(basis, X: Matrix):
     """Coordinates of the map X in a hom-space basis (or None)."""
-    if not basis:
-        return [] if X.is_zero() else None
-    f = X.field
-    nt, ns = X.rows, X.cols
-    cols = [[b.data[r][c] for r in range(nt) for c in range(ns)] for b in basis]
-    B = Matrix.from_columns(cols, nt * ns, f)
-    target = [X.data[r][c] for r in range(nt) for c in range(ns)]
-    return solve(B, target)
+    outside = "the map lies outside the hom space"
+    try:
+        return hom_coords_matrix(basis, [X], X.field, outside).col_list(0)
+    except ValueError as exc:
+        if str(exc) != outside:
+            raise
+        return None
 
 
 class EndAlgebra:
@@ -253,15 +262,13 @@ class EndAlgebra:
         self.basis = hom_space(m, m)
         f = m.field
         d = len(self.basis)
-        sc = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                coords = hom_coords(self.basis, self.basis[i] @ self.basis[j])
-                assert coords is not None, "endomorphisms must close under composition"
-                sc[i][j] = coords
-        unit = hom_coords(self.basis, Matrix.identity(m.dim, f))
-        assert unit is not None, "the identity must lie in the endomorphism space"
-        self.algebra = Algebra(d, sc, unit, f)
+        prods = hom_coords_matrix(
+            self.basis, [x @ y for x in self.basis for y in self.basis], f,
+            "endomorphisms must close under composition")
+        sc = [[prods.col_list(i * d + j) for j in range(d)] for i in range(d)]
+        unit = hom_coords_matrix(self.basis, [Matrix.identity(m.dim, f)], f,
+                                 "the identity must lie in the endomorphism space")
+        self.algebra = Algebra(d, sc, unit.col_list(0), f)
 
     @property
     def dim(self):
@@ -274,9 +281,6 @@ class EndAlgebra:
             if c:
                 out = out + b.scale(c)
         return out
-
-    def coords_of(self, X: Matrix):
-        return hom_coords(self.basis, X)
 
     def __repr__(self):
         return f"EndAlgebra(dim {self.dim})"
@@ -303,12 +307,8 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule, end_tgt: EndAlgebra, end_src: End
 def hom_operator(basis_out, basis_in, transform, field) -> Matrix:
     """Matrix, in the coordinates of the hom basis basis_out, of the linear
     map that sends each element of basis_in to transform(element)."""
-    cols = []
-    for e in basis_in:
-        coords = hom_coords(basis_out, transform(e))
-        assert coords is not None, "operator leaves the hom space"
-        cols.append(coords)
-    return Matrix.from_columns(cols, len(basis_out), field)
+    return hom_coords_matrix(basis_out, [transform(e) for e in basis_in], field,
+                             "operator leaves the hom space")
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +552,7 @@ def interchange_check(xi: BimoduleMap, zeta: BimoduleMap) -> bool:
 # composition of hom spaces and its descent to the fibered tensor product
 
 
+@dataclass(slots=True, eq=False)
 class CompBarResult:
     """Composition descended to [N,P] (x)_{[N,N]} [M,N] -> [M,P]: the unique
     map whose composite with the quotient map is plain composition.
@@ -560,16 +561,13 @@ class CompBarResult:
     canonical hom bases), map (as an equivariant map over ([P,P], [M,M])),
     is_iso, and the three hom bases."""
 
-    __slots__ = ("tensor", "mat", "map", "is_iso", "basis_np", "basis_mn", "basis_mp")
-
-    def __init__(self, tensor, mat, map_, is_iso, basis_np, basis_mn, basis_mp):
-        self.tensor = tensor
-        self.mat = mat
-        self.map = map_
-        self.is_iso = is_iso
-        self.basis_np = basis_np
-        self.basis_mn = basis_mn
-        self.basis_mp = basis_mp
+    tensor: TensorResult
+    mat: Matrix
+    map: BimoduleMap
+    is_iso: bool
+    basis_np: list
+    basis_mn: list
+    basis_mp: list
 
 
 def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
@@ -583,15 +581,10 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     hom_mn, basis_mn = hom_bimodule(m, n, end_n, end_m)
     hom_mp, basis_mp = hom_bimodule(m, p, end_p, end_m)
     tensor = tensor_over(hom_np, hom_mn)
-    cols = []
-    for bi in basis_np:
-        for bj in basis_mn:
-            coords = hom_coords(basis_mp, bi @ bj)
-            assert coords is not None, "composite leaves the hom space"
-            cols.append(coords)
+    comp = hom_coords_matrix(basis_mp, [x @ y for x in basis_np for y in basis_mn], f,
+                             "composite leaves the hom space")
     mat = tensor.quot.descend(
-        Matrix.from_columns(cols, len(basis_mp), f),
-        "composition does not factor through the middle tensor")
+        comp, "composition does not factor through the middle tensor")
     map_ = BimoduleMap(tensor.product, hom_mp, mat)
     bad = validate_bimodule_map(map_)
     assert not bad, f"descended composition is not equivariant: {bad}"

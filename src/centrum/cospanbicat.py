@@ -56,7 +56,6 @@ from .exactla import (
     kernel,
     quotient_induced,
     solve,
-    stack_rows,
     tensor_permutation,
 )
 
@@ -176,14 +175,13 @@ class CospanComposition:
 
     __slots__ = ("first", "second", "cospan", "quot")
 
-    def __init__(self, second: Cospan, first: Cospan, check=True):
+    def __init__(self, second: Cospan, first: Cospan):
         B = first.b
         if not (second.a is B or second.a.equal_on_the_nose(B)):
             raise ValueError("middle algebras must agree")
-        if check:
-            bad = validate_cospan(first) + validate_cospan(second)
-            if bad:
-                raise ValueError(f"invalid cospan: {bad}")
+        bad = validate_cospan(first) + validate_cospan(second)
+        if bad:
+            raise ValueError(f"invalid cospan: {bad}")
         T, S = first.apex, second.apex
         f = T.field
         LT = [T.left_mult(T.basis_vector(i)) for i in range(T.dim)]
@@ -228,18 +226,17 @@ class CospanComposition:
         self.second = second
         self.quot = quot
         self.cospan = Cospan(leg_a, leg_b)
-        if check:
-            bad = validate_cospan(self.cospan)
-            if bad:
-                raise ValueError(f"composite is not a valid cospan: {bad}")
+        bad = validate_cospan(self.cospan)
+        if bad:
+            raise ValueError(f"composite is not a valid cospan: {bad}")
 
     def __repr__(self):
         return f"CospanComposition({self.cospan!r})"
 
 
-def compose_cospans(second: Cospan, first: Cospan, check=True) -> CospanComposition:
+def compose_cospans(second: Cospan, first: Cospan) -> CospanComposition:
     """Compose first (between A and B) with second (between B and C)."""
-    return CospanComposition(second, first, check=check)
+    return CospanComposition(second, first)
 
 
 def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> AlgebraMap:
@@ -390,7 +387,7 @@ def vertical_compose(upper: TwoDiagram, lower: TwoDiagram) -> TwoDiagram:
                       tensor=tens, parts=("vertical", upper, lower))
 
 
-def horizontal_compose(right: TwoDiagram, left: TwoDiagram, check=True) -> TwoDiagram:
+def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     """Compose left (between cospans over A, B) with right (over B, C) to a
     2-diagram between the composite cospans over A, C.
 
@@ -399,10 +396,10 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram, check=True) -> TwoDi
     target cospan's B leg; both choices agree with their counterparts by the
     2-diagram axioms.  The legs are the descended tensor products of the
     constituent legs."""
-    return _horizontal_compose(right, left, check)
+    return _horizontal_compose(right, left)
 
 
-def _horizontal_compose(right: TwoDiagram, left: TwoDiagram, check: bool,
+def _horizontal_compose(right: TwoDiagram, left: TwoDiagram,
                         src_comp: "CospanComposition | None" = None,
                         tgt_comp: "CospanComposition | None" = None) -> TwoDiagram:
     """horizontal_compose, reusing the composite of the source cospans or of
@@ -410,9 +407,9 @@ def _horizontal_compose(right: TwoDiagram, left: TwoDiagram, check: bool,
     B = left.src.b
     assert right.src.a is B or right.src.a.equal_on_the_nose(B)
     if src_comp is None:
-        src_comp = compose_cospans(right.src, left.src, check=check)
+        src_comp = compose_cospans(right.src, left.src)
     if tgt_comp is None:
-        tgt_comp = compose_cospans(right.tgt, left.tgt, check=check)
+        tgt_comp = compose_cospans(right.tgt, left.tgt)
     M1, M2 = left.M, right.M
     f = M1.field
     m1b = Bimodule(
@@ -498,27 +495,25 @@ def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     assert cospans_match(d.src, e.src) and cospans_match(d.tgt, e.tgt)
     f = d.M.field
     m1, m2 = d.M.dim, e.M.dim
-    I1 = Matrix.identity(m1, f)
-    I2 = Matrix.identity(m2, f)
-    blocks, rhs = [], []
-    for L1, L2 in zip(d.M.lact, e.M.lact):
-        blocks.append(I2.kron(L1.transpose()) - L2.kron(I1))
-        rhs.extend([f.zero] * (m2 * m1))
-    for R1, R2 in zip(d.M.ract, e.M.ract):
-        blocks.append(I2.kron(R1.transpose()) - R2.kron(I1))
-        rhs.extend([f.zero] * (m2 * m1))
-    blocks.append(I2.kron(d.f.transpose()))
-    rhs.extend(e.f.data[r][c] for r in range(m2) for c in range(e.f.cols))
-    blocks.append(I2.kron(d.g.transpose()))
-    rhs.extend(e.g.data[r][c] for r in range(m2) for c in range(e.g.cols))
-    A = stack_rows(blocks)
+    # X S = T X for every action pair (S of d, T of e), as in hom_space
+    eqs = middle_relations(m2, m1, [T.transpose() for T in e.M.lact + e.M.ract],
+                           d.M.lact + d.M.ract, f).transpose().data
+    rhs = [f.zero] * len(eqs)
+    # X F = G for both legs: row (r, c) has F[k][c] at the entry of X[r][k]
+    for F, G in ((d.f, e.f), (d.g, e.g)):
+        for r in range(m2):
+            for c in range(F.cols):
+                row = [f.zero] * (m2 * m1)
+                row[r * m1:(r + 1) * m1] = F.col_list(c)
+                eqs.append(row)
+                rhs.append(G.data[r][c])
+    A = Matrix(eqs, f, ncols=m2 * m1)
     part = solve(A, rhs)
     if part is None:
         return None, []
 
     def unvec(v):
-        return Matrix([[v[r * m1 + c] for c in range(m1)] for r in range(m2)], f,
-                      ncols=m1)
+        return Matrix([v[r * m1:(r + 1) * m1] for r in range(m2)], f, ncols=m1)
 
     ker = [unvec(col) for col in kernel(A).basis.columns()]
     return unvec(part), ker
@@ -529,19 +524,17 @@ def find_3cell(d: TwoDiagram, e: TwoDiagram) -> "ThreeCell | None":
     return ThreeCell(d, e, x0) if x0 is not None else None
 
 
+@dataclass(slots=True, eq=False)
 class InvertibleCellSearch:
     """Outcome of searching the affine family of 3-cells for an invertible
     one.  certified means the verdict is deterministic; otherwise
     failure_bound bounds the probability that an invertible cell exists but
     every sample missed it."""
 
-    __slots__ = ("cell", "certified", "failure_bound", "detail")
-
-    def __init__(self, cell, certified, failure_bound, detail):
-        self.cell = cell
-        self.certified = certified
-        self.failure_bound = failure_bound
-        self.detail = detail
+    cell: ThreeCell | None
+    certified: bool
+    failure_bound: Fraction | None
+    detail: str
 
     @property
     def found(self):
@@ -552,14 +545,21 @@ class InvertibleCellSearch:
         return f"InvertibleCellSearch({state}, certified={self.certified})"
 
 
-def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None, tries=3,
-                          sample_range=1 << 25, grid_limit=20000) -> InvertibleCellSearch:
+# find_invertible_3cell's sample count and largest exhaustive grid
+_TRIES = 3
+_GRID_LIMIT = 20000
+
+
+def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None,
+                          sample_range=1 << 25) -> InvertibleCellSearch:
     """Search the affine family of 3-cells d -> e for an invertible member.
 
     A found cell is always a certificate.  Negative answers are certified by
     exhausting a (dim+1)-per-axis grid when the family is small (the
     determinant has degree at most dim in each coefficient); otherwise they
-    are probabilistic with an explicit failure bound.
+    are probabilistic with an explicit failure bound: a sample misses with
+    probability at most dim * q (Schwartz-Zippel), q the largest probability
+    of one residue of randint(-sample_range, sample_range) in the field.
     """
     x0, ks = solve_3cell_family(d, e)
     if x0 is None:
@@ -583,14 +583,14 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None, tries=3,
         return InvertibleCellSearch(None, True, None,
                                     "unique 3-cell and it is not invertible")
     rng = rng if rng is not None else random.Random(0)
-    for _ in range(tries):
+    for _ in range(_TRIES):
         coeffs = [f.from_int(rng.randint(-sample_range, sample_range)) for _ in ks]
         X = build(coeffs)
         if is_invertible(X):
             return InvertibleCellSearch(ThreeCell(d, e, X), True, None,
                                         "found by random sampling")
     field_size = f.p if isinstance(f, PrimeField) else None
-    grid_ok = (dim + 1) ** p <= grid_limit and (field_size is None or field_size > dim)
+    grid_ok = (dim + 1) ** p <= _GRID_LIMIT and (field_size is None or field_size > dim)
     if grid_ok:
         for point in itertools.product(range(dim + 1), repeat=p):
             X = build([f.from_int(c) for c in point])
@@ -600,11 +600,12 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None, tries=3,
         return InvertibleCellSearch(
             None, True, None,
             f"certified by exhausting a degree grid of {(dim + 1) ** p} points")
-    domain = field_size if field_size is not None else 2 * sample_range + 1
-    bound = Fraction(dim, domain) ** tries
+    n = 2 * sample_range + 1
+    hits = 1 if field_size is None else -(-n // field_size)
+    bound = min(Fraction(1), Fraction(dim * hits, n)) ** _TRIES
     return InvertibleCellSearch(
         None, False, bound,
-        f"no invertible cell found in {tries} samples; "
+        f"no invertible cell found in {_TRIES} samples; "
         f"failure probability at most {bound}")
 
 
@@ -631,8 +632,8 @@ class BetaResult:
     tgt_witness: FlatWitness
 
 
-def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
-              check=True) -> BetaResult:
+def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
+              d2: TwoDiagram) -> BetaResult:
     """Build the interchanger for the grid
 
         d1 : S1 => S2,  d1p : S2 => S3   (cospans over A, B)
@@ -646,14 +647,14 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
     # each composite cospan is built once: that of S2 and T2 is the source
     # of h_up and the target of h_down; those of S1 and T1 and of S3 and T3
     # are the source of h_down and the target of h_up, and again of tgt_diag
-    h_up = _horizontal_compose(d2p, d1p, check)
+    h_up = _horizontal_compose(d2p, d1p)
     _, _, _, mid, top = h_up.parts
-    h_down = _horizontal_compose(d2, d1, check, tgt_comp=mid)
+    h_down = _horizontal_compose(d2, d1, tgt_comp=mid)
     bottom = h_down.parts[3]
     src_diag = vertical_compose(h_up, h_down)
     v_left = vertical_compose(d1p, d1)
     v_right = vertical_compose(d2p, d2)
-    tgt_diag = _horizontal_compose(v_right, v_left, check, bottom, top)
+    tgt_diag = _horizontal_compose(v_right, v_left, bottom, top)
     mp, np_, m, n = (FlatWitness.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
     src_w = mp.tensor(np_, h_up.tensor.quot).tensor(
         m.tensor(n, h_down.tensor.quot), src_diag.tensor.quot)
@@ -672,9 +673,9 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram, d2: TwoDiagram,
         raise ValueError("inverse after the interchanger is not the identity")
     cell = ThreeCell(src_diag, tgt_diag, beta)
     inverse = ThreeCell(tgt_diag, src_diag, beta_inv)
-    if check:
-        bad = validate_3cell(cell) + validate_3cell(inverse)
-        assert not bad, f"interchanger is not a 3-cell: {bad}"
+    bad = validate_3cell(cell) + validate_3cell(inverse)
+    if bad:
+        raise ValueError(f"interchanger is not a 3-cell: {bad}")
     return BetaResult(src_diag, tgt_diag, cell, inverse, src_w, tgt_w)
 
 
@@ -770,18 +771,16 @@ def check_triangle(d2: TwoDiagram, d1: TwoDiagram) -> bool:
 # invertible cospans and the embedding of commutative algebra maps
 
 
+@dataclass(slots=True, eq=False)
 class InvertibleCospanResult:
     """Verdict with constructive witnesses: the inverse cospan and invertible
     2-diagrams comparing both composites with the identity cospans."""
 
-    __slots__ = ("invertible", "reasons", "inverse", "witness_left", "witness_right")
-
-    def __init__(self, invertible, reasons, inverse, witness_left, witness_right):
-        self.invertible = invertible
-        self.reasons = reasons
-        self.inverse = inverse
-        self.witness_left = witness_left
-        self.witness_right = witness_right
+    invertible: bool
+    reasons: list
+    inverse: Cospan | None
+    witness_left: TwoDiagram | None
+    witness_right: TwoDiagram | None
 
     def __repr__(self):
         return f"InvertibleCospanResult({self.invertible})"

@@ -439,15 +439,24 @@ def column_echelon(m: Matrix) -> Matrix:
 
 
 class Subspace:
-    """A subspace of k^ambient with canonical (reduced column echelon) basis."""
+    """A subspace of k^ambient with canonical (reduced column echelon) basis,
+    checked to be in that form; lead[j] is the leading row of column j."""
 
-    __slots__ = ("ambient", "basis", "field")
+    __slots__ = ("ambient", "basis", "field", "lead")
 
     def __init__(self, ambient: int, basis: Matrix, field, canonical=False):
         self.ambient = ambient
         self.field = field
-        self.basis = basis if canonical else column_echelon(basis)
-        assert self.basis.rows == ambient
+        B = self.basis = basis if canonical else column_echelon(basis)
+        if B.rows != ambient:
+            raise ValueError("subspace basis does not fit the ambient space")
+        # the first nonzero row of each column: in reduced column echelon
+        # form these rows increase and together form an identity matrix
+        self.lead = [next((i for i, row in enumerate(B.data) if row[j]), None)
+                     for j in range(B.cols)]
+        if (None in self.lead or self.lead != sorted(set(self.lead))
+                or [B.data[i] for i in self.lead] != Matrix.identity(B.cols, field).data):
+            raise ValueError("subspace basis is not in reduced column echelon form")
 
     @property
     def dim(self) -> int:
@@ -463,12 +472,21 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
+    def coords_matrix(self, M: Matrix) -> "Matrix | None":
+        """Coordinates of the columns of M in the canonical basis, or None if
+        a column lies outside the subspace.  Basis column j is 1 at lead[j]
+        and every other basis column is 0 there, so the coordinates are M's
+        rows at lead; one product checks them, with no elimination."""
+        X = Matrix([M.data[i] for i in self.lead], self.field, ncols=M.cols)
+        return X if self.basis @ X == M else None
+
     def contains(self, vec) -> bool:
-        return solve(self.basis, vec) is not None
+        return self.coords(vec) is not None
 
     def coords(self, vec):
         """Coordinates of vec in the canonical basis, or None."""
-        return solve(self.basis, vec)
+        X = self.coords_matrix(Matrix.from_columns([vec], self.ambient, self.field))
+        return X.col_list(0) if X is not None else None
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -580,14 +598,9 @@ def cokernel(rel: Matrix) -> Quotient:
     sum_j B[free[r], j] e_lead[j], read off B without a second elimination."""
     field = rel.field
     n = rel.rows
-    B = column_echelon(rel)
+    span = column_space(rel)
+    B, lead = span.basis, span.lead
     d = B.cols
-    lead = []
-    for j in range(d):
-        for i in range(n):
-            if B.data[i][j]:
-                lead.append(i)
-                break
     leadset = set(lead)
     free = [i for i in range(n) if i not in leadset]
     o = field.one

@@ -12,9 +12,14 @@ invariance of centers, and the invertibility criteria under which the whole
 assignment is a genuine (non-lax) 2-functor.
 """
 
+from __future__ import annotations
+
+from dataclasses import dataclass
+
 from .algebra import (
     Algebra,
     AlgebraMap,
+    Subalgebra,
     center,
     centralizer,
     compose_maps,
@@ -28,10 +33,11 @@ from .algebra import (
 from .bimodule import (
     Bimodule,
     BimoduleMap,
+    EndAlgebra,
     comp_bar,
     end_algebra,
     hom_bimodule,
-    hom_coords,
+    hom_coords_matrix,
     hom_operator,
     hom_space,
     identity_bimodule_map,
@@ -64,14 +70,12 @@ from .exactla import Matrix, cokernel, inverse, is_invertible, quotient_induced,
 # the assignment on objects, 1-cells and 2-cells
 
 
+@dataclass(slots=True, eq=False)
 class ZObjectResult:
     """An algebra together with its center as a commutative subalgebra."""
 
-    __slots__ = ("algebra", "center")
-
-    def __init__(self, algebra: Algebra, sub):
-        self.algebra = algebra
-        self.center = sub
+    algebra: Algebra
+    center: Subalgebra
 
     @property
     def dim(self):
@@ -87,6 +91,7 @@ def Z_object(a: Algebra) -> ZObjectResult:
     return ZObjectResult(a, sub)
 
 
+@dataclass(slots=True, eq=False)
 class ZMorphismResult:
     """The cospan assigned to a 1-cell (an algebra map or a bimodule).
 
@@ -94,17 +99,13 @@ class ZMorphismResult:
     respectively the EndAlgebra realizing the apex; z_left / z_right are the
     centers of the outer algebras, in the coordinates used by the legs."""
 
-    __slots__ = ("kind", "source", "cospan", "apex", "realization",
-                 "z_left", "z_right")
-
-    def __init__(self, kind, source, cospan, apex, realization, z_left, z_right):
-        self.kind = kind
-        self.source = source
-        self.cospan = cospan
-        self.apex = apex
-        self.realization = realization
-        self.z_left = z_left
-        self.z_right = z_right
+    kind: str
+    source: AlgebraMap | Bimodule
+    cospan: Cospan
+    apex: Algebra
+    realization: Subalgebra | EndAlgebra
+    z_left: Subalgebra
+    z_right: Subalgebra
 
     def __repr__(self):
         return f"ZMorphismResult({self.kind}, apex dim {self.apex.dim})"
@@ -134,14 +135,9 @@ def Z_bimodule(m: Bimodule, z_left=None, z_right=None, end=None) -> ZMorphismRes
     zr = z_right if z_right is not None else center(m.right)
 
     def leg(sub, act_of):
-        cols = []
-        for i in range(sub.dim):
-            op = act_of(sub.embed(sub.algebra.basis_vector(i)))
-            coords = ea.coords_of(op)
-            assert coords is not None, "central action is not a bimodule map"
-            cols.append(coords)
-        return AlgebraMap(sub.algebra, ea.algebra,
-                          Matrix.from_columns(cols, ea.dim, m.field))
+        ops = [act_of(sub.embed(sub.algebra.basis_vector(i))) for i in range(sub.dim)]
+        return AlgebraMap(sub.algebra, ea.algebra, hom_coords_matrix(
+            ea.basis, ops, m.field, "central action is not a bimodule map"))
 
     cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
     bad = validate_cospan(cospan)
@@ -149,17 +145,15 @@ def Z_bimodule(m: Bimodule, z_left=None, z_right=None, end=None) -> ZMorphismRes
     return ZMorphismResult("bimodule", m, cospan, ea.algebra, ea, zl, zr)
 
 
+@dataclass(slots=True, eq=False)
 class AgreementResult:
     """The evaluation-at-unit isomorphism between the bimodule-level and the
     map-level cospan of an algebra map, with its verification report."""
 
-    __slots__ = ("z_bim", "z_map", "iso", "report")
-
-    def __init__(self, z_bim, z_map, iso, report):
-        self.z_bim = z_bim
-        self.z_map = z_map
-        self.iso = iso
-        self.report = report
+    z_bim: ZMorphismResult
+    z_map: ZMorphismResult
+    iso: AlgebraMap
+    report: CoherenceReport
 
 
 def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
@@ -167,14 +161,11 @@ def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
     algebra isomorphism End -> centralizer commuting with both legs."""
     zb = Z_bimodule(restriction_bimodule(f))
     zh = Z_hom(f)
-    unit = f.tgt.unit
-    cols = []
-    for b in zb.realization.basis:
-        coords = zh.realization.coords(b.apply(unit))
-        assert coords is not None, "evaluation leaves the centralizer"
-        cols.append(coords)
-    ev = AlgebraMap(zb.apex, zh.apex,
-                    Matrix.from_columns(cols, zh.apex.dim, f.tgt.field))
+    ev_mat = zh.realization.subspace.coords_matrix(Matrix.from_columns(
+        [b.apply(f.tgt.unit) for b in zb.realization.basis], f.tgt.dim, f.tgt.field))
+    if ev_mat is None:
+        raise ValueError("evaluation leaves the centralizer")
+    ev = AlgebraMap(zb.apex, zh.apex, ev_mat)
     rep = CoherenceReport()
     rep.add("algebra map", validate_algebra_map(ev) == [])
     rep.add("isomorphism", is_isomorphism(ev) is not None)
@@ -183,18 +174,16 @@ def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
     return AgreementResult(zb, zh, ev, rep)
 
 
+@dataclass(slots=True, eq=False)
 class Z2CellResult:
     """The 2-diagram assigned to a bimodule map: apex is the hom space of the
     two bimodules with post-/pre-composition legs."""
 
-    __slots__ = ("source", "diagram", "z_src", "z_tgt", "basis")
-
-    def __init__(self, source, diagram, z_src, z_tgt, basis):
-        self.source = source
-        self.diagram = diagram
-        self.z_src = z_src
-        self.z_tgt = z_tgt
-        self.basis = basis
+    source: BimoduleMap
+    diagram: TwoDiagram
+    z_src: ZMorphismResult
+    z_tgt: ZMorphismResult
+    basis: list
 
 
 def Z_2cell(phi: BimoduleMap, z_src=None, z_tgt=None) -> Z2CellResult:
@@ -302,14 +291,10 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule,
     In = Matrix.identity(n_bim.dim, f)
 
     def factor_map(src_z, lifted_of):
-        cols = []
-        for e in src_z.realization.basis:
-            op = quotient_induced(tens.quot, lifted_of(e), tens.quot)
-            coords = zmn.realization.coords_of(op)
-            assert coords is not None, "factor endomorphism leaves the hom space"
-            cols.append(coords)
-        return AlgebraMap(src_z.apex, zmn.apex,
-                          Matrix.from_columns(cols, zmn.apex.dim, f))
+        ops = [quotient_induced(tens.quot, lifted_of(e), tens.quot)
+               for e in src_z.realization.basis]
+        return AlgebraMap(src_z.apex, zmn.apex, hom_coords_matrix(
+            zmn.realization.basis, ops, f, "factor endomorphism leaves the hom space"))
 
     w = factor_map(zm, lambda e: e.kron(In))
     v = factor_map(zn, lambda e: Im.kron(e))
@@ -353,14 +338,9 @@ def n_general(m: Bimodule, mp: Bimodule, n: Bimodule, np_: Bimodule,
     tens_src = tens_src if tens_src is not None else tensor_over(m, n)
     tens_tgt = tens_tgt if tens_tgt is not None else tensor_over(mp, np_)
     basis_target = hom_space(tens_src.product, tens_tgt.product)
-    cols = []
-    for xi in basis_left:
-        for zeta in basis_right:
-            op = quotient_induced(tens_tgt.quot, xi.kron(zeta), tens_src.quot)
-            coords = hom_coords(basis_target, op)
-            assert coords is not None, "induced map leaves the hom space"
-            cols.append(coords)
-    flat = Matrix.from_columns(cols, len(basis_target), f)
+    ops = [quotient_induced(tens_tgt.quot, xi.kron(zeta), tens_src.quot)
+           for xi in basis_left for zeta in basis_right]
+    flat = hom_coords_matrix(basis_target, ops, f, "induced map leaves the hom space")
     if pair_quot is None:
         zb = z_mid if z_mid is not None else center(m.right)
         rops = [
@@ -391,26 +371,29 @@ def zero_bimodule_map(src: Bimodule, tgt: Bimodule) -> BimoduleMap:
     return BimoduleMap(src, tgt, Matrix.zeros(tgt.dim, src.dim, src.field))
 
 
+@dataclass(slots=True, eq=False)
 class MSquareResult:
     """The 3-cell between the two composite 2-diagrams around a square of
     bimodule maps: one route multiplies first and then applies the induced
     map on the composite, the other applies the pair of maps first and then
-    multiplies.  Its matrix is independent of the maps themselves.
+    multiplies.  Its matrix is independent of the maps themselves."""
 
-    Fields: the two hom-space 2-cells (d1, d2), their horizontal composite
-    hq, the multiplication data of both rows (mult_src, mult_tgt), the
-    induced map on composites and its 2-cell (induced, d_induced), the two
-    composite 2-diagrams (lhs, rhs), the auxiliary descended map n_res, the
-    pre-unit matrix mprime, the unit-collapse pair (r_mat, r_inverse), the
-    3-cell itself with its validation list, and is_iso."""
-
-    __slots__ = ("d1", "d2", "hq", "mult_src", "mult_tgt", "induced",
-                 "d_induced", "lhs", "rhs", "n_res", "mprime", "r_mat",
-                 "r_inverse", "cell", "valid", "is_iso")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+    d1: Z2CellResult  # the two hom-space 2-cells
+    d2: Z2CellResult
+    hq: TwoDiagram  # their horizontal composite
+    mult_src: MultBimoduleResult  # the multiplication data of both rows
+    mult_tgt: MultBimoduleResult
+    induced: BimoduleMap  # the induced map on composites and its 2-cell
+    d_induced: Z2CellResult
+    lhs: TwoDiagram  # the two composite 2-diagrams
+    rhs: TwoDiagram
+    n_res: NGeneralResult  # the auxiliary descended map
+    mprime: Matrix  # the pre-unit matrix
+    r_mat: Matrix  # the unit-collapse pair
+    r_inverse: Matrix
+    cell: ThreeCell
+    valid: list  # the 3-cell's validation violations
+    is_iso: bool
 
     def __repr__(self):
         state = "iso" if self.is_iso else "not iso"
@@ -459,15 +442,9 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
     TR = rhs.tensor
     r_inverse = TR.quot.proj @ Matrix.identity(len(basis_t), f).kron(
         unit_column(end_src.algebra))
-    rcols = []
-    for t in range(len(basis_t)):
-        for w in range(end_src.dim):
-            op = basis_t[t] @ end_src.basis[w]
-            coords = hom_coords(basis_t, op)
-            assert coords is not None
-            rcols.append(coords)
-    r_mat = TR.quot.descend(Matrix.from_columns(rcols, len(basis_t), f),
-                            "unit collapse does not descend")
+    rflat = hom_coords_matrix(basis_t, [b @ e for b in basis_t for e in end_src.basis],
+                              f, "unit collapse leaves the hom space")
+    r_mat = TR.quot.descend(rflat, "unit collapse does not descend")
     assert r_mat @ r_inverse == Matrix.identity(len(basis_t), f)
     assert r_inverse @ r_mat == Matrix.identity(TR.quot.dim, f)
     cell_mat = r_inverse @ mprime
@@ -509,13 +486,10 @@ def _unit_collapse_second(zf: ZMorphismResult):
 
 def _center_change(zid: ZMorphismResult, sub) -> Matrix:
     """Coordinates of the identity-map centralizer in a center's basis."""
-    mat = zid.realization.incl
-    out = []
-    for j in range(zid.apex.dim):
-        coords = sub.coords(mat.col_list(j))
-        assert coords is not None, "identity centralizer must equal the center"
-        out.append(coords)
-    return Matrix.from_columns(out, sub.dim, mat.field)
+    out = sub.subspace.coords_matrix(zid.realization.incl)
+    if out is None:
+        raise ValueError("identity centralizer must equal the center")
+    return out
 
 
 def verify_lax_functor(chain) -> CoherenceReport:
@@ -689,20 +663,18 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     return rep
 
 
+@dataclass(slots=True, eq=False)
 class MoritaReport:
     """The diagonal-scalar embedding of a center into the center of the
     matrix amplification, with its verification."""
 
-    __slots__ = ("algebra", "n", "amplified", "z_small", "z_big", "iso", "ok")
-
-    def __init__(self, algebra, n, amplified, z_small, z_big, iso, ok):
-        self.algebra = algebra
-        self.n = n
-        self.amplified = amplified
-        self.z_small = z_small
-        self.z_big = z_big
-        self.iso = iso
-        self.ok = ok
+    algebra: Algebra
+    n: int
+    amplified: Algebra
+    z_small: Subalgebra
+    z_big: Subalgebra
+    iso: AlgebraMap
+    ok: bool
 
     def __repr__(self):
         return f"MoritaReport(n={self.n}, {'ok' if self.ok else 'FAILED'})"
@@ -716,7 +688,7 @@ def morita_center_check(a: Algebra, n: int) -> MoritaReport:
     za = center(a)
     zb = center(big)
     d = a.dim
-    cols = []
+    vecs = []
     for i in range(za.dim):
         z = za.embed(za.algebra.basis_vector(i))
         vec = [f.zero] * big.dim
@@ -724,11 +696,11 @@ def morita_center_check(a: Algebra, n: int) -> MoritaReport:
             base = (block * n + block) * d
             for k in range(d):
                 vec[base + k] = z[k]
-        coords = zb.coords(vec)
-        assert coords is not None, "diagonal image must be central"
-        cols.append(coords)
-    iso = AlgebraMap(za.algebra, zb.algebra,
-                     Matrix.from_columns(cols, zb.dim, f))
+        vecs.append(vec)
+    iso_mat = zb.subspace.coords_matrix(Matrix.from_columns(vecs, big.dim, f))
+    if iso_mat is None:
+        raise ValueError("diagonal image must be central")
+    iso = AlgebraMap(za.algebra, zb.algebra, iso_mat)
     ok = (validate_algebra_map(iso) == [] and is_isomorphism(iso) is not None
           and za.dim == zb.dim)
     return MoritaReport(a, n, big, za, zb, iso, ok)

@@ -10,6 +10,7 @@ Oracles:
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sm
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from centrum.bimodule import (
     end_algebra,
     free_bimodule,
     hom_coords,
+    hom_coords_matrix,
     hom_space,
     identity_bimodule_map,
     induced_map,
@@ -49,7 +51,16 @@ from centrum.bimodule import (
     validate_bimodule,
     validate_bimodule_map,
 )
-from centrum.exactla import QQ, Matrix, PrimeField, random_matrix, is_invertible
+from centrum.exactla import (
+    QQ,
+    Matrix,
+    PrimeField,
+    is_invertible,
+    kernel,
+    random_matrix,
+    stack_rows,
+)
+from centrum.fixtures import random_bimodule
 
 
 def to_sympy(m: Matrix) -> sm.Matrix:
@@ -219,6 +230,50 @@ def test_hom_space_sympy_cross_check():
         sols = sm.linsolve(eqs, list(unknowns))
         free_syms = len(list(sols.free_symbols)) if sols else 0
         assert len(hom_space(src, tgt)) == free_syms
+
+
+def kron_hom_space(src: Bimodule, tgt: Bimodule):
+    """Reference: the kernel of the blocks T (x) I - I (x) S^T, one per pair
+    of actions (S of src, T of tgt), formed as Kronecker products with
+    identities and stacked."""
+    f, ns, nt = src.field, src.dim, tgt.dim
+    It, Is = Matrix.identity(nt, f), Matrix.identity(ns, f)
+    blocks = [T.kron(Is) - It.kron(S.transpose())
+              for S, T in zip(src.lact + src.ract, tgt.lact + tgt.ract)]
+    return [Matrix([v[r * ns:(r + 1) * ns] for r in range(nt)], f, ncols=ns)
+            for v in kernel(stack_rows(blocks)).basis.columns()]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_hom_space_matches_kron_and_subtract(seed):
+    rng = random.Random(seed)
+    field = (QQ, PrimeField(2), PrimeField(3), PrimeField(1000003))[seed % 4]
+    small = [alg_k(field), alg_group_c2(field), alg_dual_numbers(field),
+             alg_product_k(2, field)]
+    a, b = rng.choice(small), rng.choice(small)
+    # twisted rank-2 bimodules over QQ grow large coefficients: seconds each
+    rank = 1 if field == QQ else 2
+    src, tgt = (random_bimodule(a, b, rng, max_rank=rank) for _ in range(2))
+    for s, t in ((src, tgt), (tgt, src), (src, src)):
+        assert hom_space(s, t) == kron_hom_space(s, t)
+
+
+def test_hom_coords_matrix_refuses_a_map_outside_the_span():
+    c = col_bimodule(2)
+    basis = hom_space(c, c)  # the scalar matrices
+    three = Matrix.identity(2, QQ).scale(QQ.from_int(3))
+    shift = Matrix.from_int_rows([[0, 1], [0, 0]], QQ)
+    assert hom_coords_matrix(basis, [three, three], QQ, "unused") == \
+        Matrix.from_int_rows([[3, 3]], QQ)
+    with pytest.raises(ValueError, match="^shift is not a bimodule map$"):
+        hom_coords_matrix(basis, [three, shift], QQ, "shift is not a bimodule map")
+    assert hom_coords(basis, shift) is None
+    # with an empty basis only the zero map has coordinates
+    assert hom_coords([], Matrix.zeros(2, 2, QQ)) == []
+    assert hom_coords([], shift) is None
+    # a basis that hom_space cannot have produced is refused, not answered
+    with pytest.raises(ValueError, match="echelon"):
+        hom_coords([three], shift)
 
 
 def test_end_algebra_of_simple_pair_is_matrix_algebra():

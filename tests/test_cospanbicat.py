@@ -1,12 +1,16 @@
 """Tests for cospans with central legs, 2-diagrams, 3-cells, composition in
 both directions, the interchanger, and the coherence checkers."""
 
+import importlib
 import importlib.util
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from centrum.algebra import (
     AlgebraMap,
@@ -21,7 +25,8 @@ from centrum.algebra import (
     unit_map,
     validate_algebra,
 )
-from centrum.bimodule import regular_bimodule
+from centrum import corpus
+from centrum.bimodule import Bimodule, regular_bimodule
 from centrum.cospanbicat import (
     BetaResult,
     CoherenceReport,
@@ -54,7 +59,7 @@ from centrum.cospanbicat import (
     validate_cospan,
     vertical_compose,
 )
-from centrum.exactla import QQ, Matrix, is_invertible, random_matrix
+from centrum.exactla import QQ, Matrix, PrimeField, is_invertible, random_matrix
 from centrum.fixtures import (
     extend_cospan,
     matrix_cospan,
@@ -287,6 +292,39 @@ def test_grid_certified_noninvertible_family():
     assert "grid" in res.detail
 
 
+def singular_family(field):
+    """Two 2-diagrams on a plain 4-dimensional bimodule whose 3-cells all
+    kill two basis vectors, so none is invertible; too many to exhaust."""
+    k = alg_k(field)
+    ident = Matrix.identity(4, field)
+    m = Bimodule(k, k, 4, [ident], [ident])
+    triv = identity_cospan(k)
+    d = TwoDiagram(triv, triv, m, Matrix.from_int_rows([[1], [0], [0], [0]], field),
+                   Matrix.from_int_rows([[0], [1], [0], [0]], field))
+    zero = Matrix.zeros(4, 1, field)
+    return d, TwoDiagram(triv, triv, m, zero, zero)
+
+
+@pytest.mark.parametrize("p, sample_range, bound", [
+    (None, 1 << 25, Fraction(4, 2 ** 26 + 1) ** 3),
+    (1000003, 1, Fraction(1)),  # 3 residues sampled, 4 roots possible
+    (101, 100, Fraction(4 * 2, 201) ** 3),  # some residues drawn twice
+])
+def test_failure_bound_counts_the_residues_actually_sampled(p, sample_range, bound):
+    field = QQ if p is None else PrimeField(p)
+    res = find_invertible_3cell(*singular_family(field), rng=random.Random(0),
+                                sample_range=sample_range)
+    assert not res.found and not res.certified
+    assert res.failure_bound == bound
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_invertibility_battery_bounds_stay_below_2_to_the_minus_20(field):
+    rep = corpus.invertibility_battery(random.Random(0), scale=1.0, field=field)
+    entry = next(e for e in rep.entries if "2^-20" in e["name"])
+    assert rep.ok and entry["detail"].startswith("1 probabilistic searches")
+
+
 def test_compose_3cells_and_identity():
     rng = random.Random(9)
     c = tensor_product_cospan(alg_k(), alg_product_k(2))
@@ -367,6 +405,16 @@ def test_beta_cell_composes_each_cospan_once(monkeypatch):
     assert calls == {"compose_cospans": 3, "inverse": 0}
 
 
+def test_beta_cell_refuses_an_interchanger_that_is_not_a_3cell(monkeypatch):
+    import centrum.cospanbicat as cospanbicat
+
+    grid = random_interchanger_grid(random.Random(2))
+    monkeypatch.setattr(cospanbicat, "validate_3cell",
+                        lambda cell: ["does not intertwine the f legs"])
+    with pytest.raises(ValueError, match="interchanger is not a 3-cell"):
+        beta_cell(*grid)
+
+
 def load_bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -386,6 +434,18 @@ def test_bench_tracer_canon_walks_interchanger_results():
     assert isinstance(res, BetaResult) and isinstance(comp, CospanComposition)
     assert canon(comp)[0] == "CospanComposition"
     assert canon(res) == canon(beta_cell(*grid))
+
+
+def test_bench_tracer_names_resolve():
+    """The tracer skips a traced name that its module no longer has, so a
+    renamed function would silently lose its per-layer metrics."""
+    tracer = load_bench_tracer()
+    traced = [f"{layer}.{name}" for layer, names in tracer.TRACED.items()
+              for name in names]
+    for span in traced + list(tracer.REPEAT):
+        layer, name = span.split(".")
+        module = importlib.import_module(f"centrum.{layer}")
+        assert callable(getattr(module, name, None)), span
 
 
 def test_composition_checks_survive_optimize():

@@ -388,3 +388,57 @@ def test_cokernel_projection_matches_the_inverse(rel):
     q = cokernel(rel)
     assert q.proj == inverse_proj(rel)
     assert q.proj @ rel == Matrix.zeros(q.dim, rel.cols, rel.field)
+
+
+@st.composite
+def span_targets(draw):
+    """A canonical subspace over one of FIELDS (the zero subspace included)
+    and a matrix whose columns lie in it, or, when perturbed, may not."""
+    A = draw(field_matrices())
+    field, span = A.field, column_space(A)
+    k = draw(st.integers(0, 3))
+
+    def ints(rows):
+        vals = draw(st.lists(st.integers(-4, 4), min_size=rows * k,
+                             max_size=rows * k))
+        return Matrix([[field.from_int(vals[i * k + j]) for j in range(k)]
+                       for i in range(rows)], field, ncols=k)
+
+    M = span.basis @ ints(span.dim)
+    if draw(st.booleans()):
+        M = M + ints(A.rows)
+    return span, M
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_targets())
+def test_coords_matrix_matches_solve_matrix(args):
+    span, M = args
+    X = span.coords_matrix(M)
+    assert X == solve_matrix(span.basis, M)
+    assert X is None or span.basis @ X == M
+
+
+def test_coords_in_the_zero_subspace():
+    zero = Subspace(3, Matrix.zeros(3, 0, QQ), QQ, canonical=True)
+    assert zero.coords_matrix(Matrix.zeros(3, 2, QQ)) == Matrix.zeros(0, 2, QQ)
+    assert zero.coords([QQ.zero] * 3) == []
+    assert zero.coords([QQ.zero, QQ.one, QQ.zero]) is None
+    assert not zero.contains([QQ.zero, QQ.one, QQ.zero])
+
+
+@pytest.mark.parametrize("rows", [
+    [[2], [0]],          # leading entry is not 1
+    [[0, 1], [1, 0]],    # leading rows out of order
+    [[1, 1], [0, 1]],    # two columns lead in the same row
+    [[1, 0], [0, 0]],    # a zero column
+    [[1, 0], [1, 1]],    # a leading row is nonzero in another column
+])
+def test_canonical_subspace_rejects_a_basis_out_of_echelon_form(rows):
+    B = Matrix.from_int_rows(rows, QQ)
+    with pytest.raises(ValueError, match="echelon"):
+        Subspace(B.rows, B, QQ, canonical=True)
+    reduced = Subspace(B.rows, B, QQ)
+    assert Subspace(B.rows, reduced.basis, QQ, canonical=True) == reduced
+    with pytest.raises(ValueError, match="ambient"):
+        Subspace(B.rows + 1, reduced.basis, QQ, canonical=True)
