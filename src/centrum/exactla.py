@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals or a prime field.
 
 Everything here is deterministic and exact: no floats anywhere.  Matrices are
-dense lists-of-lists of field elements; vectors are plain lists.  Subspaces
+dense lists-of-lists of field elements; vectors are plain lists.  A rational
+is an int when it is integral and a fractions.Fraction otherwise, so integer
+arithmetic and zero tests run in C; since int / int is a float, the one
+division (rref's pivot scaling) goes through the field's exact div.  Subspaces
 are stored in reduced column echelon form, so two equal subspaces have equal
 basis matrices and can be compared with ==.  Quotients carry explicit
 projection/section witnesses with proj @ sect == I and proj @ relations == 0,
@@ -12,6 +15,7 @@ exact check (descend).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -19,20 +23,35 @@ from fractions import Fraction
 # fields
 
 
+def _integral(x):
+    """x, or its numerator when x is a Fraction with denominator 1."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 class Rationals:
-    """The field of rational numbers; elements are fractions.Fraction."""
+    """The field of rational numbers.  An element is an int when it is
+    integral and a fractions.Fraction otherwise, so that zero tests and
+    integer arithmetic run in C.  Ints and Fractions compare, hash and print
+    alike.  Division goes only through div, since int / int is a float."""
 
     name = "rational"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return int(n)
 
     def parse(self, s: str):
-        return Fraction(s)
+        return _integral(Fraction(s))
+
+    def div(self, a, b):
+        """The exact quotient a / b, an int when it is integral."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _integral(a / b)
 
     def fmt(self, x) -> str:
         return str(x)
@@ -136,6 +155,8 @@ class PrimeField:
 
     def parse(self, s: str):
         return FpElem(int(s), self.p)
+
+    div = staticmethod(operator.truediv)
 
     def fmt(self, x) -> str:
         return str(x.v)
@@ -388,10 +409,15 @@ def rref(m: Matrix):
     """Reduced row echelon form.  Returns (R, pivots).
 
     Each pivot row is subtracted only on its own nonzero columns, since
-    a - f*0 == a exactly."""
-    R = [row[:] for row in m.data]
+    a - f*0 == a exactly.  Over QQ every integral entry is kept an int.  An
+    update by an int factor and an all-int pivot row keeps that, since a
+    non-integral value minus an int is non-integral; only an update that
+    involves a Fraction can land on an integer, and only it is normalised."""
+    qq = m.field == QQ
+    R = [[_integral(x) for x in row]
+         if qq and Fraction in map(type, row) else row[:] for row in m.data]
     rows, cols = m.rows, m.cols
-    one = m.field.one
+    one, div = m.field.one, m.field.div
     pivots = []
     r = 0
     for c in range(cols):
@@ -411,12 +437,18 @@ def rref(m: Matrix):
         pv = Rr[c]
         if pv != one:
             for j in nz:
-                Rr[j] = Rr[j] / pv
+                Rr[j] = div(Rr[j], pv)
         entries = [(j, Rr[j]) for j in nz]
+        frac = qq and Fraction in map(type, Rr)
         for i in range(rows):
             Ri = R[i]
             f = Ri[c]
-            if f and i != r:
+            if not f or i == r:
+                continue
+            if frac or type(f) is Fraction:
+                for j, b in entries:
+                    Ri[j] = _integral(Ri[j] - f * b)
+            else:
                 for j, b in entries:
                     Ri[j] = Ri[j] - f * b
         pivots.append(c)
@@ -490,20 +522,29 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Kernel of m as a canonical subspace of the source."""
-    R, pivots = rref(m)
+    """Kernel of m as a canonical subspace of the source.
+
+    Eliminating m with its columns reversed gives, for each free column f,
+    the kernel vector that is 1 at f, 0 at the other free columns and
+    nonzero only at pivot columns after f: reduced column echelon form
+    already, with the free columns as leading rows."""
+    n = m.cols
+    R, pivots = rref(Matrix([row[::-1] for row in m.data], m.field, ncols=n))
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
     z, o = m.field.zero, m.field.one
     cols = []
-    for j in free:
-        v = [z] * m.cols
-        v[j] = o
+    for j in range(n - 1, -1, -1):
+        if j in pivset:
+            continue
+        v = [z] * n
+        v[n - 1 - j] = o
         for i, p in enumerate(pivots):
-            v[p] = -R.data[i][j]
+            if p > j:
+                break
+            v[n - 1 - p] = -R.data[i][j]
         cols.append(v)
-    basis = Matrix.from_columns(cols, m.cols, m.field)
-    return Subspace(m.cols, basis, m.field)
+    return Subspace(n, Matrix.from_columns(cols, n, m.field), m.field,
+                    canonical=True)
 
 
 def column_space(m: Matrix) -> Subspace:

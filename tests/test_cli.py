@@ -10,6 +10,7 @@ import pytest
 
 from centrum.algebra import alg_group_c2
 from centrum.cli import algebra_dict, content_hash, main
+from centrum.exactla import Matrix
 
 
 def run_cli(*argv):
@@ -282,3 +283,18 @@ def test_field_beyond_certified_primality_exits_two(capsys):
                         f"gfp:{2 ** 89 - 1}"], capsys)
     assert code == 2
     assert "too large" in r["error"]["message"]
+
+
+def test_corpus_builds_no_matrix_with_a_float(monkeypatch, capsys):
+    """QQ keeps integral values as ints, and int / int is a float: every
+    division must go through the field, so no float may reach a Matrix."""
+    init = Matrix.__init__
+
+    def checked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        floats = [x for row in self.data for x in row if type(x) is float]
+        assert not floats, f"float entries in a matrix: {floats[:3]}"
+
+    monkeypatch.setattr(Matrix, "__init__", checked_init)
+    assert main(["corpus", "--scale", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -320,8 +320,10 @@ def field_matrices(draw, max_rows=7, max_cols=7):
 
 
 def dense_rref(m: Matrix):
-    """Reference elimination: every row update runs over every column."""
+    """Reference elimination: every row update runs over every column.
+    Over QQ it scales rows through Fraction, since int / int is a float."""
     R = [row[:] for row in m.data]
+    exact = Fraction if m.field == QQ else (lambda a: a)
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -332,7 +334,7 @@ def dense_rref(m: Matrix):
             continue
         R[r], R[pr] = R[pr], R[r]
         pv = R[r][c]
-        R[r] = [a / pv for a in R[r]]
+        R[r] = [exact(a) / pv for a in R[r]]
         for i in range(m.rows):
             if i != r and R[i][c]:
                 f = R[i][c]
@@ -442,3 +444,98 @@ def test_canonical_subspace_rejects_a_basis_out_of_echelon_form(rows):
     assert Subspace(B.rows, reduced.basis, QQ, canonical=True) == reduced
     with pytest.raises(ValueError, match="ambient"):
         Subspace(B.rows + 1, reduced.basis, QQ, canonical=True)
+
+
+# ---------------------------------------------------------------------------
+# the QQ representation: an int when integral, else a Fraction
+
+
+def test_rationals_are_ints_when_integral():
+    for s, value in [("4/2", 2), ("-6/3", -2), ("0/5", 0), ("7", 7)]:
+        x = QQ.parse(s)
+        assert type(x) is int and x == value
+    assert type(QQ.parse("3/2")) is Fraction and QQ.parse("3/2") == Fraction(3, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-5)) is int
+    assert [QQ.fmt(x) for x in (2, Fraction(2), Fraction(-3, 2), 0)] == \
+        ["2", "2", "-3/2", "0"]
+    assert type(QQ.div(6, -3)) is int and QQ.div(6, -3) == -2
+    assert QQ.div(3, 6) == Fraction(1, 2)
+    assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def as_fractions(m: Matrix) -> Matrix:
+    return Matrix([[Fraction(x) for x in row] for row in m.data], QQ,
+                  ncols=m.cols)
+
+
+def entries(x) -> list:
+    """Every field element held by a result of the functions below."""
+    if isinstance(x, Matrix):
+        return [a for row in x.data for a in row]
+    if isinstance(x, Subspace):
+        return entries(x.basis)
+    if isinstance(x, Quotient):
+        return entries(x.relations) + entries(x.proj) + entries(x.sect)
+    if isinstance(x, tuple):  # rref's (R, pivots)
+        return entries(x[0])
+    return [] if x is None else list(x)
+
+
+def same(x, y) -> bool:
+    if isinstance(x, Quotient):
+        return (x.relations, x.proj, x.sect) == (y.relations, y.proj, y.sect)
+    return x == y
+
+
+@st.composite
+def qq_operands(draw):
+    """Int-entry matrices over QQ in [-4, 4]: A and C are n x k, B is k x l,
+    S is n x n, v has length k; c is an int or a Fraction scalar."""
+    n, k, l = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def ints(rows, cols):
+        vals = draw(st.lists(st.integers(-4, 4), min_size=rows * cols,
+                             max_size=rows * cols))
+        return Matrix([vals[i * cols:(i + 1) * cols] for i in range(rows)],
+                      QQ, ncols=cols)
+
+    A, B, C, S = ints(n, k), ints(k, l), ints(n, k), ints(n, n)
+    v = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    c = draw(st.sampled_from([2, -1, Fraction(1, 2), Fraction(-4, 3)]))
+    return A, B, C, S, v, c
+
+
+def qq_results(A, B, C, S, v, c):
+    """name -> (result, whether each integral entry must be an int)."""
+    return {
+        "matmul": (A @ B, False),
+        "kron": (A.kron(B), False),
+        "add": (A + C, False),
+        "sub": (A - C, False),
+        "scale": (A.scale(c), False),
+        "apply": (A.apply(v), False),
+        "rref": (rref(A), True),
+        "kernel": (kernel(A), True),
+        "cokernel": (cokernel(A), True),
+        "inverse": (inverse(S), True),
+        "solve_matrix": (solve_matrix(A, C), True),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(qq_operands())
+def test_int_and_fraction_entries_give_equal_results(ops):
+    A, B, C, S, v, c = ops
+    ints = qq_results(A, B, C, S, v, c)
+    fracs = qq_results(*map(as_fractions, (A, B, C, S)),
+                       [Fraction(x) for x in v], c)
+    for name, (x, normal) in ints.items():
+        y = fracs[name][0]
+        assert same(x, y), name
+        for a in entries(x) + entries(y):
+            assert type(a) in (int, Fraction), (name, a)
+            if normal and type(a) is Fraction:
+                assert a.denominator != 1, (name, a)
