@@ -1,9 +1,13 @@
-"""Finite-dimensional associative unital algebras via structure constants.
+"""Finite-dimensional associative unital algebras, each stored as its
+multiplication matrix.
 
-An algebra is (dim, sc, unit) with e_i * e_j = sum_k sc[i][j][k] e_k and unit
-a coordinate vector.  Centers and centralizers come out of exact kernel
-computations and are returned as subalgebras with closed induced structure
-constants (closure failure is a hard error, not a warning).
+An algebra is (mult, unit): mult is the dim x dim^2 matrix whose column
+i*dim + j holds the coordinates of e_i * e_j, and unit is the coordinate
+vector of 1.  Every multiplication operator is a slice of mult, and every
+construction (tensor, matrix, product and opposite algebras, subalgebras) is
+a matrix expression on it.  Centers and centralizers come out of exact kernel
+computations and are returned as subalgebras with closed induced
+multiplication (closure failure is a hard error, not a warning).
 """
 
 from __future__ import annotations
@@ -19,20 +23,22 @@ from .exactla import (
 
 
 class Algebra:
-    """Structure-constant algebra.  sc[i][j][k] is the e_k-coefficient of
-    e_i * e_j; unit is the coordinate vector of 1."""
+    """An algebra given by its multiplication matrix.  mult is dim x dim^2
+    and column i*dim + j is e_i * e_j, so left_mult(e_i) is column block i
+    and right_mult(e_i) the columns i, i + dim, i + 2*dim, ...; unit is the
+    coordinate vector of 1.  dim and field are read off mult."""
 
-    __slots__ = ("field", "dim", "sc", "unit", "name")
+    __slots__ = ("field", "dim", "mult", "unit", "name")
 
-    def __init__(self, dim, sc, unit, field, name=""):
-        self.dim = dim
-        self.sc = sc
+    def __init__(self, mult: Matrix, unit, name=""):
+        self.dim = mult.rows
         self.unit = list(unit)
-        self.field = field
+        if mult.cols != self.dim * self.dim or len(self.unit) != self.dim:
+            raise ValueError("algebra: the multiplication matrix must be dim x"
+                             " dim^2 and the unit a dim-vector")
+        self.mult = mult
+        self.field = mult.field
         self.name = name
-        assert len(sc) == dim and all(len(row) == dim for row in sc)
-        assert all(len(sc[i][j]) == dim for i in range(dim) for j in range(dim))
-        assert len(self.unit) == dim
 
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
@@ -40,50 +46,34 @@ class Algebra:
 
     def multiply(self, x, y):
         """Product of two coordinate vectors."""
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            sci = self.sc[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coef = xi * yj
-                for k, c in enumerate(sci[j]):
-                    if c:
-                        out[k] = out[k] + coef * c
-        return out
+        return self.left_mult(x).apply(y)
+
+    def _operator(self, x, cut) -> Matrix:
+        """sum_i x_i (the columns cut(i) of mult)."""
+        one = self.field.one
+        out = None
+        for i, a in enumerate(x):
+            if a:
+                term = self.mult.select_columns(cut(i))
+                term = term if a == one else term.scale(a)
+                out = term if out is None else out + term
+        return Matrix.zeros(self.dim, self.dim, self.field) if out is None else out
 
     def left_mult(self, x) -> Matrix:
         """Matrix of y -> x*y."""
-        cols = []
-        zero = self.field.zero
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for k, c in enumerate(self.sc[i][j]):
-                    if c:
-                        col[k] = col[k] + xi * c
-            cols.append(col)
-        return Matrix.from_columns(cols, self.dim, self.field)
+        d = self.dim
+        return self._operator(x, lambda i: slice(i * d, (i + 1) * d))
 
     def right_mult(self, x) -> Matrix:
         """Matrix of y -> y*x."""
-        cols = []
-        zero = self.field.zero
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for k, c in enumerate(self.sc[j][i]):
-                    if c:
-                        col[k] = col[k] + xi * c
-            cols.append(col)
-        return Matrix.from_columns(cols, self.dim, self.field)
+        return self._operator(x, lambda i: slice(i, None, self.dim))
+
+    def products(self, X: Matrix, Y: Matrix) -> Matrix:
+        """mult @ (X (x) Y), without forming X (x) Y: column a*Y.cols + b is
+        the product of column a of X with column b of Y."""
+        parts = [(self.left_mult(x) @ Y).data for x in X.columns()]
+        return Matrix([[c for p in parts for c in p[k]] for k in range(self.dim)],
+                      self.field, ncols=X.cols * Y.cols)
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -92,55 +82,43 @@ class Algebra:
 
     def equal_on_the_nose(self, other: "Algebra") -> bool:
         return (
-            self.dim == other.dim
-            and self.unit == other.unit
-            and self.sc == other.sc
+            self.unit == other.unit
+            and self.mult == other.mult
             and self.field == other.field
         )
 
 
 def validate_algebra(a: Algebra) -> list[str]:
     """All violations of associativity/unitality, as human-readable strings.
-    Empty list == valid.  Cost is O(dim^5); do not run casually on dim > ~12."""
+    Empty list == valid.  The unit's operators must be the identity, and
+    left multiplication must be multiplicative: L(e_i e_j) == L(e_i) L(e_j),
+    whose column k, row l compares the e_l-coefficients of (e_i e_j) e_k and
+    e_i (e_j e_k).  Cost is O(dim^5); do not run casually on dim > ~12."""
     out = []
     n = a.dim
-    f = a.field
-    # unit
+    lunit, runit = a.left_mult(a.unit), a.right_mult(a.unit)
     for i in range(n):
         e = a.basis_vector(i)
-        if a.multiply(a.unit, e) != e:
+        if lunit.col_list(i) != e:
             out.append(f"unit fails on the left at basis {i}")
-        if a.multiply(e, a.unit) != e:
+        if runit.col_list(i) != e:
             out.append(f"unit fails on the right at basis {i}")
-    # associativity: sum_m sc[i][j][m] sc[m][k][l] == sum_m sc[j][k][m] sc[i][m][l]
-    zero = f.zero
+    L = [a.left_mult(a.basis_vector(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            scij = a.sc[i][j]
-            for k in range(n):
-                scjk = a.sc[j][k]
-                for l in range(n):
-                    lhs = zero
-                    rhs = zero
-                    for m in range(n):
-                        c1 = scij[m]
-                        if c1:
-                            lhs = lhs + c1 * a.sc[m][k][l]
-                        c2 = scjk[m]
-                        if c2:
-                            rhs = rhs + c2 * a.sc[i][m][l]
-                    if lhs != rhs:
-                        out.append(
-                            f"associativity fails at (e{i}*e{j})*e{k} vs "
-                            f"e{i}*(e{j}*e{k}), coefficient of e{l}"
-                        )
+            lhs = a.left_mult(a.mult.col_list(i * n + j)).data
+            rhs = (L[i] @ L[j]).data
+            if lhs != rhs:
+                out.extend(
+                    f"associativity fails at (e{i}*e{j})*e{k} vs "
+                    f"e{i}*(e{j}*e{k}), coefficient of e{l}"
+                    for k in range(n) for l in range(n)
+                    if lhs[l][k] != rhs[l][k])
     return out
 
 
 def is_commutative(a: Algebra) -> bool:
-    return all(
-        a.sc[i][j] == a.sc[j][i] for i in range(a.dim) for j in range(a.dim)
-    )
+    return a.mult == opposite_algebra(a).mult
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +127,22 @@ def is_commutative(a: Algebra) -> bool:
 
 class Subalgebra:
     """A subalgebra of `parent` spanned by the columns of `incl` (canonical
-    column echelon), together with the induced structure constants."""
+    column echelon), together with the induced algebra."""
 
     __slots__ = ("parent", "subspace", "algebra")
 
     def __init__(self, parent: Algebra, subspace: Subspace):
         self.parent = parent
         self.subspace = subspace
-        d = subspace.dim
-        f = parent.field
-        # closure + induced structure constants: each product of basis columns
-        # must be a combination of basis columns.
-        cols = self.incl.columns()
-        prods = [parent.multiply(cols[i], cols[j]) for i in range(d) for j in range(d)]
-        X = subspace.coords_matrix(Matrix.from_columns(prods, parent.dim, f))
-        if X is None:
+        # closure: each product of basis columns must be a combination of
+        # basis columns, and those coordinates are the induced mult
+        mult = subspace.coords_matrix(parent.products(self.incl, self.incl))
+        if mult is None:
             raise ValueError("subspace is not closed under multiplication")
-        sc = [[X.col_list(i * d + j) for j in range(d)] for i in range(d)]
         unit = subspace.coords(parent.unit)
         if unit is None:
             raise ValueError("subspace does not contain the unit")
-        self.algebra = Algebra(d, sc, unit, f)
+        self.algebra = Algebra(mult, unit)
 
     @property
     def incl(self) -> Matrix:
@@ -217,99 +190,57 @@ def centralizer(f: "AlgebraMap") -> Subalgebra:
 
 def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     """A (x) B with basis e_i (x) f_j at index i*b.dim + j (left factor
-    major) and componentwise product."""
-    assert a.field == b.field
+    major) and componentwise product: the Kronecker product of the two mults,
+    whose column ((i, p), (j, q)) moves to ((i, j), (p, q))."""
+    if a.field != b.field:
+        raise ValueError("tensor_algebra: the factors lie over different fields")
     f = a.field
     n, m = a.dim, b.dim
-    dim = n * m
-    zero = f.zero
-    sc = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for p in range(n):
-            scip = a.sc[i][p]
-            for j in range(m):
-                for q in range(m):
-                    scjq = b.sc[j][q]
-                    row = sc[i * m + j][p * m + q]
-                    for r in range(n):
-                        c1 = scip[r]
-                        if not c1:
-                            continue
-                        for s in range(m):
-                            c2 = scjq[s]
-                            if c2:
-                                row[r * m + s] = row[r * m + s] + c1 * c2
-    unit = [zero] * dim
-    for i in range(n):
-        if not a.unit[i]:
-            continue
-        for j in range(m):
-            if b.unit[j]:
-                unit[i * m + j] = a.unit[i] * b.unit[j]
+    order = [((i * n + p) * m + j) * m + q for i in range(n) for j in range(m)
+             for p in range(n) for q in range(m)]
+    mult = a.mult.kron(b.mult).select_columns(order)
+    unit = Matrix([a.unit], f).kron(Matrix([b.unit], f)).data[0]
     name = ""
     if a.name and b.name:
         name = f"{a.name}(x){b.name}"
-    return Algebra(dim, sc, unit, f, name)
+    return Algebra(mult, unit, name)
 
 
 def opposite_algebra(a: Algebra) -> Algebra:
-    sc = [[a.sc[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    name = f"{a.name}^op" if a.name else ""
-    return Algebra(a.dim, sc, a.unit, a.field, name)
+    """The same mult with the columns (i, j) and (j, i) swapped."""
+    d = a.dim
+    mult = a.mult.select_columns([j * d + i for i in range(d) for j in range(d)])
+    return Algebra(mult, a.unit, f"{a.name}^op" if a.name else "")
 
 
 def matrix_algebra(base: Algebra, n: int) -> Algebra:
-    """M_n(base): basis E_{ij} (x) e_k at index (i*n + j)*base.dim + k."""
-    f = base.field
-    d = base.dim
-    dim = n * n * d
-    zero = f.zero
-    sc = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(d):
-                row_idx = (i * n + j) * d + k
-                for q in range(n):
-                    for l in range(d):
-                        # (E_ij (x) e_k)(E_jq (x) e_l) = E_iq (x) e_k e_l
-                        col_idx = (j * n + q) * d + l
-                        row = sc[row_idx][col_idx]
-                        for r, c in enumerate(base.sc[k][l]):
-                            if c:
-                                row[(i * n + q) * d + r] = row[
-                                    (i * n + q) * d + r
-                                ] + c
-    unit = [zero] * dim
-    for i in range(n):
-        for k in range(d):
-            if base.unit[k]:
-                unit[(i * n + i) * d + k] = base.unit[k]
-    name = f"M{n}({base.name})" if base.name else f"M{n}"
-    return Algebra(dim, sc, unit, f, name)
+    """M_n(base): basis E_{ij} (x) e_k at index (i*n + j)*base.dim + k, the
+    tensor product of the matrix units with base."""
+    out = tensor_algebra(alg_matrix(n, base.field), base)
+    out.name = f"M{n}({base.name})" if base.name else f"M{n}"
+    return out
 
 
 def product_algebra(parts) -> Algebra:
-    """Direct product of algebras (componentwise operations)."""
+    """Direct product of algebras (componentwise operations): the mults of
+    the parts placed as diagonal blocks."""
     f = parts[0].field
-    assert all(p.field == f for p in parts)
+    if any(p.field != f for p in parts):
+        raise ValueError("product_algebra: the factors lie over different fields")
     dim = sum(p.dim for p in parts)
-    zero = f.zero
-    offs = []
-    o = 0
+    mult = Matrix.zeros(dim, dim * dim, f)
+    off = 0
     for p in parts:
-        offs.append(o)
-        o += p.dim
-    sc = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    unit = [zero] * dim
-    for p, off in zip(parts, offs):
-        for i in range(p.dim):
-            unit[off + i] = p.unit[i]
-            for j in range(p.dim):
-                for k, c in enumerate(p.sc[i][j]):
-                    if c:
-                        sc[off + i][off + j][off + k] = c
+        d = p.dim
+        for k, row in enumerate(p.mult.data):
+            out = mult.data[off + k]
+            for i in range(d):
+                start = (off + i) * dim + off
+                out[start:start + d] = row[i * d:(i + 1) * d]
+        off += d
+    unit = [x for p in parts for x in p.unit]
     name = " x ".join(p.name for p in parts) if all(p.name for p in parts) else ""
-    return Algebra(dim, sc, unit, f, name)
+    return Algebra(mult, unit, name)
 
 
 # -- named constructors ------------------------------------------------------
@@ -317,11 +248,19 @@ def product_algebra(parts) -> Algebra:
 
 def alg_k(field=QQ) -> Algebra:
     one = field.one
-    return Algebra(1, [[[one]]], [one], field, "k")
+    return Algebra(Matrix([[one]], field), [one], "k")
 
 
 def alg_matrix(n: int, field=QQ) -> Algebra:
-    return matrix_algebra(alg_k(field), n)
+    """The matrix units: E_ij at index i*n + j, with E_ij E_jq = E_iq."""
+    nn = n * n
+    mult = Matrix.zeros(nn, nn * nn, field)
+    for i in range(n):
+        for j in range(n):
+            for q in range(n):
+                mult.data[i * n + q][(i * n + j) * nn + j * n + q] = field.one
+    unit = [field.one if r % (n + 1) == 0 else field.zero for r in range(nn)]
+    return Algebra(mult, unit, f"M{n}(k)")
 
 
 def alg_product_k(m: int, field=QQ) -> Algebra:
@@ -333,21 +272,15 @@ def alg_product_k(m: int, field=QQ) -> Algebra:
 def alg_dual_numbers(field=QQ) -> Algebra:
     """k[x]/(x^2): basis (1, x)."""
     z, o = field.zero, field.one
-    sc = [
-        [[o, z], [z, o]],
-        [[z, o], [z, z]],
-    ]
-    return Algebra(2, sc, [o, z], field, "dual_numbers")
+    mult = Matrix([[o, z, z, z], [z, o, o, z]], field)
+    return Algebra(mult, [o, z], "dual_numbers")
 
 
 def alg_group_c2(field=QQ) -> Algebra:
     """Group algebra of C2: basis (1, g) with g^2 = 1."""
     z, o = field.zero, field.one
-    sc = [
-        [[o, z], [z, o]],
-        [[z, o], [o, z]],
-    ]
-    return Algebra(2, sc, [o, z], field, "group:C2")
+    mult = Matrix([[o, z, z, o], [z, o, o, z]], field)
+    return Algebra(mult, [o, z], "group:C2")
 
 
 def named_algebra(spec: str, field=QQ) -> Algebra:
@@ -378,8 +311,11 @@ class AlgebraMap:
     __slots__ = ("src", "tgt", "mat")
 
     def __init__(self, src: Algebra, tgt: Algebra, mat: Matrix):
-        assert mat.rows == tgt.dim and mat.cols == src.dim
-        assert src.field == tgt.field
+        if mat.rows != tgt.dim or mat.cols != src.dim:
+            raise ValueError("algebra map: the matrix must be tgt.dim x src.dim")
+        if src.field != tgt.field:
+            raise ValueError("algebra map: source and target lie over"
+                             " different fields")
         self.src = src
         self.tgt = tgt
         self.mat = mat
@@ -400,18 +336,18 @@ class AlgebraMap:
 
 
 def validate_algebra_map(f: AlgebraMap) -> list[str]:
-    """Violations of unitality/multiplicativity; empty == algebra map."""
+    """Violations of unitality/multiplicativity; empty == algebra map.
+    Column (i, j) of f mult_src is f(e_i e_j), of mult_tgt (f (x) f) it is
+    f(e_i) f(e_j)."""
     out = []
     if f.apply(f.src.unit) != f.tgt.unit:
         out.append("unit is not preserved")
-    for i in range(f.src.dim):
-        fi = f.apply(f.src.basis_vector(i))
-        for j in range(f.src.dim):
-            fj = f.apply(f.src.basis_vector(j))
-            lhs = f.apply(f.src.multiply(f.src.basis_vector(i), f.src.basis_vector(j)))
-            rhs = f.tgt.multiply(fi, fj)
-            if lhs != rhs:
-                out.append(f"multiplicativity fails at (e{i}, e{j})")
+    lhs = f.mat @ f.src.mult
+    rhs = f.tgt.products(f.mat, f.mat)
+    if lhs != rhs:
+        n = f.src.dim
+        out.extend(f"multiplicativity fails at (e{c // n}, e{c % n})"
+                   for c in range(n * n) if lhs.col_list(c) != rhs.col_list(c))
     return out
 
 
@@ -421,7 +357,8 @@ def identity_map(a: Algebra) -> AlgebraMap:
 
 def compose_maps(g: AlgebraMap, f: AlgebraMap) -> AlgebraMap:
     """g after f."""
-    assert f.tgt.equal_on_the_nose(g.src), "composition type mismatch"
+    if not f.tgt.equal_on_the_nose(g.src):
+        raise ValueError("composition type mismatch")
     return AlgebraMap(f.src, g.tgt, g.mat @ f.mat)
 
 
@@ -440,7 +377,8 @@ def is_isomorphism(f: AlgebraMap) -> "AlgebraMap | None":
     if inv is None:
         return None
     g = AlgebraMap(f.tgt, f.src, inv)
-    assert not validate_algebra_map(g)
+    if validate_algebra_map(g):
+        raise ValueError("the inverse of an algebra map is not an algebra map")
     return g
 
 

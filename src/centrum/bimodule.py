@@ -261,14 +261,12 @@ class EndAlgebra:
         self.bimodule = m
         self.basis = hom_space(m, m)
         f = m.field
-        d = len(self.basis)
-        prods = hom_coords_matrix(
+        mult = hom_coords_matrix(
             self.basis, [x @ y for x in self.basis for y in self.basis], f,
             "endomorphisms must close under composition")
-        sc = [[prods.col_list(i * d + j) for j in range(d)] for i in range(d)]
         unit = hom_coords_matrix(self.basis, [Matrix.identity(m.dim, f)], f,
                                  "the identity must lie in the endomorphism space")
-        self.algebra = Algebra(d, sc, unit.col_list(0), f)
+        self.algebra = Algebra(mult, unit.col_list(0))
 
     @property
     def dim(self):
@@ -374,14 +372,7 @@ class TensorResult:
     def pure(self, mvec, nvec):
         """Class of the pure tensor m (x) n, in quotient coordinates."""
         f = self.left_factor.field
-        amb = [f.zero] * (self.left_factor.dim * self.right_factor.dim)
-        for i, a in enumerate(mvec):
-            if not a:
-                continue
-            for j, b in enumerate(nvec):
-                if b:
-                    amb[i * self.right_factor.dim + j] = a * b
-        return self.quot.project(amb)
+        return self.quot.project(Matrix([mvec], f).kron(Matrix([nvec], f)).data[0])
 
     def __repr__(self):
         return f"TensorResult(dim {self.dim})"

@@ -122,8 +122,8 @@ def algebra_dict(a: Algebra):
     return {
         "kind": "algebra",
         "dim": a.dim,
-        "sc": [[fmt_vector(a.sc[i][j], a.field) for j in range(a.dim)]
-               for i in range(a.dim)],
+        "sc": [[fmt_vector(a.mult.col_list(i * a.dim + j), a.field)
+                for j in range(a.dim)] for i in range(a.dim)],
         "unit": fmt_vector(a.unit, a.field),
     }
 
@@ -288,17 +288,18 @@ def algebra_from_dict(payload, field):
     if not isinstance(sc_raw, list) or len(sc_raw) != dim:
         raise InputError(f"algebra: sc must be a {dim}-list of {dim}-lists"
                          " of product vectors")
-    sc = []
+    products = []
     for i, row in enumerate(sc_raw):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"algebra: sc[{i}] must be a list of {dim}"
                              " product vectors")
-        sc.append([parse_vector(row[j], dim, field, f"algebra sc[{i}][{j}]")
-                   for j in range(dim)])
+        products.extend(parse_vector(row[j], dim, field, f"algebra sc[{i}][{j}]")
+                        for j in range(dim))
     unit = parse_vector(payload.get("unit"), dim, field, "algebra unit")
     try:
-        return Algebra(dim, sc, unit, field, name=str(payload.get("name", "")))
-    except AssertionError:
+        return Algebra(Matrix.from_columns(products, dim, field), unit,
+                       name=str(payload.get("name", "")))
+    except ValueError:
         raise InputError("algebra: malformed structure constants")
 
 

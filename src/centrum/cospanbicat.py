@@ -34,6 +34,7 @@ from .algebra import (
     image_central_in,
     is_commutative,
     is_isomorphism,
+    tensor_algebra,
     validate_algebra_map,
 )
 from .bimodule import (
@@ -152,21 +153,10 @@ def _flat_bilinear_op(u, left_ops, right_ops, field) -> Matrix:
     return out
 
 
-def _flat_pair(t, s, field):
-    """Coordinates of t (x) s in the flat tensor, left-major."""
-    out = [field.zero] * (len(t) * len(s))
-    for i, a in enumerate(t):
-        if not a:
-            continue
-        for j, b in enumerate(s):
-            if b:
-                out[i * len(s) + j] = a * b
-    return out
-
-
 class CospanComposition:
-    """The composite of two cospans: apex (first apex) (x)_B (second apex)
-    with the induced algebra structure, plus the quotient witnesses.
+    """The composite of two cospans: apex (first apex) (x)_B (second apex),
+    a quotient algebra of tensor_algebra(first apex, second apex), plus the
+    quotient witnesses.
 
     The product descends because leg images are central; both one-sided
     multiplication operators of every relation generator are checked to
@@ -184,10 +174,7 @@ class CospanComposition:
             raise ValueError(f"invalid cospan: {bad}")
         T, S = first.apex, second.apex
         f = T.field
-        LT = [T.left_mult(T.basis_vector(i)) for i in range(T.dim)]
-        LS = [S.left_mult(S.basis_vector(i)) for i in range(S.dim)]
-        RT = [T.right_mult(T.basis_vector(i)) for i in range(T.dim)]
-        RS = [S.right_mult(S.basis_vector(i)) for i in range(S.dim)]
+        U = tensor_algebra(T, S)
         ract_mid = [
             T.right_mult(first.leg_b.apply(B.basis_vector(j))) for j in range(B.dim)
         ]
@@ -196,32 +183,16 @@ class CospanComposition:
         ]
         rel = middle_relations(T.dim, S.dim, ract_mid, lact_mid, f)
         quot = cokernel(rel)
+        proj, sect = quot.proj, quot.sect
         # linear in the relation, so checking a basis of the span suffices
         for r in quot.relations.columns():
-            if not (quot.proj @ _flat_bilinear_op(r, LT, LS, f)).is_zero():
+            if not (proj @ U.left_mult(r)).is_zero():
                 raise ValueError("multiplication does not descend (left side)")
-            if not (quot.proj @ _flat_bilinear_op(r, RT, RS, f)).is_zero():
+            if not (proj @ U.right_mult(r)).is_zero():
                 raise ValueError("multiplication does not descend (right side)")
-        d = quot.dim
-        lifted_ops = [
-            _flat_bilinear_op(quot.sect.col_list(i), LT, LS, f) for i in range(d)
-        ]
-        sc = [
-            [quot.project(lifted_ops[i].apply(quot.sect.col_list(j))) for j in range(d)]
-            for i in range(d)
-        ]
-        unit = quot.project(_flat_pair(T.unit, S.unit, f))
-        apex = Algebra(d, sc, unit, f)
-        la_cols = [
-            quot.project(_flat_pair(first.leg_a.mat.col_list(j), S.unit, f))
-            for j in range(first.a.dim)
-        ]
-        lb_cols = [
-            quot.project(_flat_pair(T.unit, second.leg_b.mat.col_list(j), f))
-            for j in range(second.b.dim)
-        ]
-        leg_a = AlgebraMap(first.a, apex, Matrix.from_columns(la_cols, d, f))
-        leg_b = AlgebraMap(second.b, apex, Matrix.from_columns(lb_cols, d, f))
+        apex = Algebra(proj @ U.products(sect, sect), quot.project(U.unit))
+        leg_a = AlgebraMap(first.a, apex, proj @ first.leg_a.mat.kron(unit_column(S)))
+        leg_b = AlgebraMap(second.b, apex, proj @ unit_column(T).kron(second.leg_b.mat))
         self.first = first
         self.second = second
         self.quot = quot
@@ -245,24 +216,22 @@ def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> 
     images: class of t (x) s  ->  w(t) v(s)."""
     T, S = comp.first.apex, comp.second.apex
     U = w.tgt
-    assert v.tgt is U or v.tgt.equal_on_the_nose(U)
+    if not (v.tgt is U or v.tgt.equal_on_the_nose(U)):
+        raise ValueError("factor maps must share a target")
     B = comp.first.b
     for j in range(B.dim):
         bj = B.basis_vector(j)
         if w.apply(comp.first.leg_b.apply(bj)) != v.apply(comp.second.leg_a.apply(bj)):
             raise ValueError("factor maps do not agree on the middle algebra")
-    wcols = [w.mat.col_list(i) for i in range(T.dim)]
-    vcols = [v.mat.col_list(j) for j in range(S.dim)]
-    for wc in wcols:
-        for vc in vcols:
-            if U.multiply(wc, vc) != U.multiply(vc, wc):
-                raise ValueError("factor map images do not commute")
-    cols = [U.multiply(wcols[i], vcols[j]) for i in range(T.dim) for j in range(S.dim)]
-    mat = comp.quot.descend(Matrix.from_columns(cols, U.dim, U.field),
-                            "universal map does not descend")
+    cols = U.products(w.mat, v.mat)
+    swap = [j * T.dim + i for i in range(T.dim) for j in range(S.dim)]
+    if cols != U.products(v.mat, w.mat).select_columns(swap):
+        raise ValueError("factor map images do not commute")
+    mat = comp.quot.descend(cols, "universal map does not descend")
     out = AlgebraMap(comp.cospan.apex, U, mat)
     bad = validate_algebra_map(out)
-    assert not bad, f"universal map is not an algebra map: {bad}"
+    if bad:
+        raise ValueError(f"universal map is not an algebra map: {bad}")
     return out
 
 
@@ -342,9 +311,12 @@ def cospan_morphism_2diagram(src: Cospan, tgt: Cospan, h: AlgebraMap) -> TwoDiag
     """The 2-diagram induced by a map of cospans h: src apex -> tgt apex
     commuting with both legs: M is the target apex, f = h, g = identity."""
     bad = validate_algebra_map(h)
-    assert not bad, f"not an algebra map: {bad}"
-    assert h.mat @ src.leg_a.mat == tgt.leg_a.mat, "does not commute with A legs"
-    assert h.mat @ src.leg_b.mat == tgt.leg_b.mat, "does not commute with B legs"
+    if bad:
+        raise ValueError(f"not an algebra map: {bad}")
+    if h.mat @ src.leg_a.mat != tgt.leg_a.mat:
+        raise ValueError("does not commute with A legs")
+    if h.mat @ src.leg_b.mat != tgt.leg_b.mat:
+        raise ValueError("does not commute with B legs")
     T = tgt.apex
     lact = [T.left_mult(T.basis_vector(i)) for i in range(T.dim)]
     ract = [T.right_mult(h.apply(src.apex.basis_vector(j))) for j in range(src.apex.dim)]

@@ -348,6 +348,14 @@ class Matrix:
     def columns(self):
         return [self.col_list(j) for j in range(self.cols)]
 
+    def select_columns(self, cols) -> "Matrix":
+        """The columns at cols, a slice or a list of indices, in that order."""
+        if isinstance(cols, slice):
+            return Matrix([row[cols] for row in self.data], self.field,
+                          ncols=len(range(self.cols)[cols]))
+        return Matrix([[row[c] for c in cols] for row in self.data],
+                      self.field, ncols=len(cols))
+
     def is_zero(self) -> bool:
         return all(not a for row in self.data for a in row)
 

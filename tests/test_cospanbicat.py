@@ -170,6 +170,105 @@ def _pair(T, S, i, j):
     return out
 
 
+def test_pushout_universal_refuses_a_map_that_fails_its_check(monkeypatch):
+    import centrum.cospanbicat as cospanbicat
+
+    c = tensor_product_cospan(alg_product_k(2), alg_group_c2())
+    comp = compose_cospans(c, identity_cospan(c.a))
+    monkeypatch.setattr(cospanbicat, "validate_algebra_map",
+                        lambda f: ["forced violation"])
+    with pytest.raises(ValueError, match="universal map is not an algebra map"):
+        pushout_universal(comp, c.leg_a, identity_map(c.apex))
+
+
+def test_pushout_universal_refuses_factor_maps_with_different_targets():
+    c = tensor_product_cospan(alg_product_k(2), alg_group_c2())
+    comp = compose_cospans(c, identity_cospan(c.a))
+    with pytest.raises(ValueError):
+        pushout_universal(comp, identity_map(c.a), identity_map(c.apex))
+
+
+def test_cospan_morphism_2diagram_refuses_a_map_that_is_not_a_morphism():
+    c = tensor_product_cospan(alg_product_k(2), alg_group_c2())
+    doubled = AlgebraMap(c.apex, c.apex, Matrix.identity(c.apex.dim, QQ).scale(2))
+    with pytest.raises(ValueError, match="not an algebra map"):
+        cospan_morphism_2diagram(c, c, doubled)
+    swap = Matrix.from_int_rows([[0, 1], [1, 0]], QQ)
+    flip = AlgebraMap(c.apex, c.apex, swap.kron(Matrix.identity(2, QQ)))
+    with pytest.raises(ValueError, match="does not commute with A legs"):
+        cospan_morphism_2diagram(c, c, flip)
+
+
+def _reference_flat_bilinear_op(u, left_ops, right_ops, field):
+    """sum_{(a,b)} u[(a,b)] * (left_ops[a] (x) right_ops[b])."""
+    nr = len(right_ops)
+    n = left_ops[0].rows * right_ops[0].rows
+    out = Matrix.zeros(n, n, field)
+    for a, La in enumerate(left_ops):
+        for b, Rb in enumerate(right_ops):
+            if u[a * nr + b]:
+                out = out + La.kron(Rb.scale(u[a * nr + b]))
+    return out
+
+
+def _reference_flat_pair(t, s, field):
+    out = [field.zero] * (len(t) * len(s))
+    for i, a in enumerate(t):
+        for j, b in enumerate(s):
+            if a and b:
+                out[i * len(s) + j] = a * b
+    return out
+
+
+def _reference_composite(comp):
+    """The composite apex, unit and legs as they were built before the apex
+    was a quotient of the tensor algebra: structure constants from sums of
+    Kronecker products of the factors' multiplication operators, unit and
+    legs from flat pairs."""
+    first, second, quot = comp.first, comp.second, comp.quot
+    T, S = first.apex, second.apex
+    f = T.field
+    LT = [T.left_mult(T.basis_vector(i)) for i in range(T.dim)]
+    LS = [S.left_mult(S.basis_vector(i)) for i in range(S.dim)]
+    d = quot.dim
+    ops = [_reference_flat_bilinear_op(quot.sect.col_list(i), LT, LS, f)
+           for i in range(d)]
+    mult = Matrix.from_columns(
+        [quot.project(ops[i].apply(quot.sect.col_list(j)))
+         for i in range(d) for j in range(d)], d, f)
+    unit = quot.project(_reference_flat_pair(T.unit, S.unit, f))
+    leg_a = Matrix.from_columns(
+        [quot.project(_reference_flat_pair(c, S.unit, f))
+         for c in first.leg_a.mat.columns()], d, f)
+    leg_b = Matrix.from_columns(
+        [quot.project(_reference_flat_pair(T.unit, c, f))
+         for c in second.leg_b.mat.columns()], d, f)
+    return mult, unit, leg_a, leg_b
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_composite_apex_matches_the_kronecker_sum_construction(monkeypatch, field):
+    import centrum.cospanbicat as cospanbicat
+
+    comps = []
+
+    def recording(second, first):
+        comps.append(cospanbicat.CospanComposition(second, first))
+        return comps[-1]
+
+    monkeypatch.setattr(cospanbicat, "compose_cospans", recording)
+    for seed in range(8):
+        beta_cell(*random_interchanger_grid(random.Random(seed), field))
+    assert len(comps) >= 16
+    # a composite whose apex is not commutative, unlike the grids' apexes
+    m2 = matrix_cospan(alg_k(field), alg_k(field), 2)
+    comps.append(CospanComposition(m2, m2))
+    for comp in comps:
+        apex, legs = comp.cospan.apex, comp.cospan
+        assert (apex.mult, apex.unit, legs.leg_a.mat, legs.leg_b.mat) == \
+            _reference_composite(comp)
+
+
 # ---------------------------------------------------------------------------
 # 2-diagrams
 
