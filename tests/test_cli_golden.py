@@ -75,6 +75,21 @@ CASES = [
     ("validate-cospan-identity", ["validate", "cospan", "identity:k"], 0),
     ("center-gfp5", ["center", "--algebra", "group:C2", "--field", "gfp:5"],
      0),
+    # small primes, where a missed reduction shows first, and a large one
+    ("center-matrix3-gfp2",
+     ["center", "--algebra", "matrix:3", "--field", "gfp:2"], 0),
+    ("verify-lax-seed3-gfp3",
+     ["verify", "lax", "--seed", "3", "--field", "gfp:3"], 0),
+    ("beta-check-seed2-gfp1000003",
+     ["beta-check", "--seed", "2", "--field", "gfp:1000003"], 0),
+    ("tensor-over-col3-row3-gfp2",
+     ["tensor-over", "--left", "col:3", "--right", "row:3",
+      "--field", "gfp:2"], 0),
+    ("invertible-cospan-diag2-gfp3",
+     ["invertible", "cospan", "--map", "diag:2", "--field", "gfp:3"], 1),
+    ("invertible-2cell-c2-gfp2",
+     ["invertible", "2cell", "--diagram", "identity:identity:group:C2",
+      "--field", "gfp:2"], 0),
     # a good file presentation of each kind, and an unknown constructor
     *((f"validate-{kind}-file", ["validate", kind, f"@{kind}.json"], 0)
       for kind in KINDS),
