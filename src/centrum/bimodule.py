@@ -319,7 +319,7 @@ def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matri
 
     Block b is R_b (x) I - I (x) L_b, written entry by entry: the entry at
     row (i, k), column (j, l) is R_b[i][j] [k == l] - [i == j] L_b[k][l]."""
-    n = dim_m * dim_n
+    n, p = dim_m * dim_n, field.p
     data = [[field.zero] * (n * len(ract_mid)) for _ in range(n)]
     for b, (Rb, Lb) in enumerate(zip(ract_mid, lact_mid)):
         base = b * n
@@ -334,7 +334,8 @@ def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matri
                 row = data[i * dim_n + k]
                 for l, a in enumerate(Lk):
                     if a:
-                        row[col + l] = row[col + l] - a
+                        x = row[col + l] - a
+                        row[col + l] = x % p if p else x
     return Matrix(data, field, ncols=n * len(ract_mid))
 
 

@@ -51,7 +51,6 @@ from .bimodule import (
 from .exactla import (
     FlatWitness,
     Matrix,
-    PrimeField,
     cokernel,
     is_invertible,
     kernel,
@@ -561,8 +560,7 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None,
         if is_invertible(X):
             return InvertibleCellSearch(ThreeCell(d, e, X), True, None,
                                         "found by random sampling")
-    field_size = f.p if isinstance(f, PrimeField) else None
-    grid_ok = (dim + 1) ** p <= _GRID_LIMIT and (field_size is None or field_size > dim)
+    grid_ok = (dim + 1) ** p <= _GRID_LIMIT and (f.p is None or f.p > dim)
     if grid_ok:
         for point in itertools.product(range(dim + 1), repeat=p):
             X = build([f.from_int(c) for c in point])
@@ -573,7 +571,7 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None,
             None, True, None,
             f"certified by exhausting a degree grid of {(dim + 1) ** p} points")
     n = 2 * sample_range + 1
-    hits = 1 if field_size is None else -(-n // field_size)
+    hits = 1 if f.p is None else -(-n // f.p)
     bound = min(Fraction(1), Fraction(dim * hits, n)) ** _TRIES
     return InvertibleCellSearch(
         None, False, bound,

@@ -4,7 +4,11 @@ Everything here is deterministic and exact: no floats anywhere.  Matrices are
 dense lists-of-lists of field elements; vectors are plain lists.  A rational
 is an int when it is integral and a fractions.Fraction otherwise, so integer
 arithmetic and zero tests run in C; since int / int is a float, the one
-division (rref's pivot scaling) goes through the field's exact div.  Subspaces
+division (rref's pivot scaling) goes through the field's exact div.  An
+element of GF(p) is a plain int in [0, p): the Matrix kernels reduce mod p
+where the arithmetic happens (once per output cell of a product, once per
+entry of a row update), branching on field.p once per call.  Matrices over
+different fields never combine (ValueError) and never compare equal.  Subspaces
 are stored in reduced column echelon form, so two equal subspaces have equal
 basis matrices and can be compared with ==.  Quotients carry explicit
 projection/section witnesses with proj @ sect == I and proj @ relations == 0,
@@ -15,7 +19,6 @@ exact check (descend).
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 
@@ -35,10 +38,10 @@ class Rationals:
     alike.  Division goes only through div, since int / int is a float."""
 
     name = "rational"
-
-    def __init__(self):
-        self.zero = 0
-        self.one = 1
+    zero = 0
+    one = 1
+    # no characteristic to reduce by: the kernels branch on p once per call
+    p = None
 
     def from_int(self, n: int):
         return int(n)
@@ -64,46 +67,6 @@ class Rationals:
 
     def __hash__(self):
         return hash("rational")
-
-
-class FpElem:
-    """An element of GF(p), with operator overloading so the generic matrix
-    code works unchanged.  Truthiness == nonzero, as for Fraction."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return FpElem(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return FpElem(self.v - other.v, self.p)
-
-    def __neg__(self):
-        return FpElem(-self.v, self.p)
-
-    def __mul__(self, other):
-        return FpElem(self.v * other.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return FpElem(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FpElem) and self.v == other.v and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 # Miller-Rabin with the prime bases 2..41 is deterministic below this bound
@@ -140,26 +103,32 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) for a prime p."""
+    """GF(p) for a prime p.  An element is a plain int in [0, p), so zero
+    tests and arithmetic run in C; the Matrix kernels reduce mod p, and
+    from_int, parse and div return reduced values."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"gfp:{p}"
-        self.zero = FpElem(0, p)
-        self.one = FpElem(1, p)
 
     def from_int(self, n: int):
-        return FpElem(n, self.p)
+        return int(n) % self.p
 
     def parse(self, s: str):
-        return FpElem(int(s), self.p)
+        return int(s) % self.p
 
-    div = staticmethod(operator.truediv)
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return a * pow(b, -1, self.p) % self.p
 
     def fmt(self, x) -> str:
-        return str(x.v)
+        return str(x)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -187,6 +156,13 @@ def field_from_name(name: str):
 # matrices
 
 
+def _check_fields(a, b):
+    """Refuse an operation on matrices over different fields; the identity
+    test keeps the common case to one comparison."""
+    if a.field is not b.field and a.field != b.field:
+        raise ValueError(f"field mismatch: {a.field!r} and {b.field!r}")
+
+
 class Matrix:
     """Dense matrix over an exact field.  Rows-of-rows storage; treat as
     immutable after construction."""
@@ -201,8 +177,20 @@ class Matrix:
         else:
             self.cols = 0 if ncols is None else ncols
         for r in self.data:
-            assert len(r) == self.cols, "ragged matrix"
+            if len(r) != self.cols:
+                raise ValueError("ragged matrix")
         self.field = field
+
+    @staticmethod
+    def _fresh(data, field, ncols) -> "Matrix":
+        """A matrix on rows this module has just built: rectangular with
+        ncols columns by construction, so neither copied nor checked."""
+        m = object.__new__(Matrix)
+        m.data = data
+        m.rows = len(data)
+        m.cols = ncols
+        m.field = field
+        return m
 
     # -- constructors -------------------------------------------------------
 
@@ -225,7 +213,8 @@ class Matrix:
         """Build an ambient x len(columns) matrix from a list of vectors."""
         cols = list(columns)
         for c in cols:
-            assert len(c) == ambient
+            if len(c) != ambient:
+                raise ValueError(f"a column of length {len(c)} in k^{ambient}")
         return Matrix([[c[i] for c in cols] for i in range(ambient)], field,
                       ncols=len(cols))
 
@@ -240,42 +229,61 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
+            and (self.field is other.field or self.field == other.field)
             and self.data == other.data
         )
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
+    def _check_shape(self, other, op):
+        _check_fields(self, other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
+
     def __add__(self, other) -> "Matrix":
-        assert self.shape == other.shape
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.field,
-            ncols=self.cols,
-        )
+        self._check_shape(other, "+")
+        p = self.field.p
+        if p:
+            data = [[(a + b) % p for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.data, other.data)]
+        else:
+            data = [[a + b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.data, other.data)]
+        return Matrix._fresh(data, self.field, self.cols)
 
     def __sub__(self, other) -> "Matrix":
-        assert self.shape == other.shape
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.field,
-            ncols=self.cols,
-        )
+        self._check_shape(other, "-")
+        p = self.field.p
+        if p:
+            data = [[(a - b) % p for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.data, other.data)]
+        else:
+            data = [[a - b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.data, other.data)]
+        return Matrix._fresh(data, self.field, self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data], self.field, ncols=self.cols)
+        p = self.field.p
+        if p:
+            data = [[-a % p for a in row] for row in self.data]
+        else:
+            data = [[-a for a in row] for row in self.data]
+        return Matrix._fresh(data, self.field, self.cols)
 
     def scale(self, c) -> "Matrix":
-        return Matrix([[c * a for a in row] for row in self.data], self.field, ncols=self.cols)
+        p = self.field.p
+        if p:
+            data = [[c * a % p for a in row] for row in self.data]
+        else:
+            data = [[c * a for a in row] for row in self.data]
+        return Matrix._fresh(data, self.field, self.cols)
 
     def __matmul__(self, other) -> "Matrix":
-        assert self.cols == other.rows, f"shape mismatch {self.shape} @ {other.shape}"
+        _check_fields(self, other)
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        p = self.field.p
         zero = self.field.zero
         ot = other.data
         out = []
@@ -288,12 +296,16 @@ class Matrix:
                     b = rk[j]
                     if b:
                         new[j] = new[j] + a * b
-            out.append(new)
-        return Matrix(out, self.field, ncols=other.cols)
+            # over GF(p) the sums are plain ints, reduced once per cell
+            out.append([x % p for x in new] if p else new)
+        return Matrix._fresh(out, self.field, other.cols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a plain list."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError(f"a vector of length {len(vec)} for a matrix of"
+                             f" shape {self.shape}")
+        p = self.field.p
         zero = self.field.zero
         out = []
         for row in self.data:
@@ -301,19 +313,19 @@ class Matrix:
             for a, x in zip(row, vec):
                 if a and x:
                     s = s + a * x
-            out.append(s)
+            out.append(s % p if p else s)
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.field,
-            ncols=self.rows,
-        )
+        data = ([list(col) for col in zip(*self.data)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return Matrix._fresh(data, self.field, self.rows)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product; row-major, left factor major: index (i,k) of the
         product space is i*other.rows + k."""
+        _check_fields(self, other)
+        p = self.field.p
         z = self.field.zero
         out = []
         for i in range(self.rows):
@@ -323,15 +335,19 @@ class Matrix:
                 row = []
                 for j in range(self.cols):
                     a = ri[j]
-                    if a:
-                        row.extend(a * b if b else z for b in rk)
-                    else:
+                    if not a:
                         row.extend([z] * other.cols)
+                    elif p:
+                        row.extend(a * b % p if b else z for b in rk)
+                    else:
+                        row.extend(a * b if b else z for b in rk)
                 out.append(row)
-        return Matrix(out, self.field, ncols=self.cols * other.cols)
+        return Matrix._fresh(out, self.field, self.cols * other.cols)
 
     def hstack(self, other) -> "Matrix":
-        assert self.rows == other.rows
+        _check_fields(self, other)
+        if self.rows != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} beside {other.shape}")
         return Matrix(
             [ra + rb for ra, rb in zip(self.data, other.data)],
             self.field,
@@ -339,7 +355,9 @@ class Matrix:
         )
 
     def vstack(self, other) -> "Matrix":
-        assert self.cols == other.cols
+        _check_fields(self, other)
+        if self.cols != other.cols:
+            raise ValueError(f"shape mismatch {self.shape} above {other.shape}")
         return Matrix(self.data + other.data, self.field, ncols=self.cols)
 
     def col_list(self, j: int):
@@ -351,10 +369,10 @@ class Matrix:
     def select_columns(self, cols) -> "Matrix":
         """The columns at cols, a slice or a list of indices, in that order."""
         if isinstance(cols, slice):
-            return Matrix([row[cols] for row in self.data], self.field,
-                          ncols=len(range(self.cols)[cols]))
-        return Matrix([[row[c] for c in cols] for row in self.data],
-                      self.field, ncols=len(cols))
+            return Matrix._fresh([row[cols] for row in self.data], self.field,
+                                 len(range(self.cols)[cols]))
+        return Matrix._fresh([[row[c] for c in cols] for row in self.data],
+                             self.field, len(cols))
 
     def is_zero(self) -> bool:
         return all(not a for row in self.data for a in row)
@@ -365,7 +383,7 @@ class Matrix:
         for row in self.data:
             r = []
             for a in row:
-                f = Fraction(a) if not isinstance(a, FpElem) else Fraction(a.v)
+                f = Fraction(a)
                 assert f.denominator == 1
                 r.append(int(f))
             out.append(r)
@@ -420,8 +438,11 @@ def rref(m: Matrix):
     a - f*0 == a exactly.  Over QQ every integral entry is kept an int.  An
     update by an int factor and an all-int pivot row keeps that, since a
     non-integral value minus an int is non-integral; only an update that
-    involves a Fraction can land on an integer, and only it is normalised."""
-    qq = m.field == QQ
+    involves a Fraction can land on an integer, and only it is normalised.
+    Over GF(p) each pivot is inverted once and every updated entry is
+    reduced mod p."""
+    p = m.field.p
+    qq = p is None
     R = [[_integral(x) for x in row]
          if qq and Fraction in map(type, row) else row[:] for row in m.data]
     rows, cols = m.rows, m.cols
@@ -444,8 +465,13 @@ def rref(m: Matrix):
         nz = [j for j in range(c, cols) if Rr[j]]
         pv = Rr[c]
         if pv != one:
-            for j in nz:
-                Rr[j] = div(Rr[j], pv)
+            if p:
+                inv = pow(pv, -1, p)
+                for j in nz:
+                    Rr[j] = Rr[j] * inv % p
+            else:
+                for j in nz:
+                    Rr[j] = div(Rr[j], pv)
         entries = [(j, Rr[j]) for j in nz]
         frac = qq and Fraction in map(type, Rr)
         for i in range(rows):
@@ -453,7 +479,10 @@ def rref(m: Matrix):
             f = Ri[c]
             if not f or i == r:
                 continue
-            if frac or type(f) is Fraction:
+            if p:
+                for j, b in entries:
+                    Ri[j] = (Ri[j] - f * b) % p
+            elif frac or type(f) is Fraction:
                 for j, b in entries:
                     Ri[j] = _integral(Ri[j] - f * b)
             else:
@@ -461,7 +490,7 @@ def rref(m: Matrix):
                     Ri[j] = Ri[j] - f * b
         pivots.append(c)
         r += 1
-    return Matrix(R, m.field, ncols=cols), pivots
+    return Matrix._fresh(R, m.field, cols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -539,17 +568,17 @@ def kernel(m: Matrix) -> Subspace:
     n = m.cols
     R, pivots = rref(Matrix([row[::-1] for row in m.data], m.field, ncols=n))
     pivset = set(pivots)
-    z, o = m.field.zero, m.field.one
+    z, o, p = m.field.zero, m.field.one, m.field.p
     cols = []
     for j in range(n - 1, -1, -1):
         if j in pivset:
             continue
         v = [z] * n
         v[n - 1 - j] = o
-        for i, p in enumerate(pivots):
-            if p > j:
+        for i, pc in enumerate(pivots):
+            if pc > j:
                 break
-            v[n - 1 - p] = -R.data[i][j]
+            v[n - 1 - pc] = -R.data[i][j] % p if p else -R.data[i][j]
         cols.append(v)
     return Subspace(n, Matrix.from_columns(cols, n, m.field), m.field,
                     canonical=True)
@@ -646,7 +675,7 @@ def cokernel(rel: Matrix) -> Quotient:
     sect c has quotient coordinates c: row r of proj is e_free[r] minus
     sum_j B[free[r], j] e_lead[j], read off B without a second elimination."""
     field = rel.field
-    n = rel.rows
+    n, p = rel.rows, field.p
     span = column_space(rel)
     B, lead = span.basis, span.lead
     d = B.cols
@@ -661,7 +690,7 @@ def cokernel(rel: Matrix) -> Quotient:
         row[i] = o
         for j, b in enumerate(B.data[i]):
             if b:
-                row[lead[j]] = -b
+                row[lead[j]] = -b % p if p else -b
     if (proj @ sect) != Matrix.identity(n - d, field):
         raise ValueError("cokernel section is not a section of the projection")
     if not (proj @ B).is_zero():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from fieldref import red
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,7 +366,8 @@ def test_is_isomorphism_refuses_an_inverse_that_fails_its_check(monkeypatch):
 #
 # The functions below are the nested-loop implementations that the
 # multiplication-matrix representation replaced, kept as a reference.  They
-# work on sc[i][j][k], the e_k-coefficient of e_i * e_j.
+# work on sc[i][j][k], the e_k-coefficient of e_i * e_j, and reduce every
+# sum and product with red, since a GF(p) element is a plain int.
 
 
 def to_sc(a):
@@ -381,10 +383,10 @@ def ref_multiply(sc, x, y, field):
         for j, yj in enumerate(y):
             if not yj:
                 continue
-            coef = xi * yj
+            coef = red(field, xi * yj)
             for k, c in enumerate(sc[i][j]):
                 if c:
-                    out[k] = out[k] + coef * c
+                    out[k] = red(field, out[k] + coef * c)
     return out
 
 
@@ -398,7 +400,7 @@ def ref_left_mult(sc, x, field):
                 continue
             for k, c in enumerate(sc[i][j]):
                 if c:
-                    col[k] = col[k] + xi * c
+                    col[k] = red(field, col[k] + xi * c)
         cols.append(col)
     return Matrix.from_columns(cols, n, field)
 
@@ -413,7 +415,7 @@ def ref_right_mult(sc, x, field):
                 continue
             for k, c in enumerate(sc[j][i]):
                 if c:
-                    col[k] = col[k] + xi * c
+                    col[k] = red(field, col[k] + xi * c)
         cols.append(col)
     return Matrix.from_columns(cols, n, field)
 
@@ -440,9 +442,9 @@ def ref_validate_algebra(sc, unit, field):
                     lhs = rhs = field.zero
                     for m in range(n):
                         if sc[i][j][m]:
-                            lhs = lhs + sc[i][j][m] * sc[m][k][l]
+                            lhs = red(field, lhs + sc[i][j][m] * sc[m][k][l])
                         if sc[j][k][m]:
-                            rhs = rhs + sc[j][k][m] * sc[i][m][l]
+                            rhs = red(field, rhs + sc[j][k][m] * sc[i][m][l])
                     if lhs != rhs:
                         out.append(
                             f"associativity fails at (e{i}*e{j})*e{k} vs "
@@ -478,8 +480,8 @@ def ref_tensor_algebra(a_sc, a_unit, b_sc, b_unit, field):
                         for t in range(m):
                             c1, c2 = a_sc[i][p][r], b_sc[j][q][t]
                             if c1 and c2:
-                                row[r * m + t] = row[r * m + t] + c1 * c2
-    unit = [x * y for x in a_unit for y in b_unit]
+                                row[r * m + t] = red(field, row[r * m + t] + c1 * c2)
+    unit = [red(field, x * y) for x in a_unit for y in b_unit]
     return sc, unit
 
 
@@ -495,7 +497,8 @@ def ref_matrix_algebra(base_sc, base_unit, n, field):
                         row = sc[(i * n + j) * d + k][(j * n + q) * d + l]
                         for r, c in enumerate(base_sc[k][l]):
                             if c:
-                                row[(i * n + q) * d + r] = row[(i * n + q) * d + r] + c
+                                row[(i * n + q) * d + r] = red(
+                                    field, row[(i * n + q) * d + r] + c)
     unit = [field.zero] * dim
     for i in range(n):
         for k in range(d):
@@ -560,7 +563,7 @@ def raw_algebras(draw, field=None, max_dim=4):
         if draw(st.booleans()):
             n = a.dim
             i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-            sc[i][j][k] = sc[i][j][k] + field.one
+            sc[i][j][k] = red(field, sc[i][j][k] + field.one)
         return sc, unit, field
     n = draw(st.integers(1, max_dim))
     zero = st.just(field.zero)
@@ -629,7 +632,7 @@ def raw_maps(draw):
             mat = Matrix.from_int_rows([[0, 1], [1, 0]], field)
         if draw(st.booleans()):
             i, j = (draw(st.integers(0, src.dim - 1)) for _ in range(2))
-            mat.data[i][j] = mat.data[i][j] + field.one
+            mat.data[i][j] = red(field, mat.data[i][j] + field.one)
         return src, tgt, mat, field
     src = from_sc(*draw(raw_algebras(field, 3)))
     tgt = from_sc(*draw(raw_algebras(field, 3)))

@@ -4,12 +4,17 @@ sympy's Rational matrices are an independent implementation of rank/nullspace/
 inverse; agreeing with them on random instances is the oracle for this layer.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from fieldref import red
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +263,69 @@ def test_prime_field_linear_algebra():
     assert kernel(sing).dim == 1
 
 
+def test_prime_field_elements_are_reduced_ints():
+    gf = PrimeField(7)
+    assert (gf.zero, gf.one) == (0, 1)
+    assert (gf.from_int(-1), gf.from_int(15), gf.parse("-3")) == (6, 1, 4)
+    assert gf.div(3, 5) == 2 and gf.fmt(6) == "6"
+    with pytest.raises(ZeroDivisionError):
+        gf.div(1, 0)
+
+
+def refusal_failures():
+    """The mixed-field and misshapen operations that were not refused with
+    a ValueError, plus "==" if matrices over different fields compare
+    equal.  Written without assert, so it means the same under python -O."""
+    g7, g5 = Matrix.identity(2, PrimeField(7)), Matrix.identity(2, PrimeField(5))
+    a, b = Matrix.identity(2, QQ), Matrix.zeros(2, 3, QQ)
+    ops = {
+        "GF(7) @ GF(5)": lambda: g7 @ g5,
+        "GF(7) + GF(5)": lambda: g7 + g5,
+        "GF(7) - GF(5)": lambda: g7 - g5,
+        "GF(7) kron GF(5)": lambda: g7.kron(g5),
+        "GF(7) hstack GF(5)": lambda: g7.hstack(g5),
+        "GF(7) vstack GF(5)": lambda: g7.vstack(g5),
+        "QQ @ GF(5)": lambda: a @ g5,
+        "2x2 + 2x3": lambda: a + b,
+        "2x2 - 2x3": lambda: a - b,
+        "2x3 @ 2x3": lambda: b @ b,
+        "2x2 apply 1": lambda: a.apply([1]),
+        "2x2 hstack 3x1": lambda: a.hstack(Matrix.zeros(3, 1, QQ)),
+        "2x2 vstack 2x3": lambda: a.vstack(b),
+        "column of 1 in k^2": lambda: Matrix.from_columns([[1]], 2, QQ),
+        "ragged": lambda: Matrix([[1, 2], [3]], QQ),
+    }
+    out = []
+    for name, op in ops.items():
+        try:
+            op()
+        except ValueError:
+            continue
+        out.append(name)
+    if a == Matrix.identity(2, PrimeField(5)) or not a != g5:
+        out.append("==")
+    # equal fields built apart still combine
+    if g7 @ Matrix.identity(2, PrimeField(7)) != g7:
+        out.append("GF(7) @ GF(7)")
+    return out
+
+
+def test_mixed_fields_and_bad_shapes_are_refused():
+    assert refusal_failures() == []
+
+
+def test_mixed_fields_and_bad_shapes_are_refused_under_optimize():
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = ("import sys, test_exactla as t\n"
+              "print(sys.flags.optimize, t.refusal_failures())\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[]"]
+
+
 # ---------------------------------------------------------------------------
 # Miller-Rabin primality
 
@@ -321,9 +389,10 @@ def field_matrices(draw, max_rows=7, max_cols=7):
 
 def dense_rref(m: Matrix):
     """Reference elimination: every row update runs over every column.
-    Over QQ it scales rows through Fraction, since int / int is a float."""
+    Over QQ it scales rows through Fraction, since int / int is a float;
+    over GF(p) it multiplies by the Fermat inverse pv^(p-2)."""
+    field = m.field
     R = [row[:] for row in m.data]
-    exact = Fraction if m.field == QQ else (lambda a: a)
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -334,11 +403,15 @@ def dense_rref(m: Matrix):
             continue
         R[r], R[pr] = R[pr], R[r]
         pv = R[r][c]
-        R[r] = [exact(a) / pv for a in R[r]]
+        if field.p:
+            inv = pow(pv, field.p - 2, field.p)
+            R[r] = [red(field, a * inv) for a in R[r]]
+        else:
+            R[r] = [Fraction(a) / pv for a in R[r]]
         for i in range(m.rows):
             if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+                R[i] = [red(field, a - f * b) for a, b in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
     return Matrix(R, m.field, ncols=m.cols), pivots
@@ -352,7 +425,7 @@ def dense_kernel_basis(m: Matrix) -> Matrix:
         v = [z] * m.cols
         v[j] = o
         for i, p in enumerate(pivots):
-            v[p] = -R.data[i][j]
+            v[p] = red(m.field, -R.data[i][j])
         cols.append(v)
     return column_echelon(Matrix.from_columns(cols, m.cols, m.field))
 
@@ -390,6 +463,33 @@ def test_cokernel_projection_matches_the_inverse(rel):
     q = cokernel(rel)
     assert q.proj == inverse_proj(rel)
     assert q.proj @ rel == Matrix.zeros(q.dim, rel.cols, rel.field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices())
+def test_kernels_reduce_every_entry(m):
+    """Each Matrix kernel over GF(p) gives the reduced value of the plain
+    integer formula, so every entry is an int in [0, p)."""
+    f = m.field
+    c = f.from_int(-2)
+    assert -m == Matrix([[red(f, -a) for a in row] for row in m.data], f,
+                        ncols=m.cols)
+    assert m.scale(c) == Matrix([[red(f, c * a) for a in row] for row in m.data],
+                                f, ncols=m.cols)
+    assert m + m.scale(c) - m == m.scale(c)
+    t = m.transpose()
+    dot = [[red(f, sum(a * b for a, b in zip(ra, cb))) for cb in m.data]
+           for ra in m.data]
+    assert m @ t == Matrix(dot, f, ncols=m.rows)
+    assert m.apply(m.data[0]) == [row[0] for row in dot]
+    assert m.kron(t) == Matrix([[red(f, a * b) for a in ra for b in rb]
+                                for ra in m.data for rb in t.data], f,
+                               ncols=m.cols * t.cols)
+    if f.p:
+        for out in (-m, m.scale(c), m @ t, m.kron(t), rref(m)[0],
+                    kernel(m).basis, cokernel(m).proj):
+            assert all(type(x) is int and 0 <= x < f.p
+                       for row in out.data for x in row)
 
 
 @st.composite
