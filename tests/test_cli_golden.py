@@ -5,7 +5,8 @@ replays every case in a ``python -O`` process, which strips ``assert``.
 
 The cases are the benchmark's single-object queries (at fixed seeds),
 ``validate`` of a good presentation of each object kind, an unknown
-constructor of each kind, and the error reports for bad input.  Reports
+constructor of each kind, QQ file inputs whose reports print non-integral
+rationals, and the error reports for bad input.  Reports
 embed the spec strings, so the cases run from ``tests/data/cli`` and name
 their input files by relative path.
 
@@ -90,6 +91,19 @@ CASES = [
     ("invertible-2cell-c2-gfp2",
      ["invertible", "2cell", "--diagram", "identity:identity:group:C2",
       "--field", "gfp:2"], 0),
+    # QQ inputs and reports with non-integral entries
+    ("validate-map-rational-file",
+     ["validate", "map", "@map_rational.json"], 0),
+    ("centralizer-map-rational-file",
+     ["centralizer", "--map", "@map_rational.json"], 0),
+    ("z-hom-map-rational-file", ["z-hom", "--map", "@map_rational.json"], 0),
+    ("validate-bimodule-rational-file",
+     ["validate", "bimodule", "@bimodule_rational.json"], 0),
+    ("tensor-over-bimodule-rational-file",
+     ["tensor-over", "--left", "@bimodule_rational.json",
+      "--right", "@bimodule_rational.json"], 0),
+    ("z-bimodule-bimodule-rational-file",
+     ["z-bimodule", "--bimodule", "@bimodule_rational.json"], 0),
     # a good file presentation of each kind, and an unknown constructor
     *((f"validate-{kind}-file", ["validate", kind, f"@{kind}.json"], 0)
       for kind in KINDS),
