@@ -3,11 +3,17 @@
 Everything here is deterministic and exact: no floats anywhere.  Matrices are
 dense lists-of-lists of field elements; vectors are plain lists.  A rational
 is an int when it is integral and a fractions.Fraction otherwise, so integer
-arithmetic and zero tests run in C; since int / int is a float, the one
-division (rref's pivot scaling) goes through the field's exact div.  An
-element of GF(p) is a plain int in [0, p): the Matrix kernels reduce mod p
-where the arithmetic happens (once per output cell of a product, once per
-entry of a row update), branching on field.p once per call.  Matrices over
+arithmetic and zero tests run in C.  Over QQ, @ and rref run on integer rows
+with one denominator each: a product rescales each row that holds a Fraction
+to integers, accumulates plain int sums and divides once per output cell;
+rref keeps every row a primitive integer vector and divides each pivot row
+by its pivot once, at the end.  Their values are entry for entry those of
+Fraction arithmetic: an int where integral, a Fraction in lowest terms
+otherwise (never int / int, which is a float).  An element of GF(p) is a
+plain int in [0, p): the Matrix kernels reduce mod p where the arithmetic
+happens (once per output cell of a product, once per entry of a row
+update).  Both fields share the product's integer loop, and each kernel
+branches on field.p once per call.  Matrices over
 different fields never combine (ValueError) and never compare equal.  Subspaces
 are stored in reduced column echelon form, so two equal subspaces have equal
 basis matrices and can be compared with ==.  Quotients carry explicit
@@ -20,6 +26,8 @@ exact check (descend).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -31,11 +39,23 @@ def _integral(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
+def _integer_row(row):
+    """(ints, d): an integer row and a positive denominator with row ==
+    ints / d entry for entry."""
+    d = lcm(*[x.denominator for x in row if type(x) is not int])
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
+            for x in row], d
+
+
 class Rationals:
     """The field of rational numbers.  An element is an int when it is
     integral and a fractions.Fraction otherwise, so that zero tests and
     integer arithmetic run in C.  Ints and Fractions compare, hash and print
-    alike.  Division goes only through div, since int / int is a float."""
+    alike.  The Matrix product and rref run on integer rows with one
+    denominator each and divide once per output cell (rref: once per entry
+    of a pivot row, at the end), so their values stay entry for entry those
+    of Fraction arithmetic.  Division of elements goes only through div,
+    since int / int is a float."""
 
     name = "rational"
     zero = 0
@@ -280,25 +300,71 @@ class Matrix:
         return Matrix._fresh(data, self.field, self.cols)
 
     def __matmul__(self, other) -> "Matrix":
+        """The product, accumulated as plain int sums.  Over GF(p) each sum
+        is reduced once per output cell.  Over QQ each right row that a
+        left row selects is judged once per product and, if it holds a
+        Fraction, rescaled to an integer row and one denominator; a left
+        row's Fraction coefficients are rescaled as they come.  A row's
+        sums then share one denominator D, by which each output cell is
+        divided once: an int where integral, a Fraction otherwise."""
         _check_fields(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         p = self.field.p
-        zero = self.field.zero
-        ot = other.data
+        ot, n = other.data, other.cols
+        # over QQ, right row k as itself (all int) or (ints, d), judged
+        # when a left row first selects it
+        rights = ot if p else [None] * other.rows
+        # once this product has met a Fraction, judge rows by type: a sum
+        # over Fractions runs in Python
+        met = False
+        cols = range(self.cols)
         out = []
         for row in self.data:
-            nz = [(k, a) for k, a in enumerate(row) if a]
-            new = [zero] * other.cols
-            for k, a in nz:
-                rk = ot[k]
-                for j in range(other.cols):
+            new = None
+            D = 1
+            for k in compress(cols, row):
+                a = row[k]
+                rk = rights[k]
+                if rk is None:
+                    rk = ot[k]
+                    if (Fraction in map(type, rk) if met
+                            else type(sum(rk)) is not int):
+                        met = True
+                        rk = _integer_row(rk)
+                    rights[k] = rk
+                if type(a) is int and type(rk) is list:
+                    if D != 1:
+                        a *= D
+                else:
+                    met = True
+                    a, q = a.as_integer_ratio()
+                    if type(rk) is tuple:
+                        rk, d = rk
+                        q *= d
+                    if D % q:
+                        # widen the row's denominator to a multiple of q
+                        L = lcm(D, q)
+                        if new is not None:
+                            f = L // D
+                            new = [x * f for x in new]
+                        D = L
+                    a *= D // q
+                if new is None:
+                    new = rk[:] if a == 1 else [a * b for b in rk]
+                    continue
+                for j in range(n):
                     b = rk[j]
                     if b:
                         new[j] = new[j] + a * b
-            # over GF(p) the sums are plain ints, reduced once per cell
-            out.append([x % p for x in new] if p else new)
-        return Matrix._fresh(out, self.field, other.cols)
+            if new is None:
+                new = [0] * n
+            elif p:
+                new = [x % p for x in new]
+            elif D != 1:
+                new = [Fraction(x, D) if x % D else x // D for x in new]
+            out.append(new)
+        return Matrix._fresh(out, self.field, n)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a plain list."""
@@ -378,15 +444,11 @@ class Matrix:
         return all(not a for row in self.data for a in row)
 
     def to_int_grid(self):
-        """Convenience for tests: entries as ints (fails if non-integral)."""
-        out = []
-        for row in self.data:
-            r = []
-            for a in row:
-                f = Fraction(a)
-                assert f.denominator == 1
-                r.append(int(f))
-            out.append(r)
+        """The entries as lists of ints; ValueError if one is not
+        integral."""
+        out = [[_integral(a) for a in row] for row in self.data]
+        if any(type(a) is not int for row in out for a in row):
+            raise ValueError("a non-integral entry in an int grid")
         return out
 
 
@@ -434,19 +496,19 @@ def tensor_permutation(dims, perm, field) -> Matrix:
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (R, pivots).
 
-    Each pivot row is subtracted only on its own nonzero columns, since
-    a - f*0 == a exactly.  Over QQ every integral entry is kept an int.  An
-    update by an int factor and an all-int pivot row keeps that, since a
-    non-integral value minus an int is non-integral; only an update that
-    involves a Fraction can land on an integer, and only it is normalised.
-    Over GF(p) each pivot is inverted once and every updated entry is
-    reduced mod p."""
+    Over QQ each row is kept as a primitive integer vector: a row holding a
+    Fraction is scaled to integers and every row divided by its content.
+    A pivot row is made positive at its pivot pv and eliminates entry f of
+    another row by cross-multiplication, pv/g times that row minus f/g
+    times the pivot row (g = gcd(pv, f)); a row so scaled is divided by its
+    content again.  Each pivot row is divided by its pivot once, at the
+    end, so entries are ints where integral and Fractions otherwise.  Over
+    GF(p) each pivot is inverted once and every updated entry is reduced
+    mod p.  Either way a pivot row is subtracted only on its own nonzero
+    columns."""
     p = m.field.p
-    qq = p is None
-    R = [[_integral(x) for x in row]
-         if qq and Fraction in map(type, row) else row[:] for row in m.data]
+    R = [row[:] for row in m.data] if p else [_primitive(row) for row in m.data]
     rows, cols = m.rows, m.cols
-    one, div = m.field.one, m.field.div
     pivots = []
     r = 0
     for c in range(cols):
@@ -460,37 +522,75 @@ def rref(m: Matrix):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        Rr = R[r]
-        # rows r.. are zero left of column c, so the pivot row is too
-        nz = [j for j in range(c, cols) if Rr[j]]
-        pv = Rr[c]
-        if pv != one:
-            if p:
-                inv = pow(pv, -1, p)
-                for j in nz:
-                    Rr[j] = Rr[j] * inv % p
-            else:
-                for j in nz:
-                    Rr[j] = div(Rr[j], pv)
-        entries = [(j, Rr[j]) for j in nz]
-        frac = qq and Fraction in map(type, Rr)
-        for i in range(rows):
-            Ri = R[i]
-            f = Ri[c]
-            if not f or i == r:
-                continue
-            if p:
-                for j, b in entries:
-                    Ri[j] = (Ri[j] - f * b) % p
-            elif frac or type(f) is Fraction:
-                for j, b in entries:
-                    Ri[j] = _integral(Ri[j] - f * b)
-            else:
-                for j, b in entries:
-                    Ri[j] = Ri[j] - f * b
+        if p:
+            _eliminate_mod_p(R, r, c, p)
+        else:
+            _eliminate_integer(R, r, c)
         pivots.append(c)
         r += 1
+    if not p:
+        for i, c in enumerate(pivots):
+            Ri, pv = R[i], R[i][c]
+            if pv != 1:
+                R[i] = [Fraction(x, pv) if x % pv else x // pv for x in Ri]
     return Matrix._fresh(R, m.field, cols), pivots
+
+
+def _primitive(row):
+    """row over QQ as a primitive integer vector, a new list."""
+    if Fraction in map(type, row):
+        row = _integer_row(row)[0]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row[:]
+
+
+def _eliminate_mod_p(R, r, c, p):
+    """Scale row r of R to pivot 1 at column c and clear column c in every
+    other row, mod p.  Rows r.. are zero left of column c."""
+    Rr = R[r]
+    nz = [j for j in range(c, len(Rr)) if Rr[j]]
+    pv = Rr[c]
+    if pv != 1:
+        inv = pow(pv, -1, p)
+        for j in nz:
+            Rr[j] = Rr[j] * inv % p
+    entries = [(j, Rr[j]) for j in nz]
+    for i, Ri in enumerate(R):
+        f = Ri[c]
+        if f and i != r:
+            for j, b in entries:
+                Ri[j] = (Ri[j] - f * b) % p
+
+
+def _eliminate_integer(R, r, c):
+    """Clear column c in every row of R but r, whose entry pv there is the
+    pivot, keeping integer rows primitive.  Rows r.. are zero left of
+    column c."""
+    Rr = R[r]
+    pv = Rr[c]
+    if pv < 0:
+        pv = -pv
+        Rr = R[r] = [-x for x in Rr]
+    entries = [(j, Rr[j]) for j in range(c, len(Rr)) if Rr[j]]
+    for i, Ri in enumerate(R):
+        f = Ri[c]
+        if not f or i == r:
+            continue
+        if pv != 1:
+            g = gcd(pv, f)
+            if g != pv:
+                # pv does not divide f: cross-multiply, then divide out
+                # the row's content
+                s, f = pv // g, f // g
+                Ri = [s * x for x in Ri]
+                for j, b in entries:
+                    Ri[j] -= f * b
+                g = gcd(*Ri)
+                R[i] = [x // g for x in Ri] if g > 1 else Ri
+                continue
+            f //= pv
+        for j, b in entries:
+            Ri[j] -= f * b
 
 
 def rank(m: Matrix) -> int:
@@ -566,7 +666,7 @@ def kernel(m: Matrix) -> Subspace:
     nonzero only at pivot columns after f: reduced column echelon form
     already, with the free columns as leading rows."""
     n = m.cols
-    R, pivots = rref(Matrix([row[::-1] for row in m.data], m.field, ncols=n))
+    R, pivots = rref(Matrix._fresh([row[::-1] for row in m.data], m.field, n))
     pivset = set(pivots)
     z, o, p = m.field.zero, m.field.one, m.field.p
     cols = []
@@ -597,7 +697,9 @@ def solve(A: Matrix, b) -> "list | None":
 def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
     """Solve A X = B for all columns at once (free variables zero).
     Returns None if any column is inconsistent."""
-    assert A.rows == B.rows
+    if A.rows != B.rows:
+        raise ValueError(f"shape mismatch: A X = B with {A.shape} and"
+                         f" {B.shape}")
     aug = A.hstack(B)
     R, pivots = rref(aug)
     usable = [p for p in pivots if p < A.cols]
@@ -704,7 +806,9 @@ def quotient_induced(q_tgt: Quotient, F: Matrix, q_src: Quotient) -> Matrix:
     Raises if F does not descend (i.e. if F does not map the source relations
     into the target relations).
     """
-    assert F.rows == q_tgt.ambient and F.cols == q_src.ambient
+    if F.rows != q_tgt.ambient or F.cols != q_src.ambient:
+        raise ValueError(f"a {F.rows}x{F.cols} map between quotients of"
+                         f" k^{q_src.ambient} and k^{q_tgt.ambient}")
     return q_src.descend(q_tgt.proj @ F, "map does not descend to the quotient")
 
 

@@ -10,14 +10,16 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 import sympy
-from fieldref import red
+from fieldref import matmul_ref, red, reference_kernels, rref_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrum import exactla
 from centrum.exactla import (
     QQ,
     FlatWitness,
@@ -639,3 +641,155 @@ def test_int_and_fraction_entries_give_equal_results(ops):
             assert type(a) in (int, Fraction), (name, a)
             if normal and type(a) is Fraction:
                 assert a.denominator != 1, (name, a)
+
+
+# ---------------------------------------------------------------------------
+# the integer-row QQ kernels against the Fraction references
+
+
+@st.composite
+def qq_matrices(draw, rows, cols):
+    """A rows x cols matrix over QQ: all int, one Fraction cell, entries
+    over pairwise coprime denominators, or each row over one shared
+    denominator; some rows negated or zeroed.  Unless drawn raw, integral
+    entries are ints; raw keeps Fraction(0) and Fraction(n, 1), which sums
+    and differences of matrices can produce."""
+    kind = draw(st.sampled_from(("int", "one fraction", "coprime", "shared")))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=rows * cols,
+                         max_size=rows * cols))
+    data = [nums[i * cols:(i + 1) * cols] for i in range(rows)]
+    if kind == "one fraction" and rows and cols:
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        data[i][j] = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                              draw(st.integers(2, 7)))
+    elif kind == "coprime":
+        data = [[Fraction(x, (2, 3, 5, 7, 11)[j % 5]) for j, x in enumerate(row)]
+                for row in data]
+    elif kind == "shared":
+        data = [[Fraction(x, d) for x in row]
+                for row, d in zip(data, draw(st.lists(
+                    st.integers(2, 6), min_size=rows, max_size=rows)))]
+    for i in range(rows):
+        op = draw(st.sampled_from(("keep", "keep", "negate", "zero")))
+        if op == "negate":
+            data[i] = [-x for x in data[i]]
+        elif op == "zero":
+            data[i] = [Fraction(0) if type(x) is Fraction else 0 for x in data[i]]
+    if not draw(st.booleans()):
+        data = [[QQ.parse(str(x)) for x in row] for row in data]
+    return Matrix(data, QQ, ncols=cols)
+
+
+def assert_normal(x, name):
+    """Every entry is an int, or a Fraction in lowest terms that is not
+    integral: no float, no Fraction(n, 1)."""
+    for a in entries(x):
+        assert type(a) is int or (type(a) is Fraction and a.denominator > 1
+                                  and gcd(a.numerator, a.denominator) == 1), \
+            (name, a)
+
+
+dims = st.integers(0, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), dims, dims, dims)
+def test_qq_matmul_and_rref_match_the_fraction_references(data, n, k, l):
+    A = data.draw(qq_matrices(n, k))
+    B = data.draw(qq_matrices(k, l))
+    prod = A @ B
+    assert prod == matmul_ref(A, B)
+    assert_normal(prod, "matmul")
+    R, pivots = rref(A)
+    R0, pivots0 = rref_ref(A)
+    assert pivots == pivots0 and R == R0
+    assert_normal(R, "rref")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), dims, dims, dims)
+def test_qq_solvers_match_the_fraction_references(data, n, k, l):
+    A = data.draw(qq_matrices(n, k))
+    C = data.draw(qq_matrices(n, l))
+    S = data.draw(qq_matrices(n, n))
+    ops = {
+        "kernel": lambda: kernel(A),
+        "cokernel": lambda: cokernel(A),
+        "inverse": lambda: inverse(S),
+        "solve_matrix": lambda: solve_matrix(A, C),
+    }
+    with reference_kernels():
+        expected = {name: op() for name, op in ops.items()}
+    for name, op in ops.items():
+        got = op()
+        assert same(got, expected[name]), name
+        assert_normal(got, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+                min_size=2, max_size=5))
+def test_integer_elimination_keeps_cross_multiplied_rows_primitive(rows):
+    """One elimination step on primitive integer rows: the pivot row is made
+    positive, column c is cleared in every other row, each row keeps its
+    direction, and a row that was cross-multiplied is primitive again."""
+    R = [exactla._primitive(row) for row in rows]
+    for before, row in zip(rows, R):
+        g = gcd(*before)
+        assert row == ([x // g for x in before] if g else before)
+    c = next((j for j, x in enumerate(R[0]) if x), None)
+    if c is None:
+        return
+    old = [row[:] for row in R]
+    pv = old[0][c]
+    exactla._eliminate_integer(R, 0, c)
+    assert R[0] == [x if pv > 0 else -x for x in old[0]]
+    for Ri, Oi in zip(R[1:], old[1:]):
+        f = Oi[c]
+        target = [Fraction(a) - Fraction(f, pv) * b for a, b in zip(Oi, old[0])]
+        assert Ri[c] == 0
+        scale = next((Fraction(x, t) for x, t in zip(Ri, target) if t), 1)
+        assert scale > 0 and Ri == [scale * t for t in target]
+        if f % pv:
+            assert gcd(*Ri) in (0, 1)
+
+
+def shape_refusals():
+    """The misshapen solve and descent that were not refused with a
+    ValueError.  Written without assert, so it means the same under
+    python -O."""
+    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
+    ops = {
+        "solve_matrix 2x2 with 3 rows": lambda: solve_matrix(
+            Matrix.identity(2, QQ), Matrix.zeros(3, 1, QQ)),
+        "quotient_induced 3x2 into k^2": lambda: quotient_induced(
+            q, Matrix.zeros(3, 2, QQ), q),
+        "quotient_induced 2x3 from k^2": lambda: quotient_induced(
+            q, Matrix.zeros(2, 3, QQ), q),
+        "to_int_grid 1/2": lambda: Matrix([[Fraction(1, 2)]], QQ).to_int_grid(),
+    }
+    out = []
+    for name, op in ops.items():
+        try:
+            op()
+        except ValueError:
+            continue
+        out.append(name)
+    return out
+
+
+def test_shape_mismatches_are_refused():
+    assert shape_refusals() == []
+    assert Matrix([[Fraction(4, 2), -3]], QQ).to_int_grid() == [[2, -3]]
+
+
+def test_shape_mismatches_are_refused_under_optimize():
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = ("import sys, test_exactla as t\n"
+              "print(sys.flags.optimize, t.shape_refusals())\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[]"]
