@@ -563,9 +563,9 @@ def _eliminate_mod_p(R, r, c, p):
 
 
 def _eliminate_integer(R, r, c):
-    """Clear column c in every row of R but r, whose entry pv there is the
-    pivot, keeping integer rows primitive.  Rows r.. are zero left of
-    column c."""
+    """Clear column c in every integer row of R but r, whose entry pv
+    there is the pivot, dividing each row it scales by its content.  Rows
+    r.. are zero left of column c."""
     Rr = R[r]
     pv = Rr[c]
     if pv < 0:
@@ -576,21 +576,17 @@ def _eliminate_integer(R, r, c):
         f = Ri[c]
         if not f or i == r:
             continue
-        if pv != 1:
-            g = gcd(pv, f)
-            if g != pv:
-                # pv does not divide f: cross-multiply, then divide out
-                # the row's content
-                s, f = pv // g, f // g
-                Ri = [s * x for x in Ri]
-                for j, b in entries:
-                    Ri[j] -= f * b
-                g = gcd(*Ri)
-                R[i] = [x // g for x in Ri] if g > 1 else Ri
-                continue
-            f //= pv
+        g = gcd(pv, f)
+        s, f = pv // g, f // g
+        # s == 1 when pv divides f: a plain subtraction, no content to find
+        if s != 1:
+            Ri = R[i] = [s * x for x in Ri]
         for j, b in entries:
             Ri[j] -= f * b
+        if s != 1:
+            g = gcd(*Ri)
+            if g > 1:
+                R[i] = [x // g for x in Ri]
 
 
 def rank(m: Matrix) -> int:

@@ -689,11 +689,11 @@ def assert_normal(x, name):
             (name, a)
 
 
-dims = st.integers(0, 5)
+qq_dims = st.integers(0, 5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), dims, dims, dims)
+@given(st.data(), qq_dims, qq_dims, qq_dims)
 def test_qq_matmul_and_rref_match_the_fraction_references(data, n, k, l):
     A = data.draw(qq_matrices(n, k))
     B = data.draw(qq_matrices(k, l))
@@ -707,7 +707,7 @@ def test_qq_matmul_and_rref_match_the_fraction_references(data, n, k, l):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), dims, dims, dims)
+@given(st.data(), qq_dims, qq_dims, qq_dims)
 def test_qq_solvers_match_the_fraction_references(data, n, k, l):
     A = data.draw(qq_matrices(n, k))
     C = data.draw(qq_matrices(n, l))
