@@ -18,6 +18,8 @@ from .exactla import (
     Subspace,
     inverse,
     kernel,
+    memoised,
+    same_content,
     stack_rows,
 )
 
@@ -79,13 +81,6 @@ class Algebra:
         v = [self.field.zero] * self.dim
         v[i] = self.field.one
         return v
-
-    def equal_on_the_nose(self, other: "Algebra") -> bool:
-        return (
-            self.unit == other.unit
-            and self.mult == other.mult
-            and self.field == other.field
-        )
 
 
 def validate_algebra(a: Algebra) -> list[str]:
@@ -174,6 +169,7 @@ def _commutant(a: Algebra, elements) -> Subalgebra:
     return Subalgebra(a, kernel(stack_rows(blocks)))
 
 
+@memoised
 def center(a: Algebra) -> Subalgebra:
     """Center as a subalgebra: the commutant of the basis."""
     return _commutant(a, [a.basis_vector(i) for i in range(a.dim)])
@@ -327,12 +323,7 @@ class AlgebraMap:
         return f"AlgebraMap({self.src!r} -> {self.tgt!r})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraMap)
-            and self.src.equal_on_the_nose(other.src)
-            and self.tgt.equal_on_the_nose(other.tgt)
-            and self.mat == other.mat
-        )
+        return isinstance(other, AlgebraMap) and same_content(self, other)
 
 
 def validate_algebra_map(f: AlgebraMap) -> list[str]:
@@ -357,7 +348,7 @@ def identity_map(a: Algebra) -> AlgebraMap:
 
 def compose_maps(g: AlgebraMap, f: AlgebraMap) -> AlgebraMap:
     """g after f."""
-    if not f.tgt.equal_on_the_nose(g.src):
+    if not same_content(f.tgt, g.src):
         raise ValueError("composition type mismatch")
     return AlgebraMap(f.src, g.tgt, g.mat @ f.mat)
 

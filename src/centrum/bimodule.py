@@ -28,6 +28,7 @@ from .exactla import (
     inverse,
     kernel,
     quotient_induced,
+    same_content,
 )
 
 
@@ -132,11 +133,8 @@ def direct_sum_bimodules(parts) -> Bimodule:
     """Direct sum of bimodules over the same pair of algebras."""
     a, b = parts[0].left, parts[0].right
     f = parts[0].field
-    assert all(
-        (p.left is a or p.left.equal_on_the_nose(a))
-        and (p.right is b or p.right.equal_on_the_nose(b))
-        for p in parts
-    )
+    assert all(same_content(p.left, a) and same_content(p.right, b)
+               for p in parts)
     dim = sum(p.dim for p in parts)
 
     def block_diag(mats):
@@ -174,7 +172,7 @@ class BimoduleMap:
 
     def __init__(self, src: Bimodule, tgt: Bimodule, mat: Matrix):
         for a, b in ((src.left, tgt.left), (src.right, tgt.right)):
-            if not (a is b or a.equal_on_the_nose(b)):
+            if not same_content(a, b):
                 raise ValueError("bimodule map: source and target pairs do not match")
         assert mat.rows == tgt.dim and mat.cols == src.dim
         self.src = src
@@ -292,7 +290,10 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule, end_tgt: EndAlgebra, end_src: End
     """[src, tgt] as an (End(tgt), End(src))-bimodule by post-/pre-composition.
 
     Returns (bimodule over (end_tgt.algebra, end_src.algebra), hom basis)."""
-    assert end_tgt.bimodule is tgt and end_src.bimodule is src
+    if not (same_content(end_tgt.bimodule, tgt)
+            and same_content(end_src.bimodule, src)):
+        raise ValueError("hom_bimodule: the endomorphism algebras are not"
+                         " those of the two bimodules")
     basis = hom_space(src, tgt)
     f = src.field
     lact = [hom_operator(basis, basis, lambda b, E=end_tgt.basis[i]: E @ b, f)
@@ -347,9 +348,7 @@ class TensorResult:
     __slots__ = ("left_factor", "right_factor", "quot", "product")
 
     def __init__(self, m: Bimodule, n: Bimodule):
-        assert m.right is n.left or m.right.equal_on_the_nose(n.left), (
-            "middle algebras must agree"
-        )
+        assert same_content(m.right, n.left), "middle algebras must agree"
         f = m.field
         rel = middle_relations(m.dim, n.dim, m.ract, n.lact, f)
         quot = cokernel(rel)
@@ -388,8 +387,11 @@ def induced_map(
     phi: BimoduleMap, psi: BimoduleMap, t_src: TensorResult, t_tgt: TensorResult
 ) -> BimoduleMap:
     """phi (x) psi on the quotients; raises if it does not descend."""
-    assert t_src.left_factor is phi.src and t_src.right_factor is psi.src
-    assert t_tgt.left_factor is phi.tgt and t_tgt.right_factor is psi.tgt
+    ends = ((t_src.left_factor, phi.src), (t_src.right_factor, psi.src),
+            (t_tgt.left_factor, phi.tgt), (t_tgt.right_factor, psi.tgt))
+    if not all(same_content(t, m) for t, m in ends):
+        raise ValueError("induced_map: the tensor products are not those of"
+                         " the maps' sources and targets")
     mat = quotient_induced(t_tgt.quot, phi.mat.kron(psi.mat), t_src.quot)
     return BimoduleMap(t_src.product, t_tgt.product, mat)
 

@@ -61,7 +61,6 @@ from .cospanbicat import (
     TwoDiagram,
     beta_cell,
     compose_cospans,
-    cospans_match,
     find_invertible_3cell,
     horizontal_compose,
     identity_2diagram,
@@ -73,7 +72,7 @@ from .cospanbicat import (
     validate_cospan,
     vertical_compose,
 )
-from .exactla import Matrix, field_from_name, rank
+from .exactla import Matrix, field_from_name, rank, same_content
 from .fixtures import (
     col_bimodule,
     diagonal_inclusion,
@@ -632,7 +631,7 @@ def cmd_z_2cell(args, s, rep):
 def cmd_tensor_over(args, s, rep):
     m = resolve(s, "bimodule", args.left, "left")
     n = resolve(s, "bimodule", args.right, "right")
-    if not m.right.equal_on_the_nose(n.left):
+    if not same_content(m.right, n.left):
         raise InputError("the right algebra of --left must equal the left"
                          " algebra of --right")
     t = tensor_over(m, n)
@@ -659,7 +658,7 @@ def cmd_tensor_over(args, s, rep):
 def cmd_compose_cospans(args, s, rep):
     first = resolve(s, "cospan", args.first, "first")
     second = resolve(s, "cospan", args.second, "second")
-    if not first.b.equal_on_the_nose(second.a):
+    if not same_content(first.b, second.a):
         raise InputError("the right foot of --first must equal the left foot"
                          " of --second")
     comp = compose_cospans(second, first)
@@ -679,13 +678,13 @@ def cmd_compose_2diagrams(args, s, rep):
     first = resolve(s, "2diagram", args.first, "first")
     second = resolve(s, "2diagram", args.second, "second")
     if args.how == "vertical":
-        if not cospans_match(first.tgt, second.src):
+        if not same_content(first.tgt, second.src):
             raise InputError("vertical composition needs the target cospan of"
                              " --first to equal the source cospan of"
                              " --second")
         out = vertical_compose(second, first)
     else:
-        if not first.src.b.equal_on_the_nose(second.src.a):
+        if not same_content(first.src.b, second.src.a):
             raise InputError("horizontal composition needs the right foot of"
                              " --first to equal the left foot of --second")
         out = horizontal_compose(second, first)
@@ -764,7 +763,7 @@ def cmd_invertible(args, s, rep):
     legs_ok = is_invertible_2diagram(d)
     rep.result = {"legs_invertible": legs_ok}
     rep.check("both legs of the 2-diagram are invertible", legs_ok)
-    if cospans_match(d.src, d.tgt):
+    if same_content(d.src, d.tgt):
         search = find_invertible_3cell(d, identity_2diagram(d.src),
                                        rng=s.rng, sample_range=s.bound)
         rep.result["identity_comparison"] = {
@@ -808,7 +807,7 @@ def cmd_verify(args, s, rep):
 
 def _check_composable(ms):
     for i in range(len(ms) - 1):
-        if not ms[i].right.equal_on_the_nose(ms[i + 1].left):
+        if not same_content(ms[i].right, ms[i + 1].left):
             raise InputError(f"bimodules {i + 1} and {i + 2} do not compose:"
                              " right and left algebras differ")
 
@@ -862,7 +861,7 @@ def _verify_lax(args, s, rep):
         if args.h is not None:
             chain.append(resolve(s, "map", args.h, "h"))
         for i in range(len(chain) - 1):
-            if not chain[i].tgt.equal_on_the_nose(chain[i + 1].src):
+            if not same_content(chain[i].tgt, chain[i + 1].src):
                 raise InputError(f"maps {i + 1} and {i + 2} do not compose")
         _copy_entries(rep, "", verify_lax_functor(chain))
         rep.result = {"chains": 1,
@@ -893,11 +892,13 @@ def _verify_naturality(args, s, rep):
     named = _all_or_none((args.phi, args.psi), "provide --phi and --psi"
                          " together (and optionally --phip and --psip), or"
                          " none to generate seeded instances")
+    if not named and (args.phip, args.psip) != (None, None):
+        raise InputError("--phip and --psip need --phi and --psi as well")
     _all_or_none((args.phip, args.psip), "--phip and --psip go together")
     if named:
         phi = resolve(s, "bimodule-map", args.phi, "phi")
         psi = resolve(s, "bimodule-map", args.psi, "psi")
-        if not phi.src.right.equal_on_the_nose(psi.src.left):
+        if not same_content(phi.src.right, psi.src.left):
             raise InputError("--phi and --psi must share the middle algebra")
         phip = psip = None
         if args.phip is not None:

@@ -17,6 +17,9 @@ are central; 2-diagrams compose vertically (over a shared middle cospan) and
 horizontally (over the shared outer algebra), and the two orders of composing
 a 2x2 grid agree up to an explicit invertible interchanger 3-cell, built here
 together with its inverse from the two independent descent presentations.
+
+compose_cospans is memoised by content (exactla.memoised), so each composite
+is built once per pair of cospans and no construction takes prebuilt ones.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from .exactla import (
     cokernel,
     is_invertible,
     kernel,
+    memoised,
     quotient_induced,
+    same_content,
     solve,
     tensor_permutation,
 )
@@ -74,7 +79,7 @@ class Cospan:
     __slots__ = ("leg_a", "leg_b", "name")
 
     def __init__(self, leg_a: AlgebraMap, leg_b: AlgebraMap, name=""):
-        if not (leg_a.tgt is leg_b.tgt or leg_a.tgt.equal_on_the_nose(leg_b.tgt)):
+        if not same_content(leg_a.tgt, leg_b.tgt):
             raise ValueError("cospan: the two legs must share one apex algebra")
         self.leg_a = leg_a
         self.leg_b = leg_b
@@ -118,19 +123,6 @@ def identity_cospan(a: Algebra) -> Cospan:
     return Cospan(i, i, name=f"id({a.name})" if a.name else "id")
 
 
-def cospans_match(c: Cospan, d: Cospan) -> bool:
-    """Structural equality of cospans (apex and both legs on the nose)."""
-    if c is d:
-        return True
-    return (
-        c.apex.equal_on_the_nose(d.apex)
-        and c.a.equal_on_the_nose(d.a)
-        and c.b.equal_on_the_nose(d.b)
-        and c.leg_a.mat == d.leg_a.mat
-        and c.leg_b.mat == d.leg_b.mat
-    )
-
-
 def _flat_bilinear_op(u, left_ops, right_ops, field) -> Matrix:
     """Operator sum_{(a,b)} u[(a,b)] * (left_ops[a] (x) right_ops[b]),
     with (a, b) flattened left-major."""
@@ -166,7 +158,7 @@ class CospanComposition:
 
     def __init__(self, second: Cospan, first: Cospan):
         B = first.b
-        if not (second.a is B or second.a.equal_on_the_nose(B)):
+        if not same_content(second.a, B):
             raise ValueError("middle algebras must agree")
         bad = validate_cospan(first) + validate_cospan(second)
         if bad:
@@ -204,6 +196,7 @@ class CospanComposition:
         return f"CospanComposition({self.cospan!r})"
 
 
+@memoised
 def compose_cospans(second: Cospan, first: Cospan) -> CospanComposition:
     """Compose first (between A and B) with second (between B and C)."""
     return CospanComposition(second, first)
@@ -215,7 +208,7 @@ def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> 
     images: class of t (x) s  ->  w(t) v(s)."""
     T, S = comp.first.apex, comp.second.apex
     U = w.tgt
-    if not (v.tgt is U or v.tgt.equal_on_the_nose(U)):
+    if not same_content(v.tgt, U):
         raise ValueError("factor maps must share a target")
     B = comp.first.b
     for j in range(B.dim):
@@ -250,8 +243,8 @@ class TwoDiagram:
 
     def __init__(self, src: Cospan, tgt: Cospan, M: Bimodule, f: Matrix, g: Matrix,
                  tensor=None, parts=None):
-        if not ((M.left is tgt.apex or M.left.equal_on_the_nose(tgt.apex))
-                and (M.right is src.apex or M.right.equal_on_the_nose(src.apex))):
+        if not (same_content(M.left, tgt.apex)
+                and same_content(M.right, src.apex)):
             raise ValueError("2-diagram: the bimodule pair must be (target apex,"
                              " source apex)")
         assert f.shape == (M.dim, src.apex.dim)
@@ -272,7 +265,7 @@ def validate_2diagram(d: TwoDiagram) -> list[str]:
     """Violations of the 2-diagram axioms; empty == valid."""
     out = ["bimodule: " + m for m in validate_bimodule(d.M)]
     A, B = d.src.a, d.src.b
-    if not cospans_match_outer(d.src, d.tgt):
+    if not (same_content(d.src.a, d.tgt.a) and same_content(d.src.b, d.tgt.b)):
         out.append("source and target cospans have different outer algebras")
     for i in range(A.dim):
         x = A.basis_vector(i)
@@ -294,10 +287,6 @@ def validate_2diagram(d: TwoDiagram) -> list[str]:
     if d.f @ d.src.leg_b.mat != d.g @ d.tgt.leg_b.mat:
         out.append("legs disagree after the B side")
     return out
-
-
-def cospans_match_outer(c: Cospan, d: Cospan) -> bool:
-    return c.a.equal_on_the_nose(d.a) and c.b.equal_on_the_nose(d.b)
 
 
 def identity_2diagram(c: Cospan) -> TwoDiagram:
@@ -326,8 +315,8 @@ def cospan_morphism_2diagram(src: Cospan, tgt: Cospan, h: AlgebraMap) -> TwoDiag
 def two_diagrams_equal(d: TwoDiagram, e: TwoDiagram) -> bool:
     """Strict equality: same cospans, same actions, same legs."""
     return (
-        cospans_match(d.src, e.src)
-        and cospans_match(d.tgt, e.tgt)
+        same_content(d.src, e.src)
+        and same_content(d.tgt, e.tgt)
         and d.M.dim == e.M.dim
         and d.M.lact == e.M.lact
         and d.M.ract == e.M.ract
@@ -347,7 +336,7 @@ def vertical_compose(upper: TwoDiagram, lower: TwoDiagram) -> TwoDiagram:
 
     The apex is (upper M) (x)_S (lower M); the legs send r to the class of
     f_up(1) (x) f_low(r) and t to the class of g_up(t) (x) g_low(1)."""
-    assert cospans_match(upper.src, lower.tgt), "middle cospans must match"
+    assert same_content(upper.src, lower.tgt), "middle cospans must match"
     S = upper.src.apex
     tens = tensor_over(upper.M, lower.M)
     w = upper.f @ unit_column(S)
@@ -367,20 +356,10 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     target cospan's B leg; both choices agree with their counterparts by the
     2-diagram axioms.  The legs are the descended tensor products of the
     constituent legs."""
-    return _horizontal_compose(right, left)
-
-
-def _horizontal_compose(right: TwoDiagram, left: TwoDiagram,
-                        src_comp: "CospanComposition | None" = None,
-                        tgt_comp: "CospanComposition | None" = None) -> TwoDiagram:
-    """horizontal_compose, reusing the composite of the source cospans or of
-    the target cospans when the caller has built it already."""
     B = left.src.b
-    assert right.src.a is B or right.src.a.equal_on_the_nose(B)
-    if src_comp is None:
-        src_comp = compose_cospans(right.src, left.src)
-    if tgt_comp is None:
-        tgt_comp = compose_cospans(right.tgt, left.tgt)
+    assert same_content(right.src.a, B)
+    src_comp = compose_cospans(right.src, left.src)
+    tgt_comp = compose_cospans(right.tgt, left.tgt)
     M1, M2 = left.M, right.M
     f = M1.field
     m1b = Bimodule(
@@ -440,7 +419,7 @@ class ThreeCell:
 
 def validate_3cell(c: ThreeCell) -> list[str]:
     out = []
-    if not cospans_match(c.src.src, c.tgt.src) or not cospans_match(c.src.tgt, c.tgt.tgt):
+    if not same_content(c.src.src, c.tgt.src) or not same_content(c.src.tgt, c.tgt.tgt):
         out.append("2-diagrams are not parallel")
         return out
     out.extend(validate_bimodule_map(BimoduleMap(c.src.M, c.tgt.M, c.mat)))
@@ -463,7 +442,7 @@ def compose_3cells(second: ThreeCell, first: ThreeCell) -> ThreeCell:
 def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     """All 3-cells d -> e as an affine family: (particular solution or None,
     kernel basis of homogeneous directions), both as matrices."""
-    assert cospans_match(d.src, e.src) and cospans_match(d.tgt, e.tgt)
+    assert same_content(d.src, e.src) and same_content(d.tgt, e.tgt)
     f = d.M.field
     m1, m2 = d.M.dim, e.M.dim
     # X S = T X for every action pair (S of d, T of e), as in hom_space
@@ -612,19 +591,14 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
     from horizontal-then-vertical (source) to vertical-then-horizontal
     (target), together with its independently descended inverse; both descent
     identities and both inverse laws are verified exactly."""
-    assert cospans_match(d1.tgt, d1p.src) and cospans_match(d2.tgt, d2p.src)
+    assert same_content(d1.tgt, d1p.src) and same_content(d2.tgt, d2p.src)
     f = d1.M.field
-    # each composite cospan is built once: that of S2 and T2 is the source
-    # of h_up and the target of h_down; those of S1 and T1 and of S3 and T3
-    # are the source of h_down and the target of h_up, and again of tgt_diag
-    h_up = _horizontal_compose(d2p, d1p)
-    _, _, _, mid, top = h_up.parts
-    h_down = _horizontal_compose(d2, d1, tgt_comp=mid)
-    bottom = h_down.parts[3]
+    h_up = horizontal_compose(d2p, d1p)
+    h_down = horizontal_compose(d2, d1)
     src_diag = vertical_compose(h_up, h_down)
     v_left = vertical_compose(d1p, d1)
     v_right = vertical_compose(d2p, d2)
-    tgt_diag = _horizontal_compose(v_right, v_left, bottom, top)
+    tgt_diag = horizontal_compose(v_right, v_left)
     mp, np_, m, n = (FlatWitness.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
     src_w = mp.tensor(np_, h_up.tensor.quot).tensor(
         m.tensor(n, h_down.tensor.quot), src_diag.tensor.quot)

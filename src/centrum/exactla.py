@@ -20,12 +20,14 @@ basis matrices and can be compared with ==.  Quotients carry explicit
 projection/section witnesses with proj @ sect == I and proj @ relations == 0,
 checked at construction time.  A FlatWitness carries the same witnesses for a
 nested quotient of a flat multi-tensor; both kinds descend a map with one
-exact check (descend).
+exact check (descend).  memoised computes a pure construction once per
+argument content, in a bounded least-recently-used cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import compress
 from math import gcd, lcm
 
@@ -628,11 +630,7 @@ class Subspace:
         return self.basis.cols
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and same_content(self, other)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
@@ -852,6 +850,55 @@ class FlatWitness:
         if self.dims != tgt.dims:
             raise ValueError("bracketings of different flat tensors")
         return self.descend(tgt.proj, message)
+
+
+# ---------------------------------------------------------------------------
+# constructions computed once per argument content
+
+# entries per memoised function: more than the distinct inputs of one
+# verdict (15 at most in the benchmark), few enough to keep memory flat
+MEMO_BOUND = 16
+
+
+def content_key(x):
+    """A hashable value, equal exactly for objects equal on the nose: a
+    matrix by its field and entries, a list by its entries, an object with
+    slots by its type and slots but its name; a scalar or field by itself."""
+    if type(x) is Matrix:
+        return (x.field, x.cols, tuple(map(tuple, x.data)))
+    if type(x) is list:
+        return tuple(map(content_key, x))
+    slots = getattr(type(x), "__slots__", None)
+    if slots is None:
+        return x
+    return (type(x),) + tuple(content_key(getattr(x, s)) for s in slots
+                              if s != "name")
+
+
+def same_content(a, b) -> bool:
+    """Whether a and b are one object or equal on the nose."""
+    return a is b or content_key(a) == content_key(b)
+
+
+def memoised(fn):
+    """fn, computed once per argument content: calls on equal arguments
+    share one result, which callers must treat as immutable.  The cache is
+    the wrapper's own dict, keyed by content_key, of MEMO_BOUND entries."""
+    cache = {}
+
+    @wraps(fn)
+    def wrapper(*args):
+        key = content_key(list(args))
+        out = cache.pop(key, None)
+        if out is None:
+            out = fn(*args)
+            if len(cache) >= MEMO_BOUND:
+                del cache[next(iter(cache))]
+        cache[key] = out
+        return out
+
+    wrapper.cache = cache
+    return wrapper
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .cospanbicat import (
     cospan_morphism_2diagram,
     identity_2diagram,
 )
-from .exactla import QQ, Matrix, inverse, is_invertible, random_matrix
+from .exactla import QQ, Matrix, inverse, is_invertible, random_matrix, same_content
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def random_bimodule(a: Algebra, b: Algebra, rng, max_rank=2, twist=True) -> Bimo
     when the two algebras coincide on the nose)."""
     parts = []
     for _ in range(rng.randrange(1, max_rank + 1)):
-        if a.equal_on_the_nose(b) and rng.random() < 0.4:
+        if same_content(a, b) and rng.random() < 0.4:
             parts.append(regular_bimodule(a))
         else:
             parts.append(free_bimodule(a, b, 1))

@@ -10,11 +10,15 @@ naturality of the multiplication (its 3-cell property, the two triangle
 identities, the interchanger hexagon, and the unit reduction), the Morita
 invariance of centers, and the invertibility criteria under which the whole
 assignment is a genuine (non-lax) 2-functor.
+
+Z_hom, Z_bimodule, Z_2cell and mult_transform_bimodule, like algebra.center
+and cospanbicat.compose_cospans, are memoised by content (exactla.memoised),
+so each is computed once per input and none takes prebuilt pieces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     Algebra,
@@ -34,6 +38,7 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     EndAlgebra,
+    TensorResult,
     comp_bar,
     end_algebra,
     hom_bimodule,
@@ -50,6 +55,7 @@ from .bimodule import (
 from .cospanbicat import (
     CoherenceReport,
     Cospan,
+    CospanComposition,
     ThreeCell,
     TwoDiagram,
     beta_cell,
@@ -63,7 +69,16 @@ from .cospanbicat import (
     validate_cospan,
     vertical_compose,
 )
-from .exactla import Matrix, cokernel, inverse, is_invertible, quotient_induced, rank
+from .exactla import (
+    Matrix,
+    cokernel,
+    inverse,
+    is_invertible,
+    memoised,
+    quotient_induced,
+    rank,
+    same_content,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +102,8 @@ class ZObjectResult:
 
 def Z_object(a: Algebra) -> ZObjectResult:
     sub = center(a)
-    assert is_commutative(sub.algebra), "the center must be commutative"
+    if not is_commutative(sub.algebra):
+        raise ValueError("the center must be commutative")
     return ZObjectResult(a, sub)
 
 
@@ -111,28 +127,29 @@ class ZMorphismResult:
         return f"ZMorphismResult({self.kind}, apex dim {self.apex.dim})"
 
 
-def Z_hom(f: AlgebraMap, z_src=None, z_tgt=None) -> ZMorphismResult:
+@memoised
+def Z_hom(f: AlgebraMap) -> ZMorphismResult:
     """The cospan Z(A) -> Z(f) <- Z(B) on the centralizer of the image of f.
 
     The first leg sends a central z to f(z); the second is the inclusion of
     Z(B) into the centralizer."""
-    za = z_src if z_src is not None else center(f.src)
-    zb = z_tgt if z_tgt is not None else center(f.tgt)
+    za, zb = center(f.src), center(f.tgt)
     cz = centralizer(f)
     leg_a = subalgebra_map(za, cz, f.mat)
     leg_b = subalgebra_map(zb, cz, Matrix.identity(f.tgt.dim, f.tgt.field))
     cospan = Cospan(leg_a, leg_b)
     bad = validate_cospan(cospan)
-    assert not bad, f"centralizer cospan is invalid: {bad}"
+    if bad:
+        raise ValueError(f"centralizer cospan is invalid: {bad}")
     return ZMorphismResult("map", f, cospan, cz.algebra, cz, za, zb)
 
 
-def Z_bimodule(m: Bimodule, z_left=None, z_right=None, end=None) -> ZMorphismResult:
+@memoised
+def Z_bimodule(m: Bimodule) -> ZMorphismResult:
     """The cospan Z(A) -> End(M) <- Z(B) with legs z -> (x -> z.x) and
     z' -> (x -> x.z')."""
-    ea = end if end is not None else end_algebra(m)
-    zl = z_left if z_left is not None else center(m.left)
-    zr = z_right if z_right is not None else center(m.right)
+    ea = end_algebra(m)
+    zl, zr = center(m.left), center(m.right)
 
     def leg(sub, act_of):
         ops = [act_of(sub.embed(sub.algebra.basis_vector(i))) for i in range(sub.dim)]
@@ -141,7 +158,8 @@ def Z_bimodule(m: Bimodule, z_left=None, z_right=None, end=None) -> ZMorphismRes
 
     cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
     bad = validate_cospan(cospan)
-    assert not bad, f"endomorphism cospan is invalid: {bad}"
+    if bad:
+        raise ValueError(f"endomorphism cospan is invalid: {bad}")
     return ZMorphismResult("bimodule", m, cospan, ea.algebra, ea, zl, zr)
 
 
@@ -186,21 +204,20 @@ class Z2CellResult:
     basis: list
 
 
-def Z_2cell(phi: BimoduleMap, z_src=None, z_tgt=None) -> Z2CellResult:
+@memoised
+def Z_2cell(phi: BimoduleMap) -> Z2CellResult:
     """The 2-diagram from the cospan of phi's source to that of its target:
     bimodule [M, N] over the two endomorphism algebras, legs xi -> phi o xi
     and eta -> eta o phi."""
-    zs = z_src if z_src is not None else Z_bimodule(phi.src)
-    zt = z_tgt if z_tgt is not None else Z_bimodule(phi.tgt)
+    zs, zt = Z_bimodule(phi.src), Z_bimodule(phi.tgt)
     hom_bm, basis = hom_bimodule(phi.src, phi.tgt, zt.realization, zs.realization)
-    field = phi.src.field
-    fmat = hom_operator(basis, zs.realization.basis,
-                        lambda e: phi.mat @ e, field)
-    gmat = hom_operator(basis, zt.realization.basis,
-                        lambda e: e @ phi.mat, field)
+    f = phi.src.field
+    fmat = hom_operator(basis, zs.realization.basis, lambda e: phi.mat @ e, f)
+    gmat = hom_operator(basis, zt.realization.basis, lambda e: e @ phi.mat, f)
     d = TwoDiagram(zs.cospan, zt.cospan, hom_bm, fmat, gmat)
     bad = validate_2diagram(d)
-    assert not bad, f"hom-space 2-diagram is invalid: {bad}"
+    if bad:
+        raise ValueError(f"hom-space 2-diagram is invalid: {bad}")
     return Z2CellResult(phi, d, zs, zt, basis)
 
 
@@ -208,41 +225,40 @@ def Z_2cell(phi: BimoduleMap, z_src=None, z_tgt=None) -> Z2CellResult:
 # the multiplication comparison maps
 
 
+@dataclass(slots=True, eq=False)
 class MultTransformResult:
     """The comparison map Z(f) (x)_{Z(B)} Z(g) -> Z(g o f), z (x) z' ->
     g(z) z', as a verified algebra map, with the 2-diagram it defines and its
     rank data."""
 
-    __slots__ = ("f", "g", "gf", "zf", "zg", "zgf", "comp", "m", "diagram",
-                 "rank", "codomain_dim", "is_iso")
+    f: AlgebraMap
+    g: AlgebraMap
+    gf: AlgebraMap
+    zf: ZMorphismResult
+    zg: ZMorphismResult
+    zgf: ZMorphismResult
+    comp: CospanComposition
+    m: AlgebraMap
+    diagram: TwoDiagram
+    rank: int = field(init=False)
+    codomain_dim: int = field(init=False)
+    is_iso: bool = field(init=False)
 
-    def __init__(self, f, g, gf, zf, zg, zgf, comp, m, diagram):
-        self.f = f
-        self.g = g
-        self.gf = gf
-        self.zf = zf
-        self.zg = zg
-        self.zgf = zgf
-        self.comp = comp
-        self.m = m
-        self.diagram = diagram
-        self.rank = rank(m.mat)
-        self.codomain_dim = zgf.apex.dim
-        self.is_iso = is_invertible(m.mat)
+    def __post_init__(self):
+        self.rank = rank(self.m.mat)
+        self.codomain_dim = self.zgf.apex.dim
+        self.is_iso = is_invertible(self.m.mat)
 
     def __repr__(self):
         return (f"MultTransformResult(rank {self.rank} of {self.codomain_dim}, "
                 f"{'iso' if self.is_iso else 'not iso'})")
 
 
-def mult_transform(f: AlgebraMap, g: AlgebraMap,
-                   zf=None, zg=None, zgf=None) -> MultTransformResult:
-    """The multiplication map for a composable pair of algebra maps."""
-    assert g.src is f.tgt or g.src.equal_on_the_nose(f.tgt), "maps must compose"
+def mult_transform(f: AlgebraMap, g: AlgebraMap) -> MultTransformResult:
+    """The multiplication map for a composable pair of algebra maps
+    (compose_maps refuses a pair that does not compose)."""
     gf = compose_maps(g, f)
-    zf = zf if zf is not None else Z_hom(f)
-    zg = zg if zg is not None else Z_hom(g, z_src=zf.z_right)
-    zgf = zgf if zgf is not None else Z_hom(gf, z_src=zf.z_left, z_tgt=zg.z_right)
+    zf, zg, zgf = Z_hom(f), Z_hom(g), Z_hom(gf)
     comp = compose_cospans(zg.cospan, zf.cospan)
     w = subalgebra_map(zf.realization, zgf.realization, g.mat)
     v = subalgebra_map(zg.realization, zgf.realization,
@@ -252,40 +268,37 @@ def mult_transform(f: AlgebraMap, g: AlgebraMap,
     return MultTransformResult(f, g, gf, zf, zg, zgf, comp, m, diagram)
 
 
+@dataclass(slots=True, eq=False)
 class MultBimoduleResult:
     """The bimodule-level multiplication map Z(M) (x)_{Z(B)} Z(N) ->
     Z(M (x)_B N), xi (x) zeta -> xi (x) zeta as endomorphisms, with the
     tensor witnesses and the induced 2-diagram."""
 
-    __slots__ = ("m_bim", "n_bim", "tens", "zm", "zn", "zmn", "comp", "mult",
-                 "diagram", "is_iso")
+    m_bim: Bimodule
+    n_bim: Bimodule
+    tens: TensorResult
+    zm: ZMorphismResult
+    zn: ZMorphismResult
+    zmn: ZMorphismResult
+    comp: CospanComposition
+    mult: AlgebraMap
+    diagram: TwoDiagram
+    is_iso: bool = field(init=False)
 
-    def __init__(self, m_bim, n_bim, tens, zm, zn, zmn, comp, mult, diagram):
-        self.m_bim = m_bim
-        self.n_bim = n_bim
-        self.tens = tens
-        self.zm = zm
-        self.zn = zn
-        self.zmn = zmn
-        self.comp = comp
-        self.mult = mult
-        self.diagram = diagram
-        self.is_iso = is_invertible(mult.mat)
+    def __post_init__(self):
+        self.is_iso = is_invertible(self.mult.mat)
 
     def __repr__(self):
         return f"MultBimoduleResult({'iso' if self.is_iso else 'not iso'})"
 
 
-def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule,
-                            zm=None, zn=None, comp=None, tens=None,
-                            zmn=None) -> MultBimoduleResult:
+@memoised
+def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleResult:
     """The multiplication map for a composable pair of bimodules."""
-    zm = zm if zm is not None else Z_bimodule(m_bim)
-    zn = zn if zn is not None else Z_bimodule(n_bim)
-    comp = comp if comp is not None else compose_cospans(zn.cospan, zm.cospan)
-    tens = tens if tens is not None else tensor_over(m_bim, n_bim)
-    zmn = zmn if zmn is not None else Z_bimodule(
-        tens.product, z_left=zm.z_left, z_right=zn.z_right)
+    zm, zn = Z_bimodule(m_bim), Z_bimodule(n_bim)
+    comp = compose_cospans(zn.cospan, zm.cospan)
+    tens = tensor_over(m_bim, n_bim)
+    zmn = Z_bimodule(tens.product)
     f = m_bim.field
     Im = Matrix.identity(m_bim.dim, f)
     In = Matrix.identity(n_bim.dim, f)
@@ -303,46 +316,45 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule,
     return MultBimoduleResult(m_bim, n_bim, tens, zm, zn, zmn, comp, mult, diagram)
 
 
+@dataclass(slots=True, eq=False)
 class NGeneralResult:
     """The descended map [M,M'] (x)_{Z(B)} [N,N'] -> [M (x) N, M' (x) N'],
     xi (x) zeta -> xi (x) zeta, with its quotient witnesses."""
 
-    __slots__ = ("basis_left", "basis_right", "basis_target", "tens_src",
-                 "tens_tgt", "quot", "flat", "mat", "is_iso")
+    basis_left: list
+    basis_right: list
+    basis_target: list
+    tens_src: TensorResult
+    tens_tgt: TensorResult
+    quot: object
+    flat: Matrix
+    mat: Matrix
+    is_iso: bool = field(init=False)
 
-    def __init__(self, basis_left, basis_right, basis_target, tens_src,
-                 tens_tgt, quot, flat, mat):
-        self.basis_left = basis_left
-        self.basis_right = basis_right
-        self.basis_target = basis_target
-        self.tens_src = tens_src
-        self.tens_tgt = tens_tgt
-        self.quot = quot
-        self.flat = flat
-        self.mat = mat
-        self.is_iso = inverse(mat) is not None
+    def __post_init__(self):
+        self.is_iso = inverse(self.mat) is not None
 
     def __repr__(self):
         return f"NGeneralResult({self.mat.rows}x{self.mat.cols}, " \
                f"{'iso' if self.is_iso else 'not iso'})"
 
 
-def n_general(m: Bimodule, mp: Bimodule, n: Bimodule, np_: Bimodule,
-              tens_src=None, tens_tgt=None, z_mid=None,
+def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
               pair_quot=None) -> NGeneralResult:
-    """Descend the tensor product of bimodule maps through the fibered
-    product of hom spaces over the center of the middle algebra."""
+    """Descend the tensor product of bimodule maps M -> M', N -> N' (from
+    tens_src = M (x)_B N to tens_tgt = M' (x)_B N') through the fibered
+    product of hom spaces over Z(B), or through pair_quot, its quotient."""
+    m, n = tens_src.left_factor, tens_src.right_factor
+    mp, np_ = tens_tgt.left_factor, tens_tgt.right_factor
     f = m.field
     basis_left = hom_space(m, mp)
     basis_right = hom_space(n, np_)
-    tens_src = tens_src if tens_src is not None else tensor_over(m, n)
-    tens_tgt = tens_tgt if tens_tgt is not None else tensor_over(mp, np_)
     basis_target = hom_space(tens_src.product, tens_tgt.product)
     ops = [quotient_induced(tens_tgt.quot, xi.kron(zeta), tens_src.quot)
            for xi in basis_left for zeta in basis_right]
     flat = hom_coords_matrix(basis_target, ops, f, "induced map leaves the hom space")
     if pair_quot is None:
-        zb = z_mid if z_mid is not None else center(m.right)
+        zb = center(m.right)
         rops = [
             hom_operator(basis_left, basis_left,
                          lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
@@ -400,30 +412,19 @@ class MSquareResult:
         return f"MSquareResult({state}, valid={not self.valid})"
 
 
-def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
-             d1: Z2CellResult = None, d2: Z2CellResult = None,
-             mult_src=None, mult_tgt=None) -> MSquareResult:
-    """Build the square 3-cell for a pair of bimodule maps (or prebuilt
-    hom-space 2-cells) and verify the 3-cell axioms."""
-    d1 = d1 if d1 is not None else Z_2cell(phi)
-    d2 = d2 if d2 is not None else Z_2cell(psi)
-    phi, psi = d1.source, d2.source
+def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
+    """Build the square 3-cell for a pair of bimodule maps and verify the
+    3-cell axioms."""
+    d1, d2 = Z_2cell(phi), Z_2cell(psi)
     f = phi.src.field
     hq = horizontal_compose(d2.diagram, d1.diagram)
-    src_comp, tgt_comp = hq.parts[3], hq.parts[4]
-    if mult_src is None:
-        mult_src = mult_transform_bimodule(phi.src, psi.src, zm=d1.z_src,
-                                           zn=d2.z_src, comp=src_comp)
-    if mult_tgt is None:
-        mult_tgt = mult_transform_bimodule(phi.tgt, psi.tgt, zm=d1.z_tgt,
-                                           zn=d2.z_tgt, comp=tgt_comp)
+    mult_src = mult_transform_bimodule(phi.src, psi.src)
+    mult_tgt = mult_transform_bimodule(phi.tgt, psi.tgt)
     induced = induced_map(phi, psi, mult_src.tens, mult_tgt.tens)
-    d_induced = Z_2cell(induced, z_src=mult_src.zmn, z_tgt=mult_tgt.zmn)
+    d_induced = Z_2cell(induced)
     lhs = vertical_compose(mult_tgt.diagram, hq)
     rhs = vertical_compose(d_induced.diagram, mult_src.diagram)
-    n_res = n_general(phi.src, phi.tgt, psi.src, psi.tgt,
-                      tens_src=mult_src.tens, tens_tgt=mult_tgt.tens,
-                      pair_quot=hq.tensor.quot)
+    n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.tensor.quot)
     end_tgt = mult_tgt.zmn.realization
     end_src = mult_src.zmn.realization
     basis_t = n_res.basis_target
@@ -445,8 +446,9 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
     rflat = hom_coords_matrix(basis_t, [b @ e for b in basis_t for e in end_src.basis],
                               f, "unit collapse leaves the hom space")
     r_mat = TR.quot.descend(rflat, "unit collapse does not descend")
-    assert r_mat @ r_inverse == Matrix.identity(len(basis_t), f)
-    assert r_inverse @ r_mat == Matrix.identity(TR.quot.dim, f)
+    if (r_mat @ r_inverse != Matrix.identity(len(basis_t), f)
+            or r_inverse @ r_mat != Matrix.identity(TR.quot.dim, f)):
+        raise ValueError("the unit collapse is not invertible")
     cell_mat = r_inverse @ mprime
     cell = ThreeCell(lhs, rhs, cell_mat)
     valid = validate_3cell(cell)
@@ -460,28 +462,6 @@ def m_square(phi: BimoduleMap = None, psi: BimoduleMap = None,
 
 # ---------------------------------------------------------------------------
 # verification harnesses
-
-
-def _unit_collapse_first(zf: ZMorphismResult):
-    """The canonical collapse of (identity cospan) then cospan, z (x) z' ->
-    leg_a(z) z'."""
-    zid = Z_hom(identity_map(zf.source.src), z_src=zf.z_left, z_tgt=zf.z_left)
-    comp = compose_cospans(zf.cospan, zid.cospan)
-    w = AlgebraMap(zid.apex, zf.apex, zf.cospan.leg_a.mat @ _center_change(
-        zid, zf.z_left))
-    u = pushout_universal(comp, w, identity_map(zf.apex))
-    return comp, u
-
-
-def _unit_collapse_second(zf: ZMorphismResult):
-    """The canonical collapse of cospan then (identity cospan), z (x) z' ->
-    z leg_b(z')."""
-    zid = Z_hom(identity_map(zf.source.tgt), z_src=zf.z_right, z_tgt=zf.z_right)
-    comp = compose_cospans(zid.cospan, zf.cospan)
-    v = AlgebraMap(zid.apex, zf.apex, zf.cospan.leg_b.mat @ _center_change(
-        zid, zf.z_right))
-    u = pushout_universal(comp, identity_map(zf.apex), v)
-    return comp, u
 
 
 def _center_change(zid: ZMorphismResult, sub) -> Matrix:
@@ -515,13 +495,17 @@ def verify_lax_functor(chain) -> CoherenceReport:
 
 
 def _unit_checks(f: AlgebraMap):
+    """The multiplications with an identity factor against the canonical
+    collapses of their composites: z (x) z' -> leg_a(z) z' for the identity
+    first and z (x) z' -> z leg_b(z') for the identity second."""
     zf = Z_hom(f)
-    mt_first = mult_transform(identity_map(f.src), f, zg=zf)
-    _, u1 = _unit_collapse_first(zf)
-    mt_second = mult_transform(f, identity_map(f.tgt), zf=zf)
-    _, u2 = _unit_collapse_second(zf)
-    zida = mt_first.zf
-    zidb = mt_second.zg
+    mt_first = mult_transform(identity_map(f.src), f)
+    mt_second = mult_transform(f, identity_map(f.tgt))
+    zida, zidb, one = mt_first.zf, mt_second.zg, identity_map(zf.apex)
+    collapse_a = zf.cospan.leg_a.mat @ _center_change(zida, zf.z_left)
+    collapse_b = zf.cospan.leg_b.mat @ _center_change(zidb, zf.z_right)
+    u1 = pushout_universal(mt_first.comp, AlgebraMap(zida.apex, zf.apex, collapse_a), one)
+    u2 = pushout_universal(mt_second.comp, one, AlgebraMap(zidb.apex, zf.apex, collapse_b))
     yield ("identity cospan legs strict",
            zida.cospan.leg_a.mat == Matrix.identity(zida.apex.dim, f.src.field)
            and zidb.cospan.leg_b.mat == Matrix.identity(zidb.apex.dim, f.src.field))
@@ -532,13 +516,13 @@ def _unit_checks(f: AlgebraMap):
 def _associativity_square(f, g, h) -> bool:
     """The two routes from flat triples Z(f) (x) Z(g) (x) Z(h) into
     Z(h o g o f) agree."""
-    field = f.src.field
+    k = f.src.field
     m1 = mult_transform(f, g)
-    m2 = mult_transform(m1.gf, h, zf=m1.zgf)
-    m1p = mult_transform(g, h, zf=m1.zg, zg=m2.zg)
-    m2p = mult_transform(f, m1p.gf, zf=m1.zf, zg=m1p.zgf, zgf=m2.zgf)
-    Ih = Matrix.identity(m1p.zg.apex.dim, field)
-    If = Matrix.identity(m1.zf.apex.dim, field)
+    m2 = mult_transform(m1.gf, h)
+    m1p = mult_transform(g, h)
+    m2p = mult_transform(f, m1p.gf)
+    Ih = Matrix.identity(m1p.zg.apex.dim, k)
+    If = Matrix.identity(m1.zf.apex.dim, k)
     route_a = m2.m.mat @ m2.comp.quot.proj @ (m1.m.mat @ m1.comp.quot.proj).kron(Ih)
     route_b = m2p.m.mat @ m2p.comp.quot.proj @ If.kron(m1p.m.mat @ m1p.comp.quot.proj)
     return route_a == route_b
@@ -571,20 +555,16 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
     lower square class), rebracketing with the interchanger and composing the
     two columns before multiplying agrees with multiplying row by row and
     composing afterwards."""
+    if not (same_content(phip.src, phi.tgt) and same_content(psip.src, psi.tgt)):
+        raise ValueError("the second pair of maps must start where the first ends")
     f = phi.src.field
-    d1 = Z_2cell(phi)
-    d1p = Z_2cell(phip, z_src=d1.z_tgt)
-    d2 = Z_2cell(psi)
-    d2p = Z_2cell(psip, z_src=d2.z_tgt)
-    sq1 = m_square(d1=d1, d2=d2)
-    sq2 = m_square(d1=d1p, d2=d2p, mult_src=sq1.mult_tgt)
-    comp_phi = BimoduleMap(phi.src, phip.tgt, phip.mat @ phi.mat)
-    comp_psi = BimoduleMap(psi.src, psip.tgt, psip.mat @ psi.mat)
-    d1c = Z_2cell(comp_phi, z_src=d1.z_src, z_tgt=d1p.z_tgt)
-    d2c = Z_2cell(comp_psi, z_src=d2.z_src, z_tgt=d2p.z_tgt)
-    sq3 = m_square(d1=d1c, d2=d2c, mult_src=sq1.mult_src, mult_tgt=sq2.mult_tgt)
+    sq1 = m_square(phi, psi)
+    sq2 = m_square(phip, psip)
+    sq3 = m_square(BimoduleMap(phi.src, phip.tgt, phip.mat @ phi.mat),
+                   BimoduleMap(psi.src, psip.tgt, psip.mat @ psi.mat))
 
-    beta = beta_cell(d1p.diagram, d1.diagram, d2p.diagram, d2.diagram)
+    beta = beta_cell(sq2.d1.diagram, sq1.d1.diagram, sq2.d2.diagram,
+                     sq1.d2.diagram)
     cb_left = comp_bar(phi.src, phi.tgt, phip.tgt)
     cb_right = comp_bar(psi.src, psi.tgt, psip.tgt)
     cb_mid = comp_bar(sq1.mult_src.tens.product, sq1.mult_tgt.tens.product,
@@ -706,15 +686,17 @@ def morita_center_check(a: Algebra, n: int) -> MoritaReport:
     return MoritaReport(a, n, big, za, zb, iso, ok)
 
 
+@dataclass(slots=True, eq=False)
 class Thm58Report:
     """Per-instance invertibility verdicts for the comparison maps, with the
     aggregate verdict string."""
 
-    __slots__ = ("entries", "all_iso", "verdict")
+    entries: list
+    all_iso: bool = field(init=False)
+    verdict: str = field(init=False)
 
-    def __init__(self, entries):
-        self.entries = entries
-        self.all_iso = all(ok for _, ok, _ in entries)
+    def __post_init__(self):
+        self.all_iso = all(ok for _, ok, _ in self.entries)
         self.verdict = ("non-lax on this corpus" if self.all_iso
                         else "lax behaviour witnessed")
 

@@ -1,7 +1,9 @@
 """Golden reports of the command line: each case runs ``centrum.cli.main``
 in-process and compares its exit code and stdout byte for byte with the
 committed expectation under ``tests/data/cli/expected``; one more test
-replays every case in a ``python -O`` process, which strips ``assert``.
+replays every case in a ``python -O`` process, which strips ``assert``, and
+another replays them all in this process, forward and then in reverse, with
+the memoised constructions warm.
 
 The cases are the benchmark's single-object queries (at fixed seeds),
 ``validate`` of a good presentation of each object kind, an unknown
@@ -147,6 +149,9 @@ CASES = [
     ("naturality-phip-only",
      ["verify", "naturality", "--phi", "id:regular:k",
       "--psi", "id:regular:k", "--phip", "id:regular:k"], 2),
+    ("naturality-second-square-only",
+     ["verify", "naturality", "--phip", "id:regular:k",
+      "--psip", "id:regular:k"], 2),
 ]
 
 
@@ -183,6 +188,25 @@ def test_golden_reports_under_optimize():
               if got_code != code
               or got != (EXPECTED / f"{name}.json").read_text(encoding="utf-8")]
     assert differ == []
+
+
+def test_golden_reports_replay_with_warm_caches(monkeypatch):
+    """Every case twice more in this process, the second time in reverse
+    order, so each report is made after the memoised constructions have
+    seen other commands' objects: no report may depend on what was computed
+    before it."""
+    monkeypatch.chdir(DATA)
+    differ = []
+    for name, argv, code in CASES + CASES[::-1]:
+        got = run_case(argv)
+        if got != (code, (EXPECTED / f"{name}.json").read_text(encoding="utf-8")):
+            differ.append(name)
+    assert differ == []
+
+
+def test_corpus_report_repeats_with_warm_caches():
+    assert run_case(["corpus", "--scale", "0.05"]) == \
+        run_case(["corpus", "--scale", "0.05"])
 
 
 def regenerate():

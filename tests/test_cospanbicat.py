@@ -42,7 +42,6 @@ from centrum.cospanbicat import (
     compose_3cells,
     compose_cospans,
     cospan_morphism_2diagram,
-    cospans_match,
     find_3cell,
     find_invertible_3cell,
     functor_A_embed,
@@ -483,25 +482,30 @@ def test_beta_naturality_fails_for_maps_that_are_not_3cells():
 
 
 def test_beta_cell_composes_each_cospan_once(monkeypatch):
+    """One composite per distinct row of cospans: the bottom, middle and
+    top rows of grid 0 differ; in grid 2 the middle and top rows are equal
+    on the nose and share one composite."""
     import centrum.cospanbicat as cospanbicat
     import centrum.exactla as exactla
 
-    grid = random_interchanger_grid(random.Random(2))
-    calls = {"compose_cospans": 0, "inverse": 0}
+    built = {"CospanComposition": 0, "inverse": 0}
 
     def counted(module, name):
         real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            built[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cospanbicat, "compose_cospans")
+    counted(cospanbicat, "CospanComposition")
     counted(exactla, "inverse")
-    beta_cell(*grid)
-    assert calls == {"compose_cospans": 3, "inverse": 0}
+    for seed, rows in ((0, 3), (2, 2)):
+        built["CospanComposition"] = 0
+        compose_cospans.cache.clear()
+        beta_cell(*random_interchanger_grid(random.Random(seed)))
+        assert built == {"CospanComposition": rows, "inverse": 0}
 
 
 def test_beta_cell_refuses_an_interchanger_that_is_not_a_3cell(monkeypatch):

@@ -8,9 +8,22 @@ against a second instance built from different connecting maps (its matrix
 must not depend on them).
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from centrum.exactla import QQ, Matrix, is_invertible, rank
+from centrum.exactla import (
+    MEMO_BOUND,
+    QQ,
+    Matrix,
+    PrimeField,
+    content_key,
+    is_invertible,
+    memoised,
+    rank,
+)
 from centrum.algebra import (
     AlgebraMap,
     alg_dual_numbers,
@@ -29,12 +42,16 @@ from centrum.bimodule import (
     BimoduleMap,
     comp_bar,
     direct_sum_bimodules,
+    end_algebra,
     free_bimodule,
+    hom_bimodule,
     identity_bimodule_map,
+    induced_map,
     regular_bimodule,
+    tensor_over,
     twist_bimodule,
 )
-from centrum.cospanbicat import validate_2diagram, validate_cospan
+from centrum.cospanbicat import compose_cospans, validate_2diagram, validate_cospan
 from centrum.fixtures import (
     algebra_map_pool,
     col_bimodule,
@@ -260,8 +277,7 @@ def test_n_general_matches_square_internal_quotient():
     phi = random_hom_element(m, mp, rng)
     psi = random_hom_element(n, np_, rng)
     sq = m_square(phi, psi)
-    standalone = n_general(m, mp, n, np_,
-                           tens_src=sq.mult_src.tens, tens_tgt=sq.mult_tgt.tens)
+    standalone = n_general(sq.mult_src.tens, sq.mult_tgt.tens)
     # the hand-built center quotient coincides with the composite's quotient
     assert standalone.mat == sq.n_res.mat
     assert standalone.is_iso
@@ -272,7 +288,7 @@ def test_n_general_rank_drop_over_two_block_middle():
     k, k2 = alg_k(), alg_product_k(2)
     m, mp = twisted_free(k, k2, rng), twisted_free(k, k2, rng)
     n, np_ = twisted_free(k2, k, rng), twisted_free(k2, k, rng)
-    res = n_general(m, mp, n, np_)
+    res = n_general(tensor_over(m, n), tensor_over(mp, np_))
     # two of the four target blocks are cross-block and unreachable
     assert res.mat.shape == (4, 2)
     assert rank(res.mat) == 2
@@ -402,3 +418,146 @@ def test_theorem58_semisimple_corpus_verdict():
     assert "square 3-cell" in kinds
     assert "multiplication 2-cell" in kinds
     assert "identity center strict" in kinds
+
+
+# -- memoised constructions --------------------------------------------------
+
+
+MEMOISED = (center, Z_hom, Z_bimodule, Z_2cell, mult_transform_bimodule,
+            compose_cospans)
+
+
+def test_memo_never_shares_an_entry_across_fields():
+    """k x k has the same integer mult and unit over QQ, GF(2) and GF(3);
+    each field gets its own center and cospan."""
+    fields = (QQ, PrimeField(2), PrimeField(3))
+    algs = [alg_product_k(2, f) for f in fields]
+    assert len({content_key(a.mult.data) for a in algs}) == 1
+    assert [center(a).algebra.field for a in algs] == list(fields)
+    assert [Z_hom(identity_map(a)).apex.field for a in algs] == list(fields)
+
+
+def test_memo_computes_equal_inputs_once(monkeypatch):
+    import centrum.fullcenter as fullcenter
+
+    for fn in MEMOISED:
+        fn.cache.clear()
+    calls = []
+    real = fullcenter.centralizer
+    monkeypatch.setattr(fullcenter, "centralizer",
+                        lambda f: calls.append(f) or real(f))
+    first, second = diag_inclusion(), diag_inclusion()
+    assert first is not second
+    assert Z_hom(first) is Z_hom(second)
+    assert calls == [first]
+    # the centers Z_hom built are served to the next caller
+    assert center(alg_matrix(2)) is Z_hom(first).z_right
+    regs = [regular_bimodule(alg_matrix(2)) for _ in range(2)]
+    assert Z_bimodule(regs[0]) is Z_bimodule(regs[1])
+    assert Z_2cell(identity_bimodule_map(regs[0])) is \
+        Z_2cell(identity_bimodule_map(regs[1]))
+    assert mult_transform_bimodule(*regs) is mult_transform_bimodule(*regs[::-1])
+    assert len(compose_cospans.cache) == 1
+
+
+def test_memo_keeps_its_bound_most_recently_used_entries():
+    computed = []
+
+    @memoised
+    def square(m):
+        computed.append(m)
+        return m @ m
+
+    mats = [Matrix.from_int_rows([[i]], QQ) for i in range(MEMO_BOUND + 5)]
+    for m in mats:
+        square(m)
+        square(mats[0])  # keeps the first one recently used
+    assert len(square.cache) == MEMO_BOUND
+    computed.clear()
+    square(Matrix.from_int_rows([[0]], QQ))
+    square(mats[-1])
+    assert computed == []
+    square(mats[1])
+    assert computed == [mats[1]]
+    for fn in MEMOISED:
+        assert len(fn.cache) <= MEMO_BOUND
+
+
+# -- invariant checks that survive python -O ---------------------------------
+
+
+def invariant_failures():
+    """Names of the invariant checks that did not raise ValueError when
+    their invariant was broken; a memoised certificate is served many times,
+    so none of these may be an assert."""
+    import centrum.fullcenter as fullcenter
+
+    reg = regular_bimodule(alg_product_k(2))
+    other = regular_bimodule(alg_group_c2())
+    k2 = alg_product_k(2)
+    c2_map = identity_map(alg_group_c2())
+    cases = {
+        "Z_object": (lambda: Z_object(alg_k()), "is_commutative",
+                     lambda a: False),
+        "Z_hom": (lambda: Z_hom(unit_map(alg_matrix(2))), "validate_cospan",
+                  lambda c: ["broken"]),
+        "Z_bimodule": (lambda: Z_bimodule(reg), "validate_cospan",
+                       lambda c: ["broken"]),
+        "Z_2cell": (lambda: Z_2cell(identity_bimodule_map(reg)),
+                    "validate_2diagram", lambda d: ["broken"]),
+        "mult_transform": (lambda: mult_transform(unit_map(k2), c2_map),
+                           None, None),
+        "m_square": (lambda: m_square(identity_bimodule_map(reg),
+                                      identity_bimodule_map(reg)),
+                     "unit_column", lambda a: Matrix.zeros(a.dim, 1, a.field)),
+        "hom_bimodule": (lambda: hom_bimodule(reg, reg, end_algebra(other),
+                                              end_algebra(reg)), None, None),
+        "induced_map": (lambda: induced_map(
+            identity_bimodule_map(reg), identity_bimodule_map(reg),
+            tensor_over(other, other), tensor_over(reg, reg)), None, None),
+        "check_m_hexagon": (lambda: check_m_hexagon(
+            *[identity_bimodule_map(m) for m in (reg, other, reg, other)]),
+            None, None),
+    }
+    out = []
+    for name, (call, attr, broken) in cases.items():
+        for fn in MEMOISED:
+            fn.cache.clear()
+        real = getattr(fullcenter, attr) if attr else None
+        if attr:
+            setattr(fullcenter, attr, broken)
+        try:
+            call()
+        except ValueError:
+            continue
+        finally:
+            if attr:
+                setattr(fullcenter, attr, real)
+        out.append(name)
+    return out
+
+
+def test_invariant_checks_raise_value_errors():
+    assert invariant_failures() == []
+
+
+def test_invariant_checks_raise_value_errors_under_optimize():
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = ("import sys, test_fullcenter as t\n"
+              "print(sys.flags.optimize, t.invariant_failures())\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[]"]
+
+
+def test_content_checks_accept_equal_but_distinct_bimodules():
+    reg, again = (regular_bimodule(alg_product_k(2)) for _ in range(2))
+    ident = identity_bimodule_map(reg)
+    hom_bm, basis = hom_bimodule(reg, reg, end_algebra(again),
+                                 end_algebra(again))
+    assert hom_bm.dim == len(basis) == 2
+    t = tensor_over(again, again)
+    assert induced_map(ident, ident, t, t).mat == Matrix.identity(t.dim, QQ)
