@@ -27,8 +27,10 @@ from .exactla import (
     cokernel,
     inverse,
     kernel,
-    quotient_induced,
+    kron_product,
     same_content,
+    slot_products,
+    tensor_induced,
 )
 
 
@@ -348,18 +350,15 @@ class TensorResult:
     __slots__ = ("left_factor", "right_factor", "quot", "product")
 
     def __init__(self, m: Bimodule, n: Bimodule):
-        assert same_content(m.right, n.left), "middle algebras must agree"
+        if not same_content(m.right, n.left):
+            raise ValueError("middle algebras must agree")
         f = m.field
         rel = middle_relations(m.dim, n.dim, m.ract, n.lact, f)
         quot = cokernel(rel)
-        In = Matrix.identity(n.dim, f)
-        Im = Matrix.identity(m.dim, f)
-        lact = [
-            quotient_induced(quot, m.lact[i].kron(In), quot) for i in range(m.left.dim)
-        ]
-        ract = [
-            quotient_induced(quot, Im.kron(n.ract[j]), quot) for j in range(n.right.dim)
-        ]
+        # proj @ (L (x) I) for all L in one slot product, proj @ (I (x) R) in another
+        lact, ract = ([quot.descend(T, "map does not descend to the quotient")
+                       for T in slot_products(quot.proj, ops, left, right)]
+                      for ops, left, right in ((m.lact, 1, n.dim), (n.ract, m.dim, 1)))
         self.left_factor = m
         self.right_factor = n
         self.quot = quot
@@ -372,7 +371,8 @@ class TensorResult:
     def pure(self, mvec, nvec):
         """Class of the pure tensor m (x) n, in quotient coordinates."""
         f = self.left_factor.field
-        return self.quot.project(Matrix([mvec], f).kron(Matrix([nvec], f)).data[0])
+        return kron_product(self.quot.proj, [Matrix.from_columns([v], len(v), f)
+                                             for v in (mvec, nvec)]).col_list(0)
 
     def __repr__(self):
         return f"TensorResult(dim {self.dim})"
@@ -392,7 +392,7 @@ def induced_map(
     if not all(same_content(t, m) for t, m in ends):
         raise ValueError("induced_map: the tensor products are not those of"
                          " the maps' sources and targets")
-    mat = quotient_induced(t_tgt.quot, phi.mat.kron(psi.mat), t_src.quot)
+    mat = tensor_induced(t_tgt.quot, [phi.mat, psi.mat], t_src.quot)
     return BimoduleMap(t_src.product, t_tgt.product, mat)
 
 
@@ -431,11 +431,12 @@ def assoc_iso(m: Bimodule, n: Bimodule, p: Bimodule):
     fwd = _rebracket(wl, wr)
     bwd = _rebracket(wr, wl)
     f = m.field
-    assert (bwd @ fwd) == Matrix.identity(bl.dim, f)
-    assert (fwd @ bwd) == Matrix.identity(br.dim, f)
+    if bwd @ fwd != Matrix.identity(bl.dim, f) or fwd @ bwd != Matrix.identity(br.dim, f):
+        raise ValueError("the associator and its inverse are not mutually inverse")
     iso = BimoduleMap(bl, br, fwd)
     bad = validate_bimodule_map(iso)
-    assert not bad, f"associator is not equivariant: {bad}"
+    if bad:
+        raise ValueError(f"associator is not equivariant: {bad}")
     return bl, br, iso, BimoduleMap(br, bl, bwd)
 
 
@@ -464,12 +465,13 @@ def unit_iso_left(t: TensorResult) -> BimoduleMap:
     m = t.right_factor
     a = t.left_factor
     f = m.field
-    assert a.dim == m.left.dim
+    if a.dim != m.left.dim:
+        raise ValueError("the left factor is not the left algebra")
     mat = t.quot.descend(_left_action_collapse(m), "action does not descend")
     unit_col = Matrix.from_columns([a.left.unit], a.dim, f)
-    back = t.quot.proj @ unit_col.kron(Matrix.identity(m.dim, f))
-    assert (mat @ back) == Matrix.identity(m.dim, f)
-    assert (back @ mat) == Matrix.identity(t.dim, f)
+    back = kron_product(t.quot.proj, [unit_col, m.dim])
+    if mat @ back != Matrix.identity(m.dim, f) or back @ mat != Matrix.identity(t.dim, f):
+        raise ValueError("the left unit collapse is not invertible")
     return BimoduleMap(t.product, m, mat)
 
 
@@ -480,12 +482,13 @@ def unit_iso_right(t: TensorResult) -> BimoduleMap:
     m = t.left_factor
     b = t.right_factor
     f = m.field
-    assert b.dim == m.right.dim
+    if b.dim != m.right.dim:
+        raise ValueError("the right factor is not the right algebra")
     mat = t.quot.descend(_right_action_collapse(m), "action does not descend")
     unit_col = Matrix.from_columns([b.left.unit], b.dim, f)
-    back = t.quot.proj @ Matrix.identity(m.dim, f).kron(unit_col)
-    assert (mat @ back) == Matrix.identity(m.dim, f)
-    assert (back @ mat) == Matrix.identity(t.dim, f)
+    back = kron_product(t.quot.proj, [m.dim, unit_col])
+    if mat @ back != Matrix.identity(m.dim, f) or back @ mat != Matrix.identity(t.dim, f):
+        raise ValueError("the right unit collapse is not invertible")
     return BimoduleMap(t.product, m, mat)
 
 
@@ -511,12 +514,11 @@ def triangle_check(m: Bimodule, n: Bimodule) -> bool:
     _, wr = _bracketing((m, (B, n)))
     _, target = _bracketing((m, n))
     alpha = _rebracket(wl, wr)
-    f = m.field
     left_map = wl.descend(
-        target.proj @ _right_action_collapse(m).kron(Matrix.identity(n.dim, f)),
+        kron_product(target.proj, [_right_action_collapse(m), n.dim]),
         _TOWER_DESCENT)
     right_map = wr.descend(
-        target.proj @ Matrix.identity(m.dim, f).kron(_left_action_collapse(n)),
+        kron_product(target.proj, [m.dim, _left_action_collapse(n)]),
         _TOWER_DESCENT)
     return (right_map @ alpha) == left_map
 

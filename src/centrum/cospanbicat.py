@@ -57,11 +57,13 @@ from .exactla import (
     cokernel,
     is_invertible,
     kernel,
+    kron_product,
     memoised,
-    quotient_induced,
     same_content,
+    slot_products,
     solve,
-    tensor_permutation,
+    tensor_induced,
+    tensor_permutation_index,
 )
 
 
@@ -123,27 +125,6 @@ def identity_cospan(a: Algebra) -> Cospan:
     return Cospan(i, i, name=f"id({a.name})" if a.name else "id")
 
 
-def _flat_bilinear_op(u, left_ops, right_ops, field) -> Matrix:
-    """Operator sum_{(a,b)} u[(a,b)] * (left_ops[a] (x) right_ops[b]),
-    with (a, b) flattened left-major."""
-    nr = len(right_ops)
-    out = None
-    for a, La in enumerate(left_ops):
-        acc = None
-        base = a * nr
-        for b, Rb in enumerate(right_ops):
-            c = u[base + b]
-            if c:
-                acc = Rb.scale(c) if acc is None else acc + Rb.scale(c)
-        if acc is not None:
-            term = La.kron(acc)
-            out = term if out is None else out + term
-    if out is None:
-        n = left_ops[0].rows * right_ops[0].rows
-        out = Matrix.zeros(n, n, field)
-    return out
-
-
 class CospanComposition:
     """The composite of two cospans: apex (first apex) (x)_B (second apex),
     a quotient algebra of tensor_algebra(first apex, second apex), plus the
@@ -174,16 +155,20 @@ class CospanComposition:
         ]
         rel = middle_relations(T.dim, S.dim, ract_mid, lact_mid, f)
         quot = cokernel(rel)
-        proj, sect = quot.proj, quot.sect
+        proj, free = quot.proj, quot.free
         # linear in the relation, so checking a basis of the span suffices
         for r in quot.relations.columns():
             if not (proj @ U.left_mult(r)).is_zero():
                 raise ValueError("multiplication does not descend (left side)")
             if not (proj @ U.right_mult(r)).is_zero():
                 raise ValueError("multiplication does not descend (right side)")
-        apex = Algebra(proj @ U.products(sect, sect), quot.project(U.unit))
-        leg_a = AlgebraMap(first.a, apex, proj @ first.leg_a.mat.kron(unit_column(S)))
-        leg_b = AlgebraMap(second.b, apex, proj @ unit_column(T).kron(second.leg_b.mat))
+        # the products e_free[a] e_free[b] of section columns, read off U.mult
+        prods = U.mult.select_columns([a * U.dim + b for a in free for b in free])
+        apex = Algebra(proj @ prods, quot.project(U.unit))
+        leg_a = AlgebraMap(first.a, apex,
+                           kron_product(proj, [first.leg_a.mat, unit_column(S)]))
+        leg_b = AlgebraMap(second.b, apex,
+                           kron_product(proj, [unit_column(T), second.leg_b.mat]))
         self.first = first
         self.second = second
         self.quot = quot
@@ -336,13 +321,12 @@ def vertical_compose(upper: TwoDiagram, lower: TwoDiagram) -> TwoDiagram:
 
     The apex is (upper M) (x)_S (lower M); the legs send r to the class of
     f_up(1) (x) f_low(r) and t to the class of g_up(t) (x) g_low(1)."""
-    assert same_content(upper.src, lower.tgt), "middle cospans must match"
+    if not same_content(upper.src, lower.tgt):
+        raise ValueError("middle cospans must match")
     S = upper.src.apex
     tens = tensor_over(upper.M, lower.M)
-    w = upper.f @ unit_column(S)
-    u = tens.quot.proj @ w.kron(lower.f)
-    z = lower.g @ unit_column(S)
-    v = tens.quot.proj @ upper.g.kron(z)
+    u = kron_product(tens.quot.proj, [upper.f @ unit_column(S), lower.f])
+    v = kron_product(tens.quot.proj, [upper.g, lower.g @ unit_column(S)])
     return TwoDiagram(lower.src, upper.tgt, tens.product, u, v,
                       tensor=tens, parts=("vertical", upper, lower))
 
@@ -357,11 +341,11 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     2-diagram axioms.  The legs are the descended tensor products of the
     constituent legs."""
     B = left.src.b
-    assert same_content(right.src.a, B)
+    if not same_content(right.src.a, B):
+        raise ValueError("the two columns must share their middle algebra")
     src_comp = compose_cospans(right.src, left.src)
     tgt_comp = compose_cospans(right.tgt, left.tgt)
     M1, M2 = left.M, right.M
-    f = M1.field
     m1b = Bimodule(
         M1.left, B, M1.dim, M1.lact,
         [M1.ract_of(left.src.leg_b.mat.col_list(j)) for j in range(B.dim)],
@@ -372,30 +356,36 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
         M2.ract,
     )
     tens = tensor_over(m1b, m2b)
-    # relation generators of either composite apex must act by zero
-    for r in tgt_comp.quot.relations.columns():
-        op = _flat_bilinear_op(r, M1.lact, M2.lact, f)
-        if not (tens.quot.proj @ op).is_zero():
-            raise ValueError("left action does not respect the apex relations")
-    for r in src_comp.quot.relations.columns():
-        op = _flat_bilinear_op(r, M1.ract, M2.ract, f)
-        if not (tens.quot.proj @ op).is_zero():
-            raise ValueError("right action does not respect the apex relations")
-    lact = []
-    for q in range(tgt_comp.cospan.apex.dim):
-        op = _flat_bilinear_op(tgt_comp.quot.sect.col_list(q), M1.lact, M2.lact, f)
-        lact.append(quotient_induced(tens.quot, op, tens.quot))
-    ract = []
-    for q in range(src_comp.cospan.apex.dim):
-        op = _flat_bilinear_op(src_comp.quot.sect.col_list(q), M1.ract, M2.ract, f)
-        ract.append(quotient_induced(tens.quot, op, tens.quot))
+    lact = _composite_actions(tens.quot, tgt_comp.quot, M1.lact, M2.lact,
+                              "left action does not respect the apex relations")
+    ract = _composite_actions(tens.quot, src_comp.quot, M1.ract, M2.ract,
+                              "right action does not respect the apex relations")
     M = Bimodule(tgt_comp.cospan.apex, src_comp.cospan.apex, tens.dim, lact, ract)
-    fmat = src_comp.quot.descend(tens.quot.proj @ left.f.kron(right.f),
+    fmat = src_comp.quot.descend(kron_product(tens.quot.proj, [left.f, right.f]),
                                  "f leg does not descend to the composite")
-    gmat = tgt_comp.quot.descend(tens.quot.proj @ left.g.kron(right.g),
+    gmat = tgt_comp.quot.descend(kron_product(tens.quot.proj, [left.g, right.g]),
                                  "g leg does not descend to the composite")
     return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat,
                       tensor=tens, parts=("horizontal", right, left, src_comp, tgt_comp))
+
+
+def _composite_actions(tens_quot, apex_quot, left_ops, right_ops, message):
+    """The actions on tens_quot of the basis of a composite apex, the
+    quotient apex_quot of a flat tensor whose (a, b) acts by left_ops[a] (x)
+    right_ops[b].  Each term proj @ (left_ops[a] (x) right_ops[b]) is built
+    once: the relations must combine the terms to zero (else
+    ValueError(message)), and e_free[q] acts by the term at free[q]."""
+    proj = tens_quot.proj
+    m1, m2 = left_ops[0].rows, right_ops[0].rows
+    terms = [T for U in slot_products(proj, left_ops, 1, m2)
+             for T in slot_products(U, right_ops, m1, 1)]
+    # row t is the term at t, read as one vector
+    flat = Matrix._fresh([list(itertools.chain.from_iterable(T.data)) for T in terms],
+                         proj.field, proj.rows * proj.cols)
+    if not (apex_quot.relations.transpose() @ flat).is_zero():
+        raise ValueError(message)
+    return [tens_quot.descend(terms[t], "map does not descend to the quotient")
+            for t in apex_quot.free]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +581,8 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
     from horizontal-then-vertical (source) to vertical-then-horizontal
     (target), together with its independently descended inverse; both descent
     identities and both inverse laws are verified exactly."""
-    assert same_content(d1.tgt, d1p.src) and same_content(d2.tgt, d2p.src)
+    if not (same_content(d1.tgt, d1p.src) and same_content(d2.tgt, d2p.src)):
+        raise ValueError("the grid's rows must compose vertically")
     f = d1.M.field
     h_up = horizontal_compose(d2p, d1p)
     h_down = horizontal_compose(d2, d1)
@@ -604,13 +595,15 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
         m.tensor(n, h_down.tensor.quot), src_diag.tensor.quot)
     tgt_w = mp.tensor(m, v_left.tensor.quot).tensor(
         np_.tensor(n, v_right.tensor.quot), tgt_diag.tensor.quot)
-    # swap the middle two slots (the permutation is an involution)
-    P = tensor_permutation(src_w.dims, [0, 2, 1, 3], f)
-    Pback = tensor_permutation(tgt_w.dims, [0, 2, 1, 3], f)
-    beta = src_w.descend(tgt_w.proj @ P,
-                         "interchanger does not descend from the source")
-    beta_inv = tgt_w.descend(src_w.proj @ Pback,
-                             "inverse interchanger does not descend from the target")
+    # swap the middle two slots (the permutation is an involution): a
+    # product with its permutation matrix selects columns
+    swap = [0, 2, 1, 3]
+    beta = src_w.descend(
+        tgt_w.proj.select_columns(tensor_permutation_index(src_w.dims, swap)),
+        "interchanger does not descend from the source")
+    beta_inv = tgt_w.descend(
+        src_w.proj.select_columns(tensor_permutation_index(tgt_w.dims, swap)),
+        "inverse interchanger does not descend from the target")
     if beta @ beta_inv != Matrix.identity(tgt_diag.M.dim, f):
         raise ValueError("interchanger after its inverse is not the identity")
     if beta_inv @ beta != Matrix.identity(src_diag.M.dim, f):
@@ -631,10 +624,10 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
     grid, matching the grid positions of beta_cell's arguments)."""
     try:
         ind_src = bd.src_witness.descend(
-            be.src_witness.proj @ delta1p.kron(delta2p).kron(delta1).kron(delta2),
+            kron_product(be.src_witness.proj, [delta1p, delta2p, delta1, delta2]),
             "source map does not descend")
         ind_tgt = bd.tgt_witness.descend(
-            be.tgt_witness.proj @ delta1p.kron(delta1).kron(delta2p).kron(delta2),
+            kron_product(be.tgt_witness.proj, [delta1p, delta1, delta2p, delta2]),
             "target map does not descend")
     except ValueError:
         return False
@@ -660,8 +653,10 @@ def _rebracket_3cell(a: TwoDiagram, b: TwoDiagram) -> Matrix:
     chain; checked to descend and to intertwine the composite legs."""
     mat = _vertical_flat_witness(a).rebracket(_vertical_flat_witness(b),
                                               "rebracketing does not descend")
-    assert mat @ a.f == b.f, "rebracketing does not intertwine f legs"
-    assert mat @ a.g == b.g, "rebracketing does not intertwine g legs"
+    if mat @ a.f != b.f:
+        raise ValueError("rebracketing does not intertwine f legs")
+    if mat @ a.g != b.g:
+        raise ValueError("rebracketing does not intertwine g legs")
     return mat
 
 
@@ -692,17 +687,10 @@ def check_triangle(d2: TwoDiagram, d1: TwoDiagram) -> bool:
     alpha = _rebracket_3cell(left_comp, right_comp)
     r_unit = unit_iso_right(vertical_compose(d2, mid).tensor)
     l_unit = unit_iso_left(vertical_compose(mid, d1).tensor)
-    f = d1.M.field
-    left_map = quotient_induced(
-        plain.tensor.quot,
-        r_unit.mat.kron(Matrix.identity(d1.M.dim, f)),
-        left_comp.tensor.quot,
-    )
-    right_map = quotient_induced(
-        plain.tensor.quot,
-        Matrix.identity(d2.M.dim, f).kron(l_unit.mat),
-        right_comp.tensor.quot,
-    )
+    left_map = tensor_induced(plain.tensor.quot, [r_unit.mat, d1.M.dim],
+                              left_comp.tensor.quot)
+    right_map = tensor_induced(plain.tensor.quot, [d2.M.dim, l_unit.mat],
+                               right_comp.tensor.quot)
     # the two collapses are 3-cells onto the plain composite
     if left_map @ left_comp.f != plain.f or left_map @ left_comp.g != plain.g:
         return False

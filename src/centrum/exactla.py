@@ -18,9 +18,14 @@ different fields never combine (ValueError) and never compare equal.  Subspaces
 are stored in reduced column echelon form, so two equal subspaces have equal
 basis matrices and can be compared with ==.  Quotients carry explicit
 projection/section witnesses with proj @ sect == I and proj @ relations == 0,
-checked at construction time.  A FlatWitness carries the same witnesses for a
-nested quotient of a flat multi-tensor; both kinds descend a map with one
-exact check (descend).  memoised computes a pure construction once per
+checked at construction time; a cokernel keeps the free coordinates its
+section selects, so descend checks down @ relations == 0 and then selects
+columns.  A FlatWitness carries the same witnesses for a nested quotient of a
+flat multi-tensor and descends by checking down == (down @ sect) @ proj.  No
+product with a Kronecker product forms it: by (A (x) B) vec(X) = vec(A X B^T),
+P @ (A (x) B (x) ...) is one slot product per factor (kron_product) and an
+identity factor costs nothing; Matrix.kron is left to where the Kronecker
+product is itself the object.  memoised computes a pure construction once per
 argument content, in a bounded least-recently-used cache.
 """
 
@@ -28,8 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from itertools import compress
-from math import gcd, lcm
+from itertools import chain, compress
+from math import gcd, lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ class Matrix:
                              self.field, len(cols))
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.data for a in row)
+        return not any(map(any, self.data))
 
     def to_int_grid(self):
         """The entries as lists of ints; ValueError if one is not
@@ -462,32 +467,74 @@ def stack_rows(mats) -> Matrix:
     return out
 
 
-def tensor_permutation(dims, perm, field) -> Matrix:
-    """Permutation matrix reordering tensor slots.
+def tensor_permutation_index(dims, perm) -> list:
+    """The reordering of tensor slots as a list idx of flat indices.
 
     dims: sizes of the slots of the source flat space (row-major flattening,
     leftmost slot major).  perm: the target's slot i is the source's slot
-    perm[i].  Returns P with P @ e_flat(src multi-index) = e_flat(permuted).
+    perm[i].  idx[s] is the flat target index of flat source index s, so
+    X @ tensor_permutation(dims, perm, field) == X.select_columns(idx).
     """
-    n = 1
-    for d in dims:
-        n *= d
-    tgt_dims = [dims[p] for p in perm]
-    P = Matrix.zeros(n, n, field)
-    one = field.one
-    # enumerate source multi-indices in row-major order
-    idx = [0] * len(dims)
-    for flat in range(n):
-        # compute source multi-index
-        rem = flat
-        for s in range(len(dims) - 1, -1, -1):
-            idx[s] = rem % dims[s]
-            rem //= dims[s]
-        # target flat index
-        t = 0
-        for s in range(len(perm)):
-            t = t * tgt_dims[s] + idx[perm[s]]
-        P.data[t][flat] = one
+    idx = [0]
+    for s, d in enumerate(dims):
+        # the stride of source slot s in the target
+        st = prod(dims[q] for q in perm[list(perm).index(s) + 1:])
+        idx = [x + k * st for x in idx for k in range(d)]
+    return idx
+
+
+def tensor_permutation(dims, perm, field) -> Matrix:
+    """The permutation matrix of tensor_permutation_index(dims, perm)."""
+    idx = tensor_permutation_index(dims, perm)
+    return Matrix.identity(len(idx), field).select_columns(idx)
+
+
+def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
+    """[P @ (I_left (x) X (x) I_right) for X in Xs], all X of one shape r x c,
+    without forming a Kronecker product: by (A (x) B) vec(Y) = vec(A Y B^T),
+    entry (i, k, j) of a row of P (in left x r x right) meets row k of X
+    only.  Each row of P is cut by C-level slices into one r-vector per
+    (i, j), all cuts meet all X in one product, and entry (i, l, j) of an
+    output row is entry l of the product row of cut (i, j)."""
+    if not Xs:
+        return []
+    f, (r, c) = P.field, Xs[0].shape
+    w, n = r * right, left * c * right
+    if P.cols != left * w or any(X.shape != (r, c) for X in Xs):
+        raise ValueError(f"shape mismatch {P.shape} @ I{left} (x) {r}x{c} (x) I{right}")
+    if not P.cols:
+        return [Matrix.zeros(P.rows, n, f) for _ in Xs]
+    if right == 1:
+        cut = [row[b:b + r] for row in P.data for b in range(0, P.cols, r)]
+    else:
+        cut = [row[b + j:b + w:right] for row in P.data
+               for b in range(0, P.cols, w) for j in range(right)]
+    X = Xs[0] if len(Xs) == 1 else Matrix._fresh(
+        [list(chain.from_iterable(rows)) for rows in zip(*(X.data for X in Xs))],
+        f, c * len(Xs))
+    Z = (Matrix._fresh(cut, f, r) @ X).data
+    out = []
+    for s in range(len(Xs)):
+        Zs = Z if len(Xs) == 1 else [z[s * c:(s + 1) * c] for z in Z]
+        if right > 1:  # the products of the right cuts (i, j), interleaved
+            Zs = [list(chain.from_iterable(zip(*Zs[u:u + right])))
+                  for u in range(0, len(Zs), right)]
+        out.append(Matrix._fresh([list(chain.from_iterable(Zs[t:t + left]))
+                                  for t in range(0, len(Zs), left)], f, n))
+    return out
+
+
+def kron_product(P: Matrix, factors) -> Matrix:
+    """P @ (F_1 (x) ... (x) F_k), one slot product per factor, leftmost
+    first; a factor given as an int n is the identity of k^n and costs
+    nothing."""
+    rows = [F if type(F) is int else F.rows for F in factors]
+    cols = [F if type(F) is int else F.cols for F in factors]
+    if P.cols != prod(rows):
+        raise ValueError(f"shape mismatch {P.shape} @ a tensor of {rows} rows")
+    for s, F in enumerate(factors):
+        if type(F) is not int:
+            P = slot_products(P, [F], prod(cols[:s]), prod(rows[s + 1:]))[0]
     return P
 
 
@@ -738,17 +785,20 @@ class Quotient:
     proj: dim x ambient, the projection onto quotient coordinates.
     sect: ambient x dim, a section (spanned by standard basis vectors at the
     non-leading rows of the relation space), with proj @ sect == I.
+    free: those rows (column r of sect is e_free[r]), or None for a section
+    given only as a matrix; descend then multiplies by sect.
     """
 
-    __slots__ = ("ambient", "relations", "dim", "proj", "sect", "field")
+    __slots__ = ("ambient", "relations", "dim", "proj", "sect", "field", "free")
 
-    def __init__(self, ambient, relations, dim, proj, sect, field):
+    def __init__(self, ambient, relations, dim, proj, sect, field, free=None):
         self.ambient = ambient
         self.relations = relations
         self.dim = dim
         self.proj = proj
         self.sect = sect
         self.field = field
+        self.free = free
 
     def project(self, vec):
         return self.proj.apply(vec)
@@ -758,7 +808,8 @@ class Quotient:
         space; raises ValueError(message) unless down kills the relations."""
         if not (down @ self.relations).is_zero():
             raise ValueError(message)
-        return down @ self.sect
+        return (down @ self.sect if self.free is None
+                else down.select_columns(self.free))
 
     def __repr__(self):
         return f"Quotient(k^{self.ambient} -> k^{self.dim})"
@@ -777,21 +828,22 @@ def cokernel(rel: Matrix) -> Quotient:
     d = B.cols
     leadset = set(lead)
     free = [i for i in range(n) if i not in leadset]
-    o = field.one
-    sect = Matrix.zeros(n, n - d, field)
-    proj = Matrix.zeros(n - d, n, field)
-    for r, i in enumerate(free):
-        sect.data[i][r] = o
-        row = proj.data[r]
+    z, o = field.zero, field.one
+    sect = Matrix.identity(n, field).select_columns(free)
+    rows = []
+    for i in free:
+        row = [z] * n
         row[i] = o
         for j, b in enumerate(B.data[i]):
             if b:
                 row[lead[j]] = -b % p if p else -b
+        rows.append(row)
+    proj = Matrix._fresh(rows, field, n)
     if (proj @ sect) != Matrix.identity(n - d, field):
         raise ValueError("cokernel section is not a section of the projection")
     if not (proj @ B).is_zero():
         raise ValueError("cokernel projection does not kill the relations")
-    return Quotient(n, B, n - d, proj, sect, field)
+    return Quotient(n, B, n - d, proj, sect, field, free)
 
 
 def quotient_induced(q_tgt: Quotient, F: Matrix, q_src: Quotient) -> Matrix:
@@ -800,10 +852,14 @@ def quotient_induced(q_tgt: Quotient, F: Matrix, q_src: Quotient) -> Matrix:
     Raises if F does not descend (i.e. if F does not map the source relations
     into the target relations).
     """
-    if F.rows != q_tgt.ambient or F.cols != q_src.ambient:
-        raise ValueError(f"a {F.rows}x{F.cols} map between quotients of"
-                         f" k^{q_src.ambient} and k^{q_tgt.ambient}")
-    return q_src.descend(q_tgt.proj @ F, "map does not descend to the quotient")
+    return tensor_induced(q_tgt, [F], q_src)
+
+
+def tensor_induced(q_tgt: Quotient, factors, q_src: Quotient) -> Matrix:
+    """quotient_induced for F = F_1 (x) ... (x) F_k (an int n the identity
+    of k^n), with q_tgt.proj @ F as a kron_product."""
+    return q_src.descend(kron_product(q_tgt.proj, factors),
+                         "map does not descend to the quotient")
 
 
 class FlatWitness:
@@ -830,8 +886,10 @@ class FlatWitness:
         if len(self.dims) == len(other.dims) == 1:
             proj, sect = quot.proj, quot.sect
         else:
-            proj = quot.proj @ self.proj.kron(other.proj)
-            sect = self.sect.kron(other.sect) @ quot.sect
+            proj = kron_product(quot.proj, [self.proj, other.proj])
+            # (A (x) B) @ S, transposed: S^T @ (A^T (x) B^T)
+            sects = [w.sect.transpose() for w in (self, other)]
+            sect = kron_product(quot.sect.transpose(), sects).transpose()
         if proj @ sect != Matrix.identity(quot.dim, quot.field):
             raise ValueError("flat section is not a section of the projection")
         return FlatWitness(proj, sect, self.dims + other.dims)

@@ -74,10 +74,11 @@ from .exactla import (
     cokernel,
     inverse,
     is_invertible,
+    kron_product,
     memoised,
-    quotient_induced,
     rank,
     same_content,
+    tensor_induced,
 )
 
 
@@ -300,17 +301,15 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
     tens = tensor_over(m_bim, n_bim)
     zmn = Z_bimodule(tens.product)
     f = m_bim.field
-    Im = Matrix.identity(m_bim.dim, f)
-    In = Matrix.identity(n_bim.dim, f)
 
-    def factor_map(src_z, lifted_of):
-        ops = [quotient_induced(tens.quot, lifted_of(e), tens.quot)
+    def factor_map(src_z, factors_of):
+        ops = [tensor_induced(tens.quot, factors_of(e), tens.quot)
                for e in src_z.realization.basis]
         return AlgebraMap(src_z.apex, zmn.apex, hom_coords_matrix(
             zmn.realization.basis, ops, f, "factor endomorphism leaves the hom space"))
 
-    w = factor_map(zm, lambda e: e.kron(In))
-    v = factor_map(zn, lambda e: Im.kron(e))
+    w = factor_map(zm, lambda e: [e, n_bim.dim])
+    v = factor_map(zn, lambda e: [m_bim.dim, e])
     mult = pushout_universal(comp, w, v)
     diagram = cospan_morphism_2diagram(comp.cospan, zmn.cospan, mult)
     return MultBimoduleResult(m_bim, n_bim, tens, zm, zn, zmn, comp, mult, diagram)
@@ -350,7 +349,7 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
     basis_left = hom_space(m, mp)
     basis_right = hom_space(n, np_)
     basis_target = hom_space(tens_src.product, tens_tgt.product)
-    ops = [quotient_induced(tens_tgt.quot, xi.kron(zeta), tens_src.quot)
+    ops = [tensor_induced(tens_tgt.quot, [xi, zeta], tens_src.quot)
            for xi in basis_left for zeta in basis_right]
     flat = hom_coords_matrix(basis_target, ops, f, "induced map leaves the hom space")
     if pair_quot is None:
@@ -441,8 +440,8 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
         mprime_flat, "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
     TR = rhs.tensor
-    r_inverse = TR.quot.proj @ Matrix.identity(len(basis_t), f).kron(
-        unit_column(end_src.algebra))
+    r_inverse = kron_product(TR.quot.proj,
+                             [len(basis_t), unit_column(end_src.algebra)])
     rflat = hom_coords_matrix(basis_t, [b @ e for b in basis_t for e in end_src.basis],
                               f, "unit collapse leaves the hom space")
     r_mat = TR.quot.descend(rflat, "unit collapse does not descend")
@@ -516,15 +515,14 @@ def _unit_checks(f: AlgebraMap):
 def _associativity_square(f, g, h) -> bool:
     """The two routes from flat triples Z(f) (x) Z(g) (x) Z(h) into
     Z(h o g o f) agree."""
-    k = f.src.field
     m1 = mult_transform(f, g)
     m2 = mult_transform(m1.gf, h)
     m1p = mult_transform(g, h)
     m2p = mult_transform(f, m1p.gf)
-    Ih = Matrix.identity(m1p.zg.apex.dim, k)
-    If = Matrix.identity(m1.zf.apex.dim, k)
-    route_a = m2.m.mat @ m2.comp.quot.proj @ (m1.m.mat @ m1.comp.quot.proj).kron(Ih)
-    route_b = m2p.m.mat @ m2p.comp.quot.proj @ If.kron(m1p.m.mat @ m1p.comp.quot.proj)
+    route_a = m2.m.mat @ kron_product(
+        m2.comp.quot.proj, [m1.m.mat @ m1.comp.quot.proj, m1p.zg.apex.dim])
+    route_b = m2p.m.mat @ kron_product(
+        m2p.comp.quot.proj, [m1.zf.apex.dim, m1p.m.mat @ m1p.comp.quot.proj])
     return route_a == route_b
 
 
@@ -557,7 +555,6 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
     composing afterwards."""
     if not (same_content(phip.src, phi.tgt) and same_content(psip.src, psi.tgt)):
         raise ValueError("the second pair of maps must start where the first ends")
-    f = phi.src.field
     sq1 = m_square(phi, psi)
     sq2 = m_square(phip, psip)
     sq3 = m_square(BimoduleMap(phi.src, phip.tgt, phip.mat @ phi.mat),
@@ -579,20 +576,15 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
     m2f = sq2.rhs.tensor.quot.sect @ sq2.cell.mat @ sq2.lhs.tensor.quot.proj
     m1f = sq1.rhs.tensor.quot.sect @ sq1.cell.mat @ sq1.lhs.tensor.quot.proj
     cbm = cb_mid.mat @ cb_mid.tensor.quot.proj
-    side_rows = (
-        sq3.rhs.tensor.quot.proj
-        @ cbm.kron(Matrix.identity(vdim, f))
-        @ Matrix.identity(xidim, f).kron(m1f)
-        @ m2f.kron(Matrix.identity(q1dim, f))
-    )
+    side_rows = kron_product(kron_product(kron_product(
+        sq3.rhs.tensor.quot.proj, [cbm, vdim]), [xidim, m1f]), [m2f, q1dim])
 
     # interchange-and-compose-columns side
     pb = beta.cell.mat @ beta.src_diagram.tensor.quot.proj
-    cc = quotient_induced(sq3.hq.tensor.quot,
-                          cb_left.mat.kron(cb_right.mat),
-                          beta.tgt_diagram.tensor.quot)
+    cc = tensor_induced(sq3.hq.tensor.quot, [cb_left.mat, cb_right.mat],
+                        beta.tgt_diagram.tensor.quot)
     fl3 = sq3.cell.mat @ sq3.lhs.tensor.quot.proj
-    side_columns = fl3 @ Matrix.identity(xdim, f).kron(cc @ pb)
+    side_columns = kron_product(fl3, [xdim, cc @ pb])
 
     return side_rows == side_columns
 
