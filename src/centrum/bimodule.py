@@ -28,6 +28,7 @@ from .exactla import (
     inverse,
     kernel,
     kron_product,
+    memoised,
     same_content,
     slot_products,
     tensor_induced,
@@ -40,10 +41,12 @@ class Bimodule:
     __slots__ = ("left", "right", "dim", "lact", "ract", "name")
 
     def __init__(self, left: Algebra, right: Algebra, dim: int, lact, ract, name=""):
-        assert left.field == right.field
-        assert len(lact) == left.dim and len(ract) == right.dim
-        for m in list(lact) + list(ract):
-            assert m.shape == (dim, dim)
+        if left.field != right.field:
+            raise ValueError("bimodule: the two algebras have different fields")
+        if len(lact) != left.dim or len(ract) != right.dim:
+            raise ValueError("bimodule: one action matrix per basis vector")
+        if any(m.shape != (dim, dim) for m in list(lact) + list(ract)):
+            raise ValueError("bimodule: action matrices must be dim x dim")
         self.left = left
         self.right = right
         self.dim = dim
@@ -135,8 +138,9 @@ def direct_sum_bimodules(parts) -> Bimodule:
     """Direct sum of bimodules over the same pair of algebras."""
     a, b = parts[0].left, parts[0].right
     f = parts[0].field
-    assert all(same_content(p.left, a) and same_content(p.right, b)
-               for p in parts)
+    if not all(same_content(p.left, a) and same_content(p.right, b)
+               for p in parts):
+        raise ValueError("direct sum: the parts are over different algebras")
     dim = sum(p.dim for p in parts)
 
     def block_diag(mats):
@@ -157,7 +161,8 @@ def direct_sum_bimodules(parts) -> Bimodule:
 def twist_bimodule(m: Bimodule, P: Matrix) -> Bimodule:
     """Transport the actions along an invertible change of basis P."""
     Pinv = inverse(P)
-    assert Pinv is not None, "change of basis must be invertible"
+    if Pinv is None:
+        raise ValueError("change of basis must be invertible")
     lact = [P @ L @ Pinv for L in m.lact]
     ract = [P @ R @ Pinv for R in m.ract]
     return Bimodule(m.left, m.right, m.dim, lact, ract)
@@ -176,7 +181,8 @@ class BimoduleMap:
         for a, b in ((src.left, tgt.left), (src.right, tgt.right)):
             if not same_content(a, b):
                 raise ValueError("bimodule map: source and target pairs do not match")
-        assert mat.rows == tgt.dim and mat.cols == src.dim
+        if mat.shape != (tgt.dim, src.dim):
+            raise ValueError("bimodule map: matrix shape does not match")
         self.src = src
         self.tgt = tgt
         self.mat = mat
@@ -204,6 +210,7 @@ def validate_bimodule_map(f: BimoduleMap) -> list[str]:
     return out
 
 
+@memoised
 def hom_space(src: Bimodule, tgt: Bimodule):
     """Basis of the space of bimodule maps src -> tgt over the common pair.
 
@@ -583,6 +590,7 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
         comp, "composition does not factor through the middle tensor")
     map_ = BimoduleMap(tensor.product, hom_mp, mat)
     bad = validate_bimodule_map(map_)
-    assert not bad, f"descended composition is not equivariant: {bad}"
+    if bad:
+        raise ValueError(f"descended composition is not equivariant: {bad}")
     is_iso = inverse(mat) is not None
     return CompBarResult(tensor, mat, map_, is_iso, basis_np, basis_mn, basis_mp)

@@ -332,7 +332,7 @@ def bimodule_from_dict(payload, field):
     try:
         return Bimodule(left, right, dim, lact, ract,
                         name=str(payload.get("name", "")))
-    except AssertionError:
+    except ValueError:
         raise InputError("bimodule: malformed action data")
 
 

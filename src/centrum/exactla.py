@@ -32,7 +32,7 @@ argument content, in a bounded least-recently-used cache.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
+from functools import update_wrapper
 from itertools import chain, compress
 from math import gcd, lcm, prod
 
@@ -938,25 +938,33 @@ def same_content(a, b) -> bool:
     return a is b or content_key(a) == content_key(b)
 
 
-def memoised(fn):
+class memoised:
     """fn, computed once per argument content: calls on equal arguments
     share one result, which callers must treat as immutable.  The cache is
-    the wrapper's own dict, keyed by content_key, of MEMO_BOUND entries."""
-    cache = {}
+    the wrapper's own dict, keyed by content_key, of MEMO_BOUND entries;
+    the read-only counts calls and misses give the calls made and those
+    that computed."""
 
-    @wraps(fn)
-    def wrapper(*args):
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self.cache = {}
+        self._calls = self._misses = 0
+
+    calls = property(lambda self: self._calls)
+    misses = property(lambda self: self._misses)
+
+    def __call__(self, *args):
+        self._calls += 1
+        cache = self.cache
         key = content_key(list(args))
         out = cache.pop(key, None)
         if out is None:
-            out = fn(*args)
+            self._misses += 1
+            out = self.__wrapped__(*args)
             if len(cache) >= MEMO_BOUND:
                 del cache[next(iter(cache))]
         cache[key] = out
         return out
-
-    wrapper.cache = cache
-    return wrapper
 
 
 # ---------------------------------------------------------------------------

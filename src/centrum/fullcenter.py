@@ -11,9 +11,14 @@ identities, the interchanger hexagon, and the unit reduction), the Morita
 invariance of centers, and the invertibility criteria under which the whole
 assignment is a genuine (non-lax) 2-functor.
 
-Z_hom, Z_bimodule, Z_2cell and mult_transform_bimodule, like algebra.center
-and cospanbicat.compose_cospans, are memoised by content (exactla.memoised),
-so each is computed once per input and none takes prebuilt pieces.
+Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
+algebra.center, bimodule.hom_space and cospanbicat.compose_cospans, are
+memoised by content (exactla.memoised), so each is computed once per input
+and none takes prebuilt pieces; the checks on a served result stay with its
+caller and run on every call.  bimodule.end_algebra is deliberately not
+memoised: a hit on Z_bimodule skips its inner call, so its cache would end a
+cold pass in another state than a warm one and per-pass work counts would
+not repeat.
 """
 
 from __future__ import annotations
@@ -255,6 +260,7 @@ class MultTransformResult:
                 f"{'iso' if self.is_iso else 'not iso'})")
 
 
+@memoised
 def mult_transform(f: AlgebraMap, g: AlgebraMap) -> MultTransformResult:
     """The multiplication map for a composable pair of algebra maps
     (compose_maps refuses a pair that does not compose)."""

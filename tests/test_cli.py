@@ -345,3 +345,24 @@ def test_corpus_over_four_primes(p, failing, capsys):
     r = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in r["checks"] if not c["ok"]] == failing
     assert code == (1 if failing else 0)
+
+
+def test_malformed_bimodule_action_exits_two(monkeypatch, tmp_path, capsys):
+    """The Bimodule constructor's shape check reaches the report as an
+    input error, also where parsing let a bad action through."""
+    import centrum.cli as cli
+
+    real = cli.parse_matrix
+
+    def oversized(rows, shape, field, what):
+        if what.startswith("bimodule lact"):
+            return Matrix.zeros(shape[0] + 1, shape[1] + 1, field)
+        return real(rows, shape, field, what)
+
+    monkeypatch.setattr(cli, "parse_matrix", oversized)
+    path = tmp_path / "bimodule.json"
+    path.write_text(json.dumps({"kind": "bimodule", "left": "k", "right": "k",
+                                "dim": 1, "lact": [[[1]]], "ract": [[[1]]]}))
+    code, r = run_main(["validate", "bimodule", f"@{path}"], capsys)
+    assert code == 2
+    assert r["error"]["message"] == "bimodule: malformed action data"

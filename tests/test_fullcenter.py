@@ -12,7 +12,10 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from centrum.exactla import (
     MEMO_BOUND,
@@ -25,6 +28,7 @@ from centrum.exactla import (
     rank,
 )
 from centrum.algebra import (
+    Algebra,
     AlgebraMap,
     alg_dual_numbers,
     alg_group_c2,
@@ -45,12 +49,15 @@ from centrum.bimodule import (
     end_algebra,
     free_bimodule,
     hom_bimodule,
+    hom_space,
     identity_bimodule_map,
     induced_map,
     regular_bimodule,
+    restriction_bimodule,
     tensor_over,
     twist_bimodule,
 )
+from centrum.corpus import lax_functor_battery, semisimple_battery
 from centrum.cospanbicat import compose_cospans, validate_2diagram, validate_cospan
 from centrum.fixtures import (
     algebra_map_pool,
@@ -481,6 +488,69 @@ def test_memo_keeps_its_bound_most_recently_used_entries():
     assert computed == [mats[1]]
     for fn in MEMOISED:
         assert len(fn.cache) <= MEMO_BOUND
+
+
+def test_lax_maps_and_hom_bases_are_shared_by_content():
+    """Content-equal copies under other display names are served the
+    results computed for the originals, so verifying the copied chain
+    computes no multiplication map."""
+    chain = random_map_chain(random.Random(5), length=3)
+    copies = {}
+
+    def copy(a):
+        if id(a) not in copies:
+            copies[id(a)] = Algebra(Matrix(a.mult.data, a.field), a.unit,
+                                    name=f"{a.name} copy")
+        return copies[id(a)]
+
+    twin = [AlgebraMap(copy(f.src), copy(f.tgt), Matrix(f.mat.data, f.mat.field))
+            for f in chain]
+    first = verify_lax_functor(chain)
+    calls, computed = mult_transform.calls, mult_transform.misses
+    second = verify_lax_functor(twin)
+    assert second.entries == first.entries
+    assert mult_transform.calls > calls
+    assert mult_transform.misses == computed
+    assert mult_transform(twin[0], twin[1]) is mult_transform(chain[0], chain[1])
+    for f in chain:
+        m = restriction_bimodule(f)
+        n = Bimodule(copy(m.left), copy(m.right), m.dim,
+                     [Matrix(a.data, a.field) for a in m.lact],
+                     [Matrix(a.data, a.field) for a in m.ract], name="copy")
+        assert hom_space(n, n) is hom_space(m, m)
+    with pytest.raises(AttributeError):
+        mult_transform.misses = 0
+
+
+ALL_MEMOISED = MEMOISED + (mult_transform, hom_space)
+
+
+def plain_leaves(key):
+    """The leaves of a content key that are not immutable values."""
+    if type(key) is tuple:
+        return [leaf for part in key for leaf in plain_leaves(part)]
+    ok = (bool, int, str, Fraction, type, type(None), type(QQ), PrimeField)
+    return [] if isinstance(key, ok) else [key]
+
+
+def test_served_results_are_never_mutated():
+    """Every result a memoised construction serves, hom bases included,
+    keeps its content through a second run of batteries that share it."""
+    field = PrimeField(1000003)
+
+    def batteries():
+        assert lax_functor_battery(random.Random(1), 0.1, field).ok
+        assert semisimple_battery(random.Random(1), 0.1, field).ok
+
+    for fn in ALL_MEMOISED:
+        fn.cache.clear()
+    batteries()
+    served = [(fn.__name__, out, content_key(out))
+              for fn in ALL_MEMOISED for out in fn.cache.values()]
+    assert {name for name, _, _ in served} == {fn.__name__ for fn in ALL_MEMOISED}
+    assert [leaf for _, _, key in served for leaf in plain_leaves(key)] == []
+    batteries()
+    assert [name for name, out, key in served if content_key(out) != key] == []
 
 
 # -- invariant checks that survive python -O ---------------------------------
