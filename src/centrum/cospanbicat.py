@@ -232,8 +232,12 @@ class TwoDiagram:
                 and same_content(M.right, src.apex)):
             raise ValueError("2-diagram: the bimodule pair must be (target apex,"
                              " source apex)")
-        assert f.shape == (M.dim, src.apex.dim)
-        assert g.shape == (M.dim, tgt.apex.dim)
+        if f.shape != (M.dim, src.apex.dim):
+            raise ValueError(f"2-diagram: leg f is {f.shape}, not"
+                             f" {(M.dim, src.apex.dim)}")
+        if g.shape != (M.dim, tgt.apex.dim):
+            raise ValueError(f"2-diagram: leg g is {g.shape}, not"
+                             f" {(M.dim, tgt.apex.dim)}")
         self.src = src
         self.tgt = tgt
         self.M = M
@@ -398,7 +402,9 @@ class ThreeCell:
     __slots__ = ("src", "tgt", "mat")
 
     def __init__(self, src: TwoDiagram, tgt: TwoDiagram, mat: Matrix):
-        assert mat.shape == (tgt.M.dim, src.M.dim)
+        if mat.shape != (tgt.M.dim, src.M.dim):
+            raise ValueError(f"3-cell: a {mat.shape} matrix between 2-diagrams"
+                             f" of dims {src.M.dim} and {tgt.M.dim}")
         self.src = src
         self.tgt = tgt
         self.mat = mat
@@ -425,14 +431,17 @@ def identity_3cell(d: TwoDiagram) -> ThreeCell:
 
 
 def compose_3cells(second: ThreeCell, first: ThreeCell) -> ThreeCell:
-    assert two_diagrams_equal(first.tgt, second.src)
+    if not two_diagrams_equal(first.tgt, second.src):
+        raise ValueError("3-cells are not composable: the first target is"
+                         " not the second source")
     return ThreeCell(first.src, second.tgt, second.mat @ first.mat)
 
 
 def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     """All 3-cells d -> e as an affine family: (particular solution or None,
     kernel basis of homogeneous directions), both as matrices."""
-    assert same_content(d.src, e.src) and same_content(d.tgt, e.tgt)
+    if not (same_content(d.src, e.src) and same_content(d.tgt, e.tgt)):
+        raise ValueError("3-cells join parallel 2-diagrams only")
     f = d.M.field
     m1, m2 = d.M.dim, e.M.dim
     # X S = T X for every action pair (S of d, T of e), as in hom_space

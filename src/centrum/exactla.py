@@ -25,8 +25,10 @@ flat multi-tensor and descends by checking down == (down @ sect) @ proj.  No
 product with a Kronecker product forms it: by (A (x) B) vec(X) = vec(A X B^T),
 P @ (A (x) B (x) ...) is one slot product per factor (kron_product) and an
 identity factor costs nothing; Matrix.kron is left to where the Kronecker
-product is itself the object.  memoised computes a pure construction once per
-argument content, in a bounded least-recently-used cache.
+product is itself the object.  kernel and column_echelon eliminate only the
+distinct nonzero rows of their input, which span its row space.  memoised
+computes a pure construction once per argument content, in a bounded
+least-recently-used cache.
 """
 
 from __future__ import annotations
@@ -428,10 +430,7 @@ class Matrix:
         )
 
     def vstack(self, other) -> "Matrix":
-        _check_fields(self, other)
-        if self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.shape} above {other.shape}")
-        return Matrix(self.data + other.data, self.field, ncols=self.cols)
+        return stack_rows([self, other])
 
     def col_list(self, j: int):
         return [self.data[i][j] for i in range(self.rows)]
@@ -460,11 +459,15 @@ class Matrix:
 
 
 def stack_rows(mats) -> Matrix:
-    """Vertical stack of a nonempty list of matrices."""
-    out = mats[0]
+    """Vertical stack of a nonempty list of matrices over one field with
+    one column count, each row copied once."""
+    top = mats[0]
     for m in mats[1:]:
-        out = out.vstack(m)
-    return out
+        _check_fields(top, m)
+        if m.cols != top.cols:
+            raise ValueError(f"shape mismatch {top.shape} above {m.shape}")
+    return Matrix._fresh([row[:] for m in mats for row in m.data], top.field,
+                         top.cols)
 
 
 def tensor_permutation_index(dims, perm) -> list:
@@ -642,12 +645,29 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _distinct(rows, field) -> list:
+    """The nonzero rows among rows as tuples, in order of first appearance,
+    each value once unless a Fraction is among them.  They span the same
+    row space, which is all a kernel or a column space depends on, so
+    elimination need see nothing else (rref itself keeps every row: inverse
+    and solve_matrix read them all).  A Fraction hashes in Python, so rows
+    holding one are not looked up: only their zero rows go."""
+    rows = map(tuple, filter(any, rows))
+    if not field.p:
+        rows = list(rows)
+        if Fraction in map(type, chain.from_iterable(rows)):
+            return rows
+    return list(dict.fromkeys(rows))
+
+
 def column_echelon(m: Matrix) -> Matrix:
     """Reduced column echelon form of the column space of m: each basis column
     has leading entry 1 at a distinct row, that row is zero in the other
     columns, columns ordered by leading row.  Canonical: equal subspaces give
-    equal matrices."""
-    R, pivots = rref(m.transpose())
+    equal matrices.  Only the distinct nonzero columns of m are eliminated
+    (see _distinct)."""
+    rows = list(map(list, _distinct(zip(*m.data), m.field)))
+    R, pivots = rref(Matrix._fresh(rows, m.field, m.rows))
     cols = [R.data[i] for i in range(len(pivots))]
     return Matrix.from_columns(cols, m.rows, m.field)
 
@@ -705,9 +725,11 @@ def kernel(m: Matrix) -> Subspace:
     Eliminating m with its columns reversed gives, for each free column f,
     the kernel vector that is 1 at f, 0 at the other free columns and
     nonzero only at pivot columns after f: reduced column echelon form
-    already, with the free columns as leading rows."""
+    already, with the free columns as leading rows.  Only the distinct
+    nonzero rows of m are eliminated (see _distinct)."""
     n = m.cols
-    R, pivots = rref(Matrix._fresh([row[::-1] for row in m.data], m.field, n))
+    rows = [list(reversed(row)) for row in _distinct(m.data, m.field)]
+    R, pivots = rref(Matrix._fresh(rows, m.field, n))
     pivset = set(pivots)
     z, o, p = m.field.zero, m.field.one, m.field.p
     cols = []
@@ -913,9 +935,13 @@ class FlatWitness:
 # ---------------------------------------------------------------------------
 # constructions computed once per argument content
 
-# entries per memoised function: more than the distinct inputs of one
-# verdict (15 at most in the benchmark), few enough to keep memory flat
-MEMO_BOUND = 16
+# entries per memoised function: the working set of a run of verdicts on
+# recurring inputs.  On the 152 verdicts of bench/run.py's center-gfp pool
+# (seed 1, --seconds 15) a 16-entry LRU missed mult_transform 396 times on
+# 75 distinct inputs, compose_cospans 310 times on 71 and Z_hom 153 times
+# on 30; at 64 they miss 78, 71 and 30 times.  That pool's peak RSS is
+# 28.1 MiB at 16 entries and 30.1 MiB at 64.
+MEMO_BOUND = 64
 
 
 def content_key(x):

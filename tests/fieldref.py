@@ -9,7 +9,10 @@ with Python's Fraction arithmetic entry by entry, the way the library did
 them before its QQ kernels ran on integer rows; the differential tests
 compare the library with them.  ``reference_kernels`` swaps them into
 ``centrum.exactla`` so that ``kernel``, ``cokernel``, ``inverse`` and
-``solve_matrix`` can be computed on them too.
+``solve_matrix`` can be computed on them too.  ``column_echelon_ref``,
+``kernel_ref`` and ``cokernel_ref`` build canonical bases and cokernel
+witnesses on ``rref_ref`` of every row they are given, zero and repeated
+rows included.
 """
 
 import contextlib
@@ -99,6 +102,44 @@ def rref_ref(m: Matrix):
         pivots.append(c)
         r += 1
     return Matrix(R, m.field, ncols=cols), pivots
+
+
+def column_echelon_ref(m: Matrix) -> Matrix:
+    """The reduced column echelon basis of the column space of m, from
+    rref_ref of every column of m."""
+    R, pivots = rref_ref(m.transpose())
+    return Matrix.from_columns(R.data[:len(pivots)], m.rows, m.field)
+
+
+def kernel_ref(m: Matrix) -> Matrix:
+    """The canonical kernel basis of m: one vector per free column of
+    rref_ref of every row of m, brought to column_echelon_ref."""
+    R, pivots = rref_ref(m)
+    z, o = m.field.zero, m.field.one
+    cols = []
+    for j in (j for j in range(m.cols) if j not in pivots):
+        v = [z] * m.cols
+        v[j] = o
+        for i, c in enumerate(pivots):
+            v[c] = red(m.field, -R.data[i][j])
+        cols.append(v)
+    return column_echelon_ref(Matrix.from_columns(cols, m.cols, m.field))
+
+
+def cokernel_ref(rel: Matrix):
+    """(relations, proj, sect) of k^rel.rows over the column space of rel:
+    relations is column_echelon_ref(rel), sect holds the standard vectors at
+    the rows that lead no relation column, and proj is the last rows of the
+    inverse of [relations | sect], by rref_ref."""
+    field, n = rel.field, rel.rows
+    B = column_echelon_ref(rel)
+    lead = {next(i for i in range(n) if B.data[i][j]) for j in range(B.cols)}
+    free = [i for i in range(n) if i not in lead]
+    sect = Matrix([[field.one if i == f else field.zero for f in free]
+                   for i in range(n)], field, ncols=len(free))
+    R, _ = rref_ref(B.hstack(sect).hstack(Matrix.identity(n, field)))
+    proj = Matrix([row[n:] for row in R.data[B.cols:]], field, ncols=n)
+    return B, proj, sect
 
 
 @contextlib.contextmanager

@@ -437,6 +437,50 @@ def test_compose_3cells_and_identity():
     assert two_diagrams_equal(d, d) and not two_diagrams_equal(d, e)
 
 
+def three_cell_refusals():
+    """Names of the 3-cell path's checks that did not refuse a bad input
+    with a ValueError.  Written without assert, so it means the same under
+    python -O."""
+    c = tensor_product_cospan(alg_k(), alg_group_c2())
+    d = identity_2diagram(c)
+    e = twist_2diagram(d, Matrix.from_int_rows([[1, 1], [0, 1]], QQ))
+    other = identity_2diagram(identity_cospan(alg_group_c2()))
+    cases = {
+        "TwoDiagram leg f shape": lambda: TwoDiagram(
+            c, c, d.M, Matrix.zeros(2, 1, QQ), d.g),
+        "TwoDiagram leg g shape": lambda: TwoDiagram(
+            c, c, d.M, d.f, Matrix.zeros(2, 3, QQ)),
+        "ThreeCell shape": lambda: ThreeCell(d, e, Matrix.identity(3, QQ)),
+        "compose_3cells": lambda: compose_3cells(identity_3cell(d),
+                                                 identity_3cell(e)),
+        "solve_3cell_family": lambda: find_3cell(d, other),
+    }
+    out = []
+    for name, call in cases.items():
+        try:
+            call()
+        except ValueError:
+            continue
+        out.append(name)
+    return out
+
+
+def test_three_cell_checks_refuse_bad_inputs():
+    assert three_cell_refusals() == []
+
+
+def test_three_cell_checks_refuse_bad_inputs_under_optimize():
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = ("import sys, test_cospanbicat as t\n"
+              "print(sys.flags.optimize, t.three_cell_refusals())\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[]"]
+
+
 # ---------------------------------------------------------------------------
 # the interchanger
 

@@ -15,7 +15,15 @@ from pathlib import Path
 
 import pytest
 import sympy
-from fieldref import matmul_ref, red, reference_kernels, rref_ref
+from fieldref import (
+    cokernel_ref,
+    column_echelon_ref,
+    kernel_ref,
+    matmul_ref,
+    red,
+    reference_kernels,
+    rref_ref,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +50,7 @@ from centrum.exactla import (
     rref,
     solve,
     solve_matrix,
+    stack_rows,
     tensor_permutation,
 )
 
@@ -294,6 +303,8 @@ def refusal_failures():
         "2x2 apply 1": lambda: a.apply([1]),
         "2x2 hstack 3x1": lambda: a.hstack(Matrix.zeros(3, 1, QQ)),
         "2x2 vstack 2x3": lambda: a.vstack(b),
+        "stack_rows GF(7), GF(7), GF(5)": lambda: stack_rows([g7, g7, g5]),
+        "stack_rows 2x2, 2x2, 2x3": lambda: stack_rows([a, a, b]),
         "column of 1 in k^2": lambda: Matrix.from_columns([[1]], 2, QQ),
         "ragged": lambda: Matrix([[1, 2], [3]], QQ),
     }
@@ -793,3 +804,96 @@ def test_shape_mismatches_are_refused_under_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "[]"]
+
+
+# ---------------------------------------------------------------------------
+# kernel and column_echelon eliminate only the distinct nonzero rows
+
+
+@st.composite
+def redundant_matrices(draw):
+    """A matrix over one of FIELDS whose rows are drawn from at most three
+    base rows and the zero row, so that rows repeat and zero rows occur;
+    0 x n and all-zero matrices are among them.  Over QQ a row may hold
+    Fraction(n, 1) where an equal row holds the int n."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(0, 6))
+    base = draw(st.lists(st.lists(st.integers(-4, 4), min_size=cols,
+                                  max_size=cols), max_size=3))
+    base.append([0] * cols)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.booleans()), max_size=9))
+    rows = []
+    for k, as_fraction in picks:
+        row = [field.from_int(x) for x in base[k]]
+        rows.append([Fraction(x) for x in row] if as_fraction and not field.p
+                    else row)
+    return Matrix(rows, field, ncols=cols)
+
+
+def assert_eliminations_match_the_references(m):
+    for a in (m, m.transpose()):
+        K, E, q = kernel(a).basis, column_echelon(a), cokernel(a)
+        assert K == kernel_ref(a)
+        assert E == column_echelon_ref(a)
+        assert (q.relations, q.proj, q.sect) == cokernel_ref(a)
+        for name, x in (("kernel", K), ("column_echelon", E), ("cokernel", q)):
+            assert_normal(x, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(redundant_matrices())
+def test_eliminations_of_redundant_rows_match_the_references(m):
+    assert_eliminations_match_the_references(m)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_eliminations_of_empty_and_zero_matrices(field):
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (3, 4)):
+        m = Matrix.zeros(rows, cols, field)
+        assert_eliminations_match_the_references(m)
+        assert kernel(m).basis == Matrix.identity(cols, field)
+        assert column_echelon(m) == Matrix.zeros(rows, 0, field)
+        assert cokernel(m).proj == Matrix.identity(rows, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kernel_hands_rref_only_distinct_nonzero_rows(monkeypatch, field):
+    handed = []
+    real = exactla.rref
+    monkeypatch.setattr(exactla, "rref",
+                        lambda m: handed.append(m.data) or real(m))
+    m = Matrix.from_int_rows([[1, 2, 0], [0, 0, 0], [1, 2, 0], [3, 0, 1],
+                              [0, 0, 0], [3, 0, 1], [1, 2, 0]], field)
+    nonzero = {tuple(row) for row in m.data if any(row)}
+    for op, a in ((kernel, m), (column_echelon, m.transpose())):
+        handed.clear()
+        op(a)
+        (seen,) = handed
+        if op is kernel:  # kernel eliminates with the columns reversed
+            seen = [row[::-1] for row in seen]
+        assert sorted(map(tuple, seen)) == sorted(nonzero)
+    assert kernel(m).basis == kernel_ref(m)
+
+
+def test_rows_holding_a_fraction_lose_only_their_zero_rows(monkeypatch):
+    """A Fraction hashes in Python, so rows holding one are not looked up
+    for repeats; the kernel is the same either way."""
+    handed = []
+    real = exactla.rref
+    monkeypatch.setattr(exactla, "rref",
+                        lambda m: handed.append(m.data) or real(m))
+    half = Fraction(1, 2)
+    m = Matrix([[half, 1], [0, 0], [half, 1]], QQ)
+    K = kernel(m)
+    assert [row[::-1] for row in handed[0]] == [[half, 1], [half, 1]]
+    assert K.basis == kernel_ref(m)
+
+
+def test_stack_rows_copies_each_row_once():
+    mats = [Matrix.from_int_rows([[1, 2]], QQ), Matrix.zeros(0, 2, QQ),
+            Matrix.from_int_rows([[3, 4], [5, 6]], QQ)]
+    s = stack_rows(mats)
+    assert s == Matrix.from_int_rows([[1, 2], [3, 4], [5, 6]], QQ)
+    assert not any(row is q for row in s.data for m in mats for q in m.data)
+    assert stack_rows(mats[:1]) == mats[0] and stack_rows(mats[:1]) is not mats[0]

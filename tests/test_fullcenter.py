@@ -525,6 +525,40 @@ def test_lax_maps_and_hom_bases_are_shared_by_content():
 ALL_MEMOISED = MEMOISED + (mult_transform, hom_space)
 
 
+def test_memo_holds_the_working_set_of_recurring_lax_chains(monkeypatch):
+    """Six chains over the five pool algebras, each verified three times in
+    shuffled order: every multiplication map, composite and Z-cospan is
+    computed once per distinct argument content, so the LRU never evicts
+    an input that comes back."""
+    watched = (mult_transform, compose_cospans, Z_hom)
+    seen = {fn.__name__: set() for fn in watched}
+
+    def spy(fn):
+        def call(*args):
+            seen[fn.__name__].add(content_key(list(args)))
+            return fn(*args)
+        return call
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("centrum."):
+            for fn in watched:
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, spy(fn))
+    for fn in ALL_MEMOISED:
+        fn.cache.clear()
+    rng = random.Random(1)
+    maps = algebra_map_pool(PrimeField(1000003))
+    chains = [random_map_chain(rng, length=3, pool=maps) for _ in range(6)]
+    order = chains * 3
+    rng.shuffle(order)
+    before = {fn.__name__: fn.misses for fn in watched}
+    for chain in order:
+        assert verify_lax_functor(chain).ok
+    misses = {fn.__name__: fn.misses - before[fn.__name__] for fn in watched}
+    assert misses == {name: len(keys) for name, keys in seen.items()}
+    assert len(seen["mult_transform"]) > 16  # more than a 16-entry LRU holds
+
+
 def plain_leaves(key):
     """The leaves of a content key that are not immutable values."""
     if type(key) is tuple:
