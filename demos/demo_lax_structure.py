@@ -76,9 +76,9 @@ def main():
     chains, squares = semisimple_corpus(rng, scale=0.5)
     res = check_theorem58_hypotheses(chains=chains, squares=squares)
     by_kind = {}
-    for name, ok, _ in res.entries:
-        good, total = by_kind.get(name, (0, 0))
-        by_kind[name] = (good + ok, total + 1)
+    for e in res.entries:
+        good, total = by_kind.get(e["name"], (0, 0))
+        by_kind[e["name"]] = (good + e["ok"], total + 1)
     for name, (good, total) in sorted(by_kind.items()):
         all_ok &= good == total
         kv(name, f"{good}/{total} invertible  {mark(good == total)}")

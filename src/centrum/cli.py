@@ -57,6 +57,7 @@ from .bimodule import (
     validate_bimodule_map,
 )
 from .cospanbicat import (
+    CoherenceReport,
     Cospan,
     TwoDiagram,
     beta_cell,
@@ -506,19 +507,17 @@ def describe(spec) -> str:
 # report assembly
 
 
-class Report:
+class Report(CoherenceReport):
+    """The checks of one command, with what the envelope reports around
+    them: the command, its session and its result."""
+
+    __slots__ = ("command", "session", "result")
+
     def __init__(self, command, session):
+        super().__init__()
         self.command = command
         self.session = session
         self.result = {}
-        self.checks = []
-
-    def check(self, name, ok, detail=""):
-        self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    @property
-    def ok(self):
-        return all(c["ok"] for c in self.checks)
 
     def envelope(self):
         return {
@@ -529,7 +528,7 @@ class Report:
             "bound": self.session.bound,
             "inputs": self.session.inputs_manifest(),
             "result": self.result,
-            "checks": self.checks,
+            "checks": self.entries,
             "ok": self.ok,
         }
 
@@ -559,27 +558,27 @@ def _basis_image(f: AlgebraMap):
 def cmd_validate(args, s, rep):
     obj = resolve(s, args.kind, args.spec)
     rep.result = {"kind": args.kind, **CODECS[args.kind].summary(obj)}
-    rep.check("object passes its validator", True)
+    rep.add("object passes its validator", True)
 
 
 def cmd_center(args, s, rep):
     a = resolve(s, "algebra", args.algebra)
     z = center(a)
     rep.result = {"dim": z.dim, "basis": fmt_matrix(z.incl)}
-    rep.check("center is a commutative subalgebra", is_commutative(z.algebra))
-    rep.check("center basis commutes with every basis element (brute force)",
-              _commute(a, z.incl.columns(),
-                       [a.basis_vector(i) for i in range(a.dim)]))
+    rep.add("center is a commutative subalgebra", is_commutative(z.algebra))
+    rep.add("center basis commutes with every basis element (brute force)",
+            _commute(a, z.incl.columns(),
+                     [a.basis_vector(i) for i in range(a.dim)]))
 
 
 def cmd_centralizer(args, s, rep):
     f = resolve(s, "map", args.map)
     c = centralizer(f)
     rep.result = {"dim": c.dim, "basis": fmt_matrix(c.incl)}
-    rep.check("centralizer basis commutes with the image (brute force)",
-              _commute(f.tgt, c.incl.columns(), _basis_image(f)))
-    rep.check("centralizer is closed under multiplication and contains 1",
-              True, "certified during subalgebra construction")
+    rep.add("centralizer basis commutes with the image (brute force)",
+            _commute(f.tgt, c.incl.columns(), _basis_image(f)))
+    rep.add("centralizer is closed under multiplication and contains 1",
+            True, "certified during subalgebra construction")
 
 
 def cmd_z_hom(args, s, rep):
@@ -594,10 +593,10 @@ def cmd_z_hom(args, s, rep):
             "z_tgt_dim": r.z_right.dim,
         },
     }
-    rep.check("centralizer cospan passes its validator",
-              validate_cospan(r.cospan) == [])
-    rep.check("apex basis commutes with the image (brute force)",
-              _commute(f.tgt, r.realization.incl.columns(), _basis_image(f)))
+    rep.add("centralizer cospan passes its validator",
+            validate_cospan(r.cospan) == [])
+    rep.add("apex basis commutes with the image (brute force)",
+            _commute(f.tgt, r.realization.incl.columns(), _basis_image(f)))
 
 
 def cmd_z_bimodule(args, s, rep):
@@ -612,10 +611,10 @@ def cmd_z_bimodule(args, s, rep):
             "z_right_dim": r.z_right.dim,
         },
     }
-    rep.check("endomorphism cospan passes its validator",
-              validate_cospan(r.cospan) == [])
-    rep.check("apex dimension equals the equivariant endomorphism space",
-              r.apex.dim == len(hom_space(m, m)))
+    rep.add("endomorphism cospan passes its validator",
+            validate_cospan(r.cospan) == [])
+    rep.add("apex dimension equals the equivariant endomorphism space",
+            r.apex.dim == len(hom_space(m, m)))
 
 
 def cmd_z_2cell(args, s, rep):
@@ -624,8 +623,8 @@ def cmd_z_2cell(args, s, rep):
     d = r.diagram
     rep.result = {"diagram": {**CODECS["2diagram"].summary(d),
                               "f": fmt_matrix(d.f), "g": fmt_matrix(d.g)}}
-    rep.check("induced 2-diagram passes its validator",
-              validate_2diagram(d) == [])
+    rep.add("induced 2-diagram passes its validator",
+            validate_2diagram(d) == [])
 
 
 def cmd_tensor_over(args, s, rep):
@@ -644,15 +643,15 @@ def cmd_tensor_over(args, s, rep):
         "projection": fmt_matrix(q.proj),
         "section": fmt_matrix(q.sect),
     }
-    rep.check("projection splits the section",
-              q.proj @ q.sect == Matrix.identity(q.dim, s.field))
-    rep.check("relations vanish in the quotient",
-              (q.proj @ q.relations).is_zero())
-    rep.check("induced bimodule passes its validator",
-              validate_bimodule(t.product) == [])
-    rep.check("dimension equals ambient minus relation rank",
-              t.dim == q.ambient - rel_rank,
-              f"{t.dim} = {q.ambient} - {rel_rank}")
+    rep.add("projection splits the section",
+            q.proj @ q.sect == Matrix.identity(q.dim, s.field))
+    rep.add("relations vanish in the quotient",
+            (q.proj @ q.relations).is_zero())
+    rep.add("induced bimodule passes its validator",
+            validate_bimodule(t.product) == [])
+    rep.add("dimension equals ambient minus relation rank",
+            t.dim == q.ambient - rel_rank,
+            f"{t.dim} = {q.ambient} - {rel_rank}")
 
 
 def cmd_compose_cospans(args, s, rep):
@@ -667,11 +666,10 @@ def cmd_compose_cospans(args, s, rep):
     rep.result = {"cospan": {**CODECS["cospan"].summary(c),
                              "leg_a": fmt_matrix(c.leg_a.mat),
                              "leg_b": fmt_matrix(c.leg_b.mat)}}
-    rep.check("composite cospan passes its validator",
-              validate_cospan(c) == [])
-    rep.check("apex dimension equals flat tensor minus relation rank",
-              c.apex.dim == comp.quot.ambient - rel_rank,
-              f"{c.apex.dim} = {comp.quot.ambient} - {rel_rank}")
+    rep.add("composite cospan passes its validator", validate_cospan(c) == [])
+    rep.add("apex dimension equals flat tensor minus relation rank",
+            c.apex.dim == comp.quot.ambient - rel_rank,
+            f"{c.apex.dim} = {comp.quot.ambient} - {rel_rank}")
 
 
 def cmd_compose_2diagrams(args, s, rep):
@@ -691,8 +689,8 @@ def cmd_compose_2diagrams(args, s, rep):
     rep.result = {"diagram": {**CODECS["2diagram"].summary(out),
                               "f": fmt_matrix(out.f),
                               "g": fmt_matrix(out.g)}}
-    rep.check("composite 2-diagram passes its validator",
-              validate_2diagram(out) == [])
+    rep.add("composite 2-diagram passes its validator",
+            validate_2diagram(out) == [])
 
 
 def _all_or_none(values, message) -> bool:
@@ -724,14 +722,14 @@ def cmd_beta_check(args, s, rep):
         "cell": fmt_matrix(b.cell.mat),
         "inverse_cell": fmt_matrix(b.inverse_cell.mat),
     }
-    rep.check("interchanger composed with its inverse is the identity",
-              b.cell.mat @ b.inverse_cell.mat
-              == Matrix.identity(b.tgt_diagram.M.dim, f))
-    rep.check("inverse composed with the interchanger is the identity",
-              b.inverse_cell.mat @ b.cell.mat
-              == Matrix.identity(b.src_diagram.M.dim, f))
-    rep.check("interchanger is a 3-cell", validate_3cell(b.cell) == [])
-    rep.check("inverse is a 3-cell", validate_3cell(b.inverse_cell) == [])
+    rep.add("interchanger composed with its inverse is the identity",
+            b.cell.mat @ b.inverse_cell.mat
+            == Matrix.identity(b.tgt_diagram.M.dim, f))
+    rep.add("inverse composed with the interchanger is the identity",
+            b.inverse_cell.mat @ b.cell.mat
+            == Matrix.identity(b.src_diagram.M.dim, f))
+    rep.add("interchanger is a 3-cell", validate_3cell(b.cell) == [])
+    rep.add("inverse is a 3-cell", validate_3cell(b.inverse_cell) == [])
 
 
 def cmd_invertible(args, s, rep):
@@ -754,15 +752,15 @@ def cmd_invertible(args, s, rep):
                 "leg_a": fmt_matrix(res.inverse.leg_a.mat),
                 "leg_b": fmt_matrix(res.inverse.leg_b.mat),
             }
-        rep.check("cospan is invertible with identity-comparison witnesses",
-                  res.invertible, "; ".join(res.reasons))
+        rep.add("cospan is invertible with identity-comparison witnesses",
+                res.invertible, "; ".join(res.reasons))
         return
     if args.diagram is None:
         raise InputError("invertible 2cell needs --diagram")
     d = resolve(s, "2diagram", args.diagram, "diagram")
     legs_ok = is_invertible_2diagram(d)
     rep.result = {"legs_invertible": legs_ok}
-    rep.check("both legs of the 2-diagram are invertible", legs_ok)
+    rep.add("both legs of the 2-diagram are invertible", legs_ok)
     if same_content(d.src, d.tgt):
         search = find_invertible_3cell(d, identity_2diagram(d.src),
                                        rng=s.rng, sample_range=s.bound)
@@ -776,9 +774,9 @@ def cmd_invertible(args, s, rep):
         if not search.certified:
             detail += (f"; failure bound"
                        f" {float(search.failure_bound):.3e}")
-        rep.check("invertible 3-cell to the identity 2-diagram",
-                  search.found and validate_3cell(search.cell) == [],
-                  detail)
+        rep.add("invertible 3-cell to the identity 2-diagram",
+                search.found and validate_3cell(search.cell) == [],
+                detail)
     else:
         rep.result["identity_comparison"] = {
             "found": False,
@@ -788,15 +786,10 @@ def cmd_invertible(args, s, rep):
         }
 
 
-def _copy_entries(rep, prefix, coherence):
-    for e in coherence.entries:
-        rep.check(prefix + e["name"], e["ok"], e["detail"])
-
-
 def cmd_verify(args, s, rep):
     handler = {
-        "pentagon": _verify_pentagon,
-        "triangle": _verify_triangle,
+        "pentagon": _verify_bimodule_chain,
+        "triangle": _verify_bimodule_chain,
         "lax": _verify_lax,
         "naturality": _verify_naturality,
         "morita": _verify_morita,
@@ -812,43 +805,31 @@ def _check_composable(ms):
                              " right and left algebras differ")
 
 
-def _verify_pentagon(args, s, rep):
-    specs = (args.b1, args.b2, args.b3, args.b4)
-    if _all_or_none(specs, "provide all four of --b1 --b2 --b3 --b4, or"
-                    " none to generate seeded instances"):
-        chains = [tuple(
-            resolve(s, "bimodule", sp, f"b{i + 1}")
-            for i, sp in enumerate(specs)
-        )]
+# property -> (bimodule flags, how to give them, check, check name)
+_BIMODULE_CHAINS = {
+    "pentagon": (("b1", "b2", "b3", "b4"),
+                 "all four of --b1 --b2 --b3 --b4, or none", pentagon_check,
+                 "pentagon rebracketing tower commutes"),
+    "triangle": (("left", "right"), "both --left and --right, or neither",
+                 triangle_check, "triangle unit-collapse identity commutes"),
+}
+
+
+def _verify_bimodule_chain(args, s, rep):
+    """One named chain of bimodules, or three seeded ones, each checked."""
+    flags, how, check, name = _BIMODULE_CHAINS[args.property]
+    specs = [getattr(args, flag) for flag in flags]
+    if _all_or_none(specs, f"provide {how} to generate seeded instances"):
+        chains = [[resolve(s, "bimodule", spec, flag)
+                   for spec, flag in zip(specs, flags)]]
         _check_composable(chains[0])
     else:
-        chains = [tuple(corpus.random_pentagon_chain(s.rng, s.field))
+        chains = [corpus.random_pentagon_chain(s.rng, s.field)[:len(flags)]
                   for _ in range(3)]
-    dims = []
-    for idx, chain in enumerate(chains):
-        ok = pentagon_check(*chain)
-        dims.append([m.dim for m in chain])
-        rep.check("pentagon rebracketing tower commutes", ok,
-                  f"bimodule dims {dims[-1]}")
+    dims = [[m.dim for m in chain] for chain in chains]
+    for chain, d in zip(chains, dims):
+        rep.add(name, check(*chain), f"bimodule dims {d}")
     rep.result = {"instances": len(chains), "dims": dims}
-
-
-def _verify_triangle(args, s, rep):
-    if _all_or_none((args.left, args.right), "provide both --left and"
-                    " --right, or neither to generate seeded instances"):
-        pairs = [(resolve(s, "bimodule", args.left, "left"),
-                  resolve(s, "bimodule", args.right, "right"))]
-        _check_composable(pairs[0])
-    else:
-        pairs = [tuple(corpus.random_pentagon_chain(s.rng, s.field)[:2])
-                 for _ in range(3)]
-    dims = []
-    for m, n in pairs:
-        ok = triangle_check(m, n)
-        dims.append([m.dim, n.dim])
-        rep.check("triangle unit-collapse identity commutes", ok,
-                  f"bimodule dims {dims[-1]}")
-    rep.result = {"instances": len(pairs), "dims": dims}
 
 
 def _verify_lax(args, s, rep):
@@ -863,7 +844,7 @@ def _verify_lax(args, s, rep):
         for i in range(len(chain) - 1):
             if not same_content(chain[i].tgt, chain[i + 1].src):
                 raise InputError(f"maps {i + 1} and {i + 2} do not compose")
-        _copy_entries(rep, "", verify_lax_functor(chain))
+        rep.extend(verify_lax_functor(chain))
         rep.result = {"chains": 1,
                       "dims": [[f.src.dim for f in chain]
                                + [chain[-1].tgt.dim]]}
@@ -872,7 +853,7 @@ def _verify_lax(args, s, rep):
         for i in range(3):
             chain = random_map_chain(s.rng, length=3, field=s.field)
             dims.append([f.src.dim for f in chain] + [chain[-1].tgt.dim])
-            _copy_entries(rep, f"chain {i + 1}: ", verify_lax_functor(chain))
+            rep.extend(verify_lax_functor(chain), f"chain {i + 1}: ")
         rep.result = {"chains": 3, "dims": dims}
 
 
@@ -904,13 +885,13 @@ def _verify_naturality(args, s, rep):
         if args.phip is not None:
             phip = resolve(s, "bimodule-map", args.phip, "phip")
             psip = resolve(s, "bimodule-map", args.psip, "psip")
-        _copy_entries(rep, "", verify_m_naturality(phi, psi, phip, psip))
+        rep.extend(verify_m_naturality(phi, psi, phip, psip))
         rep.result = {"instances": 1}
     else:
         for i in range(2):
             phi, psi, phip, psip = _seeded_square_maps(s.rng, s.field)
-            _copy_entries(rep, f"instance {i + 1}: ",
-                          verify_m_naturality(phi, psi, phip, psip))
+            rep.extend(verify_m_naturality(phi, psi, phip, psip),
+                       f"instance {i + 1}: ")
         rep.result = {"instances": 2}
 
 
@@ -930,19 +911,18 @@ def _verify_morita(args, s, rep):
         "z_amplified_dim": res.z_big.dim,
         "iso": fmt_matrix(res.iso.mat),
     }
-    rep.check("diagonal-scalar embedding is an algebra isomorphism of"
-              " centers", res.ok,
-              f"dim {res.z_small.dim} -> dim {res.z_big.dim}")
+    rep.add("diagonal-scalar embedding is an algebra isomorphism of"
+            " centers", res.ok,
+            f"dim {res.z_small.dim} -> dim {res.z_big.dim}")
 
 
 def _verify_thm58(args, s, rep):
     chains, squares = corpus.semisimple_corpus(s.rng, scale=1.0,
                                                field=s.field)
     res = check_theorem58_hypotheses(chains=chains, squares=squares)
-    for name, ok, detail in res.entries:
-        rep.check(name, ok, detail)
-    rep.check("aggregate verdict is non-lax on this corpus",
-              res.verdict == "non-lax on this corpus", res.verdict)
+    rep.extend(res)
+    rep.add("aggregate verdict is non-lax on this corpus",
+            res.verdict == "non-lax on this corpus", res.verdict)
     rep.result = {
         "verdict": res.verdict,
         "chains": len(chains),
@@ -954,7 +934,7 @@ def cmd_corpus(args, s, rep):
     results = corpus.run_all(seed=s.seed, scale=args.scale, field=s.field)
     batteries = []
     for name, coherence in results:
-        _copy_entries(rep, f"{name}: ", coherence)
+        rep.extend(coherence, f"{name}: ")
         batteries.append({
             "name": name,
             "ok": coherence.ok,

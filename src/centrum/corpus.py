@@ -1,9 +1,10 @@
 """Seeded verification batteries over fixed fixture corpora.
 
 Each battery draws deterministic instances from the fixtures, runs one family
-of exact checks, and returns a CoherenceReport with per-instance verdicts.
-`run_all` drives the full set; `scale` shrinks instance counts for quick
-smoke runs (1.0 = the full battery sizes).
+of exact checks, and returns a CoherenceReport.  Random instances are counted
+by `_tally`, one check per family: "n/n" when all n pass, else how many did
+and the first instance that failed.  `run_all` drives the full set; `scale`
+shrinks instance counts for quick smoke runs (1.0 = the full battery sizes).
 
 All arithmetic is exact; every comparison in every battery is equality on
 the nose, never a tolerance.
@@ -83,6 +84,22 @@ from .fullcenter import (
 
 def _count(base: int, scale: float) -> int:
     return max(1, math.ceil(base * scale))
+
+
+def _tally(rep, name, n, trial):
+    """Run trial(i) for every instance i < n, in order, and add one check
+    to rep: "{n}/{n}" when all pass, else how many passed and the first
+    instance that failed."""
+    passed, first = 0, None
+    for i in range(n):
+        if trial(i):
+            passed += 1
+        elif first is None:
+            first = i
+    detail = f"{passed}/{n}"
+    if first is not None:
+        detail += f", first failure at instance {first}"
+    rep.add(name, passed == n, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -172,67 +189,51 @@ def coequalizer_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     triangle identities on random composable instances."""
     rep = CoherenceReport()
     pool = _small_algebra_pool(field)
-    middles = pool[:4]
-    pairs_ok = 0
-    n_pairs = _count(200, scale)
-    for _ in range(n_pairs):
+    small = pool[:4]
+
+    def pair(_):
         a, c = (pool[rng.randrange(len(pool))] for _ in range(2))
         # keep the flat tensor small enough for exact arithmetic in bulk
-        if a.dim > 2 or c.dim > 2:
-            b = alg_k(field)
-        else:
-            b = middles[rng.randrange(len(middles))]
-        m = _random_small_bimodule(a, b, rng, field)
-        n = _random_small_bimodule(b, c, rng, field)
-        t = tensor_over(m, n)
+        b = (alg_k(field) if a.dim > 2 or c.dim > 2
+             else small[rng.randrange(len(small))])
+        t = tensor_over(_random_small_bimodule(a, b, rng, field),
+                        _random_small_bimodule(b, c, rng, field))
         q = t.quot
-        ok = (q.proj @ q.sect) == Matrix.identity(t.dim, field)
-        ok = ok and (q.proj @ q.relations).is_zero()
-        ok = ok and validate_bimodule(t.product) == []
-        ok = ok and t.dim == q.ambient - rank(q.relations)
-        pairs_ok += ok
-    rep.add("tensor quotient witnesses on random pairs",
-            pairs_ok == n_pairs, f"{pairs_ok}/{n_pairs}")
-    units_ok = 0
-    n_units = _count(50, scale)
-    for _ in range(n_units):
+        return ((q.proj @ q.sect) == Matrix.identity(t.dim, field)
+                and (q.proj @ q.relations).is_zero()
+                and validate_bimodule(t.product) == []
+                and t.dim == q.ambient - rank(q.relations))
+
+    def two_sided(iso, inv):
+        return (inv is not None
+                and (iso @ inv) == Matrix.identity(iso.rows, field)
+                and (inv @ iso) == Matrix.identity(iso.cols, field))
+
+    def units(_):
         a, b = (pool[rng.randrange(len(pool))] for _ in range(2))
         m = _random_small_bimodule(a, b, rng, field)
-        lu = unit_iso_left(tensor_over(regular_bimodule(a), m))
-        ru = unit_iso_right(tensor_over(m, regular_bimodule(b)))
-        ok = True
-        for u in (lu, ru):
-            inv = inverse(u.mat)
-            ok = ok and inv is not None
-            ok = ok and (u.mat @ inv) == Matrix.identity(u.mat.rows, field)
-            ok = ok and (inv @ u.mat) == Matrix.identity(u.mat.cols, field)
-        units_ok += ok
-    rep.add("unit isos two-sided invertible", units_ok == n_units,
-            f"{units_ok}/{n_units}")
-    assoc_ok = 0
-    n_assoc = _count(50, scale)
-    small = pool[:4]
-    for _ in range(n_assoc):
+        return all(two_sided(u.mat, inverse(u.mat)) for u in (
+            unit_iso_left(tensor_over(regular_bimodule(a), m)),
+            unit_iso_right(tensor_over(m, regular_bimodule(b)))))
+
+    def associator(_):
         a, b, c, d = (small[rng.randrange(len(small))] for _ in range(4))
-        m = random_bimodule(a, b, rng, max_rank=1)
-        n = random_bimodule(b, c, rng, max_rank=1)
-        p = random_bimodule(c, d, rng, max_rank=1)
-        _, _, iso, inv = assoc_iso(m, n, p)
-        ok = (inv.mat @ iso.mat) == Matrix.identity(iso.mat.cols, field)
-        ok = ok and (iso.mat @ inv.mat) == Matrix.identity(iso.mat.rows, field)
-        assoc_ok += ok
-    rep.add("associator isos two-sided invertible", assoc_ok == n_assoc,
-            f"{assoc_ok}/{n_assoc}")
-    pent_ok = tri_ok = 0
+        ms = [random_bimodule(x, y, rng, max_rank=1)
+              for x, y in ((a, b), (b, c), (c, d))]
+        _, _, iso, inv = assoc_iso(*ms)
+        return two_sided(iso.mat, inv.mat)
+
+    _tally(rep, "tensor quotient witnesses on random pairs",
+           _count(200, scale), pair)
+    _tally(rep, "unit isos two-sided invertible", _count(50, scale), units)
+    _tally(rep, "associator isos two-sided invertible", _count(50, scale),
+           associator)
     n_coh = _count(50, scale)
-    for _ in range(n_coh):
-        chain = random_pentagon_chain(rng, field)
-        pent_ok += pentagon_check(*chain)
-        tri_ok += triangle_check(chain[0], chain[1])
-    rep.add("pentagon identity on random chains", pent_ok == n_coh,
-            f"{pent_ok}/{n_coh}")
-    rep.add("triangle identity on random chains", tri_ok == n_coh,
-            f"{tri_ok}/{n_coh}")
+    chains = [random_pentagon_chain(rng, field) for _ in range(n_coh)]
+    _tally(rep, "pentagon identity on random chains", n_coh,
+           lambda i: pentagon_check(*chains[i]))
+    _tally(rep, "triangle identity on random chains", n_coh,
+           lambda i: triangle_check(*chains[i][:2]))
     return rep
 
 
@@ -244,10 +245,8 @@ def interchanger_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     """On random 2x2 grids: the interchanger is a two-sided invertible
     verified 3-cell and is natural under componentwise twists."""
     rep = CoherenceReport()
-    n_inst = _count(100, scale)
-    n_ok = 0
-    detail = ""
-    for i in range(n_inst):
+
+    def trial(_):
         grid = random_interchanger_grid(rng, field)
         bd = beta_cell(*grid)
         ok = (bd.cell.mat @ bd.inverse_cell.mat) == Matrix.identity(
@@ -261,13 +260,10 @@ def interchanger_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
               else random_invertible(x.M.dim, rng, field, bound=1)
               for x in grid]
         twisted = tuple(twist_2diagram(x, P) for x, P in zip(grid, ps))
-        be = beta_cell(*twisted)
-        ok = ok and check_beta_naturality(bd, be, *ps)
-        n_ok += ok
-        if not ok and not detail:
-            detail = f"first failure at instance {i}"
-    rep.add("interchanger two-sided, verified, natural",
-            n_ok == n_inst, detail or f"{n_ok}/{n_inst}")
+        return ok and check_beta_naturality(bd, beta_cell(*twisted), *ps)
+
+    _tally(rep, "interchanger two-sided, verified, natural",
+           _count(100, scale), trial)
     return rep
 
 
@@ -281,18 +277,9 @@ def lax_functor_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     documented rank-drop witness showing the comparison is not invertible."""
     rep = CoherenceReport()
     pool = algebra_map_pool(field)
-    n_inst = _count(100, scale)
-    n_ok = 0
-    detail = ""
-    for i in range(n_inst):
-        chain = random_map_chain(rng, length=3, field=field, pool=pool)
-        sub = verify_lax_functor(chain)
-        n_ok += sub.ok
-        if not sub.ok and not detail:
-            bad = [e["name"] for e in sub.entries if not e["ok"]]
-            detail = f"instance {i} failed: {bad}"
-    rep.add("lax structure on random chains", n_ok == n_inst,
-            detail or f"{n_ok}/{n_inst}")
+    _tally(rep, "lax structure on random chains", _count(100, scale),
+           lambda _: verify_lax_functor(random_map_chain(
+               rng, length=3, field=field, pool=pool)).ok)
     mt = mult_transform(unit_map(alg_product_k(2, field)),
                         diagonal_inclusion(2, field))
     rep.add("rank-drop witness on scalars -> diagonal -> matrices",
@@ -311,14 +298,7 @@ def morita_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     """z -> z . identity is an algebra isomorphism onto the center of every
     matrix amplification in the pool."""
     rep = CoherenceReport()
-    pool = [
-        alg_k(field),
-        alg_product_k(2, field),
-        alg_dual_numbers(field),
-        alg_group_c2(field),
-        alg_matrix(2, field),
-    ]
-    for a in pool:
+    for a in _small_algebra_pool(field):
         for n in (2, 3):
             res = morita_center_check(a, n)
             rep.add(f"center preserved under {n}x{n} amplification of "
@@ -343,8 +323,9 @@ def _automorphism_pool(field):
     rescale = AlgebraMap(du, du, Matrix.from_int_rows([[1, 0], [0, c]], field))
     out = []
     for a, autos in ((k2, [swap]), (c2, [sign]), (du, [rescale])):
-        for f in autos:
-            assert validate_algebra_map(f) == []
+        if any(validate_algebra_map(f) for f in autos):
+            raise ValueError(f"an automorphism of {a.name} is not an"
+                             " algebra map")
         out.append((a, [identity_map(a)] + autos))
     return out
 
@@ -357,39 +338,33 @@ def invertibility_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     rep = CoherenceReport()
     bounds = []
     pool = _automorphism_pool(field)
-    n_cospans = _count(12, scale)
-    cos_ok = 0
-    for _ in range(n_cospans):
-        a, autos = pool[rng.randrange(len(pool))]
+    small = [alg_k(field), alg_product_k(2, field), alg_group_c2(field)]
+
+    def cospan(_):
+        _, autos = pool[rng.randrange(len(pool))]
         leg_a = autos[rng.randrange(len(autos))]
         leg_b = autos[rng.randrange(len(autos))]
         res = is_invertible_cospan(Cospan(leg_a, leg_b))
-        ok = res.invertible
-        ok = ok and validate_2diagram(res.witness_left) == []
-        ok = ok and validate_2diagram(res.witness_right) == []
-        cos_ok += ok
-    rep.add("isomorphism-leg cospans invert with identity witnesses",
-            cos_ok == n_cospans, f"{cos_ok}/{n_cospans}")
-    n_diag = _count(12, scale)
-    diag_ok = 0
-    small = [alg_k(field), alg_product_k(2, field), alg_group_c2(field)]
-    for _ in range(n_diag):
+        return (res.invertible
+                and validate_2diagram(res.witness_left) == []
+                and validate_2diagram(res.witness_right) == [])
+
+    def diagram(_):
         a = small[rng.randrange(len(small))]
         b = small[rng.randrange(len(small))]
-        c = tensor_product_cospan(a, b)
-        ident = identity_2diagram(c)
+        ident = identity_2diagram(tensor_product_cospan(a, b))
         d = twist_2diagram(ident, random_invertible(ident.M.dim, rng, field))
         ok = is_invertible_2diagram(d)
         search = find_invertible_3cell(d, ident, rng=rng)
-        ok = ok and search.found
-        if search.found:
-            ok = ok and validate_3cell(search.cell) == []
-            ok = ok and inverse(search.cell.mat) is not None
         if search.failure_bound is not None:
             bounds.append(search.failure_bound)
-        diag_ok += ok
-    rep.add("invertible-leg 2-diagrams certified invertible",
-            diag_ok == n_diag, f"{diag_ok}/{n_diag}")
+        return (ok and search.found and validate_3cell(search.cell) == []
+                and inverse(search.cell.mat) is not None)
+
+    _tally(rep, "isomorphism-leg cospans invert with identity witnesses",
+           _count(12, scale), cospan)
+    _tally(rep, "invertible-leg 2-diagrams certified invertible",
+           _count(12, scale), diagram)
     zc = Z_hom(diagonal_inclusion(2, field)).cospan
     res = is_invertible_cospan(zc)
     rep.add("diagonal-inclusion center cospan is not invertible",
@@ -480,8 +455,7 @@ def semisimple_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     rep = CoherenceReport()
     chains, squares = semisimple_corpus(rng, scale, field)
     res = check_theorem58_hypotheses(chains=chains, squares=squares)
-    for name, ok, detail in res.entries:
-        rep.add(name, ok, detail)
+    rep.extend(res)
     rep.add("aggregate verdict", res.verdict == "non-lax on this corpus",
             res.verdict)
     return rep
@@ -496,10 +470,8 @@ def interchange_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     with the joint induced map on random instances."""
     rep = CoherenceReport()
     pool = _small_algebra_pool(field)[:4]
-    n_inst = _count(200, scale)
-    n_ok = 0
-    detail = ""
-    for i in range(n_inst):
+
+    def trial(_):
         a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
         m = random_bimodule(a, b, rng, max_rank=1)
         mp = random_bimodule(a, b, rng, max_rank=1)
@@ -507,12 +479,10 @@ def interchange_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
         np_ = random_bimodule(b, c, rng, max_rank=1)
         xi = random_hom_element(m, mp, rng)
         zeta = random_hom_element(n, np_, rng)
-        ok = interchange_check(xi, zeta)
-        n_ok += ok
-        if not ok and not detail:
-            detail = f"first failure at instance {i}"
-    rep.add("interchange of induced maps on random instances",
-            n_ok == n_inst, detail or f"{n_ok}/{n_inst}")
+        return interchange_check(xi, zeta)
+
+    _tally(rep, "interchange of induced maps on random instances",
+           _count(200, scale), trial)
     return rep
 
 

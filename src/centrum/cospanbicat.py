@@ -738,27 +738,23 @@ def is_invertible_cospan(c: Cospan) -> InvertibleCospanResult:
     if reasons:
         return InvertibleCospanResult(False, reasons, None, None, None)
     inverse = Cospan(c.leg_b, c.leg_a)
-    comp_left = compose_cospans(inverse, c)
-    assert comp_left.cospan.leg_a.mat == comp_left.cospan.leg_b.mat, (
-        "composite legs of an invertible cospan must coincide"
-    )
-    witness_left = cospan_morphism_2diagram(
-        identity_cospan(c.a), comp_left.cospan, comp_left.cospan.leg_a
-    )
-    assert is_invertible_2diagram(witness_left)
-    comp_right = compose_cospans(c, inverse)
-    assert comp_right.cospan.leg_a.mat == comp_right.cospan.leg_b.mat
-    witness_right = cospan_morphism_2diagram(
-        identity_cospan(c.b), comp_right.cospan, comp_right.cospan.leg_a
-    )
-    assert is_invertible_2diagram(witness_right)
-    return InvertibleCospanResult(True, [], inverse, witness_left, witness_right)
+    witnesses = []
+    for first, second, foot in ((inverse, c, c.a), (c, inverse, c.b)):
+        comp = compose_cospans(first, second).cospan
+        # a map of cospans out of the identity: refuses unequal composite legs
+        w = cospan_morphism_2diagram(identity_cospan(foot), comp, comp.leg_a)
+        if not is_invertible_2diagram(w):
+            raise ValueError("identity comparison of an invertible cospan"
+                             " is not invertible")
+        witnesses.append(w)
+    return InvertibleCospanResult(True, [], inverse, *witnesses)
 
 
 def functor_A_embed(f: AlgebraMap) -> Cospan:
     """Embed an algebra map between commutative algebras as the cospan
     A -> B <- B with legs f and the identity."""
-    assert is_commutative(f.src) and is_commutative(f.tgt)
+    if not (is_commutative(f.src) and is_commutative(f.tgt)):
+        raise ValueError("functor_A_embed needs commutative algebras")
     return Cospan(f, identity_map(f.tgt))
 
 
@@ -790,6 +786,11 @@ class CoherenceReport:
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.entries.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    def extend(self, other: "CoherenceReport", prefix: str = ""):
+        """Append other's checks in order, each name behind prefix."""
+        for e in other.entries:
+            self.add(prefix + e["name"], e["ok"], e["detail"])
 
     @property
     def ok(self) -> bool:

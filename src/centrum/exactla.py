@@ -807,13 +807,13 @@ class Quotient:
     proj: dim x ambient, the projection onto quotient coordinates.
     sect: ambient x dim, a section (spanned by standard basis vectors at the
     non-leading rows of the relation space), with proj @ sect == I.
-    free: those rows (column r of sect is e_free[r]), or None for a section
-    given only as a matrix; descend then multiplies by sect.
+    free: those rows (column r of sect is e_free[r]), so descend reads a
+    map on the quotient as a column selection.
     """
 
     __slots__ = ("ambient", "relations", "dim", "proj", "sect", "field", "free")
 
-    def __init__(self, ambient, relations, dim, proj, sect, field, free=None):
+    def __init__(self, ambient, relations, dim, proj, sect, field, free):
         self.ambient = ambient
         self.relations = relations
         self.dim = dim
@@ -830,8 +830,7 @@ class Quotient:
         space; raises ValueError(message) unless down kills the relations."""
         if not (down @ self.relations).is_zero():
             raise ValueError(message)
-        return (down @ self.sect if self.free is None
-                else down.select_columns(self.free))
+        return down.select_columns(self.free)
 
     def __repr__(self):
         return f"Quotient(k^{self.ambient} -> k^{self.dim})"

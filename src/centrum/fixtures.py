@@ -35,6 +35,7 @@ from .cospanbicat import (
     TwoDiagram,
     cospan_morphism_2diagram,
     identity_2diagram,
+    unit_column,
 )
 from .exactla import QQ, Matrix, inverse, is_invertible, random_matrix, same_content
 
@@ -69,43 +70,18 @@ def tensor_product_cospan(a: Algebra, b: Algebra) -> Cospan:
     the tensor factors commute and A, B are commutative."""
     apex = tensor_algebra(a, b)
     f = a.field
-    la_cols = []
-    for j in range(a.dim):
-        col = [f.zero] * apex.dim
-        for kzi, u in enumerate(b.unit):
-            if u:
-                col[j * b.dim + kzi] = u
-        la_cols.append(col)
-    lb_cols = []
-    for j in range(b.dim):
-        col = [f.zero] * apex.dim
-        for i, u in enumerate(a.unit):
-            if u:
-                col[i * b.dim + j] = u
-        lb_cols.append(col)
-    leg_a = AlgebraMap(a, apex, Matrix.from_columns(la_cols, apex.dim, f))
-    leg_b = AlgebraMap(b, apex, Matrix.from_columns(lb_cols, apex.dim, f))
-    return Cospan(leg_a, leg_b)
-
-
-def scalar_embedding(base: Algebra, ext: Algebra) -> AlgebraMap:
-    """base -> base (x) ext, x -> x (x) 1."""
-    apex = tensor_algebra(base, ext)
-    f = base.field
-    cols = []
-    for j in range(base.dim):
-        col = [f.zero] * apex.dim
-        for kzi, u in enumerate(ext.unit):
-            if u:
-                col[j * ext.dim + kzi] = u
-        cols.append(col)
-    return AlgebraMap(base, apex, Matrix.from_columns(cols, apex.dim, f))
+    # x -> x (x) 1 and y -> 1 (x) y
+    leg_a = Matrix.identity(a.dim, f).kron(unit_column(b))
+    leg_b = unit_column(a).kron(Matrix.identity(b.dim, f))
+    return Cospan(AlgebraMap(a, apex, leg_a), AlgebraMap(b, apex, leg_b))
 
 
 def extend_cospan(c: Cospan, ext: Algebra):
     """Tensor the apex with a commutative algebra; returns the extended
     cospan and the induced 2-diagram from c to it."""
-    h = scalar_embedding(c.apex, ext)
+    # x -> x (x) 1 on the apex
+    embed = Matrix.identity(c.apex.dim, ext.field).kron(unit_column(ext))
+    h = AlgebraMap(c.apex, tensor_algebra(c.apex, ext), embed)
     new = Cospan(compose_maps(h, c.leg_a), compose_maps(h, c.leg_b))
     return new, cospan_morphism_2diagram(c, new, h)
 
@@ -113,25 +89,15 @@ def extend_cospan(c: Cospan, ext: Algebra):
 def matrix_cospan(a: Algebra, b: Algebra, n: int) -> Cospan:
     """A -> M_n(A (x) B) <- B with scalar-diagonal legs; the apex is not
     commutative for n > 1 but the leg images are central."""
-    base = tensor_algebra(a, b)
-    apex = matrix_algebra(base, n)
+    apex = matrix_algebra(tensor_algebra(a, b), n)
     f = a.field
-    d = base.dim
-
-    def scalar_col(vec):
-        col = [f.zero] * apex.dim
-        for i in range(n):
-            for kzi, u in enumerate(vec):
-                if u:
-                    col[(i * n + i) * d + kzi] = u
-        return col
-
+    # vec(I_n), the identity read row by row, as one column
+    vec_i = Matrix.from_columns(
+        [[f.one if i == j else f.zero for i in range(n) for j in range(n)]],
+        n * n, f)
     tp = tensor_product_cospan(a, b)
-    la_cols = [scalar_col(tp.leg_a.mat.col_list(j)) for j in range(a.dim)]
-    lb_cols = [scalar_col(tp.leg_b.mat.col_list(j)) for j in range(b.dim)]
-    leg_a = AlgebraMap(a, apex, Matrix.from_columns(la_cols, apex.dim, f))
-    leg_b = AlgebraMap(b, apex, Matrix.from_columns(lb_cols, apex.dim, f))
-    return Cospan(leg_a, leg_b)
+    return Cospan(AlgebraMap(a, apex, vec_i.kron(tp.leg_a.mat)),
+                  AlgebraMap(b, apex, vec_i.kron(tp.leg_b.mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +214,8 @@ def random_hom_element(src: Bimodule, tgt: Bimodule, rng, bound=2):
 def conjugation_automorphism(a: Algebra, P: Matrix) -> AlgebraMap:
     """x -> P x P^{-1} on a matrix algebra presented on matrix units."""
     Pinv = inverse(P)
-    assert Pinv is not None
+    if Pinv is None:
+        raise ValueError("conjugation needs an invertible matrix")
     mat = P.kron(Pinv.transpose())
     return AlgebraMap(a, a, mat)
 

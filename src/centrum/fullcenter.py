@@ -684,19 +684,18 @@ def morita_center_check(a: Algebra, n: int) -> MoritaReport:
     return MoritaReport(a, n, big, za, zb, iso, ok)
 
 
-@dataclass(slots=True, eq=False)
-class Thm58Report:
-    """Per-instance invertibility verdicts for the comparison maps, with the
-    aggregate verdict string."""
+class Thm58Report(CoherenceReport):
+    """Per-instance invertibility checks of the comparison maps; the
+    aggregate verdict string follows from ok (all_iso is another name for
+    ok, read by bench/workloads.py)."""
 
-    entries: list
-    all_iso: bool = field(init=False)
-    verdict: str = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.all_iso = all(ok for _, ok, _ in self.entries)
-        self.verdict = ("non-lax on this corpus" if self.all_iso
-                        else "lax behaviour witnessed")
+    all_iso = CoherenceReport.ok
+
+    @property
+    def verdict(self) -> str:
+        return "non-lax on this corpus" if self.ok else "lax behaviour witnessed"
 
     def __repr__(self):
         return f"Thm58Report({self.verdict}, {len(self.entries)} entries)"
@@ -712,32 +711,32 @@ def check_theorem58_hypotheses(chains=(), squares=()) -> Thm58Report:
     2-cells of both composable pairs must be invertible.
     If every entry is invertible the assignment restricts to a genuine
     2-functor on the corpus and the verdict says so."""
-    entries = []
+    rep = Thm58Report()
     seen = []
     for m, n, p in chains:
         cb = comp_bar(m, n, p)
-        entries.append(("composition collapse", cb.is_iso,
-                        f"{cb.mat.rows}x{cb.mat.cols} rank {rank(cb.mat)}"))
+        rep.add("composition collapse", cb.is_iso,
+                f"{cb.mat.rows}x{cb.mat.cols} rank {rank(cb.mat)}")
         for alg in (m.left, m.right):
             if not any(alg is s for s in seen):
                 seen.append(alg)
     for m, mp, n, np_ in squares:
         sq = m_square(zero_bimodule_map(m, mp), zero_bimodule_map(n, np_))
-        entries.append(("descended tensor of maps", sq.n_res.is_iso,
-                        f"{sq.n_res.mat.rows}x{sq.n_res.mat.cols} "
-                        f"rank {rank(sq.n_res.mat)}"))
-        entries.append(("square 3-cell", sq.is_iso and sq.valid == [],
-                        f"{sq.cell.mat.rows}x{sq.cell.mat.cols} "
-                        f"rank {rank(sq.cell.mat)}"))
+        rep.add("descended tensor of maps", sq.n_res.is_iso,
+                f"{sq.n_res.mat.rows}x{sq.n_res.mat.cols} "
+                f"rank {rank(sq.n_res.mat)}")
+        rep.add("square 3-cell", sq.is_iso and sq.valid == [],
+                f"{sq.cell.mat.rows}x{sq.cell.mat.cols} "
+                f"rank {rank(sq.cell.mat)}")
         for mt in (sq.mult_src, sq.mult_tgt):
-            entries.append(("multiplication 2-cell", mt.is_iso,
-                            f"{mt.mult.mat.rows}x{mt.mult.mat.cols} "
-                            f"rank {rank(mt.mult.mat)}"))
+            rep.add("multiplication 2-cell", mt.is_iso,
+                    f"{mt.mult.mat.rows}x{mt.mult.mat.cols} "
+                    f"rank {rank(mt.mult.mat)}")
         for alg in (m.left, m.right, n.right):
             if not any(alg is s for s in seen):
                 seen.append(alg)
     for alg in seen:
         ea = end_algebra(regular_bimodule(alg))
-        entries.append(("identity center strict", ea.dim == center(alg).dim,
-                        f"dim {ea.dim}"))
-    return Thm58Report(entries)
+        rep.add("identity center strict", ea.dim == center(alg).dim,
+                f"dim {ea.dim}")
+    return rep

@@ -101,5 +101,40 @@ def test_interchange_of_induced_maps():
     assert rep.entries[0]["detail"].endswith("200/200")
 
 
+def _fail_third_call(monkeypatch, name, failure):
+    """Make corpus.name return failure on its third call only."""
+    real = getattr(corpus, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return failure if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(corpus, name, patched)
+
+
+def test_a_failing_instance_is_counted_and_located(monkeypatch):
+    """A battery counts every instance and names the first that failed; the
+    rng stream and the instance count stay those of a passing run."""
+    _fail_third_call(monkeypatch, "interchange_check", False)
+    rep = corpus.interchange_battery(random.Random(7), scale=0.05)
+    assert rep.ok is False
+    assert rep.entries == [{
+        "name": "interchange of induced maps on random instances",
+        "ok": False, "detail": "9/10, first failure at instance 2"}]
+
+
+def test_a_failing_lax_chain_is_counted_and_located(monkeypatch):
+    broken = corpus.CoherenceReport()
+    broken.add("associativity", False)
+    _fail_third_call(monkeypatch, "verify_lax_functor", broken)
+    rep = corpus.lax_functor_battery(random.Random(7), scale=0.05)
+    assert rep.ok is False
+    assert rep.entries[0] == {
+        "name": "lax structure on random chains",
+        "ok": False, "detail": "4/5, first failure at instance 2"}
+    assert all(e["ok"] for e in rep.entries[1:])
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v", "-s"]))

@@ -690,3 +690,9 @@ def test_coherence_report():
     rep.add("third", False)
     assert not rep.ok
     assert len(rep.entries) == 3
+    outer = CoherenceReport()
+    outer.add("own", True)
+    outer.extend(rep, "inner: ")
+    assert [e["name"] for e in outer.entries] == [
+        "own", "inner: first", "inner: second", "inner: third"]
+    assert outer.entries[2]["detail"] == "detail" and not outer.ok

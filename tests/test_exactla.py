@@ -239,7 +239,7 @@ def test_flat_witness_descend():
 def test_flat_witness_rejects_a_false_section():
     q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
     broken = Quotient(q.ambient, q.relations, q.dim, q.proj,
-                      q.sect.scale(QQ.from_int(2)), QQ)
+                      q.sect.scale(QQ.from_int(2)), QQ, q.free)
     with pytest.raises(ValueError):
         FlatWitness.leaf(1, QQ).tensor(FlatWitness.leaf(2, QQ), broken)
 

@@ -417,9 +417,9 @@ def test_theorem58_semisimple_corpus_verdict():
          twisted(c2, rng), twisted(c2, rng)),
     ]
     rep = check_theorem58_hypotheses(chains=chains, squares=squares)
-    assert rep.all_iso, [e for e in rep.entries if not e[1]]
+    assert rep.ok and rep.all_iso, [e for e in rep.entries if not e["ok"]]
     assert rep.verdict == "non-lax on this corpus"
-    kinds = {name for name, _, _ in rep.entries}
+    kinds = {e["name"] for e in rep.entries}
     assert "composition collapse" in kinds
     assert "descended tensor of maps" in kinds
     assert "square 3-cell" in kinds

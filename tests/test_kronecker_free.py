@@ -47,7 +47,6 @@ from centrum.exactla import (
     QQ,
     Matrix,
     PrimeField,
-    Quotient,
     cokernel,
     kron_product,
     slot_products,
@@ -161,8 +160,6 @@ def test_descend_by_column_selection_equals_the_section_product(data):
     assert q.free is not None
     assert q.sect == Matrix.identity(n, field).select_columns(q.free)
     assert q.descend(down, "no") == down @ q.sect
-    hand_built = Quotient(q.ambient, q.relations, q.dim, q.proj, q.sect, field)
-    assert hand_built.descend(down, "no") == down @ q.sect
 
 
 @settings(max_examples=60, deadline=None)
