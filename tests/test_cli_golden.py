@@ -70,6 +70,19 @@ CASES = [
     ("verify-triangle-seed1", ["verify", "triangle", "--seed", "1"], 0),
     ("verify-lax-seed2", ["verify", "lax", "--seed", "2"], 0),
     ("beta-check-seed3", ["beta-check", "--seed", "3"], 0),
+    # the other verify variants, seeded and named, and the whole corpus
+    ("verify-pentagon-seed1", ["verify", "pentagon", "--seed", "1"], 0),
+    ("verify-naturality-seed1", ["verify", "naturality", "--seed", "1"], 0),
+    ("verify-thm58-seed1", ["verify", "thm58", "--seed", "1"], 0),
+    ("verify-lax-id-k",
+     ["verify", "lax", "--f", "id:k", "--g", "id:k", "--h", "id:k"], 0),
+    ("verify-pentagon-regular-k",
+     ["verify", "pentagon", "--b1", "regular:k", "--b2", "regular:k",
+      "--b3", "regular:k", "--b4", "regular:k"], 0),
+    ("verify-naturality-id-regular-k",
+     ["verify", "naturality", "--phi", "id:regular:k",
+      "--psi", "id:regular:k"], 0),
+    ("corpus-scale0.05", ["corpus", "--scale", "0.05"], 0),
     # the remaining constructors
     ("validate-algebra-product", ["validate", "algebra", "product:k^3"], 0),
     ("validate-map-unit", ["validate", "map", "unit:product:k^2"], 0),
@@ -152,6 +165,12 @@ CASES = [
     ("naturality-second-square-only",
      ["verify", "naturality", "--phip", "id:regular:k",
       "--psip", "id:regular:k"], 2),
+    ("morita-without-algebra", ["verify", "morita"], 2),
+    ("invertible-cospan-neither", ["invertible", "cospan"], 2),
+    ("invertible-cospan-both",
+     ["invertible", "cospan", "--cospan", "identity:k", "--map", "diag:2"],
+     2),
+    ("invertible-2cell-without-diagram", ["invertible", "2cell"], 2),
 ]
 
 
