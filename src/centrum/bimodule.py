@@ -246,17 +246,6 @@ def hom_coords_matrix(basis, mats, field, message) -> Matrix:
     return X
 
 
-def hom_coords(basis, X: Matrix):
-    """Coordinates of the map X in a hom-space basis (or None)."""
-    outside = "the map lies outside the hom space"
-    try:
-        return hom_coords_matrix(basis, [X], X.field, outside).col_list(0)
-    except ValueError as exc:
-        if str(exc) != outside:
-            raise
-        return None
-
-
 class EndAlgebra:
     """The endomorphism algebra of a bimodule, with its acting basis.
 
@@ -291,18 +280,16 @@ class EndAlgebra:
         return f"EndAlgebra(dim {self.dim})"
 
 
+@memoised
 def end_algebra(m: Bimodule) -> EndAlgebra:
     return EndAlgebra(m)
 
 
-def hom_bimodule(src: Bimodule, tgt: Bimodule, end_tgt: EndAlgebra, end_src: EndAlgebra):
+def hom_bimodule(src: Bimodule, tgt: Bimodule):
     """[src, tgt] as an (End(tgt), End(src))-bimodule by post-/pre-composition.
 
-    Returns (bimodule over (end_tgt.algebra, end_src.algebra), hom basis)."""
-    if not (same_content(end_tgt.bimodule, tgt)
-            and same_content(end_src.bimodule, src)):
-        raise ValueError("hom_bimodule: the endomorphism algebras are not"
-                         " those of the two bimodules")
+    Returns (bimodule over the two endomorphism algebras, hom basis)."""
+    end_tgt, end_src = end_algebra(tgt), end_algebra(src)
     basis = hom_space(src, tgt)
     f = src.field
     lact = [hom_operator(basis, basis, lambda b, E=end_tgt.basis[i]: E @ b, f)
@@ -577,12 +564,9 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     """Descend composition [N,P] x [M,N] -> [M,P] through the fibered tensor
     product over [N,N]; the coequalizer property is verified exactly."""
     f = m.field
-    end_m = end_algebra(m)
-    end_n = end_algebra(n)
-    end_p = end_algebra(p)
-    hom_np, basis_np = hom_bimodule(n, p, end_p, end_n)
-    hom_mn, basis_mn = hom_bimodule(m, n, end_n, end_m)
-    hom_mp, basis_mp = hom_bimodule(m, p, end_p, end_m)
+    hom_np, basis_np = hom_bimodule(n, p)
+    hom_mn, basis_mn = hom_bimodule(m, n)
+    hom_mp, basis_mp = hom_bimodule(m, p)
     tensor = tensor_over(hom_np, hom_mn)
     comp = hom_coords_matrix(basis_mp, [x @ y for x in basis_np for y in basis_mn], f,
                              "composite leaves the hom space")

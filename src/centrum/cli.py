@@ -7,7 +7,8 @@ command, the field/seed/bound configuration, a manifest of the inputs (source
 spec plus a content hash of the parsed object, so failures are replayable),
 the result payload with audit matrices, and a list of named checks.  Exit
 codes: 0 when every check passes, 1 when some check fails, 2 when an input
-cannot be parsed or fails its validator at load.
+cannot be parsed or fails its validator at load.  argparse's refusals (an
+unknown flag, or a flag of another variant) also exit 2, with no report.
 
 Objects are given either by named constructors (`matrix:2`, `id:matrix:2`,
 `regular:group:C2`, ...) or as `@file.json` presentations; the JSON shapes
@@ -555,6 +556,10 @@ def _basis_image(f: AlgebraMap):
     return [f.apply(f.src.basis_vector(i)) for i in range(f.src.dim)]
 
 
+def _legs(c: Cospan):
+    return {"leg_a": fmt_matrix(c.leg_a.mat), "leg_b": fmt_matrix(c.leg_b.mat)}
+
+
 def cmd_validate(args, s, rep):
     obj = resolve(s, args.kind, args.spec)
     rep.result = {"kind": args.kind, **CODECS[args.kind].summary(obj)}
@@ -586,12 +591,8 @@ def cmd_z_hom(args, s, rep):
     r = Z_hom(f)
     rep.result = {
         "object": {"apex_dim": r.apex.dim},
-        "cospan": {
-            "leg_a": fmt_matrix(r.cospan.leg_a.mat),
-            "leg_b": fmt_matrix(r.cospan.leg_b.mat),
-            "z_src_dim": r.z_left.dim,
-            "z_tgt_dim": r.z_right.dim,
-        },
+        "cospan": {**_legs(r.cospan), "z_src_dim": r.z_left.dim,
+                   "z_tgt_dim": r.z_right.dim},
     }
     rep.add("centralizer cospan passes its validator",
             validate_cospan(r.cospan) == [])
@@ -604,12 +605,8 @@ def cmd_z_bimodule(args, s, rep):
     r = Z_bimodule(m)
     rep.result = {
         "object": {"apex_dim": r.apex.dim},
-        "cospan": {
-            "leg_a": fmt_matrix(r.cospan.leg_a.mat),
-            "leg_b": fmt_matrix(r.cospan.leg_b.mat),
-            "z_left_dim": r.z_left.dim,
-            "z_right_dim": r.z_right.dim,
-        },
+        "cospan": {**_legs(r.cospan), "z_left_dim": r.z_left.dim,
+                   "z_right_dim": r.z_right.dim},
     }
     rep.add("endomorphism cospan passes its validator",
             validate_cospan(r.cospan) == [])
@@ -663,9 +660,7 @@ def cmd_compose_cospans(args, s, rep):
     comp = compose_cospans(second, first)
     c = comp.cospan
     rel_rank = rank(comp.quot.relations)
-    rep.result = {"cospan": {**CODECS["cospan"].summary(c),
-                             "leg_a": fmt_matrix(c.leg_a.mat),
-                             "leg_b": fmt_matrix(c.leg_b.mat)}}
+    rep.result = {"cospan": {**CODECS["cospan"].summary(c), **_legs(c)}}
     rep.add("composite cospan passes its validator", validate_cospan(c) == [])
     rep.add("apex dimension equals flat tensor minus relation rank",
             c.apex.dim == comp.quot.ambient - rel_rank,
@@ -702,16 +697,18 @@ def _all_or_none(values, message) -> bool:
     return given > 0
 
 
+_GRID = ("d1p", "d1", "d2p", "d2")
+
+
 def cmd_beta_check(args, s, rep):
-    labels = ("d1p", "d1", "d2p", "d2")
-    specs = (args.d1p, args.d1, args.d2p, args.d2)
+    specs = [getattr(args, label) for label in _GRID]
     if _all_or_none(specs, "provide all four of --d1p --d1 --d2p --d2, or"
                     " none to generate a grid from the seed"):
         grid = tuple(resolve(s, "2diagram", sp, lbl)
-                     for lbl, sp in zip(labels, specs))
+                     for lbl, sp in zip(_GRID, specs))
     else:
         grid = random_interchanger_grid(s.rng, s.field)
-        for lbl, d in zip(labels, grid):
+        for lbl, d in zip(_GRID, grid):
             s.insert(lbl, f"generated:seed={s.seed}", d,
                      validate_2diagram(d), diagram_dict(d))
     b = beta_cell(*grid)
@@ -732,29 +729,24 @@ def cmd_beta_check(args, s, rep):
     rep.add("inverse is a 3-cell", validate_3cell(b.inverse_cell) == [])
 
 
-def cmd_invertible(args, s, rep):
-    if args.what == "cospan":
-        if (args.cospan is None) == (args.map is None):
-            raise InputError("give exactly one of --cospan or --map (the"
-                             " latter takes the induced centralizer cospan)")
-        if args.map is not None:
-            f = resolve(s, "map", args.map)
-            c = Z_hom(f).cospan
-        else:
-            c = resolve(s, "cospan", args.cospan)
-        res = is_invertible_cospan(c)
-        rep.result = {
-            "invertible": res.invertible,
-            "reasons": res.reasons,
-        }
-        if res.invertible:
-            rep.result["inverse"] = {
-                "leg_a": fmt_matrix(res.inverse.leg_a.mat),
-                "leg_b": fmt_matrix(res.inverse.leg_b.mat),
-            }
-        rep.add("cospan is invertible with identity-comparison witnesses",
-                res.invertible, "; ".join(res.reasons))
-        return
+def _invertible_cospan(args, s, rep):
+    if (args.cospan is None) == (args.map is None):
+        raise InputError("give exactly one of --cospan or --map (the"
+                         " latter takes the induced centralizer cospan)")
+    if args.map is not None:
+        f = resolve(s, "map", args.map)
+        c = Z_hom(f).cospan
+    else:
+        c = resolve(s, "cospan", args.cospan)
+    res = is_invertible_cospan(c)
+    rep.result = {"invertible": res.invertible, "reasons": res.reasons}
+    if res.invertible:
+        rep.result["inverse"] = _legs(res.inverse)
+    rep.add("cospan is invertible with identity-comparison witnesses",
+            res.invertible, "; ".join(res.reasons))
+
+
+def _invertible_2cell(args, s, rep):
     if args.diagram is None:
         raise InputError("invertible 2cell needs --diagram")
     d = resolve(s, "2diagram", args.diagram, "diagram")
@@ -784,18 +776,6 @@ def cmd_invertible(args, s, rep):
             "failure_bound": "",
             "detail": "source and target cospans differ; leg verdict only",
         }
-
-
-def cmd_verify(args, s, rep):
-    handler = {
-        "pentagon": _verify_bimodule_chain,
-        "triangle": _verify_bimodule_chain,
-        "lax": _verify_lax,
-        "naturality": _verify_naturality,
-        "morita": _verify_morita,
-        "thm58": _verify_thm58,
-    }[args.property]
-    handler(args, s, rep)
 
 
 def _check_composable(ms):
@@ -947,6 +927,86 @@ def cmd_corpus(args, s, rep):
 # argument parsing and entry point
 
 
+def _flags(*names, **options):
+    """One option --name per name, each with the same add_argument options."""
+    return tuple((f"--{name}", options) for name in names)
+
+
+# command -> (help, handler, arguments), each argument a (name, options of
+# add_argument) pair.  A row whose handler is itself a table of such rows
+# gets one subcommand per variant, and in place of its arguments names the
+# attribute that holds the variant.
+COMMANDS = {
+    "validate": ("load an object and run its validator", cmd_validate,
+                 (("kind", {"choices": list(CODECS)}),
+                  ("spec", {"help": "constructor spec or @file.json"}))),
+    "center": ("center of an algebra", cmd_center,
+               _flags("algebra", required=True)),
+    "centralizer": ("centralizer of the image of an algebra map",
+                    cmd_centralizer, _flags("map", required=True)),
+    "z-hom": ("centralizer cospan of an algebra map", cmd_z_hom,
+              _flags("map", required=True)),
+    "z-bimodule": ("endomorphism cospan of a bimodule", cmd_z_bimodule,
+                   _flags("bimodule", required=True)),
+    "z-2cell": ("2-diagram induced by a bimodule map", cmd_z_2cell,
+                _flags("bimodule-map", required=True)),
+    "tensor-over": ("fibered tensor product of two bimodules",
+                    cmd_tensor_over, _flags("left", "right", required=True)),
+    "compose-cospans": ("composite of two cospans over a shared foot",
+                        cmd_compose_cospans,
+                        _flags("first", "second", required=True)),
+    "compose-2diagrams": (
+        "vertical or horizontal composition", cmd_compose_2diagrams,
+        (("how", {"choices": ["vertical", "horizontal"]}),
+         *_flags("first", required=True,
+                 help="lower (vertical) respectively left (horizontal)"),
+         *_flags("second", required=True,
+                 help="upper (vertical) respectively right (horizontal)"))),
+    "beta-check": ("two-sided interchanger on a 2x2 grid", cmd_beta_check,
+                   _flags(*_GRID)),
+    "invertible": ("invertibility verdict with witnesses", {
+        "cospan": ("a cospan, or the centralizer cospan of a map",
+                   _invertible_cospan,
+                   _flags("cospan", help="cospan spec")
+                   + _flags("map", help="algebra map whose centralizer"
+                                        " cospan to test")),
+        "2cell": ("a 2-diagram: its legs, and a 3-cell to the identity",
+                  _invertible_2cell, _flags("diagram", help="2-diagram spec")),
+    }, "what"),
+    "verify": ("coherence and comparison properties", {
+        **{prop: (f"{prop} of the fibered tensor", _verify_bimodule_chain,
+                  _flags(*flags, help="bimodule spec"))
+           for prop, (flags, *_) in _BIMODULE_CHAINS.items()},
+        "lax": ("lax-functor laws of the center on a chain of maps",
+                _verify_lax, _flags("f", "g", "h")),
+        "naturality": ("naturality of the multiplication maps",
+                       _verify_naturality, _flags("phi", "psi", "phip", "psip")),
+        "morita": ("Morita invariance of the center", _verify_morita,
+                   _flags("algebra", help="algebra spec")
+                   + _flags("n", type=int, default=2,
+                            help="matrix amplification size")),
+        "thm58": ("Theorem 5.8 hypotheses on the semisimple corpus",
+                  _verify_thm58, ()),
+    }, "property"),
+    "corpus": ("run every verification battery", cmd_corpus,
+               _flags("scale", type=float, default=1.0,
+                      help="shrink factor for instance counts (default 1.0)")),
+}
+
+
+def _add_commands(sub, table, common):
+    for name, (text, handler, arguments) in table.items():
+        if isinstance(handler, dict):
+            variants = sub.add_parser(name, help=text).add_subparsers(
+                dest=arguments, required=True)
+            _add_commands(variants, handler, common)
+            continue
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
+
+
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rational",
@@ -963,103 +1023,12 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact workbench for centers, centralizers, bimodule"
                     " tensor calculus and the cospan bicategory of"
                     " commutative algebras.")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    v = sub.add_parser("validate", parents=[common],
-                       help="load an object and run its validator")
-    v.add_argument("kind", choices=list(CODECS))
-    v.add_argument("spec", help="constructor spec or @file.json")
-    v.set_defaults(handler=cmd_validate)
-
-    c = sub.add_parser("center", parents=[common],
-                       help="center of an algebra")
-    c.add_argument("--algebra", required=True)
-    c.set_defaults(handler=cmd_center)
-
-    c = sub.add_parser("centralizer", parents=[common],
-                       help="centralizer of the image of an algebra map")
-    c.add_argument("--map", required=True)
-    c.set_defaults(handler=cmd_centralizer)
-
-    c = sub.add_parser("z-hom", parents=[common],
-                       help="centralizer cospan of an algebra map")
-    c.add_argument("--map", required=True)
-    c.set_defaults(handler=cmd_z_hom)
-
-    c = sub.add_parser("z-bimodule", parents=[common],
-                       help="endomorphism cospan of a bimodule")
-    c.add_argument("--bimodule", required=True)
-    c.set_defaults(handler=cmd_z_bimodule)
-
-    c = sub.add_parser("z-2cell", parents=[common],
-                       help="2-diagram induced by a bimodule map")
-    c.add_argument("--bimodule-map", required=True, dest="bimodule_map")
-    c.set_defaults(handler=cmd_z_2cell)
-
-    c = sub.add_parser("tensor-over", parents=[common],
-                       help="fibered tensor product of two bimodules")
-    c.add_argument("--left", required=True)
-    c.add_argument("--right", required=True)
-    c.set_defaults(handler=cmd_tensor_over)
-
-    c = sub.add_parser("compose-cospans", parents=[common],
-                       help="composite of two cospans over a shared foot")
-    c.add_argument("--first", required=True)
-    c.add_argument("--second", required=True)
-    c.set_defaults(handler=cmd_compose_cospans)
-
-    c = sub.add_parser("compose-2diagrams", parents=[common],
-                       help="vertical or horizontal composition")
-    c.add_argument("how", choices=["vertical", "horizontal"])
-    c.add_argument("--first", required=True,
-                   help="lower (vertical) respectively left (horizontal)")
-    c.add_argument("--second", required=True,
-                   help="upper (vertical) respectively right (horizontal)")
-    c.set_defaults(handler=cmd_compose_2diagrams)
-
-    c = sub.add_parser("beta-check", parents=[common],
-                       help="two-sided interchanger on a 2x2 grid")
-    for name in ("--d1p", "--d1", "--d2p", "--d2"):
-        c.add_argument(name)
-    c.set_defaults(handler=cmd_beta_check)
-
-    c = sub.add_parser("invertible", parents=[common],
-                       help="invertibility verdict with witnesses")
-    c.add_argument("what", choices=["cospan", "2cell"])
-    c.add_argument("--cospan", help="cospan spec (what = cospan)")
-    c.add_argument("--map",
-                   help="algebra map whose centralizer cospan to test")
-    c.add_argument("--diagram", help="2-diagram spec (what = 2cell)")
-    c.set_defaults(handler=cmd_invertible)
-
-    c = sub.add_parser("verify", parents=[common],
-                       help="coherence and comparison properties")
-    c.add_argument("property", choices=["pentagon", "triangle", "lax",
-                                        "naturality", "morita", "thm58"])
-    c.add_argument("--b1")
-    c.add_argument("--b2")
-    c.add_argument("--b3")
-    c.add_argument("--b4")
-    c.add_argument("--left", help="first bimodule (triangle)")
-    c.add_argument("--right", help="second bimodule (triangle)")
-    c.add_argument("--n", type=int, default=2,
-                   help="matrix amplification size (morita)")
-    c.add_argument("--f")
-    c.add_argument("--g")
-    c.add_argument("--h")
-    c.add_argument("--phi")
-    c.add_argument("--psi")
-    c.add_argument("--phip")
-    c.add_argument("--psip")
-    c.add_argument("--algebra", help="algebra spec (morita)")
-    c.set_defaults(handler=cmd_verify)
-
-    c = sub.add_parser("corpus", parents=[common],
-                       help="run every verification battery")
-    c.add_argument("--scale", type=float, default=1.0,
-                   help="shrink factor for instance counts (default 1.0)")
-    c.set_defaults(handler=cmd_corpus)
+    _add_commands(p.add_subparsers(dest="cmd", required=True), COMMANDS,
+                  common)
     return p
+
+
+PARSER = make_parser()
 
 
 def command_name(args) -> str:
@@ -1071,8 +1040,7 @@ def command_name(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     command = command_name(args)
 
     def error_payload(session, message, violations):

@@ -12,13 +12,10 @@ invariance of centers, and the invertibility criteria under which the whole
 assignment is a genuine (non-lax) 2-functor.
 
 Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
-algebra.center, bimodule.hom_space and cospanbicat.compose_cospans, are
-memoised by content (exactla.memoised), so each is computed once per input
-and none takes prebuilt pieces; the checks on a served result stay with its
-caller and run on every call.  bimodule.end_algebra is deliberately not
-memoised: a hit on Z_bimodule skips its inner call, so its cache would end a
-cold pass in another state than a warm one and per-pass work counts would
-not repeat.
+algebra.center, bimodule.hom_space, bimodule.end_algebra and
+cospanbicat.compose_cospans, are memoised by content (exactla.memoised), so
+each is computed once per input and none takes prebuilt pieces; the checks
+on a served result stay with its caller and run on every call.
 """
 
 from __future__ import annotations
@@ -216,7 +213,7 @@ def Z_2cell(phi: BimoduleMap) -> Z2CellResult:
     bimodule [M, N] over the two endomorphism algebras, legs xi -> phi o xi
     and eta -> eta o phi."""
     zs, zt = Z_bimodule(phi.src), Z_bimodule(phi.tgt)
-    hom_bm, basis = hom_bimodule(phi.src, phi.tgt, zt.realization, zs.realization)
+    hom_bm, basis = hom_bimodule(phi.src, phi.tgt)
     f = phi.src.field
     fmat = hom_operator(basis, zs.realization.basis, lambda e: phi.mat @ e, f)
     gmat = hom_operator(basis, zt.realization.basis, lambda e: e @ phi.mat, f)

@@ -36,7 +36,6 @@ from centrum.bimodule import (
     direct_sum_bimodules,
     end_algebra,
     free_bimodule,
-    hom_coords,
     hom_coords_matrix,
     hom_space,
     identity_bimodule_map,
@@ -195,7 +194,8 @@ def test_hom_space_simple_module():
     basis = hom_space(col_bimodule(2), col_bimodule(2))
     assert len(basis) == 1
     # the unique (up to scale) endomorphism is a multiple of the identity
-    assert hom_coords(basis, Matrix.identity(2, QQ)) is not None
+    assert hom_coords_matrix(basis, [Matrix.identity(2, QQ)], QQ,
+                             "outside").shape == (1, 1)
 
 
 def test_hom_space_elements_are_equivariant():
@@ -271,13 +271,16 @@ def test_hom_coords_matrix_refuses_a_map_outside_the_span():
         Matrix.from_int_rows([[3, 3]], QQ)
     with pytest.raises(ValueError, match="^shift is not a bimodule map$"):
         hom_coords_matrix(basis, [three, shift], QQ, "shift is not a bimodule map")
-    assert hom_coords(basis, shift) is None
+    with pytest.raises(ValueError, match="^outside$"):
+        hom_coords_matrix(basis, [shift], QQ, "outside")
     # with an empty basis only the zero map has coordinates
-    assert hom_coords([], Matrix.zeros(2, 2, QQ)) == []
-    assert hom_coords([], shift) is None
+    assert hom_coords_matrix([], [Matrix.zeros(2, 2, QQ)], QQ,
+                             "outside").shape == (0, 1)
+    with pytest.raises(ValueError, match="^outside$"):
+        hom_coords_matrix([], [shift], QQ, "outside")
     # a basis that hom_space cannot have produced is refused, not answered
     with pytest.raises(ValueError, match="echelon"):
-        hom_coords([three], shift)
+        hom_coords_matrix([three], [shift], QQ, "outside")
 
 
 def test_end_algebra_of_simple_pair_is_matrix_algebra():
@@ -536,7 +539,8 @@ def test_comp_bar_agrees_with_plain_composition():
             flat = [f.zero] * (len(res.basis_np) * len(res.basis_mn))
             flat[i * len(res.basis_mn) + j] = f.one
             cls = res.tensor.quot.project(flat)
-            expect = hom_coords(res.basis_mp, bi @ bj)
+            expect = hom_coords_matrix(res.basis_mp, [bi @ bj], f,
+                                       "outside").col_list(0)
             assert res.mat.apply(cls) == expect
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from centrum.cli import main
+from centrum.cli import COMMANDS, main
 
 TESTS = Path(__file__).parent
 DATA = TESTS / "data" / "cli"
@@ -221,6 +221,58 @@ def test_golden_reports_replay_with_warm_caches(monkeypatch):
         if got != (code, (EXPECTED / f"{name}.json").read_text(encoding="utf-8")):
             differ.append(name)
     assert differ == []
+
+
+def command_leaves():
+    """Each subcommand of the COMMANDS table, variants spelled out."""
+    for name, (_, handler, _) in COMMANDS.items():
+        if isinstance(handler, dict):
+            yield from ((name, variant) for variant in handler)
+        else:
+            yield (name,)
+
+
+def test_every_command_leaf_has_a_golden_case():
+    unreached = [leaf for leaf in command_leaves()
+                 if not any(tuple(argv[:len(leaf)]) == leaf
+                            for _, argv, _ in CASES)]
+    assert unreached == []
+
+
+@pytest.mark.parametrize("leaf", list(command_leaves()), ids=" ".join)
+def test_every_command_leaf_has_help(leaf, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*leaf, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: centrum {' '.join(leaf)}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "triangle", "--b1", "regular:k"],
+    ["invertible", "cospan", "--map", "diag:2",
+     "--diagram", "identity:identity:k"],
+    ["verify", "morita", "--algebra", "k", "--phi", "id:regular:k"],
+    ["verify", "--seed", "3", "lax"],
+], ids=" ".join)
+def test_flag_of_another_variant_is_refused(argv, capsys):
+    """Each variant takes only its own flags, and the common ones after it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch):
+    """The parser is built once per process: a call with other flags before
+    a report leaves that report as it is."""
+    monkeypatch.chdir(DATA)
+    named = ["verify", "triangle", "--left", "regular:k",
+             "--right", "regular:k", "--field", "gfp:3", "--seed", "5"]
+    seeded = ["verify", "triangle", "--seed", "1"]
+    first = [run_case(named), run_case(seeded)]
+    assert [run_case(named), run_case(seeded)] == first
+    assert first[1] == (0, (EXPECTED / "verify-triangle-seed1.json")
+                        .read_text(encoding="utf-8"))
 
 
 def test_corpus_report_repeats_with_warm_caches():
