@@ -151,3 +151,78 @@ def reference_kernels():
         yield
     finally:
         exactla.Matrix.__matmul__, exactla.rref = saved
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry references for the remaining Matrix operations
+
+
+def _fractions(m: Matrix) -> list:
+    """The entries of m as Fractions, row by row."""
+    return [[Fraction(x) for x in row] for row in m.data]
+
+
+def add_ref(A: Matrix, B: Matrix, sign=1) -> Matrix:
+    """A + sign * B, entry by entry."""
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch {A.shape} + {B.shape}")
+    return Matrix([[red(A.field, a + sign * b) for a, b in zip(ra, rb)]
+                   for ra, rb in zip(_fractions(A), _fractions(B))],
+                  A.field, ncols=A.cols)
+
+
+def scale_ref(A: Matrix, c) -> Matrix:
+    return Matrix([[red(A.field, c * a) for a in row] for row in _fractions(A)],
+                  A.field, ncols=A.cols)
+
+
+def apply_ref(A: Matrix, vec) -> list:
+    return [red(A.field, sum((a * Fraction(x) for a, x in zip(row, vec)),
+                             Fraction(0)))
+            for row in _fractions(A)]
+
+
+def transpose_ref(A: Matrix) -> Matrix:
+    return Matrix([[_fractions(A)[i][j] for i in range(A.rows)]
+                   for j in range(A.cols)], A.field, ncols=A.rows)
+
+
+def select_columns_ref(A: Matrix, cols) -> Matrix:
+    return Matrix([[row[c] for c in cols] for row in _fractions(A)], A.field,
+                  ncols=len(cols))
+
+
+def stack_ref(mats, beside=False) -> Matrix:
+    """The matrices one above the other, or side by side when beside."""
+    f = mats[0].field
+    if beside:
+        return Matrix([sum(rows, []) for rows in zip(*map(_fractions, mats))],
+                      f, ncols=sum(m.cols for m in mats))
+    return Matrix([row for m in mats for row in _fractions(m)], f,
+                  ncols=mats[0].cols)
+
+
+def kron_ref(A: Matrix, B: Matrix) -> Matrix:
+    """The Kronecker product, left factor major."""
+    a, b = _fractions(A), _fractions(B)
+    return Matrix([[red(A.field, a[i][j] * b[k][l])
+                    for j in range(A.cols) for l in range(B.cols)]
+                   for i in range(A.rows) for k in range(B.rows)],
+                  A.field, ncols=A.cols * B.cols)
+
+
+def kron_product_ref(P: Matrix, factors) -> Matrix:
+    """P @ (F_1 (x) ... (x) F_k), the Kronecker product formed; an int n
+    is the identity of k^n."""
+    K = Matrix.identity(1, P.field)
+    for F in factors:
+        K = kron_ref(K, Matrix.identity(F, P.field) if type(F) is int else F)
+    return matmul_ref(P, K)
+
+
+def descend_ref(q, down: Matrix, message: str) -> Matrix:
+    """down on the quotient q: refused unless down @ q.relations is zero
+    entry by entry, then read at q.free."""
+    if any(map(any, matmul_ref(down, q.relations).data)):
+        raise ValueError(message)
+    return select_columns_ref(down, q.free)
