@@ -20,6 +20,7 @@ from .exactla import (
     kernel,
     memoised,
     same_content,
+    stack_columns,
     stack_rows,
 )
 
@@ -73,9 +74,9 @@ class Algebra:
     def products(self, X: Matrix, Y: Matrix) -> Matrix:
         """mult @ (X (x) Y), without forming X (x) Y: column a*Y.cols + b is
         the product of column a of X with column b of Y."""
-        parts = [(self.left_mult(x) @ Y).data for x in X.columns()]
-        return Matrix([[c for p in parts for c in p[k]] for k in range(self.dim)],
-                      self.field, ncols=X.cols * Y.cols)
+        if not X.cols:
+            return Matrix.zeros(self.dim, 0, self.field)
+        return stack_columns([self.left_mult(x) @ Y for x in X.columns()])
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -101,9 +102,10 @@ def validate_algebra(a: Algebra) -> list[str]:
     L = [a.left_mult(a.basis_vector(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = a.left_mult(a.mult.col_list(i * n + j)).data
-            rhs = (L[i] @ L[j]).data
+            lhs = a.left_mult(a.mult.col_list(i * n + j))
+            rhs = L[i] @ L[j]
             if lhs != rhs:
+                lhs, rhs = lhs.data, rhs.data
                 out.extend(
                     f"associativity fails at (e{i}*e{j})*e{k} vs "
                     f"e{i}*(e{j}*e{k}), coefficient of e{l}"
@@ -224,16 +226,18 @@ def product_algebra(parts) -> Algebra:
     if any(p.field != f for p in parts):
         raise ValueError("product_algebra: the factors lie over different fields")
     dim = sum(p.dim for p in parts)
-    mult = Matrix.zeros(dim, dim * dim, f)
+    rows = []
     off = 0
     for p in parts:
         d = p.dim
-        for k, row in enumerate(p.mult.data):
-            out = mult.data[off + k]
+        for row in p.mult.data:
+            out = [f.zero] * (dim * dim)
             for i in range(d):
                 start = (off + i) * dim + off
                 out[start:start + d] = row[i * d:(i + 1) * d]
+            rows.append(out)
         off += d
+    mult = Matrix(rows, f, ncols=dim * dim)
     unit = [x for p in parts for x in p.unit]
     name = " x ".join(p.name for p in parts) if all(p.name for p in parts) else ""
     return Algebra(mult, unit, name)
@@ -250,11 +254,12 @@ def alg_k(field=QQ) -> Algebra:
 def alg_matrix(n: int, field=QQ) -> Algebra:
     """The matrix units: E_ij at index i*n + j, with E_ij E_jq = E_iq."""
     nn = n * n
-    mult = Matrix.zeros(nn, nn * nn, field)
+    rows = [[field.zero] * (nn * nn) for _ in range(nn)]
     for i in range(n):
         for j in range(n):
             for q in range(n):
-                mult.data[i * n + q][(i * n + j) * nn + j * n + q] = field.one
+                rows[i * n + q][(i * n + j) * nn + j * n + q] = field.one
+    mult = Matrix(rows, field, ncols=nn * nn)
     unit = [field.one if r % (n + 1) == 0 else field.zero for r in range(nn)]
     return Algebra(mult, unit, f"M{n}(k)")
 

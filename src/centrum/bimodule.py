@@ -18,6 +18,7 @@ verifies the coequalizer property exactly at construction; failure raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import Algebra, AlgebraMap
 from .exactla import (
@@ -31,6 +32,7 @@ from .exactla import (
     memoised,
     same_content,
     slot_products,
+    stack_rows,
     tensor_induced,
 )
 
@@ -144,14 +146,13 @@ def direct_sum_bimodules(parts) -> Bimodule:
     dim = sum(p.dim for p in parts)
 
     def block_diag(mats):
-        out = Matrix.zeros(dim, dim, f)
+        rows = []
         off = 0
         for m in mats:
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    out.data[off + i][off + j] = m.data[i][j]
-            off += m.rows
-        return out
+            for row in m.data:
+                rows.append([f.zero] * off + row + [f.zero] * (dim - off - m.cols))
+            off += m.cols
+        return Matrix(rows, f, ncols=dim)
 
     lact = [block_diag([p.lact[i] for p in parts]) for i in range(a.dim)]
     ract = [block_diag([p.ract[j] for p in parts]) for j in range(b.dim)]
@@ -235,12 +236,13 @@ def hom_coords_matrix(basis, mats, field, message) -> Matrix:
     some = basis or mats
     n = some[0].rows * some[0].cols if some else 0
 
-    def vec(X):
-        return [a for row in X.data for a in row]
+    def vecs(Xs):
+        """The matrices Xs read row by row, as the columns of one matrix."""
+        return stack_rows([Matrix.zeros(0, n, field)]
+                          + [X.flatten() for X in Xs]).transpose()
 
-    span = Subspace(n, Matrix.from_columns(map(vec, basis), n, field), field,
-                    canonical=True)
-    X = span.coords_matrix(Matrix.from_columns(map(vec, mats), n, field))
+    span = Subspace(n, vecs(basis), field, canonical=True)
+    X = span.coords_matrix(vecs(mats))
     if X is None:
         raise ValueError(message)
     return X
@@ -315,25 +317,33 @@ def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matri
     { m.b (x) n  -  m (x) b.n } over all middle basis elements b.
 
     Block b is R_b (x) I - I (x) L_b, written entry by entry: the entry at
-    row (i, k), column (j, l) is R_b[i][j] [k == l] - [i == j] L_b[k][l]."""
+    row (i, k), column (j, l) is R_b[i][j] [k == l] - [i == j] L_b[k][l].
+    Over QQ row (i, k) is cleared over the lcm of the denominators of row i
+    of every R_b and row k of every L_b."""
     n, p = dim_m * dim_n, field.p
-    data = [[field.zero] * (n * len(ract_mid)) for _ in range(n)]
+    rden = [R.den or [1] * dim_m for R in ract_mid]
+    lden = [L.den or [1] * dim_n for L in lact_mid]
+    den = [lcm(*(d[i] for d in rden), *(d[k] for d in lden))
+           for i in range(dim_m) for k in range(dim_n)]
+    data = [[0] * (n * len(ract_mid)) for _ in range(n)]
     for b, (Rb, Lb) in enumerate(zip(ract_mid, lact_mid)):
         base = b * n
-        for i, Ri in enumerate(Rb.data):
+        for i, Ri in enumerate(Rb.num):
             for j, a in enumerate(Ri):
                 if a:
                     for k in range(dim_n):
-                        data[i * dim_n + k][base + j * dim_n + k] = a
+                        r = i * dim_n + k
+                        data[r][base + j * dim_n + k] = a * (den[r] // rden[b][i])
         for i in range(dim_m):
             col = base + i * dim_n
-            for k, Lk in enumerate(Lb.data):
-                row = data[i * dim_n + k]
+            for k, Lk in enumerate(Lb.num):
+                r = i * dim_n + k
+                row, s = data[r], den[r] // lden[b][k]
                 for l, a in enumerate(Lk):
                     if a:
-                        x = row[col + l] - a
+                        x = row[col + l] - a * s
                         row[col + l] = x % p if p else x
-    return Matrix(data, field, ncols=n * len(ract_mid))
+    return Matrix.cleared(data, den, field, n * len(ract_mid))
 
 
 class TensorResult:

@@ -933,34 +933,36 @@ def _flags(*names, **options):
 
 
 # command -> (help, handler, arguments), each argument a (name, options of
-# add_argument) pair.  A row whose handler is itself a table of such rows
-# gets one subcommand per variant, and in place of its arguments names the
-# attribute that holds the variant.
+# add_argument) pair.  An option marked needed=True is optional to argparse:
+# main refuses the command without it, with exit 2 and a JSON report.  A
+# row whose handler is itself a table of such rows gets one subcommand per
+# variant, and in place of its arguments names the attribute that holds
+# the variant.
 COMMANDS = {
     "validate": ("load an object and run its validator", cmd_validate,
                  (("kind", {"choices": list(CODECS)}),
                   ("spec", {"help": "constructor spec or @file.json"}))),
     "center": ("center of an algebra", cmd_center,
-               _flags("algebra", required=True)),
+               _flags("algebra", needed=True)),
     "centralizer": ("centralizer of the image of an algebra map",
-                    cmd_centralizer, _flags("map", required=True)),
+                    cmd_centralizer, _flags("map", needed=True)),
     "z-hom": ("centralizer cospan of an algebra map", cmd_z_hom,
-              _flags("map", required=True)),
+              _flags("map", needed=True)),
     "z-bimodule": ("endomorphism cospan of a bimodule", cmd_z_bimodule,
-                   _flags("bimodule", required=True)),
+                   _flags("bimodule", needed=True)),
     "z-2cell": ("2-diagram induced by a bimodule map", cmd_z_2cell,
-                _flags("bimodule-map", required=True)),
+                _flags("bimodule-map", needed=True)),
     "tensor-over": ("fibered tensor product of two bimodules",
-                    cmd_tensor_over, _flags("left", "right", required=True)),
+                    cmd_tensor_over, _flags("left", "right", needed=True)),
     "compose-cospans": ("composite of two cospans over a shared foot",
                         cmd_compose_cospans,
-                        _flags("first", "second", required=True)),
+                        _flags("first", "second", needed=True)),
     "compose-2diagrams": (
         "vertical or horizontal composition", cmd_compose_2diagrams,
         (("how", {"choices": ["vertical", "horizontal"]}),
-         *_flags("first", required=True,
+         *_flags("first", needed=True,
                  help="lower (vertical) respectively left (horizontal)"),
-         *_flags("second", required=True,
+         *_flags("second", needed=True,
                  help="upper (vertical) respectively right (horizontal)"))),
     "beta-check": ("two-sided interchanger on a 2x2 grid", cmd_beta_check,
                    _flags(*_GRID)),
@@ -1002,9 +1004,13 @@ def _add_commands(sub, table, common):
             _add_commands(variants, handler, common)
             continue
         p = sub.add_parser(name, parents=[common], help=text)
+        needs = []
         for flag, options in arguments:
+            options = dict(options)
+            if options.pop("needed", False):
+                needs.append(flag)
             p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, needs=needs)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -1063,6 +1069,10 @@ def main(argv=None) -> int:
     session = Session(field, args.seed, args.bound)
     rep = Report(command, session)
     try:
+        missing = [flag for flag in args.needs
+                   if getattr(args, flag[2:].replace("-", "_")) is None]
+        if missing:
+            raise InputError(f"{command} needs {' and '.join(missing)}")
         args.handler(args, session, rep)
     except InputError as exc:
         emit(error_payload(session, str(exc), exc.violations), args.out)

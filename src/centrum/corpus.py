@@ -409,13 +409,13 @@ def semisimple_corpus(rng, scale=1.0, field=QQ):
         return twist_bimodule(m, random_invertible(m.dim, rng, field))
 
     def one_twist(m):
-        q = random_invertible(2, rng, field)
+        q = random_invertible(2, rng, field).data
         rows = []
         for r in range(m.dim):
             row = []
             for c in range(m.dim):
                 if r < 2 and c < 2:
-                    row.append(q.data[r][c])
+                    row.append(q[r][c])
                 else:
                     row.append(field.one if r == c else field.zero)
             rows.append(row)

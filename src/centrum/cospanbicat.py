@@ -62,6 +62,7 @@ from .exactla import (
     same_content,
     slot_products,
     solve,
+    stack_rows,
     tensor_induced,
     tensor_permutation_index,
 )
@@ -384,8 +385,7 @@ def _composite_actions(tens_quot, apex_quot, left_ops, right_ops, message):
     terms = [T for U in slot_products(proj, left_ops, 1, m2)
              for T in slot_products(U, right_ops, m1, 1)]
     # row t is the term at t, read as one vector
-    flat = Matrix._fresh([list(itertools.chain.from_iterable(T.data)) for T in terms],
-                         proj.field, proj.rows * proj.cols)
+    flat = stack_rows([T.flatten() for T in terms])
     if not (apex_quot.relations.transpose() @ flat).is_zero():
         raise ValueError(message)
     return [tens_quot.descend(terms[t], "map does not descend to the quotient")
@@ -446,17 +446,18 @@ def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     m1, m2 = d.M.dim, e.M.dim
     # X S = T X for every action pair (S of d, T of e), as in hom_space
     eqs = middle_relations(m2, m1, [T.transpose() for T in e.M.lact + e.M.ract],
-                           d.M.lact + d.M.ract, f).transpose().data
-    rhs = [f.zero] * len(eqs)
+                           d.M.lact + d.M.ract, f).transpose()
+    legs, rhs = [], [f.zero] * eqs.rows
     # X F = G for both legs: row (r, c) has F[k][c] at the entry of X[r][k]
     for F, G in ((d.f, e.f), (d.g, e.g)):
+        cols, G = F.columns(), G.data
         for r in range(m2):
             for c in range(F.cols):
                 row = [f.zero] * (m2 * m1)
-                row[r * m1:(r + 1) * m1] = F.col_list(c)
-                eqs.append(row)
-                rhs.append(G.data[r][c])
-    A = Matrix(eqs, f, ncols=m2 * m1)
+                row[r * m1:(r + 1) * m1] = cols[c]
+                legs.append(row)
+                rhs.append(G[r][c])
+    A = stack_rows([eqs, Matrix(legs, f, ncols=m2 * m1)])
     part = solve(A, rhs)
     if part is None:
         return None, []

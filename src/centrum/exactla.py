@@ -1,34 +1,35 @@
 """Exact linear algebra over the rationals or a prime field.
 
 Everything here is deterministic and exact: no floats anywhere.  Matrices are
-dense lists-of-lists of field elements; vectors are plain lists.  A rational
-is an int when it is integral and a fractions.Fraction otherwise, so integer
-arithmetic and zero tests run in C.  Over QQ, @ and rref run on integer rows
-with one denominator each: a product rescales each row that holds a Fraction
-to integers, accumulates plain int sums and divides once per output cell;
-rref keeps every row a primitive integer vector and divides each pivot row
-by its pivot once, at the end.  Their values are entry for entry those of
-Fraction arithmetic: an int where integral, a Fraction in lowest terms
-otherwise (never int / int, which is a float).  An element of GF(p) is a
-plain int in [0, p): the Matrix kernels reduce mod p where the arithmetic
-happens (once per output cell of a product, once per entry of a row
-update).  Both fields share the product's integer loop, and each kernel
-branches on field.p once per call.  Matrices over
-different fields never combine (ValueError) and never compare equal.  Subspaces
-are stored in reduced column echelon form, so two equal subspaces have equal
-basis matrices and can be compared with ==.  Quotients carry explicit
-projection/section witnesses with proj @ sect == I and proj @ relations == 0,
-checked at construction time; a cokernel keeps the free coordinates its
-section selects, so descend checks down @ relations == 0 and then selects
-columns.  A FlatWitness carries the same witnesses for a nested quotient of a
-flat multi-tensor and descends by checking down == (down @ sect) @ proj.  No
-product with a Kronecker product forms it: by (A (x) B) vec(X) = vec(A X B^T),
-P @ (A (x) B (x) ...) is one slot product per factor (kron_product) and an
-identity factor costs nothing; Matrix.kron is left to where the Kronecker
-product is itself the object.  kernel and column_echelon eliminate only the
-distinct nonzero rows of their input, which span its row space.  memoised
-computes a pure construction once per argument content, in a bounded
-least-recently-used cache.
+dense and stored row by row; vectors are plain lists.  A rational element is
+an int when it is integral and a fractions.Fraction otherwise.  Over QQ a
+Matrix stores each row once in cleared form: a list of ints num[i] and one
+positive denominator den[i], reduced so that gcd(den[i], *num[i]) == 1.
+That form is canonical, so ==, is_zero and content_key read it directly, and
+every kernel here (the product, +, -, scale, kron, transpose, rref, kernel,
+cokernel, the slot products) takes and returns it, so no Fraction is built
+inside a kernel.  A matrix whose rows are all integral stores den = None,
+and its rows are its entries.  m.data is a read-only view of the entries,
+built on demand: ints where integral, Fractions in lowest terms otherwise
+(the rows themselves when den is None).  An element of GF(p) is a plain int
+in [0, p), stored with den = None: the kernels reduce mod p where the
+arithmetic happens (once per output cell of a product, once per entry of a
+row update).  Both fields share the product's integer loop.  Matrices over
+different fields never combine (ValueError) and never compare equal.
+Subspaces are stored in reduced column echelon form, so two equal subspaces
+have equal basis matrices and can be compared with ==.  Quotients carry
+explicit projection/section witnesses with proj @ sect == I and proj @
+relations == 0, checked at construction time; a cokernel keeps the free
+coordinates its section selects, so descend checks down @ relations == 0
+and then selects columns.  A FlatWitness carries the same witnesses for a
+nested quotient of a flat multi-tensor and descends by checking down ==
+(down @ sect) @ proj.  No product with a Kronecker product forms it: by
+(A (x) B) vec(X) = vec(A X B^T), P @ (A (x) B (x) ...) is one slot product
+per factor (kron_product) and an identity factor costs nothing; Matrix.kron
+is left to where the Kronecker product is itself the object.  kernel and
+column_echelon eliminate only the distinct nonzero rows of their input,
+which span its row space.  memoised computes a pure construction once per
+argument content, in a bounded least-recently-used cache.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from fractions import Fraction
 from functools import update_wrapper
 from itertools import chain, compress
 from math import gcd, lcm, prod
+from operator import add, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +50,14 @@ def _integral(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _integer_row(row):
-    """(ints, d): an integer row and a positive denominator with row ==
-    ints / d entry for entry."""
-    d = lcm(*[x.denominator for x in row if type(x) is not int])
-    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
-            for x in row], d
-
-
 class Rationals:
     """The field of rational numbers.  An element is an int when it is
     integral and a fractions.Fraction otherwise, so that zero tests and
     integer arithmetic run in C.  Ints and Fractions compare, hash and print
-    alike.  The Matrix product and rref run on integer rows with one
-    denominator each and divide once per output cell (rref: once per entry
-    of a pivot row, at the end), so their values stay entry for entry those
-    of Fraction arithmetic.  Division of elements goes only through div,
-    since int / int is a float."""
+    alike.  A Matrix over QQ holds no elements: it stores each row as ints
+    over one denominator (see the module docstring) and builds elements
+    only when its data view is read.  Division of elements goes only
+    through div, since int / int is a float."""
 
     name = "rational"
     zero = 0
@@ -192,46 +185,98 @@ def _check_fields(a, b):
         raise ValueError(f"field mismatch: {a.field!r} and {b.field!r}")
 
 
-class Matrix:
-    """Dense matrix over an exact field.  Rows-of-rows storage; treat as
-    immutable after construction."""
+def _join(rows, dens):
+    """(ints, L): the cleared rows rows[i] / dens[i] joined end to end over
+    L, the lcm of dens.  A prime power that divides L exactly divides some
+    dens[i] exactly, and that row has an entry it does not divide, so the
+    join of reduced rows is reduced."""
+    L = lcm(*dens)
+    return list(chain.from_iterable(
+        r if d == L else [x * (L // d) for x in r] for r, d in zip(rows, dens))), L
 
-    __slots__ = ("rows", "cols", "data", "field")
+
+class Matrix:
+    """Dense matrix over an exact field, stored row by row in num, lists of
+    ints.  Over QQ row i is num[i] / den[i], reduced (see the module
+    docstring), and den is None when every row is integral; over GF(p) den
+    is None.  data is the read-only view of the entries.  Treat as immutable
+    after construction."""
+
+    __slots__ = ("rows", "cols", "field", "num", "den")
 
     def __init__(self, data, field, ncols=None):
-        self.data = [list(r) for r in data]
-        self.rows = len(self.data)
+        num = [list(r) for r in data]
+        self.rows = len(num)
         if self.rows:
-            self.cols = len(self.data[0])
+            self.cols = len(num[0])
         else:
             self.cols = 0 if ncols is None else ncols
-        for r in self.data:
+        for r in num:
             if len(r) != self.cols:
                 raise ValueError("ragged matrix")
         self.field = field
+        den = None
+        if not field.p:
+            den = [1] * self.rows
+            for i, r in enumerate(num):
+                if Fraction in map(type, r):
+                    d = den[i] = lcm(*[x.denominator for x in r
+                                       if type(x) is not int])
+                    num[i] = [x * d if type(x) is int
+                              else x.numerator * (d // x.denominator) for x in r]
+        self.num = num
+        self.den = den if den and den.count(1) != self.rows else None
 
     @staticmethod
-    def _fresh(data, field, ncols) -> "Matrix":
+    def _fresh(num, field, ncols, den=None) -> "Matrix":
         """A matrix on rows this module has just built: rectangular with
-        ncols columns by construction, so neither copied nor checked."""
+        ncols columns and cleared by construction, so neither copied nor
+        checked; den is dropped when every row is integral."""
         m = object.__new__(Matrix)
-        m.data = data
-        m.rows = len(data)
+        m.num = num
+        m.rows = len(num)
         m.cols = ncols
         m.field = field
+        m.den = den if den and den.count(1) != len(den) else None
         return m
+
+    @staticmethod
+    def cleared(num, den, field, ncols) -> "Matrix":
+        """The matrix with rows num[i] / den[i] (positive den[i]), on int
+        lists the caller has just built and hands over: each row is divided
+        by gcd(den[i], *num[i]) in place."""
+        for i, d in enumerate(den):
+            if d != 1:
+                g = gcd(d, *num[i])
+                if g > 1:
+                    num[i] = [x // g for x in num[i]]
+                    den[i] = d // g
+        return Matrix._fresh(num, field, ncols, den)
+
+    @property
+    def data(self):
+        """The entries row by row: the stored rows when den is None, else a
+        view built on each read, with ints where integral and Fractions in
+        lowest terms otherwise.  Read only."""
+        if self.den is None:
+            return self.num
+        div = QQ.div
+        return [r if d == 1 else [div(x, d) for x in r]
+                for r, d in zip(self.num, self.den)]
+
+    def _dens(self):
+        return self.den or [1] * self.rows
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def identity(n: int, field) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix([[o if i == j else z for j in range(n)] for i in range(n)], field)
+        return Matrix._fresh([[1 if i == j else 0 for j in range(n)]
+                              for i in range(n)], field, n)
 
     @staticmethod
     def zeros(r: int, c: int, field) -> "Matrix":
-        z = field.zero
-        return Matrix([[z] * c for _ in range(r)], field, ncols=c)
+        return Matrix._fresh([[0] * c for _ in range(r)], field, c)
 
     @staticmethod
     def from_int_rows(data, field) -> "Matrix":
@@ -259,7 +304,8 @@ class Matrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and (self.field is other.field or self.field == other.field)
-            and self.data == other.data
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __repr__(self):
@@ -270,87 +316,72 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
 
-    def __add__(self, other) -> "Matrix":
-        self._check_shape(other, "+")
+    def _entrywise(self, other, op, sign) -> "Matrix":
+        """self op other for op add or sub; over QQ each pair of rows meets
+        over the lcm of their denominators."""
+        self._check_shape(other, sign)
         p = self.field.p
-        if p:
-            data = [[(a + b) % p for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)]
-        else:
-            data = [[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)]
-        return Matrix._fresh(data, self.field, self.cols)
+        if self.den is None and other.den is None:
+            if p:
+                num = [[x % p for x in map(op, ra, rb)]
+                       for ra, rb in zip(self.num, other.num)]
+            else:
+                num = [list(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)]
+            return Matrix._fresh(num, self.field, self.cols)
+        num, den = [], []
+        for ra, da, rb, db in zip(self.num, self._dens(), other.num, other._dens()):
+            d = lcm(da, db)
+            num.append(list(map(op, ra if d == da else [x * (d // da) for x in ra],
+                                rb if d == db else [x * (d // db) for x in rb])))
+            den.append(d)
+        return Matrix.cleared(num, den, self.field, self.cols)
+
+    def __add__(self, other) -> "Matrix":
+        return self._entrywise(other, add, "+")
 
     def __sub__(self, other) -> "Matrix":
-        self._check_shape(other, "-")
-        p = self.field.p
-        if p:
-            data = [[(a - b) % p for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)]
-        else:
-            data = [[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)]
-        return Matrix._fresh(data, self.field, self.cols)
+        return self._entrywise(other, sub, "-")
 
     def __neg__(self) -> "Matrix":
         p = self.field.p
         if p:
-            data = [[-a % p for a in row] for row in self.data]
+            num = [[-a % p for a in row] for row in self.num]
         else:
-            data = [[-a for a in row] for row in self.data]
-        return Matrix._fresh(data, self.field, self.cols)
+            num = [[-a for a in row] for row in self.num]
+        return Matrix._fresh(num, self.field, self.cols, self.den)
 
     def scale(self, c) -> "Matrix":
         p = self.field.p
         if p:
-            data = [[c * a % p for a in row] for row in self.data]
-        else:
-            data = [[c * a for a in row] for row in self.data]
-        return Matrix._fresh(data, self.field, self.cols)
+            return Matrix._fresh([[c * a % p for a in row] for row in self.num],
+                                 self.field, self.cols)
+        c, q = c.as_integer_ratio()
+        num = [[c * a for a in row] for row in self.num]
+        if q == 1 and self.den is None:
+            return Matrix._fresh(num, self.field, self.cols)
+        return Matrix.cleared(num, [d * q for d in self._dens()], self.field, self.cols)
 
     def __matmul__(self, other) -> "Matrix":
         """The product, accumulated as plain int sums.  Over GF(p) each sum
-        is reduced once per output cell.  Over QQ each right row that a
-        left row selects is judged once per product and, if it holds a
-        Fraction, rescaled to an integer row and one denominator; a left
-        row's Fraction coefficients are rescaled as they come.  A row's
-        sums then share one denominator D, by which each output cell is
-        divided once: an int where integral, a Fraction otherwise."""
+        is reduced once per output cell.  Over QQ the terms of a left row
+        share D, the lcm of the denominators of the right rows it selects,
+        widened as they come; the row's sums over D times its own
+        denominator are then reduced once, so a left row need not be."""
         _check_fields(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         p = self.field.p
-        ot, n = other.data, other.cols
-        # over QQ, right row k as itself (all int) or (ints, d), judged
-        # when a left row first selects it
-        rights = ot if p else [None] * other.rows
-        # once this product has met a Fraction, judge rows by type: a sum
-        # over Fractions runs in Python
-        met = False
+        ot, n, oden = other.num, other.cols, other.den
         cols = range(self.cols)
-        out = []
-        for row in self.data:
+        out, dens = [], []
+        for row in self.num:
             new = None
             D = 1
             for k in compress(cols, row):
                 a = row[k]
-                rk = rights[k]
-                if rk is None:
-                    rk = ot[k]
-                    if (Fraction in map(type, rk) if met
-                            else type(sum(rk)) is not int):
-                        met = True
-                        rk = _integer_row(rk)
-                    rights[k] = rk
-                if type(a) is int and type(rk) is list:
-                    if D != 1:
-                        a *= D
-                else:
-                    met = True
-                    a, q = a.as_integer_ratio()
-                    if type(rk) is tuple:
-                        rk, d = rk
-                        q *= d
+                rk = ot[k]
+                if oden is not None:
+                    q = oden[k]
                     if D % q:
                         # widen the row's denominator to a multiple of q
                         L = lcm(D, q)
@@ -358,104 +389,122 @@ class Matrix:
                             f = L // D
                             new = [x * f for x in new]
                         D = L
-                    a *= D // q
+                    if D != q:
+                        a *= D // q
                 if new is None:
                     new = rk[:] if a == 1 else [a * b for b in rk]
                     continue
                 for j in range(n):
                     b = rk[j]
                     if b:
-                        new[j] = new[j] + a * b
+                        new[j] += a * b
             if new is None:
                 new = [0] * n
             elif p:
                 new = [x % p for x in new]
-            elif D != 1:
-                new = [Fraction(x, D) if x % D else x // D for x in new]
             out.append(new)
-        return Matrix._fresh(out, self.field, n)
+            dens.append(D)
+        if p or oden is None and self.den is None:
+            return Matrix._fresh(out, self.field, n)
+        if self.den is not None:
+            dens = list(map(mul, dens, self.den))
+        return Matrix.cleared(out, dens, self.field, n)
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a plain list."""
+        """Matrix-vector product; vec is a plain list of elements."""
         if len(vec) != self.cols:
             raise ValueError(f"a vector of length {len(vec)} for a matrix of"
                              f" shape {self.shape}")
         p = self.field.p
-        zero = self.field.zero
-        out = []
-        for row in self.data:
-            s = zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = s + a * x
-            out.append(s % p if p else s)
-        return out
+        if p:
+            return [sum(map(mul, row, vec)) % p for row in self.num]
+        v = Matrix([vec], self.field, ncols=self.cols)
+        e = v._dens()[0]
+        return [QQ.div(sum(map(mul, row, v.num[0])), d * e)
+                for row, d in zip(self.num, self._dens())]
 
     def transpose(self) -> "Matrix":
-        data = ([list(col) for col in zip(*self.data)] if self.rows
-                else [[] for _ in range(self.cols)])
-        return Matrix._fresh(data, self.field, self.rows)
+        """Over QQ every row is first brought to the lcm of the
+        denominators, and each column is then reduced."""
+        if not self.rows:
+            return Matrix._fresh([[] for _ in range(self.cols)], self.field, 0)
+        if self.den is None:
+            return Matrix._fresh([list(col) for col in zip(*self.num)],
+                                 self.field, self.rows)
+        L = lcm(*self.den)
+        cols = zip(*[r if d == L else [x * (L // d) for x in r]
+                     for r, d in zip(self.num, self.den)])
+        return Matrix.cleared(list(map(list, cols)), [L] * self.cols, self.field,
+                      self.rows)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product; row-major, left factor major: index (i,k) of the
         product space is i*other.rows + k."""
         _check_fields(self, other)
         p = self.field.p
-        z = self.field.zero
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            for k in range(other.rows):
-                rk = other.data[k]
+        for ri in self.num:
+            for rk in other.num:
                 row = []
-                for j in range(self.cols):
-                    a = ri[j]
+                for a in ri:
                     if not a:
-                        row.extend([z] * other.cols)
+                        row.extend([0] * other.cols)
                     elif p:
-                        row.extend(a * b % p if b else z for b in rk)
+                        row.extend(a * b % p if b else 0 for b in rk)
                     else:
-                        row.extend(a * b if b else z for b in rk)
+                        row.extend(a * b if b else 0 for b in rk)
                 out.append(row)
-        return Matrix._fresh(out, self.field, self.cols * other.cols)
+        n = self.cols * other.cols
+        if self.den is None and other.den is None:
+            return Matrix._fresh(out, self.field, n)
+        return Matrix.cleared(out, [a * b for a in self._dens() for b in other._dens()],
+                      self.field, n)
 
     def hstack(self, other) -> "Matrix":
-        _check_fields(self, other)
-        if self.rows != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} beside {other.shape}")
-        return Matrix(
-            [ra + rb for ra, rb in zip(self.data, other.data)],
-            self.field,
-            ncols=self.cols + other.cols,
-        )
+        return stack_columns([self, other])
 
     def vstack(self, other) -> "Matrix":
         return stack_rows([self, other])
 
+    def flatten(self) -> "Matrix":
+        """The 1 x rows*cols matrix of the entries read row by row."""
+        row, L = _join(self.num, self._dens())
+        return Matrix._fresh([row], self.field, self.rows * self.cols, [L])
+
     def col_list(self, j: int):
-        return [self.data[i][j] for i in range(self.rows)]
+        return [r[j] if d == 1 else QQ.div(r[j], d)
+                for r, d in zip(self.num, self._dens())]
 
     def columns(self):
-        return [self.col_list(j) for j in range(self.cols)]
+        return self.transpose().data
 
     def select_columns(self, cols) -> "Matrix":
         """The columns at cols, a slice or a list of indices, in that order."""
         if isinstance(cols, slice):
-            return Matrix._fresh([row[cols] for row in self.data], self.field,
-                                 len(range(self.cols)[cols]))
-        return Matrix._fresh([[row[c] for c in cols] for row in self.data],
-                             self.field, len(cols))
+            num = [row[cols] for row in self.num]
+            n = len(range(self.cols)[cols])
+        else:
+            num = [[row[c] for c in cols] for row in self.num]
+            n = len(cols)
+        if self.den is None:
+            return Matrix._fresh(num, self.field, n)
+        return Matrix.cleared(num, self.den[:], self.field, n)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(map(any, self.num))
 
     def to_int_grid(self):
         """The entries as lists of ints; ValueError if one is not
         integral."""
-        out = [[_integral(a) for a in row] for row in self.data]
-        if any(type(a) is not int for row in out for a in row):
+        if self.den is not None:
             raise ValueError("a non-integral entry in an int grid")
-        return out
+        return [row[:] for row in self.num]
+
+
+def _rows_at(m: Matrix, idx) -> Matrix:
+    """The rows of m at idx, in that order, each copied."""
+    return Matrix._fresh([m.num[i][:] for i in idx], m.field, m.cols,
+                         m.den and [m.den[i] for i in idx])
 
 
 def stack_rows(mats) -> Matrix:
@@ -466,8 +515,30 @@ def stack_rows(mats) -> Matrix:
         _check_fields(top, m)
         if m.cols != top.cols:
             raise ValueError(f"shape mismatch {top.shape} above {m.shape}")
-    return Matrix._fresh([row[:] for m in mats for row in m.data], top.field,
-                         top.cols)
+    den = (None if all(m.den is None for m in mats)
+           else [d for m in mats for d in m._dens()])
+    return Matrix._fresh([row[:] for m in mats for row in m.num], top.field,
+                         top.cols, den)
+
+
+def stack_columns(mats) -> Matrix:
+    """Horizontal stack of a nonempty list of matrices over one field with
+    one row count; over QQ each row is joined over the lcm of its parts'
+    denominators (see _join)."""
+    top = mats[0]
+    for m in mats[1:]:
+        _check_fields(top, m)
+        if m.rows != top.rows:
+            raise ValueError(f"shape mismatch {top.shape} beside {m.shape}")
+    n = sum(m.cols for m in mats)
+    if all(m.den is None for m in mats):
+        return Matrix._fresh([list(chain.from_iterable(rows))
+                              for rows in zip(*(m.num for m in mats))],
+                             top.field, n)
+    joined = [_join(rows, dens) for rows, dens in
+              zip(zip(*(m.num for m in mats)), zip(*(m._dens() for m in mats)))]
+    return Matrix._fresh([r for r, _ in joined], top.field, n,
+                         [L for _, L in joined])
 
 
 def tensor_permutation_index(dims, perm) -> list:
@@ -498,7 +569,10 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     entry (i, k, j) of a row of P (in left x r x right) meets row k of X
     only.  Each row of P is cut by C-level slices into one r-vector per
     (i, j), all cuts meet all X in one product, and entry (i, l, j) of an
-    output row is entry l of the product row of cut (i, j)."""
+    output row is entry l of the product row of cut (i, j).  Over QQ a cut
+    keeps the denominator of its row, and the product rows of one row's
+    cuts are brought to the lcm of their denominators before they are
+    joined."""
     if not Xs:
         return []
     f, (r, c) = P.field, Xs[0].shape
@@ -508,22 +582,33 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     if not P.cols:
         return [Matrix.zeros(P.rows, n, f) for _ in Xs]
     if right == 1:
-        cut = [row[b:b + r] for row in P.data for b in range(0, P.cols, r)]
+        cut = [row[b:b + r] for row in P.num for b in range(0, P.cols, r)]
     else:
-        cut = [row[b + j:b + w:right] for row in P.data
+        cut = [row[b + j:b + w:right] for row in P.num
                for b in range(0, P.cols, w) for j in range(right)]
-    X = Xs[0] if len(Xs) == 1 else Matrix._fresh(
-        [list(chain.from_iterable(rows)) for rows in zip(*(X.data for X in Xs))],
-        f, c * len(Xs))
-    Z = (Matrix._fresh(cut, f, r) @ X).data
+    g = left * right  # cuts per row of P
+    X = Xs[0] if len(Xs) == 1 else stack_columns(Xs)
+    Z = Matrix._fresh(cut, f, r, P.den and [d for d in P.den for _ in range(g)]) @ X
+    Zn, den = Z.num, None
+    if Z.den is not None:
+        den = []
+        for t in range(0, len(Zn), g):
+            cuts = Z.den[t:t + g]
+            L = lcm(*cuts)
+            for u, d in enumerate(cuts, t):
+                if d != L:
+                    Zn[u] = [x * (L // d) for x in Zn[u]]
+            den.append(L)
     out = []
     for s in range(len(Xs)):
-        Zs = Z if len(Xs) == 1 else [z[s * c:(s + 1) * c] for z in Z]
+        Zs = Zn if len(Xs) == 1 else [z[s * c:(s + 1) * c] for z in Zn]
         if right > 1:  # the products of the right cuts (i, j), interleaved
             Zs = [list(chain.from_iterable(zip(*Zs[u:u + right])))
                   for u in range(0, len(Zs), right)]
-        out.append(Matrix._fresh([list(chain.from_iterable(Zs[t:t + left]))
-                                  for t in range(0, len(Zs), left)], f, n))
+        num = [list(chain.from_iterable(Zs[t:t + left]))
+               for t in range(0, len(Zs), left)]
+        out.append(Matrix._fresh(num, f, n) if den is None
+                   else Matrix.cleared(num, den[:], f, n))
     return out
 
 
@@ -548,18 +633,18 @@ def kron_product(P: Matrix, factors) -> Matrix:
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (R, pivots).
 
-    Over QQ each row is kept as a primitive integer vector: a row holding a
-    Fraction is scaled to integers and every row divided by its content.
-    A pivot row is made positive at its pivot pv and eliminates entry f of
-    another row by cross-multiplication, pv/g times that row minus f/g
-    times the pivot row (g = gcd(pv, f)); a row so scaled is divided by its
-    content again.  Each pivot row is divided by its pivot once, at the
-    end, so entries are ints where integral and Fractions otherwise.  Over
-    GF(p) each pivot is inverted once and every updated entry is reduced
-    mod p.  Either way a pivot row is subtracted only on its own nonzero
-    columns."""
+    Over QQ each row is kept as a primitive integer vector: the numerators
+    of a row, divided by their content (a row's scale does not change the
+    row space).  A pivot row is made positive at its pivot pv and
+    eliminates entry f of another row by cross-multiplication, pv/g times
+    that row minus f/g times the pivot row (g = gcd(pv, f)); a row so
+    scaled is divided by its content again.  At the end pivot row i is
+    stored over its pivot, divided by its content: row i of R is num[i] /
+    den[i] with num[i][pivot] == den[i].  Over GF(p) each pivot is inverted
+    once and every updated entry is reduced mod p.  Either way a pivot row
+    is subtracted only on its own nonzero columns."""
     p = m.field.p
-    R = [row[:] for row in m.data] if p else [_primitive(row) for row in m.data]
+    R = [row[:] for row in m.num] if p else [_primitive(row) for row in m.num]
     rows, cols = m.rows, m.cols
     pivots = []
     r = 0
@@ -580,18 +665,20 @@ def rref(m: Matrix):
             _eliminate_integer(R, r, c)
         pivots.append(c)
         r += 1
-    if not p:
-        for i, c in enumerate(pivots):
-            Ri, pv = R[i], R[i][c]
-            if pv != 1:
-                R[i] = [Fraction(x, pv) if x % pv else x // pv for x in Ri]
-    return Matrix._fresh(R, m.field, cols), pivots
+    if p:
+        return Matrix._fresh(R, m.field, cols), pivots
+    den = [1] * rows
+    for i, c in enumerate(pivots):
+        Ri = R[i]
+        g = gcd(*Ri)
+        if g > 1:
+            R[i] = [x // g for x in Ri]
+        den[i] = Ri[c] // g
+    return Matrix._fresh(R, m.field, cols, den), pivots
 
 
 def _primitive(row):
-    """row over QQ as a primitive integer vector, a new list."""
-    if Fraction in map(type, row):
-        row = _integer_row(row)[0]
+    """An integer row divided by its content, a new list."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row[:]
 
@@ -645,19 +732,14 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def _distinct(rows, field) -> list:
-    """The nonzero rows among rows as tuples, in order of first appearance,
-    each value once unless a Fraction is among them.  They span the same
-    row space, which is all a kernel or a column space depends on, so
-    elimination need see nothing else (rref itself keeps every row: inverse
-    and solve_matrix read them all).  A Fraction hashes in Python, so rows
-    holding one are not looked up: only their zero rows go."""
-    rows = map(tuple, filter(any, rows))
-    if not field.p:
-        rows = list(rows)
-        if Fraction in map(type, chain.from_iterable(rows)):
-            return rows
-    return list(dict.fromkeys(rows))
+def _distinct(rows) -> list:
+    """The nonzero rows among rows, integer lists, as tuples in order of
+    first appearance, each value once.  Over QQ they are numerators, and a
+    numerator row spans what its row does, so together they span the row
+    space, which is all a kernel or a column space depends on: elimination
+    need see nothing else (rref itself keeps every row: inverse and
+    solve_matrix read them all)."""
+    return list(dict.fromkeys(map(tuple, filter(any, rows))))
 
 
 def column_echelon(m: Matrix) -> Matrix:
@@ -666,10 +748,9 @@ def column_echelon(m: Matrix) -> Matrix:
     columns, columns ordered by leading row.  Canonical: equal subspaces give
     equal matrices.  Only the distinct nonzero columns of m are eliminated
     (see _distinct)."""
-    rows = list(map(list, _distinct(zip(*m.data), m.field)))
+    rows = list(map(list, _distinct(m.transpose().num)))
     R, pivots = rref(Matrix._fresh(rows, m.field, m.rows))
-    cols = [R.data[i] for i in range(len(pivots))]
-    return Matrix.from_columns(cols, m.rows, m.field)
+    return _rows_at(R, range(len(pivots))).transpose()
 
 
 class Subspace:
@@ -686,10 +767,11 @@ class Subspace:
             raise ValueError("subspace basis does not fit the ambient space")
         # the first nonzero row of each column: in reduced column echelon
         # form these rows increase and together form an identity matrix
-        self.lead = [next((i for i, row in enumerate(B.data) if row[j]), None)
+        num = B.num
+        self.lead = [next((i for i, row in enumerate(num) if row[j]), None)
                      for j in range(B.cols)]
         if (None in self.lead or self.lead != sorted(set(self.lead))
-                or [B.data[i] for i in self.lead] != Matrix.identity(B.cols, field).data):
+                or _rows_at(B, self.lead) != Matrix.identity(B.cols, field)):
             raise ValueError("subspace basis is not in reduced column echelon form")
 
     @property
@@ -707,7 +789,7 @@ class Subspace:
         a column lies outside the subspace.  Basis column j is 1 at lead[j]
         and every other basis column is 0 there, so the coordinates are M's
         rows at lead; one product checks them, with no elimination."""
-        X = Matrix([M.data[i] for i in self.lead], self.field, ncols=M.cols)
+        X = _rows_at(M, self.lead)
         return X if self.basis @ X == M else None
 
     def contains(self, vec) -> bool:
@@ -724,26 +806,34 @@ def kernel(m: Matrix) -> Subspace:
 
     Eliminating m with its columns reversed gives, for each free column f,
     the kernel vector that is 1 at f, 0 at the other free columns and
-    nonzero only at pivot columns after f: reduced column echelon form
-    already, with the free columns as leading rows.  Only the distinct
-    nonzero rows of m are eliminated (see _distinct)."""
+    -R[i][f] at the pivot column of each row i of the echelon form R:
+    reduced column echelon form already, with the free columns as leading
+    rows.  The basis row at the pivot of row i is thus row i read at the
+    free columns and negated, over the same denominator, and it stays
+    reduced: row i is nonzero only there and at its pivot, where its
+    numerator is the denominator.  Only the distinct nonzero rows of m are
+    eliminated (see _distinct)."""
     n = m.cols
-    rows = [list(reversed(row)) for row in _distinct(m.data, m.field)]
+    rows = [list(reversed(row)) for row in _distinct(m.num)]
     R, pivots = rref(Matrix._fresh(rows, m.field, n))
-    pivset = set(pivots)
-    z, o, p = m.field.zero, m.field.one, m.field.p
-    cols = []
-    for j in range(n - 1, -1, -1):
-        if j in pivset:
-            continue
-        v = [z] * n
-        v[n - 1 - j] = o
-        for i, pc in enumerate(pivots):
-            if pc > j:
-                break
-            v[n - 1 - pc] = -R.data[i][j] % p if p else -R.data[i][j]
-        cols.append(v)
-    return Subspace(n, Matrix.from_columns(cols, n, m.field), m.field,
+    row_of = {c: i for i, c in enumerate(pivots)}
+    free = [j for j in range(n - 1, -1, -1) if j not in row_of]
+    p, Rden = m.field.p, R._dens()
+    num, den = [], []
+    t = 0
+    # basis row x is column n - 1 - x of the reversed elimination
+    for c in range(n - 1, -1, -1):
+        i = row_of.get(c)
+        if i is None:
+            num.append([0] * len(free))
+            num[-1][t] = 1
+            den.append(1)
+            t += 1
+        else:
+            Ri = R.num[i]
+            num.append([-Ri[j] % p for j in free] if p else [-Ri[j] for j in free])
+            den.append(Rden[i])
+    return Subspace(n, Matrix._fresh(num, m.field, len(free), den), m.field,
                     canonical=True)
 
 
@@ -763,18 +853,15 @@ def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
     if A.rows != B.rows:
         raise ValueError(f"shape mismatch: A X = B with {A.shape} and"
                          f" {B.shape}")
-    aug = A.hstack(B)
-    R, pivots = rref(aug)
-    usable = [p for p in pivots if p < A.cols]
-    if len(usable) != len(pivots):
+    R, pivots = rref(A.hstack(B))
+    n = A.cols
+    if pivots and pivots[-1] >= n:
         return None
-    z = A.field.zero
-    out = [[z] * B.cols for _ in range(A.cols)]
-    for i, p in enumerate(usable):
-        for j in range(B.cols):
-            out[p][j] = R.data[i][A.cols + j]
-    X = Matrix(out, A.field, ncols=B.cols)
-    return X
+    num, den = [[0] * B.cols for _ in range(n)], [1] * n
+    Rden = R._dens()
+    for i, c in enumerate(pivots):
+        num[c], den[c] = R.num[i][n:], Rden[i]
+    return Matrix.cleared(num, den, A.field, B.cols)
 
 
 def inverse(m: Matrix) -> "Matrix | None":
@@ -828,7 +915,7 @@ class Quotient:
     def descend(self, down: Matrix, message: str) -> Matrix:
         """The map on the quotient induced by down, a map out of the ambient
         space; raises ValueError(message) unless down kills the relations."""
-        if not (down @ self.relations).is_zero():
+        if not (down @ self.relations).is_zero():  # a test of numerators
             raise ValueError(message)
         return down.select_columns(self.free)
 
@@ -849,17 +936,19 @@ def cokernel(rel: Matrix) -> Quotient:
     d = B.cols
     leadset = set(lead)
     free = [i for i in range(n) if i not in leadset]
-    z, o = field.zero, field.one
     sect = Matrix.identity(n, field).select_columns(free)
+    # over QQ row i of B is num[i] / den[i], so row r of proj is reduced
+    # over den[free[r]]
+    dens = [B._dens()[i] for i in free]
     rows = []
-    for i in free:
-        row = [z] * n
-        row[i] = o
-        for j, b in enumerate(B.data[i]):
+    for i, e in zip(free, dens):
+        row = [0] * n
+        row[i] = e
+        for j, b in enumerate(B.num[i]):
             if b:
                 row[lead[j]] = -b % p if p else -b
         rows.append(row)
-    proj = Matrix._fresh(rows, field, n)
+    proj = Matrix._fresh(rows, field, n, dens)
     if (proj @ sect) != Matrix.identity(n - d, field):
         raise ValueError("cokernel section is not a section of the projection")
     if not (proj @ B).is_zero():
@@ -945,10 +1034,11 @@ MEMO_BOUND = 64
 
 def content_key(x):
     """A hashable value, equal exactly for objects equal on the nose: a
-    matrix by its field and entries, a list by its entries, an object with
-    slots by its type and slots but its name; a scalar or field by itself."""
+    matrix by its field and its canonical rows, a list by its entries, an
+    object with slots by its type and slots but its name; a scalar or field
+    by itself."""
     if type(x) is Matrix:
-        return (x.field, x.cols, tuple(map(tuple, x.data)))
+        return (x.field, x.cols, tuple(map(tuple, x.num)), x.den and tuple(x.den))
     if type(x) is list:
         return tuple(map(content_key, x))
     slots = getattr(type(x), "__slots__", None)

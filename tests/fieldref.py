@@ -4,15 +4,21 @@ An element of GF(p) is a plain int in [0, p), so a reference that adds,
 subtracts or multiplies elements with Python operators reduces each result
 with ``red``; over QQ it is the identity.
 
-``matmul_ref`` and ``rref_ref`` are the Matrix product and elimination done
-with Python's Fraction arithmetic entry by entry, the way the library did
-them before its QQ kernels ran on integer rows; the differential tests
-compare the library with them.  ``reference_kernels`` swaps them into
-``centrum.exactla`` so that ``kernel``, ``cokernel``, ``inverse`` and
-``solve_matrix`` can be computed on them too.  ``column_echelon_ref``,
-``kernel_ref`` and ``cokernel_ref`` build canonical bases and cokernel
-witnesses on ``rref_ref`` of every row they are given, zero and repeated
-rows included.
+A QQ Matrix stores each row as integer numerators over one reduced
+denominator, and its kernels never build a Fraction.  The references here
+read a matrix only through its ``data`` view (ints where integral, Fractions
+otherwise) and build their results with the checked ``Matrix`` constructor,
+so they share no arithmetic with the cleared kernels.  ``matmul_ref`` and
+``rref_ref`` are the Matrix product and elimination done with Python's
+Fraction arithmetic entry by entry; the differential tests compare the
+library with them.  ``reference_kernels`` swaps them into ``centrum.exactla``
+so that ``kernel``, ``cokernel``, ``inverse`` and ``solve_matrix`` can be
+computed on them too.  ``column_echelon_ref``, ``kernel_ref`` and
+``cokernel_ref`` build canonical bases and cokernel witnesses on
+``rref_ref`` of every row they are given, zero and repeated rows included.
+The entry-by-entry references at the end (``add_ref``, ``kron_ref``,
+``kron_product_ref``, ``descend_ref``, ...) cover the remaining Matrix
+operations.
 """
 
 import contextlib

@@ -171,6 +171,16 @@ CASES = [
      ["invertible", "cospan", "--cospan", "identity:k", "--map", "diag:2"],
      2),
     ("invertible-2cell-without-diagram", ["invertible", "2cell"], 2),
+    # a missing input: a JSON refusal, as for verify morita
+    ("center-without-algebra", ["center"], 2),
+    ("centralizer-without-map", ["centralizer"], 2),
+    ("z-hom-without-map", ["z-hom"], 2),
+    ("z-bimodule-without-bimodule", ["z-bimodule"], 2),
+    ("z-2cell-without-bimodule-map", ["z-2cell"], 2),
+    ("tensor-over-without-right", ["tensor-over", "--left", "col:2"], 2),
+    ("compose-cospans-without-either", ["compose-cospans"], 2),
+    ("compose-2diagrams-without-second",
+     ["compose-2diagrams", "vertical", "--first", "@2diagram.json"], 2),
 ]
 
 

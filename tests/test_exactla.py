@@ -876,17 +876,20 @@ def test_kernel_hands_rref_only_distinct_nonzero_rows(monkeypatch, field):
     assert kernel(m).basis == kernel_ref(m)
 
 
-def test_rows_holding_a_fraction_lose_only_their_zero_rows(monkeypatch):
-    """A Fraction hashes in Python, so rows holding one are not looked up
-    for repeats; the kernel is the same either way."""
+def test_rows_holding_a_fraction_are_looked_up_for_repeats(monkeypatch):
+    """A QQ row is stored as integer numerators over one denominator, and
+    kernel looks up the numerators: a row holding a Fraction loses its
+    repeats too, and so does any row it is a multiple of by a denominator.
+    The kernel is the same either way."""
     handed = []
     real = exactla.rref
     monkeypatch.setattr(exactla, "rref",
                         lambda m: handed.append(m.data) or real(m))
     half = Fraction(1, 2)
-    m = Matrix([[half, 1], [0, 0], [half, 1]], QQ)
+    m = Matrix([[half, 1], [0, 0], [half, 1], [1, 2],
+                [Fraction(1), Fraction(2)]], QQ)
     K = kernel(m)
-    assert [row[::-1] for row in handed[0]] == [[half, 1], [half, 1]]
+    assert [row[::-1] for row in handed[0]] == [[1, 2]]
     assert K.basis == kernel_ref(m)
 
 

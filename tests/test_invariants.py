@@ -28,6 +28,100 @@ def test_src_holds_no_assert():
     assert found == []
 
 
+ROW_ATTRS = {"data", "num", "den"}
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+            "reverse"}
+
+
+def _is_rows(node, names) -> bool:
+    """Whether node is X.data, X.num or X.den, an item or slice of one, or
+    a name bound to one of those."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return ((isinstance(node, ast.Attribute) and node.attr in ROW_ATTRS)
+            or (isinstance(node, ast.Name) and node.id in names))
+
+
+def _bound_rows(target, value, names):
+    """Add to names the names target binds to rows: target = value, or a
+    loop over value, enumerate(value) or zip(..., value, ...)."""
+    if isinstance(target, ast.Name) and _is_rows(value, names):
+        names.add(target.id)
+    elif (isinstance(target, ast.Tuple) and isinstance(value, ast.Call)
+          and isinstance(value.func, ast.Name)):
+        args = value.args
+        if value.func.id == "enumerate" and len(target.elts) == 2 and args:
+            _bound_rows(target.elts[1], args[0], names)
+        elif value.func.id == "zip" and len(target.elts) == len(args):
+            for t, a in zip(target.elts, args):
+                _bound_rows(t, a, names)
+
+
+def row_writes(source: str) -> list:
+    """Line numbers of the statements in source that write into a
+    matrix's rows: an assignment to X.data (X.num, X.den) or to an item or
+    slice of it, directly or through a name bound to it in the same
+    function, and a list-mutating method called on one of those."""
+    out = []
+    tree = ast.parse(source)
+    scopes = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+    for scope in scopes:
+        names = set()
+        # the scope's own nodes: nested functions are scopes of their own
+        nodes, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        for node in nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                _bound_rows(node.targets[0], node.value, names)
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                _bound_rows(node.target, node.iter, names)
+        for node in nodes:
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and _is_rows(node.func.value, names)):
+                out.append(node.lineno)
+            out.extend(node.lineno for t in targets
+                       if isinstance(t, (ast.Subscript, ast.Attribute))
+                       and _is_rows(t, names))
+    return sorted(set(out))
+
+
+def test_src_writes_into_no_matrix_rows():
+    """A Matrix stores its rows in one canonical form, and its data may be
+    those very rows: only exactla, which keeps the form, writes into them."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "exactla.py"
+             for line in row_writes(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_row_writes_are_found():
+    src = """
+def f(m, mult, a):
+    mult.data[1][2] = 1
+    out = mult.data[0]
+    out[0:2] = [1, 1]
+    for i, row in enumerate(a.num):
+        row[i] += 1
+    m.data.append([0])
+    for x, r in zip(range(3), m.data):
+        r.extend([x])
+    m.den = None
+    fresh = [row[:] for row in m.data]
+    fresh[0][0] = 1
+"""
+    assert row_writes(src) == [3, 5, 7, 8, 10, 11]
+
+
 def _on_call(module, name, n, value):
     """Patch module.name so that its n-th call returns value and every other
     call goes through to the real function."""

@@ -80,23 +80,25 @@ def qq_matrix(draw, rows, cols, kind=None) -> Matrix:
     return Matrix(draw(qq_rows(rows, cols, kind)), QQ, ncols=cols)
 
 
+def normal(a) -> bool:
+    """a is an int, or a Fraction in lowest terms that is not integral."""
+    return type(a) is int or (type(a) is Fraction and a.denominator > 1
+                              and gcd(a.numerator, a.denominator) == 1)
+
+
 def assert_normal(m: Matrix, name):
-    """Every entry is an int, or a Fraction in lowest terms that is not
-    integral."""
     for row in m.data:
         for a in row:
-            assert type(a) is int or (type(a) is Fraction and a.denominator > 1
-                                      and gcd(a.numerator, a.denominator) == 1), \
-                (name, a)
+            assert normal(a), (name, a)
 
 
-def assert_same(got, ref, name, normal=False):
-    """got equals ref as a Matrix and entry for entry."""
+def assert_same(got, ref, name):
+    """got equals ref as a Matrix and entry for entry, and its entries are
+    normal."""
     assert got.shape == ref.shape, name
     assert got == ref, name
     assert got.data == ref.data, name
-    if normal:
-        assert_normal(got, name)
+    assert_normal(got, name)
 
 
 dims = st.integers(0, 4)
@@ -112,7 +114,7 @@ def test_entrywise_operations_match_the_references(data, n, k, l):
     v = data.draw(st.lists(st.one_of(INTS, FRACS, INTS.map(respell)),
                            min_size=k, max_size=k))
     cols = data.draw(st.lists(st.integers(0, k - 1), max_size=5)) if k else []
-    assert_same(A @ B, matmul_ref(A, B), "matmul", normal=True)
+    assert_same(A @ B, matmul_ref(A, B), "matmul")
     assert_same(A + C, add_ref(A, C), "add")
     assert_same(A - C, add_ref(A, C, -1), "sub")
     assert_same(-A, scale_ref(A, -1), "neg")
@@ -124,7 +126,9 @@ def test_entrywise_operations_match_the_references(data, n, k, l):
                 select_columns_ref(A, list(range(k))[1::2]), "slice")
     assert_same(A.hstack(C), stack_ref([A, C], beside=True), "hstack")
     assert_same(stack_rows([A, C, A]), stack_ref([A, C, A]), "stack_rows")
-    assert A.apply(v) == apply_ref(A, v)
+    image = A.apply(v)
+    assert image == apply_ref(A, v)
+    assert all(map(normal, image))
     assert A.is_zero() == (not any(map(any, A.data)))
 
 
@@ -156,14 +160,13 @@ def test_eliminations_match_the_references(data, n, k):
     R, pivots = rref(A)
     R0, pivots0 = rref_ref(A)
     assert pivots == pivots0
-    assert_same(R, R0, "rref", normal=True)
-    assert_same(kernel(A).basis, kernel_ref(A), "kernel", normal=True)
-    assert_same(column_echelon(A), column_echelon_ref(A), "column_echelon",
-                normal=True)
+    assert_same(R, R0, "rref")
+    assert_same(kernel(A).basis, kernel_ref(A), "kernel")
+    assert_same(column_echelon(A), column_echelon_ref(A), "column_echelon")
     q = cokernel(A)
     for name, got, ref in zip(("relations", "proj", "sect"),
                               (q.relations, q.proj, q.sect), cokernel_ref(A)):
-        assert_same(got, ref, name, normal=True)
+        assert_same(got, ref, name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,7 +182,7 @@ def test_solvers_match_the_references(data, n, k, l):
         if ref is None:
             assert got is None, name
         else:
-            assert_same(got, ref, name, normal=True)
+            assert_same(got, ref, name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,13 +193,12 @@ def test_slot_products_match_the_kronecker_references(data, left, r, c,
     P = qq_matrix(data.draw, rows, left * r * right)
     Xs = [qq_matrix(data.draw, r, c) for _ in range(data.draw(st.integers(1, 3)))]
     for X, got in zip(Xs, slot_products(P, Xs, left, right)):
-        assert_same(got, kron_product_ref(P, [left, X, right]), "slot_products",
-                    normal=True)
+        assert_same(got, kron_product_ref(P, [left, X, right]), "slot_products")
     F = qq_matrix(data.draw, right, data.draw(st.integers(1, 2)))
     factors = [Xs[0], left, F]
     Q = qq_matrix(data.draw, rows, r * left * right)
     assert_same(kron_product(Q, factors), kron_product_ref(Q, factors),
-                "kron_product", normal=True)
+                "kron_product")
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,3 +215,54 @@ def test_descend_matches_the_reference(data, n, r, m):
                 q.descend(down, "no")
             continue
         assert_same(q.descend(down, "no"), ref, "descend")
+
+
+def count_fractions(monkeypatch) -> list:
+    """Count every Fraction built from now on: the list grows by one per
+    Fraction.__new__ call."""
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made
+
+
+def test_kernels_build_no_fraction_until_data_is_read(monkeypatch):
+    h, t = Fraction(1, 2), Fraction(-2, 3)
+    A = Matrix([[h, 1, t, 0], [0, 0, 0, 0], [1, t, 2, h], [h, 1, t, 0]], QQ)
+    B = Matrix([[t, 1], [h, 0], [5, Fraction(7, 4)], [0, t]], QQ)
+    q = cokernel(A.transpose())
+    X = Matrix([[h, t]], QQ)
+    down = X @ q.proj
+    made = count_fractions(monkeypatch)
+    got = {
+        "matmul": A @ B,
+        "rref": rref(A)[0],
+        "kernel": kernel(A).basis,
+        "cokernel": cokernel(A.transpose()).proj,
+        "descend": q.descend(down, "no"),
+        "slot_products": slot_products(A, [B.transpose()], 1, 2)[0],
+        "entrywise": (A + A.scale(t) - A.kron(X).select_columns(range(4))
+                      ).hstack(A.transpose()),
+    }
+    assert made == []
+    assert all(m.den is not None for m in got.values())
+    monkeypatch.undo()
+    refs = {
+        "matmul": matmul_ref(A, B),
+        "rref": rref_ref(A)[0],
+        "kernel": kernel_ref(A),
+        "cokernel": cokernel_ref(A.transpose())[1],
+        "descend": descend_ref(q, down, "no"),
+        "slot_products": kron_product_ref(A, [1, B.transpose(), 2]),
+        "entrywise": stack_ref([add_ref(add_ref(A, scale_ref(A, t)),
+                                        select_columns_ref(kron_ref(A, X),
+                                                           range(4)), -1),
+                                transpose_ref(A)], beside=True),
+    }
+    for name, m in got.items():
+        assert_same(m, refs[name], name)
