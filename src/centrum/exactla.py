@@ -1,34 +1,28 @@
 """Exact linear algebra over the rationals or a prime field.
 
-Everything here is deterministic and exact: no floats anywhere.  Matrices are
-dense and stored row by row; vectors are plain lists.  A rational element is
-an int when it is integral and a fractions.Fraction otherwise.  Over QQ a
-Matrix stores each row once in cleared form: a list of ints num[i] and one
-positive denominator den[i], reduced so that gcd(den[i], *num[i]) == 1.
-That form is canonical, so ==, is_zero and content_key read it directly, and
-every kernel here (the product, +, -, scale, kron, transpose, rref, kernel,
-cokernel, the slot products) takes and returns it, so no Fraction is built
-inside a kernel.  A matrix whose rows are all integral stores den = None,
-and its rows are its entries.  m.data is a read-only view of the entries,
-built on demand: ints where integral, Fractions in lowest terms otherwise
-(the rows themselves when den is None).  An element of GF(p) is a plain int
-in [0, p), stored with den = None: the kernels reduce mod p where the
-arithmetic happens (once per output cell of a product, once per entry of a
-row update).  Both fields share the product's integer loop.  Matrices over
-different fields never combine (ValueError) and never compare equal.
-Subspaces are stored in reduced column echelon form, so two equal subspaces
-have equal basis matrices and can be compared with ==.  Quotients carry
+Everything here is deterministic and exact: no floats anywhere.  Matrices
+are dense and stored row by row; vectors are plain lists.  A rational is an
+int when it is integral and a fractions.Fraction otherwise.  Over QQ a
+Matrix stores row i once in cleared form, ints num[i] over one positive
+den[i] with gcd(den[i], *num[i]) == 1, and den is None when every row is
+integral.  The form is canonical, so ==, is_zero and content_key read it,
+and every kernel here takes and returns it: none builds a Fraction.
+m.data is a read-only view built on demand, ints where integral and
+Fractions in lowest terms otherwise.  An element of GF(p) is a plain int in
+[0, p), stored with den None, and the kernels reduce mod p where the
+arithmetic happens.  Matrices over different fields never combine
+(ValueError) and never compare equal.  Subspaces are stored in reduced
+column echelon form, so equal subspaces have equal bases.  Quotients carry
 explicit projection/section witnesses with proj @ sect == I and proj @
-relations == 0, checked at construction time; a cokernel keeps the free
+relations == 0, checked at construction; a cokernel keeps the free
 coordinates its section selects, so descend checks down @ relations == 0
 and then selects columns.  A FlatWitness carries the same witnesses for a
 nested quotient of a flat multi-tensor and descends by checking down ==
-(down @ sect) @ proj.  No product with a Kronecker product forms it: by
-(A (x) B) vec(X) = vec(A X B^T), P @ (A (x) B (x) ...) is one slot product
-per factor (kron_product) and an identity factor costs nothing; Matrix.kron
-is left to where the Kronecker product is itself the object.  kernel and
-column_echelon eliminate only the distinct nonzero rows of their input,
-which span its row space.  memoised computes a pure construction once per
+(down @ sect) @ proj.  By (A (x) B) vec(X) = vec(A X B^T), P @ (A (x) B (x)
+...) is one slot product per factor (kron_product), and an identity factor
+costs nothing; Matrix.kron is left to where the Kronecker product is itself
+the object.  kernel and column_echelon eliminate only the distinct nonzero
+rows of their input.  memoised computes a pure construction once per
 argument content, in a bounded least-recently-used cache.
 """
 
@@ -196,11 +190,9 @@ def _join(rows, dens):
 
 
 class Matrix:
-    """Dense matrix over an exact field, stored row by row in num, lists of
-    ints.  Over QQ row i is num[i] / den[i], reduced (see the module
-    docstring), and den is None when every row is integral; over GF(p) den
-    is None.  data is the read-only view of the entries.  Treat as immutable
-    after construction."""
+    """Dense matrix over an exact field: row i is num[i] / den[i], int lists
+    over reduced denominators (see the module docstring), and data is the
+    read-only view of the entries.  Treat as immutable."""
 
     __slots__ = ("rows", "cols", "field", "num", "den")
 
@@ -215,8 +207,8 @@ class Matrix:
             if len(r) != self.cols:
                 raise ValueError("ragged matrix")
         self.field = field
-        den = None
-        if not field.p:
+        self.num, self.den = num, None
+        if not field.p and Fraction in map(type, chain.from_iterable(num)):
             den = [1] * self.rows
             for i, r in enumerate(num):
                 if Fraction in map(type, r):
@@ -224,8 +216,7 @@ class Matrix:
                                        if type(x) is not int])
                     num[i] = [x * d if type(x) is int
                               else x.numerator * (d // x.denominator) for x in r]
-        self.num = num
-        self.den = den if den and den.count(1) != self.rows else None
+            self.den = den if den.count(1) != self.rows else None
 
     @staticmethod
     def _fresh(num, field, ncols, den=None) -> "Matrix":
@@ -265,7 +256,8 @@ class Matrix:
                 for r, d in zip(self.num, self.den)]
 
     def _dens(self):
-        return self.den or [1] * self.rows
+        """One denominator per row, a new list."""
+        return self.den[:] if self.den else [1] * self.rows
 
     # -- constructors -------------------------------------------------------
 
@@ -356,10 +348,8 @@ class Matrix:
             return Matrix._fresh([[c * a % p for a in row] for row in self.num],
                                  self.field, self.cols)
         c, q = c.as_integer_ratio()
-        num = [[c * a for a in row] for row in self.num]
-        if q == 1 and self.den is None:
-            return Matrix._fresh(num, self.field, self.cols)
-        return Matrix.cleared(num, [d * q for d in self._dens()], self.field, self.cols)
+        return Matrix.cleared([[c * a for a in row] for row in self.num],
+                              [d * q for d in self._dens()], self.field, self.cols)
 
     def __matmul__(self, other) -> "Matrix":
         """The product, accumulated as plain int sums.  Over GF(p) each sum
@@ -418,6 +408,8 @@ class Matrix:
         p = self.field.p
         if p:
             return [sum(map(mul, row, vec)) % p for row in self.num]
+        if self.den is None and Fraction not in map(type, vec):
+            return [sum(map(mul, row, vec)) for row in self.num]
         v = Matrix([vec], self.field, ncols=self.cols)
         e = v._dens()[0]
         return [QQ.div(sum(map(mul, row, v.num[0])), d * e)
@@ -428,14 +420,12 @@ class Matrix:
         denominators, and each column is then reduced."""
         if not self.rows:
             return Matrix._fresh([[] for _ in range(self.cols)], self.field, 0)
-        if self.den is None:
-            return Matrix._fresh([list(col) for col in zip(*self.num)],
-                                 self.field, self.rows)
-        L = lcm(*self.den)
+        dens = self._dens()
+        L = lcm(*dens)
         cols = zip(*[r if d == L else [x * (L // d) for x in r]
-                     for r, d in zip(self.num, self.den)])
+                     for r, d in zip(self.num, dens)])
         return Matrix.cleared(list(map(list, cols)), [L] * self.cols, self.field,
-                      self.rows)
+                              self.rows)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product; row-major, left factor major: index (i,k) of the
@@ -454,11 +444,8 @@ class Matrix:
                     else:
                         row.extend(a * b if b else 0 for b in rk)
                 out.append(row)
-        n = self.cols * other.cols
-        if self.den is None and other.den is None:
-            return Matrix._fresh(out, self.field, n)
         return Matrix.cleared(out, [a * b for a in self._dens() for b in other._dens()],
-                      self.field, n)
+                              self.field, self.cols * other.cols)
 
     def hstack(self, other) -> "Matrix":
         return stack_columns([self, other])
@@ -486,9 +473,7 @@ class Matrix:
         else:
             num = [[row[c] for c in cols] for row in self.num]
             n = len(cols)
-        if self.den is None:
-            return Matrix._fresh(num, self.field, n)
-        return Matrix.cleared(num, self.den[:], self.field, n)
+        return Matrix.cleared(num, self._dens(), self.field, n)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -515,10 +500,8 @@ def stack_rows(mats) -> Matrix:
         _check_fields(top, m)
         if m.cols != top.cols:
             raise ValueError(f"shape mismatch {top.shape} above {m.shape}")
-    den = (None if all(m.den is None for m in mats)
-           else [d for m in mats for d in m._dens()])
     return Matrix._fresh([row[:] for m in mats for row in m.num], top.field,
-                         top.cols, den)
+                         top.cols, [d for m in mats for d in m._dens()])
 
 
 def stack_columns(mats) -> Matrix:
@@ -530,15 +513,10 @@ def stack_columns(mats) -> Matrix:
         _check_fields(top, m)
         if m.rows != top.rows:
             raise ValueError(f"shape mismatch {top.shape} beside {m.shape}")
-    n = sum(m.cols for m in mats)
-    if all(m.den is None for m in mats):
-        return Matrix._fresh([list(chain.from_iterable(rows))
-                              for rows in zip(*(m.num for m in mats))],
-                             top.field, n)
     joined = [_join(rows, dens) for rows, dens in
               zip(zip(*(m.num for m in mats)), zip(*(m._dens() for m in mats)))]
-    return Matrix._fresh([r for r, _ in joined], top.field, n,
-                         [L for _, L in joined])
+    return Matrix._fresh([r for r, _ in joined], top.field,
+                         sum(m.cols for m in mats), [L for _, L in joined])
 
 
 def tensor_permutation_index(dims, perm) -> list:
@@ -733,12 +711,10 @@ def rank(m: Matrix) -> int:
 
 
 def _distinct(rows) -> list:
-    """The nonzero rows among rows, integer lists, as tuples in order of
-    first appearance, each value once.  Over QQ they are numerators, and a
-    numerator row spans what its row does, so together they span the row
-    space, which is all a kernel or a column space depends on: elimination
-    need see nothing else (rref itself keeps every row: inverse and
-    solve_matrix read them all)."""
+    """The nonzero rows among rows, int lists (over QQ, numerators), as
+    tuples in order of first appearance, each value once.  They span the
+    row space, which is all a kernel or a column space depends on (rref
+    itself keeps every row: inverse and solve_matrix read them all)."""
     return list(dict.fromkeys(map(tuple, filter(any, rows))))
 
 
@@ -807,12 +783,10 @@ def kernel(m: Matrix) -> Subspace:
     Eliminating m with its columns reversed gives, for each free column f,
     the kernel vector that is 1 at f, 0 at the other free columns and
     -R[i][f] at the pivot column of each row i of the echelon form R:
-    reduced column echelon form already, with the free columns as leading
-    rows.  The basis row at the pivot of row i is thus row i read at the
-    free columns and negated, over the same denominator, and it stays
-    reduced: row i is nonzero only there and at its pivot, where its
-    numerator is the denominator.  Only the distinct nonzero rows of m are
-    eliminated (see _distinct)."""
+    reduced column echelon form already.  Its row at the pivot of row i is
+    row i at the free columns, negated, over den[i]: still reduced, as
+    num[i] is den[i] at the pivot and zero at the other pivots.  Only the
+    distinct nonzero rows of m are eliminated (see _distinct)."""
     n = m.cols
     rows = [list(reversed(row)) for row in _distinct(m.num)]
     R, pivots = rref(Matrix._fresh(rows, m.field, n))
@@ -939,7 +913,8 @@ def cokernel(rel: Matrix) -> Quotient:
     sect = Matrix.identity(n, field).select_columns(free)
     # over QQ row i of B is num[i] / den[i], so row r of proj is reduced
     # over den[free[r]]
-    dens = [B._dens()[i] for i in free]
+    dens = B._dens()
+    dens = [dens[i] for i in free]
     rows = []
     for i, e in zip(free, dens):
         row = [0] * n
