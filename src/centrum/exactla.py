@@ -233,10 +233,11 @@ class Matrix:
 
     @staticmethod
     def cleared(num, den, field, ncols) -> "Matrix":
-        """The matrix with rows num[i] / den[i] (positive den[i]), on int
-        lists the caller has just built and hands over: each row is divided
-        by gcd(den[i], *num[i]) in place."""
-        for i, d in enumerate(den):
+        """The matrix with rows num[i] / den[i] (positive den[i]; den None
+        when every row is integral), on int lists the caller has just built
+        and hands over: each row is divided by gcd(den[i], *num[i]) in
+        place."""
+        for i, d in enumerate(den or ()):
             if d != 1:
                 g = gcd(d, *num[i])
                 if g > 1:
@@ -349,7 +350,8 @@ class Matrix:
                                  self.field, self.cols)
         c, q = c.as_integer_ratio()
         return Matrix.cleared([[c * a for a in row] for row in self.num],
-                              [d * q for d in self._dens()], self.field, self.cols)
+                              (self.den or q != 1) and [d * q for d in self._dens()],
+                              self.field, self.cols)
 
     def __matmul__(self, other) -> "Matrix":
         """The product, accumulated as plain int sums.  Over GF(p) each sum
@@ -420,10 +422,12 @@ class Matrix:
         denominators, and each column is then reduced."""
         if not self.rows:
             return Matrix._fresh([[] for _ in range(self.cols)], self.field, 0)
-        dens = self._dens()
-        L = lcm(*dens)
+        if self.den is None:
+            return Matrix._fresh(list(map(list, zip(*self.num))), self.field,
+                                 self.rows)
+        L = lcm(*self.den)
         cols = zip(*[r if d == L else [x * (L // d) for x in r]
-                     for r, d in zip(self.num, dens)])
+                     for r, d in zip(self.num, self.den)])
         return Matrix.cleared(list(map(list, cols)), [L] * self.cols, self.field,
                               self.rows)
 
@@ -444,8 +448,9 @@ class Matrix:
                     else:
                         row.extend(a * b if b else 0 for b in rk)
                 out.append(row)
-        return Matrix.cleared(out, [a * b for a in self._dens() for b in other._dens()],
-                              self.field, self.cols * other.cols)
+        return Matrix.cleared(out, (self.den or other.den) and [
+            a * b for a in self._dens() for b in other._dens()],
+            self.field, self.cols * other.cols)
 
     def hstack(self, other) -> "Matrix":
         return stack_columns([self, other])
@@ -455,7 +460,10 @@ class Matrix:
 
     def flatten(self) -> "Matrix":
         """The 1 x rows*cols matrix of the entries read row by row."""
-        row, L = _join(self.num, self._dens())
+        if self.den is None:
+            return Matrix._fresh([list(chain.from_iterable(self.num))],
+                                 self.field, self.rows * self.cols)
+        row, L = _join(self.num, self.den)
         return Matrix._fresh([row], self.field, self.rows * self.cols, [L])
 
     def col_list(self, j: int):
@@ -473,7 +481,7 @@ class Matrix:
         else:
             num = [[row[c] for c in cols] for row in self.num]
             n = len(cols)
-        return Matrix.cleared(num, self._dens(), self.field, n)
+        return Matrix.cleared(num, self.den and self.den[:], self.field, n)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -513,10 +521,15 @@ def stack_columns(mats) -> Matrix:
         _check_fields(top, m)
         if m.rows != top.rows:
             raise ValueError(f"shape mismatch {top.shape} beside {m.shape}")
+    n = sum(m.cols for m in mats)
+    if all(m.den is None for m in mats):
+        return Matrix._fresh([list(chain.from_iterable(rows))
+                              for rows in zip(*(m.num for m in mats))],
+                             top.field, n)
     joined = [_join(rows, dens) for rows, dens in
               zip(zip(*(m.num for m in mats)), zip(*(m._dens() for m in mats)))]
-    return Matrix._fresh([r for r, _ in joined], top.field,
-                         sum(m.cols for m in mats), [L for _, L in joined])
+    return Matrix._fresh([r for r, _ in joined], top.field, n,
+                         [L for _, L in joined])
 
 
 def tensor_permutation_index(dims, perm) -> list:
