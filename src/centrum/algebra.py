@@ -226,18 +226,19 @@ def product_algebra(parts) -> Algebra:
     if any(p.field != f for p in parts):
         raise ValueError("product_algebra: the factors lie over different fields")
     dim = sum(p.dim for p in parts)
-    rows = []
+    rows, dens = [], []
     off = 0
     for p in parts:
         d = p.dim
-        for row in p.mult.data:
-            out = [f.zero] * (dim * dim)
+        for row in p.mult.num:
+            out = [0] * (dim * dim)
             for i in range(d):
                 start = (off + i) * dim + off
                 out[start:start + d] = row[i * d:(i + 1) * d]
             rows.append(out)
+        dens += p.mult.den or [1] * d
         off += d
-    mult = Matrix(rows, f, ncols=dim * dim)
+    mult = Matrix.cleared(rows, dens, f, dim * dim)
     unit = [x for p in parts for x in p.unit]
     name = " x ".join(p.name for p in parts) if all(p.name for p in parts) else ""
     return Algebra(mult, unit, name)
@@ -247,8 +248,7 @@ def product_algebra(parts) -> Algebra:
 
 
 def alg_k(field=QQ) -> Algebra:
-    one = field.one
-    return Algebra(Matrix([[one]], field), [one], "k")
+    return Algebra(Matrix.identity(1, field), [field.one], "k")
 
 
 def alg_matrix(n: int, field=QQ) -> Algebra:

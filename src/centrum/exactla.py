@@ -448,9 +448,11 @@ class Matrix:
                     else:
                         row.extend(a * b if b else 0 for b in rk)
                 out.append(row)
-        return Matrix.cleared(out, (self.den or other.den) and [
-            a * b for a in self._dens() for b in other._dens()],
-            self.field, self.cols * other.cols)
+        n = self.cols * other.cols
+        if self.den is None and other.den is None:
+            return Matrix._fresh(out, self.field, n)
+        return Matrix.cleared(out, [a * b for a in self._dens() for b in other._dens()],
+                              self.field, n)
 
     def hstack(self, other) -> "Matrix":
         return stack_columns([self, other])
@@ -481,7 +483,9 @@ class Matrix:
         else:
             num = [[row[c] for c in cols] for row in self.num]
             n = len(cols)
-        return Matrix.cleared(num, self.den and self.den[:], self.field, n)
+        if self.den is None:
+            return Matrix._fresh(num, self.field, n)
+        return Matrix.cleared(num, self.den[:], self.field, n)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
