@@ -349,9 +349,11 @@ class Matrix:
             return Matrix._fresh([[c * a % p for a in row] for row in self.num],
                                  self.field, self.cols)
         c, q = c.as_integer_ratio()
-        return Matrix.cleared([[c * a for a in row] for row in self.num],
-                              (self.den or q != 1) and [d * q for d in self._dens()],
-                              self.field, self.cols)
+        num = [[c * a for a in row] for row in self.num]
+        if self.den is None and q == 1:
+            return Matrix._fresh(num, self.field, self.cols)
+        return Matrix.cleared(num, [d * q for d in self._dens()], self.field,
+                              self.cols)
 
     def __matmul__(self, other) -> "Matrix":
         """The product, accumulated as plain int sums.  Over GF(p) each sum
