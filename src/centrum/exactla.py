@@ -19,11 +19,13 @@ coordinates its section selects, so descend checks down @ relations == 0
 and then selects columns.  A FlatWitness carries the same witnesses for a
 nested quotient of a flat multi-tensor and descends by checking down ==
 (down @ sect) @ proj.  By (A (x) B) vec(X) = vec(A X B^T), P @ (A (x) B (x)
-...) is one slot product per factor (kron_product), and an identity factor
-costs nothing; Matrix.kron is left to where the Kronecker product is itself
-the object.  kernel and column_echelon eliminate only the distinct nonzero
-rows of their input.  memoised computes a pure construction once per
-argument content, in a bounded least-recently-used cache.
+...) is one slot product per factor (kron_product): each nonzero of a row
+of P is scattered onto the nonzeros of one row of the factor, and an
+identity factor costs nothing.  Matrix.kron is left to where the Kronecker
+product is itself the object.  kernel and column_echelon eliminate only
+the distinct nonzero rows of their input.  memoised computes a pure
+construction once per argument content, in a bounded least-recently-used
+cache.
 """
 
 from __future__ import annotations
@@ -562,50 +564,45 @@ def tensor_permutation(dims, perm, field) -> Matrix:
 
 def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     """[P @ (I_left (x) X (x) I_right) for X in Xs], all X of one shape r x c,
-    without forming a Kronecker product: by (A (x) B) vec(Y) = vec(A Y B^T),
-    entry (i, k, j) of a row of P (in left x r x right) meets row k of X
-    only.  Each row of P is cut by C-level slices into one r-vector per
-    (i, j), all cuts meet all X in one product, and entry (i, l, j) of an
-    output row is entry l of the product row of cut (i, j).  Over QQ a cut
-    keeps the denominator of its row, and the product rows of one row's
-    cuts are brought to the lcm of their denominators before they are
-    joined."""
+    as one sparse scatter and without forming a Kronecker product: by
+    (A (x) B) vec(Y) = vec(A Y B^T), an entry a at flat index (i, k, j) of a
+    row of P (in left x r x right) adds a * X[k][l] to entry (i, l, j) of
+    the output row (in left x c x right) for each nonzero X[k][l].  Each row
+    of P is walked on its nonzeros only, and the nonzeros of each X are
+    listed once per call.  Over QQ each X is brought to the lcm L of its
+    row denominators, an output row is int sums over its P row's
+    denominator times L, and each output is reduced once (Matrix.cleared);
+    over GF(p) each output cell is reduced once."""
     if not Xs:
         return []
     f, (r, c) = P.field, Xs[0].shape
     w, n = r * right, left * c * right
     if P.cols != left * w or any(X.shape != (r, c) for X in Xs):
         raise ValueError(f"shape mismatch {P.shape} @ I{left} (x) {r}x{c} (x) I{right}")
-    if not P.cols:
-        return [Matrix.zeros(P.rows, n, f) for _ in Xs]
-    if right == 1:
-        cut = [row[b:b + r] for row in P.num for b in range(0, P.cols, r)]
-    else:
-        cut = [row[b + j:b + w:right] for row in P.num
-               for b in range(0, P.cols, w) for j in range(right)]
-    g = left * right  # cuts per row of P
-    X = Xs[0] if len(Xs) == 1 else stack_columns(Xs)
-    Z = Matrix._fresh(cut, f, r, P.den and [d for d in P.den for _ in range(g)]) @ X
-    Zn, den = Z.num, None
-    if Z.den is not None:
-        den = []
-        for t in range(0, len(Zn), g):
-            cuts = Z.den[t:t + g]
-            L = lcm(*cuts)
-            for u, d in enumerate(cuts, t):
-                if d != L:
-                    Zn[u] = [x * (L // d) for x in Zn[u]]
-            den.append(L)
+    p = f.p
+    # flat index (i, k, j) of P: row k of X and output index (i, 0, j)
+    spots = [(t // right % r, t // w * c * right + t % right) for t in range(P.cols)]
+    cols = range(P.cols)
     out = []
-    for s in range(len(Xs)):
-        Zs = Zn if len(Xs) == 1 else [z[s * c:(s + 1) * c] for z in Zn]
-        if right > 1:  # the products of the right cuts (i, j), interleaved
-            Zs = [list(chain.from_iterable(zip(*Zs[u:u + right])))
-                  for u in range(0, len(Zs), right)]
-        num = [list(chain.from_iterable(Zs[t:t + left]))
-               for t in range(0, len(Zs), left)]
-        out.append(Matrix._fresh(num, f, n) if den is None
-                   else Matrix.cleared(num, den[:], f, n))
+    for X in Xs:
+        _check_fields(P, X)
+        # row k of X * L as the (offset of l, entry) of its nonzeros
+        L = lcm(*X.den) if X.den else 1
+        nz = [[(l * right, b * (L // d)) for l, b in enumerate(row) if b]
+              for row, d in zip(X.num, X._dens())]
+        num = []
+        for row in P.num:
+            new = [0] * n
+            for t in compress(cols, row):
+                a = row[t]
+                k, o = spots[t]
+                for d, b in nz[k]:
+                    new[o + d] += a * b
+            num.append([x % p for x in new] if p else new)
+        if p or L == 1 and P.den is None:
+            out.append(Matrix._fresh(num, f, n))
+        else:
+            out.append(Matrix.cleared(num, [d * L for d in P._dens()], f, n))
     return out
 
 

@@ -7,17 +7,13 @@ Oracles:
   * brute-force equivariance loops.
 """
 
-import os
 import random
-import subprocess
-import sys
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy as sm
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refusals import bimodule_refusals, optimized
 
 from centrum.algebra import (
     alg_dual_numbers,
@@ -548,59 +544,9 @@ def test_comp_bar_agrees_with_plain_composition():
 # construction checks that survive python -O
 
 
-def bimodule_refusals():
-    """Names of the bimodule construction checks that did not raise a
-    ValueError (with their message) on input that breaks them."""
-    import centrum.bimodule as bimodule
-
-    k, k2 = alg_k(), alg_product_k(2)
-    one = Matrix.identity(1, QQ)
-    reg = regular_bimodule(k2)
-    ops = {
-        "fields": (lambda: Bimodule(k, alg_k(PrimeField(3)), 1, [one], [one]),
-                   "different fields"),
-        "action counts": (lambda: Bimodule(k, k, 1, [], [one]),
-                          "one action matrix per basis vector"),
-        "action shapes": (lambda: Bimodule(k, k, 2, [one], [one]),
-                          "must be dim x dim"),
-        "direct sum pairs": (
-            lambda: direct_sum_bimodules([reg, regular_bimodule(k)]),
-            "over different algebras"),
-        "twist invertible": (
-            lambda: twist_bimodule(reg, Matrix.zeros(2, 2, QQ)),
-            "change of basis must be invertible"),
-        "map shape": (lambda: BimoduleMap(reg, reg, Matrix.zeros(1, 2, QQ)),
-                      "matrix shape does not match"),
-        "comp_bar equivariance": (lambda: comp_bar(reg, reg, reg),
-                                  "descended composition is not equivariant"),
-    }
-    real = bimodule.validate_bimodule_map
-    out = []
-    for name, (op, message) in ops.items():
-        if name == "comp_bar equivariance":
-            bimodule.validate_bimodule_map = lambda f: ["broken"]
-        try:
-            op()
-        except ValueError as exc:
-            if message in str(exc):
-                continue
-        finally:
-            bimodule.validate_bimodule_map = real
-        out.append(name)
-    return out
-
-
 def test_construction_checks_raise_value_errors():
     assert bimodule_refusals() == []
 
 
 def test_construction_checks_raise_value_errors_under_optimize():
-    tests = Path(__file__).parent
-    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    script = ("import sys, test_bimodule as t\n"
-              "print(sys.flags.optimize, t.bimodule_refusals())\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "[]"]
+    assert optimized("bimodule_refusals") == ["1", "[]"]

@@ -4,14 +4,10 @@ sympy's Rational matrices are an independent implementation of rank/nullspace/
 inverse; agreeing with them on random instances is the oracle for this layer.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 import sympy
@@ -26,6 +22,7 @@ from fieldref import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refusals import optimized, refusal_failures, shape_refusals
 
 from centrum import exactla
 from centrum.exactla import (
@@ -283,60 +280,12 @@ def test_prime_field_elements_are_reduced_ints():
         gf.div(1, 0)
 
 
-def refusal_failures():
-    """The mixed-field and misshapen operations that were not refused with
-    a ValueError, plus "==" if matrices over different fields compare
-    equal.  Written without assert, so it means the same under python -O."""
-    g7, g5 = Matrix.identity(2, PrimeField(7)), Matrix.identity(2, PrimeField(5))
-    a, b = Matrix.identity(2, QQ), Matrix.zeros(2, 3, QQ)
-    ops = {
-        "GF(7) @ GF(5)": lambda: g7 @ g5,
-        "GF(7) + GF(5)": lambda: g7 + g5,
-        "GF(7) - GF(5)": lambda: g7 - g5,
-        "GF(7) kron GF(5)": lambda: g7.kron(g5),
-        "GF(7) hstack GF(5)": lambda: g7.hstack(g5),
-        "GF(7) vstack GF(5)": lambda: g7.vstack(g5),
-        "QQ @ GF(5)": lambda: a @ g5,
-        "2x2 + 2x3": lambda: a + b,
-        "2x2 - 2x3": lambda: a - b,
-        "2x3 @ 2x3": lambda: b @ b,
-        "2x2 apply 1": lambda: a.apply([1]),
-        "2x2 hstack 3x1": lambda: a.hstack(Matrix.zeros(3, 1, QQ)),
-        "2x2 vstack 2x3": lambda: a.vstack(b),
-        "stack_rows GF(7), GF(7), GF(5)": lambda: stack_rows([g7, g7, g5]),
-        "stack_rows 2x2, 2x2, 2x3": lambda: stack_rows([a, a, b]),
-        "column of 1 in k^2": lambda: Matrix.from_columns([[1]], 2, QQ),
-        "ragged": lambda: Matrix([[1, 2], [3]], QQ),
-    }
-    out = []
-    for name, op in ops.items():
-        try:
-            op()
-        except ValueError:
-            continue
-        out.append(name)
-    if a == Matrix.identity(2, PrimeField(5)) or not a != g5:
-        out.append("==")
-    # equal fields built apart still combine
-    if g7 @ Matrix.identity(2, PrimeField(7)) != g7:
-        out.append("GF(7) @ GF(7)")
-    return out
-
-
 def test_mixed_fields_and_bad_shapes_are_refused():
     assert refusal_failures() == []
 
 
 def test_mixed_fields_and_bad_shapes_are_refused_under_optimize():
-    tests = Path(__file__).parent
-    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    script = ("import sys, test_exactla as t\n"
-              "print(sys.flags.optimize, t.refusal_failures())\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "[]"]
+    assert optimized("refusal_failures") == ["1", "[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -765,45 +714,13 @@ def test_integer_elimination_keeps_cross_multiplied_rows_primitive(rows):
             assert gcd(*Ri) in (0, 1)
 
 
-def shape_refusals():
-    """The misshapen solve and descent that were not refused with a
-    ValueError.  Written without assert, so it means the same under
-    python -O."""
-    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
-    ops = {
-        "solve_matrix 2x2 with 3 rows": lambda: solve_matrix(
-            Matrix.identity(2, QQ), Matrix.zeros(3, 1, QQ)),
-        "quotient_induced 3x2 into k^2": lambda: quotient_induced(
-            q, Matrix.zeros(3, 2, QQ), q),
-        "quotient_induced 2x3 from k^2": lambda: quotient_induced(
-            q, Matrix.zeros(2, 3, QQ), q),
-        "to_int_grid 1/2": lambda: Matrix([[Fraction(1, 2)]], QQ).to_int_grid(),
-    }
-    out = []
-    for name, op in ops.items():
-        try:
-            op()
-        except ValueError:
-            continue
-        out.append(name)
-    return out
-
-
 def test_shape_mismatches_are_refused():
     assert shape_refusals() == []
     assert Matrix([[Fraction(4, 2), -3]], QQ).to_int_grid() == [[2, -3]]
 
 
 def test_shape_mismatches_are_refused_under_optimize():
-    tests = Path(__file__).parent
-    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    script = ("import sys, test_exactla as t\n"
-              "print(sys.flags.optimize, t.shape_refusals())\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "[]"]
+    assert optimized("shape_refusals") == ["1", "[]"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ explicit checks of the constructions built on them.
 
 Oracles:
   * Matrix.kron followed by an ordinary product, in every supported field;
+  * fieldref.kron_product_ref, the Kronecker product formed entry by entry;
   * the permutation matrix and the section matrix themselves;
   * python -O, which would strip any check still written as an assert.
 """
@@ -17,6 +18,8 @@ from fractions import Fraction
 from math import prod
 from pathlib import Path
 
+import pytest
+from fieldref import kron_product_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,17 +123,72 @@ def test_kron_product_of_transposes_applies_the_kronecker_product(case):
             == kron_of(factors, S.field) @ S)
 
 
-@settings(max_examples=100, deadline=None)
+@st.composite
+def sparse_matrices(draw, field, rows, cols, sparse):
+    """rows x cols over field, some rows all zero.  When sparse, a row has
+    at most max(1, cols // 5) nonzero positions.  Over QQ row i is drawn
+    over its own denominator, distinct from every other row's."""
+    dens = draw(st.permutations([1, 2, 3, 4, 5, 6, 7, 9]))
+    data = []
+    for i in range(rows):
+        row = [0] * cols
+        if cols and draw(st.integers(0, 3)):
+            at = range(cols)
+            if sparse:
+                at = draw(st.lists(st.integers(0, cols - 1), unique=True,
+                                   max_size=max(1, cols // 5)))
+            for j in at:
+                v = draw(st.integers(-6, 6))
+                row[j] = QQ.div(v, dens[i]) if field is QQ else field.from_int(v)
+        data.append(row)
+    return Matrix(data, field, ncols=cols)
+
+
+def guarded(fn, *args):
+    """fn(*args) while Matrix.__matmul__ raises and Fraction.__new__ is
+    counted: the result and the number of Fractions built."""
+    made = []
+    real = Fraction.__new__
+
+    def counting(cls, *a, **k):
+        made.append(a)
+        return real(cls, *a, **k)
+
+    def refused(self, other):
+        raise AssertionError("a slot product went through Matrix.__matmul__")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting))
+        mp.setattr(Matrix, "__matmul__", refused)
+        got = fn(*args)
+    return got, len(made)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_slot_products_match_one_product_per_factor(data):
-    field = data.draw(st.sampled_from(FIELDS))
-    left, right = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    Xs = [data.draw(matrices(field, r, c)) for _ in range(data.draw(st.integers(1, 3)))]
-    P = data.draw(matrices(field, data.draw(st.integers(0, 3)), left * r * right))
-    got = slot_products(P, Xs, left, right)
-    assert got == [P @ kron_of([left, X, right], field) for X in Xs]
-    assert got == [kron_product(P, [left, X, right]) for X in Xs]
+    """Dense, mostly-zero and all-zero rows of P, X with zero rows or no
+    columns, left and right up to 4, in every field; neither slot_products
+    nor kron_product calls @ or builds a Fraction."""
+    draw = data.draw
+    field = draw(st.sampled_from(FIELDS))
+    left, right = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    Xs = [draw(sparse_matrices(field, r, c, False))
+          for _ in range(draw(st.integers(1, 3)))]
+    P = draw(sparse_matrices(field, draw(st.integers(0, 4)), left * r * right,
+                             draw(st.booleans())))
+    got, made = guarded(slot_products, P, Xs, left, right)
+    assert made == 0
+    for X, out in zip(Xs, got):
+        assert out == P @ kron_of([left, X, right], field)
+        assert out == kron_product_ref(P, [left, X, right])
+        assert out == kron_product(P, [left, X, right])
+    A = draw(sparse_matrices(field, draw(st.integers(1, 3)), draw(st.integers(0, 3)), False))
+    Q = draw(sparse_matrices(field, draw(st.integers(0, 4)), A.rows * r, True))
+    got, made = guarded(kron_product, Q, [A, Xs[0]])
+    assert made == 0
+    assert got == Q @ A.kron(Xs[0]) == kron_product_ref(Q, [A, Xs[0]])
 
 
 def test_slot_products_refuse_misshapen_factors():

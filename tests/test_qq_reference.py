@@ -185,18 +185,48 @@ def test_solvers_match_the_references(data, n, k, l):
             assert_same(got, ref, name)
 
 
+@st.composite
+def rows_over_distinct_denominators(draw, rows, cols, nonzeros):
+    """rows x cols over QQ with at most nonzeros nonzero positions per row
+    (all of them when None), some rows all zero: row i is drawn over its
+    own denominator, distinct from every other row's, and may be
+    respelled."""
+    dens = draw(st.permutations([1, 2, 3, 4, 5, 6, 7, 9]))
+    data = []
+    for i in range(rows):
+        row = [0] * cols
+        if cols and draw(st.integers(0, 3)):
+            at = range(cols) if nonzeros is None else draw(st.lists(
+                st.integers(0, cols - 1), unique=True, max_size=nonzeros))
+            for j in at:
+                row[j] = QQ.div(draw(INTS), dens[i])
+            if draw(st.booleans()):
+                row = [respell(x) for x in row]
+        data.append(row)
+    return Matrix(data, QQ, ncols=cols)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
-       st.integers(0, 3), st.integers(1, 3))
+@given(st.data(), st.integers(1, 4), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 4), st.integers(1, 4), st.booleans())
 def test_slot_products_match_the_kronecker_references(data, left, r, c,
-                                                      rows, right):
-    P = qq_matrix(data.draw, rows, left * r * right)
-    Xs = [qq_matrix(data.draw, r, c) for _ in range(data.draw(st.integers(1, 3)))]
+                                                      rows, right, sparse):
+    """X with zero rows or no columns; when sparse, P has mostly-zero rows
+    (at most one in five entries nonzero, or one) and every row of P and X
+    is over its own denominator."""
+    n = left * r * right
+    if sparse:
+        P = data.draw(rows_over_distinct_denominators(rows, n, max(1, n // 5)))
+        Xs = [data.draw(rows_over_distinct_denominators(r, c, None))
+              for _ in range(data.draw(st.integers(1, 3)))]
+    else:
+        P = qq_matrix(data.draw, rows, n)
+        Xs = [qq_matrix(data.draw, r, c) for _ in range(data.draw(st.integers(1, 3)))]
     for X, got in zip(Xs, slot_products(P, Xs, left, right)):
         assert_same(got, kron_product_ref(P, [left, X, right]), "slot_products")
     F = qq_matrix(data.draw, right, data.draw(st.integers(1, 2)))
     factors = [Xs[0], left, F]
-    Q = qq_matrix(data.draw, rows, r * left * right)
+    Q = qq_matrix(data.draw, rows, n)
     assert_same(kron_product(Q, factors), kron_product_ref(Q, factors),
                 "kron_product")
 
