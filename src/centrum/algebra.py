@@ -3,11 +3,15 @@ multiplication matrix.
 
 An algebra is (mult, unit): mult is the dim x dim^2 matrix whose column
 i*dim + j holds the coordinates of e_i * e_j, and unit is the coordinate
-vector of 1.  Every multiplication operator is a slice of mult, and every
-construction (tensor, matrix, product and opposite algebras, subalgebras) is
-a matrix expression on it.  Centers and centralizers come out of exact kernel
-computations and are returned as subalgebras with closed induced
-multiplication (closure failure is a hard error, not a warning).
+vector of 1.  The axioms say that mult is associative as a structure map,
+mult (mult (x) 1) == mult (1 (x) mult), and that the unit's operators are
+the identity; the two composites, like the products of whole families of
+elements, are kron_products on mult.  Every multiplication operator is a
+slice of mult, and every construction (tensor, matrix, product and opposite
+algebras, subalgebras) is a matrix expression on it.  Centers and
+centralizers come out of exact kernel computations and are returned as
+subalgebras with closed induced multiplication (closure failure is a hard
+error, not a warning).
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from .exactla import (
     Subspace,
     inverse,
     kernel,
+    kron_product,
     memoised,
     same_content,
-    stack_columns,
     stack_rows,
 )
 
@@ -74,9 +78,7 @@ class Algebra:
     def products(self, X: Matrix, Y: Matrix) -> Matrix:
         """mult @ (X (x) Y), without forming X (x) Y: column a*Y.cols + b is
         the product of column a of X with column b of Y."""
-        if not X.cols:
-            return Matrix.zeros(self.dim, 0, self.field)
-        return stack_columns([self.left_mult(x) @ Y for x in X.columns()])
+        return kron_product(self.mult, [X, Y])
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -87,9 +89,10 @@ class Algebra:
 def validate_algebra(a: Algebra) -> list[str]:
     """All violations of associativity/unitality, as human-readable strings.
     Empty list == valid.  The unit's operators must be the identity, and
-    left multiplication must be multiplicative: L(e_i e_j) == L(e_i) L(e_j),
-    whose column k, row l compares the e_l-coefficients of (e_i e_j) e_k and
-    e_i (e_j e_k).  Cost is O(dim^5); do not run casually on dim > ~12."""
+    mult must be associative: mult (mult (x) 1) == mult (1 (x) mult), whose
+    column (i, j, k), row l compares the e_l-coefficients of (e_i e_j) e_k
+    and e_i (e_j e_k).  The two sides are compared whole, and read entry by
+    entry only when they differ."""
     out = []
     n = a.dim
     lunit, runit = a.left_mult(a.unit), a.right_mult(a.unit)
@@ -99,18 +102,15 @@ def validate_algebra(a: Algebra) -> list[str]:
             out.append(f"unit fails on the left at basis {i}")
         if runit.col_list(i) != e:
             out.append(f"unit fails on the right at basis {i}")
-    L = [a.left_mult(a.basis_vector(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = a.left_mult(a.mult.col_list(i * n + j))
-            rhs = L[i] @ L[j]
-            if lhs != rhs:
-                lhs, rhs = lhs.data, rhs.data
-                out.extend(
-                    f"associativity fails at (e{i}*e{j})*e{k} vs "
-                    f"e{i}*(e{j}*e{k}), coefficient of e{l}"
-                    for k in range(n) for l in range(n)
-                    if lhs[l][k] != rhs[l][k])
+    lhs = kron_product(a.mult, [a.mult, n])
+    rhs = kron_product(a.mult, [n, a.mult])
+    if lhs != rhs:
+        diff = (lhs - rhs).num
+        out.extend(
+            f"associativity fails at (e{i}*e{j})*e{k} vs "
+            f"e{i}*(e{j}*e{k}), coefficient of e{l}"
+            for i in range(n) for j in range(n) for k in range(n)
+            for l in range(n) if diff[l][(i * n + j) * n + k])
     return out
 
 

@@ -9,7 +9,16 @@ Conventions:
   * ract[j] is the action of the j-th basis vector of the right algebra and is
     anti-multiplicative as a matrix family (ract[e_i e_j] = ract[j] ract[i]),
     which is what "right action" means once maps act from the left;
+  * the action of an element is the combination of the basis actions with
+    its coordinates;
   * tensor products index the left factor major: (i, j) -> i * dimN + j.
+
+The actions are also structure maps L: A (x) M -> M (the lact side by side)
+and R: M (x) B -> M, and the bimodule axioms say that they are associative
+with the algebras' multiplications mu and with each other:
+L (mu_A (x) 1) = L (1 (x) L), R (1 (x) mu_B) = R (R (x) 1) and
+R (L (x) 1) = L (1 (x) R).  validate_bimodule checks each as two
+kron_products whose flat column indices line up.
 
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.
@@ -26,12 +35,14 @@ from .exactla import (
     Matrix,
     Subspace,
     cokernel,
+    combination,
     inverse,
     kernel,
     kron_product,
     memoised,
     same_content,
     slot_products,
+    stack_columns,
     stack_rows,
     tensor_induced,
 )
@@ -62,48 +73,53 @@ class Bimodule:
 
     def lact_of(self, x) -> Matrix:
         """Action matrix of an element x of the left algebra."""
-        out = Matrix.zeros(self.dim, self.dim, self.field)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.lact[i].scale(xi)
-        return out
+        return combination(x, self.lact, Matrix.zeros(self.dim, self.dim, self.field))
 
     def ract_of(self, y) -> Matrix:
         """Action matrix of an element y of the right algebra."""
-        out = Matrix.zeros(self.dim, self.dim, self.field)
-        for j, yj in enumerate(y):
-            if yj:
-                out = out + self.ract[j].scale(yj)
-        return out
+        return combination(y, self.ract, Matrix.zeros(self.dim, self.dim, self.field))
 
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
         return f"Bimodule(dim {self.dim}{tag})"
 
 
+def _differing_columns(lhs: Matrix, rhs: Matrix) -> set:
+    """The indices of the columns at which lhs and rhs differ."""
+    if lhs == rhs:
+        return set()
+    return {c for row in (lhs - rhs).num for c, x in enumerate(row) if x}
+
+
 def validate_bimodule(m: Bimodule) -> list[str]:
-    """Violations of the bimodule axioms; empty == valid."""
+    """Violations of the bimodule axioms; empty == valid.  Each
+    associativity axiom compares two composites of the structure maps (see
+    the module docstring), and a differing column names the pair of basis
+    elements that acts in it."""
     out = []
-    A, B = m.left, m.right
-    I = Matrix.identity(m.dim, m.field)
+    A, B, d = m.left, m.right, m.dim
+    a, b = A.dim, B.dim
+    I = Matrix.identity(d, m.field)
     if m.lact_of(A.unit) != I:
         out.append("left action is not unital")
     if m.ract_of(B.unit) != I:
         out.append("right action is not unital")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = m.lact_of(A.multiply(A.basis_vector(i), A.basis_vector(j)))
-            if prod != m.lact[i] @ m.lact[j]:
-                out.append(f"left action not multiplicative at (e{i}, e{j})")
-    for i in range(B.dim):
-        for j in range(B.dim):
-            prod = m.ract_of(B.multiply(B.basis_vector(i), B.basis_vector(j)))
-            if prod != m.ract[j] @ m.ract[i]:
-                out.append(f"right action not anti-multiplicative at (e{i}, e{j})")
-    for i in range(A.dim):
-        for j in range(B.dim):
-            if m.lact[i] @ m.ract[j] != m.ract[j] @ m.lact[i]:
-                out.append(f"actions do not commute at (left e{i}, right e{j})")
+    L, R = _left_action_collapse(m), _right_action_collapse(m)
+    # column ((i, j), k): e_i e_j acting on e_k
+    left = {c // d for c in _differing_columns(kron_product(L, [A.mult, d]),
+                                               kron_product(L, [a, L]))}
+    # column (k, (i, j)): e_i e_j acting on e_k
+    right = {c % (b * b) for c in _differing_columns(kron_product(R, [d, B.mult]),
+                                                     kron_product(R, [R, b]))}
+    # column ((i, k), j): e_i of A and e_j of B acting on e_k
+    both = {(c // (d * b), c % b) for c in _differing_columns(
+        kron_product(R, [L, b]), kron_product(L, [a, R]))}
+    out.extend(f"left action not multiplicative at (e{i}, e{j})"
+               for i in range(a) for j in range(a) if i * a + j in left)
+    out.extend(f"right action not anti-multiplicative at (e{i}, e{j})"
+               for i in range(b) for j in range(b) if i * b + j in right)
+    out.extend(f"actions do not commute at (left e{i}, right e{j})"
+               for i in range(a) for j in range(b) if (i, j) in both)
     return out
 
 
@@ -272,11 +288,8 @@ class EndAlgebra:
 
     def matrix_of(self, coords) -> Matrix:
         """The endomorphism with the given coordinates, as a matrix."""
-        out = Matrix.zeros(self.bimodule.dim, self.bimodule.dim, self.bimodule.field)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        m = self.bimodule
+        return combination(coords, self.basis, Matrix.zeros(m.dim, m.dim, m.field))
 
     def __repr__(self):
         return f"EndAlgebra(dim {self.dim})"
@@ -445,21 +458,17 @@ def assoc_iso(m: Bimodule, n: Bimodule, p: Bimodule):
 
 
 def _left_action_collapse(m: Bimodule) -> Matrix:
-    """Flat map A (x) M -> M, e_i (x) e_j -> lact[i] e_j (A = left algebra)."""
-    cols = []
-    for i in range(m.left.dim):
-        for j in range(m.dim):
-            cols.append(m.lact[i].col_list(j))
-    return Matrix.from_columns(cols, m.dim, m.field)
+    """Flat map A (x) M -> M, e_i (x) e_j -> lact[i] e_j (A = left algebra):
+    the lact side by side."""
+    return stack_columns([Matrix.zeros(m.dim, 0, m.field), *m.lact])
 
 
 def _right_action_collapse(m: Bimodule) -> Matrix:
-    """Flat map M (x) B -> M, e_i (x) e_j -> ract[j] e_i (B = right algebra)."""
-    cols = []
-    for i in range(m.dim):
-        for j in range(m.right.dim):
-            cols.append(m.ract[j].col_list(i))
-    return Matrix.from_columns(cols, m.dim, m.field)
+    """Flat map M (x) B -> M, e_i (x) e_j -> ract[j] e_i (B = right algebra):
+    the ract side by side, with the columns (j, i) moved to (i, j)."""
+    b = m.right.dim
+    return stack_columns([Matrix.zeros(m.dim, 0, m.field), *m.ract]).select_columns(
+        [j * m.dim + i for i in range(m.dim) for j in range(b)])
 
 
 def unit_iso_left(t: TensorResult) -> BimoduleMap:

@@ -55,6 +55,7 @@ from .exactla import (
     FlatWitness,
     Matrix,
     cokernel,
+    combination,
     is_invertible,
     kernel,
     kron_product,
@@ -157,12 +158,13 @@ class CospanComposition:
         rel = middle_relations(T.dim, S.dim, ract_mid, lact_mid, f)
         quot = cokernel(rel)
         proj, free = quot.proj, quot.free
-        # linear in the relation, so checking a basis of the span suffices
-        for r in quot.relations.columns():
-            if not (proj @ U.left_mult(r)).is_zero():
-                raise ValueError("multiplication does not descend (left side)")
-            if not (proj @ U.right_mult(r)).is_zero():
-                raise ValueError("multiplication does not descend (right side)")
+        # linear in the relation, so checking a basis of the span suffices:
+        # proj mult (rel (x) 1) and proj mult (1 (x) rel) must vanish
+        pm = proj @ U.mult
+        if not kron_product(pm, [quot.relations, U.dim]).is_zero():
+            raise ValueError("multiplication does not descend (left side)")
+        if not kron_product(pm, [U.dim, quot.relations]).is_zero():
+            raise ValueError("multiplication does not descend (right side)")
         # the products e_free[a] e_free[b] of section columns, read off U.mult
         prods = U.mult.select_columns([a * U.dim + b for a in free for b in free])
         apex = Algebra(proj @ prods, quot.project(U.unit))
@@ -519,13 +521,6 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None,
     if e.M.dim != dim:
         return InvertibleCellSearch(None, True, None, "apex dimensions differ")
 
-    def build(coeffs):
-        X = x0
-        for c, K in zip(coeffs, ks):
-            if c:
-                X = X + K.scale(c)
-        return X
-
     if is_invertible(x0):
         return InvertibleCellSearch(ThreeCell(d, e, x0), True, None, "found directly")
     p = len(ks)
@@ -535,14 +530,14 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None,
     rng = rng if rng is not None else random.Random(0)
     for _ in range(_TRIES):
         coeffs = [f.from_int(rng.randint(-sample_range, sample_range)) for _ in ks]
-        X = build(coeffs)
+        X = combination(coeffs, ks, x0)
         if is_invertible(X):
             return InvertibleCellSearch(ThreeCell(d, e, X), True, None,
                                         "found by random sampling")
     grid_ok = (dim + 1) ** p <= _GRID_LIMIT and (f.p is None or f.p > dim)
     if grid_ok:
         for point in itertools.product(range(dim + 1), repeat=p):
-            X = build([f.from_int(c) for c in point])
+            X = combination([f.from_int(c) for c in point], ks, x0)
             if is_invertible(X):
                 return InvertibleCellSearch(ThreeCell(d, e, X), True, None,
                                             "found by grid search")

@@ -22,10 +22,11 @@ nested quotient of a flat multi-tensor and descends by checking down ==
 ...) is one slot product per factor (kron_product): each nonzero of a row
 of P is scattered onto the nonzeros of one row of the factor, and an
 identity factor costs nothing.  Matrix.kron is left to where the Kronecker
-product is itself the object.  kernel and column_echelon eliminate only
-the distinct nonzero rows of their input.  memoised computes a pure
-construction once per argument content, in a bounded least-recently-used
-cache.
+product is itself the object.  combination adds scaled matrices term by
+term, the one loop for a linear combination of matrices.  kernel and
+column_echelon eliminate only the distinct nonzero rows of their input.
+memoised computes a pure construction once per argument content, in a
+bounded least-recently-used cache.
 """
 
 from __future__ import annotations
@@ -400,7 +401,7 @@ class Matrix:
                 new = [x % p for x in new]
             out.append(new)
             dens.append(D)
-        if p or oden is None and self.den is None:
+        if oden is None and self.den is None:
             return Matrix._fresh(out, self.field, n)
         if self.den is not None:
             dens = list(map(mul, dens, self.den))
@@ -540,6 +541,18 @@ def stack_columns(mats) -> Matrix:
                          [L for _, L in joined])
 
 
+def combination(coeffs, mats, start: Matrix) -> Matrix:
+    """start + the sum of c * M over the pairs (c, M) of coeffs and mats,
+    added term by term: a zero c is skipped and c == 1 scales nothing.  A
+    plain linear combination starts from the zero matrix of the mats'
+    shape."""
+    one = start.field.one
+    for c, M in zip(coeffs, mats):
+        if c:
+            start = start + (M if c == one else M.scale(c))
+    return start
+
+
 def tensor_permutation_index(dims, perm) -> list:
     """The reordering of tensor slots as a list idx of flat indices.
 
@@ -599,7 +612,7 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
                 for d, b in nz[k]:
                     new[o + d] += a * b
             num.append([x % p for x in new] if p else new)
-        if p or L == 1 and P.den is None:
+        if L == 1 and P.den is None:
             out.append(Matrix._fresh(num, f, n))
         else:
             out.append(Matrix.cleared(num, [d * L for d in P._dens()], f, n))

@@ -37,7 +37,15 @@ from .cospanbicat import (
     identity_2diagram,
     unit_column,
 )
-from .exactla import QQ, Matrix, inverse, is_invertible, random_matrix, same_content
+from .exactla import (
+    QQ,
+    Matrix,
+    combination,
+    inverse,
+    is_invertible,
+    random_matrix,
+    same_content,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +205,9 @@ def random_hom_element(src: Bimodule, tgt: Bimodule, rng, bound=2):
     """A random equivariant map src -> tgt (zero if the hom space is zero)."""
     basis = hom_space(src, tgt)
     f = src.field
-    if not basis:
-        return BimoduleMap(src, tgt, Matrix.zeros(tgt.dim, src.dim, f))
-    out = Matrix.zeros(tgt.dim, src.dim, f)
-    for bmat in basis:
-        c = f.from_int(rng.randint(-bound, bound))
-        if c:
-            out = out + bmat.scale(c)
-    return BimoduleMap(src, tgt, out)
+    coeffs = [f.from_int(rng.randint(-bound, bound)) for _ in basis]
+    return BimoduleMap(src, tgt, combination(coeffs, basis,
+                                             Matrix.zeros(tgt.dim, src.dim, f)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ from .exactla import (
     memoised,
     rank,
     same_content,
+    stack_columns,
     tensor_induced,
 )
 
@@ -119,7 +120,6 @@ class ZMorphismResult:
     centers of the outer algebras, in the coordinates used by the legs."""
 
     kind: str
-    source: AlgebraMap | Bimodule
     cospan: Cospan
     apex: Algebra
     realization: Subalgebra | EndAlgebra
@@ -144,7 +144,7 @@ def Z_hom(f: AlgebraMap) -> ZMorphismResult:
     bad = validate_cospan(cospan)
     if bad:
         raise ValueError(f"centralizer cospan is invalid: {bad}")
-    return ZMorphismResult("map", f, cospan, cz.algebra, cz, za, zb)
+    return ZMorphismResult("map", cospan, cz.algebra, cz, za, zb)
 
 
 @memoised
@@ -163,7 +163,7 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
     bad = validate_cospan(cospan)
     if bad:
         raise ValueError(f"endomorphism cospan is invalid: {bad}")
-    return ZMorphismResult("bimodule", m, cospan, ea.algebra, ea, zl, zr)
+    return ZMorphismResult("bimodule", cospan, ea.algebra, ea, zl, zr)
 
 
 @dataclass(slots=True, eq=False)
@@ -171,8 +171,6 @@ class AgreementResult:
     """The evaluation-at-unit isomorphism between the bimodule-level and the
     map-level cospan of an algebra map, with its verification report."""
 
-    z_bim: ZMorphismResult
-    z_map: ZMorphismResult
     iso: AlgebraMap
     report: CoherenceReport
 
@@ -192,7 +190,7 @@ def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
     rep.add("isomorphism", is_isomorphism(ev) is not None)
     rep.add("left legs agree", ev.mat @ zb.cospan.leg_a.mat == zh.cospan.leg_a.mat)
     rep.add("right legs agree", ev.mat @ zb.cospan.leg_b.mat == zh.cospan.leg_b.mat)
-    return AgreementResult(zb, zh, ev, rep)
+    return AgreementResult(ev, rep)
 
 
 @dataclass(slots=True, eq=False)
@@ -200,10 +198,7 @@ class Z2CellResult:
     """The 2-diagram assigned to a bimodule map: apex is the hom space of the
     two bimodules with post-/pre-composition legs."""
 
-    source: BimoduleMap
     diagram: TwoDiagram
-    z_src: ZMorphismResult
-    z_tgt: ZMorphismResult
     basis: list
 
 
@@ -221,7 +216,7 @@ def Z_2cell(phi: BimoduleMap) -> Z2CellResult:
     bad = validate_2diagram(d)
     if bad:
         raise ValueError(f"hom-space 2-diagram is invalid: {bad}")
-    return Z2CellResult(phi, d, zs, zt, basis)
+    return Z2CellResult(d, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +273,7 @@ class MultBimoduleResult:
     Z(M (x)_B N), xi (x) zeta -> xi (x) zeta as endomorphisms, with the
     tensor witnesses and the induced 2-diagram."""
 
-    m_bim: Bimodule
-    n_bim: Bimodule
     tens: TensorResult
-    zm: ZMorphismResult
-    zn: ZMorphismResult
     zmn: ZMorphismResult
     comp: CospanComposition
     mult: AlgebraMap
@@ -315,7 +306,7 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
     v = factor_map(zn, lambda e: [m_bim.dim, e])
     mult = pushout_universal(comp, w, v)
     diagram = cospan_morphism_2diagram(comp.cospan, zmn.cospan, mult)
-    return MultBimoduleResult(m_bim, n_bim, tens, zm, zn, zmn, comp, mult, diagram)
+    return MultBimoduleResult(tens, zmn, comp, mult, diagram)
 
 
 @dataclass(slots=True, eq=False)
@@ -323,13 +314,8 @@ class NGeneralResult:
     """The descended map [M,M'] (x)_{Z(B)} [N,N'] -> [M (x) N, M' (x) N'],
     xi (x) zeta -> xi (x) zeta, with its quotient witnesses."""
 
-    basis_left: list
-    basis_right: list
     basis_target: list
-    tens_src: TensorResult
-    tens_tgt: TensorResult
     quot: object
-    flat: Matrix
     mat: Matrix
     is_iso: bool = field(init=False)
 
@@ -373,8 +359,7 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
         pair_quot = cokernel(rel)
     mat = pair_quot.descend(
         flat, "tensor of maps does not respect the middle-center relations")
-    return NGeneralResult(basis_left, basis_right, basis_target, tens_src,
-                          tens_tgt, pair_quot, flat, mat)
+    return NGeneralResult(basis_target, pair_quot, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +382,11 @@ class MSquareResult:
     hq: TwoDiagram  # their horizontal composite
     mult_src: MultBimoduleResult  # the multiplication data of both rows
     mult_tgt: MultBimoduleResult
-    induced: BimoduleMap  # the induced map on composites and its 2-cell
-    d_induced: Z2CellResult
+    induced: BimoduleMap  # the induced map on composites
     lhs: TwoDiagram  # the two composite 2-diagrams
     rhs: TwoDiagram
     n_res: NGeneralResult  # the auxiliary descended map
-    mprime: Matrix  # the pre-unit matrix
-    r_mat: Matrix  # the unit-collapse pair
-    r_inverse: Matrix
+    r_inverse: Matrix  # the inverse unit collapse
     cell: ThreeCell
     valid: list  # the 3-cell's validation violations
     is_iso: bool
@@ -423,22 +405,16 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     mult_src = mult_transform_bimodule(phi.src, psi.src)
     mult_tgt = mult_transform_bimodule(phi.tgt, psi.tgt)
     induced = induced_map(phi, psi, mult_src.tens, mult_tgt.tens)
-    d_induced = Z_2cell(induced)
     lhs = vertical_compose(mult_tgt.diagram, hq)
-    rhs = vertical_compose(d_induced.diagram, mult_src.diagram)
+    rhs = vertical_compose(Z_2cell(induced).diagram, mult_src.diagram)
     n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.tensor.quot)
     end_tgt = mult_tgt.zmn.realization
     end_src = mult_src.zmn.realization
     basis_t = n_res.basis_target
     # pre-unit map: the class of x (x) q composes x after the descended map
-    blocks = []
-    for a in range(end_tgt.dim):
-        post = hom_operator(basis_t, basis_t,
-                            lambda b, E=end_tgt.basis[a]: E @ b, f)
-        blocks.append(post @ n_res.mat)
-    mprime_flat = blocks[0]
-    for b in blocks[1:]:
-        mprime_flat = mprime_flat.hstack(b)
+    mprime_flat = stack_columns([
+        hom_operator(basis_t, basis_t, lambda b, E=E: E @ b, f) @ n_res.mat
+        for E in end_tgt.basis])
     mprime = lhs.tensor.quot.descend(
         mprime_flat, "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
@@ -455,11 +431,9 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     cell = ThreeCell(lhs, rhs, cell_mat)
     valid = validate_3cell(cell)
     return MSquareResult(d1=d1, d2=d2, hq=hq, mult_src=mult_src,
-                         mult_tgt=mult_tgt, induced=induced,
-                         d_induced=d_induced, lhs=lhs, rhs=rhs, n_res=n_res,
-                         mprime=mprime, r_mat=r_mat, r_inverse=r_inverse,
-                         cell=cell, valid=valid,
-                         is_iso=is_invertible(cell_mat))
+                         mult_tgt=mult_tgt, induced=induced, lhs=lhs, rhs=rhs,
+                         n_res=n_res, r_inverse=r_inverse, cell=cell,
+                         valid=valid, is_iso=is_invertible(cell_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +510,7 @@ def check_m_unit_axiom(b: Algebra) -> bool:
     reg = regular_bimodule(b)
     sq = m_square(identity_bimodule_map(reg), identity_bimodule_map(reg))
     alg = sq.mult_src.zmn.apex
-    blocks = []
-    for a in range(alg.dim):
-        blocks.append(alg.left_mult(alg.basis_vector(a)) @ sq.mult_src.mult.mat)
-    lflat = blocks[0]
-    for blk in blocks[1:]:
-        lflat = lflat.hstack(blk)
+    lflat = kron_product(alg.mult, [alg.dim, sq.mult_src.mult.mat])
     try:
         l_desc = sq.lhs.tensor.quot.descend(lflat, "left collapse does not descend")
     except ValueError:

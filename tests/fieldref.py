@@ -18,7 +18,8 @@ computed on them too.  ``column_echelon_ref``, ``kernel_ref`` and
 ``rref_ref`` of every row they are given, zero and repeated rows included.
 The entry-by-entry references at the end (``add_ref``, ``kron_ref``,
 ``kron_product_ref``, ``descend_ref``, ...) cover the remaining Matrix
-operations.
+operations, and ``ref_validate_bimodule`` checks the bimodule axioms one
+pair of basis elements at a time on them.
 """
 
 import contextlib
@@ -232,3 +233,43 @@ def descend_ref(q, down: Matrix, message: str) -> Matrix:
     if any(map(any, matmul_ref(down, q.relations).data)):
         raise ValueError(message)
     return select_columns_ref(down, q.free)
+
+
+def ref_validate_bimodule(m) -> list:
+    """The violations of the bimodule axioms, found one pair of basis
+    elements at a time: the action of each product is summed from the basis
+    actions term by term and compared with the product of two actions."""
+    f = m.field
+
+    def act_of(acts, x):
+        out = Matrix.zeros(m.dim, m.dim, f)
+        for M, c in zip(acts, x):
+            if c:
+                out = add_ref(out, scale_ref(M, c))
+        return out
+
+    def product(alg, i, j):
+        """The coordinates of e_i e_j, column (i, j) of alg.mult."""
+        return [row[i * alg.dim + j] for row in alg.mult.data]
+
+    out = []
+    A, B = m.left, m.right
+    I = Matrix.identity(m.dim, f)
+    if act_of(m.lact, A.unit) != I:
+        out.append("left action is not unital")
+    if act_of(m.ract, B.unit) != I:
+        out.append("right action is not unital")
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if act_of(m.lact, product(A, i, j)) != matmul_ref(m.lact[i], m.lact[j]):
+                out.append(f"left action not multiplicative at (e{i}, e{j})")
+    for i in range(B.dim):
+        for j in range(B.dim):
+            if act_of(m.ract, product(B, i, j)) != matmul_ref(m.ract[j], m.ract[i]):
+                out.append(f"right action not anti-multiplicative at (e{i}, e{j})")
+    for i in range(A.dim):
+        for j in range(B.dim):
+            if (matmul_ref(m.lact[i], m.ract[j])
+                    != matmul_ref(m.ract[j], m.lact[i])):
+                out.append(f"actions do not commute at (left e{i}, right e{j})")
+    return out

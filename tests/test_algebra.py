@@ -587,6 +587,10 @@ def test_products_and_validator_match_the_loops(raw, data):
     n = a.dim
     x, y = vectors(data.draw, n, field), vectors(data.draw, n, field)
     assert a.multiply(x, y) == ref_multiply(sc, x, y, field)
+    X, Y = (Matrix.from_columns(vs, n, field) for vs in ([x, y], [y, x, y]))
+    assert a.products(X, Y) == Matrix.from_columns(
+        [ref_multiply(sc, u, v, field) for u in (x, y) for v in (y, x, y)],
+        n, field)
     assert a.left_mult(x) == ref_left_mult(sc, x, field)
     assert a.right_mult(x) == ref_right_mult(sc, x, field)
     for i in range(n):
@@ -597,6 +601,14 @@ def test_products_and_validator_match_the_loops(raw, data):
     assert validate_algebra(a) == ref_validate_algebra(sc, unit, field)
     op = opposite_algebra(a)
     assert to_sc(op) == ref_opposite_algebra(sc) and op.unit == unit
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_products_with_an_empty_family(field):
+    a = alg_matrix(2, field)
+    empty, some = Matrix.zeros(4, 0, field), Matrix.identity(4, field)
+    for X, Y in ((empty, some), (some, empty), (empty, empty)):
+        assert a.products(X, Y) == Matrix.zeros(4, 0, field)
 
 
 @settings(max_examples=80, deadline=None)

@@ -11,6 +11,7 @@ import random
 
 import pytest
 import sympy as sm
+from fieldref import red, ref_validate_bimodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusals import bimodule_refusals, optimized
@@ -166,6 +167,60 @@ def test_validate_catches_noncommuting_actions():
     bad = Bimodule(a, a, 4, reg.lact, reg.lact)
     msgs = validate_bimodule(bad)
     assert any("commute" in m for m in msgs) or any("anti" in m for m in msgs)
+
+
+DIFF_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(1000003))
+SMALL_ALGEBRAS = (alg_k, alg_dual_numbers, alg_group_c2,
+                  lambda f: alg_product_k(2, f))
+
+
+@st.composite
+def maybe_broken_bimodules(draw):
+    """(bimodule, broken): a valid bimodule over two small algebras drawn
+    independently, of dimension 0 now and then, or a copy with one entry of
+    one action matrix changed."""
+    field = draw(st.sampled_from(DIFF_FIELDS))
+    a, b = (draw(st.sampled_from(SMALL_ALGEBRAS))(field) for _ in range(2))
+    if draw(st.integers(0, 4)) == 0:
+        zero = Matrix.zeros(0, 0, field)
+        m = Bimodule(a, b, 0, [zero] * a.dim, [zero] * b.dim)
+    else:
+        m = random_bimodule(a, b, random.Random(draw(st.integers(0, 1 << 16))))
+    if not m.dim or draw(st.booleans()):
+        return m, False
+    side = draw(st.sampled_from(("lact", "ract")))
+    acts = list(getattr(m, side))
+    k = draw(st.integers(0, len(acts) - 1))
+    i, j = (draw(st.integers(0, m.dim - 1)) for _ in range(2))
+    delta = draw(st.sampled_from((field.one, QQ.div(1, 2)) if field == QQ
+                                 else (field.one,)))
+    rows = [row[:] for row in acts[k].data]
+    rows[i][j] = red(field, rows[i][j] + delta)
+    acts[k] = Matrix(rows, field, ncols=m.dim)
+    lact, ract = (acts, m.ract) if side == "lact" else (m.lact, acts)
+    return Bimodule(a, b, m.dim, lact, ract), True
+
+
+@settings(max_examples=150, deadline=None)
+@given(maybe_broken_bimodules())
+def test_validate_bimodule_matches_the_pair_loops(args):
+    """The structure-map equations report the same violations, in the same
+    order, as one check per pair of basis elements."""
+    m, broken = args
+    got = validate_bimodule(m)
+    assert got == ref_validate_bimodule(m)
+    assert broken or got == []
+
+
+def test_validate_bimodule_over_the_zero_algebra():
+    """An algebra of dimension 0 has no basis actions to stack."""
+    z, k = Algebra(Matrix.zeros(0, 0, QQ), []), alg_k()
+    left_zero = Bimodule(z, k, 2, [], [Matrix.identity(2, QQ)])
+    right_zero = Bimodule(k, z, 0, [Matrix.zeros(0, 0, QQ)], [])
+    assert validate_bimodule(left_zero) == ["left action is not unital"]
+    assert validate_bimodule(right_zero) == []
+    for m in (left_zero, right_zero):
+        assert validate_bimodule(m) == ref_validate_bimodule(m)
 
 
 # ---------------------------------------------------------------------------

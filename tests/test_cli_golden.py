@@ -142,6 +142,10 @@ CASES = [
      ["validate", "2diagram", "@2diagram_pair_mismatch.json"], 2),
     ("2diagram-bimodule-fails-validator",
      ["validate", "2diagram", "@2diagram_broken_bimodule.json"], 2),
+    ("bimodule-fails-right-action",
+     ["validate", "bimodule", "@bimodule_broken_right.json"], 2),
+    ("bimodule-fails-commutation",
+     ["validate", "bimodule", "@bimodule_broken_commute.json"], 2),
     ("algebra-size-not-integer", ["center", "--algebra", "matrix:x"], 2),
     ("diag-size-zero", ["validate", "map", "diag:0"], 2),
     ("free-one-algebra", ["validate", "bimodule", "free:k"], 2),

@@ -35,18 +35,22 @@ from centrum.exactla import (
     cokernel,
     column_echelon,
     column_space,
+    combination,
     _is_prime,
     field_from_name,
     inverse,
     is_invertible,
     kernel,
+    kron_product,
     quotient_induced,
     random_matrix,
     random_point,
     rank,
     rref,
+    slot_products,
     solve,
     solve_matrix,
+    stack_columns,
     stack_rows,
     tensor_permutation,
 )
@@ -334,10 +338,10 @@ FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(1000003))
 
 
 @st.composite
-def field_matrices(draw, max_rows=7, max_cols=7):
-    """A matrix over one of FIELDS with entries in [-4, 4]: dense, or sparse
+def field_matrices(draw, max_rows=7, max_cols=7, fields=FIELDS):
+    """A matrix over one of fields with entries in [-4, 4]: dense, or sparse
     with about one entry in five nonzero."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(0, max_cols))
     sparse = draw(st.booleans())
@@ -452,6 +456,38 @@ def test_kernels_reduce_every_entry(m):
                     kernel(m).basis, cokernel(m).proj):
             assert all(type(x) is int and 0 <= x < f.p
                        for row in out.data for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(fields=FIELDS[1:]))
+def test_gfp_kernels_store_no_denominator(m):
+    """A GF(p) matrix never stores den, whichever kernel made it."""
+    f, t = m.field, m.transpose()
+    c = f.from_int(-2)
+    sq = m @ t
+    q = cokernel(m)
+    outs = [m + m, m - m, -m, m.scale(c), sq, t @ m, t, m.kron(t), m.flatten(),
+            m.select_columns(list(range(m.cols))[::-1]), stack_rows([m, m]),
+            stack_columns([m, m]), combination([c, f.one], [m, m], m),
+            *slot_products(m, [t @ m, Matrix.identity(m.cols, f)], 1, 1),
+            kron_product(sq, [1, sq]), rref(m)[0], kernel(m).basis,
+            column_echelon(m), q.relations, q.proj, q.sect,
+            solve_matrix(m, m), inverse(sq) or sq]
+    assert [out.den for out in outs] == [None] * len(outs)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_combination_edge_cases(field):
+    M = Matrix.from_int_rows([[1, -2], [0, 3]], field)
+    N = Matrix.from_int_rows([[0, 1], [4, -1]], field)
+    zero = Matrix.zeros(2, 2, field)
+    c = field.parse("1/2") if field == QQ else field.from_int(-3)
+    assert combination([], [], zero) == zero
+    assert combination([field.zero, field.zero], [M, N], zero) == zero
+    assert combination([field.zero, field.zero], [M, N], N) == N
+    assert combination([field.one], [M], zero) == M
+    assert combination([field.zero, field.one], [M, N], zero) == N
+    assert combination([c, field.one], [M, N], M) == M + M.scale(c) + N
 
 
 @st.composite
