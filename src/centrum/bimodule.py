@@ -20,6 +20,12 @@ L (mu_A (x) 1) = L (1 (x) L), R (1 (x) mu_B) = R (R (x) 1) and
 R (L (x) 1) = L (1 (x) R).  validate_bimodule checks each as two
 kron_products whose flat column indices line up.
 
+The hom space [M, N] is an exactla.HomSpace: the bimodule maps as the
+canonical kernel of the intertwining system on their vectorisations.
+hom_space builds it once per pair of bimodules (memoised), and the
+endomorphism algebras, the hom bimodules and descended composition read
+coordinates in it with HomSpace.coords, which builds no Subspace.
+
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.
 """
@@ -32,8 +38,8 @@ from math import lcm
 from .algebra import Algebra, AlgebraMap
 from .exactla import (
     FlatWitness,
+    HomSpace,
     Matrix,
-    Subspace,
     cokernel,
     combination,
     inverse,
@@ -43,7 +49,6 @@ from .exactla import (
     same_content,
     slot_products,
     stack_columns,
-    stack_rows,
     tensor_induced,
 )
 
@@ -228,58 +233,37 @@ def validate_bimodule_map(f: BimoduleMap) -> list[str]:
 
 
 @memoised
-def hom_space(src: Bimodule, tgt: Bimodule):
-    """Basis of the space of bimodule maps src -> tgt over the common pair.
-
-    Returns a list of (tgt.dim x src.dim) matrices.  The basis is canonical:
-    the row-major vectorizations form a reduced column echelon basis, so the
-    same pair of bimodules always yields the same list.
-    """
-    f = src.field
+def hom_space(src: Bimodule, tgt: Bimodule) -> HomSpace:
+    """The space of bimodule maps src -> tgt over the common pair, as
+    (tgt.dim x src.dim) matrices.  Its span is canonical (reduced column
+    echelon), so the same pair of bimodules always yields the same basis."""
     nt, ns = tgt.dim, src.dim
     # X S = T X for every action pair (S of src, T of tgt): its rows on
     # vec(X) are the columns of T^T (x) I - I (x) S
     rel = middle_relations(nt, ns, [T.transpose() for T in tgt.lact + tgt.ract],
-                           src.lact + src.ract, f)
-    return [Matrix([v[r * ns:(r + 1) * ns] for r in range(nt)], f, ncols=ns)
-            for v in kernel(rel.transpose()).basis.columns()]
+                           src.lact + src.ract, src.field)
+    return HomSpace(nt, ns, kernel(rel.transpose()))
 
 
-def hom_coords_matrix(basis, mats, field, message) -> Matrix:
-    """Coordinates of the maps mats in a hom-space basis, one column per map;
-    raises ValueError(message) if a map lies outside the span.  The basis
-    vectorizes to a canonical subspace, so no system is solved."""
-    some = basis or mats
-    n = some[0].rows * some[0].cols if some else 0
-
-    def vecs(Xs):
-        """The matrices Xs read row by row, as the columns of one matrix."""
-        return stack_rows([Matrix.zeros(0, n, field)]
-                          + [X.flatten() for X in Xs]).transpose()
-
-    span = Subspace(n, vecs(basis), field, canonical=True)
-    X = span.coords_matrix(vecs(mats))
-    if X is None:
-        raise ValueError(message)
-    return X
+# the refusal of a map that a hom-space operator sends out of the space
+LEAVES_HOM = "operator leaves the hom space"
 
 
 class EndAlgebra:
-    """The endomorphism algebra of a bimodule, with its acting basis.
+    """The endomorphism algebra of a bimodule, with its acting hom space.
 
-    Multiplication is composition: e_i * e_j acts as basis[i] o basis[j]."""
+    Multiplication is composition: e_i * e_j acts as hom.basis[i] o
+    hom.basis[j]."""
 
-    __slots__ = ("bimodule", "basis", "algebra")
+    __slots__ = ("bimodule", "hom", "algebra")
 
     def __init__(self, m: Bimodule):
         self.bimodule = m
-        self.basis = hom_space(m, m)
-        f = m.field
-        mult = hom_coords_matrix(
-            self.basis, [x @ y for x in self.basis for y in self.basis], f,
-            "endomorphisms must close under composition")
-        unit = hom_coords_matrix(self.basis, [Matrix.identity(m.dim, f)], f,
-                                 "the identity must lie in the endomorphism space")
+        H = self.hom = hom_space(m, m)
+        mult = H.coords([x @ y for x in H.basis for y in H.basis],
+                        "endomorphisms must close under composition")
+        unit = H.coords([Matrix.identity(m.dim, m.field)],
+                        "the identity must lie in the endomorphism space")
         self.algebra = Algebra(mult, unit.col_list(0))
 
     @property
@@ -289,7 +273,7 @@ class EndAlgebra:
     def matrix_of(self, coords) -> Matrix:
         """The endomorphism with the given coordinates, as a matrix."""
         m = self.bimodule
-        return combination(coords, self.basis, Matrix.zeros(m.dim, m.dim, m.field))
+        return combination(coords, self.hom.basis, Matrix.zeros(m.dim, m.dim, m.field))
 
     def __repr__(self):
         return f"EndAlgebra(dim {self.dim})"
@@ -303,22 +287,12 @@ def end_algebra(m: Bimodule) -> EndAlgebra:
 def hom_bimodule(src: Bimodule, tgt: Bimodule):
     """[src, tgt] as an (End(tgt), End(src))-bimodule by post-/pre-composition.
 
-    Returns (bimodule over the two endomorphism algebras, hom basis)."""
+    Returns (bimodule over the two endomorphism algebras, HomSpace)."""
     end_tgt, end_src = end_algebra(tgt), end_algebra(src)
-    basis = hom_space(src, tgt)
-    f = src.field
-    lact = [hom_operator(basis, basis, lambda b, E=end_tgt.basis[i]: E @ b, f)
-            for i in range(end_tgt.dim)]
-    ract = [hom_operator(basis, basis, lambda b, E=end_src.basis[j]: b @ E, f)
-            for j in range(end_src.dim)]
-    return Bimodule(end_tgt.algebra, end_src.algebra, len(basis), lact, ract), basis
-
-
-def hom_operator(basis_out, basis_in, transform, field) -> Matrix:
-    """Matrix, in the coordinates of the hom basis basis_out, of the linear
-    map that sends each element of basis_in to transform(element)."""
-    return hom_coords_matrix(basis_out, [transform(e) for e in basis_in], field,
-                             "operator leaves the hom space")
+    H = hom_space(src, tgt)
+    lact = [H.coords([E @ b for b in H.basis], LEAVES_HOM) for E in end_tgt.hom.basis]
+    ract = [H.coords([b @ E for b in H.basis], LEAVES_HOM) for E in end_src.hom.basis]
+    return Bimodule(end_tgt.algebra, end_src.algebra, H.dim, lact, ract), H
 
 
 # ---------------------------------------------------------------------------
@@ -568,32 +542,31 @@ class CompBarResult:
 
     Fields: tensor (the fibered product of hom bimodules), mat (matrix in the
     canonical hom bases), map (as an equivariant map over ([P,P], [M,M])),
-    is_iso, and the three hom bases."""
+    is_iso, and the three HomSpaces."""
 
     tensor: TensorResult
     mat: Matrix
     map: BimoduleMap
     is_iso: bool
-    basis_np: list
-    basis_mn: list
-    basis_mp: list
+    hom_np: HomSpace
+    hom_mn: HomSpace
+    hom_mp: HomSpace
 
 
 def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     """Descend composition [N,P] x [M,N] -> [M,P] through the fibered tensor
     product over [N,N]; the coequalizer property is verified exactly."""
-    f = m.field
-    hom_np, basis_np = hom_bimodule(n, p)
-    hom_mn, basis_mn = hom_bimodule(m, n)
-    hom_mp, basis_mp = hom_bimodule(m, p)
-    tensor = tensor_over(hom_np, hom_mn)
-    comp = hom_coords_matrix(basis_mp, [x @ y for x in basis_np for y in basis_mn], f,
-                             "composite leaves the hom space")
+    bim_np, hom_np = hom_bimodule(n, p)
+    bim_mn, hom_mn = hom_bimodule(m, n)
+    bim_mp, hom_mp = hom_bimodule(m, p)
+    tensor = tensor_over(bim_np, bim_mn)
+    comp = hom_mp.coords([x @ y for x in hom_np.basis for y in hom_mn.basis],
+                         "composite leaves the hom space")
     mat = tensor.quot.descend(
         comp, "composition does not factor through the middle tensor")
-    map_ = BimoduleMap(tensor.product, hom_mp, mat)
+    map_ = BimoduleMap(tensor.product, bim_mp, mat)
     bad = validate_bimodule_map(map_)
     if bad:
         raise ValueError(f"descended composition is not equivariant: {bad}")
     is_iso = inverse(mat) is not None
-    return CompBarResult(tensor, mat, map_, is_iso, basis_np, basis_mn, basis_mp)
+    return CompBarResult(tensor, mat, map_, is_iso, hom_np, hom_mn, hom_mp)

@@ -611,13 +611,12 @@ def cmd_z_bimodule(args, s, rep):
     rep.add("endomorphism cospan passes its validator",
             validate_cospan(r.cospan) == [])
     rep.add("apex dimension equals the equivariant endomorphism space",
-            r.apex.dim == len(hom_space(m, m)))
+            r.apex.dim == hom_space(m, m).dim)
 
 
 def cmd_z_2cell(args, s, rep):
     phi = resolve(s, "bimodule-map", args.bimodule_map)
-    r = Z_2cell(phi)
-    d = r.diagram
+    d = Z_2cell(phi)
     rep.result = {"diagram": {**CODECS["2diagram"].summary(d),
                               "f": fmt_matrix(d.f), "g": fmt_matrix(d.g)}}
     rep.add("induced 2-diagram passes its validator",

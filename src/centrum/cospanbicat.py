@@ -53,6 +53,7 @@ from .bimodule import (
 )
 from .exactla import (
     FlatWitness,
+    HomSpace,
     Matrix,
     cokernel,
     combination,
@@ -62,7 +63,7 @@ from .exactla import (
     memoised,
     same_content,
     slot_products,
-    solve,
+    solve_matrix,
     stack_rows,
     tensor_induced,
     tensor_permutation_index,
@@ -449,26 +450,15 @@ def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     # X S = T X for every action pair (S of d, T of e), as in hom_space
     eqs = middle_relations(m2, m1, [T.transpose() for T in e.M.lact + e.M.ract],
                            d.M.lact + d.M.ract, f).transpose()
-    legs, rhs = [], [f.zero] * eqs.rows
-    # X F = G for both legs: row (r, c) has F[k][c] at the entry of X[r][k]
-    for F, G in ((d.f, e.f), (d.g, e.g)):
-        cols, G = F.columns(), G.data
-        for r in range(m2):
-            for c in range(F.cols):
-                row = [f.zero] * (m2 * m1)
-                row[r * m1:(r + 1) * m1] = cols[c]
-                legs.append(row)
-                rhs.append(G[r][c])
-    A = stack_rows([eqs, Matrix(legs, f, ncols=m2 * m1)])
-    part = solve(A, rhs)
-    if part is None:
+    # X F = G for both legs: vec(X F) = (I (x) F^T) vec(X)
+    I = Matrix.identity(m2, f)
+    A = stack_rows([eqs, I.kron(d.f.transpose()), I.kron(d.g.transpose())])
+    b = stack_rows([Matrix.zeros(eqs.rows, 1, f), e.f.flatten().transpose(),
+                    e.g.flatten().transpose()])
+    x0 = solve_matrix(A, b)
+    if x0 is None:
         return None, []
-
-    def unvec(v):
-        return Matrix([v[r * m1:(r + 1) * m1] for r in range(m2)], f, ncols=m1)
-
-    ker = [unvec(col) for col in kernel(A).basis.columns()]
-    return unvec(part), ker
+    return x0.reshape(m2, m1), HomSpace(m2, m1, kernel(A)).basis
 
 
 def find_3cell(d: TwoDiagram, e: TwoDiagram) -> "ThreeCell | None":

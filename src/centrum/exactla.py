@@ -12,12 +12,14 @@ Fractions in lowest terms otherwise.  An element of GF(p) is a plain int in
 [0, p), stored with den None, and the kernels reduce mod p where the
 arithmetic happens.  Matrices over different fields never combine
 (ValueError) and never compare equal.  Subspaces are stored in reduced
-column echelon form, so equal subspaces have equal bases.  Quotients carry
-explicit projection/section witnesses with proj @ sect == I and proj @
-relations == 0, checked at construction; a cokernel keeps the free
-coordinates its section selects, so descend checks down @ relations == 0
-and then selects columns.  A FlatWitness carries the same witnesses for a
-nested quotient of a flat multi-tensor and descends by checking down ==
+column echelon form, so equal subspaces have equal bases; a HomSpace is
+such a subspace of vectorised matrices, whose row-major layout only flatten
+and reshape know.  Quotients carry explicit projection/section witnesses
+with proj @ sect == I and proj @ relations == 0, checked at construction;
+a cokernel keeps the free coordinates its section selects, so descend
+checks down @ relations == 0 on the unreduced product rows and then
+selects columns.  A FlatWitness carries the same witnesses for a nested
+quotient of a flat multi-tensor and descends by checking down ==
 (down @ sect) @ proj.  By (A (x) B) vec(X) = vec(A X B^T), P @ (A (x) B (x)
 ...) is one slot product per factor (kron_product): each nonzero of a row
 of P is scattered onto the nonzeros of one row of the factor, and an
@@ -358,12 +360,13 @@ class Matrix:
         return Matrix.cleared(num, [d * q for d in self._dens()], self.field,
                               self.cols)
 
-    def __matmul__(self, other) -> "Matrix":
-        """The product, accumulated as plain int sums.  Over GF(p) each sum
-        is reduced once per output cell.  Over QQ the terms of a left row
-        share D, the lcm of the denominators of the right rows it selects,
-        widened as they come; the row's sums over D times its own
-        denominator are then reduced once, so a left row need not be."""
+    def _product_rows(self, other):
+        """The rows of self @ other before Matrix.cleared: plain int sums,
+        reduced once per cell over GF(p), and one denominator per row, None
+        when both factors are integral; a zero test can read the ints.  Over
+        QQ the terms of a left row share D, the lcm of the denominators of
+        the right rows it selects, widened as they come; the row is over D
+        times its own denominator."""
         _check_fields(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
@@ -402,10 +405,17 @@ class Matrix:
             out.append(new)
             dens.append(D)
         if oden is None and self.den is None:
-            return Matrix._fresh(out, self.field, n)
+            return out, None
         if self.den is not None:
             dens = list(map(mul, dens, self.den))
-        return Matrix.cleared(out, dens, self.field, n)
+        return out, dens
+
+    def __matmul__(self, other) -> "Matrix":
+        """The product: _product_rows, each row then reduced once."""
+        out, dens = self._product_rows(other)
+        if dens is None:
+            return Matrix._fresh(out, self.field, other.cols)
+        return Matrix.cleared(out, dens, self.field, other.cols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a plain list of elements."""
@@ -459,12 +469,6 @@ class Matrix:
         return Matrix.cleared(out, [a * b for a in self._dens() for b in other._dens()],
                               self.field, n)
 
-    def hstack(self, other) -> "Matrix":
-        return stack_columns([self, other])
-
-    def vstack(self, other) -> "Matrix":
-        return stack_rows([self, other])
-
     def flatten(self) -> "Matrix":
         """The 1 x rows*cols matrix of the entries read row by row."""
         if self.den is None:
@@ -472,6 +476,18 @@ class Matrix:
                                  self.field, self.rows * self.cols)
         row, L = _join(self.num, self.den)
         return Matrix._fresh([row], self.field, self.rows * self.cols, [L])
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix of the entries read row by row: the
+        inverse of flatten."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.shape} to {(rows, cols)}")
+        flat = self.flatten()
+        v = flat.num[0]
+        num = [v[r * cols:(r + 1) * cols] for r in range(rows)]
+        if flat.den is None:
+            return Matrix._fresh(num, self.field, cols)
+        return Matrix.cleared(num, flat.den * rows, self.field, cols)
 
     def col_list(self, j: int):
         return [r[j] if d == 1 else QQ.div(r[j], d)
@@ -559,7 +575,8 @@ def tensor_permutation_index(dims, perm) -> list:
     dims: sizes of the slots of the source flat space (row-major flattening,
     leftmost slot major).  perm: the target's slot i is the source's slot
     perm[i].  idx[s] is the flat target index of flat source index s, so
-    X @ tensor_permutation(dims, perm, field) == X.select_columns(idx).
+    for X a map out of the target, X.select_columns(idx) is X after the
+    permutation of slots, a map out of the source.
     """
     idx = [0]
     for s, d in enumerate(dims):
@@ -567,12 +584,6 @@ def tensor_permutation_index(dims, perm) -> list:
         st = prod(dims[q] for q in perm[list(perm).index(s) + 1:])
         idx = [x + k * st for x in idx for k in range(d)]
     return idx
-
-
-def tensor_permutation(dims, perm, field) -> Matrix:
-    """The permutation matrix of tensor_permutation_index(dims, perm)."""
-    idx = tensor_permutation_index(dims, perm)
-    return Matrix.identity(len(idx), field).select_columns(idx)
 
 
 def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
@@ -806,6 +817,34 @@ class Subspace:
         return X.col_list(0) if X is not None else None
 
 
+class HomSpace:
+    """A space of rows x cols matrices: span is the canonical subspace of
+    their row-major vectorisations (Matrix.flatten), checked when it was
+    built, and basis is its columns as matrices (Matrix.reshape)."""
+
+    __slots__ = ("rows", "cols", "span", "basis")
+
+    def __init__(self, rows: int, cols: int, span: Subspace):
+        self.rows, self.cols, self.span = rows, cols, span
+        B = span.basis.transpose()
+        self.basis = [_rows_at(B, [j]).reshape(rows, cols) for j in range(B.rows)]
+
+    @property
+    def dim(self) -> int:
+        return self.span.dim
+
+    def coords(self, mats, message: str) -> Matrix:
+        """Coordinates of the matrices mats in basis, one column per matrix,
+        read off the lead rows of span; raises ValueError(message) if one
+        lies outside the span."""
+        n, f = self.rows * self.cols, self.span.field
+        X = self.span.coords_matrix(stack_rows(
+            [Matrix.zeros(0, n, f)] + [M.flatten() for M in mats]).transpose())
+        if X is None:
+            raise ValueError(message)
+        return X
+
+
 def kernel(m: Matrix) -> Subspace:
     """Kernel of m as a canonical subspace of the source.
 
@@ -844,19 +883,13 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace(m.rows, column_echelon(m), m.field, canonical=True)
 
 
-def solve(A: Matrix, b) -> "list | None":
-    """One solution of A x = b with free variables set to zero, or None."""
-    X = solve_matrix(A, Matrix.from_columns([b], A.rows, A.field))
-    return X.col_list(0) if X is not None else None
-
-
 def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
     """Solve A X = B for all columns at once (free variables zero).
     Returns None if any column is inconsistent."""
     if A.rows != B.rows:
         raise ValueError(f"shape mismatch: A X = B with {A.shape} and"
                          f" {B.shape}")
-    R, pivots = rref(A.hstack(B))
+    R, pivots = rref(stack_columns([A, B]))
     n = A.cols
     if pivots and pivots[-1] >= n:
         return None
@@ -918,7 +951,7 @@ class Quotient:
     def descend(self, down: Matrix, message: str) -> Matrix:
         """The map on the quotient induced by down, a map out of the ambient
         space; raises ValueError(message) unless down kills the relations."""
-        if not (down @ self.relations).is_zero():  # a test of numerators
+        if any(map(any, down._product_rows(self.relations)[0])):
             raise ValueError(message)
         return down.select_columns(self.free)
 
@@ -955,23 +988,16 @@ def cokernel(rel: Matrix) -> Quotient:
     proj = Matrix._fresh(rows, field, n, dens)
     if (proj @ sect) != Matrix.identity(n - d, field):
         raise ValueError("cokernel section is not a section of the projection")
-    if not (proj @ B).is_zero():
+    if any(map(any, proj._product_rows(B)[0])):
         raise ValueError("cokernel projection does not kill the relations")
     return Quotient(n, B, n - d, proj, sect, field, free)
 
 
-def quotient_induced(q_tgt: Quotient, F: Matrix, q_src: Quotient) -> Matrix:
-    """The map induced by F: ambient_src -> ambient_tgt on the quotients.
-
-    Raises if F does not descend (i.e. if F does not map the source relations
-    into the target relations).
-    """
-    return tensor_induced(q_tgt, [F], q_src)
-
-
 def tensor_induced(q_tgt: Quotient, factors, q_src: Quotient) -> Matrix:
-    """quotient_induced for F = F_1 (x) ... (x) F_k (an int n the identity
-    of k^n), with q_tgt.proj @ F as a kron_product."""
+    """The map induced on the quotients by F = F_1 (x) ... (x) F_k: ambient
+    of q_src -> ambient of q_tgt (an int n the identity of k^n), with
+    q_tgt.proj @ F as a kron_product; raises unless F maps the source
+    relations into the target relations."""
     return q_src.descend(kron_product(q_tgt.proj, factors),
                          "map does not descend to the quotient")
 

@@ -203,7 +203,7 @@ def row_bimodule(n: int, field=QQ) -> Bimodule:
 
 def random_hom_element(src: Bimodule, tgt: Bimodule, rng, bound=2):
     """A random equivariant map src -> tgt (zero if the hom space is zero)."""
-    basis = hom_space(src, tgt)
+    basis = hom_space(src, tgt).basis
     f = src.field
     coeffs = [f.from_int(rng.randint(-bound, bound)) for _ in basis]
     return BimoduleMap(src, tgt, combination(coeffs, basis,

@@ -11,6 +11,12 @@ identities, the interchanger hexagon, and the unit reduction), the Morita
 invariance of centers, and the invertibility criteria under which the whole
 assignment is a genuine (non-lax) 2-functor.
 
+The apex of a bimodule's cospan is End(M), and the 2-diagram of a bimodule
+map M -> N (Z_2cell, which returns it) lives on the hom space [M, N]: each
+is a bimodule.hom_space, an exactla.HomSpace, and every operator on one
+(post-/pre-composition, central actions, induced maps) has its matrix read
+off by HomSpace.coords.
+
 Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
 algebra.center, bimodule.hom_space, bimodule.end_algebra and
 cospanbicat.compose_cospans, are memoised by content (exactla.memoised), so
@@ -39,13 +45,12 @@ from .algebra import (
 from .bimodule import (
     Bimodule,
     BimoduleMap,
+    LEAVES_HOM,
     EndAlgebra,
     TensorResult,
     comp_bar,
     end_algebra,
     hom_bimodule,
-    hom_coords_matrix,
-    hom_operator,
     hom_space,
     identity_bimodule_map,
     induced_map,
@@ -72,6 +77,7 @@ from .cospanbicat import (
     vertical_compose,
 )
 from .exactla import (
+    HomSpace,
     Matrix,
     cokernel,
     inverse,
@@ -156,8 +162,8 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
 
     def leg(sub, act_of):
         ops = [act_of(sub.embed(sub.algebra.basis_vector(i))) for i in range(sub.dim)]
-        return AlgebraMap(sub.algebra, ea.algebra, hom_coords_matrix(
-            ea.basis, ops, m.field, "central action is not a bimodule map"))
+        return AlgebraMap(sub.algebra, ea.algebra, ea.hom.coords(
+            ops, "central action is not a bimodule map"))
 
     cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
     bad = validate_cospan(cospan)
@@ -181,7 +187,7 @@ def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
     zb = Z_bimodule(restriction_bimodule(f))
     zh = Z_hom(f)
     ev_mat = zh.realization.subspace.coords_matrix(Matrix.from_columns(
-        [b.apply(f.tgt.unit) for b in zb.realization.basis], f.tgt.dim, f.tgt.field))
+        [b.apply(f.tgt.unit) for b in zb.realization.hom.basis], f.tgt.dim, f.tgt.field))
     if ev_mat is None:
         raise ValueError("evaluation leaves the centralizer")
     ev = AlgebraMap(zb.apex, zh.apex, ev_mat)
@@ -193,30 +199,20 @@ def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
     return AgreementResult(ev, rep)
 
 
-@dataclass(slots=True, eq=False)
-class Z2CellResult:
-    """The 2-diagram assigned to a bimodule map: apex is the hom space of the
-    two bimodules with post-/pre-composition legs."""
-
-    diagram: TwoDiagram
-    basis: list
-
-
 @memoised
-def Z_2cell(phi: BimoduleMap) -> Z2CellResult:
+def Z_2cell(phi: BimoduleMap) -> TwoDiagram:
     """The 2-diagram from the cospan of phi's source to that of its target:
     bimodule [M, N] over the two endomorphism algebras, legs xi -> phi o xi
     and eta -> eta o phi."""
     zs, zt = Z_bimodule(phi.src), Z_bimodule(phi.tgt)
-    hom_bm, basis = hom_bimodule(phi.src, phi.tgt)
-    f = phi.src.field
-    fmat = hom_operator(basis, zs.realization.basis, lambda e: phi.mat @ e, f)
-    gmat = hom_operator(basis, zt.realization.basis, lambda e: e @ phi.mat, f)
+    hom_bm, H = hom_bimodule(phi.src, phi.tgt)
+    fmat = H.coords([phi.mat @ e for e in zs.realization.hom.basis], LEAVES_HOM)
+    gmat = H.coords([e @ phi.mat for e in zt.realization.hom.basis], LEAVES_HOM)
     d = TwoDiagram(zs.cospan, zt.cospan, hom_bm, fmat, gmat)
     bad = validate_2diagram(d)
     if bad:
         raise ValueError(f"hom-space 2-diagram is invalid: {bad}")
-    return Z2CellResult(d, basis)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +290,12 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
     comp = compose_cospans(zn.cospan, zm.cospan)
     tens = tensor_over(m_bim, n_bim)
     zmn = Z_bimodule(tens.product)
-    f = m_bim.field
 
     def factor_map(src_z, factors_of):
         ops = [tensor_induced(tens.quot, factors_of(e), tens.quot)
-               for e in src_z.realization.basis]
-        return AlgebraMap(src_z.apex, zmn.apex, hom_coords_matrix(
-            zmn.realization.basis, ops, f, "factor endomorphism leaves the hom space"))
+               for e in src_z.realization.hom.basis]
+        return AlgebraMap(src_z.apex, zmn.apex, zmn.realization.hom.coords(
+            ops, "factor endomorphism leaves the hom space"))
 
     w = factor_map(zm, lambda e: [e, n_bim.dim])
     v = factor_map(zn, lambda e: [m_bim.dim, e])
@@ -314,7 +309,7 @@ class NGeneralResult:
     """The descended map [M,M'] (x)_{Z(B)} [N,N'] -> [M (x) N, M' (x) N'],
     xi (x) zeta -> xi (x) zeta, with its quotient witnesses."""
 
-    basis_target: list
+    target: HomSpace
     quot: object
     mat: Matrix
     is_iso: bool = field(init=False)
@@ -334,32 +329,23 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
     product of hom spaces over Z(B), or through pair_quot, its quotient."""
     m, n = tens_src.left_factor, tens_src.right_factor
     mp, np_ = tens_tgt.left_factor, tens_tgt.right_factor
-    f = m.field
-    basis_left = hom_space(m, mp)
-    basis_right = hom_space(n, np_)
-    basis_target = hom_space(tens_src.product, tens_tgt.product)
+    left, right = hom_space(m, mp), hom_space(n, np_)
+    target = hom_space(tens_src.product, tens_tgt.product)
     ops = [tensor_induced(tens_tgt.quot, [xi, zeta], tens_src.quot)
-           for xi in basis_left for zeta in basis_right]
-    flat = hom_coords_matrix(basis_target, ops, f, "induced map leaves the hom space")
+           for xi in left.basis for zeta in right.basis]
+    flat = target.coords(ops, "induced map leaves the hom space")
     if pair_quot is None:
         zb = center(m.right)
-        rops = [
-            hom_operator(basis_left, basis_left,
-                         lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
-                         b @ m.ract_of(z), f)
-            for k in range(zb.dim)
-        ]
-        lops = [
-            hom_operator(basis_right, basis_right,
-                         lambda b, z=zb.embed(zb.algebra.basis_vector(k)):
-                         b @ n.lact_of(z), f)
-            for k in range(zb.dim)
-        ]
-        rel = middle_relations(len(basis_left), len(basis_right), rops, lops, f)
+        zs = [zb.embed(zb.algebra.basis_vector(k)) for k in range(zb.dim)]
+        rops = [left.coords([b @ m.ract_of(z) for b in left.basis], LEAVES_HOM)
+                for z in zs]
+        lops = [right.coords([b @ n.lact_of(z) for b in right.basis], LEAVES_HOM)
+                for z in zs]
+        rel = middle_relations(left.dim, right.dim, rops, lops, m.field)
         pair_quot = cokernel(rel)
     mat = pair_quot.descend(
         flat, "tensor of maps does not respect the middle-center relations")
-    return NGeneralResult(basis_target, pair_quot, mat)
+    return NGeneralResult(target, pair_quot, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +363,8 @@ class MSquareResult:
     map on the composite, the other applies the pair of maps first and then
     multiplies.  Its matrix is independent of the maps themselves."""
 
-    d1: Z2CellResult  # the two hom-space 2-cells
-    d2: Z2CellResult
+    d1: TwoDiagram  # the two hom-space 2-cells
+    d2: TwoDiagram
     hq: TwoDiagram  # their horizontal composite
     mult_src: MultBimoduleResult  # the multiplication data of both rows
     mult_tgt: MultBimoduleResult
@@ -401,30 +387,28 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     3-cell axioms."""
     d1, d2 = Z_2cell(phi), Z_2cell(psi)
     f = phi.src.field
-    hq = horizontal_compose(d2.diagram, d1.diagram)
+    hq = horizontal_compose(d2, d1)
     mult_src = mult_transform_bimodule(phi.src, psi.src)
     mult_tgt = mult_transform_bimodule(phi.tgt, psi.tgt)
     induced = induced_map(phi, psi, mult_src.tens, mult_tgt.tens)
     lhs = vertical_compose(mult_tgt.diagram, hq)
-    rhs = vertical_compose(Z_2cell(induced).diagram, mult_src.diagram)
+    rhs = vertical_compose(Z_2cell(induced), mult_src.diagram)
     n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.tensor.quot)
     end_tgt = mult_tgt.zmn.realization
     end_src = mult_src.zmn.realization
-    basis_t = n_res.basis_target
+    H = n_res.target
     # pre-unit map: the class of x (x) q composes x after the descended map
-    mprime_flat = stack_columns([
-        hom_operator(basis_t, basis_t, lambda b, E=E: E @ b, f) @ n_res.mat
-        for E in end_tgt.basis])
+    mprime_flat = stack_columns([H.coords([E @ b for b in H.basis], LEAVES_HOM)
+                                 @ n_res.mat for E in end_tgt.hom.basis])
     mprime = lhs.tensor.quot.descend(
         mprime_flat, "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
     TR = rhs.tensor
-    r_inverse = kron_product(TR.quot.proj,
-                             [len(basis_t), unit_column(end_src.algebra)])
-    rflat = hom_coords_matrix(basis_t, [b @ e for b in basis_t for e in end_src.basis],
-                              f, "unit collapse leaves the hom space")
+    r_inverse = kron_product(TR.quot.proj, [H.dim, unit_column(end_src.algebra)])
+    rflat = H.coords([b @ e for b in H.basis for e in end_src.hom.basis],
+                     "unit collapse leaves the hom space")
     r_mat = TR.quot.descend(rflat, "unit collapse does not descend")
-    if (r_mat @ r_inverse != Matrix.identity(len(basis_t), f)
+    if (r_mat @ r_inverse != Matrix.identity(H.dim, f)
             or r_inverse @ r_mat != Matrix.identity(TR.quot.dim, f)):
         raise ValueError("the unit collapse is not invertible")
     cell_mat = r_inverse @ mprime
@@ -532,8 +516,7 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
     sq3 = m_square(BimoduleMap(phi.src, phip.tgt, phip.mat @ phi.mat),
                    BimoduleMap(psi.src, psip.tgt, psip.mat @ psi.mat))
 
-    beta = beta_cell(sq2.d1.diagram, sq1.d1.diagram, sq2.d2.diagram,
-                     sq1.d2.diagram)
+    beta = beta_cell(sq2.d1, sq1.d1, sq2.d2, sq1.d2)
     cb_left = comp_bar(phi.src, phi.tgt, phip.tgt)
     cb_right = comp_bar(psi.src, psi.tgt, psip.tgt)
     cb_mid = comp_bar(sq1.mult_src.tens.product, sq1.mult_tgt.tens.product,
@@ -541,7 +524,7 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
 
     q1dim = sq1.hq.M.dim
     xdim = sq2.mult_tgt.zmn.apex.dim
-    xidim = len(sq2.n_res.basis_target)
+    xidim = sq2.n_res.target.dim
     vdim = sq1.mult_src.zmn.apex.dim
 
     # row-by-row side
@@ -571,36 +554,27 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     second square is supplied) the interchanger hexagon."""
     rep = CoherenceReport()
     sq = m_square(phi, psi)
-    f = phi.src.field
     rep.add("square is a 3-cell", sq.valid == [], "; ".join(sq.valid))
     end_src = sq.mult_src.zmn.realization
     end_tgt = sq.mult_tgt.zmn.realization
-    basis_t = sq.n_res.basis_target
-    post_phi = hom_operator(basis_t, end_src.basis,
-                            lambda e: sq.induced.mat @ e, f)
-    pre_phi = hom_operator(basis_t, end_tgt.basis,
-                           lambda e: e @ sq.induced.mat, f)
+    H = sq.n_res.target
+    post_phi = H.coords([sq.induced.mat @ e for e in end_src.hom.basis], LEAVES_HOM)
+    pre_phi = H.coords([e @ sq.induced.mat for e in end_tgt.hom.basis], LEAVES_HOM)
+    n_mat = sq.n_res.mat
     rep.add("upper triangle via n",
-            sq.cell.mat @ sq.lhs.f
-            == sq.r_inverse @ sq.n_res.mat @ sq.hq.f)
+            sq.cell.mat @ sq.lhs.f == sq.r_inverse @ n_mat @ sq.hq.f)
     rep.add("upper triangle via multiplication",
             sq.rhs.f == sq.r_inverse @ post_phi @ sq.mult_src.mult.mat)
-    rep.add("lower triangle",
-            sq.n_res.mat @ sq.hq.g == pre_phi @ sq.mult_tgt.mult.mat)
-    ok_r = True
-    for y in range(sq.mult_src.comp.cospan.apex.dim):
-        w = end_src.matrix_of(sq.mult_src.mult.mat.col_list(y))
-        pre = hom_operator(basis_t, basis_t, lambda b, W=w: b @ W, f)
-        if sq.n_res.mat @ sq.hq.M.ract[y] != pre @ sq.n_res.mat:
-            ok_r = False
-    rep.add("descended map right equivariant", ok_r)
-    ok_l = True
-    for y in range(sq.mult_tgt.comp.cospan.apex.dim):
-        w = end_tgt.matrix_of(sq.mult_tgt.mult.mat.col_list(y))
-        post = hom_operator(basis_t, basis_t, lambda b, W=w: W @ b, f)
-        if sq.n_res.mat @ sq.hq.M.lact[y] != post @ sq.n_res.mat:
-            ok_l = False
-    rep.add("descended map left equivariant", ok_l)
+    rep.add("lower triangle", n_mat @ sq.hq.g == pre_phi @ sq.mult_tgt.mult.mat)
+    # each action on the composite against pre-/post-composition with its image
+    rep.add("descended map right equivariant", all([
+        n_mat @ R == H.coords([b @ W for b in H.basis], LEAVES_HOM) @ n_mat
+        for R, W in zip(sq.hq.M.ract, map(end_src.matrix_of,
+                                          sq.mult_src.mult.mat.columns()))]))
+    rep.add("descended map left equivariant", all([
+        n_mat @ L == H.coords([W @ b for b in H.basis], LEAVES_HOM) @ n_mat
+        for L, W in zip(sq.hq.M.lact, map(end_tgt.matrix_of,
+                                          sq.mult_tgt.mult.mat.columns()))]))
     rep.add("unit reduction", check_m_unit_axiom(phi.src.right))
     if phip is not None and psip is not None:
         rep.add("hexagon", check_m_hexagon(phi, phip, psi, psip))

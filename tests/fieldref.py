@@ -19,7 +19,9 @@ computed on them too.  ``column_echelon_ref``, ``kernel_ref`` and
 The entry-by-entry references at the end (``add_ref``, ``kron_ref``,
 ``kron_product_ref``, ``descend_ref``, ...) cover the remaining Matrix
 operations, and ``ref_validate_bimodule`` checks the bimodule axioms one
-pair of basis elements at a time on them.
+pair of basis elements at a time on them.  ``ref_solve_3cell_family``
+builds the 3-cell system row by row and solves it on ``rref_ref`` and
+``kernel_ref``.
 """
 
 import contextlib
@@ -144,7 +146,7 @@ def cokernel_ref(rel: Matrix):
     free = [i for i in range(n) if i not in lead]
     sect = Matrix([[field.one if i == f else field.zero for f in free]
                    for i in range(n)], field, ncols=len(free))
-    R, _ = rref_ref(B.hstack(sect).hstack(Matrix.identity(n, field)))
+    R, _ = rref_ref(stack_ref([B, sect, Matrix.identity(n, field)], beside=True))
     proj = Matrix([row[n:] for row in R.data[B.cols:]], field, ncols=n)
     return B, proj, sect
 
@@ -273,3 +275,50 @@ def ref_validate_bimodule(m) -> list:
                     != matmul_ref(m.ract[j], m.lact[i])):
                 out.append(f"actions do not commute at (left e{i}, right e{j})")
     return out
+
+
+def ref_solve_3cell_family(d, e):
+    """All 3-cells d -> e as (particular solution or None, kernel basis), by
+    loops: one row per entry (r, c) of T X - X S for each action pair (S of
+    d.M, T of e.M), on the row-major entries of X, and one row per
+    entry (r, c) of X F = G for both legs (F of d, G of e); the augmented
+    system goes through rref_ref with free variables zero, the directions
+    are kernel_ref's, and each vector is cut back into a matrix row by
+    row."""
+    f = d.M.field
+    m1, m2 = d.M.dim, e.M.dim
+    n = m2 * m1
+    rows, rhs = [], []
+    for S, T in zip(d.M.lact + d.M.ract, e.M.lact + e.M.ract):
+        S, T = S.data, T.data
+        for r in range(m2):
+            for c in range(m1):
+                row = [f.zero] * n
+                for k in range(m2):
+                    row[k * m1 + c] = T[r][k]
+                for k in range(m1):
+                    row[r * m1 + k] = red(f, row[r * m1 + k] - S[k][c])
+                rows.append(row)
+                rhs.append(f.zero)
+    for F, G in ((d.f, e.f), (d.g, e.g)):
+        cols = [[row[c] for row in F.data] for c in range(F.cols)]
+        G = G.data
+        for r in range(m2):
+            for c in range(F.cols):
+                row = [f.zero] * n
+                row[r * m1:(r + 1) * m1] = cols[c]
+                rows.append(row)
+                rhs.append(G[r][c])
+
+    def unvec(v):
+        return Matrix([v[r * m1:(r + 1) * m1] for r in range(m2)], f, ncols=m1)
+
+    R, pivots = rref_ref(Matrix([row + [b] for row, b in zip(rows, rhs)], f,
+                                ncols=n + 1))
+    if pivots and pivots[-1] == n:
+        return None, []
+    x = [f.zero] * n
+    for i, c in enumerate(pivots):
+        x[c] = R.data[i][n]
+    ker = kernel_ref(Matrix(rows, f, ncols=n))
+    return unvec(x), [unvec([row[j] for row in ker.data]) for j in range(ker.cols)]

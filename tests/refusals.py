@@ -28,9 +28,10 @@ from centrum.exactla import (
     Matrix,
     PrimeField,
     cokernel,
-    quotient_induced,
     solve_matrix,
+    stack_columns,
     stack_rows,
+    tensor_induced,
 )
 
 
@@ -61,15 +62,15 @@ def refusal_failures():
         "GF(7) + GF(5)": lambda: g7 + g5,
         "GF(7) - GF(5)": lambda: g7 - g5,
         "GF(7) kron GF(5)": lambda: g7.kron(g5),
-        "GF(7) hstack GF(5)": lambda: g7.hstack(g5),
-        "GF(7) vstack GF(5)": lambda: g7.vstack(g5),
+        "stack_columns GF(7), GF(5)": lambda: stack_columns([g7, g5]),
+        "stack_rows GF(7), GF(5)": lambda: stack_rows([g7, g5]),
         "QQ @ GF(5)": lambda: a @ g5,
         "2x2 + 2x3": lambda: a + b,
         "2x2 - 2x3": lambda: a - b,
         "2x3 @ 2x3": lambda: b @ b,
         "2x2 apply 1": lambda: a.apply([1]),
-        "2x2 hstack 3x1": lambda: a.hstack(Matrix.zeros(3, 1, QQ)),
-        "2x2 vstack 2x3": lambda: a.vstack(b),
+        "stack_columns 2x2, 3x1": lambda: stack_columns([a, Matrix.zeros(3, 1, QQ)]),
+        "stack_rows 2x2, 2x3": lambda: stack_rows([a, b]),
         "stack_rows GF(7), GF(7), GF(5)": lambda: stack_rows([g7, g7, g5]),
         "stack_rows 2x2, 2x2, 2x3": lambda: stack_rows([a, a, b]),
         "column of 1 in k^2": lambda: Matrix.from_columns([[1]], 2, QQ),
@@ -98,10 +99,10 @@ def shape_refusals():
     ops = {
         "solve_matrix 2x2 with 3 rows": lambda: solve_matrix(
             Matrix.identity(2, QQ), Matrix.zeros(3, 1, QQ)),
-        "quotient_induced 3x2 into k^2": lambda: quotient_induced(
-            q, Matrix.zeros(3, 2, QQ), q),
-        "quotient_induced 2x3 from k^2": lambda: quotient_induced(
-            q, Matrix.zeros(2, 3, QQ), q),
+        "tensor_induced 3x2 into k^2": lambda: tensor_induced(
+            q, [Matrix.zeros(3, 2, QQ)], q),
+        "tensor_induced 2x3 from k^2": lambda: tensor_induced(
+            q, [Matrix.zeros(2, 3, QQ)], q),
         "to_int_grid 1/2": lambda: Matrix([[Fraction(1, 2)]], QQ).to_int_grid(),
     }
     out = []

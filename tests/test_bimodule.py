@@ -33,7 +33,6 @@ from centrum.bimodule import (
     direct_sum_bimodules,
     end_algebra,
     free_bimodule,
-    hom_coords_matrix,
     hom_space,
     identity_bimodule_map,
     induced_map,
@@ -53,11 +52,14 @@ from centrum.bimodule import (
 )
 from centrum.exactla import (
     QQ,
+    HomSpace,
     Matrix,
     PrimeField,
+    Subspace,
     is_invertible,
     kernel,
     random_matrix,
+    stack_columns,
     stack_rows,
 )
 from centrum.fixtures import random_bimodule
@@ -237,21 +239,20 @@ def test_hom_space_regular_is_center():
         (alg_dual_numbers(), 2),
         (alg_group_c2(), 2),
     ]:
-        basis = hom_space(regular_bimodule(a), regular_bimodule(a))
-        assert len(basis) == zdim == center(a).dim
+        H = hom_space(regular_bimodule(a), regular_bimodule(a))
+        assert H.dim == len(H.basis) == zdim == center(a).dim
 
 
 def test_hom_space_simple_module():
-    basis = hom_space(col_bimodule(2), col_bimodule(2))
-    assert len(basis) == 1
+    H = hom_space(col_bimodule(2), col_bimodule(2))
+    assert H.dim == 1
     # the unique (up to scale) endomorphism is a multiple of the identity
-    assert hom_coords_matrix(basis, [Matrix.identity(2, QQ)], QQ,
-                             "outside").shape == (1, 1)
+    assert H.coords([Matrix.identity(2, QQ)], "outside").shape == (1, 1)
 
 
 def test_hom_space_elements_are_equivariant():
     m = direct_sum_bimodules([col_bimodule(2), col_bimodule(2)])
-    basis = hom_space(m, m)
+    basis = hom_space(m, m).basis
     assert len(basis) == 4  # two copies of a simple: 2x2 matrix algebra
     for b in basis:
         assert validate_bimodule_map(BimoduleMap(m, m, b)) == []
@@ -260,8 +261,8 @@ def test_hom_space_elements_are_equivariant():
 def test_hom_space_disjoint_weights_is_zero():
     m1 = weighted_point_bimodule([1, 0])
     m2 = weighted_point_bimodule([0, 1])
-    assert hom_space(m1, m2) == []
-    assert hom_space(m1, m1) and len(hom_space(m1, m1)) == 1
+    assert hom_space(m1, m2).basis == []
+    assert hom_space(m1, m1).dim == 1
 
 
 def test_hom_space_sympy_cross_check():
@@ -284,7 +285,7 @@ def test_hom_space_sympy_cross_check():
             eqs.extend(diff)
         sols = sm.linsolve(eqs, list(unknowns))
         free_syms = len(list(sols.free_symbols)) if sols else 0
-        assert len(hom_space(src, tgt)) == free_syms
+        assert hom_space(src, tgt).dim == free_syms
 
 
 def kron_hom_space(src: Bimodule, tgt: Bimodule):
@@ -310,28 +311,28 @@ def test_hom_space_matches_kron_and_subtract(seed):
     rank = 1 if field == QQ else 2
     src, tgt = (random_bimodule(a, b, rng, max_rank=rank) for _ in range(2))
     for s, t in ((src, tgt), (tgt, src), (src, src)):
-        assert hom_space(s, t) == kron_hom_space(s, t)
+        assert hom_space(s, t).basis == kron_hom_space(s, t)
 
 
-def test_hom_coords_matrix_refuses_a_map_outside_the_span():
+def test_hom_space_coords_refuse_a_map_outside_the_span():
     c = col_bimodule(2)
-    basis = hom_space(c, c)  # the scalar matrices
+    H = hom_space(c, c)  # the scalar matrices
     three = Matrix.identity(2, QQ).scale(QQ.from_int(3))
     shift = Matrix.from_int_rows([[0, 1], [0, 0]], QQ)
-    assert hom_coords_matrix(basis, [three, three], QQ, "unused") == \
-        Matrix.from_int_rows([[3, 3]], QQ)
+    assert H.coords([three, three], "unused") == Matrix.from_int_rows([[3, 3]], QQ)
     with pytest.raises(ValueError, match="^shift is not a bimodule map$"):
-        hom_coords_matrix(basis, [three, shift], QQ, "shift is not a bimodule map")
+        H.coords([three, shift], "shift is not a bimodule map")
     with pytest.raises(ValueError, match="^outside$"):
-        hom_coords_matrix(basis, [shift], QQ, "outside")
-    # with an empty basis only the zero map has coordinates
-    assert hom_coords_matrix([], [Matrix.zeros(2, 2, QQ)], QQ,
-                             "outside").shape == (0, 1)
+        H.coords([shift], "outside")
+    # with an empty span only the zero map has coordinates
+    empty = HomSpace(2, 2, kernel(Matrix.identity(4, QQ)))
+    assert empty.basis == []
+    assert empty.coords([Matrix.zeros(2, 2, QQ)], "outside").shape == (0, 1)
     with pytest.raises(ValueError, match="^outside$"):
-        hom_coords_matrix([], [shift], QQ, "outside")
-    # a basis that hom_space cannot have produced is refused, not answered
+        empty.coords([shift], "outside")
+    # a span that kernel cannot have produced is refused when it is built
     with pytest.raises(ValueError, match="echelon"):
-        hom_coords_matrix([three], [shift], QQ, "outside")
+        HomSpace(2, 2, Subspace(4, three.flatten().transpose(), QQ, canonical=True))
 
 
 def test_end_algebra_of_simple_pair_is_matrix_algebra():
@@ -383,7 +384,7 @@ def test_col_tensor_row_is_matrix_algebra_bimodule():
     assert t.dim == 4
     # as an (M2, M2)-bimodule this is the regular one: one-dimensional hom
     # space with an invertible representative
-    basis = hom_space(regular_bimodule(alg_matrix(2)), t.product)
+    basis = hom_space(regular_bimodule(alg_matrix(2)), t.product).basis
     assert len(basis) == 1
     assert is_invertible(basis[0])
 
@@ -405,11 +406,9 @@ def kron_middle_relations(dim_m, dim_n, ract_mid, lact_mid, field) -> Matrix:
     identities, subtracted densely and stacked side by side."""
     Im = Matrix.identity(dim_m, field)
     In = Matrix.identity(dim_n, field)
-    out = Matrix.zeros(dim_m * dim_n, 0, field)
-    for Rb, Lb in zip(ract_mid, lact_mid):
-        block = Rb.kron(In) - Im.kron(Lb)
-        out = block if out.cols == 0 else out.hstack(block)
-    return out
+    return stack_columns([Matrix.zeros(dim_m * dim_n, 0, field)]
+                         + [Rb.kron(In) - Im.kron(Lb)
+                            for Rb, Lb in zip(ract_mid, lact_mid)])
 
 
 @st.composite
@@ -584,14 +583,13 @@ def test_comp_bar_agrees_with_plain_composition():
     res = comp_bar(m, m, m)
     assert res.is_iso
     # comp_bar o rho == composition on every pair of basis maps
-    for i, bi in enumerate(res.basis_np):
-        for j, bj in enumerate(res.basis_mn):
+    for i, bi in enumerate(res.hom_np.basis):
+        for j, bj in enumerate(res.hom_mn.basis):
             f = QQ
-            flat = [f.zero] * (len(res.basis_np) * len(res.basis_mn))
-            flat[i * len(res.basis_mn) + j] = f.one
+            flat = [f.zero] * (res.hom_np.dim * res.hom_mn.dim)
+            flat[i * res.hom_mn.dim + j] = f.one
             cls = res.tensor.quot.project(flat)
-            expect = hom_coords_matrix(res.basis_mp, [bi @ bj], f,
-                                       "outside").col_list(0)
+            expect = res.hom_mp.coords([bi @ bj], "outside").col_list(0)
             assert res.mat.apply(cls) == expect
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from fieldref import ref_solve_3cell_family
 
 from centrum.algebra import (
     AlgebraMap,
@@ -52,6 +53,7 @@ from centrum.cospanbicat import (
     is_invertible_2diagram,
     is_invertible_cospan,
     pushout_universal,
+    solve_3cell_family,
     two_diagrams_equal,
     validate_2diagram,
     validate_3cell,
@@ -414,6 +416,37 @@ def test_failure_bound_counts_the_residues_actually_sampled(p, sample_range, bou
                                 sample_range=sample_range)
     assert not res.found and not res.certified
     assert res.failure_bound == bound
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
+                                   PrimeField(1000003)])
+def test_solve_3cell_family_matches_the_row_loops(field):
+    """x0 and the directions, numerators and denominators, equal those of
+    the system built row by row and solved on the reference kernels: on
+    twisted identity 2-diagrams, an interchanger's source and target, and
+    the singular family (8 directions one way, no 3-cell the other)."""
+    rng = random.Random(19)
+    pairs = []
+    for a, b in ((alg_k(field), alg_group_c2(field)),
+                 (alg_product_k(2, field), alg_dual_numbers(field))):
+        ident = identity_2diagram(tensor_product_cospan(a, b))
+        d = twist_2diagram(ident, random_invertible(ident.M.dim, rng, field))
+        pairs += [(d, ident), (ident, d)]
+    beta = beta_cell(*random_interchanger_grid(rng, field))
+    pairs += [(beta.src_diagram, beta.tgt_diagram),
+              (beta.tgt_diagram, beta.src_diagram)]
+    d, e = singular_family(field)
+    pairs += [(d, e), (e, d)]
+    def rows(x0, ks):
+        return [(m.field, m.shape, m.num, m.den) for m in [x0] + ks if m is not None]
+
+    for d, e in pairs:
+        x0, ks = solve_3cell_family(d, e)
+        ref_x0, ref_ks = ref_solve_3cell_family(d, e)
+        assert (x0 is None) == (ref_x0 is None)
+        assert rows(x0, ks) == rows(ref_x0, ref_ks)
+    assert len(solve_3cell_family(*pairs[-2])[1]) == 8
+    assert solve_3cell_family(*pairs[-1]) == (None, [])
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])

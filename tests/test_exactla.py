@@ -42,17 +42,16 @@ from centrum.exactla import (
     is_invertible,
     kernel,
     kron_product,
-    quotient_induced,
     random_matrix,
     random_point,
     rank,
     rref,
     slot_products,
-    solve,
     solve_matrix,
     stack_columns,
     stack_rows,
-    tensor_permutation,
+    tensor_induced,
+    tensor_permutation_index,
 )
 
 
@@ -135,17 +134,17 @@ def test_solve_and_inverse_match_sympy(seed):
         assert inv is not None
         assert to_sympy(inv) == sm.inv()
         b = random_point(n, 5, rng, QQ)
-        x = solve(m, b)
-        assert x is not None and m.apply(x) == b
+        x = solve_matrix(m, Matrix.from_columns([b], n, QQ))
+        assert x is not None and m.apply(x.col_list(0)) == b
 
 
 def test_solve_inconsistent_and_free_vars():
     m = Matrix.from_int_rows([[1, 1], [1, 1]], QQ)
-    assert solve(m, [QQ.one, QQ.zero]) is None
+    assert solve_matrix(m, Matrix.from_int_rows([[1], [0]], QQ)) is None
     # underdetermined: free variables are zeroed
     m2 = Matrix.from_int_rows([[1, 1]], QQ)
-    x = solve(m2, [Fraction(5)])
-    assert x == [Fraction(5), Fraction(0)]
+    x = solve_matrix(m2, Matrix.from_int_rows([[5]], QQ))
+    assert x.col_list(0) == [Fraction(5), Fraction(0)]
     # solve_matrix rejects if any column inconsistent
     B = Matrix.from_int_rows([[1, 1], [1, 0]], QQ)
     assert solve_matrix(m, B) is None
@@ -192,11 +191,11 @@ def test_quotient_induced_descends():
     q = cokernel(rel)
     assert q.dim == 1
     swap = Matrix.from_int_rows([[0, 1], [1, 0]], QQ)
-    ind = quotient_induced(q, swap, q)
+    ind = tensor_induced(q, [swap], q)
     assert ind == Matrix.identity(1, QQ)
     bad = Matrix.from_int_rows([[1, 0], [0, 0]], QQ)
     with pytest.raises(ValueError):
-        quotient_induced(q, bad, q)
+        tensor_induced(q, [bad], q)
 
 
 def test_quotient_descend():
@@ -255,9 +254,11 @@ def test_random_point_reproducible():
 def test_tensor_permutation_middle_swap():
     # swap the middle two slots of a 4-fold tensor
     dims = [2, 3, 2, 2]
-    P = tensor_permutation(dims, [0, 2, 1, 3], QQ)
-    Pinv = tensor_permutation([2, 2, 3, 2], [0, 2, 1, 3], QQ)
-    assert (Pinv @ P) == Matrix.identity(24, QQ)
+    # the permutation matrices select the columns of the identity
+    I = Matrix.identity(24, QQ)
+    P = I.select_columns(tensor_permutation_index(dims, [0, 2, 1, 3]))
+    Pinv = I.select_columns(tensor_permutation_index([2, 2, 3, 2], [0, 2, 1, 3]))
+    assert (Pinv @ P) == I
     # spot check: source index (1,2,0,1) -> target (1,0,2,1)
     src = ((1 * 3 + 2) * 2 + 0) * 2 + 1
     tgt = ((1 * 2 + 0) * 3 + 2) * 2 + 1
@@ -407,8 +408,7 @@ def inverse_proj(rel: Matrix) -> Matrix:
     sect = Matrix.zeros(n, n - d, field)
     for j, i in enumerate(free):
         sect.data[i][j] = field.one
-    MB = B.hstack(sect)
-    R, pivots = dense_rref(MB.hstack(Matrix.identity(n, field)))
+    R, pivots = dense_rref(stack_columns([B, sect, Matrix.identity(n, field)]))
     assert pivots == list(range(n))
     return Matrix([row[n:] for row in R.data[d:]], field, ncols=n)
 
@@ -474,6 +474,24 @@ def test_gfp_kernels_store_no_denominator(m):
             column_echelon(m), q.relations, q.proj, q.sect,
             solve_matrix(m, m), inverse(sq) or sq]
     assert [out.den for out in outs] == [None] * len(outs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_reshape_inverts_flatten(r, c, data):
+    """X.flatten().reshape(r, c) == X, numerators and denominators, on
+    non-integral QQ rows and over GF(p), 0-row and 0-column shapes
+    included; a reshape to another number of entries is refused."""
+    field = data.draw(st.sampled_from(FIELDS))
+    entry = (st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+             if field is QQ else st.integers(0, 4).map(field.from_int))
+    X = Matrix(data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                  min_size=r, max_size=r)), field, ncols=c)
+    assert X.flatten().reshape(r, c) == X
+    assert X.reshape(c, r).reshape(r, c) == X
+    assert X.reshape(1, r * c) == X.flatten()
+    with pytest.raises(ValueError, match="cannot reshape"):
+        X.reshape(r + 1, c + 1)
 
 
 @pytest.mark.parametrize("field", FIELDS)

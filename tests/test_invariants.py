@@ -1,7 +1,8 @@
 """src holds no assert: each internal invariant is an explicit ValueError, so
 python -O, which strips assert statements, strips none of them.  Each
 refusal is tested by making its invariant fail, in-process and again under
-python -O."""
+python -O.  A second scan pins the module-level functions and classes of
+src that no src module calls, so that list can only shrink."""
 
 import ast
 import contextlib
@@ -13,6 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import centrum
 from centrum import corpus, cospanbicat, fixtures
 from centrum.algebra import alg_matrix, alg_product_k, unit_map
 from centrum.exactla import QQ, Matrix
@@ -26,6 +28,58 @@ def test_src_holds_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def unreferenced_names(sources, exported) -> list:
+    """The module-level functions and classes of the module sources that
+    no module names (as a name or an attribute) outside their own
+    definition and that are not exported, sorted."""
+    defined, used = set(), set(exported)
+    for source in sources:
+        for top in ast.parse(source).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(top)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+                names.discard(top.name)
+            used |= names
+    return sorted(defined - used)
+
+
+# what src holds that only tests call; the list may only shrink
+UNREFERENCED = [
+    "check_functor_A_composition", "check_pentagon", "check_triangle",
+    "compose_3cells", "find_3cell", "identity_3cell", "matrix_cospan",
+    "random_point", "subalgebra_from_subspace", "z_restriction_agreement",
+]
+
+
+def test_src_defines_nothing_that_only_tests_call():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_names(sources, centrum.__all__) == UNREFERENCED
+
+
+def test_unreferenced_names_are_found():
+    src = """
+def called():
+    return 1
+
+def recursive(n):
+    return recursive(n - 1)
+
+def exported():
+    pass
+
+def by_attribute():
+    pass
+
+class Lonely:
+    pass
+
+x = called() + obj.by_attribute
+"""
+    assert unreferenced_names([src], ["exported"]) == ["Lonely", "recursive"]
 
 
 ROW_ATTRS = {"data", "num", "den"}

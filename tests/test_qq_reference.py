@@ -40,6 +40,7 @@ from centrum.exactla import (
     same_content,
     slot_products,
     solve_matrix,
+    stack_columns,
     stack_rows,
 )
 
@@ -124,7 +125,8 @@ def test_entrywise_operations_match_the_references(data, n, k, l):
     assert_same(A.select_columns(cols), select_columns_ref(A, cols), "select")
     assert_same(A.select_columns(slice(1, None, 2)),
                 select_columns_ref(A, list(range(k))[1::2]), "slice")
-    assert_same(A.hstack(C), stack_ref([A, C], beside=True), "hstack")
+    assert_same(stack_columns([A, C]), stack_ref([A, C], beside=True),
+                "stack_columns")
     assert_same(stack_rows([A, C, A]), stack_ref([A, C, A]), "stack_rows")
     image = A.apply(v)
     assert image == apply_ref(A, v)
@@ -276,8 +278,8 @@ def test_kernels_build_no_fraction_until_data_is_read(monkeypatch):
         "cokernel": cokernel(A.transpose()).proj,
         "descend": q.descend(down, "no"),
         "slot_products": slot_products(A, [B.transpose()], 1, 2)[0],
-        "entrywise": (A + A.scale(t) - A.kron(X).select_columns(range(4))
-                      ).hstack(A.transpose()),
+        "entrywise": stack_columns([
+            A + A.scale(t) - A.kron(X).select_columns(range(4)), A.transpose()]),
     }
     assert made == []
     assert all(m.den is not None for m in got.values())
