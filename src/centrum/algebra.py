@@ -20,6 +20,7 @@ from .exactla import (
     Matrix,
     QQ,
     Subspace,
+    column_space,
     inverse,
     kernel,
     kron_product,
@@ -161,7 +162,7 @@ class Subalgebra:
 
 
 def subalgebra_from_subspace(parent: Algebra, basis: Matrix) -> Subalgebra:
-    return Subalgebra(parent, Subspace(parent.dim, basis, parent.field))
+    return Subalgebra(parent, column_space(basis))
 
 
 def _commutant(a: Algebra, elements) -> Subalgebra:

@@ -25,7 +25,9 @@ import hashlib
 import json
 import random
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import corpus
@@ -110,31 +112,21 @@ class InputError(Exception):
 # canonical JSON forms (also the accepted file format) and content hashes
 
 
-def fmt_vector(vec, field):
-    return [field.fmt(x) for x in vec]
+def fmt_vector(vec):
+    return [str(x) for x in vec]
 
 
 def fmt_matrix(mat: Matrix):
-    f = mat.field
-    return [[f.fmt(x) for x in row] for row in mat.data]
+    return [[str(x) for x in row] for row in mat.data]
 
 
 def algebra_dict(a: Algebra):
     return {
         "kind": "algebra",
         "dim": a.dim,
-        "sc": [[fmt_vector(a.mult.col_list(i * a.dim + j), a.field)
+        "sc": [[fmt_vector(a.mult.col_list(i * a.dim + j))
                 for j in range(a.dim)] for i in range(a.dim)],
-        "unit": fmt_vector(a.unit, a.field),
-    }
-
-
-def map_dict(f: AlgebraMap):
-    return {
-        "kind": "map",
-        "src": algebra_dict(f.src),
-        "tgt": algebra_dict(f.tgt),
-        "matrix": fmt_matrix(f.mat),
+        "unit": fmt_vector(a.unit),
     }
 
 
@@ -146,34 +138,6 @@ def bimodule_dict(m: Bimodule):
         "dim": m.dim,
         "lact": [fmt_matrix(x) for x in m.lact],
         "ract": [fmt_matrix(x) for x in m.ract],
-    }
-
-
-def bimodule_map_dict(f: BimoduleMap):
-    return {
-        "kind": "bimodule-map",
-        "src": bimodule_dict(f.src),
-        "tgt": bimodule_dict(f.tgt),
-        "matrix": fmt_matrix(f.mat),
-    }
-
-
-def cospan_dict(c: Cospan):
-    return {
-        "kind": "cospan",
-        "leg_a": map_dict(c.leg_a),
-        "leg_b": map_dict(c.leg_b),
-    }
-
-
-def diagram_dict(d: TwoDiagram):
-    return {
-        "kind": "2diagram",
-        "src": cospan_dict(d.src),
-        "tgt": cospan_dict(d.tgt),
-        "bimodule": bimodule_dict(d.M),
-        "f": fmt_matrix(d.f),
-        "g": fmt_matrix(d.g),
     }
 
 
@@ -304,14 +268,6 @@ def algebra_from_dict(payload, field):
         raise InputError("algebra: malformed structure constants")
 
 
-def map_from_dict(payload, field):
-    src = load("algebra", payload.get("src"), field, "map source")
-    tgt = load("algebra", payload.get("tgt"), field, "map target")
-    mat = parse_matrix(payload.get("matrix"), (tgt.dim, src.dim), field,
-                       "map matrix")
-    return AlgebraMap(src, tgt, mat)
-
-
 def bimodule_from_dict(payload, field):
     left = load("algebra", payload.get("left"), field, "bimodule left algebra")
     right = load("algebra", payload.get("right"), field,
@@ -338,40 +294,6 @@ def bimodule_from_dict(payload, field):
         raise InputError("bimodule: malformed action data")
 
 
-def bimodule_map_from_dict(payload, field):
-    src = load("bimodule", payload.get("src"), field, "bimodule map source")
-    tgt = load("bimodule", payload.get("tgt"), field, "bimodule map target")
-    mat = parse_matrix(payload.get("matrix"), (tgt.dim, src.dim), field,
-                       "bimodule map matrix")
-    try:
-        return BimoduleMap(src, tgt, mat)
-    except ValueError as exc:
-        raise InputError(str(exc))
-
-
-def cospan_from_dict(payload, field):
-    leg_a = build("map", payload.get("leg_a"), field, "cospan leg_a")
-    leg_b = build("map", payload.get("leg_b"), field, "cospan leg_b")
-    try:
-        return Cospan(leg_a, leg_b)
-    except ValueError as exc:
-        raise InputError(str(exc))
-
-
-def diagram_from_dict(payload, field):
-    src = load("cospan", payload.get("src"), field, "2-diagram source cospan")
-    tgt = load("cospan", payload.get("tgt"), field, "2-diagram target cospan")
-    m = load("bimodule", payload.get("bimodule"), field, "2-diagram bimodule")
-    f = parse_matrix(payload.get("f"), (m.dim, src.apex.dim), field,
-                     "2-diagram f")
-    g = parse_matrix(payload.get("g"), (m.dim, tgt.apex.dim), field,
-                     "2-diagram g")
-    try:
-        return TwoDiagram(src, tgt, m, f, g)
-    except ValueError as exc:
-        raise InputError(str(exc))
-
-
 def _named_algebra(spec, field) -> Algebra:
     try:
         return named_algebra(spec, field)
@@ -388,6 +310,61 @@ def _free_bimodule(spec, field) -> Bimodule:
     return free_bimodule(load("algebra", parts[0], field, "free left algebra"),
                          load("algebra", parts[1], field,
                               "free right algebra"), 1)
+
+
+# kind -> (constructor, its parts in constructor order).  A part gives its
+# JSON key, its attribute, the kind of a nested object or the shape of a
+# matrix (a function of the parts before it), and the noun its refusals
+# use.  A nested part is loaded, so validated on its own, unless it is only
+# built: then the composite's validator reports on it.
+Part = namedtuple("Part", "key attr of noun built", defaults=(False,))
+COMPOSITES = {
+    "map": (AlgebraMap, (
+        Part("src", "src", "algebra", "map source"),
+        Part("tgt", "tgt", "algebra", "map target"),
+        Part("matrix", "mat", lambda s, t: (t.dim, s.dim), "map matrix"))),
+    "bimodule-map": (BimoduleMap, (
+        Part("src", "src", "bimodule", "bimodule map source"),
+        Part("tgt", "tgt", "bimodule", "bimodule map target"),
+        Part("matrix", "mat", lambda s, t: (t.dim, s.dim),
+             "bimodule map matrix"))),
+    "cospan": (Cospan, (
+        Part("leg_a", "leg_a", "map", "cospan leg_a", built=True),
+        Part("leg_b", "leg_b", "map", "cospan leg_b", built=True))),
+    "2diagram": (TwoDiagram, (
+        Part("src", "src", "cospan", "2-diagram source cospan"),
+        Part("tgt", "tgt", "cospan", "2-diagram target cospan"),
+        Part("bimodule", "M", "bimodule", "2-diagram bimodule"),
+        Part("f", "f", lambda s, t, m: (m.dim, s.apex.dim), "2-diagram f"),
+        Part("g", "g", lambda s, t, m, f: (m.dim, t.apex.dim),
+             "2-diagram g"))),
+}
+
+
+def encode_parts(kind, obj):
+    """The JSON form of a composite object: its kind tag and its parts."""
+    out = {"kind": kind}
+    for p in COMPOSITES[kind][1]:
+        x = getattr(obj, p.attr)
+        out[p.key] = (fmt_matrix if callable(p.of) else CODECS[p.of].encode)(x)
+    return out
+
+
+def decode_parts(kind, payload, field):
+    """The composite object that a JSON form presents: its parts in order,
+    each nested one loaded (or built) and each matrix parsed at its shape."""
+    make, parts = COMPOSITES[kind]
+    args = []
+    for p in parts:
+        raw = payload.get(p.key)
+        if callable(p.of):
+            args.append(parse_matrix(raw, p.of(*args), field, p.noun))
+        else:
+            args.append((build if p.built else load)(p.of, raw, field, p.noun))
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,7 +392,7 @@ CODECS = {
         lambda a: validate_algebra(a),
         lambda a: {"dim": a.dim}),
     "map": Codec(
-        "map", map_dict, map_from_dict,
+        "map", partial(encode_parts, "map"), partial(decode_parts, "map"),
         (("id:<algebra>",
           lambda rest, field: identity_map(load("algebra", rest, field))),
          ("unit:<algebra>",
@@ -437,20 +414,23 @@ CODECS = {
         lambda m: {"dim": m.dim, "left_dim": m.left.dim,
                    "right_dim": m.right.dim}),
     "bimodule-map": Codec(
-        "bimodule map", bimodule_map_dict, bimodule_map_from_dict,
+        "bimodule map", partial(encode_parts, "bimodule-map"),
+        partial(decode_parts, "bimodule-map"),
         (("id:<bimodule>", lambda rest, field: identity_bimodule_map(
             load("bimodule", rest, field))),),
         lambda f: validate_bimodule_map(f),
         lambda f: {"src_dim": f.src.dim, "tgt_dim": f.tgt.dim}),
     "cospan": Codec(
-        "cospan", cospan_dict, cospan_from_dict,
+        "cospan", partial(encode_parts, "cospan"),
+        partial(decode_parts, "cospan"),
         (("identity:<algebra>",
           lambda rest, field: identity_cospan(load("algebra", rest, field))),),
         lambda c: validate_cospan(c),
         lambda c: {"apex_dim": c.apex.dim, "a_dim": c.a.dim,
                    "b_dim": c.b.dim}),
     "2diagram": Codec(
-        "2-diagram", diagram_dict, diagram_from_dict,
+        "2-diagram", partial(encode_parts, "2diagram"),
+        partial(decode_parts, "2diagram"),
         (("identity:<cospan>", lambda rest, field: identity_2diagram(
             load("cospan", rest, field))),),
         lambda d: validate_2diagram(d),
@@ -709,7 +689,7 @@ def cmd_beta_check(args, s, rep):
         grid = random_interchanger_grid(s.rng, s.field)
         for lbl, d in zip(_GRID, grid):
             s.insert(lbl, f"generated:seed={s.seed}", d,
-                     validate_2diagram(d), diagram_dict(d))
+                     validate_2diagram(d), CODECS["2diagram"].encode(d))
     b = beta_cell(*grid)
     f = s.field
     rep.result = {
@@ -1076,7 +1056,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         emit(error_payload(session, str(exc), exc.violations), args.out)
         return 2
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         message = str(exc) or exc.__class__.__name__
         emit(error_payload(
             session, f"operation failed on the given inputs: {message}", []),

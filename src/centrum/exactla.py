@@ -77,9 +77,6 @@ class Rationals:
             return Fraction(a, b) if r else q
         return _integral(a / b)
 
-    def fmt(self, x) -> str:
-        return str(x)
-
     def __repr__(self):
         return "QQ"
 
@@ -147,9 +144,6 @@ class PrimeField:
         if not b:
             raise ZeroDivisionError("division by zero in GF(p)")
         return a * pow(b, -1, self.p) % self.p
-
-    def fmt(self, x) -> str:
-        return str(x)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -771,14 +765,15 @@ def column_echelon(m: Matrix) -> Matrix:
 
 class Subspace:
     """A subspace of k^ambient with canonical (reduced column echelon) basis,
-    checked to be in that form; lead[j] is the leading row of column j."""
+    checked to be in that form; lead[j] is the leading row of column j.  A
+    spanning set goes through column_space."""
 
     __slots__ = ("ambient", "basis", "field", "lead")
 
-    def __init__(self, ambient: int, basis: Matrix, field, canonical=False):
+    def __init__(self, ambient: int, basis: Matrix, field):
         self.ambient = ambient
         self.field = field
-        B = self.basis = basis if canonical else column_echelon(basis)
+        B = self.basis = basis
         if B.rows != ambient:
             raise ValueError("subspace basis does not fit the ambient space")
         # the first nonzero row of each column: in reduced column echelon
@@ -875,12 +870,11 @@ def kernel(m: Matrix) -> Subspace:
             Ri = R.num[i]
             num.append([-Ri[j] % p for j in free] if p else [-Ri[j] for j in free])
             den.append(Rden[i])
-    return Subspace(n, Matrix._fresh(num, m.field, len(free), den), m.field,
-                    canonical=True)
+    return Subspace(n, Matrix._fresh(num, m.field, len(free), den), m.field)
 
 
 def column_space(m: Matrix) -> Subspace:
-    return Subspace(m.rows, column_echelon(m), m.field, canonical=True)
+    return Subspace(m.rows, column_echelon(m), m.field)
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":

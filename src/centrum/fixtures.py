@@ -165,7 +165,7 @@ def random_interchanger_grid(rng, field=QQ):
 # bimodules
 
 
-def random_bimodule(a: Algebra, b: Algebra, rng, max_rank=2, twist=True) -> Bimodule:
+def random_bimodule(a: Algebra, b: Algebra, rng, max_rank=2) -> Bimodule:
     """A randomly twisted direct sum of free pieces (and the regular piece
     when the two algebras coincide on the nose)."""
     parts = []
@@ -175,9 +175,7 @@ def random_bimodule(a: Algebra, b: Algebra, rng, max_rank=2, twist=True) -> Bimo
         else:
             parts.append(free_bimodule(a, b, 1))
     m = parts[0] if len(parts) == 1 else direct_sum_bimodules(parts)
-    if twist:
-        m = twist_bimodule(m, random_invertible(m.dim, rng, a.field))
-    return m
+    return twist_bimodule(m, random_invertible(m.dim, rng, a.field))
 
 
 def _elementary(n, i, j, field):

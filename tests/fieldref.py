@@ -166,8 +166,11 @@ def reference_kernels():
 # entry-by-entry references for the remaining Matrix operations
 
 
-def _fractions(m: Matrix) -> list:
-    """The entries of m as Fractions, row by row."""
+def _entries(m: Matrix) -> list:
+    """The entries of m row by row, as the references compute with them:
+    Fractions over QQ, the stored ints in [0, p) over GF(p)."""
+    if m.field.p:
+        return m.data
     return [[Fraction(x) for x in row] for row in m.data]
 
 
@@ -176,28 +179,28 @@ def add_ref(A: Matrix, B: Matrix, sign=1) -> Matrix:
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} + {B.shape}")
     return Matrix([[red(A.field, a + sign * b) for a, b in zip(ra, rb)]
-                   for ra, rb in zip(_fractions(A), _fractions(B))],
+                   for ra, rb in zip(_entries(A), _entries(B))],
                   A.field, ncols=A.cols)
 
 
 def scale_ref(A: Matrix, c) -> Matrix:
-    return Matrix([[red(A.field, c * a) for a in row] for row in _fractions(A)],
+    return Matrix([[red(A.field, c * a) for a in row] for row in _entries(A)],
                   A.field, ncols=A.cols)
 
 
 def apply_ref(A: Matrix, vec) -> list:
-    return [red(A.field, sum((a * Fraction(x) for a, x in zip(row, vec)),
-                             Fraction(0)))
-            for row in _fractions(A)]
+    return [red(A.field, sum((a * x for a, x in zip(row, vec)), A.field.zero))
+            for row in _entries(A)]
 
 
 def transpose_ref(A: Matrix) -> Matrix:
-    return Matrix([[_fractions(A)[i][j] for i in range(A.rows)]
-                   for j in range(A.cols)], A.field, ncols=A.rows)
+    a = _entries(A)
+    return Matrix([[a[i][j] for i in range(A.rows)] for j in range(A.cols)],
+                  A.field, ncols=A.rows)
 
 
 def select_columns_ref(A: Matrix, cols) -> Matrix:
-    return Matrix([[row[c] for c in cols] for row in _fractions(A)], A.field,
+    return Matrix([[row[c] for c in cols] for row in _entries(A)], A.field,
                   ncols=len(cols))
 
 
@@ -205,15 +208,15 @@ def stack_ref(mats, beside=False) -> Matrix:
     """The matrices one above the other, or side by side when beside."""
     f = mats[0].field
     if beside:
-        return Matrix([sum(rows, []) for rows in zip(*map(_fractions, mats))],
+        return Matrix([sum(rows, []) for rows in zip(*map(_entries, mats))],
                       f, ncols=sum(m.cols for m in mats))
-    return Matrix([row for m in mats for row in _fractions(m)], f,
+    return Matrix([row for m in mats for row in _entries(m)], f,
                   ncols=mats[0].cols)
 
 
 def kron_ref(A: Matrix, B: Matrix) -> Matrix:
     """The Kronecker product, left factor major."""
-    a, b = _fractions(A), _fractions(B)
+    a, b = _entries(A), _entries(B)
     return Matrix([[red(A.field, a[i][j] * b[k][l])
                     for j in range(A.cols) for l in range(B.cols)]
                    for i in range(A.rows) for k in range(B.rows)],

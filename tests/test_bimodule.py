@@ -332,7 +332,7 @@ def test_hom_space_coords_refuse_a_map_outside_the_span():
         empty.coords([shift], "outside")
     # a span that kernel cannot have produced is refused when it is built
     with pytest.raises(ValueError, match="echelon"):
-        HomSpace(2, 2, Subspace(4, three.flatten().transpose(), QQ, canonical=True))
+        HomSpace(2, 2, Subspace(4, three.flatten().transpose(), QQ))
 
 
 def test_end_algebra_of_simple_pair_is_matrix_algebra():

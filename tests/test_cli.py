@@ -3,14 +3,25 @@ envelopes, content hashes, determinism, and the error path for inputs that
 fail their validators."""
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from centrum.algebra import alg_group_c2
-from centrum.cli import algebra_dict, content_hash, main
-from centrum.exactla import Matrix
+from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
+from centrum.cli import (
+    CODECS,
+    algebra_dict,
+    content_hash,
+    fmt_matrix,
+    fmt_vector,
+    main,
+)
+from centrum.exactla import QQ, Matrix, PrimeField, content_key
+from centrum.fixtures import random_bimodule, random_hom_element
+from centrum.fullcenter import Z_2cell, Z_bimodule
 
 
 def run_cli(*argv):
@@ -198,6 +209,40 @@ def test_content_hash_is_stable():
     assert content_hash(d) == content_hash(json.loads(json.dumps(d)))
 
 
+def test_scalars_are_written_exactly():
+    """A scalar is written as str writes it: an integral Fraction as an
+    integer, a GF(p) element as its int in [0, p)."""
+    m = Matrix([[Fraction(6, 3), Fraction(-3, 4)], [0, 1]], QQ)
+    assert fmt_matrix(m) == [["2", "-3/4"], ["0", "1"]]
+    gf = PrimeField(7)
+    assert fmt_vector([gf.from_int(-1), gf.parse("9"), gf.zero]) == \
+        ["6", "2", "0"]
+
+
+def codec_fixtures(field, rng):
+    """One object of every kind in CODECS, around a twisted bimodule M:
+    End(M), its cospan and that cospan's left leg, M, a map M -> N and
+    the 2-diagram it induces.  Over QQ each holds non-integral entries."""
+    a, b = alg_product_k(2, field), alg_dual_numbers(field)
+    m, n = (random_bimodule(a, b, rng, max_rank=1) for _ in range(2))
+    phi = random_hom_element(m, n, rng)
+    z = Z_bimodule(m)
+    return {"algebra": z.apex, "map": z.cospan.leg_a, "bimodule": m,
+            "bimodule-map": phi, "cospan": z.cospan, "2diagram": Z_2cell(phi)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(1000003)],
+                         ids=repr)
+def test_every_codec_decodes_what_it_encodes(field):
+    objects = codec_fixtures(field, random.Random(5))
+    assert list(objects) == list(CODECS)
+    for kind, obj in objects.items():
+        text = json.dumps(CODECS[kind].encode(obj))
+        assert field.p or "/" in text, kind
+        back = CODECS[kind].decode(json.loads(text), field)
+        assert content_key(back) == content_key(obj), kind
+
+
 def run_main(argv, capsys):
     code = main(argv)
     return code, json.loads(capsys.readouterr().out)
@@ -366,3 +411,32 @@ def test_malformed_bimodule_action_exits_two(monkeypatch, tmp_path, capsys):
     code, r = run_main(["validate", "bimodule", f"@{path}"], capsys)
     assert code == 2
     assert r["error"]["message"] == "bimodule: malformed action data"
+
+
+@pytest.mark.parametrize("kind,payload,message", [
+    ("map", {"kind": "map", "src": "k", "tgt": "k", "matrix": [[1]]},
+     "algebra map: the matrix must be tgt.dim x src.dim"),
+    ("bimodule-map", {"kind": "bimodule-map", "src": "regular:k",
+                      "tgt": "regular:k", "matrix": [[1]]},
+     "bimodule map: matrix shape does not match"),
+])
+def test_composite_constructor_refusal_exits_two(kind, payload, message,
+                                                 monkeypatch, tmp_path,
+                                                 capsys):
+    """A composite's constructor refuses with a ValueError, and its message
+    is the report's, also where parsing let a bad matrix through."""
+    import centrum.cli as cli
+
+    real = cli.parse_matrix
+
+    def oversized(rows, shape, field, what):
+        if what.endswith("map matrix"):
+            return Matrix.zeros(shape[0] + 1, shape[1], field)
+        return real(rows, shape, field, what)
+
+    monkeypatch.setattr(cli, "parse_matrix", oversized)
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps(payload))
+    code, r = run_main(["validate", kind, f"@{path}"], capsys)
+    assert code == 2
+    assert r["error"]["message"] == message
