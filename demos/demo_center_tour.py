@@ -64,8 +64,7 @@ def main():
     f = diagonal_inclusion(2)
     c = centralizer(f)
     kv("centralizer of the image", f"dim {c.dim}")
-    grid = c.incl.to_int_grid()
-    diag = grid == [[1, 0], [0, 0], [0, 0], [0, 1]]
+    diag = c.incl.data == [[1, 0], [0, 0], [0, 0], [0, 1]]
     all_ok &= diag and c.dim == 2
     kv("basis columns span the diagonal matrices", mark(diag))
 

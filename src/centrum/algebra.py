@@ -154,9 +154,6 @@ class Subalgebra:
         """Coordinates in the subalgebra -> coordinates in the parent."""
         return self.incl.apply(coords)
 
-    def coords(self, parent_vec):
-        return self.subspace.coords(parent_vec)
-
     def __repr__(self):
         return f"Subalgebra(dim {self.dim} of dim {self.parent.dim})"
 
@@ -237,7 +234,7 @@ def product_algebra(parts) -> Algebra:
                 start = (off + i) * dim + off
                 out[start:start + d] = row[i * d:(i + 1) * d]
             rows.append(out)
-        dens += p.mult.den or [1] * d
+        dens += p.mult.row_dens()
         off += d
     mult = Matrix.cleared(rows, dens, f, dim * dim)
     unit = [x for p in parts for x in p.unit]

@@ -308,8 +308,8 @@ def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matri
     Over QQ row (i, k) is cleared over the lcm of the denominators of row i
     of every R_b and row k of every L_b."""
     n, p = dim_m * dim_n, field.p
-    rden = [R.den or [1] * dim_m for R in ract_mid]
-    lden = [L.den or [1] * dim_n for L in lact_mid]
+    rden = [R.row_dens() for R in ract_mid]
+    lden = [L.row_dens() for L in lact_mid]
     den = [lcm(*(d[i] for d in rden), *(d[k] for d in lden))
            for i in range(dim_m) for k in range(dim_n)]
     data = [[0] * (n * len(ract_mid)) for _ in range(n)]
@@ -358,12 +358,6 @@ class TensorResult:
     @property
     def dim(self):
         return self.quot.dim
-
-    def pure(self, mvec, nvec):
-        """Class of the pure tensor m (x) n, in quotient coordinates."""
-        f = self.left_factor.field
-        return kron_product(self.quot.proj, [Matrix.from_columns([v], len(v), f)
-                                             for v in (mvec, nvec)]).col_list(0)
 
     def __repr__(self):
         return f"TensorResult(dim {self.dim})"

@@ -6,7 +6,12 @@ int when it is integral and a fractions.Fraction otherwise.  Over QQ a
 Matrix stores row i once in cleared form, ints num[i] over one positive
 den[i] with gcd(den[i], *num[i]) == 1, and den is None when every row is
 integral.  The form is canonical, so ==, is_zero and content_key read it,
-and every kernel here takes and returns it: none builds a Fraction.
+and every kernel here takes and returns it: none builds a Fraction.  den
+None flows through each operation's one body, where Matrix.cleared and
+_over_lcm read it as rows over 1; row_dens spells it as ones where a row
+needs its own denominator.  Two integral bodies stay, each faster end to
+end: apply's (the general one makes the vector a Matrix and divides each
+entry) and stack_columns' (the general one joins rows over an lcm of 1).
 m.data is a read-only view built on demand, ints where integral and
 Fractions in lowest terms otherwise.  An element of GF(p) is a plain int in
 [0, p), stored with den None, and the kernels reduce mod p where the
@@ -178,14 +183,16 @@ def _check_fields(a, b):
         raise ValueError(f"field mismatch: {a.field!r} and {b.field!r}")
 
 
-def _join(rows, dens):
-    """(ints, L): the cleared rows rows[i] / dens[i] joined end to end over
-    L, the lcm of dens.  A prime power that divides L exactly divides some
-    dens[i] exactly, and that row has an entry it does not divide, so the
-    join of reduced rows is reduced."""
+def _over_lcm(rows, dens):
+    """(rows', L): the cleared rows rows[i] / dens[i], each brought to L,
+    the lcm of dens (a row already over L is not copied); dens None, every
+    row over 1, gives rows over 1.  A prime power that divides L exactly
+    divides some dens[i] exactly, and that row has an entry it does not
+    divide, so rows over L joined end to end are reduced."""
+    if dens is None:
+        return rows, 1
     L = lcm(*dens)
-    return list(chain.from_iterable(
-        r if d == L else [x * (L // d) for x in r] for r, d in zip(rows, dens))), L
+    return [r if d == L else [x * (L // d) for x in r] for r, d in zip(rows, dens)], L
 
 
 class Matrix:
@@ -255,8 +262,9 @@ class Matrix:
         return [r if d == 1 else [div(x, d) for x in r]
                 for r, d in zip(self.num, self.den)]
 
-    def _dens(self):
-        """One denominator per row, a new list."""
+    def row_dens(self):
+        """One denominator per row, a new list: den, or ones when den is
+        None."""
         return self.den[:] if self.den else [1] * self.rows
 
     # -- constructors -------------------------------------------------------
@@ -313,15 +321,13 @@ class Matrix:
         over the lcm of their denominators."""
         self._check_shape(other, sign)
         p = self.field.p
-        if self.den is None and other.den is None:
-            if p:
-                num = [[x % p for x in map(op, ra, rb)]
-                       for ra, rb in zip(self.num, other.num)]
-            else:
-                num = [list(map(op, ra, rb)) for ra, rb in zip(self.num, other.num)]
+        if p:
+            num = [[x % p for x in map(op, ra, rb)]
+                   for ra, rb in zip(self.num, other.num)]
             return Matrix._fresh(num, self.field, self.cols)
         num, den = [], []
-        for ra, da, rb, db in zip(self.num, self._dens(), other.num, other._dens()):
+        for ra, da, rb, db in zip(self.num, self.row_dens(), other.num,
+                                  other.row_dens()):
             d = lcm(da, db)
             num.append(list(map(op, ra if d == da else [x * (d // da) for x in ra],
                                 rb if d == db else [x * (d // db) for x in rb])))
@@ -349,10 +355,8 @@ class Matrix:
                                  self.field, self.cols)
         c, q = c.as_integer_ratio()
         num = [[c * a for a in row] for row in self.num]
-        if self.den is None and q == 1:
-            return Matrix._fresh(num, self.field, self.cols)
-        return Matrix.cleared(num, [d * q for d in self._dens()], self.field,
-                              self.cols)
+        den = [d * q for d in self.row_dens()] if self.den or q != 1 else None
+        return Matrix.cleared(num, den, self.field, self.cols)
 
     def _product_rows(self, other):
         """The rows of self @ other before Matrix.cleared: plain int sums,
@@ -406,10 +410,7 @@ class Matrix:
 
     def __matmul__(self, other) -> "Matrix":
         """The product: _product_rows, each row then reduced once."""
-        out, dens = self._product_rows(other)
-        if dens is None:
-            return Matrix._fresh(out, self.field, other.cols)
-        return Matrix.cleared(out, dens, self.field, other.cols)
+        return Matrix.cleared(*self._product_rows(other), self.field, other.cols)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a plain list of elements."""
@@ -422,23 +423,18 @@ class Matrix:
         if self.den is None and Fraction not in map(type, vec):
             return [sum(map(mul, row, vec)) for row in self.num]
         v = Matrix([vec], self.field, ncols=self.cols)
-        e = v._dens()[0]
+        e = v.row_dens()[0]
         return [QQ.div(sum(map(mul, row, v.num[0])), d * e)
-                for row, d in zip(self.num, self._dens())]
+                for row, d in zip(self.num, self.row_dens())]
 
     def transpose(self) -> "Matrix":
         """Over QQ every row is first brought to the lcm of the
-        denominators, and each column is then reduced."""
+        denominators (see _over_lcm), and each column is then reduced."""
         if not self.rows:
             return Matrix._fresh([[] for _ in range(self.cols)], self.field, 0)
-        if self.den is None:
-            return Matrix._fresh(list(map(list, zip(*self.num))), self.field,
-                                 self.rows)
-        L = lcm(*self.den)
-        cols = zip(*[r if d == L else [x * (L // d) for x in r]
-                     for r, d in zip(self.num, self.den)])
-        return Matrix.cleared(list(map(list, cols)), [L] * self.cols, self.field,
-                              self.rows)
+        rows, L = _over_lcm(self.num, self.den)
+        return Matrix.cleared(list(map(list, zip(*rows))),
+                              self.den and [L] * self.cols, self.field, self.rows)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product; row-major, left factor major: index (i,k) of the
@@ -457,19 +453,16 @@ class Matrix:
                     else:
                         row.extend(a * b if b else 0 for b in rk)
                 out.append(row)
-        n = self.cols * other.cols
-        if self.den is None and other.den is None:
-            return Matrix._fresh(out, self.field, n)
-        return Matrix.cleared(out, [a * b for a in self._dens() for b in other._dens()],
-                              self.field, n)
+        dens = ([a * b for a in self.row_dens() for b in other.row_dens()]
+                if self.den or other.den else None)
+        return Matrix.cleared(out, dens, self.field, self.cols * other.cols)
 
     def flatten(self) -> "Matrix":
-        """The 1 x rows*cols matrix of the entries read row by row."""
-        if self.den is None:
-            return Matrix._fresh([list(chain.from_iterable(self.num))],
-                                 self.field, self.rows * self.cols)
-        row, L = _join(self.num, self.den)
-        return Matrix._fresh([row], self.field, self.rows * self.cols, [L])
+        """The 1 x rows*cols matrix of the entries read row by row, over the
+        lcm of the row denominators (see _over_lcm)."""
+        rows, L = _over_lcm(self.num, self.den)
+        return Matrix._fresh([list(chain.from_iterable(rows))], self.field,
+                             self.rows * self.cols, [L])
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The rows x cols matrix of the entries read row by row: the
@@ -479,13 +472,11 @@ class Matrix:
         flat = self.flatten()
         v = flat.num[0]
         num = [v[r * cols:(r + 1) * cols] for r in range(rows)]
-        if flat.den is None:
-            return Matrix._fresh(num, self.field, cols)
-        return Matrix.cleared(num, flat.den * rows, self.field, cols)
+        return Matrix.cleared(num, flat.den and flat.den * rows, self.field, cols)
 
     def col_list(self, j: int):
         return [r[j] if d == 1 else QQ.div(r[j], d)
-                for r, d in zip(self.num, self._dens())]
+                for r, d in zip(self.num, self.row_dens())]
 
     def columns(self):
         return self.transpose().data
@@ -498,19 +489,10 @@ class Matrix:
         else:
             num = [[row[c] for c in cols] for row in self.num]
             n = len(cols)
-        if self.den is None:
-            return Matrix._fresh(num, self.field, n)
-        return Matrix.cleared(num, self.den[:], self.field, n)
+        return Matrix.cleared(num, self.den and self.den[:], self.field, n)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
-
-    def to_int_grid(self):
-        """The entries as lists of ints; ValueError if one is not
-        integral."""
-        if self.den is not None:
-            raise ValueError("a non-integral entry in an int grid")
-        return [row[:] for row in self.num]
 
 
 def _rows_at(m: Matrix, idx) -> Matrix:
@@ -528,7 +510,7 @@ def stack_rows(mats) -> Matrix:
         if m.cols != top.cols:
             raise ValueError(f"shape mismatch {top.shape} above {m.shape}")
     return Matrix._fresh([row[:] for m in mats for row in m.num], top.field,
-                         top.cols, [d for m in mats for d in m._dens()])
+                         top.cols, [d for m in mats for d in m.row_dens()])
 
 
 def stack_columns(mats) -> Matrix:
@@ -545,10 +527,10 @@ def stack_columns(mats) -> Matrix:
         return Matrix._fresh([list(chain.from_iterable(rows))
                               for rows in zip(*(m.num for m in mats))],
                              top.field, n)
-    joined = [_join(rows, dens) for rows, dens in
-              zip(zip(*(m.num for m in mats)), zip(*(m._dens() for m in mats)))]
-    return Matrix._fresh([r for r, _ in joined], top.field, n,
-                         [L for _, L in joined])
+    joined = [_over_lcm(rows, dens) for rows, dens in
+              zip(zip(*(m.num for m in mats)), zip(*(m.row_dens() for m in mats)))]
+    return Matrix._fresh([list(chain.from_iterable(r)) for r, _ in joined],
+                         top.field, n, [L for _, L in joined])
 
 
 def combination(coeffs, mats, start: Matrix) -> Matrix:
@@ -604,10 +586,9 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     out = []
     for X in Xs:
         _check_fields(P, X)
-        # row k of X * L as the (offset of l, entry) of its nonzeros
-        L = lcm(*X.den) if X.den else 1
-        nz = [[(l * right, b * (L // d)) for l, b in enumerate(row) if b]
-              for row, d in zip(X.num, X._dens())]
+        # row k of X over L as the (offset of l, entry) of its nonzeros
+        rows, L = _over_lcm(X.num, X.den)
+        nz = [[(l * right, b) for l, b in enumerate(row) if b] for row in rows]
         num = []
         for row in P.num:
             new = [0] * n
@@ -617,10 +598,8 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
                 for d, b in nz[k]:
                     new[o + d] += a * b
             num.append([x % p for x in new] if p else new)
-        if L == 1 and P.den is None:
-            out.append(Matrix._fresh(num, f, n))
-        else:
-            out.append(Matrix.cleared(num, [d * L for d in P._dens()], f, n))
+        dens = [d * L for d in P.row_dens()] if P.den or L != 1 else None
+        out.append(Matrix.cleared(num, dens, f, n))
     return out
 
 
@@ -803,9 +782,6 @@ class Subspace:
         X = _rows_at(M, self.lead)
         return X if self.basis @ X == M else None
 
-    def contains(self, vec) -> bool:
-        return self.coords(vec) is not None
-
     def coords(self, vec):
         """Coordinates of vec in the canonical basis, or None."""
         X = self.coords_matrix(Matrix.from_columns([vec], self.ambient, self.field))
@@ -855,7 +831,7 @@ def kernel(m: Matrix) -> Subspace:
     R, pivots = rref(Matrix._fresh(rows, m.field, n))
     row_of = {c: i for i, c in enumerate(pivots)}
     free = [j for j in range(n - 1, -1, -1) if j not in row_of]
-    p, Rden = m.field.p, R._dens()
+    p, Rden = m.field.p, R.row_dens()
     num, den = [], []
     t = 0
     # basis row x is column n - 1 - x of the reversed elimination
@@ -888,7 +864,7 @@ def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
     if pivots and pivots[-1] >= n:
         return None
     num, den = [[0] * B.cols for _ in range(n)], [1] * n
-    Rden = R._dens()
+    Rden = R.row_dens()
     for i, c in enumerate(pivots):
         num[c], den[c] = R.num[i][n:], Rden[i]
     return Matrix.cleared(num, den, A.field, B.cols)
@@ -969,7 +945,7 @@ def cokernel(rel: Matrix) -> Quotient:
     sect = Matrix.identity(n, field).select_columns(free)
     # over QQ row i of B is num[i] / den[i], so row r of proj is reduced
     # over den[free[r]]
-    dens = B._dens()
+    dens = B.row_dens()
     dens = [dens[i] for i in free]
     rows = []
     for i, e in zip(free, dens):

@@ -10,7 +10,6 @@ hypothesis, so that subprocess starts in well under a second.
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import centrum.bimodule as bimodule
@@ -103,7 +102,6 @@ def shape_refusals():
             q, [Matrix.zeros(3, 2, QQ)], q),
         "tensor_induced 2x3 from k^2": lambda: tensor_induced(
             q, [Matrix.zeros(2, 3, QQ)], q),
-        "to_int_grid 1/2": lambda: Matrix([[Fraction(1, 2)]], QQ).to_int_grid(),
     }
     out = []
     for name, op in ops.items():

@@ -124,7 +124,7 @@ def test_rank_kernel_match_sympy(seed):
     sns = sm.nullspace()
     for v in sns:
         vec = [Fraction(x.p, x.q) for x in v]
-        assert ker.contains(vec)
+        assert ker.coords(vec) is not None
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -166,8 +166,8 @@ def test_subspace_canonical_equality():
     assert s1 == s2
     assert s1.basis == column_echelon(b2)
     assert s1.dim == 2
-    assert s1.contains([Fraction(3), Fraction(5), Fraction(8)])
-    assert not s1.contains([Fraction(0), Fraction(0), Fraction(1)])
+    assert s1.coords([Fraction(3), Fraction(5), Fraction(8)]) is not None
+    assert s1.coords([Fraction(0), Fraction(0), Fraction(1)]) is None
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -585,7 +585,6 @@ def test_coords_in_the_zero_subspace():
     assert zero.coords_matrix(Matrix.zeros(3, 2, QQ)) == Matrix.zeros(0, 2, QQ)
     assert zero.coords([QQ.zero] * 3) == []
     assert zero.coords([QQ.zero, QQ.one, QQ.zero]) is None
-    assert not zero.contains([QQ.zero, QQ.one, QQ.zero])
 
 
 @pytest.mark.parametrize("rows", [
@@ -811,7 +810,8 @@ def test_integer_elimination_keeps_cross_multiplied_rows_primitive(rows):
 
 def test_shape_mismatches_are_refused():
     assert shape_refusals() == []
-    assert Matrix([[Fraction(4, 2), -3]], QQ).to_int_grid() == [[2, -3]]
+    m = Matrix([[Fraction(4, 2), -3]], QQ)
+    assert m.num == [[2, -3]] and m.den is None
 
 
 def test_shape_mismatches_are_refused_under_optimize():

@@ -2,13 +2,15 @@
 python -O, which strips assert statements, strips none of them.  Each
 refusal is tested by making its invariant fail, in-process and again under
 python -O.  A second scan pins the module-level functions and classes of
-src that no src module calls, so that list can only shrink."""
+src that no src module calls, so that list can only shrink, and finds no
+method that no src module calls."""
 
 import ast
 import contextlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,6 +49,26 @@ def unreferenced_names(sources, exported) -> list:
     return sorted(defined - used)
 
 
+def unreferenced_methods(sources) -> list:
+    """The non-dunder methods of the module-level classes of the module
+    sources whose name no module uses (as a name or an attribute) outside
+    their own definition, as Class.method, sorted."""
+    trees = [ast.parse(source) for source in sources]
+
+    def uses(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    used = sum(map(uses, trees), Counter())
+    return sorted(f"{cls.name}.{fn.name}"
+                  for tree in trees for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+                  and used[fn.name] == uses(fn)[fn.name])
+
+
 # what src holds that only tests call; the list may only shrink
 UNREFERENCED = [
     "check_functor_A_composition", "check_pentagon", "check_triangle",
@@ -58,6 +80,7 @@ UNREFERENCED = [
 def test_src_defines_nothing_that_only_tests_call():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unreferenced_names(sources, centrum.__all__) == UNREFERENCED
+    assert unreferenced_methods(sources) == []
 
 
 def test_unreferenced_names_are_found():
@@ -78,8 +101,25 @@ class Lonely:
     pass
 
 x = called() + obj.by_attribute
+
+class Shape:
+    def __init__(self):
+        self.area()
+
+    def area(self):
+        return 1
+
+    def lonely(self):
+        return self.lonely()
+
+    @property
+    def sides(self):
+        return 4
+
+n = Shape().sides
 """
     assert unreferenced_names([src], ["exported"]) == ["Lonely", "recursive"]
+    assert unreferenced_methods([src]) == ["Shape.lonely"]
 
 
 ROW_ATTRS = {"data", "num", "den"}
