@@ -21,10 +21,10 @@ R (L (x) 1) = L (1 (x) R).  validate_bimodule checks each as two
 kron_products whose flat column indices line up.
 
 The hom space [M, N] is an exactla.HomSpace: the bimodule maps as the
-canonical kernel of the intertwining system on their vectorisations.
-hom_space builds it once per pair of bimodules (memoised), and the
-endomorphism algebras, the hom bimodules and descended composition read
-coordinates in it with HomSpace.coords, which builds no Subspace.
+canonical kernel of the intertwining rows (middle_relations) on their
+vectorisations, built once per pair of bimodules (memoised).  Composites of
+basis maps, in End, the hom bimodules and comp_bar, are read in it with
+HomSpace.product_coords: one slot product each, and no Subspace.
 
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.
@@ -238,11 +238,11 @@ def hom_space(src: Bimodule, tgt: Bimodule) -> HomSpace:
     (tgt.dim x src.dim) matrices.  Its span is canonical (reduced column
     echelon), so the same pair of bimodules always yields the same basis."""
     nt, ns = tgt.dim, src.dim
-    # X S = T X for every action pair (S of src, T of tgt): its rows on
-    # vec(X) are the columns of T^T (x) I - I (x) S
+    # X S = T X for every action pair (S of src, T of tgt): its equations on
+    # vec(X) are the rows of (T^T (x) I - I (x) S)^T
     rel = middle_relations(nt, ns, [T.transpose() for T in tgt.lact + tgt.ract],
                            src.lact + src.ract, src.field)
-    return HomSpace(nt, ns, kernel(rel.transpose()))
+    return HomSpace(nt, ns, kernel(rel))
 
 
 # the refusal of a map that a hom-space operator sends out of the space
@@ -260,8 +260,7 @@ class EndAlgebra:
     def __init__(self, m: Bimodule):
         self.bimodule = m
         H = self.hom = hom_space(m, m)
-        mult = H.coords([x @ y for x in H.basis for y in H.basis],
-                        "endomorphisms must close under composition")
+        mult = H.product_coords(H, H, "endomorphisms must close under composition")
         unit = H.coords([Matrix.identity(m.dim, m.field)],
                         "the identity must lie in the endomorphism space")
         self.algebra = Algebra(mult, unit.col_list(0))
@@ -290,8 +289,11 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule):
     Returns (bimodule over the two endomorphism algebras, HomSpace)."""
     end_tgt, end_src = end_algebra(tgt), end_algebra(src)
     H = hom_space(src, tgt)
-    lact = [H.coords([E @ b for b in H.basis], LEAVES_HOM) for E in end_tgt.hom.basis]
-    ract = [H.coords([b @ E for b in H.basis], LEAVES_HOM) for E in end_src.hom.basis]
+    post = H.product_coords(end_tgt.hom, H, LEAVES_HOM)  # column (E, b): E b
+    pre = H.product_coords(H, end_src.hom, LEAVES_HOM)  # column (b, E): b E
+    d, e = H.dim, end_src.dim
+    lact = [post.select_columns(slice(k * d, (k + 1) * d)) for k in range(end_tgt.dim)]
+    ract = [pre.select_columns(slice(k, None, e)) for k in range(e)]
     return Bimodule(end_tgt.algebra, end_src.algebra, H.dim, lact, ract), H
 
 
@@ -300,37 +302,36 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule):
 
 
 def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matrix:
-    """Relation matrix for M (x)_B N: columns span
-    { m.b (x) n  -  m (x) b.n } over all middle basis elements b.
+    """Relation matrix for M (x)_B N, one relation per row: row (b, j, l)
+    is m_j.b (x) n_l  -  m_j (x) b.n_l, for every middle basis element b.
 
-    Block b is R_b (x) I - I (x) L_b, written entry by entry: the entry at
-    row (i, k), column (j, l) is R_b[i][j] [k == l] - [i == j] L_b[k][l].
-    Over QQ row (i, k) is cleared over the lcm of the denominators of row i
-    of every R_b and row k of every L_b."""
+    Block b is (R_b (x) I - I (x) L_b)^T, written entry by entry: the entry
+    at row (j, l), column (i, k) is R_b[i][j] [k == l] - [i == j] L_b[k][l].
+    Over QQ the rows of block b are cleared over the lcm of the row
+    denominators of R_b and L_b."""
     n, p = dim_m * dim_n, field.p
-    rden = [R.row_dens() for R in ract_mid]
-    lden = [L.row_dens() for L in lact_mid]
-    den = [lcm(*(d[i] for d in rden), *(d[k] for d in lden))
-           for i in range(dim_m) for k in range(dim_n)]
-    data = [[0] * (n * len(ract_mid)) for _ in range(n)]
-    for b, (Rb, Lb) in enumerate(zip(ract_mid, lact_mid)):
-        base = b * n
+    data, den = [], []
+    for Rb, Lb in zip(ract_mid, lact_mid):
+        rden, lden = Rb.row_dens(), Lb.row_dens()
+        D = lcm(*rden, *lden)
+        block = [[0] * n for _ in range(n)]
         for i, Ri in enumerate(Rb.num):
+            s = D // rden[i]
             for j, a in enumerate(Ri):
                 if a:
                     for k in range(dim_n):
-                        r = i * dim_n + k
-                        data[r][base + j * dim_n + k] = a * (den[r] // rden[b][i])
-        for i in range(dim_m):
-            col = base + i * dim_n
-            for k, Lk in enumerate(Lb.num):
-                r = i * dim_n + k
-                row, s = data[r], den[r] // lden[b][k]
-                for l, a in enumerate(Lk):
-                    if a:
-                        x = row[col + l] - a * s
-                        row[col + l] = x % p if p else x
-    return Matrix.cleared(data, den, field, n * len(ract_mid))
+                        block[j * dim_n + k][i * dim_n + k] = a * s
+        for k, Lk in enumerate(Lb.num):
+            s = D // lden[k]
+            for l, a in enumerate(Lk):
+                if a:
+                    for i in range(dim_m):
+                        row = block[i * dim_n + l]
+                        x = row[i * dim_n + k] - a * s
+                        row[i * dim_n + k] = x % p if p else x
+        data += block
+        den += [D] * n
+    return Matrix.cleared(data, den, field, n)
 
 
 class TensorResult:
@@ -554,8 +555,7 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     bim_mn, hom_mn = hom_bimodule(m, n)
     bim_mp, hom_mp = hom_bimodule(m, p)
     tensor = tensor_over(bim_np, bim_mn)
-    comp = hom_mp.coords([x @ y for x in hom_np.basis for y in hom_mn.basis],
-                         "composite leaves the hom space")
+    comp = hom_mp.product_coords(hom_np, hom_mn, "composite leaves the hom space")
     mat = tensor.quot.descend(
         comp, "composition does not factor through the middle tensor")
     map_ = BimoduleMap(tensor.product, bim_mp, mat)

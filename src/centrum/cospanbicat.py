@@ -449,7 +449,7 @@ def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     m1, m2 = d.M.dim, e.M.dim
     # X S = T X for every action pair (S of d, T of e), as in hom_space
     eqs = middle_relations(m2, m1, [T.transpose() for T in e.M.lact + e.M.ract],
-                           d.M.lact + d.M.ract, f).transpose()
+                           d.M.lact + d.M.ract, f)
     # X F = G for both legs: vec(X F) = (I (x) F^T) vec(X)
     I = Matrix.identity(m2, f)
     A = stack_rows([eqs, I.kron(d.f.transpose()), I.kron(d.g.transpose())])

@@ -19,21 +19,22 @@ arithmetic happens.  Matrices over different fields never combine
 (ValueError) and never compare equal.  Subspaces are stored in reduced
 column echelon form, so equal subspaces have equal bases; a HomSpace is
 such a subspace of vectorised matrices, whose row-major layout only flatten
-and reshape know.  Quotients carry explicit projection/section witnesses
-with proj @ sect == I and proj @ relations == 0, checked at construction;
-a cokernel keeps the free coordinates its section selects, so descend
-checks down @ relations == 0 on the unreduced product rows and then
-selects columns.  A FlatWitness carries the same witnesses for a nested
-quotient of a flat multi-tensor and descends by checking down ==
-(down @ sect) @ proj.  By (A (x) B) vec(X) = vec(A X B^T), P @ (A (x) B (x)
-...) is one slot product per factor (kron_product): each nonzero of a row
-of P is scattered onto the nonzeros of one row of the factor, and an
-identity factor costs nothing.  Matrix.kron is left to where the Kronecker
-product is itself the object.  combination adds scaled matrices term by
-term, the one loop for a linear combination of matrices.  kernel and
-column_echelon eliminate only the distinct nonzero rows of their input.
-memoised computes a pure construction once per argument content, in a
-bounded least-recently-used cache.
+and reshape know, and product_coords reads products with its basis in one
+slot product.  Relations are rows, as kernel and cokernel take them.
+Quotients carry explicit projection/section witnesses with proj @ sect == I
+and proj @ relations == 0, checked at construction; a cokernel keeps the
+free coordinates its section selects, so descend checks down @ relations ==
+0 on the unreduced product rows and then selects columns.  A FlatWitness
+carries the same witnesses for a nested quotient of a flat multi-tensor and
+descends by checking down == (down @ sect) @ proj.  By (A (x) B) vec(X) =
+vec(A X B^T), P @ (A (x) B (x) ...) is one slot product per factor
+(kron_product): each nonzero of a row of P is scattered onto the nonzeros
+of one row of the factor, and an identity factor costs nothing.
+Matrix.kron is left to where the Kronecker product is itself the object.
+combination adds scaled matrices term by term, the one loop for a linear
+combination of matrices.  kernel and cokernel eliminate only the distinct
+nonzero rows of their input.  memoised computes a pure construction once
+per argument content, in a bounded least-recently-used cache.
 """
 
 from __future__ import annotations
@@ -731,15 +732,20 @@ def _distinct(rows) -> list:
     return list(dict.fromkeys(map(tuple, filter(any, rows))))
 
 
+def _row_echelon_basis(m: Matrix) -> Matrix:
+    """The row space of m in reduced column echelon form, from the rref of
+    the distinct nonzero rows of m (see _distinct)."""
+    rows = list(map(list, _distinct(m.num)))
+    R, pivots = rref(Matrix._fresh(rows, m.field, m.cols))
+    return _rows_at(R, range(len(pivots))).transpose()
+
+
 def column_echelon(m: Matrix) -> Matrix:
     """Reduced column echelon form of the column space of m: each basis column
     has leading entry 1 at a distinct row, that row is zero in the other
     columns, columns ordered by leading row.  Canonical: equal subspaces give
-    equal matrices.  Only the distinct nonzero columns of m are eliminated
-    (see _distinct)."""
-    rows = list(map(list, _distinct(m.transpose().num)))
-    R, pivots = rref(Matrix._fresh(rows, m.field, m.rows))
-    return _rows_at(R, range(len(pivots))).transpose()
+    equal matrices."""
+    return _row_echelon_basis(m.transpose())
 
 
 class Subspace:
@@ -791,29 +797,47 @@ class Subspace:
 class HomSpace:
     """A space of rows x cols matrices: span is the canonical subspace of
     their row-major vectorisations (Matrix.flatten), checked when it was
-    built, and basis is its columns as matrices (Matrix.reshape)."""
+    built, vecs its basis as rows and basis those as matrices (reshape)."""
 
-    __slots__ = ("rows", "cols", "span", "basis")
+    __slots__ = ("rows", "cols", "span", "vecs", "basis")
 
     def __init__(self, rows: int, cols: int, span: Subspace):
         self.rows, self.cols, self.span = rows, cols, span
-        B = span.basis.transpose()
-        self.basis = [_rows_at(B, [j]).reshape(rows, cols) for j in range(B.rows)]
+        V = self.vecs = span.basis.transpose()
+        self.basis = [_rows_at(V, [j]).reshape(rows, cols) for j in range(V.rows)]
 
     @property
     def dim(self) -> int:
         return self.span.dim
 
-    def coords(self, mats, message: str) -> Matrix:
-        """Coordinates of the matrices mats in basis, one column per matrix,
-        read off the lead rows of span; raises ValueError(message) if one
-        lies outside the span."""
-        n, f = self.rows * self.cols, self.span.field
-        X = self.span.coords_matrix(stack_rows(
-            [Matrix.zeros(0, n, f)] + [M.flatten() for M in mats]).transpose())
-        if X is None:
+    def _row_coords(self, V: Matrix, message: str) -> Matrix:
+        """Coordinates of the rows of V, one column per row: V's columns at
+        span.lead, checked by one product (else ValueError(message))."""
+        X = V.select_columns(self.span.lead)
+        if X @ self.vecs != V:
             raise ValueError(message)
-        return X
+        return X.transpose()
+
+    def coords(self, mats, message: str) -> Matrix:
+        """Coordinates of the matrices mats in basis, one column per matrix;
+        raises ValueError(message) if one lies outside the span."""
+        n, f = self.rows * self.cols, self.span.field
+        return self._row_coords(stack_rows(
+            [Matrix.zeros(0, n, f)] + [M.flatten() for M in mats]), message)
+
+    def product_coords(self, xs, ys, message: str) -> Matrix:
+        """coords of [x @ y for x in xs for y in ys], x-major, where xs or ys
+        is a HomSpace standing for its basis: one slot product over its vecs,
+        by vec(x y)^T = vec(x)^T (I (x) y) = vec(y)^T (x^T (x) I)."""
+        top = Matrix.zeros(0, self.rows * self.cols, self.span.field)
+        if isinstance(ys, HomSpace):
+            xs = xs.basis if isinstance(xs, HomSpace) else xs
+            return self._row_coords(stack_rows([top] + slot_products(
+                ys.vecs, [x.transpose() for x in xs], 1, ys.cols)), message)
+        # the k-th slot product has row i at x_i y_k
+        V = stack_rows([top] + slot_products(xs.vecs, ys, xs.rows, 1))
+        return self._row_coords(_rows_at(V, [k * xs.dim + i for i in range(xs.dim)
+                                             for k in range(len(ys))]), message)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -930,14 +954,14 @@ class Quotient:
 
 
 def cokernel(rel: Matrix) -> Quotient:
-    """Quotient of the target space k^rel.rows by the column space of rel.
+    """Quotient of k^rel.cols by the row space of rel: each row is a relation.
 
     With B the reduced column echelon basis of the relations, x = B a +
     sect c has quotient coordinates c: row r of proj is e_free[r] minus
     sum_j B[free[r], j] e_lead[j], read off B without a second elimination."""
     field = rel.field
-    n, p = rel.rows, field.p
-    span = column_space(rel)
+    n, p = rel.cols, field.p
+    span = Subspace(n, _row_echelon_basis(rel), field)
     B, lead = span.basis, span.lead
     d = B.cols
     leadset = set(lead)

@@ -14,8 +14,8 @@ assignment is a genuine (non-lax) 2-functor.
 The apex of a bimodule's cospan is End(M), and the 2-diagram of a bimodule
 map M -> N (Z_2cell, which returns it) lives on the hom space [M, N]: each
 is a bimodule.hom_space, an exactla.HomSpace, and every operator on one
-(post-/pre-composition, central actions, induced maps) has its matrix read
-off by HomSpace.coords.
+has its matrix read off by HomSpace.product_coords when it composes with
+the basis, and by HomSpace.coords otherwise.
 
 Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
 algebra.center, bimodule.hom_space, bimodule.end_algebra and
@@ -86,7 +86,6 @@ from .exactla import (
     memoised,
     rank,
     same_content,
-    stack_columns,
     tensor_induced,
 )
 
@@ -206,8 +205,8 @@ def Z_2cell(phi: BimoduleMap) -> TwoDiagram:
     and eta -> eta o phi."""
     zs, zt = Z_bimodule(phi.src), Z_bimodule(phi.tgt)
     hom_bm, H = hom_bimodule(phi.src, phi.tgt)
-    fmat = H.coords([phi.mat @ e for e in zs.realization.hom.basis], LEAVES_HOM)
-    gmat = H.coords([e @ phi.mat for e in zt.realization.hom.basis], LEAVES_HOM)
+    fmat = H.product_coords([phi.mat], zs.realization.hom, LEAVES_HOM)
+    gmat = H.product_coords(zt.realization.hom, [phi.mat], LEAVES_HOM)
     d = TwoDiagram(zs.cospan, zt.cospan, hom_bm, fmat, gmat)
     bad = validate_2diagram(d)
     if bad:
@@ -337,10 +336,11 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
     if pair_quot is None:
         zb = center(m.right)
         zs = [zb.embed(zb.algebra.basis_vector(k)) for k in range(zb.dim)]
-        rops = [left.coords([b @ m.ract_of(z) for b in left.basis], LEAVES_HOM)
-                for z in zs]
-        lops = [right.coords([b @ n.lact_of(z) for b in right.basis], LEAVES_HOM)
-                for z in zs]
+        # column (b, k) of each: b composed with the action of zs[k]
+        Cs = [H.product_coords(H, [act(z) for z in zs], LEAVES_HOM)
+              for H, act in ((left, m.ract_of), (right, n.lact_of))]
+        rops, lops = ([C.select_columns(slice(k, None, len(zs))) for k in range(len(zs))]
+                      for C in Cs)
         rel = middle_relations(left.dim, right.dim, rops, lops, m.field)
         pair_quot = cokernel(rel)
     mat = pair_quot.descend(
@@ -398,15 +398,14 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     end_src = mult_src.zmn.realization
     H = n_res.target
     # pre-unit map: the class of x (x) q composes x after the descended map
-    mprime_flat = stack_columns([H.coords([E @ b for b in H.basis], LEAVES_HOM)
-                                 @ n_res.mat for E in end_tgt.hom.basis])
+    mprime_flat = kron_product(H.product_coords(end_tgt.hom, H, LEAVES_HOM),
+                               [end_tgt.dim, n_res.mat])
     mprime = lhs.tensor.quot.descend(
         mprime_flat, "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
     TR = rhs.tensor
     r_inverse = kron_product(TR.quot.proj, [H.dim, unit_column(end_src.algebra)])
-    rflat = H.coords([b @ e for b in H.basis for e in end_src.hom.basis],
-                     "unit collapse leaves the hom space")
+    rflat = H.product_coords(H, end_src.hom, "unit collapse leaves the hom space")
     r_mat = TR.quot.descend(rflat, "unit collapse does not descend")
     if (r_mat @ r_inverse != Matrix.identity(H.dim, f)
             or r_inverse @ r_mat != Matrix.identity(TR.quot.dim, f)):
@@ -558,23 +557,25 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     end_src = sq.mult_src.zmn.realization
     end_tgt = sq.mult_tgt.zmn.realization
     H = sq.n_res.target
-    post_phi = H.coords([sq.induced.mat @ e for e in end_src.hom.basis], LEAVES_HOM)
-    pre_phi = H.coords([e @ sq.induced.mat for e in end_tgt.hom.basis], LEAVES_HOM)
+    post_phi = H.product_coords([sq.induced.mat], end_src.hom, LEAVES_HOM)
+    pre_phi = H.product_coords(end_tgt.hom, [sq.induced.mat], LEAVES_HOM)
     n_mat = sq.n_res.mat
     rep.add("upper triangle via n",
             sq.cell.mat @ sq.lhs.f == sq.r_inverse @ n_mat @ sq.hq.f)
     rep.add("upper triangle via multiplication",
             sq.rhs.f == sq.r_inverse @ post_phi @ sq.mult_src.mult.mat)
     rep.add("lower triangle", n_mat @ sq.hq.g == pre_phi @ sq.mult_tgt.mult.mat)
-    # each action on the composite against pre-/post-composition with its image
+    # each action on the composite against composition with its image W_k
+    Ws = [end_src.matrix_of(c) for c in sq.mult_src.mult.mat.columns()]
+    pre, e = H.product_coords(H, Ws, LEAVES_HOM), len(Ws)  # column (b, k): b W_k
     rep.add("descended map right equivariant", all([
-        n_mat @ R == H.coords([b @ W for b in H.basis], LEAVES_HOM) @ n_mat
-        for R, W in zip(sq.hq.M.ract, map(end_src.matrix_of,
-                                          sq.mult_src.mult.mat.columns()))]))
+        n_mat @ R == pre.select_columns(slice(k, None, e)) @ n_mat
+        for k, R in zip(range(e), sq.hq.M.ract)]))
+    Ws = [end_tgt.matrix_of(c) for c in sq.mult_tgt.mult.mat.columns()]
+    post, d = H.product_coords(Ws, H, LEAVES_HOM), H.dim  # column (k, b): W_k b
     rep.add("descended map left equivariant", all([
-        n_mat @ L == H.coords([W @ b for b in H.basis], LEAVES_HOM) @ n_mat
-        for L, W in zip(sq.hq.M.lact, map(end_tgt.matrix_of,
-                                          sq.mult_tgt.mult.mat.columns()))]))
+        n_mat @ L == post.select_columns(slice(k * d, (k + 1) * d)) @ n_mat
+        for k, L in zip(range(len(Ws)), sq.hq.M.lact)]))
     rep.add("unit reduction", check_m_unit_axiom(phi.src.right))
     if phip is not None and psip is not None:
         rep.add("hexagon", check_m_hexagon(phi, phip, psi, psip))

@@ -94,7 +94,7 @@ def shape_refusals():
     """The misshapen solve and descent that were not refused with a
     ValueError.  Written without assert, so it means the same under
     python -O."""
-    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
+    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ).transpose())
     ops = {
         "solve_matrix 2x2 with 3 rows": lambda: solve_matrix(
             Matrix.identity(2, QQ), Matrix.zeros(3, 1, QQ)),

@@ -11,7 +11,7 @@ import random
 
 import pytest
 import sympy as sm
-from fieldref import red, ref_validate_bimodule
+from fieldref import kernel_ref, red, ref_validate_bimodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusals import bimodule_refusals, optimized
@@ -29,6 +29,7 @@ from centrum.algebra import (
 from centrum.bimodule import (
     Bimodule,
     BimoduleMap,
+    EndAlgebra,
     comp_bar,
     direct_sum_bimodules,
     end_algebra,
@@ -56,6 +57,7 @@ from centrum.exactla import (
     Matrix,
     PrimeField,
     Subspace,
+    combination,
     is_invertible,
     kernel,
     kron_product,
@@ -296,16 +298,22 @@ def test_hom_space_sympy_cross_check():
         assert hom_space(src, tgt).dim == free_syms
 
 
-def kron_hom_space(src: Bimodule, tgt: Bimodule):
-    """Reference: the kernel of the blocks T (x) I - I (x) S^T, one per pair
-    of actions (S of src, T of tgt), formed as Kronecker products with
-    identities and stacked."""
+def kron_hom_system(src: Bimodule, tgt: Bimodule) -> Matrix:
+    """The blocks T (x) I - I (x) S^T, one per pair of actions (S of src, T
+    of tgt), formed as Kronecker products with identities and stacked: the
+    bimodule maps are the kernel on their vectorisations."""
     f, ns, nt = src.field, src.dim, tgt.dim
     It, Is = Matrix.identity(nt, f), Matrix.identity(ns, f)
-    blocks = [T.kron(Is) - It.kron(S.transpose())
-              for S, T in zip(src.lact + src.ract, tgt.lact + tgt.ract)]
+    return stack_rows([Matrix.zeros(0, nt * ns, f)]
+                      + [T.kron(Is) - It.kron(S.transpose())
+                         for S, T in zip(src.lact + src.ract, tgt.lact + tgt.ract)])
+
+
+def kron_hom_space(src: Bimodule, tgt: Bimodule):
+    """Reference: the kernel of kron_hom_system, as matrices."""
+    f, ns, nt = src.field, src.dim, tgt.dim
     return [Matrix([v[r * ns:(r + 1) * ns] for r in range(nt)], f, ncols=ns)
-            for v in kernel(stack_rows(blocks)).basis.columns()]
+            for v in kernel(kron_hom_system(src, tgt)).basis.columns()]
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -320,6 +328,106 @@ def test_hom_space_matches_kron_and_subtract(seed):
     src, tgt = (random_bimodule(a, b, rng, max_rank=rank) for _ in range(2))
     for s, t in ((src, tgt), (tgt, src), (src, src)):
         assert hom_space(s, t).basis == kron_hom_space(s, t)
+        # hom_space hands its relation rows to kernel untransposed; dense
+        # elimination of the Kronecker system agrees
+        assert hom_space(s, t).span.basis == kernel_ref(kron_hom_system(s, t))
+
+
+def hom_chain(field, rng):
+    """Bimodules m, n, p over one pair of small algebras, twisted (so over
+    QQ their actions are not integral as a rule): m and the hom spaces
+    [n, p], [m, n] and [m, p]."""
+    small = [alg_k(field), alg_group_c2(field), alg_dual_numbers(field),
+             alg_product_k(2, field)]
+    a, b = rng.choice(small), rng.choice(small)
+    m, n, p = (random_bimodule(a, b, rng, max_rank=2) for _ in range(3))
+    return m, (hom_space(n, p), hom_space(m, n), hom_space(m, p))
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_product_coords_matches_the_coords_of_each_product(field):
+    """product_coords against the coordinates of the products formed one by
+    one, with either factor a HomSpace and the other a list of maps."""
+    rng = random.Random(7)
+
+    def elements(H):
+        return [combination([field.from_int(rng.randint(-2, 2)) for _ in H.basis],
+                            H.basis, Matrix.zeros(H.rows, H.cols, field))
+                for _ in range(2)]
+
+    fractional = False
+    for _ in range(4):
+        m, (Hnp, Hmn, Hmp) = hom_chain(field, rng)
+        fractional |= any(X.den is not None for X in m.lact + m.ract)
+        xs, ys = elements(Hnp), elements(Hmn)
+        cases = ((Hnp, Hmn, Hnp.basis, Hmn.basis), (Hnp, ys, Hnp.basis, ys),
+                 (xs, Hmn, xs, Hmn.basis), (Hnp, [], Hnp.basis, []),
+                 ([], Hmn, [], Hmn.basis))
+        for X, Y, xlist, ylist in cases:
+            want = Hmp.coords([x @ y for x in xlist for y in ylist], "no")
+            assert Hmp.product_coords(X, Y, "no") == want
+    assert fractional or field != QQ
+
+
+def test_product_coords_of_zero_dimensional_hom_spaces():
+    """The dimension-0 bimodule over k has a 0-dimensional hom space in a
+    0-dimensional ambient space; two point bimodules with disjoint weights
+    have one in a 1-dimensional ambient space."""
+    k = alg_k()
+    zero = Matrix.zeros(0, 0, QQ)
+    z = Bimodule(k, k, 0, [zero], [zero])
+    Z = hom_space(z, z)
+    assert Z.dim == 0 and Z.vecs.shape == (0, 0)
+    assert Z.product_coords(Z, Z, "no") == Matrix.zeros(0, 0, QQ)
+    assert Z.product_coords([zero, zero], Z, "no") == Z.coords([], "no")
+    assert end_algebra(z).dim == 0
+    m1, m2 = weighted_point_bimodule([1, 0]), weighted_point_bimodule([0, 1])
+    H, E = hom_space(m1, m2), hom_space(m1, m1)
+    assert H.dim == 0 and H.vecs.shape == (0, 1)
+    one = Matrix.identity(1, QQ)
+    assert H.product_coords(H, E, "no") == Matrix.zeros(0, 0, QQ)
+    assert H.product_coords([Matrix.zeros(1, 1, QQ)], E, "no") == \
+        H.coords([Matrix.zeros(1, 1, QQ)], "no")
+    with pytest.raises(ValueError, match="^outside$"):
+        H.product_coords([one], E, "outside")
+
+
+def test_hom_products_cost_one_product_per_space(monkeypatch):
+    """Work counted, not timed, on the free (M_n, k)-bimodule over
+    GF(1000003) with the memo caches cleared: End(M) reads its
+    multiplication in one product for every n, comp_bar(M, M, M) makes
+    fewer than 100 products, and neither hom_space nor tensor_over
+    transposes its relation matrix, of n |B| rows."""
+    F = PrimeField(1000003)
+    products, shapes = [], []
+    matmul, transpose = Matrix.__matmul__, Matrix.transpose
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda x, y: products.append(1) or matmul(x, y))
+    monkeypatch.setattr(Matrix, "transpose",
+                        lambda x: shapes.append(x.shape) or transpose(x))
+    counts = []
+    for n in (2, 3):
+        A = alg_matrix(n, F)
+        m = free_bimodule(A, alg_k(F), 1)
+        hom_space.cache.clear()
+        end_algebra.cache.clear()
+        del products[:]
+        EndAlgebra(m)
+        counts.append(len(products))
+        end_algebra.cache.clear()
+        del products[:], shapes[:]
+        comp_bar(m, m, m)
+        if n == 3:
+            assert len(products) < 100
+        # n |B|: the relation rows of [M, M] and of A (x)_A M
+        hom_space.cache.clear()
+        for build, rows in ((lambda: hom_space(m, m), m.dim ** 2 * (A.dim + 1)),
+                            (lambda: tensor_over(regular_bimodule(A), m),
+                             A.dim * m.dim * A.dim)):
+            del shapes[:]
+            build()
+            assert shapes and rows not in {d for shape in shapes for d in shape}
+    assert counts[0] == counts[1]
 
 
 def test_hom_space_coords_refuse_a_map_outside_the_span():
@@ -332,6 +440,12 @@ def test_hom_space_coords_refuse_a_map_outside_the_span():
         H.coords([three, shift], "shift is not a bimodule map")
     with pytest.raises(ValueError, match="^outside$"):
         H.coords([shift], "outside")
+    # a product outside the span, with the space on either side
+    half = Matrix.identity(2, QQ).scale(QQ.div(1, 2))
+    assert H.product_coords(H, [half, half], "no") == H.coords([half, half], "no")
+    for xs, ys in ((H, [half, shift]), ([shift], H)):
+        with pytest.raises(ValueError, match="^shift leaves the span$"):
+            H.product_coords(xs, ys, "shift leaves the span")
     # with an empty span only the zero map has coordinates
     empty = HomSpace(2, 2, kernel(Matrix.identity(4, QQ)))
     assert empty.basis == []
@@ -444,7 +558,7 @@ def middle_actions(draw):
 @settings(max_examples=150, deadline=None)
 @given(middle_actions())
 def test_middle_relations_match_kron_and_subtract(args):
-    assert middle_relations(*args) == kron_middle_relations(*args)
+    assert middle_relations(*args) == kron_middle_relations(*args).transpose()
 
 
 def test_pure_respects_middle_relations():

@@ -176,7 +176,7 @@ def test_cokernel_witnesses(seed):
     n = rng.randint(1, 7)
     r = rng.randint(0, 7)
     rel = random_matrix(n, r, 3, rng, QQ) if r else Matrix.zeros(n, 0, QQ)
-    q = cokernel(rel)
+    q = cokernel(rel.transpose())
     d = rank(rel) if r else 0
     assert q.dim == n - d
     assert (q.proj @ q.sect) == Matrix.identity(q.dim, QQ)
@@ -195,7 +195,7 @@ def test_cokernel_witnesses(seed):
 def test_quotient_induced_descends():
     # quotient of k^2 by span(e0 - e1); the swap map descends, projection to e0 does not
     rel = Matrix.from_int_rows([[1], [-1]], QQ)
-    q = cokernel(rel)
+    q = cokernel(rel.transpose())
     assert q.dim == 1
     swap = Matrix.from_int_rows([[0, 1], [1, 0]], QQ)
     ind = tensor_induced(q, [swap], q)
@@ -207,7 +207,7 @@ def test_quotient_induced_descends():
 
 def test_quotient_descend():
     # k^2 modulo span(e0 - e1): the swap descends, projection to e0 does not
-    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
+    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ).transpose())
     swap = Matrix.from_int_rows([[0, 1], [1, 0]], QQ)
     assert q.descend(q.proj @ swap, "no") == Matrix.identity(1, QQ)
     bad = Matrix.from_int_rows([[1, 0]], QQ)
@@ -219,9 +219,10 @@ def symmetric_witness():
     """(k^2 (x) k^2 modulo the swap) (x) k^2, modulo e_00 (x) e_0 - e_11 (x) e_1:
     a two-level witness over the flat tensor k^2 (x) k^2 (x) k^2."""
     swap = Matrix.from_int_rows([[0], [1], [-1], [0]], QQ)
-    inner = FlatWitness.leaf(2, QQ).tensor(FlatWitness.leaf(2, QQ), cokernel(swap))
+    inner = FlatWitness.leaf(2, QQ).tensor(FlatWitness.leaf(2, QQ),
+                                           cokernel(swap.transpose()))
     outer = Matrix.from_int_rows([[1], [0], [0], [0], [0], [-1]], QQ)
-    return inner.tensor(FlatWitness.leaf(2, QQ), cokernel(outer))
+    return inner.tensor(FlatWitness.leaf(2, QQ), cokernel(outer.transpose()))
 
 
 def test_flat_witness_two_levels():
@@ -244,7 +245,7 @@ def test_flat_witness_descend():
 
 
 def test_flat_witness_rejects_a_false_section():
-    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ))
+    q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ).transpose())
     broken = Quotient(q.ambient, q.relations, q.dim, q.proj,
                       q.sect.scale(QQ.from_int(2)), QQ, q.free)
     with pytest.raises(ValueError):
@@ -469,7 +470,7 @@ def test_rref_matches_dense_row_updates(m):
 @settings(max_examples=150, deadline=None)
 @given(field_matrices())
 def test_cokernel_projection_matches_the_inverse(rel):
-    q = cokernel(rel)
+    q = cokernel(rel.transpose())
     assert q.proj == inverse_proj(rel)
     assert q.proj @ rel == Matrix.zeros(q.dim, rel.cols, rel.field)
 
@@ -845,7 +846,7 @@ def redundant_matrices(draw):
 
 def assert_eliminations_match_the_references(m):
     for a in (m, m.transpose()):
-        K, E, q = kernel(a).basis, column_echelon(a), cokernel(a)
+        K, E, q = kernel(a).basis, column_echelon(a), cokernel(a.transpose())
         assert K == kernel_ref(a)
         assert E == column_echelon_ref(a)
         assert (q.relations, q.proj, q.sect) == cokernel_ref(a)
@@ -866,7 +867,7 @@ def test_eliminations_of_empty_and_zero_matrices(field):
         assert_eliminations_match_the_references(m)
         assert kernel(m).basis == Matrix.identity(cols, field)
         assert column_echelon(m) == Matrix.zeros(rows, 0, field)
-        assert cokernel(m).proj == Matrix.identity(rows, field)
+        assert cokernel(m.transpose()).proj == Matrix.identity(rows, field)
 
 
 @pytest.mark.parametrize("field", FIELDS)
