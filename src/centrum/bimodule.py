@@ -536,16 +536,12 @@ class CompBarResult:
     map whose composite with the quotient map is plain composition.
 
     Fields: tensor (the fibered product of hom bimodules), mat (matrix in the
-    canonical hom bases), map (as an equivariant map over ([P,P], [M,M])),
-    is_iso, and the three HomSpaces."""
+    canonical hom bases of hom_space(n, p), hom_space(m, n) and
+    hom_space(m, p)) and map (as an equivariant map over ([P,P], [M,M]))."""
 
     tensor: TensorResult
     mat: Matrix
     map: BimoduleMap
-    is_iso: bool
-    hom_np: HomSpace
-    hom_mn: HomSpace
-    hom_mp: HomSpace
 
 
 def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
@@ -562,5 +558,4 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     bad = validate_bimodule_map(map_)
     if bad:
         raise ValueError(f"descended composition is not equivariant: {bad}")
-    is_iso = inverse(mat) is not None
-    return CompBarResult(tensor, mat, map_, is_iso, hom_np, hom_mn, hom_mp)
+    return CompBarResult(tensor, mat, map_)

@@ -247,7 +247,7 @@ def require_kind(payload, kind, what):
 
 def algebra_from_dict(payload, field):
     dim = payload.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # bool is an int subclass
         raise InputError("algebra: dim must be a positive integer")
     sc_raw = payload.get("sc")
     if not isinstance(sc_raw, list) or len(sc_raw) != dim:
@@ -273,7 +273,7 @@ def bimodule_from_dict(payload, field):
     right = load("algebra", payload.get("right"), field,
                  "bimodule right algebra")
     dim = payload.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise InputError("bimodule: dim must be a nonnegative integer")
     lact_raw = payload.get("lact")
     ract_raw = payload.get("ract")

@@ -26,7 +26,7 @@ on a served result stay with its caller and run on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
@@ -80,8 +80,6 @@ from .exactla import (
     HomSpace,
     Matrix,
     cokernel,
-    inverse,
-    is_invertible,
     kron_product,
     memoised,
     rank,
@@ -221,11 +219,9 @@ def Z_2cell(phi: BimoduleMap) -> TwoDiagram:
 @dataclass(slots=True, eq=False)
 class MultTransformResult:
     """The comparison map Z(f) (x)_{Z(B)} Z(g) -> Z(g o f), z (x) z' ->
-    g(z) z', as a verified algebra map, with the 2-diagram it defines and its
-    rank data."""
+    g(z) z', as an algebra map m from the composite cospan's apex to Z(g o f)
+    (its codomain dim is zgf.apex.dim), with the 2-diagram it defines."""
 
-    f: AlgebraMap
-    g: AlgebraMap
     gf: AlgebraMap
     zf: ZMorphismResult
     zg: ZMorphismResult
@@ -233,18 +229,6 @@ class MultTransformResult:
     comp: CospanComposition
     m: AlgebraMap
     diagram: TwoDiagram
-    rank: int = field(init=False)
-    codomain_dim: int = field(init=False)
-    is_iso: bool = field(init=False)
-
-    def __post_init__(self):
-        self.rank = rank(self.m.mat)
-        self.codomain_dim = self.zgf.apex.dim
-        self.is_iso = is_invertible(self.m.mat)
-
-    def __repr__(self):
-        return (f"MultTransformResult(rank {self.rank} of {self.codomain_dim}, "
-                f"{'iso' if self.is_iso else 'not iso'})")
 
 
 @memoised
@@ -259,7 +243,7 @@ def mult_transform(f: AlgebraMap, g: AlgebraMap) -> MultTransformResult:
                        Matrix.identity(g.tgt.dim, g.tgt.field))
     m = pushout_universal(comp, w, v)
     diagram = cospan_morphism_2diagram(comp.cospan, zgf.cospan, m)
-    return MultTransformResult(f, g, gf, zf, zg, zgf, comp, m, diagram)
+    return MultTransformResult(gf, zf, zg, zgf, comp, m, diagram)
 
 
 @dataclass(slots=True, eq=False)
@@ -270,16 +254,8 @@ class MultBimoduleResult:
 
     tens: TensorResult
     zmn: ZMorphismResult
-    comp: CospanComposition
     mult: AlgebraMap
     diagram: TwoDiagram
-    is_iso: bool = field(init=False)
-
-    def __post_init__(self):
-        self.is_iso = is_invertible(self.mult.mat)
-
-    def __repr__(self):
-        return f"MultBimoduleResult({'iso' if self.is_iso else 'not iso'})"
 
 
 @memoised
@@ -300,25 +276,16 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
     v = factor_map(zn, lambda e: [m_bim.dim, e])
     mult = pushout_universal(comp, w, v)
     diagram = cospan_morphism_2diagram(comp.cospan, zmn.cospan, mult)
-    return MultBimoduleResult(tens, zmn, comp, mult, diagram)
+    return MultBimoduleResult(tens, zmn, mult, diagram)
 
 
 @dataclass(slots=True, eq=False)
 class NGeneralResult:
     """The descended map [M,M'] (x)_{Z(B)} [N,N'] -> [M (x) N, M' (x) N'],
-    xi (x) zeta -> xi (x) zeta, with its quotient witnesses."""
+    xi (x) zeta -> xi (x) zeta: its matrix, into the hom space target."""
 
     target: HomSpace
-    quot: object
     mat: Matrix
-    is_iso: bool = field(init=False)
-
-    def __post_init__(self):
-        self.is_iso = inverse(self.mat) is not None
-
-    def __repr__(self):
-        return f"NGeneralResult({self.mat.rows}x{self.mat.cols}, " \
-               f"{'iso' if self.is_iso else 'not iso'})"
 
 
 def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
@@ -345,7 +312,7 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
         pair_quot = cokernel(rel)
     mat = pair_quot.descend(
         flat, "tensor of maps does not respect the middle-center relations")
-    return NGeneralResult(target, pair_quot, mat)
+    return NGeneralResult(target, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +341,11 @@ class MSquareResult:
     n_res: NGeneralResult  # the auxiliary descended map
     r_inverse: Matrix  # the inverse unit collapse
     cell: ThreeCell
-    valid: list  # the 3-cell's validation violations
-    is_iso: bool
-
-    def __repr__(self):
-        state = "iso" if self.is_iso else "not iso"
-        return f"MSquareResult({state}, valid={not self.valid})"
 
 
 def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
-    """Build the square 3-cell for a pair of bimodule maps and verify the
-    3-cell axioms."""
+    """Build the square 3-cell for a pair of bimodule maps; its 3-cell
+    axioms are checked by validate_3cell where a verdict is read."""
     d1, d2 = Z_2cell(phi), Z_2cell(psi)
     f = phi.src.field
     hq = horizontal_compose(d2, d1)
@@ -410,13 +371,10 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     if (r_mat @ r_inverse != Matrix.identity(H.dim, f)
             or r_inverse @ r_mat != Matrix.identity(TR.quot.dim, f)):
         raise ValueError("the unit collapse is not invertible")
-    cell_mat = r_inverse @ mprime
-    cell = ThreeCell(lhs, rhs, cell_mat)
-    valid = validate_3cell(cell)
+    cell = ThreeCell(lhs, rhs, r_inverse @ mprime)
     return MSquareResult(d1=d1, d2=d2, hq=hq, mult_src=mult_src,
                          mult_tgt=mult_tgt, induced=induced, lhs=lhs, rhs=rhs,
-                         n_res=n_res, r_inverse=r_inverse, cell=cell,
-                         valid=valid, is_iso=is_invertible(cell_mat))
+                         n_res=n_res, r_inverse=r_inverse, cell=cell)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +511,8 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     second square is supplied) the interchanger hexagon."""
     rep = CoherenceReport()
     sq = m_square(phi, psi)
-    rep.add("square is a 3-cell", sq.valid == [], "; ".join(sq.valid))
+    bad = validate_3cell(sq.cell)
+    rep.add("square is a 3-cell", bad == [], "; ".join(bad))
     end_src = sq.mult_src.zmn.realization
     end_tgt = sq.mult_tgt.zmn.realization
     H = sq.n_res.target
@@ -654,25 +613,23 @@ def check_theorem58_hypotheses(chains=(), squares=()) -> Thm58Report:
     2-functor on the corpus and the verdict says so."""
     rep = Thm58Report()
     seen = []
+
+    def add_map(name, mat, ok=True):
+        r = rank(mat)
+        rep.add(name, ok and mat.rows == mat.cols == r,
+                f"{mat.rows}x{mat.cols} rank {r}")
+
     for m, n, p in chains:
-        cb = comp_bar(m, n, p)
-        rep.add("composition collapse", cb.is_iso,
-                f"{cb.mat.rows}x{cb.mat.cols} rank {rank(cb.mat)}")
+        add_map("composition collapse", comp_bar(m, n, p).mat)
         for alg in (m.left, m.right):
             if not any(alg is s for s in seen):
                 seen.append(alg)
     for m, mp, n, np_ in squares:
         sq = m_square(zero_bimodule_map(m, mp), zero_bimodule_map(n, np_))
-        rep.add("descended tensor of maps", sq.n_res.is_iso,
-                f"{sq.n_res.mat.rows}x{sq.n_res.mat.cols} "
-                f"rank {rank(sq.n_res.mat)}")
-        rep.add("square 3-cell", sq.is_iso and sq.valid == [],
-                f"{sq.cell.mat.rows}x{sq.cell.mat.cols} "
-                f"rank {rank(sq.cell.mat)}")
+        add_map("descended tensor of maps", sq.n_res.mat)
+        add_map("square 3-cell", sq.cell.mat, validate_3cell(sq.cell) == [])
         for mt in (sq.mult_src, sq.mult_tgt):
-            rep.add("multiplication 2-cell", mt.is_iso,
-                    f"{mt.mult.mat.rows}x{mt.mult.mat.cols} "
-                    f"rank {rank(mt.mult.mat)}")
+            add_map("multiplication 2-cell", mt.mult.mat)
         for alg in (m.left, m.right, n.right):
             if not any(alg is s for s in seen):
                 seen.append(alg)

@@ -136,6 +136,9 @@ CASES = [
     ("map-fails-validator",
      ["centralizer", "--map", "@map_not_multiplicative.json"], 2),
     ("float-scalar", ["validate", "map", "@map_float.json"], 2),
+    ("algebra-dim-bool", ["validate", "algebra", "@algebra_dim_bool.json"], 2),
+    ("bimodule-dim-bool",
+     ["validate", "bimodule", "@bimodule_dim_bool.json"], 2),
     ("cospan-apex-mismatch",
      ["validate", "cospan", "@cospan_apex_mismatch.json"], 2),
     ("2diagram-pair-mismatch",
