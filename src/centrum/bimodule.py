@@ -474,18 +474,24 @@ def unit_iso_right(t: TensorResult) -> BimoduleMap:
     return BimoduleMap(t.product, m, mat)
 
 
+def pentagon_commutes(tower, rebracket, a, b, c, d) -> bool:
+    """The five bracketings of a four-fold product, built by tower from nested
+    pairs, commute around the pentagon of rebracket's comparisons."""
+    w1, w2, w3, w4, w5 = (tower(tree) for tree in (
+        (((a, b), c), d),
+        ((a, (b, c)), d),
+        ((a, b), (c, d)),
+        (a, ((b, c), d)),
+        (a, (b, (c, d))),
+    ))
+    two_step = rebracket(w3, w5) @ rebracket(w1, w3)
+    three_step = rebracket(w4, w5) @ rebracket(w2, w4) @ rebracket(w1, w2)
+    return two_step == three_step
+
+
 def pentagon_check(b1: Bimodule, b2: Bimodule, b3: Bimodule, b4: Bimodule) -> bool:
     """The rebracketing isos of a 4-fold product commute around the pentagon."""
-    w1, w2, w3, w4, w5 = (_bracketing(tree)[1] for tree in (
-        (((b1, b2), b3), b4),
-        ((b1, (b2, b3)), b4),
-        ((b1, b2), (b3, b4)),
-        (b1, ((b2, b3), b4)),
-        (b1, (b2, (b3, b4))),
-    ))
-    two_step = _rebracket(w3, w5) @ _rebracket(w1, w3)
-    three_step = _rebracket(w4, w5) @ _rebracket(w2, w4) @ _rebracket(w1, w2)
-    return two_step == three_step
+    return pentagon_commutes(lambda t: _bracketing(t)[1], _rebracket, b1, b2, b3, b4)
 
 
 def triangle_check(m: Bimodule, n: Bimodule) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from collections import namedtuple
@@ -516,10 +517,13 @@ class Report(CoherenceReport):
 
 def emit(payload, out_path):
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if out_path:  # first, so an unwritable path is refused before any output
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {out_path}: {exc.strerror}") from None
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +894,8 @@ def _verify_thm58(args, s, rep):
 
 
 def cmd_corpus(args, s, rep):
+    if not 0 < args.scale < math.inf:
+        raise InputError(f"corpus: --scale must be positive and finite, got {args.scale}")
     results = corpus.run_all(seed=s.seed, scale=args.scale, field=s.field)
     batteries = []
     for name, coherence in results:
@@ -1027,8 +1033,9 @@ def command_name(args) -> str:
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     command = command_name(args)
+    session = None
 
-    def error_payload(session, message, violations):
+    def error_payload(message, violations=()):
         return {
             "schema": SCHEMA,
             "command": command,
@@ -1036,15 +1043,22 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "bound": args.bound,
             "inputs": session.inputs_manifest() if session else {},
-            "error": {"message": message, "violations": violations},
+            "error": {"message": message, "violations": list(violations)},
             "ok": False,
         }
+
+    def finish(payload, code):
+        try:
+            emit(payload, args.out)
+        except InputError as exc:
+            emit(error_payload(str(exc)), None)
+            return 2
+        return code
 
     try:
         field = field_from_name(args.field)
     except ValueError as exc:
-        emit(error_payload(None, str(exc), []), args.out)
-        return 2
+        return finish(error_payload(str(exc)), 2)
     session = Session(field, args.seed, args.bound)
     rep = Report(command, session)
     try:
@@ -1054,17 +1068,13 @@ def main(argv=None) -> int:
             raise InputError(f"{command} needs {' and '.join(missing)}")
         args.handler(args, session, rep)
     except InputError as exc:
-        emit(error_payload(session, str(exc), exc.violations), args.out)
-        return 2
+        return finish(error_payload(str(exc), exc.violations), 2)
     except ValueError as exc:
         message = str(exc) or exc.__class__.__name__
-        emit(error_payload(
-            session, f"operation failed on the given inputs: {message}", []),
-            args.out)
-        return 2
+        return finish(error_payload(
+            f"operation failed on the given inputs: {message}"), 2)
     payload = rep.envelope()
-    emit(payload, args.out)
-    return 0 if payload["ok"] else 1
+    return finish(payload, 0 if payload["ok"] else 1)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ The three layers:
 Cospans compose by the fibered tensor product of apexes over the shared outer
 algebra, which carries a well-defined algebra structure because leg images
 are central; 2-diagrams compose vertically (over a shared middle cospan) and
-horizontally (over the shared outer algebra), and the two orders of composing
-a 2x2 grid agree up to an explicit invertible interchanger 3-cell, built here
+horizontally (over the shared outer algebra), each composite keeping the
+quotient its bimodule descends from, and the two orders of composing a 2x2
+grid agree up to an explicit invertible interchanger 3-cell, built here
 together with its inverse from the two independent descent presentations.
 
 compose_cospans is memoised by content (exactla.memoised), so each composite
@@ -44,6 +45,7 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     middle_relations,
+    pentagon_commutes,
     regular_bimodule,
     tensor_over,
     unit_iso_left,
@@ -225,13 +227,13 @@ class TwoDiagram:
     a (tgt apex, src apex)-bimodule M with leg maps f: src apex -> M (right
     equivariant) and g: tgt apex -> M (left equivariant).
 
-    Composites remember their construction: tensor is the fibered tensor
-    product their apex descends from and parts the constituent diagrams."""
+    A composite keeps quot, the Quotient of the flat tensor of its two
+    factors' bimodules that M descends from; an elementary diagram has none."""
 
-    __slots__ = ("src", "tgt", "M", "f", "g", "tensor", "parts")
+    __slots__ = ("src", "tgt", "M", "f", "g", "quot")
 
     def __init__(self, src: Cospan, tgt: Cospan, M: Bimodule, f: Matrix, g: Matrix,
-                 tensor=None, parts=None):
+                 quot=None):
         if not (same_content(M.left, tgt.apex)
                 and same_content(M.right, src.apex)):
             raise ValueError("2-diagram: the bimodule pair must be (target apex,"
@@ -247,8 +249,7 @@ class TwoDiagram:
         self.M = M
         self.f = f
         self.g = g
-        self.tensor = tensor
-        self.parts = parts
+        self.quot = quot
 
     def __repr__(self):
         return f"TwoDiagram({self.src.apex.dim} => {self.tgt.apex.dim}; dim {self.M.dim})"
@@ -335,8 +336,7 @@ def vertical_compose(upper: TwoDiagram, lower: TwoDiagram) -> TwoDiagram:
     tens = tensor_over(upper.M, lower.M)
     u = kron_product(tens.quot.proj, [upper.f @ unit_column(S), lower.f])
     v = kron_product(tens.quot.proj, [upper.g, lower.g @ unit_column(S)])
-    return TwoDiagram(lower.src, upper.tgt, tens.product, u, v,
-                      tensor=tens, parts=("vertical", upper, lower))
+    return TwoDiagram(lower.src, upper.tgt, tens.product, u, v, tens.quot)
 
 
 def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
@@ -354,27 +354,21 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     src_comp = compose_cospans(right.src, left.src)
     tgt_comp = compose_cospans(right.tgt, left.tgt)
     M1, M2 = left.M, right.M
-    m1b = Bimodule(
-        M1.left, B, M1.dim, M1.lact,
+    quot = cokernel(middle_relations(
+        M1.dim, M2.dim,
         [M1.ract_of(left.src.leg_b.mat.col_list(j)) for j in range(B.dim)],
-    )
-    m2b = Bimodule(
-        B, M2.right, M2.dim,
         [M2.lact_of(right.tgt.leg_a.mat.col_list(j)) for j in range(B.dim)],
-        M2.ract,
-    )
-    tens = tensor_over(m1b, m2b)
-    lact = _composite_actions(tens.quot, tgt_comp.quot, M1.lact, M2.lact,
+        M1.field))
+    lact = _composite_actions(quot, tgt_comp.quot, M1.lact, M2.lact,
                               "left action does not respect the apex relations")
-    ract = _composite_actions(tens.quot, src_comp.quot, M1.ract, M2.ract,
+    ract = _composite_actions(quot, src_comp.quot, M1.ract, M2.ract,
                               "right action does not respect the apex relations")
-    M = Bimodule(tgt_comp.cospan.apex, src_comp.cospan.apex, tens.dim, lact, ract)
-    fmat = src_comp.quot.descend(kron_product(tens.quot.proj, [left.f, right.f]),
+    M = Bimodule(tgt_comp.cospan.apex, src_comp.cospan.apex, quot.dim, lact, ract)
+    fmat = src_comp.quot.descend(kron_product(quot.proj, [left.f, right.f]),
                                  "f leg does not descend to the composite")
-    gmat = tgt_comp.quot.descend(kron_product(tens.quot.proj, [left.g, right.g]),
+    gmat = tgt_comp.quot.descend(kron_product(quot.proj, [left.g, right.g]),
                                  "g leg does not descend to the composite")
-    return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat,
-                      tensor=tens, parts=("horizontal", right, left, src_comp, tgt_comp))
+    return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat, quot)
 
 
 def _composite_actions(tens_quot, apex_quot, left_ops, right_ops, message):
@@ -586,10 +580,10 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
     v_right = vertical_compose(d2p, d2)
     tgt_diag = horizontal_compose(v_right, v_left)
     mp, np_, m, n = (FlatWitness.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
-    src_w = mp.tensor(np_, h_up.tensor.quot).tensor(
-        m.tensor(n, h_down.tensor.quot), src_diag.tensor.quot)
-    tgt_w = mp.tensor(m, v_left.tensor.quot).tensor(
-        np_.tensor(n, v_right.tensor.quot), tgt_diag.tensor.quot)
+    src_w = mp.tensor(np_, h_up.quot).tensor(m.tensor(n, h_down.quot),
+                                             src_diag.quot)
+    tgt_w = mp.tensor(m, v_left.quot).tensor(np_.tensor(n, v_right.quot),
+                                            tgt_diag.quot)
     # swap the middle two slots (the permutation is an involution): a
     # product with its permutation matrix selects columns
     swap = [0, 2, 1, 3]
@@ -633,24 +627,27 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
 # coherence of vertical composition (associativity and units)
 
 
-def _vertical_flat_witness(d: TwoDiagram) -> FlatWitness:
-    """The apex of a nested vertical composite as a nested quotient of the
-    flat tensor of its elementary apexes (upper factors major)."""
-    if not (d.parts and d.parts[0] == "vertical"):
-        return FlatWitness.leaf(d.M.dim, d.M.field)
-    _, upper, lower = d.parts
-    return _vertical_flat_witness(upper).tensor(_vertical_flat_witness(lower),
-                                                d.tensor.quot)
+def _vertical(tree):
+    """The vertical composite of a bracketing given as nested pairs (upper,
+    lower) of 2-diagrams, with its apex's witness over the flat tensor of
+    all leaves (upper factors major): (TwoDiagram, FlatWitness)."""
+    if isinstance(tree, TwoDiagram):
+        return tree, FlatWitness.leaf(tree.M.dim, tree.M.field)
+    upper, wu = _vertical(tree[0])
+    lower, wl = _vertical(tree[1])
+    d = vertical_compose(upper, lower)
+    return d, wu.tensor(wl, d.quot)
 
 
-def _rebracket_3cell(a: TwoDiagram, b: TwoDiagram) -> Matrix:
+def _rebracket_3cell(a, b) -> Matrix:
     """Canonical comparison between two bracketings of the same vertical
-    chain; checked to descend and to intertwine the composite legs."""
-    mat = _vertical_flat_witness(a).rebracket(_vertical_flat_witness(b),
-                                              "rebracketing does not descend")
-    if mat @ a.f != b.f:
+    chain, each a (TwoDiagram, FlatWitness) pair as _vertical returns;
+    checked to descend and to intertwine the composite legs."""
+    (da, wa), (db, wb) = a, b
+    mat = wa.rebracket(wb, "rebracketing does not descend")
+    if mat @ da.f != db.f:
         raise ValueError("rebracketing does not intertwine f legs")
-    if mat @ a.g != b.g:
+    if mat @ da.g != db.g:
         raise ValueError("rebracketing does not intertwine g legs")
     return mat
 
@@ -659,33 +656,21 @@ def check_pentagon(d4: TwoDiagram, d3: TwoDiagram, d2: TwoDiagram,
                    d1: TwoDiagram) -> bool:
     """The five bracketings of a four-fold vertical composite commute around
     the pentagon of canonical comparison 3-cells."""
-    vc = vertical_compose
-    w1 = vc(vc(vc(d4, d3), d2), d1)
-    w2 = vc(vc(d4, vc(d3, d2)), d1)
-    w3 = vc(vc(d4, d3), vc(d2, d1))
-    w4 = vc(d4, vc(vc(d3, d2), d1))
-    w5 = vc(d4, vc(d3, vc(d2, d1)))
-    two_step = _rebracket_3cell(w3, w5) @ _rebracket_3cell(w1, w3)
-    three_step = (
-        _rebracket_3cell(w4, w5) @ _rebracket_3cell(w2, w4) @ _rebracket_3cell(w1, w2)
-    )
-    return two_step == three_step
+    return pentagon_commutes(_vertical, _rebracket_3cell, d4, d3, d2, d1)
 
 
 def check_triangle(d2: TwoDiagram, d1: TwoDiagram) -> bool:
     """Compatibility of the associator with the unit 2-diagram in the middle:
     collapsing the unit on either side of the rebracketing agrees."""
     mid = identity_2diagram(d2.src)
-    left_comp = vertical_compose(vertical_compose(d2, mid), d1)
-    right_comp = vertical_compose(d2, vertical_compose(mid, d1))
+    left_comp, wl = _vertical(((d2, mid), d1))
+    right_comp, wr = _vertical((d2, (mid, d1)))
     plain = vertical_compose(d2, d1)
-    alpha = _rebracket_3cell(left_comp, right_comp)
-    r_unit = unit_iso_right(vertical_compose(d2, mid).tensor)
-    l_unit = unit_iso_left(vertical_compose(mid, d1).tensor)
-    left_map = tensor_induced(plain.tensor.quot, [r_unit.mat, d1.M.dim],
-                              left_comp.tensor.quot)
-    right_map = tensor_induced(plain.tensor.quot, [d2.M.dim, l_unit.mat],
-                               right_comp.tensor.quot)
+    alpha = _rebracket_3cell((left_comp, wl), (right_comp, wr))
+    r_unit = unit_iso_right(tensor_over(d2.M, mid.M))
+    l_unit = unit_iso_left(tensor_over(mid.M, d1.M))
+    left_map = tensor_induced(plain.quot, [r_unit.mat, d1.M.dim], left_comp.quot)
+    right_map = tensor_induced(plain.quot, [d2.M.dim, l_unit.mat], right_comp.quot)
     # the two collapses are 3-cells onto the plain composite
     if left_map @ left_comp.f != plain.f or left_map @ left_comp.g != plain.g:
         return False

@@ -354,22 +354,21 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     induced = induced_map(phi, psi, mult_src.tens, mult_tgt.tens)
     lhs = vertical_compose(mult_tgt.diagram, hq)
     rhs = vertical_compose(Z_2cell(induced), mult_src.diagram)
-    n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.tensor.quot)
+    n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.quot)
     end_tgt = mult_tgt.zmn.realization
     end_src = mult_src.zmn.realization
     H = n_res.target
     # pre-unit map: the class of x (x) q composes x after the descended map
     mprime_flat = kron_product(H.product_coords(end_tgt.hom, H, LEAVES_HOM),
                                [end_tgt.dim, n_res.mat])
-    mprime = lhs.tensor.quot.descend(
+    mprime = lhs.quot.descend(
         mprime_flat, "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
-    TR = rhs.tensor
-    r_inverse = kron_product(TR.quot.proj, [H.dim, unit_column(end_src.algebra)])
+    r_inverse = kron_product(rhs.quot.proj, [H.dim, unit_column(end_src.algebra)])
     rflat = H.product_coords(H, end_src.hom, "unit collapse leaves the hom space")
-    r_mat = TR.quot.descend(rflat, "unit collapse does not descend")
+    r_mat = rhs.quot.descend(rflat, "unit collapse does not descend")
     if (r_mat @ r_inverse != Matrix.identity(H.dim, f)
-            or r_inverse @ r_mat != Matrix.identity(TR.quot.dim, f)):
+            or r_inverse @ r_mat != Matrix.identity(rhs.quot.dim, f)):
         raise ValueError("the unit collapse is not invertible")
     cell = ThreeCell(lhs, rhs, r_inverse @ mprime)
     return MSquareResult(d1=d1, d2=d2, hq=hq, mult_src=mult_src,
@@ -453,7 +452,7 @@ def check_m_unit_axiom(b: Algebra) -> bool:
     alg = sq.mult_src.zmn.apex
     lflat = kron_product(alg.mult, [alg.dim, sq.mult_src.mult.mat])
     try:
-        l_desc = sq.lhs.tensor.quot.descend(lflat, "left collapse does not descend")
+        l_desc = sq.lhs.quot.descend(lflat, "left collapse does not descend")
     except ValueError:
         return False
     return sq.cell.mat == sq.r_inverse @ l_desc
@@ -485,17 +484,17 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
     vdim = sq1.mult_src.zmn.apex.dim
 
     # row-by-row side
-    m2f = sq2.rhs.tensor.quot.sect @ sq2.cell.mat @ sq2.lhs.tensor.quot.proj
-    m1f = sq1.rhs.tensor.quot.sect @ sq1.cell.mat @ sq1.lhs.tensor.quot.proj
+    m2f = sq2.rhs.quot.sect @ sq2.cell.mat @ sq2.lhs.quot.proj
+    m1f = sq1.rhs.quot.sect @ sq1.cell.mat @ sq1.lhs.quot.proj
     cbm = cb_mid.mat @ cb_mid.tensor.quot.proj
     side_rows = kron_product(kron_product(kron_product(
-        sq3.rhs.tensor.quot.proj, [cbm, vdim]), [xidim, m1f]), [m2f, q1dim])
+        sq3.rhs.quot.proj, [cbm, vdim]), [xidim, m1f]), [m2f, q1dim])
 
     # interchange-and-compose-columns side
-    pb = beta.cell.mat @ beta.src_diagram.tensor.quot.proj
-    cc = tensor_induced(sq3.hq.tensor.quot, [cb_left.mat, cb_right.mat],
-                        beta.tgt_diagram.tensor.quot)
-    fl3 = sq3.cell.mat @ sq3.lhs.tensor.quot.proj
+    pb = beta.cell.mat @ beta.src_diagram.quot.proj
+    cc = tensor_induced(sq3.hq.quot, [cb_left.mat, cb_right.mat],
+                        beta.tgt_diagram.quot)
+    fl3 = sq3.cell.mat @ sq3.lhs.quot.proj
     side_columns = kron_product(fl3, [xdim, cc @ pb])
 
     return side_rows == side_columns

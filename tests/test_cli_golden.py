@@ -155,6 +155,11 @@ CASES = [
     ("unknown-field", ["center", "--algebra", "k", "--field", "gfp:4"], 2),
     ("tensor-over-mismatch",
      ["tensor-over", "--left", "col:2", "--right", "col:2"], 2),
+    ("corpus-scale-inf", ["corpus", "--scale", "inf"], 2),
+    ("corpus-scale-zero", ["corpus", "--scale", "0"], 2),
+    # a report that cannot be written to --out: one error report, on stdout
+    ("out-unwritable",
+     ["center", "--algebra", "k", "--out", "no-such-dir/report.json"], 2),
     # flags that go together
     ("beta-check-partial-grid",
      ["beta-check", "--d1", "identity:identity:k"], 2),

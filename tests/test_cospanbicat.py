@@ -27,7 +27,7 @@ from centrum.algebra import (
     validate_algebra,
 )
 from centrum import corpus
-from centrum.bimodule import Bimodule, regular_bimodule
+from centrum.bimodule import Bimodule, regular_bimodule, tensor_over
 from centrum.cospanbicat import (
     BetaResult,
     CoherenceReport,
@@ -60,7 +60,14 @@ from centrum.cospanbicat import (
     validate_cospan,
     vertical_compose,
 )
-from centrum.exactla import QQ, Matrix, PrimeField, is_invertible, random_matrix
+from centrum.exactla import (
+    QQ,
+    Matrix,
+    PrimeField,
+    is_invertible,
+    kron_product,
+    random_matrix,
+)
 from centrum.fixtures import (
     extend_cospan,
     matrix_cospan,
@@ -270,6 +277,10 @@ def test_composite_apex_matches_the_kronecker_sum_construction(monkeypatch, fiel
             _reference_composite(comp)
 
 
+FOUR_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)]
+FOUR_FIELD_IDS = ["QQ", "GF2", "GF3", "GF1000003"]
+
+
 # ---------------------------------------------------------------------------
 # 2-diagrams
 
@@ -331,6 +342,52 @@ def test_horizontal_compose_of_identities_has_identity_legs():
     comp = horizontal_compose(identity_2diagram(t1), identity_2diagram(s1))
     assert validate_2diagram(comp) == []
     assert is_invertible(comp.f) and is_invertible(comp.g)
+
+
+def _restricted_tensor(right: TwoDiagram, left: TwoDiagram):
+    """left.M (x)_B right.M as the tensor of two bimodules over B: B acts on
+    left.M through the source cospan's B leg and on right.M through the
+    target cospan's, the construction horizontal_compose reads directly as
+    relations."""
+    B = left.src.b
+    M1, M2 = left.M, right.M
+    m1b = Bimodule(M1.left, B, M1.dim, M1.lact,
+                   [M1.ract_of(left.src.leg_b.mat.col_list(j)) for j in range(B.dim)])
+    m2b = Bimodule(B, M2.right, M2.dim,
+                   [M2.lact_of(right.tgt.leg_a.mat.col_list(j)) for j in range(B.dim)],
+                   M2.ract)
+    return tensor_over(m1b, m2b)
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_FIELD_IDS)
+def test_horizontal_quotient_is_the_restricted_tensor(field):
+    """The composite's quotient is that of the restricted bimodules' tensor
+    product, and the basis element at free position (a, b) of a composite
+    apex acts as the class of L_a (x) R_b, as a kron_product descends it:
+    on an interchanger grid's two rows and on a twisted pair over C2."""
+    rng = random.Random(23)
+    d1p, d1, d2p, d2 = random_interchanger_grid(rng, field)
+    b = alg_group_c2(field)
+    _, dl = extend_cospan(tensor_product_cospan(alg_k(field), b),
+                          alg_product_k(2, field))
+    dr = identity_2diagram(tensor_product_cospan(b, alg_k(field)))
+    pairs = [(d2, d1), (d2p, d1p),
+             tuple(twist_2diagram(d, random_invertible(d.M.dim, rng, field))
+                   for d in (dr, dl))]
+    for right, left in pairs:
+        h = horizontal_compose(right, left)
+        quot = _restricted_tensor(right, left).quot
+        for slot in ("relations", "proj", "sect", "free"):
+            assert getattr(h.quot, slot) == getattr(quot, slot)
+        for acts, lops, rops, apex in (
+                (h.M.lact, left.M.lact, right.M.lact,
+                 compose_cospans(right.tgt, left.tgt).quot),
+                (h.M.ract, left.M.ract, right.M.ract,
+                 compose_cospans(right.src, left.src).quot)):
+            n = len(rops)
+            assert acts == [quot.descend(kron_product(
+                quot.proj, [lops[t // n], rops[t % n]]), "no descent")
+                for t in apex.free]
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +667,11 @@ def test_bench_tracer_canon_walks_interchanger_results():
     canon = load_bench_tracer().canon
     grid = random_interchanger_grid(random.Random(2))
     res = beta_cell(*grid)
-    comp = res.tgt_diagram.parts[3]
+    _, d1, _, d2 = grid
+    # the memoised composite the target diagram's source cospan came from
+    comp = compose_cospans(d2.src, d1.src)
     assert isinstance(res, BetaResult) and isinstance(comp, CospanComposition)
+    assert comp.cospan is res.tgt_diagram.src
     assert canon(comp)[0] == "CospanComposition"
     assert canon(res) == canon(beta_cell(*grid))
 
@@ -660,21 +720,23 @@ def test_composition_checks_survive_optimize():
 # coherence of vertical composition
 
 
-def test_pentagon_of_vertical_composites():
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_FIELD_IDS)
+def test_pentagon_of_vertical_composites(field):
     rng = random.Random(6)
-    c0 = tensor_product_cospan(alg_k(), alg_group_c2())
-    c1, d1 = extend_cospan(c0, alg_product_k(2))
-    d2 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng))
-    d3 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng))
+    c0 = tensor_product_cospan(alg_k(field), alg_group_c2(field))
+    c1, d1 = extend_cospan(c0, alg_product_k(2, field))
+    d2 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng, field))
+    d3 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng, field))
     d4 = identity_2diagram(c1)
     assert check_pentagon(d4, d3, d2, d1)
 
 
-def test_triangle_of_vertical_composites():
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_FIELD_IDS)
+def test_triangle_of_vertical_composites(field):
     rng = random.Random(8)
-    c0 = tensor_product_cospan(alg_k(), alg_group_c2())
-    c1, d1 = extend_cospan(c0, alg_dual_numbers())
-    d2 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng))
+    c0 = tensor_product_cospan(alg_k(field), alg_group_c2(field))
+    c1, d1 = extend_cospan(c0, alg_dual_numbers(field))
+    d2 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng, field))
     assert check_triangle(d2, d1)
 
 

@@ -288,9 +288,9 @@ def check_refusals():
     c1, d1 = extend_cospan(c0, alg_dual_numbers())
     rng = random.Random(8)
     d2 = twist_2diagram(identity_2diagram(c1), random_invertible(4, rng))
-    w = vertical_compose(d2, d1)
-    off_f = TwoDiagram(w.src, w.tgt, w.M, w.f.scale(2), w.g, w.tensor, w.parts)
-    off_g = TwoDiagram(w.src, w.tgt, w.M, w.f, w.g.scale(2), w.tensor, w.parts)
+    w, ww = cospanbicat._vertical((d2, d1))
+    off_f = TwoDiagram(w.src, w.tgt, w.M, w.f.scale(2), w.g, w.quot), ww
+    off_g = TwoDiagram(w.src, w.tgt, w.M, w.f, w.g.scale(2), w.quot), ww
     other = identity_2diagram(tensor_product_cospan(k, k2))
 
     def doubled(fn):
@@ -327,9 +327,9 @@ def check_refusals():
         "interchanger rows": (
             lambda: beta_cell(d2, other, d2, d2), "the grid's rows must compose"),
         "rebracketing f legs": (
-            lambda: cospanbicat._rebracket_3cell(w, off_f), "intertwine f legs"),
+            lambda: cospanbicat._rebracket_3cell((w, ww), off_f), "intertwine f legs"),
         "rebracketing g legs": (
-            lambda: cospanbicat._rebracket_3cell(w, off_g), "intertwine g legs"),
+            lambda: cospanbicat._rebracket_3cell((w, ww), off_g), "intertwine g legs"),
     }
     out = []
     for name, (op, message) in ops.items():
