@@ -212,6 +212,7 @@ def opposite_algebra(a: Algebra) -> Algebra:
 def matrix_algebra(base: Algebra, n: int) -> Algebra:
     """M_n(base): basis E_{ij} (x) e_k at index (i*n + j)*base.dim + k, the
     tensor product of the matrix units with base."""
+    check_dim(n * n * base.dim, f"M_{n} of a {base.dim}-dimensional algebra")
     out = tensor_algebra(alg_matrix(n, base.field), base)
     out.name = f"M{n}({base.name})" if base.name else f"M{n}"
     return out
@@ -244,6 +245,20 @@ def product_algebra(parts) -> Algebra:
 
 # -- named constructors ------------------------------------------------------
 
+# The most dimensions a sized constructor builds: an algebra of dimension d
+# stores d^3 structure constants, so this allows 10^6.  A larger size is
+# refused before anything is allocated (matrix:50 would ask for 50^6,
+# about 1.6e10 list entries).
+MAX_DIM = 100
+
+
+def check_dim(dim: int, what: str) -> None:
+    """Refuse (ValueError) an algebra of more than MAX_DIM dimensions."""
+    if dim > MAX_DIM:
+        raise ValueError(f"{what} is too large: an algebra may have at most"
+                         f" {MAX_DIM} dimensions ({MAX_DIM ** 3} structure"
+                         " constants)")
+
 
 def alg_k(field=QQ) -> Algebra:
     return Algebra(Matrix.identity(1, field), [field.one], "k")
@@ -252,6 +267,7 @@ def alg_k(field=QQ) -> Algebra:
 def alg_matrix(n: int, field=QQ) -> Algebra:
     """The matrix units: E_ij at index i*n + j, with E_ij E_jq = E_iq."""
     nn = n * n
+    check_dim(nn, f"matrix:{n}")
     rows = [[field.zero] * (nn * nn) for _ in range(nn)]
     for i in range(n):
         for j in range(n):
@@ -263,6 +279,7 @@ def alg_matrix(n: int, field=QQ) -> Algebra:
 
 
 def alg_product_k(m: int, field=QQ) -> Algebra:
+    check_dim(m, f"product:k^{m}")
     a = product_algebra([alg_k(field) for _ in range(m)])
     a.name = f"k^{m}"
     return a

@@ -40,6 +40,7 @@ from .algebra import (
     alg_product_k,
     center,
     centralizer,
+    check_dim,
     identity_map,
     is_commutative,
     named_algebra,
@@ -180,13 +181,18 @@ def parse_matrix(rows, shape, field, what) -> Matrix:
     return Matrix(data, field, ncols=c)
 
 
-def _spec_int(text, what) -> int:
+def _matrix_size(text, what) -> int:
+    """The n of a diag:<n>, row:<n> or col:<n> spec, each built on M_n(k)."""
     try:
         n = int(text)
     except ValueError:
         raise InputError(f"{what}: expected an integer, got {text!r}")
     if n < 1:
         raise InputError(f"{what}: must be at least 1")
+    try:
+        check_dim(n * n, f"{what}:{n}")
+    except ValueError as exc:
+        raise InputError(str(exc))
     return n
 
 
@@ -399,7 +405,7 @@ CODECS = {
          ("unit:<algebra>",
           lambda rest, field: unit_map(load("algebra", rest, field))),
          ("diag:<n>", lambda rest, field: diagonal_inclusion(
-             _spec_int(rest, "diag"), field))),
+             _matrix_size(rest, "diag"), field))),
         lambda f: validate_algebra_map(f),
         lambda f: {"src_dim": f.src.dim, "tgt_dim": f.tgt.dim}),
     "bimodule": Codec(
@@ -408,9 +414,9 @@ CODECS = {
           lambda rest, field: regular_bimodule(load("algebra", rest, field))),
          ("free:<algebra>,<algebra>", _free_bimodule),
          ("row:<n>",
-          lambda rest, field: row_bimodule(_spec_int(rest, "row"), field)),
+          lambda rest, field: row_bimodule(_matrix_size(rest, "row"), field)),
          ("col:<n>",
-          lambda rest, field: col_bimodule(_spec_int(rest, "col"), field))),
+          lambda rest, field: col_bimodule(_matrix_size(rest, "col"), field))),
         lambda m: validate_bimodule(m),
         lambda m: {"dim": m.dim, "left_dim": m.left.dim,
                    "right_dim": m.right.dim}),
@@ -865,6 +871,10 @@ def _verify_morita(args, s, rep):
         raise InputError(f"verify morita: --n must be at least 1, got"
                          f" {args.n}")
     a = resolve(s, "algebra", args.algebra)
+    try:
+        check_dim(args.n * args.n * a.dim, f"verify morita: --n {args.n}")
+    except ValueError as exc:
+        raise InputError(str(exc))
     res = morita_center_check(a, args.n)
     rep.result = {
         "n": args.n,
@@ -896,6 +906,9 @@ def _verify_thm58(args, s, rep):
 def cmd_corpus(args, s, rep):
     if not 0 < args.scale < math.inf:
         raise InputError(f"corpus: --scale must be positive and finite, got {args.scale}")
+    if args.scale > corpus.MAX_SCALE:
+        raise InputError(f"corpus: --scale must be at most {corpus.MAX_SCALE:g},"
+                         f" got {args.scale}")
     results = corpus.run_all(seed=s.seed, scale=args.scale, field=s.field)
     batteries = []
     for name, coherence in results:

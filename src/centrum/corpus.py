@@ -82,6 +82,13 @@ from .fullcenter import (
 )
 
 
+# The most instances one family runs.  The largest families (coequalizer
+# pairs, interchange trials) have 200 at scale 1, so a scale above
+# MAX_SCALE would pass MAX_INSTANCES; the CLI refuses one.
+MAX_INSTANCES = 10**6
+MAX_SCALE = MAX_INSTANCES / 200
+
+
 def _count(base: int, scale: float) -> int:
     return max(1, math.ceil(base * scale))
 

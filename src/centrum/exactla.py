@@ -34,7 +34,12 @@ Matrix.kron is left to where the Kronecker product is itself the object.
 combination adds scaled matrices term by term, the one loop for a linear
 combination of matrices.  kernel and cokernel eliminate only the distinct
 nonzero rows of their input.  memoised computes a pure construction once
-per argument content, in a bounded least-recently-used cache.
+per argument content, in a bounded least-recently-used cache keyed by
+content_key.  content_key builds the key of an object with slots once and
+serves it again from key_cache, a least-recently-used cache of KEY_BOUND
+entries; each entry holds its object, so that its id cannot pass to
+another object while the key is served.  A Matrix or a list is walked on
+every call.
 """
 
 from __future__ import annotations
@@ -1056,11 +1061,29 @@ class FlatWitness:
 MEMO_BOUND = 64
 
 
+# content keys held by content_key: the objects with slots that a run of
+# verdicts on recurring inputs keys again.  In one in-process pass of
+# bench/run.py's center-gfp pool (seed 1, --seconds 15), keying 1,732
+# distinct objects, a 1-entry cache makes 11,544 object walks that read
+# 664,833 matrix entries; 64 entries make 2,433 walks (118,465 entries),
+# 256 make 1,968, 512 make 1,805 (114,379) and an unbounded cache 1,732
+# (114,125).  A 64-entry cache measured no faster end to end than none.
+KEY_BOUND = 512
+
+# id(x) -> (x, content_key(x)), least recently used first (see content_key)
+key_cache = {}
+
+
 def content_key(x):
     """A hashable value, equal exactly for objects equal on the nose: a
     matrix by its field and its canonical rows, a list by its entries, an
     object with slots by its type and slots but its name; a scalar or field
-    by itself."""
+    by itself.  The key of an object with slots is built once and then
+    served from key_cache, which keeps the KEY_BOUND objects keyed most
+    recently and holds each one, so that its id cannot pass to another
+    object while its key is served; such an object must not change once
+    keyed, as a memoised result must not.  A Matrix or a list is walked on
+    every call."""
     if type(x) is Matrix:
         return (x.field, x.cols, tuple(map(tuple, x.num)), x.den and tuple(x.den))
     if type(x) is list:
@@ -1068,8 +1091,14 @@ def content_key(x):
     slots = getattr(type(x), "__slots__", None)
     if slots is None:
         return x
-    return (type(x),) + tuple(content_key(getattr(x, s)) for s in slots
-                              if s != "name")
+    held = key_cache.pop(id(x), None)
+    if held is None or held[0] is not x:
+        held = (x, (type(x),) + tuple(content_key(getattr(x, s)) for s in slots
+                                      if s != "name"))
+        if len(key_cache) >= KEY_BOUND:
+            del key_cache[next(iter(key_cache))]
+    key_cache[id(x)] = held
+    return held[1]
 
 
 def same_content(a, b) -> bool:

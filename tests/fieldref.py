@@ -21,7 +21,8 @@ The entry-by-entry references at the end (``add_ref``, ``kron_ref``,
 operations, and ``ref_validate_bimodule`` checks the bimodule axioms one
 pair of basis elements at a time on them.  ``ref_solve_3cell_family``
 builds the 3-cell system row by row and solves it on ``rref_ref`` and
-``kernel_ref``.
+``kernel_ref``.  ``content_key_ref`` walks an object for its content key
+afresh every time, as ``exactla.content_key`` does before its cache.
 """
 
 import contextlib
@@ -160,6 +161,20 @@ def reference_kernels():
         yield
     finally:
         exactla.Matrix.__matmul__, exactla.rref = saved
+
+
+def content_key_ref(x):
+    """exactla.content_key walked afresh, with no cache: the key every key
+    the cache serves must equal."""
+    if type(x) is Matrix:
+        return (x.field, x.cols, tuple(map(tuple, x.num)), x.den and tuple(x.den))
+    if type(x) is list:
+        return tuple(map(content_key_ref, x))
+    slots = getattr(type(x), "__slots__", None)
+    if slots is None:
+        return x
+    return (type(x),) + tuple(content_key_ref(getattr(x, s)) for s in slots
+                              if s != "name")
 
 
 # ---------------------------------------------------------------------------

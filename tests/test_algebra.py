@@ -20,6 +20,7 @@ from centrum.cli import algebra_dict, algebra_from_dict, content_hash, fmt_vecto
 from centrum.corpus import _automorphism_pool
 from centrum.exactla import QQ, Matrix, PrimeField, is_invertible, rank, same_content
 from centrum.algebra import (
+    MAX_DIM,
     Algebra,
     AlgebraMap,
     alg_dual_numbers,
@@ -267,6 +268,20 @@ def test_named_constructor_parsing():
     assert named_algebra("group:C2").dim == 2
     with pytest.raises(ValueError):
         named_algebra("nope")
+
+
+def test_sized_constructors_refuse_past_max_dim():
+    """Only refused sizes are tried: each is refused before anything is
+    allocated (matrix:100000 asked for 10^30 list entries)."""
+    builds = (lambda: alg_matrix(11), lambda: alg_matrix(100000),
+              lambda: alg_product_k(MAX_DIM + 1),
+              lambda: matrix_algebra(alg_matrix(2), 6),
+              lambda: named_algebra("matrix:11"),
+              lambda: named_algebra(f"product:k^{MAX_DIM + 1}"))
+    for build in builds:
+        with pytest.raises(ValueError, match="is too large: an algebra may"
+                           f" have at most {MAX_DIM} dimensions"):
+            build()
 
 
 # -- maps --------------------------------------------------------------------

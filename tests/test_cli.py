@@ -4,12 +4,15 @@ fail their validators."""
 
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from centrum import corpus
 from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
 from centrum.cli import (
     CODECS,
@@ -390,6 +393,15 @@ def test_corpus_over_four_primes(p, failing, capsys):
     r = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in r["checks"] if not c["ok"]] == failing
     assert code == (1 if failing else 0)
+
+
+def test_corpus_scale_bound_covers_every_family():
+    """MAX_SCALE keeps every family within MAX_INSTANCES: no battery asks
+    _count for more than MAX_INSTANCES / MAX_SCALE instances at scale 1."""
+    source = Path(corpus.__file__).read_text(encoding="utf-8")
+    bases = [int(b) for b in re.findall(r"_count\((\d+),", source)]
+    assert max(bases) * corpus.MAX_SCALE <= corpus.MAX_INSTANCES
+    assert corpus._count(max(bases), corpus.MAX_SCALE) == corpus.MAX_INSTANCES
 
 
 def test_malformed_bimodule_action_exits_two(monkeypatch, tmp_path, capsys):

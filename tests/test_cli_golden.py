@@ -151,12 +151,21 @@ CASES = [
      ["validate", "bimodule", "@bimodule_broken_commute.json"], 2),
     ("algebra-size-not-integer", ["center", "--algebra", "matrix:x"], 2),
     ("diag-size-zero", ["validate", "map", "diag:0"], 2),
+    # sizes past algebra.MAX_DIM, refused before anything is allocated
+    ("algebra-size-huge", ["center", "--algebra", "matrix:11"], 2),
+    ("product-size-huge", ["validate", "algebra", "product:k^101"], 2),
+    ("diag-size-huge", ["validate", "map", "diag:11"], 2),
+    ("row-size-huge", ["validate", "bimodule", "row:11"], 2),
+    ("col-size-huge", ["validate", "bimodule", "col:11"], 2),
+    ("morita-n-huge",
+     ["verify", "morita", "--algebra", "matrix:2", "--n", "100000"], 2),
     ("free-one-algebra", ["validate", "bimodule", "free:k"], 2),
     ("unknown-field", ["center", "--algebra", "k", "--field", "gfp:4"], 2),
     ("tensor-over-mismatch",
      ["tensor-over", "--left", "col:2", "--right", "col:2"], 2),
     ("corpus-scale-inf", ["corpus", "--scale", "inf"], 2),
     ("corpus-scale-zero", ["corpus", "--scale", "0"], 2),
+    ("corpus-scale-huge", ["corpus", "--scale", "1e300"], 2),
     # a report that cannot be written to --out: one error report, on stdout
     ("out-unwritable",
      ["center", "--algebra", "k", "--out", "no-such-dir/report.json"], 2),

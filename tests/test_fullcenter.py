@@ -16,8 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from fieldref import content_key_ref
 
 from centrum.exactla import (
+    KEY_BOUND,
     MEMO_BOUND,
     QQ,
     Matrix,
@@ -619,12 +621,87 @@ def test_served_results_are_never_mutated():
     for fn in ALL_MEMOISED:
         fn.cache.clear()
     batteries()
-    served = [(fn.__name__, out, content_key(out))
+    # keyed by fresh walks: content_key would serve the keys it holds
+    served = [(fn.__name__, out, content_key_ref(out))
               for fn in ALL_MEMOISED for out in fn.cache.values()]
     assert {name for name, _, _ in served} == {fn.__name__ for fn in ALL_MEMOISED}
     assert [leaf for _, _, key in served for leaf in plain_leaves(key)] == []
     batteries()
-    assert [name for name, out, key in served if content_key(out) != key] == []
+    assert [name for name, out, key in served if content_key_ref(out) != key] == []
+
+
+class CheckedKeyCache(dict):
+    """A stand-in for exactla.key_cache that checks every key it serves
+    against a fresh walk of its object."""
+
+    def __init__(self):
+        super().__init__()
+        self.served, self.stale = 0, []
+
+    def pop(self, key, default=None):
+        held = super().pop(key, default)
+        if held is not None:
+            self.served += 1
+            if content_key_ref(held[0]) != held[1]:
+                self.stale.append(held[0])
+        return held
+
+
+def test_key_cache_serves_each_object_its_own_key(monkeypatch):
+    import centrum.exactla as exactla
+
+    cache = CheckedKeyCache()
+    monkeypatch.setattr(exactla, "key_cache", cache)
+    for fn in ALL_MEMOISED:
+        fn.cache.clear()
+    field = PrimeField(1000003)
+    assert lax_functor_battery(random.Random(1), 0.1, field).ok
+    assert semisimple_battery(random.Random(1), 0.1, field).ok
+    assert lax_functor_battery(random.Random(1), 0.1, QQ).ok
+    assert cache.served > 1000
+    assert cache.stale == []
+
+
+def test_key_cache_never_serves_a_dropped_objects_key():
+    """More content-distinct short-lived maps than the cache holds, each
+    dropped once keyed: Python gives the ids of evicted maps to new ones,
+    and each new map still gets its own key."""
+    k = alg_k()
+    ids = set()
+    for i in range(3 * KEY_BOUND):
+        f = AlgebraMap(k, k, Matrix.from_int_rows([[i]], QQ))
+        ids.add(id(f))
+        assert content_key(f) == content_key_ref(f)
+        del f
+    assert len(ids) < 3 * KEY_BOUND  # ids were reused
+
+
+def test_a_second_lax_verification_walks_no_chain_matrix(monkeypatch):
+    """Work counted: verifying a chain walks the multiplication table of
+    each of its algebras and the matrix of each of its maps once, and
+    verifying the same chain objects again walks none of them."""
+    import centrum.exactla as exactla
+
+    field = PrimeField(1000003)
+    chain = random_map_chain(random.Random(1), length=3, field=field,
+                             pool=algebra_map_pool(field))
+    watched = {id(f.mat) for f in chain}
+    watched |= {id(a.mult) for f in chain for a in (f.src, f.tgt)}
+    walked, real = [], exactla.content_key
+
+    def spy(x):
+        if type(x) is Matrix and id(x) in watched:
+            walked.append(x)
+        return real(x)
+
+    monkeypatch.setattr(exactla, "content_key", spy)
+    for fn in ALL_MEMOISED:
+        fn.cache.clear()
+    assert verify_lax_functor(chain).ok
+    assert len(walked) == len(watched)
+    walked.clear()
+    assert verify_lax_functor(chain).ok
+    assert walked == []
 
 
 # -- invariant checks that survive python -O ---------------------------------
