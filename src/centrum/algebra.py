@@ -373,10 +373,14 @@ def compose_maps(g: AlgebraMap, f: AlgebraMap) -> AlgebraMap:
     return AlgebraMap(f.src, g.tgt, g.mat @ f.mat)
 
 
+def unit_column(a: Algebra) -> Matrix:
+    """The unit of A as a dim x 1 matrix."""
+    return Matrix.from_columns([a.unit], a.dim, a.field)
+
+
 def unit_map(a: Algebra) -> AlgebraMap:
     """The unique algebra map k -> A."""
-    k = alg_k(a.field)
-    return AlgebraMap(k, a, Matrix.from_columns([a.unit], a.dim, a.field))
+    return AlgebraMap(alg_k(a.field), a, unit_column(a))
 
 
 def is_isomorphism(f: AlgebraMap) -> "AlgebraMap | None":

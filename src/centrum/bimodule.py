@@ -28,6 +28,8 @@ HomSpace.product_coords: one slot product each, and no Subspace.
 
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.
+Maps of tensor products go through exactla.tensor_induced alone (on bare
+quotients in interchange_check), and every unit collapse through unit_collapse.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import Algebra, AlgebraMap
+from .algebra import Algebra, AlgebraMap, unit_column
 from .exactla import (
     FlatWitness,
     HomSpace,
     Matrix,
+    Quotient,
     cokernel,
     combination,
     inverse,
@@ -109,7 +112,7 @@ def validate_bimodule(m: Bimodule) -> list[str]:
         out.append("left action is not unital")
     if m.ract_of(B.unit) != I:
         out.append("right action is not unital")
-    L, R = _left_action_collapse(m), _right_action_collapse(m)
+    L, R = left_action_collapse(m), right_action_collapse(m)
     # column ((i, j), k): e_i e_j acting on e_k
     left = {c // d for c in _differing_columns(kron_product(L, [A.mult, d]),
                                                kron_product(L, [a, L]))}
@@ -208,9 +211,6 @@ class BimoduleMap:
         self.src = src
         self.tgt = tgt
         self.mat = mat
-
-    def apply(self, vec):
-        return self.mat.apply(vec)
 
     def __repr__(self):
         return f"BimoduleMap({self.src.dim} -> {self.tgt.dim})"
@@ -334,6 +334,13 @@ def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matri
     return Matrix.cleared(data, den, field, n)
 
 
+def _tensor_quotient(m: Bimodule, n: Bimodule) -> Quotient:
+    """The quotient of M (x) N by the relations over the middle algebra B."""
+    if not same_content(m.right, n.left):
+        raise ValueError("middle algebras must agree")
+    return cokernel(middle_relations(m.dim, n.dim, m.ract, n.lact, m.field))
+
+
 class TensorResult:
     """M (x)_B N: the quotient with witnesses plus the induced outer
     bimodule structure over (left of M, right of N); every induced action is
@@ -342,11 +349,7 @@ class TensorResult:
     __slots__ = ("left_factor", "right_factor", "quot", "product")
 
     def __init__(self, m: Bimodule, n: Bimodule):
-        if not same_content(m.right, n.left):
-            raise ValueError("middle algebras must agree")
-        f = m.field
-        rel = middle_relations(m.dim, n.dim, m.ract, n.lact, f)
-        quot = cokernel(rel)
+        quot = _tensor_quotient(m, n)
         # proj @ (L (x) I) for all L in one slot product, proj @ (I (x) R) in another
         lact, ract = ([quot.descend(T, "map does not descend to the quotient")
                        for T in slot_products(quot.proj, ops, left, right)]
@@ -426,13 +429,13 @@ def assoc_iso(m: Bimodule, n: Bimodule, p: Bimodule):
     return bl, br, iso, BimoduleMap(br, bl, bwd)
 
 
-def _left_action_collapse(m: Bimodule) -> Matrix:
+def left_action_collapse(m: Bimodule) -> Matrix:
     """Flat map A (x) M -> M, e_i (x) e_j -> lact[i] e_j (A = left algebra):
     the lact side by side."""
     return stack_columns([Matrix.zeros(m.dim, 0, m.field), *m.lact])
 
 
-def _right_action_collapse(m: Bimodule) -> Matrix:
+def right_action_collapse(m: Bimodule) -> Matrix:
     """Flat map M (x) B -> M, e_i (x) e_j -> ract[j] e_i (B = right algebra):
     the ract side by side, with the columns (j, i) moved to (i, j)."""
     b = m.right.dim
@@ -440,20 +443,29 @@ def _right_action_collapse(m: Bimodule) -> Matrix:
         [j * m.dim + i for i in range(m.dim) for j in range(b)])
 
 
+def unit_collapse(quot, collapse: Matrix, back_factors, name: str):
+    """A unit collapse and its inverse: (collapse descended through quot,
+    quot.proj @ (back_factors) as a kron_product, which puts the unit
+    back), checked to be two-sided inverses; name names the collapse in
+    the refusals."""
+    mat = quot.descend(collapse, f"{name} does not descend")
+    back = kron_product(quot.proj, back_factors)
+    f = quot.field
+    if (mat @ back != Matrix.identity(mat.rows, f)
+            or back @ mat != Matrix.identity(quot.dim, f)):
+        raise ValueError(f"{name} is not invertible")
+    return mat, back
+
+
 def unit_iso_left(t: TensorResult) -> BimoduleMap:
     """A (x)_A M -> M, a (x) m -> a.m, with a two-sided inverse checked.
 
     The left factor must be the regular bimodule of the left algebra."""
     m = t.right_factor
-    a = t.left_factor
-    f = m.field
-    if a.dim != m.left.dim:
+    if t.left_factor.dim != m.left.dim:
         raise ValueError("the left factor is not the left algebra")
-    mat = t.quot.descend(_left_action_collapse(m), "action does not descend")
-    unit_col = Matrix.from_columns([a.left.unit], a.dim, f)
-    back = kron_product(t.quot.proj, [unit_col, m.dim])
-    if mat @ back != Matrix.identity(m.dim, f) or back @ mat != Matrix.identity(t.dim, f):
-        raise ValueError("the left unit collapse is not invertible")
+    mat, _ = unit_collapse(t.quot, left_action_collapse(m), [unit_column(m.left), m.dim],
+                           "the left unit collapse")
     return BimoduleMap(t.product, m, mat)
 
 
@@ -462,15 +474,10 @@ def unit_iso_right(t: TensorResult) -> BimoduleMap:
 
     The right factor must be the regular bimodule of the right algebra."""
     m = t.left_factor
-    b = t.right_factor
-    f = m.field
-    if b.dim != m.right.dim:
+    if t.right_factor.dim != m.right.dim:
         raise ValueError("the right factor is not the right algebra")
-    mat = t.quot.descend(_right_action_collapse(m), "action does not descend")
-    unit_col = Matrix.from_columns([b.left.unit], b.dim, f)
-    back = kron_product(t.quot.proj, [m.dim, unit_col])
-    if mat @ back != Matrix.identity(m.dim, f) or back @ mat != Matrix.identity(t.dim, f):
-        raise ValueError("the right unit collapse is not invertible")
+    mat, _ = unit_collapse(t.quot, right_action_collapse(m), [m.dim, unit_column(m.right)],
+                           "the right unit collapse")
     return BimoduleMap(t.product, m, mat)
 
 
@@ -502,33 +509,25 @@ def triangle_check(m: Bimodule, n: Bimodule) -> bool:
     _, wr = _bracketing((m, (B, n)))
     _, target = _bracketing((m, n))
     alpha = _rebracket(wl, wr)
-    left_map = wl.descend(
-        kron_product(target.proj, [_right_action_collapse(m), n.dim]),
-        _TOWER_DESCENT)
-    right_map = wr.descend(
-        kron_product(target.proj, [m.dim, _left_action_collapse(n)]),
-        _TOWER_DESCENT)
+    left_map = tensor_induced(target, [right_action_collapse(m), n.dim], wl,
+                              _TOWER_DESCENT)
+    right_map = tensor_induced(target, [m.dim, left_action_collapse(n)], wr,
+                               _TOWER_DESCENT)
     return (right_map @ alpha) == left_map
 
 
 def interchange_check(xi: BimoduleMap, zeta: BimoduleMap) -> bool:
     """(xi (x) 1') o (1 (x) zeta) == (1' (x) zeta) o (xi (x) 1) == xi (x) zeta
-    as maps M (x)_B N -> M' (x)_B N'."""
-    M, Mp = xi.src, xi.tgt
-    N, Np = zeta.src, zeta.tgt
-    t_m_n = tensor_over(M, N)
-    t_mp_n = tensor_over(Mp, N)
-    t_m_np = tensor_over(M, Np)
-    t_mp_np = tensor_over(Mp, Np)
-    first = (
-        induced_map(xi, identity_bimodule_map(Np), t_m_np, t_mp_np).mat
-        @ induced_map(identity_bimodule_map(M), zeta, t_m_n, t_m_np).mat
-    )
-    second = (
-        induced_map(identity_bimodule_map(Mp), zeta, t_mp_n, t_mp_np).mat
-        @ induced_map(xi, identity_bimodule_map(N), t_m_n, t_mp_n).mat
-    )
-    both = induced_map(xi, zeta, t_m_n, t_mp_np).mat
+    as maps M (x)_B N -> M' (x)_B N', each induced on the bare quotients with
+    its identity factor as an int."""
+    M, Mp, N, Np = xi.src, xi.tgt, zeta.src, zeta.tgt
+    q_m_n, q_mp_n, q_m_np, q_mp_np = (_tensor_quotient(m, n) for m, n in (
+        (M, N), (Mp, N), (M, Np), (Mp, Np)))
+    first = (tensor_induced(q_mp_np, [xi.mat, Np.dim], q_m_np)
+             @ tensor_induced(q_m_np, [M.dim, zeta.mat], q_m_n))
+    second = (tensor_induced(q_mp_np, [Mp.dim, zeta.mat], q_mp_n)
+              @ tensor_induced(q_mp_n, [xi.mat, N.dim], q_m_n))
+    both = tensor_induced(q_mp_np, [xi.mat, zeta.mat], q_m_n)
     return first == second == both
 
 

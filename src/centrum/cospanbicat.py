@@ -39,6 +39,7 @@ from .algebra import (
     is_commutative,
     is_isomorphism,
     tensor_algebra,
+    unit_column,
     validate_algebra_map,
 )
 from .bimodule import (
@@ -70,10 +71,6 @@ from .exactla import (
     tensor_induced,
     tensor_permutation_index,
 )
-
-
-def unit_column(a: Algebra) -> Matrix:
-    return Matrix.from_columns([a.unit], a.dim, a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +361,10 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     ract = _composite_actions(quot, src_comp.quot, M1.ract, M2.ract,
                               "right action does not respect the apex relations")
     M = Bimodule(tgt_comp.cospan.apex, src_comp.cospan.apex, quot.dim, lact, ract)
-    fmat = src_comp.quot.descend(kron_product(quot.proj, [left.f, right.f]),
-                                 "f leg does not descend to the composite")
-    gmat = tgt_comp.quot.descend(kron_product(quot.proj, [left.g, right.g]),
-                                 "g leg does not descend to the composite")
+    fmat = tensor_induced(quot, [left.f, right.f], src_comp.quot,
+                          "f leg does not descend to the composite")
+    gmat = tensor_induced(quot, [left.g, right.g], tgt_comp.quot,
+                          "g leg does not descend to the composite")
     return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat, quot)
 
 
@@ -612,12 +609,10 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
     3-cells between two grids (delta maps go from the bd grid to the be
     grid, matching the grid positions of beta_cell's arguments)."""
     try:
-        ind_src = bd.src_witness.descend(
-            kron_product(be.src_witness.proj, [delta1p, delta2p, delta1, delta2]),
-            "source map does not descend")
-        ind_tgt = bd.tgt_witness.descend(
-            kron_product(be.tgt_witness.proj, [delta1p, delta1, delta2p, delta2]),
-            "target map does not descend")
+        ind_src = tensor_induced(be.src_witness, [delta1p, delta2p, delta1, delta2],
+                                 bd.src_witness, "source map does not descend")
+        ind_tgt = tensor_induced(be.tgt_witness, [delta1p, delta1, delta2p, delta2],
+                                 bd.tgt_witness, "target map does not descend")
     except ValueError:
         return False
     return be.cell.mat @ ind_src == ind_tgt @ bd.cell.mat

@@ -992,13 +992,14 @@ def cokernel(rel: Matrix) -> Quotient:
     return Quotient(n, B, n - d, proj, sect, field, free)
 
 
-def tensor_induced(q_tgt: Quotient, factors, q_src: Quotient) -> Matrix:
+def tensor_induced(q_tgt, factors, q_src,
+                   message="map does not descend to the quotient") -> Matrix:
     """The map induced on the quotients by F = F_1 (x) ... (x) F_k: ambient
     of q_src -> ambient of q_tgt (an int n the identity of k^n), with
-    q_tgt.proj @ F as a kron_product; raises unless F maps the source
-    relations into the target relations."""
-    return q_src.descend(kron_product(q_tgt.proj, factors),
-                         "map does not descend to the quotient")
+    q_tgt.proj @ F as a kron_product; raises ValueError(message) unless F
+    maps the source relations into the target relations.  Either end may
+    be a Quotient or a FlatWitness: only its proj and descend are read."""
+    return q_src.descend(kron_product(q_tgt.proj, factors), message)
 
 
 class FlatWitness:

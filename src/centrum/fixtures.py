@@ -19,6 +19,7 @@ from .algebra import (
     identity_map,
     matrix_algebra,
     tensor_algebra,
+    unit_column,
     unit_map,
 )
 from .bimodule import (
@@ -35,7 +36,6 @@ from .cospanbicat import (
     TwoDiagram,
     cospan_morphism_2diagram,
     identity_2diagram,
-    unit_column,
 )
 from .exactla import (
     QQ,

@@ -15,7 +15,8 @@ The apex of a bimodule's cospan is End(M), and the 2-diagram of a bimodule
 map M -> N (Z_2cell, which returns it) lives on the hom space [M, N]: each
 is a bimodule.hom_space, an exactla.HomSpace, and every operator on one
 has its matrix read off by HomSpace.product_coords when it composes with
-the basis, and by HomSpace.coords otherwise.
+the basis, and by HomSpace.coords otherwise.  m_square's composition tables
+are the action collapses of Z_2cell(induced).M, its hom bimodule.
 
 Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
 algebra.center, bimodule.hom_space, bimodule.end_algebra and
@@ -40,6 +41,7 @@ from .algebra import (
     is_isomorphism,
     matrix_algebra,
     subalgebra_map,
+    unit_column,
     validate_algebra_map,
 )
 from .bimodule import (
@@ -54,10 +56,13 @@ from .bimodule import (
     hom_space,
     identity_bimodule_map,
     induced_map,
+    left_action_collapse,
     middle_relations,
     regular_bimodule,
     restriction_bimodule,
+    right_action_collapse,
     tensor_over,
+    unit_collapse,
 )
 from .cospanbicat import (
     CoherenceReport,
@@ -70,7 +75,6 @@ from .cospanbicat import (
     cospan_morphism_2diagram,
     horizontal_compose,
     pushout_universal,
-    unit_column,
     validate_2diagram,
     validate_3cell,
     validate_cospan,
@@ -347,29 +351,24 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     """Build the square 3-cell for a pair of bimodule maps; its 3-cell
     axioms are checked by validate_3cell where a verdict is read."""
     d1, d2 = Z_2cell(phi), Z_2cell(psi)
-    f = phi.src.field
     hq = horizontal_compose(d2, d1)
     mult_src = mult_transform_bimodule(phi.src, psi.src)
     mult_tgt = mult_transform_bimodule(phi.tgt, psi.tgt)
     induced = induced_map(phi, psi, mult_src.tens, mult_tgt.tens)
+    z_induced = Z_2cell(induced)
     lhs = vertical_compose(mult_tgt.diagram, hq)
-    rhs = vertical_compose(Z_2cell(induced), mult_src.diagram)
+    rhs = vertical_compose(z_induced, mult_src.diagram)
     n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.quot)
-    end_tgt = mult_tgt.zmn.realization
-    end_src = mult_src.zmn.realization
-    H = n_res.target
+    # [M (x) N, M' (x) N'] over (End(M' (x) N'), End(M (x) N))
+    hom_bm = z_induced.M
     # pre-unit map: the class of x (x) q composes x after the descended map
-    mprime_flat = kron_product(H.product_coords(end_tgt.hom, H, LEAVES_HOM),
-                               [end_tgt.dim, n_res.mat])
     mprime = lhs.quot.descend(
-        mprime_flat, "pre-unit map does not respect the composite relations")
+        kron_product(left_action_collapse(hom_bm), [hom_bm.left.dim, n_res.mat]),
+        "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
-    r_inverse = kron_product(rhs.quot.proj, [H.dim, unit_column(end_src.algebra)])
-    rflat = H.product_coords(H, end_src.hom, "unit collapse leaves the hom space")
-    r_mat = rhs.quot.descend(rflat, "unit collapse does not descend")
-    if (r_mat @ r_inverse != Matrix.identity(H.dim, f)
-            or r_inverse @ r_mat != Matrix.identity(rhs.quot.dim, f)):
-        raise ValueError("the unit collapse is not invertible")
+    _, r_inverse = unit_collapse(rhs.quot, right_action_collapse(hom_bm),
+                                 [hom_bm.dim, unit_column(hom_bm.right)],
+                                 "the unit collapse")
     cell = ThreeCell(lhs, rhs, r_inverse @ mprime)
     return MSquareResult(d1=d1, d2=d2, hq=hq, mult_src=mult_src,
                          mult_tgt=mult_tgt, induced=induced, lhs=lhs, rhs=rhs,
@@ -515,14 +514,14 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     end_src = sq.mult_src.zmn.realization
     end_tgt = sq.mult_tgt.zmn.realization
     H = sq.n_res.target
-    post_phi = H.product_coords([sq.induced.mat], end_src.hom, LEAVES_HOM)
-    pre_phi = H.product_coords(end_tgt.hom, [sq.induced.mat], LEAVES_HOM)
+    # its legs compose phi (x) psi after and before
+    z_induced = Z_2cell(sq.induced)
     n_mat = sq.n_res.mat
     rep.add("upper triangle via n",
             sq.cell.mat @ sq.lhs.f == sq.r_inverse @ n_mat @ sq.hq.f)
     rep.add("upper triangle via multiplication",
-            sq.rhs.f == sq.r_inverse @ post_phi @ sq.mult_src.mult.mat)
-    rep.add("lower triangle", n_mat @ sq.hq.g == pre_phi @ sq.mult_tgt.mult.mat)
+            sq.rhs.f == sq.r_inverse @ z_induced.f @ sq.mult_src.mult.mat)
+    rep.add("lower triangle", n_mat @ sq.hq.g == z_induced.g @ sq.mult_tgt.mult.mat)
     # each action on the composite against composition with its image W_k
     Ws = [end_src.matrix_of(c) for c in sq.mult_src.mult.mat.columns()]
     pre, e = H.product_coords(H, Ws, LEAVES_HOM), len(Ws)  # column (b, k): b W_k

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusals import bimodule_refusals, optimized
 
+import centrum.bimodule as bimodule
 from centrum.algebra import (
     alg_dual_numbers,
     alg_group_c2,
@@ -65,7 +66,7 @@ from centrum.exactla import (
     stack_columns,
     stack_rows,
 )
-from centrum.fixtures import random_bimodule
+from centrum.fixtures import random_bimodule, random_hom_element
 
 
 def to_sympy(m: Matrix) -> sm.Matrix:
@@ -179,6 +180,20 @@ def test_validate_catches_noncommuting_actions():
     bad = Bimodule(a, a, 4, reg.lact, reg.lact)
     msgs = validate_bimodule(bad)
     assert any("commute" in m for m in msgs) or any("anti" in m for m in msgs)
+
+
+def test_validate_bimodule_map_names_the_action_it_breaks():
+    """The swap of k^2 breaks the action of the idempotents of k^2 = product:k^2
+    and keeps that of k."""
+    k, k2 = alg_k(), alg_product_k(2)
+    reg, one = regular_bimodule(k2), Matrix.identity(2, QQ)
+    swap = Matrix.from_int_rows([[0, 1], [1, 0]], QQ)
+    left = Bimodule(k2, k, 2, reg.lact, [one])
+    right = Bimodule(k, k2, 2, [one], reg.ract)
+    assert validate_bimodule_map(BimoduleMap(left, left, swap)) == [
+        "does not intertwine left action of e0", "does not intertwine left action of e1"]
+    assert validate_bimodule_map(BimoduleMap(right, right, swap)) == [
+        "does not intertwine right action of e0", "does not intertwine right action of e1"]
 
 
 DIFF_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(1000003))
@@ -660,6 +675,48 @@ def test_interchange():
                                    for _ in range(end_n.dim)])
         )
         assert interchange_check(xi, zeta)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)],
+                         ids=["QQ", "GF2", "GF3", "GF1000003"])
+def test_interchange_on_quotients_matches_induced_maps(field, monkeypatch):
+    """The five maps that interchange_check induces on bare quotients, with
+    identities as int factors, equal induced_map's on full TensorResults
+    with identity BimoduleMaps, its formulation before it read quotients,
+    so its three composites are theirs.  It calls none of that
+    formulation's functions."""
+    rng = random.Random(23)
+    a, b, c = alg_group_c2(field), alg_dual_numbers(field), alg_product_k(2, field)
+    real, made = bimodule.tensor_induced, []
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    def refused(*args):
+        raise AssertionError("interchange_check built a TensorResult or BimoduleMap")
+
+    for _ in range(3):
+        m, mp = random_bimodule(a, b, rng), random_bimodule(a, b, rng)
+        n, np_ = random_bimodule(b, c, rng), random_bimodule(b, c, rng)
+        xi, zeta = random_hom_element(m, mp, rng), random_hom_element(n, np_, rng)
+        made.clear()
+        monkeypatch.setattr(bimodule, "tensor_induced", recorded)
+        for name in ("tensor_over", "induced_map", "identity_bimodule_map"):
+            monkeypatch.setattr(bimodule, name, refused)
+        assert interchange_check(xi, zeta)
+        monkeypatch.undo()
+        t_m_n, t_mp_n, t_m_np, t_mp_np = (
+            tensor_over(*pair) for pair in ((m, n), (mp, n), (m, np_), (mp, np_)))
+        one = identity_bimodule_map
+        reference = [
+            induced_map(xi, one(np_), t_m_np, t_mp_np),
+            induced_map(one(m), zeta, t_m_n, t_m_np),
+            induced_map(one(mp), zeta, t_mp_n, t_mp_np),
+            induced_map(xi, one(n), t_m_n, t_mp_n),
+            induced_map(xi, zeta, t_m_n, t_mp_np),
+        ]
+        assert made == [r.mat for r in reference]
 
 
 # ---------------------------------------------------------------------------

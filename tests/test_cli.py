@@ -145,6 +145,16 @@ def test_out_flag_writes_byte_identical_copy(tmp_path):
     assert path.read_text() == proc.stdout
 
 
+def test_out_flag_writes_what_goes_to_stdout(tmp_path, capsys):
+    """In this process: a written --out copy is exactly the report on
+    stdout."""
+    path = tmp_path / "report.json"
+    assert main(["verify", "lax", "--seed", "2", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["command"] == "verify lax"
+    assert path.read_text(encoding="utf-8") == out
+
+
 def test_tensor_over_column_and_row_modules():
     code, r = run_cli("tensor-over", "--left", "col:2", "--right", "row:2")
     assert code == 0

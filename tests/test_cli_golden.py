@@ -83,6 +83,19 @@ CASES = [
      ["verify", "naturality", "--phi", "id:regular:k",
       "--psi", "id:regular:k"], 0),
     ("corpus-scale0.05", ["corpus", "--scale", "0.05"], 0),
+    # named inputs where a seeded instance is the default
+    ("beta-check-named-grid",
+     ["beta-check", "--d1p", "identity:identity:k", "--d1", "identity:identity:k",
+      "--d2p", "identity:identity:k", "--d2", "identity:identity:k"], 0),
+    ("verify-naturality-two-squares-regular-k",
+     ["verify", "naturality", "--phi", "id:regular:k", "--psi", "id:regular:k",
+      "--phip", "id:regular:k", "--psip", "id:regular:k"], 0),
+    # an invertible cospan's report carries its inverse legs
+    ("invertible-cospan-identity-product",
+     ["invertible", "cospan", "--cospan", "identity:product:k^2"], 0),
+    # a 2-diagram between different cospans gets the leg verdict only
+    ("invertible-2cell-cospans-differ",
+     ["invertible", "2cell", "--diagram", "@2diagram_cospans_differ.json"], 1),
     # the remaining constructors
     ("validate-algebra-product", ["validate", "algebra", "product:k^3"], 0),
     ("validate-map-unit", ["validate", "map", "unit:product:k^2"], 0),

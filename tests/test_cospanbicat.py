@@ -304,6 +304,74 @@ def test_twisted_2diagram_valid():
     assert validate_2diagram(d) == []
 
 
+def k2_pieces():
+    """Pieces over the apex k^2 = product:k^2: its algebra, regular
+    bimodule, the (k^2, k^2)-bimodule whose right action swaps the two
+    idempotents, and the matrices with the given integer rows."""
+    k2 = alg_product_k(2)
+    reg = regular_bimodule(k2)
+    swapped = Bimodule(k2, k2, 2, reg.lact, reg.ract[::-1])
+    return k2, reg, swapped, lambda *rows: Matrix.from_int_rows(rows, QQ)
+
+
+def broken_2diagrams():
+    """(2-diagram, its violation list), each breaking one axiom only."""
+    k, c2 = alg_k(), alg_group_c2()
+    k2, reg, swapped, mat = k2_pieces()
+    I, Z = mat([1, 0], [0, 1]), mat([0, 0], [0, 0])
+    units = Cospan(unit_map(k2), unit_map(k2))  # k -> k^2 <- k
+    left_id = Cospan(identity_map(k2), unit_map(k2))
+    right_id = Cospan(unit_map(k2), identity_map(k2))
+    # the idempotents e0 and e1 as legs k -> k^2: not unital, so the legs
+    # can disagree on one side only
+    idems = Cospan(AlgebraMap(k, k2, mat([1], [0])), AlgebraMap(k, k2, mat([0], [1])))
+    # left action conjugate to the regular one: unital and multiplicative,
+    # but not commuting with the right action
+    skew = Bimodule(k2, k2, 2, [mat([1, 1], [0, 0]), mat([0, -1], [0, 1])], reg.ract)
+    other_a = Cospan(AlgebraMap(c2, k2, I), unit_map(k2))
+    wrong = mat([2, -1], [0, 1])  # fixes the unit, but is no module map
+    return [
+        (TwoDiagram(units, units, skew, Z, Z),
+         [f"bimodule: actions do not commute at (left e{i}, right e{j})"
+          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]),
+        (TwoDiagram(left_id, other_a, reg, I, I),
+         ["source and target cospans have different outer algebras"]),
+        (TwoDiagram(left_id, left_id, swapped, Z, Z),
+         ["outer action through A disagrees at e0",
+          "outer action through A disagrees at e1"]),
+        (TwoDiagram(right_id, right_id, swapped, Z, Z),
+         ["outer action through B disagrees at e0",
+          "outer action through B disagrees at e1"]),
+        (TwoDiagram(units, units, reg, wrong, I),
+         ["f is not a right module map at e0", "f is not a right module map at e1"]),
+        (TwoDiagram(units, units, reg, I, wrong),
+         ["g is not a left module map at e0", "g is not a left module map at e1"]),
+        (TwoDiagram(idems, idems, reg, I, mat([2, 0], [0, 1])),
+         ["legs disagree after the A side"]),
+        (TwoDiagram(idems, idems, reg, I, mat([1, 0], [0, 2])),
+         ["legs disagree after the B side"]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_validate_2diagram_names_the_one_broken_axiom(case):
+    d, expected = broken_2diagrams()[case]
+    assert validate_2diagram(d) == expected
+
+
+def test_validate_3cell_names_the_one_broken_axiom():
+    k2, reg, _, mat = k2_pieces()
+    I, twice = mat([1, 0], [0, 1]), mat([2, 0], [0, 2])
+    units = Cospan(unit_map(k2), unit_map(k2))
+    d = identity_2diagram(units)
+    other = identity_2diagram(Cospan(identity_map(k2), unit_map(k2)))
+    assert validate_3cell(ThreeCell(d, other, I)) == ["2-diagrams are not parallel"]
+    assert validate_3cell(ThreeCell(d, TwoDiagram(units, units, reg, twice, I), I)) == [
+        "does not intertwine the f legs"]
+    assert validate_3cell(ThreeCell(d, TwoDiagram(units, units, reg, I, twice), I)) == [
+        "does not intertwine the g legs"]
+
+
 def test_vertical_compose_valid_and_isomorphic_to_direct():
     c0 = tensor_product_cospan(alg_k(), alg_group_c2())
     c1, d1 = extend_cospan(c0, alg_product_k(2))
@@ -473,6 +541,32 @@ def test_failure_bound_counts_the_residues_actually_sampled(p, sample_range, bou
                                 sample_range=sample_range)
     assert not res.found and not res.certified
     assert res.failure_bound == bound
+
+
+def plain_diagram(n, field=QQ):
+    """A 2-diagram over identity_cospan(k) on the plain k^n bimodule with
+    zero legs."""
+    k = alg_k(field)
+    ident, zero = Matrix.identity(n, field), Matrix.zeros(n, 1, field)
+    triv = identity_cospan(k)
+    return TwoDiagram(triv, triv, Bimodule(k, k, n, [ident], [ident]), zero, zero)
+
+
+@pytest.mark.parametrize("tgt_dim, sample_range, detail", [
+    (2, 1 << 25, "found by random sampling"),
+    (2, 0, "found by grid search"),  # every sample is the singular x0 = 0
+    (3, 1 << 25, "apex dimensions differ"),
+])
+def test_invertible_3cell_in_the_family_of_all_maps(tgt_dim, sample_range, detail):
+    """Every linear map k^2 -> k^tgt_dim is a 3-cell, and the particular
+    solution is 0, which is singular."""
+    d, e = plain_diagram(2), plain_diagram(tgt_dim)
+    x0, ks = solve_3cell_family(d, e)
+    assert x0.is_zero() and len(ks) == 2 * tgt_dim
+    res = find_invertible_3cell(d, e, sample_range=sample_range)
+    assert (res.detail, res.certified, res.found) == (detail, True, tgt_dim == 2)
+    if res.found:
+        assert validate_3cell(res.cell) == [] and is_invertible(res.cell.mat)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),

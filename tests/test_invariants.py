@@ -122,6 +122,47 @@ n = Shape().sides
     assert unreferenced_methods([src]) == ["Shape.lonely"]
 
 
+def hand_written_descents(source: str) -> list:
+    """Line numbers of the calls X.descend(kron_product(Y.proj, ...)) in
+    source: exactla.tensor_induced written out by hand."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "descend" and node.args):
+            continue
+        down = node.args[0]
+        if (isinstance(down, ast.Call) and isinstance(down.func, ast.Name)
+                and down.func.id == "kron_product" and down.args
+                and isinstance(down.args[0], ast.Attribute)
+                and down.args[0].attr == "proj"):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_src_induces_maps_on_tensor_quotients_one_way():
+    """Outside exactla no call descends kron_product(Y.proj, ...): each map
+    induced on a quotient by a tensor product of maps goes through
+    tensor_induced.  A descent of a product whose first factor is not a
+    .proj, as m_square's pre-unit map and check_m_unit_axiom's left
+    collapse are, is another construction and is not caught."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "exactla.py"
+             for line in hand_written_descents(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_hand_written_descents_are_found():
+    src = """
+a = q.descend(kron_product(p.proj, [x, 2]), "no")
+b = w.src_witness.descend(
+    kron_product(t.quot.proj, [2, y]), "no")
+c = q.descend(kron_product(mult, [x, 2]), "no")
+d = tensor_induced(p, [x, 2], q, "no")
+e = q.descend(p.proj, "no")
+"""
+    assert hand_written_descents(src) == [2, 3]
+
+
 ROW_ATTRS = {"data", "num", "den"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
             "reverse"}

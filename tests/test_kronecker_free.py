@@ -31,6 +31,7 @@ from centrum.bimodule import (
     assoc_iso,
     direct_sum_bimodules,
     induced_map,
+    interchange_check,
     pentagon_check,
     regular_bimodule,
     tensor_over,
@@ -65,6 +66,7 @@ from centrum.fixtures import (
     tensor_product_cospan,
     twist_2diagram,
 )
+from centrum.fullcenter import verify_m_naturality
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)]
 QQ_ENTRIES = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
@@ -252,6 +254,10 @@ def test_tensor_constructions_form_no_kronecker_product(monkeypatch):
     grid = random_interchanger_grid(random.Random(2))
     ps = [random_invertible(d.M.dim, rng) for d in grid]
     twisted = [twist_2diagram(d, P) for d, P in zip(grid, ps)]
+    # a square small enough for verify_m_naturality
+    k, k2 = alg_k(), alg_product_k(2)
+    xi = random_hom_element(*(random_bimodule(k, k2, rng, 1) for _ in range(2)), rng)
+    zeta = random_hom_element(*(random_bimodule(k2, k, rng, 1) for _ in range(2)), rng)
     callers = []
     real = Matrix.kron
 
@@ -269,6 +275,8 @@ def test_tensor_constructions_form_no_kronecker_product(monkeypatch):
     assert triangle_check(m, n)
     unit_iso_left(tensor_over(regular_bimodule(A), n))
     unit_iso_right(tensor_over(n, regular_bimodule(B)))
+    assert interchange_check(phi, psi)
+    assert verify_m_naturality(xi, zeta).ok
     assert set(callers) == {"tensor_algebra"}
 
 
