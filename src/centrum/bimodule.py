@@ -39,7 +39,6 @@ from math import lcm
 
 from .algebra import Algebra, AlgebraMap, unit_column
 from .exactla import (
-    FlatWitness,
     HomSpace,
     Matrix,
     Quotient,
@@ -391,14 +390,20 @@ def induced_map(
 
 def _bracketing(tree):
     """The tensor product of a bracketing given as nested pairs of
-    bimodules, with its witness over the flat tensor of all leaves:
-    (bimodule, FlatWitness)."""
+    bimodules, with its quotient of the flat tensor of all leaves:
+    (bimodule, Quotient)."""
     if isinstance(tree, Bimodule):
-        return tree, FlatWitness.leaf(tree.dim, tree.field)
-    left, wl = _bracketing(tree[0])
-    right, wr = _bracketing(tree[1])
+        return tree, Quotient.leaf(tree.dim, tree.field)
+    (left, wl), (right, wr) = map(_bracketing, tree)
     t = tensor_over(left, right)
     return t.product, wl.tensor(wr, t.quot)
+
+
+def _root_quotient(tree) -> Quotient:
+    """The quotient of a bracketing (a pair) of the flat tensor of all its
+    leaves, with no outer action built at the root."""
+    (left, wl), (right, wr) = map(_bracketing, tree)
+    return wl.tensor(wr, _tensor_quotient(left, right))
 
 
 _TOWER_DESCENT = "flat map does not descend through the towers"
@@ -498,16 +503,14 @@ def pentagon_commutes(tower, rebracket, a, b, c, d) -> bool:
 
 def pentagon_check(b1: Bimodule, b2: Bimodule, b3: Bimodule, b4: Bimodule) -> bool:
     """The rebracketing isos of a 4-fold product commute around the pentagon."""
-    return pentagon_commutes(lambda t: _bracketing(t)[1], _rebracket, b1, b2, b3, b4)
+    return pentagon_commutes(_root_quotient, _rebracket, b1, b2, b3, b4)
 
 
 def triangle_check(m: Bimodule, n: Bimodule) -> bool:
     """(M (x) B) (x) N -> M (x) (B (x) N) is compatible with the unit isos:
     (1 (x) collapse) o rebracket == (collapse (x) 1)."""
     B = regular_bimodule(m.right)
-    _, wl = _bracketing(((m, B), n))
-    _, wr = _bracketing((m, (B, n)))
-    _, target = _bracketing((m, n))
+    wl, wr, target = map(_root_quotient, (((m, B), n), (m, (B, n)), (m, n)))
     alpha = _rebracket(wl, wr)
     left_map = tensor_induced(target, [right_action_collapse(m), n.dim], wl,
                               _TOWER_DESCENT)

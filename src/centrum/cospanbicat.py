@@ -55,9 +55,9 @@ from .bimodule import (
     validate_bimodule_map,
 )
 from .exactla import (
-    FlatWitness,
     HomSpace,
     Matrix,
+    Quotient,
     cokernel,
     combination,
     is_invertible,
@@ -545,16 +545,16 @@ class BetaResult:
 
     src_diagram composes horizontally first; tgt_diagram vertically first.
     cell and inverse_cell are the two descended comparison maps, verified to
-    be mutually inverse 3-cells.  src_witness and tgt_witness present the two
-    apexes as nested quotients of the four-fold flat tensor (flat order
-    M' N' M N and M' M N' N), for naturality checks."""
+    be mutually inverse 3-cells.  src_witness and tgt_witness are the two
+    apexes as Quotients of the four-fold flat tensor (flat order M' N' M N
+    and M' M N' N), for naturality checks."""
 
     src_diagram: TwoDiagram
     tgt_diagram: TwoDiagram
     cell: ThreeCell
     inverse_cell: ThreeCell
-    src_witness: FlatWitness
-    tgt_witness: FlatWitness
+    src_witness: Quotient
+    tgt_witness: Quotient
 
 
 def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
@@ -576,7 +576,7 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
     v_left = vertical_compose(d1p, d1)
     v_right = vertical_compose(d2p, d2)
     tgt_diag = horizontal_compose(v_right, v_left)
-    mp, np_, m, n = (FlatWitness.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
+    mp, np_, m, n = (Quotient.leaf(d.M.dim, f) for d in (d1p, d2p, d1, d2))
     src_w = mp.tensor(np_, h_up.quot).tensor(m.tensor(n, h_down.quot),
                                              src_diag.quot)
     tgt_w = mp.tensor(m, v_left.quot).tensor(np_.tensor(n, v_right.quot),
@@ -624,19 +624,18 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
 
 def _vertical(tree):
     """The vertical composite of a bracketing given as nested pairs (upper,
-    lower) of 2-diagrams, with its apex's witness over the flat tensor of
-    all leaves (upper factors major): (TwoDiagram, FlatWitness)."""
+    lower) of 2-diagrams, with its apex as a Quotient of the flat tensor of
+    all leaves (upper factors major): (TwoDiagram, Quotient)."""
     if isinstance(tree, TwoDiagram):
-        return tree, FlatWitness.leaf(tree.M.dim, tree.M.field)
-    upper, wu = _vertical(tree[0])
-    lower, wl = _vertical(tree[1])
+        return tree, Quotient.leaf(tree.M.dim, tree.M.field)
+    (upper, wu), (lower, wl) = map(_vertical, tree)
     d = vertical_compose(upper, lower)
     return d, wu.tensor(wl, d.quot)
 
 
 def _rebracket_3cell(a, b) -> Matrix:
     """Canonical comparison between two bracketings of the same vertical
-    chain, each a (TwoDiagram, FlatWitness) pair as _vertical returns;
+    chain, each a (TwoDiagram, Quotient) pair as _vertical returns;
     checked to descend and to intertwine the composite legs."""
     (da, wa), (db, wb) = a, b
     mat = wa.rebracket(wb, "rebracketing does not descend")

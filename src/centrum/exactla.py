@@ -21,12 +21,13 @@ column echelon form, so equal subspaces have equal bases; a HomSpace is
 such a subspace of vectorised matrices, whose row-major layout only flatten
 and reshape know, and product_coords reads products with its basis in one
 slot product.  Relations are rows, as kernel and cokernel take them.
-Quotients carry explicit projection/section witnesses with proj @ sect == I
-and proj @ relations == 0, checked at construction; a cokernel keeps the
-free coordinates its section selects, so descend checks down @ relations ==
-0 on the unreduced product rows and then selects columns.  A FlatWitness
-carries the same witnesses for a nested quotient of a flat multi-tensor and
-descends by checking down == (down @ sect) @ proj.  By (A (x) B) vec(X) =
+A Quotient is a quotient of a flat tensor k^d1 (x) k^d2 (x) ..., one slot
+(a cokernel) or nested (Quotient.tensor): its projection and the free
+coordinates its section selects, with proj at free the identity, checked at
+construction; a product of identity columns is an identity column, so a
+nested section is a coordinate list too.  descend reads a map at free and
+refuses it unless that times proj gives the map back.  A cokernel also
+keeps its relations, with proj @ relations == 0 checked.  By (A (x) B) vec(X) =
 vec(A X B^T), P @ (A (x) B (x) ...) is one slot product per factor
 (kron_product): each nonzero of a row of P is scattered onto the nonzeros
 of one row of the factor, and an identity factor costs nothing.
@@ -923,36 +924,80 @@ def is_invertible(m: Matrix) -> bool:
 
 
 class Quotient:
-    """Quotient of k^ambient by a relation subspace, with explicit witnesses.
+    """A quotient of the flat tensor k^dims[0] (x) k^dims[1] (x) ...
+    (leftmost slot major), nested or not; a cokernel has one slot.
 
-    relations: canonical basis matrix of the relation subspace (ambient x r).
     proj: dim x ambient, the projection onto quotient coordinates.
-    sect: ambient x dim, a section (spanned by standard basis vectors at the
-    non-leading rows of the relation space), with proj @ sect == I.
-    free: those rows (column r of sect is e_free[r]), so descend reads a
-    map on the quotient as a column selection.
+    free: the flat coordinates its section selects (column r of sect is
+    e_free[r]), with proj @ sect == I checked at construction, so descend
+    reads a map on the quotient as a column selection.
+    relations: the canonical basis of the relation subspace (ambient x r),
+    set by cokernel alone.
     """
 
-    __slots__ = ("ambient", "relations", "dim", "proj", "sect", "field", "free")
+    __slots__ = ("dims", "proj", "free", "relations")
 
-    def __init__(self, ambient, relations, dim, proj, sect, field, free):
-        self.ambient = ambient
-        self.relations = relations
-        self.dim = dim
+    def __init__(self, dims: tuple, proj: Matrix, free: list, relations=None):
+        if proj.select_columns(free) != Matrix.identity(proj.rows, proj.field):
+            raise ValueError("quotient section is not a section of the projection")
+        self.dims = dims
         self.proj = proj
-        self.sect = sect
-        self.field = field
         self.free = free
+        self.relations = relations
+
+    @staticmethod
+    def leaf(dim: int, field) -> "Quotient":
+        """k^dim over itself: the identity of one slot."""
+        return Quotient((dim,), Matrix.identity(dim, field), list(range(dim)))
+
+    @property
+    def ambient(self) -> int:
+        return self.proj.cols
+
+    @property
+    def dim(self) -> int:
+        return self.proj.rows
+
+    @property
+    def field(self):
+        return self.proj.field
+
+    @property
+    def sect(self) -> Matrix:
+        """ambient x dim: the standard basis vectors at free."""
+        return Matrix.identity(self.ambient, self.field).select_columns(self.free)
 
     def project(self, vec):
         return self.proj.apply(vec)
 
+    def tensor(self, other: "Quotient", quot: "Quotient") -> "Quotient":
+        """quot, a quotient of (this quotient) (x) (other's), as a quotient
+        of the flat tensor of both.  A product of identity columns is an
+        identity column, so the section selects free[a] * other.ambient +
+        other.free[b] at each (a, b) that quot.free selects.  A factor
+        whose section selects every coordinate in order is an identity and
+        costs nothing."""
+        factors = [q.ambient if q.free == list(range(q.ambient)) else q.proj
+                   for q in (self, other)]
+        n, d = other.ambient, other.dim
+        free = [self.free[c // d] * n + other.free[c % d] for c in quot.free]
+        return Quotient(self.dims + other.dims, kron_product(quot.proj, factors), free)
+
     def descend(self, down: Matrix, message: str) -> Matrix:
-        """The map on the quotient induced by down, a map out of the ambient
-        space; raises ValueError(message) unless down kills the relations."""
-        if any(map(any, down._product_rows(self.relations)[0])):
+        """The map on the quotient induced by down, a map out of the flat
+        tensor: down at free; raises ValueError(message) unless down
+        factors through proj."""
+        mat = down.select_columns(self.free)
+        if mat @ self.proj != down:
             raise ValueError(message)
-        return down.select_columns(self.free)
+        return mat
+
+    def rebracket(self, tgt: "Quotient", message: str) -> Matrix:
+        """The canonical map from this quotient to tgt, another quotient of
+        the same flat tensor: the flat identity, descended."""
+        if self.dims != tgt.dims:
+            raise ValueError("bracketings of different flat tensors")
+        return self.descend(tgt.proj, message)
 
     def __repr__(self):
         return f"Quotient(k^{self.ambient} -> k^{self.dim})"
@@ -968,10 +1013,8 @@ def cokernel(rel: Matrix) -> Quotient:
     n, p = rel.cols, field.p
     span = Subspace(n, _row_echelon_basis(rel), field)
     B, lead = span.basis, span.lead
-    d = B.cols
     leadset = set(lead)
     free = [i for i in range(n) if i not in leadset]
-    sect = Matrix.identity(n, field).select_columns(free)
     # over QQ row i of B is num[i] / den[i], so row r of proj is reduced
     # over den[free[r]]
     dens = B.row_dens()
@@ -985,69 +1028,18 @@ def cokernel(rel: Matrix) -> Quotient:
                 row[lead[j]] = -b % p if p else -b
         rows.append(row)
     proj = Matrix._fresh(rows, field, n, dens)
-    if (proj @ sect) != Matrix.identity(n - d, field):
-        raise ValueError("cokernel section is not a section of the projection")
     if any(map(any, proj._product_rows(B)[0])):
         raise ValueError("cokernel projection does not kill the relations")
-    return Quotient(n, B, n - d, proj, sect, field, free)
+    return Quotient((n,), proj, free, B)
 
 
-def tensor_induced(q_tgt, factors, q_src,
+def tensor_induced(q_tgt: Quotient, factors, q_src: Quotient,
                    message="map does not descend to the quotient") -> Matrix:
     """The map induced on the quotients by F = F_1 (x) ... (x) F_k: ambient
     of q_src -> ambient of q_tgt (an int n the identity of k^n), with
     q_tgt.proj @ F as a kron_product; raises ValueError(message) unless F
-    maps the source relations into the target relations.  Either end may
-    be a Quotient or a FlatWitness: only its proj and descend are read."""
+    maps the source relations into the target relations."""
     return q_src.descend(kron_product(q_tgt.proj, factors), message)
-
-
-class FlatWitness:
-    """A nested quotient of a flat tensor k^dims[0] (x) k^dims[1] (x) ...
-    (leftmost slot major): proj maps the flat tensor onto the quotient
-    coordinates and sect back, with proj @ sect == I checked at every level.
-
-    A one-slot witness (from leaf) is the identity of its slot."""
-
-    __slots__ = ("proj", "sect", "dims")
-
-    def __init__(self, proj: Matrix, sect: Matrix, dims: tuple):
-        self.proj = proj
-        self.sect = sect
-        self.dims = dims
-
-    @staticmethod
-    def leaf(dim: int, field) -> "FlatWitness":
-        I = Matrix.identity(dim, field)
-        return FlatWitness(I, I, (dim,))
-
-    def tensor(self, other: "FlatWitness", quot: Quotient) -> "FlatWitness":
-        """The witness of quot, a quotient of (this quotient) (x) (other's)."""
-        if len(self.dims) == len(other.dims) == 1:
-            proj, sect = quot.proj, quot.sect
-        else:
-            proj = kron_product(quot.proj, [self.proj, other.proj])
-            # (A (x) B) @ S, transposed: S^T @ (A^T (x) B^T)
-            sects = [w.sect.transpose() for w in (self, other)]
-            sect = kron_product(quot.sect.transpose(), sects).transpose()
-        if proj @ sect != Matrix.identity(quot.dim, quot.field):
-            raise ValueError("flat section is not a section of the projection")
-        return FlatWitness(proj, sect, self.dims + other.dims)
-
-    def descend(self, down: Matrix, message: str) -> Matrix:
-        """The map on the quotient induced by down, a map out of the flat
-        tensor; raises ValueError(message) unless down factors through proj."""
-        mat = down @ self.sect
-        if mat @ self.proj != down:
-            raise ValueError(message)
-        return mat
-
-    def rebracket(self, tgt: "FlatWitness", message: str) -> Matrix:
-        """The canonical map from this quotient to tgt, another nested
-        quotient of the same flat tensor: the flat identity, descended."""
-        if self.dims != tgt.dims:
-            raise ValueError("bracketings of different flat tensors")
-        return self.descend(tgt.proj, message)
 
 
 # ---------------------------------------------------------------------------

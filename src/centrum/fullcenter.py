@@ -57,7 +57,6 @@ from .bimodule import (
     identity_bimodule_map,
     induced_map,
     left_action_collapse,
-    middle_relations,
     regular_bimodule,
     restriction_bimodule,
     right_action_collapse,
@@ -83,7 +82,7 @@ from .cospanbicat import (
 from .exactla import (
     HomSpace,
     Matrix,
-    cokernel,
+    Quotient,
     kron_product,
     memoised,
     rank,
@@ -293,10 +292,10 @@ class NGeneralResult:
 
 
 def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
-              pair_quot=None) -> NGeneralResult:
+              pair_quot: Quotient) -> NGeneralResult:
     """Descend the tensor product of bimodule maps M -> M', N -> N' (from
-    tens_src = M (x)_B N to tens_tgt = M' (x)_B N') through the fibered
-    product of hom spaces over Z(B), or through pair_quot, its quotient."""
+    tens_src = M (x)_B N to tens_tgt = M' (x)_B N') through pair_quot, the
+    quotient of [M,M'] (x) [N,N'] of their fibered product over Z(B)."""
     m, n = tens_src.left_factor, tens_src.right_factor
     mp, np_ = tens_tgt.left_factor, tens_tgt.right_factor
     left, right = hom_space(m, mp), hom_space(n, np_)
@@ -304,16 +303,6 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
     ops = [tensor_induced(tens_tgt.quot, [xi, zeta], tens_src.quot)
            for xi in left.basis for zeta in right.basis]
     flat = target.coords(ops, "induced map leaves the hom space")
-    if pair_quot is None:
-        zb = center(m.right)
-        zs = [zb.embed(zb.algebra.basis_vector(k)) for k in range(zb.dim)]
-        # column (b, k) of each: b composed with the action of zs[k]
-        Cs = [H.product_coords(H, [act(z) for z in zs], LEAVES_HOM)
-              for H, act in ((left, m.ract_of), (right, n.lact_of))]
-        rops, lops = ([C.select_columns(slice(k, None, len(zs))) for k in range(len(zs))]
-                      for C in Cs)
-        rel = middle_relations(left.dim, right.dim, rops, lops, m.field)
-        pair_quot = cokernel(rel)
     mat = pair_quot.descend(
         flat, "tensor of maps does not respect the middle-center relations")
     return NGeneralResult(target, mat)

@@ -18,8 +18,11 @@ computed on them too.  ``column_echelon_ref``, ``kernel_ref`` and
 ``rref_ref`` of every row they are given, zero and repeated rows included.
 The entry-by-entry references at the end (``add_ref``, ``kron_ref``,
 ``kron_product_ref``, ``descend_ref``, ...) cover the remaining Matrix
-operations, and ``ref_validate_bimodule`` checks the bimodule axioms one
-pair of basis elements at a time on them.  ``ref_solve_3cell_family``
+operations.  ``descend_ref`` refuses a map that does not kill a cokernel's
+relations; ``nested_quotient_ref`` and ``section_descend_ref`` build a
+nested quotient's section as a Kronecker product of its children's and
+descend through it.  ``ref_validate_bimodule`` checks the bimodule axioms
+one pair of basis elements at a time on them.  ``ref_solve_3cell_family``
 builds the 3-cell system row by row and solves it on ``rref_ref`` and
 ``kernel_ref``.  ``content_key_ref`` walks an object for its content key
 afresh every time, as ``exactla.content_key`` does before its cache.
@@ -253,6 +256,25 @@ def descend_ref(q, down: Matrix, message: str) -> Matrix:
     if any(map(any, matmul_ref(down, q.relations).data)):
         raise ValueError(message)
     return select_columns_ref(down, q.free)
+
+
+def nested_quotient_ref(left, right, quot):
+    """(proj, sect) of quot, a quotient of left (x) right, as a quotient of
+    their flat tensor; each argument is a (proj, sect) pair.  proj is
+    quot's after the Kronecker product of the child projections, and sect
+    the Kronecker product of the child sections before quot's, both
+    formed."""
+    (lp, ls), (rp, rs), (qp, qs) = left, right, quot
+    return matmul_ref(qp, kron_ref(lp, rp)), matmul_ref(kron_ref(ls, rs), qs)
+
+
+def section_descend_ref(proj, sect, down: Matrix, message: str) -> Matrix:
+    """down on the quotient with projection proj and section sect: down @
+    sect, refused unless that times proj gives down back."""
+    mat = matmul_ref(down, sect)
+    if matmul_ref(mat, proj) != down:
+        raise ValueError(message)
+    return mat
 
 
 def ref_validate_bimodule(m) -> list:

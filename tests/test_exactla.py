@@ -36,7 +36,6 @@ from refusals import optimized, refusal_failures, shape_refusals
 from centrum import exactla
 from centrum.exactla import (
     QQ,
-    FlatWitness,
     Matrix,
     PrimeField,
     Quotient,
@@ -217,12 +216,12 @@ def test_quotient_descend():
 
 def symmetric_witness():
     """(k^2 (x) k^2 modulo the swap) (x) k^2, modulo e_00 (x) e_0 - e_11 (x) e_1:
-    a two-level witness over the flat tensor k^2 (x) k^2 (x) k^2."""
+    a two-level quotient of the flat tensor k^2 (x) k^2 (x) k^2."""
     swap = Matrix.from_int_rows([[0], [1], [-1], [0]], QQ)
-    inner = FlatWitness.leaf(2, QQ).tensor(FlatWitness.leaf(2, QQ),
-                                           cokernel(swap.transpose()))
+    inner = Quotient.leaf(2, QQ).tensor(Quotient.leaf(2, QQ),
+                                        cokernel(swap.transpose()))
     outer = Matrix.from_int_rows([[1], [0], [0], [0], [0], [-1]], QQ)
-    return inner.tensor(FlatWitness.leaf(2, QQ), cokernel(outer.transpose()))
+    return inner.tensor(Quotient.leaf(2, QQ), cokernel(outer.transpose()))
 
 
 def test_flat_witness_two_levels():
@@ -246,10 +245,9 @@ def test_flat_witness_descend():
 
 def test_flat_witness_rejects_a_false_section():
     q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ).transpose())
-    broken = Quotient(q.ambient, q.relations, q.dim, q.proj,
-                      q.sect.scale(QQ.from_int(2)), QQ, q.free)
-    with pytest.raises(ValueError):
-        FlatWitness.leaf(1, QQ).tensor(FlatWitness.leaf(2, QQ), broken)
+    with pytest.raises(ValueError, match="^quotient section is not a section"
+                                         " of the projection$"):
+        Quotient(q.dims, q.proj.scale(QQ.from_int(2)), q.free)
 
 
 def test_random_point_reproducible():

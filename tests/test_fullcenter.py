@@ -24,6 +24,7 @@ from centrum.exactla import (
     QQ,
     Matrix,
     PrimeField,
+    cokernel,
     content_key,
     is_invertible,
     memoised,
@@ -44,6 +45,7 @@ from centrum.algebra import (
     validate_algebra_map,
 )
 from centrum.bimodule import (
+    LEAVES_HOM,
     Bimodule,
     BimoduleMap,
     comp_bar,
@@ -54,6 +56,7 @@ from centrum.bimodule import (
     hom_space,
     identity_bimodule_map,
     induced_map,
+    middle_relations,
     regular_bimodule,
     restriction_bimodule,
     tensor_over,
@@ -278,6 +281,23 @@ def test_mult_transform_bimodule_lax_over_two_block_middle():
     assert validate_2diagram(mb.diagram) == []
 
 
+def center_pair_quotient(tens_src, tens_tgt):
+    """[M,M'] (x) [N,N'] modulo the relations over Z(B), built from the
+    center of the middle algebra B of tens_src = M (x)_B N and tens_tgt =
+    M' (x)_B N': the quotient that n_general descends through."""
+    m, n = tens_src.left_factor, tens_src.right_factor
+    left = hom_space(m, tens_tgt.left_factor)
+    right = hom_space(n, tens_tgt.right_factor)
+    zb = center(m.right)
+    zs = [zb.embed(zb.algebra.basis_vector(k)) for k in range(zb.dim)]
+    # column (b, k) of each: b composed with the action of zs[k]
+    Cs = [H.product_coords(H, [act(z) for z in zs], LEAVES_HOM)
+          for H, act in ((left, m.ract_of), (right, n.lact_of))]
+    rops, lops = ([C.select_columns(slice(k, None, len(zs))) for k in range(len(zs))]
+                  for C in Cs)
+    return cokernel(middle_relations(left.dim, right.dim, rops, lops, m.field))
+
+
 def test_n_general_matches_square_internal_quotient():
     rng = random.Random(23)
     m, mp = twisted(row_bimodule(2), rng), twisted(row_bimodule(2), rng)
@@ -285,7 +305,8 @@ def test_n_general_matches_square_internal_quotient():
     phi = random_hom_element(m, mp, rng)
     psi = random_hom_element(n, np_, rng)
     sq = m_square(phi, psi)
-    standalone = n_general(sq.mult_src.tens, sq.mult_tgt.tens)
+    standalone = n_general(sq.mult_src.tens, sq.mult_tgt.tens,
+                           center_pair_quotient(sq.mult_src.tens, sq.mult_tgt.tens))
     # the hand-built center quotient coincides with the composite's quotient
     assert standalone.mat == sq.n_res.mat
     assert is_invertible(standalone.mat)
@@ -296,7 +317,8 @@ def test_n_general_rank_drop_over_two_block_middle():
     k, k2 = alg_k(), alg_product_k(2)
     m, mp = twisted_free(k, k2, rng), twisted_free(k, k2, rng)
     n, np_ = twisted_free(k2, k, rng), twisted_free(k2, k, rng)
-    res = n_general(tensor_over(m, n), tensor_over(mp, np_))
+    t_src, t_tgt = tensor_over(m, n), tensor_over(mp, np_)
+    res = n_general(t_src, t_tgt, center_pair_quotient(t_src, t_tgt))
     # two of the four target blocks are cross-block and unreachable
     assert res.mat.shape == (4, 2)
     assert rank(res.mat) == 2

@@ -163,6 +163,91 @@ e = q.descend(p.proj, "no")
     assert hand_written_descents(src) == [2, 3]
 
 
+def quotient_shapes(source: str):
+    """(the Class.descend methods, the classes with both a proj and a free
+    attribute) of the module-level classes of source, each sorted.  A
+    class's attributes are the names its body binds (methods, properties,
+    fields and class variables), the strings of its __slots__ and the
+    self.X its methods assign."""
+    descends, shaped = [], []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        attrs = {n.attr for n in ast.walk(cls)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                 and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                attrs.add(node.name)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    attrs.add(t.id)
+                    if t.id == "__slots__":
+                        attrs |= {e.value for e in ast.walk(node.value)
+                                  if isinstance(e, ast.Constant)}
+        if "descend" in {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)}:
+            descends.append(f"{cls.name}.descend")
+        if {"proj", "free"} <= attrs:
+            shaped.append(cls.name)
+    return sorted(descends), sorted(shaped)
+
+
+def test_src_has_one_quotient_type_and_one_descent():
+    """Every quotient of a flat tensor, nested or not, is an
+    exactla.Quotient: src defines one descend method, and no other class
+    holds both a projection and a list of free coordinates."""
+    descends, shaped = [], []
+    for path in sorted(SRC.glob("*.py")):
+        d, q = quotient_shapes(path.read_text(encoding="utf-8"))
+        descends += [f"{path.stem}.{x}" for x in d]
+        shaped += [f"{path.stem}.{x}" for x in q]
+    assert descends == ["exactla.Quotient.descend"]
+    assert shaped == ["exactla.Quotient"]
+
+
+def test_quotient_shapes_are_found():
+    src = """
+class Witness:
+    __slots__ = ("proj", "sect", "free")
+
+    def descend(self, down):
+        return down
+
+@dataclass
+class Tower:
+    proj: object
+    free: list
+
+class Lazy:
+    def __init__(self, p):
+        self.proj = p
+
+    @property
+    def free(self):
+        return []
+
+class Shared:
+    proj = None
+
+    def free(self):
+        return self.descend
+
+class Plain:
+    proj = None
+
+    def sect(self, free):
+        self.free_cols = free
+        return self.descend(free)
+
+def descend(x):
+    return x
+"""
+    assert quotient_shapes(src) == (["Witness.descend"],
+                                    ["Lazy", "Shared", "Tower", "Witness"])
+
+
 ROW_ATTRS = {"data", "num", "den"}
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
             "reverse"}

@@ -52,6 +52,7 @@ from centrum.exactla import (
     QQ,
     Matrix,
     PrimeField,
+    Quotient,
     cokernel,
     kron_product,
     slot_products,
@@ -118,7 +119,7 @@ def test_kron_product_matches_the_kronecker_product(case):
 @settings(max_examples=150, deadline=None)
 @given(kron_cases())
 def test_kron_product_of_transposes_applies_the_kronecker_product(case):
-    # (A (x) B) @ S == (S^T @ (A^T (x) B^T))^T, as FlatWitness.tensor uses it
+    # (A (x) B) @ S == (S^T @ (A^T (x) B^T))^T
     _, factors, S = case
     transposed = [F if type(F) is int else F.transpose() for F in factors]
     assert (kron_product(S.transpose(), transposed).transpose()
@@ -217,8 +218,7 @@ def test_descend_by_column_selection_equals_the_section_product(data):
     q = cokernel(data.draw(matrices(field, n, k)).transpose())
     # a map that kills the relations: anything after the projection
     down = data.draw(matrices(field, data.draw(st.integers(0, 3)), q.dim)) @ q.proj
-    assert q.free is not None
-    assert q.sect == Matrix.identity(n, field).select_columns(q.free)
+    assert q.proj @ q.sect == Matrix.identity(q.dim, field)
     assert q.descend(down, "no") == down @ q.sect
 
 
@@ -300,6 +300,7 @@ def check_refusals():
     off_f = TwoDiagram(w.src, w.tgt, w.M, w.f.scale(2), w.g, w.quot), ww
     off_g = TwoDiagram(w.src, w.tgt, w.M, w.f, w.g.scale(2), w.quot), ww
     other = identity_2diagram(tensor_product_cospan(k, k2))
+    q = cokernel(Matrix.from_int_rows([[1, -1]], QQ))
 
     def doubled(fn):
         return lambda *args: fn(*args).scale(2)
@@ -338,6 +339,12 @@ def check_refusals():
             lambda: cospanbicat._rebracket_3cell((w, ww), off_f), "intertwine f legs"),
         "rebracketing g legs": (
             lambda: cospanbicat._rebracket_3cell((w, ww), off_g), "intertwine g legs"),
+        "quotient section": (
+            lambda: Quotient(q.dims, q.proj.scale(2), q.free),
+            "quotient section is not a section of the projection"),
+        "rebracketing flat tensors": (
+            lambda: Quotient.leaf(2, QQ).rebracket(Quotient.leaf(3, QQ), "no"),
+            "bracketings of different flat tensors"),
     }
     out = []
     for name, (op, message) in ops.items():

@@ -1,9 +1,11 @@
 """Every QQ Matrix operation against the entry-by-entry Fraction references
 of fieldref, on inputs that hold non-integral entries, zero rows, rows
 repeated in another spelling and entries written as Fraction(n, 1) or over
-a negative denominator."""
+a negative denominator.  Quotient.descend is checked over GF(2), GF(3) and
+GF(1000003) as well, on cokernels and on nested quotients."""
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -17,9 +19,11 @@ from fieldref import (
     kron_product_ref,
     kron_ref,
     matmul_ref,
+    nested_quotient_ref,
     reference_kernels,
     rref_ref,
     scale_ref,
+    section_descend_ref,
     select_columns_ref,
     stack_ref,
     transpose_ref,
@@ -30,6 +34,8 @@ from hypothesis import strategies as st
 from centrum.exactla import (
     QQ,
     Matrix,
+    PrimeField,
+    Quotient,
     cokernel,
     column_echelon,
     content_key,
@@ -79,6 +85,19 @@ def qq_rows(draw, rows, cols, kind=None):
 
 def qq_matrix(draw, rows, cols, kind=None) -> Matrix:
     return Matrix(draw(qq_rows(rows, cols, kind)), QQ, ncols=cols)
+
+
+FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(1000003))
+
+
+def field_matrix(draw, field, rows, cols) -> Matrix:
+    """qq_matrix over QQ; over GF(p) entries drawn in [-6, 6], reduced."""
+    if field is QQ:
+        return qq_matrix(draw, rows, cols)
+    vals = draw(st.lists(st.integers(-6, 6), min_size=rows * cols,
+                         max_size=rows * cols))
+    return Matrix([[field.from_int(v) for v in vals[i * cols:(i + 1) * cols]]
+                   for i in range(rows)], field, ncols=cols)
 
 
 def normal(a) -> bool:
@@ -233,20 +252,55 @@ def test_slot_products_match_the_kronecker_references(data, left, r, c,
                 "kron_product")
 
 
+def assert_descends_as(descend, ref, down):
+    """descend(down, "no") refused with "no" where ref(down, "no") raises,
+    and equal to it otherwise."""
+    try:
+        expected = ref(down, "no")
+    except ValueError:
+        with pytest.raises(ValueError, match="^no$"):
+            descend(down, "no")
+        return
+    assert_same(descend(down, "no"), expected, "descend")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), st.integers(0, 4), st.integers(0, 3),
+       st.integers(0, 3))
+def test_descend_matches_the_reference(data, field, n, r, m):
+    """A random map, mostly refused, and g @ proj, which descends to g."""
+    q = cokernel(field_matrix(data.draw, field, n, r).transpose())
+    g = field_matrix(data.draw, field, m, q.dim)
+    assert q.descend(g @ q.proj, "no") == g
+    for down in (field_matrix(data.draw, field, m, n), g @ q.proj):
+        assert_descends_as(q.descend, partial(descend_ref, q), down)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(0, 4), st.integers(0, 3), st.integers(0, 3))
-def test_descend_matches_the_reference(data, n, r, m):
-    q = cokernel(qq_matrix(data.draw, n, r).transpose())
-    downs = [qq_matrix(data.draw, m, n),
-             qq_matrix(data.draw, m, q.dim) @ q.proj]
-    for down in downs:
-        try:
-            ref = descend_ref(q, down, "no")
-        except ValueError:
-            with pytest.raises(ValueError, match="^no$"):
-                q.descend(down, "no")
-            continue
-        assert_same(q.descend(down, "no"), ref, "descend")
+@given(st.data(), st.sampled_from(FIELDS), *[st.integers(1, 3)] * 3,
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_two_level_towers_match_the_section_reference(data, field, a, b, c,
+                                                      r1, r2, m):
+    """(k^a (x) k^b)/R1 (x) k^c, then modulo R2: the free coordinates and
+    descend of Quotient.tensor against the Kronecker product of the child
+    sections, formed, and the section descent on it."""
+    R1 = field_matrix(data.draw, field, r1, a * b)
+    inner = Quotient.leaf(a, field).tensor(Quotient.leaf(b, field), cokernel(R1))
+    R2 = field_matrix(data.draw, field, r2, inner.dim * c)
+    w = inner.tensor(Quotient.leaf(c, field), cokernel(R2))
+    leaf = [(Matrix.identity(d, field),) * 2 for d in (a, b, c)]
+    proj, sect = nested_quotient_ref(
+        nested_quotient_ref(leaf[0], leaf[1], cokernel_ref(R1.transpose())[1:]),
+        leaf[2], cokernel_ref(R2.transpose())[1:])
+    assert w.dims == (a, b, c)
+    assert_same(w.proj, proj, "proj")
+    # each column of the section is the standard vector at one free coordinate
+    cols = transpose_ref(sect).data
+    assert [sum(map(bool, col)) for col in cols] == [1] * len(cols)
+    assert w.free == [next(i for i, x in enumerate(col) if x == 1) for col in cols]
+    g = field_matrix(data.draw, field, m, w.dim)
+    for down in (field_matrix(data.draw, field, m, a * b * c), g @ w.proj):
+        assert_descends_as(w.descend, partial(section_descend_ref, proj, sect), down)
 
 
 def count_fractions(monkeypatch) -> list:
