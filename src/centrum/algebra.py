@@ -20,7 +20,6 @@ from .exactla import (
     Matrix,
     QQ,
     Subspace,
-    column_space,
     inverse,
     kernel,
     kron_product,
@@ -156,10 +155,6 @@ class Subalgebra:
 
     def __repr__(self):
         return f"Subalgebra(dim {self.dim} of dim {self.parent.dim})"
-
-
-def subalgebra_from_subspace(parent: Algebra, basis: Matrix) -> Subalgebra:
-    return Subalgebra(parent, column_space(basis))
 
 
 def _commutant(a: Algebra, elements) -> Subalgebra:

@@ -37,17 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import Algebra, AlgebraMap, unit_column
+from .algebra import Algebra, unit_column
 from .exactla import (
     HomSpace,
     Matrix,
     Quotient,
+    block_diagonal,
     cokernel,
     combination,
     inverse,
     kernel,
     kron_product,
     memoised,
+    mutually_inverse,
     same_content,
     slot_products,
     stack_columns,
@@ -141,14 +143,6 @@ def regular_bimodule(a: Algebra) -> Bimodule:
     return Bimodule(a, a, a.dim, lact, ract, name=f"reg({a.name})" if a.name else "")
 
 
-def restriction_bimodule(f: AlgebraMap) -> Bimodule:
-    """The target of f as a (src, tgt)-bimodule: the source acts through f."""
-    b = f.tgt
-    lact = [b.left_mult(f.apply(f.src.basis_vector(i))) for i in range(f.src.dim)]
-    ract = [b.right_mult(b.basis_vector(j)) for j in range(b.dim)]
-    return Bimodule(f.src, b, b.dim, lact, ract)
-
-
 def free_bimodule(a: Algebra, b: Algebra, d: int) -> Bimodule:
     """A (x) k^d (x) B with outer multiplication actions."""
     Ib = Matrix.identity(b.dim, a.field)
@@ -162,24 +156,12 @@ def free_bimodule(a: Algebra, b: Algebra, d: int) -> Bimodule:
 def direct_sum_bimodules(parts) -> Bimodule:
     """Direct sum of bimodules over the same pair of algebras."""
     a, b = parts[0].left, parts[0].right
-    f = parts[0].field
     if not all(same_content(p.left, a) and same_content(p.right, b)
                for p in parts):
         raise ValueError("direct sum: the parts are over different algebras")
-    dim = sum(p.dim for p in parts)
-
-    def block_diag(mats):
-        rows = []
-        off = 0
-        for m in mats:
-            for row in m.data:
-                rows.append([f.zero] * off + row + [f.zero] * (dim - off - m.cols))
-            off += m.cols
-        return Matrix(rows, f, ncols=dim)
-
-    lact = [block_diag([p.lact[i] for p in parts]) for i in range(a.dim)]
-    ract = [block_diag([p.ract[j] for p in parts]) for j in range(b.dim)]
-    return Bimodule(a, b, dim, lact, ract)
+    lact = [block_diagonal([p.lact[i] for p in parts]) for i in range(a.dim)]
+    ract = [block_diagonal([p.ract[j] for p in parts]) for j in range(b.dim)]
+    return Bimodule(a, b, sum(p.dim for p in parts), lact, ract)
 
 
 def twist_bimodule(m: Bimodule, P: Matrix) -> Bimodule:
@@ -424,8 +406,7 @@ def assoc_iso(m: Bimodule, n: Bimodule, p: Bimodule):
     br, wr = _bracketing((m, (n, p)))
     fwd = _rebracket(wl, wr)
     bwd = _rebracket(wr, wl)
-    f = m.field
-    if bwd @ fwd != Matrix.identity(bl.dim, f) or fwd @ bwd != Matrix.identity(br.dim, f):
+    if not mutually_inverse(fwd, bwd):
         raise ValueError("the associator and its inverse are not mutually inverse")
     iso = BimoduleMap(bl, br, fwd)
     bad = validate_bimodule_map(iso)
@@ -455,9 +436,7 @@ def unit_collapse(quot, collapse: Matrix, back_factors, name: str):
     the refusals."""
     mat = quot.descend(collapse, f"{name} does not descend")
     back = kron_product(quot.proj, back_factors)
-    f = quot.field
-    if (mat @ back != Matrix.identity(mat.rows, f)
-            or back @ mat != Matrix.identity(quot.dim, f)):
+    if not mutually_inverse(mat, back):
         raise ValueError(f"{name} is not invertible")
     return mat, back
 

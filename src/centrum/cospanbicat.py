@@ -64,6 +64,7 @@ from .exactla import (
     kernel,
     kron_product,
     memoised,
+    mutually_inverse,
     same_content,
     slot_products,
     solve_matrix,
@@ -590,10 +591,8 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
     beta_inv = tgt_w.descend(
         src_w.proj.select_columns(tensor_permutation_index(tgt_w.dims, swap)),
         "inverse interchanger does not descend from the target")
-    if beta @ beta_inv != Matrix.identity(tgt_diag.M.dim, f):
-        raise ValueError("interchanger after its inverse is not the identity")
-    if beta_inv @ beta != Matrix.identity(src_diag.M.dim, f):
-        raise ValueError("inverse after the interchanger is not the identity")
+    if not mutually_inverse(beta, beta_inv):
+        raise ValueError("the interchanger and its inverse are not mutually inverse")
     cell = ThreeCell(src_diag, tgt_diag, beta)
     inverse = ThreeCell(tgt_diag, src_diag, beta_inv)
     bad = validate_3cell(cell) + validate_3cell(inverse)

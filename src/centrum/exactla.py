@@ -347,14 +347,6 @@ class Matrix:
     def __sub__(self, other) -> "Matrix":
         return self._entrywise(other, sub, "-")
 
-    def __neg__(self) -> "Matrix":
-        p = self.field.p
-        if p:
-            num = [[-a % p for a in row] for row in self.num]
-        else:
-            num = [[-a for a in row] for row in self.num]
-        return Matrix._fresh(num, self.field, self.cols, self.den)
-
     def scale(self, c) -> "Matrix":
         p = self.field.p
         if p:
@@ -538,6 +530,18 @@ def stack_columns(mats) -> Matrix:
               zip(zip(*(m.num for m in mats)), zip(*(m.row_dens() for m in mats)))]
     return Matrix._fresh([list(chain.from_iterable(r)) for r, _ in joined],
                          top.field, n, [L for _, L in joined])
+
+
+def block_diagonal(mats) -> Matrix:
+    """The block-diagonal matrix of a nonempty list of matrices over one
+    field, stacked from them and zero blocks."""
+    f, n = mats[0].field, sum(m.cols for m in mats)
+    blocks, off = [], 0
+    for m in mats:
+        blocks.append(stack_columns([Matrix.zeros(m.rows, off, f), m,
+                                     Matrix.zeros(m.rows, n - off - m.cols, f)]))
+        off += m.cols
+    return stack_rows(blocks)
 
 
 def combination(coeffs, mats, start: Matrix) -> Matrix:
@@ -733,7 +737,7 @@ def rank(m: Matrix) -> int:
 def _distinct(rows) -> list:
     """The nonzero rows among rows, int lists (over QQ, numerators), as
     tuples in order of first appearance, each value once.  They span the
-    row space, which is all a kernel or a column space depends on (rref
+    row space, which is all a kernel or a cokernel depends on (rref
     itself keeps every row: inverse and solve_matrix read them all)."""
     return list(dict.fromkeys(map(tuple, filter(any, rows))))
 
@@ -746,18 +750,11 @@ def _row_echelon_basis(m: Matrix) -> Matrix:
     return _rows_at(R, range(len(pivots))).transpose()
 
 
-def column_echelon(m: Matrix) -> Matrix:
-    """Reduced column echelon form of the column space of m: each basis column
-    has leading entry 1 at a distinct row, that row is zero in the other
-    columns, columns ordered by leading row.  Canonical: equal subspaces give
-    equal matrices."""
-    return _row_echelon_basis(m.transpose())
-
-
 class Subspace:
     """A subspace of k^ambient with canonical (reduced column echelon) basis,
-    checked to be in that form; lead[j] is the leading row of column j.  A
-    spanning set goes through column_space."""
+    checked to be in that form; lead[j] is the leading row of column j.
+    kernel builds one, and cokernel builds one from spanning rows through
+    _row_echelon_basis."""
 
     __slots__ = ("ambient", "basis", "field", "lead")
 
@@ -879,10 +876,6 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace(n, Matrix._fresh(num, m.field, len(free), den), m.field)
 
 
-def column_space(m: Matrix) -> Subspace:
-    return Subspace(m.rows, column_echelon(m), m.field)
-
-
 def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
     """Solve A X = B for all columns at once (free variables zero).
     Returns None if any column is inconsistent."""
@@ -917,6 +910,12 @@ def inverse(m: Matrix) -> "Matrix | None":
 
 def is_invertible(m: Matrix) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
+
+
+def mutually_inverse(a: Matrix, b: Matrix) -> bool:
+    """Whether a @ b and b @ a are both identities."""
+    return (a @ b == Matrix.identity(a.rows, a.field)
+            and b @ a == Matrix.identity(b.rows, b.field))
 
 
 # ---------------------------------------------------------------------------
@@ -1130,11 +1129,6 @@ class memoised:
 
 # ---------------------------------------------------------------------------
 # randomness (seeded by the caller; uniform integer coordinates)
-
-
-def random_point(dim: int, bound: int, rng, field):
-    """A vector with integer entries drawn uniformly from [-bound, bound]."""
-    return [field.from_int(rng.randint(-bound, bound)) for _ in range(dim)]
 
 
 def random_matrix(rows: int, cols: int, bound: int, rng, field) -> Matrix:

@@ -17,7 +17,6 @@ from .algebra import (
     alg_product_k,
     compose_maps,
     identity_map,
-    matrix_algebra,
     tensor_algebra,
     unit_column,
     unit_map,
@@ -53,19 +52,18 @@ from .exactla import (
 
 
 def commutative_pool(field=QQ):
-    """Small commutative algebras: a field line, split and non-split
-    two-dimensional algebras, and a three-dimensional split one."""
+    """Small commutative algebras: a field line and split and non-split
+    two-dimensional algebras."""
     return [
         alg_k(field),
         alg_product_k(2, field),
         alg_dual_numbers(field),
         alg_group_c2(field),
-        alg_product_k(3, field),
     ]
 
 
-def random_commutative(rng, field=QQ, max_dim=3) -> Algebra:
-    pool = [a for a in commutative_pool(field) if a.dim <= max_dim]
+def random_commutative(rng, field=QQ) -> Algebra:
+    pool = commutative_pool(field)
     return pool[rng.randrange(len(pool))]
 
 
@@ -92,20 +90,6 @@ def extend_cospan(c: Cospan, ext: Algebra):
     h = AlgebraMap(c.apex, tensor_algebra(c.apex, ext), embed)
     new = Cospan(compose_maps(h, c.leg_a), compose_maps(h, c.leg_b))
     return new, cospan_morphism_2diagram(c, new, h)
-
-
-def matrix_cospan(a: Algebra, b: Algebra, n: int) -> Cospan:
-    """A -> M_n(A (x) B) <- B with scalar-diagonal legs; the apex is not
-    commutative for n > 1 but the leg images are central."""
-    apex = matrix_algebra(tensor_algebra(a, b), n)
-    f = a.field
-    # vec(I_n), the identity read row by row, as one column
-    vec_i = Matrix.from_columns(
-        [[f.one if i == j else f.zero for i in range(n) for j in range(n)]],
-        n * n, f)
-    tp = tensor_product_cospan(a, b)
-    return Cospan(AlgebraMap(a, apex, vec_i.kron(tp.leg_a.mat)),
-                  AlgebraMap(b, apex, vec_i.kron(tp.leg_b.mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +124,7 @@ def random_interchanger_grid(rng, field=QQ):
     left column over (k, B), right column over (B, k), with B of dimension
     at most 2 and at most one proper extension per column."""
     k = alg_k(field)
-    b = random_commutative(rng, field, max_dim=2)
+    b = random_commutative(rng, field)
     s1 = tensor_product_cospan(k, b)
     t1 = tensor_product_cospan(b, k)
     exts = [a for a in commutative_pool(field) if a.dim == 2]
@@ -199,11 +183,12 @@ def row_bimodule(n: int, field=QQ) -> Bimodule:
     return Bimodule(k, mn, n, [Matrix.identity(n, field)], ract, name=f"row{n}")
 
 
-def random_hom_element(src: Bimodule, tgt: Bimodule, rng, bound=2):
-    """A random equivariant map src -> tgt (zero if the hom space is zero)."""
+def random_hom_element(src: Bimodule, tgt: Bimodule, rng):
+    """A random equivariant map src -> tgt with coefficients in [-2, 2] on
+    the hom basis (zero if the hom space is zero)."""
     basis = hom_space(src, tgt).basis
     f = src.field
-    coeffs = [f.from_int(rng.randint(-bound, bound)) for _ in basis]
+    coeffs = [f.from_int(rng.randint(-2, 2)) for _ in basis]
     return BimoduleMap(src, tgt, combination(coeffs, basis,
                                              Matrix.zeros(tgt.dim, src.dim, f)))
 

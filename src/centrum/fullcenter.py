@@ -37,7 +37,6 @@ from .algebra import (
     centralizer,
     compose_maps,
     identity_map,
-    is_commutative,
     is_isomorphism,
     matrix_algebra,
     subalgebra_map,
@@ -58,7 +57,6 @@ from .bimodule import (
     induced_map,
     left_action_collapse,
     regular_bimodule,
-    restriction_bimodule,
     right_action_collapse,
     tensor_over,
     unit_collapse,
@@ -93,28 +91,6 @@ from .exactla import (
 
 # ---------------------------------------------------------------------------
 # the assignment on objects, 1-cells and 2-cells
-
-
-@dataclass(slots=True, eq=False)
-class ZObjectResult:
-    """An algebra together with its center as a commutative subalgebra."""
-
-    algebra: Algebra
-    center: Subalgebra
-
-    @property
-    def dim(self):
-        return self.center.dim
-
-    def __repr__(self):
-        return f"ZObjectResult(dim {self.dim} center of dim {self.algebra.dim})"
-
-
-def Z_object(a: Algebra) -> ZObjectResult:
-    sub = center(a)
-    if not is_commutative(sub.algebra):
-        raise ValueError("the center must be commutative")
-    return ZObjectResult(a, sub)
 
 
 @dataclass(slots=True, eq=False)
@@ -170,33 +146,6 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
     if bad:
         raise ValueError(f"endomorphism cospan is invalid: {bad}")
     return ZMorphismResult("bimodule", cospan, ea.algebra, ea, zl, zr)
-
-
-@dataclass(slots=True, eq=False)
-class AgreementResult:
-    """The evaluation-at-unit isomorphism between the bimodule-level and the
-    map-level cospan of an algebra map, with its verification report."""
-
-    iso: AlgebraMap
-    report: CoherenceReport
-
-
-def z_restriction_agreement(f: AlgebraMap) -> AgreementResult:
-    """For the bimodule B with left action through f, evaluation at 1 is an
-    algebra isomorphism End -> centralizer commuting with both legs."""
-    zb = Z_bimodule(restriction_bimodule(f))
-    zh = Z_hom(f)
-    ev_mat = zh.realization.subspace.coords_matrix(Matrix.from_columns(
-        [b.apply(f.tgt.unit) for b in zb.realization.hom.basis], f.tgt.dim, f.tgt.field))
-    if ev_mat is None:
-        raise ValueError("evaluation leaves the centralizer")
-    ev = AlgebraMap(zb.apex, zh.apex, ev_mat)
-    rep = CoherenceReport()
-    rep.add("algebra map", validate_algebra_map(ev) == [])
-    rep.add("isomorphism", is_isomorphism(ev) is not None)
-    rep.add("left legs agree", ev.mat @ zb.cospan.leg_a.mat == zh.cospan.leg_a.mat)
-    rep.add("right legs agree", ev.mat @ zb.cospan.leg_b.mat == zh.cospan.leg_b.mat)
-    return AgreementResult(ev, rep)
 
 
 @memoised

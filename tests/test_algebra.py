@@ -18,11 +18,20 @@ from hypothesis import strategies as st
 from centrum import algebra as algebra_module
 from centrum.cli import algebra_dict, algebra_from_dict, content_hash, fmt_vector
 from centrum.corpus import _automorphism_pool
-from centrum.exactla import QQ, Matrix, PrimeField, is_invertible, rank, same_content
+from centrum.exactla import (
+    QQ,
+    Matrix,
+    PrimeField,
+    Subspace,
+    is_invertible,
+    rank,
+    same_content,
+)
 from centrum.algebra import (
     MAX_DIM,
     Algebra,
     AlgebraMap,
+    Subalgebra,
     alg_dual_numbers,
     alg_group_c2,
     alg_k,
@@ -39,7 +48,6 @@ from centrum.algebra import (
     named_algebra,
     opposite_algebra,
     product_algebra,
-    subalgebra_from_subspace,
     subalgebra_map,
     tensor_algebra,
     unit_map,
@@ -189,8 +197,8 @@ def test_center_of_m2_is_scalars():
 def test_center_closure_error_surfaces():
     # span{E11, E12+E21} in M2 is not closed under multiplication
     basis = Matrix.from_int_rows([[1, 0], [0, 1], [0, 1], [0, 0]], QQ)
-    with pytest.raises(ValueError):
-        subalgebra_from_subspace(alg_matrix(2), basis)
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        Subalgebra(alg_matrix(2), Subspace(4, basis, QQ))
 
 
 # -- centralizers ------------------------------------------------------------

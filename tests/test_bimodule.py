@@ -15,6 +15,7 @@ from fieldref import kernel_ref, red, ref_validate_bimodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from refusals import bimodule_refusals, optimized
+from testfixtures import restriction_bimodule
 
 import centrum.bimodule as bimodule
 from centrum.algebra import (
@@ -42,7 +43,6 @@ from centrum.bimodule import (
     middle_relations,
     pentagon_check,
     regular_bimodule,
-    restriction_bimodule,
     assoc_iso,
     tensor_over,
     triangle_check,

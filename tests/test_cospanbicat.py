@@ -23,6 +23,8 @@ from centrum.algebra import (
     compose_maps,
     identity_map,
     is_isomorphism,
+    matrix_algebra,
+    tensor_algebra,
     unit_map,
     validate_algebra,
 )
@@ -70,7 +72,6 @@ from centrum.exactla import (
 )
 from centrum.fixtures import (
     extend_cospan,
-    matrix_cospan,
     random_interchanger_grid,
     random_invertible,
     tensor_product_cospan,
@@ -80,6 +81,20 @@ from centrum.fixtures import (
 
 # ---------------------------------------------------------------------------
 # cospans and their composition
+
+
+def matrix_cospan(a, b, n: int) -> Cospan:
+    """A -> M_n(A (x) B) <- B with scalar-diagonal legs; the apex is not
+    commutative for n > 1 but the leg images are central."""
+    apex = matrix_algebra(tensor_algebra(a, b), n)
+    f = a.field
+    # vec(I_n), the identity read row by row, as one column
+    vec_i = Matrix.from_columns(
+        [[f.one if i == j else f.zero for i in range(n) for j in range(n)]],
+        n * n, f)
+    tp = tensor_product_cospan(a, b)
+    return Cospan(AlgebraMap(a, apex, vec_i.kron(tp.leg_a.mat)),
+                  AlgebraMap(b, apex, vec_i.kron(tp.leg_b.mat)))
 
 
 def test_valid_cospans():

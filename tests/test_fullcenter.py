@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from fieldref import content_key_ref
+from testfixtures import restriction_bimodule
 
 from centrum.exactla import (
     KEY_BOUND,
@@ -40,6 +41,7 @@ from centrum.algebra import (
     alg_product_k,
     center,
     identity_map,
+    is_isomorphism,
     product_algebra,
     unit_map,
     validate_algebra_map,
@@ -58,7 +60,6 @@ from centrum.bimodule import (
     induced_map,
     middle_relations,
     regular_bimodule,
-    restriction_bimodule,
     tensor_over,
     twist_bimodule,
 )
@@ -77,7 +78,6 @@ from centrum.fullcenter import (
     Z_2cell,
     Z_bimodule,
     Z_hom,
-    Z_object,
     check_m_hexagon,
     check_m_unit_axiom,
     check_theorem58_hypotheses,
@@ -88,7 +88,6 @@ from centrum.fullcenter import (
     n_general,
     verify_lax_functor,
     verify_m_naturality,
-    z_restriction_agreement,
     zero_bimodule_map,
 )
 
@@ -121,12 +120,12 @@ def point_module(b, c):
 
 
 def test_center_dims_on_the_pool():
-    assert Z_object(alg_matrix(2)).dim == 1
-    assert Z_object(alg_matrix(3)).dim == 1
-    assert Z_object(alg_product_k(2)).dim == 2
-    assert Z_object(alg_dual_numbers()).dim == 2
-    assert Z_object(alg_group_c2()).dim == 2
-    assert Z_object(product_algebra([alg_k(), alg_matrix(2)])).dim == 2
+    assert center(alg_matrix(2)).dim == 1
+    assert center(alg_matrix(3)).dim == 1
+    assert center(alg_product_k(2)).dim == 2
+    assert center(alg_dual_numbers()).dim == 2
+    assert center(alg_group_c2()).dim == 2
+    assert center(product_algebra([alg_k(), alg_matrix(2)])).dim == 2
 
 
 # -- the cospan of an algebra map -------------------------------------------
@@ -165,9 +164,20 @@ def test_z_hom_identity_is_strict():
 
 
 def test_restriction_agreement_on_the_pool():
+    """For the bimodule B with left action through f, evaluation at 1 is an
+    algebra isomorphism End -> centralizer commuting with both legs."""
     for f in algebra_map_pool():
-        ag = z_restriction_agreement(f)
-        assert ag.report.ok, [e for e in ag.report.entries if not e["ok"]]
+        zb = Z_bimodule(restriction_bimodule(f))
+        zh = Z_hom(f)
+        ev_mat = zh.realization.subspace.coords_matrix(Matrix.from_columns(
+            [b.apply(f.tgt.unit) for b in zb.realization.hom.basis],
+            f.tgt.dim, f.tgt.field))
+        assert ev_mat is not None, "evaluation leaves the centralizer"
+        ev = AlgebraMap(zb.apex, zh.apex, ev_mat)
+        assert validate_algebra_map(ev) == []
+        assert is_isomorphism(ev) is not None
+        assert ev.mat @ zb.cospan.leg_a.mat == zh.cospan.leg_a.mat
+        assert ev.mat @ zb.cospan.leg_b.mat == zh.cospan.leg_b.mat
 
 
 # -- the cospan of a bimodule ------------------------------------------------
@@ -740,8 +750,6 @@ def invariant_failures():
     k2 = alg_product_k(2)
     c2_map = identity_map(alg_group_c2())
     cases = {
-        "Z_object": (lambda: Z_object(alg_k()), "is_commutative",
-                     lambda a: False),
         "Z_hom": (lambda: Z_hom(unit_map(alg_matrix(2))), "validate_cospan",
                   lambda c: ["broken"]),
         "Z_bimodule": (lambda: Z_bimodule(reg), "validate_cospan",

@@ -26,7 +26,14 @@ from hypothesis import strategies as st
 
 import centrum.bimodule as bimodule
 import centrum.cospanbicat as cospanbicat
-from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_k, alg_product_k
+from centrum.algebra import (
+    alg_dual_numbers,
+    alg_group_c2,
+    alg_k,
+    alg_matrix,
+    alg_product_k,
+    unit_map,
+)
 from centrum.bimodule import (
     assoc_iso,
     direct_sum_bimodules,
@@ -40,12 +47,15 @@ from centrum.bimodule import (
     unit_iso_right,
 )
 from centrum.cospanbicat import (
+    Cospan,
+    CospanComposition,
     TwoDiagram,
     beta_cell,
     check_beta_naturality,
     compose_cospans,
     horizontal_compose,
     identity_2diagram,
+    identity_cospan,
     vertical_compose,
 )
 from centrum.exactla import (
@@ -55,7 +65,9 @@ from centrum.exactla import (
     Quotient,
     cokernel,
     kron_product,
+    mutually_inverse,
     slot_products,
+    stack_rows,
     tensor_permutation_index,
 )
 from centrum.fixtures import (
@@ -300,10 +312,28 @@ def check_refusals():
     off_f = TwoDiagram(w.src, w.tgt, w.M, w.f.scale(2), w.g, w.quot), ww
     off_g = TwoDiagram(w.src, w.tgt, w.M, w.f, w.g.scale(2), w.quot), ww
     other = identity_2diagram(tensor_product_cospan(k, k2))
+    back = identity_2diagram(tensor_product_cospan(c2, k))
     q = cokernel(Matrix.from_int_rows([[1, -1]], QQ))
+    # k -> M_2 <- k, composed with the identity of k: its apex M_2 (x) k has
+    # the matrix units at 0..3 (E_ij at 2i + j), and the relations are
+    # patched to span{E11}, not a right ideal, or to span{E11, E12} =
+    # E11 M_2, a right ideal but not a left one
+    scalars = Cospan(unit_map(alg_matrix(2)), unit_map(alg_matrix(2)))
+    grid = random_interchanger_grid(random.Random(0))
 
     def doubled(fn):
         return lambda *args: fn(*args).scale(2)
+
+    def relations(rows):
+        return lambda *args: Matrix.from_int_rows(rows, QQ)
+
+    def identity_rows(mats):
+        return Matrix.identity(len(mats), QQ)
+
+    def after_first_call(fn, wrong):
+        """fn on the first call and wrong on every later one."""
+        first = iter([fn])
+        return lambda *args: next(first, wrong)(*args)
 
     patches = {
         "associator inverse": (bimodule, "_rebracket", doubled(bimodule._rebracket)),
@@ -311,6 +341,17 @@ def check_refusals():
                                     lambda f: ["left action"]),
         "left unit inverse": (bimodule, "kron_product", doubled(bimodule.kron_product)),
         "right unit inverse": (bimodule, "kron_product", doubled(bimodule.kron_product)),
+        "composite product left": (cospanbicat, "middle_relations",
+                                   relations([[1, 0, 0, 0]])),
+        "composite product right": (cospanbicat, "middle_relations",
+                                    relations([[1, 0, 0, 0], [0, 1, 0, 0]])),
+        # the terms of the composite's actions stacked as an identity, so
+        # the apex relations combine them to the relations themselves
+        "horizontal left action": (cospanbicat, "stack_rows", identity_rows),
+        "horizontal right action": (cospanbicat, "stack_rows",
+                                    after_first_call(stack_rows, identity_rows)),
+        "interchanger inverse": (cospanbicat, "mutually_inverse",
+                                 lambda a, b: mutually_inverse(a.scale(2), b)),
     }
     ops = {
         "tensor middle algebras": (
@@ -335,6 +376,21 @@ def check_refusals():
             lambda: horizontal_compose(d2, d2), "share their middle algebra"),
         "interchanger rows": (
             lambda: beta_cell(d2, other, d2, d2), "the grid's rows must compose"),
+        "composite product left": (
+            lambda: CospanComposition(identity_cospan(k), scalars),
+            "multiplication does not descend (left side)"),
+        "composite product right": (
+            lambda: CospanComposition(identity_cospan(k), scalars),
+            "multiplication does not descend (right side)"),
+        "horizontal left action": (
+            lambda: horizontal_compose(back, d2),
+            "left action does not respect the apex relations"),
+        "horizontal right action": (
+            lambda: horizontal_compose(back, d2),
+            "right action does not respect the apex relations"),
+        "interchanger inverse": (
+            lambda: beta_cell(*grid),
+            "the interchanger and its inverse are not mutually inverse"),
         "rebracketing f legs": (
             lambda: cospanbicat._rebracket_3cell((w, ww), off_f), "intertwine f legs"),
         "rebracketing g legs": (

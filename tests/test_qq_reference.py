@@ -36,8 +36,8 @@ from centrum.exactla import (
     Matrix,
     PrimeField,
     Quotient,
+    _row_echelon_basis,
     cokernel,
-    column_echelon,
     content_key,
     inverse,
     kernel,
@@ -137,7 +137,6 @@ def test_entrywise_operations_match_the_references(data, n, k, l):
     assert_same(A @ B, matmul_ref(A, B), "matmul")
     assert_same(A + C, add_ref(A, C), "add")
     assert_same(A - C, add_ref(A, C, -1), "sub")
-    assert_same(-A, scale_ref(A, -1), "neg")
     assert_same(A.scale(c), scale_ref(A, c), "scale")
     assert_same(A.kron(B), kron_ref(A, B), "kron")
     assert_same(A.transpose(), transpose_ref(A), "transpose")
@@ -183,7 +182,8 @@ def test_eliminations_match_the_references(data, n, k):
     assert pivots == pivots0
     assert_same(R, R0, "rref")
     assert_same(kernel(A).basis, kernel_ref(A), "kernel")
-    assert_same(column_echelon(A), column_echelon_ref(A), "column_echelon")
+    assert_same(_row_echelon_basis(A.transpose()), column_echelon_ref(A),
+                "_row_echelon_basis")
     q = cokernel(A.transpose())
     for name, got, ref in zip(("relations", "proj", "sect"),
                               (q.relations, q.proj, q.sect), cokernel_ref(A)):
