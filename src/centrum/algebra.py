@@ -26,6 +26,7 @@ from .exactla import (
     memoised,
     same_content,
     stack_rows,
+    tensor_permutation_index,
 )
 
 
@@ -149,10 +150,6 @@ class Subalgebra:
     def dim(self):
         return self.algebra.dim
 
-    def embed(self, coords):
-        """Coordinates in the subalgebra -> coordinates in the parent."""
-        return self.incl.apply(coords)
-
     def __repr__(self):
         return f"Subalgebra(dim {self.dim} of dim {self.parent.dim})"
 
@@ -172,7 +169,13 @@ def center(a: Algebra) -> Subalgebra:
 
 def centralizer(f: "AlgebraMap") -> Subalgebra:
     """Centralizer of the image of f inside the target, as a subalgebra."""
-    return _commutant(f.tgt, [f.apply(f.src.basis_vector(i)) for i in range(f.src.dim)])
+    return _commutant(f.tgt, f.mat.columns())
+
+
+def commutes(a: Algebra, xs, ys) -> bool:
+    """Brute force: every x commutes with every y in a, coordinate vectors
+    multiplied pair by pair; the oracle for centers and centralizers."""
+    return all(a.multiply(x, y) == a.multiply(y, x) for x in xs for y in ys)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +189,8 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     if a.field != b.field:
         raise ValueError("tensor_algebra: the factors lie over different fields")
     f = a.field
-    n, m = a.dim, b.dim
-    order = [((i * n + p) * m + j) * m + q for i in range(n) for j in range(m)
-             for p in range(n) for q in range(m)]
-    mult = a.mult.kron(b.mult).select_columns(order)
+    mult = a.mult.kron(b.mult).select_columns(
+        tensor_permutation_index((a.dim, b.dim) * 2, (0, 2, 1, 3)))
     unit = Matrix([a.unit], f).kron(Matrix([b.unit], f)).data[0]
     name = ""
     if a.name and b.name:
@@ -200,7 +201,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
 def opposite_algebra(a: Algebra) -> Algebra:
     """The same mult with the columns (i, j) and (j, i) swapped."""
     d = a.dim
-    mult = a.mult.select_columns([j * d + i for i in range(d) for j in range(d)])
+    mult = a.mult.select_columns(tensor_permutation_index((d, d), (1, 0)))
     return Algebra(mult, a.unit, f"{a.name}^op" if a.name else "")
 
 
@@ -395,12 +396,7 @@ def is_isomorphism(f: AlgebraMap) -> "AlgebraMap | None":
 def image_central_in(f: AlgebraMap) -> bool:
     """True iff the image of f commutes with everything in the target."""
     t = f.tgt
-    for i in range(f.src.dim):
-        u = f.apply(f.src.basis_vector(i))
-        if (t.left_mult(u) - t.right_mult(u)).is_zero():
-            continue
-        return False
-    return True
+    return all((t.left_mult(u) - t.right_mult(u)).is_zero() for u in f.mat.columns())
 
 
 def subalgebra_map(sub_src: Subalgebra, sub_tgt: Subalgebra, parent_map: Matrix) -> AlgebraMap:

@@ -43,6 +43,7 @@ from .exactla import (
     Matrix,
     Quotient,
     block_diagonal,
+    check_cells,
     cokernel,
     combination,
     inverse,
@@ -54,6 +55,7 @@ from .exactla import (
     slot_products,
     stack_columns,
     tensor_induced,
+    tensor_permutation_index,
 )
 
 
@@ -218,12 +220,11 @@ def hom_space(src: Bimodule, tgt: Bimodule) -> HomSpace:
     """The space of bimodule maps src -> tgt over the common pair, as
     (tgt.dim x src.dim) matrices.  Its span is canonical (reduced column
     echelon), so the same pair of bimodules always yields the same basis."""
-    nt, ns = tgt.dim, src.dim
     # X S = T X for every action pair (S of src, T of tgt): its equations on
     # vec(X) are the rows of (T^T (x) I - I (x) S)^T
-    rel = middle_relations(nt, ns, [T.transpose() for T in tgt.lact + tgt.ract],
-                           src.lact + src.ract, src.field)
-    return HomSpace(nt, ns, kernel(rel))
+    rel = middle_relations([T.transpose() for T in tgt.lact + tgt.ract],
+                           src.lact + src.ract)
+    return HomSpace(tgt.dim, src.dim, kernel(rel))
 
 
 # the refusal of a map that a hom-space operator sends out of the space
@@ -282,15 +283,21 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule):
 # the fibered tensor product
 
 
-def middle_relations(dim_m: int, dim_n: int, ract_mid, lact_mid, field) -> Matrix:
+def middle_relations(ract_mid, lact_mid) -> Matrix:
     """Relation matrix for M (x)_B N, one relation per row: row (b, j, l)
-    is m_j.b (x) n_l  -  m_j (x) b.n_l, for every middle basis element b.
+    is m_j.b (x) n_l  -  m_j (x) b.n_l, for every middle basis element b,
+    acting by R_b on M and L_b on N.  The sizes and the field are read off
+    the first pair, so a zero-dimensional middle algebra is refused.
 
     Block b is (R_b (x) I - I (x) L_b)^T, written entry by entry: the entry
     at row (j, l), column (i, k) is R_b[i][j] [k == l] - [i == j] L_b[k][l].
     Over QQ the rows of block b are cleared over the lcm of the row
     denominators of R_b and L_b."""
+    if not ract_mid:
+        raise ValueError("middle relations need a middle algebra with a basis")
+    dim_m, dim_n, field = ract_mid[0].rows, lact_mid[0].rows, ract_mid[0].field
     n, p = dim_m * dim_n, field.p
+    check_cells(len(ract_mid) * n * n, "the middle relations")
     data, den = [], []
     for Rb, Lb in zip(ract_mid, lact_mid):
         rden, lden = Rb.row_dens(), Lb.row_dens()
@@ -319,7 +326,7 @@ def _tensor_quotient(m: Bimodule, n: Bimodule) -> Quotient:
     """The quotient of M (x) N by the relations over the middle algebra B."""
     if not same_content(m.right, n.left):
         raise ValueError("middle algebras must agree")
-    return cokernel(middle_relations(m.dim, n.dim, m.ract, n.lact, m.field))
+    return cokernel(middle_relations(m.ract, n.lact))
 
 
 class TensorResult:
@@ -426,7 +433,7 @@ def right_action_collapse(m: Bimodule) -> Matrix:
     the ract side by side, with the columns (j, i) moved to (i, j)."""
     b = m.right.dim
     return stack_columns([Matrix.zeros(m.dim, 0, m.field), *m.ract]).select_columns(
-        [j * m.dim + i for i in range(m.dim) for j in range(b)])
+        tensor_permutation_index((m.dim, b), (1, 0)))
 
 
 def unit_collapse(quot, collapse: Matrix, back_factors, name: str):

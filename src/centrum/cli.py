@@ -41,6 +41,7 @@ from .algebra import (
     center,
     centralizer,
     check_dim,
+    commutes,
     identity_map,
     is_commutative,
     named_algebra,
@@ -536,16 +537,6 @@ def emit(payload, out_path):
 # command handlers
 
 
-def _commute(alg: Algebra, xs, ys) -> bool:
-    """Brute force: every x commutes with every y in alg."""
-    return all(alg.multiply(x, y) == alg.multiply(y, x)
-               for x in xs for y in ys)
-
-
-def _basis_image(f: AlgebraMap):
-    return [f.apply(f.src.basis_vector(i)) for i in range(f.src.dim)]
-
-
 def _legs(c: Cospan):
     return {"leg_a": fmt_matrix(c.leg_a.mat), "leg_b": fmt_matrix(c.leg_b.mat)}
 
@@ -562,7 +553,7 @@ def cmd_center(args, s, rep):
     rep.result = {"dim": z.dim, "basis": fmt_matrix(z.incl)}
     rep.add("center is a commutative subalgebra", is_commutative(z.algebra))
     rep.add("center basis commutes with every basis element (brute force)",
-            _commute(a, z.incl.columns(),
+            commutes(a, z.incl.columns(),
                      [a.basis_vector(i) for i in range(a.dim)]))
 
 
@@ -571,7 +562,7 @@ def cmd_centralizer(args, s, rep):
     c = centralizer(f)
     rep.result = {"dim": c.dim, "basis": fmt_matrix(c.incl)}
     rep.add("centralizer basis commutes with the image (brute force)",
-            _commute(f.tgt, c.incl.columns(), _basis_image(f)))
+            commutes(f.tgt, c.incl.columns(), f.mat.columns()))
     rep.add("centralizer is closed under multiplication and contains 1",
             True, "certified during subalgebra construction")
 
@@ -587,7 +578,7 @@ def cmd_z_hom(args, s, rep):
     rep.add("centralizer cospan passes its validator",
             validate_cospan(r.cospan) == [])
     rep.add("apex basis commutes with the image (brute force)",
-            _commute(f.tgt, r.realization.incl.columns(), _basis_image(f)))
+            commutes(f.tgt, r.realization.incl.columns(), f.mat.columns()))
 
 
 def cmd_z_bimodule(args, s, rep):

@@ -25,6 +25,7 @@ from .algebra import (
     alg_product_k,
     center,
     centralizer,
+    commutes,
     identity_map,
     unit_map,
     validate_algebra_map,
@@ -138,12 +139,10 @@ def center_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
         z = center(a)
         rep.add(f"center of matrix:{n} is the scalars", z.dim == 1,
                 f"dim {z.dim}")
-        basis = [z.embed(z.algebra.basis_vector(i)) for i in range(z.dim)]
-        sound = all(
-            a.multiply(v, a.basis_vector(i)) == a.multiply(a.basis_vector(i), v)
-            for v in basis for i in range(a.dim))
-        rep.add(f"center of matrix:{n} commutes on all basis pairs", sound)
-        full = _commutator_kernel_dim(a, [a.basis_vector(i) for i in range(a.dim)])
+        units = [a.basis_vector(i) for i in range(a.dim)]
+        rep.add(f"center of matrix:{n} commutes on all basis pairs",
+                commutes(a, z.incl.columns(), units))
+        full = _commutator_kernel_dim(a, units)
         rep.add(f"center of matrix:{n} is the whole commutator kernel",
                 full == z.dim, f"kernel dim {full}")
     f = diagonal_inclusion(2, field)
@@ -153,12 +152,9 @@ def center_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
         [[1, 0], [0, 0], [0, 0], [0, 1]], field)
     rep.add("diagonal centralizer equals the diagonal subalgebra",
             c.incl == expected)
-    image = [f.mat.apply(f.src.basis_vector(i)) for i in range(f.src.dim)]
-    basis = [c.embed(c.algebra.basis_vector(i)) for i in range(c.dim)]
-    sound = all(
-        f.tgt.multiply(v, w) == f.tgt.multiply(w, v)
-        for v in basis for w in image)
-    rep.add("centralizer commutes with the image on all basis pairs", sound)
+    image = f.mat.columns()
+    rep.add("centralizer commutes with the image on all basis pairs",
+            commutes(f.tgt, c.incl.columns(), image))
     full = _commutator_kernel_dim(f.tgt, image)
     rep.add("centralizer is the whole commutator kernel", full == c.dim,
             f"kernel dim {full}")

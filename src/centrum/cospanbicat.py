@@ -38,7 +38,6 @@ from .algebra import (
     image_central_in,
     is_commutative,
     is_isomorphism,
-    tensor_algebra,
     unit_column,
     validate_algebra_map,
 )
@@ -68,6 +67,7 @@ from .exactla import (
     same_content,
     slot_products,
     solve_matrix,
+    stack_columns,
     stack_rows,
     tensor_induced,
     tensor_permutation_index,
@@ -130,13 +130,11 @@ def identity_cospan(a: Algebra) -> Cospan:
 
 class CospanComposition:
     """The composite of two cospans: apex (first apex) (x)_B (second apex),
-    a quotient algebra of tensor_algebra(first apex, second apex), plus the
-    quotient witnesses.
-
-    The product descends because leg images are central; both one-sided
-    multiplication operators of every relation generator are checked to
-    vanish on the quotient.
-    """
+    the quotient quot of the flat tensor of the two apexes, built as
+    horizontal_compose builds its apex: _middle_quotient, then e_i (x) e_j
+    acting by the pair of left multiplications, descended by
+    _composite_actions.  The product descends because leg images are
+    central: the relations must form a two-sided ideal."""
 
     __slots__ = ("first", "second", "cospan", "quot")
 
@@ -148,27 +146,14 @@ class CospanComposition:
         if bad:
             raise ValueError(f"invalid cospan: {bad}")
         T, S = first.apex, second.apex
-        f = T.field
-        U = tensor_algebra(T, S)
-        ract_mid = [
-            T.right_mult(first.leg_b.apply(B.basis_vector(j))) for j in range(B.dim)
-        ]
-        lact_mid = [
-            S.left_mult(second.leg_a.apply(B.basis_vector(j))) for j in range(B.dim)
-        ]
-        rel = middle_relations(T.dim, S.dim, ract_mid, lact_mid, f)
-        quot = cokernel(rel)
-        proj, free = quot.proj, quot.free
-        # linear in the relation, so checking a basis of the span suffices:
-        # proj mult (rel (x) 1) and proj mult (1 (x) rel) must vanish
-        pm = proj @ U.mult
-        if not kron_product(pm, [quot.relations, U.dim]).is_zero():
-            raise ValueError("multiplication does not descend (left side)")
-        if not kron_product(pm, [U.dim, quot.relations]).is_zero():
-            raise ValueError("multiplication does not descend (right side)")
-        # the products e_free[a] e_free[b] of section columns, read off U.mult
-        prods = U.mult.select_columns([a * U.dim + b for a in free for b in free])
-        apex = Algebra(proj @ prods, quot.project(U.unit))
+        quot = _middle_quotient(first.leg_b, second.leg_a, T.right_mult, S.left_mult)
+        proj = quot.proj
+        acts = _composite_actions(quot, quot, _left_mults(T), _left_mults(S),
+                                  "multiplication does not descend (left side)")
+        # column (a, b) of mult: e_free[a] acting on e_free[b]
+        mult = stack_columns([Matrix.zeros(quot.dim, 0, T.field), *acts])
+        unit = kron_product(proj, [unit_column(T), unit_column(S)])
+        apex = Algebra(mult, unit.col_list(0))
         leg_a = AlgebraMap(first.a, apex,
                            kron_product(proj, [first.leg_a.mat, unit_column(S)]))
         leg_b = AlgebraMap(second.b, apex,
@@ -199,13 +184,10 @@ def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> 
     U = w.tgt
     if not same_content(v.tgt, U):
         raise ValueError("factor maps must share a target")
-    B = comp.first.b
-    for j in range(B.dim):
-        bj = B.basis_vector(j)
-        if w.apply(comp.first.leg_b.apply(bj)) != v.apply(comp.second.leg_a.apply(bj)):
-            raise ValueError("factor maps do not agree on the middle algebra")
+    if w.mat @ comp.first.leg_b.mat != v.mat @ comp.second.leg_a.mat:
+        raise ValueError("factor maps do not agree on the middle algebra")
     cols = U.products(w.mat, v.mat)
-    swap = [j * T.dim + i for i in range(T.dim) for j in range(S.dim)]
+    swap = tensor_permutation_index((T.dim, S.dim), (1, 0))
     if cols != U.products(v.mat, w.mat).select_columns(swap):
         raise ValueError("factor map images do not commute")
     mat = comp.quot.descend(cols, "universal map does not descend")
@@ -298,9 +280,8 @@ def cospan_morphism_2diagram(src: Cospan, tgt: Cospan, h: AlgebraMap) -> TwoDiag
     if h.mat @ src.leg_b.mat != tgt.leg_b.mat:
         raise ValueError("does not commute with B legs")
     T = tgt.apex
-    lact = [T.left_mult(T.basis_vector(i)) for i in range(T.dim)]
-    ract = [T.right_mult(h.apply(src.apex.basis_vector(j))) for j in range(src.apex.dim)]
-    M = Bimodule(T, src.apex, T.dim, lact, ract)
+    ract = [T.right_mult(x) for x in h.mat.columns()]
+    M = Bimodule(T, src.apex, T.dim, _left_mults(T), ract)
     return TwoDiagram(src, tgt, M, h.mat, Matrix.identity(T.dim, T.field))
 
 
@@ -352,11 +333,7 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     src_comp = compose_cospans(right.src, left.src)
     tgt_comp = compose_cospans(right.tgt, left.tgt)
     M1, M2 = left.M, right.M
-    quot = cokernel(middle_relations(
-        M1.dim, M2.dim,
-        [M1.ract_of(left.src.leg_b.mat.col_list(j)) for j in range(B.dim)],
-        [M2.lact_of(right.tgt.leg_a.mat.col_list(j)) for j in range(B.dim)],
-        M1.field))
+    quot = _middle_quotient(left.src.leg_b, right.tgt.leg_a, M1.ract_of, M2.lact_of)
     lact = _composite_actions(quot, tgt_comp.quot, M1.lact, M2.lact,
                               "left action does not respect the apex relations")
     ract = _composite_actions(quot, src_comp.quot, M1.ract, M2.ract,
@@ -369,18 +346,35 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat, quot)
 
 
+def _left_mults(a: Algebra) -> list:
+    """The left multiplications by the basis of a."""
+    return [a.left_mult(a.basis_vector(i)) for i in range(a.dim)]
+
+
+def _middle_quotient(left_leg: AlgebraMap, right_leg: AlgebraMap, ract_of,
+                     lact_of) -> Quotient:
+    """X (x)_B Y for B the common source of the legs: the quotient of the
+    flat tensor by the middle relations of b acting on X on the right by
+    ract_of(left_leg(b)) and on Y on the left by lact_of(right_leg(b))."""
+    return cokernel(middle_relations([ract_of(x) for x in left_leg.mat.columns()],
+                                     [lact_of(x) for x in right_leg.mat.columns()]))
+
+
 def _composite_actions(tens_quot, apex_quot, left_ops, right_ops, message):
     """The actions on tens_quot of the basis of a composite apex, the
     quotient apex_quot of a flat tensor whose (a, b) acts by left_ops[a] (x)
     right_ops[b].  Each term proj @ (left_ops[a] (x) right_ops[b]) is built
     once: the relations must combine the terms to zero (else
-    ValueError(message)), and e_free[q] acts by the term at free[q]."""
+    ValueError(message)), and e_free[q] acts by the term at free[q], which
+    must descend through tens_quot.  A factor with no basis (no ops) gives
+    no terms."""
     proj = tens_quot.proj
-    m1, m2 = left_ops[0].rows, right_ops[0].rows
+    m1, m2 = (ops[0].rows if ops else 0 for ops in (left_ops, right_ops))
     terms = [T for U in slot_products(proj, left_ops, 1, m2)
              for T in slot_products(U, right_ops, m1, 1)]
     # row t is the term at t, read as one vector
-    flat = stack_rows([T.flatten() for T in terms])
+    flat = stack_rows([Matrix.zeros(0, proj.rows * proj.cols, proj.field)]
+                      + [T.flatten() for T in terms])
     if not (apex_quot.relations.transpose() @ flat).is_zero():
         raise ValueError(message)
     return [tens_quot.descend(terms[t], "map does not descend to the quotient")
@@ -440,8 +434,8 @@ def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     f = d.M.field
     m1, m2 = d.M.dim, e.M.dim
     # X S = T X for every action pair (S of d, T of e), as in hom_space
-    eqs = middle_relations(m2, m1, [T.transpose() for T in e.M.lact + e.M.ract],
-                           d.M.lact + d.M.ract, f)
+    eqs = middle_relations([T.transpose() for T in e.M.lact + e.M.ract],
+                           d.M.lact + d.M.ract)
     # X F = G for both legs: vec(X F) = (I (x) F^T) vec(X)
     I = Matrix.identity(m2, f)
     A = stack_rows([eqs, I.kron(d.f.transpose()), I.kron(d.g.transpose())])

@@ -32,6 +32,9 @@ vec(A X B^T), P @ (A (x) B (x) ...) is one slot product per factor
 (kron_product): each nonzero of a row of P is scattered onto the nonzeros
 of one row of the factor, and an identity factor costs nothing.
 Matrix.kron is left to where the Kronecker product is itself the object.
+An output sized by a product of its inputs' sizes (slot_products,
+Matrix.kron, bimodule.middle_relations) is refused before it is allocated
+when it would hold more than MAX_CELLS cells (check_cells).
 combination adds scaled matrices term by term, the one loop for a linear
 combination of matrices.  kernel and cokernel eliminate only the distinct
 nonzero rows of their input.  memoised computes a pure construction once
@@ -188,6 +191,19 @@ def _check_fields(a, b):
     test keeps the common case to one comparison."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError(f"field mismatch: {a.field!r} and {b.field!r}")
+
+
+# One output of check_cells' kernels holds at most 118,098 cells in the
+# tests, corpus --scale 1.0 and bench/run.py's workloads; center --algebra
+# matrix:9 builds one of 43,046,721 in a 686 MiB process.
+MAX_CELLS = 5 * 10 ** 7
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse (ValueError) an output of more than MAX_CELLS cells."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{what} would hold {cells} cells; one output may"
+                         f" hold at most {MAX_CELLS}")
 
 
 def _over_lcm(rows, dens):
@@ -439,6 +455,8 @@ class Matrix:
         """Kronecker product; row-major, left factor major: index (i,k) of the
         product space is i*other.rows + k."""
         _check_fields(self, other)
+        check_cells(self.rows * other.rows * self.cols * other.cols,
+                    "a Kronecker product")
         p = self.field.p
         out = []
         for ri in self.num:
@@ -515,7 +533,7 @@ def stack_rows(mats) -> Matrix:
 def stack_columns(mats) -> Matrix:
     """Horizontal stack of a nonempty list of matrices over one field with
     one row count; over QQ each row is joined over the lcm of its parts'
-    denominators (see _join)."""
+    denominators (see _over_lcm)."""
     top = mats[0]
     for m in mats[1:]:
         _check_fields(top, m)
@@ -590,6 +608,7 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     w, n = r * right, left * c * right
     if P.cols != left * w or any(X.shape != (r, c) for X in Xs):
         raise ValueError(f"shape mismatch {P.shape} @ I{left} (x) {r}x{c} (x) I{right}")
+    check_cells(len(Xs) * P.rows * n, "a slot product")
     p = f.p
     # flat index (i, k, j) of P: row k of X and output index (i, 0, j)
     spots = [(t // right % r, t // w * c * right + t % right) for t in range(P.cols)]
@@ -839,8 +858,8 @@ class HomSpace:
                 ys.vecs, [x.transpose() for x in xs], 1, ys.cols)), message)
         # the k-th slot product has row i at x_i y_k
         V = stack_rows([top] + slot_products(xs.vecs, ys, xs.rows, 1))
-        return self._row_coords(_rows_at(V, [k * xs.dim + i for i in range(xs.dim)
-                                             for k in range(len(ys))]), message)
+        return self._row_coords(_rows_at(V, tensor_permutation_index(
+            (xs.dim, len(ys)), (1, 0))), message)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -965,9 +984,6 @@ class Quotient:
     def sect(self) -> Matrix:
         """ambient x dim: the standard basis vectors at free."""
         return Matrix.identity(self.ambient, self.field).select_columns(self.free)
-
-    def project(self, vec):
-        return self.proj.apply(vec)
 
     def tensor(self, other: "Quotient", quot: "Quotient") -> "Quotient":
         """quot, a quotient of (this quotient) (x) (other's), as a quotient

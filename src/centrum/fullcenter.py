@@ -137,7 +137,7 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
     zl, zr = center(m.left), center(m.right)
 
     def leg(sub, act_of):
-        ops = [act_of(sub.embed(sub.algebra.basis_vector(i))) for i in range(sub.dim)]
+        ops = [act_of(x) for x in sub.incl.columns()]
         return AlgebraMap(sub.algebra, ea.algebra, ea.hom.coords(
             ops, "central action is not a bimodule map"))
 
@@ -497,21 +497,12 @@ class MoritaReport:
 def morita_center_check(a: Algebra, n: int) -> MoritaReport:
     """z -> z . identity is an algebra isomorphism from the center of A onto
     the center of the n x n matrix algebra over A."""
-    f = a.field
     big = matrix_algebra(a, n)
     za = center(a)
     zb = center(big)
-    d = a.dim
-    vecs = []
-    for i in range(za.dim):
-        z = za.embed(za.algebra.basis_vector(i))
-        vec = [f.zero] * big.dim
-        for block in range(n):
-            base = (block * n + block) * d
-            for k in range(d):
-                vec[base + k] = z[k]
-        vecs.append(vec)
-    iso_mat = zb.subspace.coords_matrix(Matrix.from_columns(vecs, big.dim, f))
+    # z -> I_n (x) z, I_n as its vector of matrix units
+    diagonal = Matrix.identity(n, a.field).flatten().transpose().kron(za.incl)
+    iso_mat = zb.subspace.coords_matrix(diagonal)
     if iso_mat is None:
         raise ValueError("diagonal image must be central")
     iso = AlgebraMap(za.algebra, zb.algebra, iso_mat)

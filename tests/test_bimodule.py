@@ -532,7 +532,7 @@ def test_tensor_dim_sympy_cross_check():
         b = alg_group_c2()
         m = random_twisted_free(alg_k(), b, 1, rng)
         n = random_twisted_free(b, alg_product_k(2), 1, rng)
-        rel = middle_relations(m.dim, n.dim, m.ract, n.lact, QQ)
+        rel = middle_relations(m.ract, n.lact)
         t = tensor_over(m, n)
         assert t.dim == m.dim * n.dim - to_sympy(rel).rank()
         assert validate_bimodule(t.product) == []
@@ -555,7 +555,7 @@ def middle_actions(draw):
     field = draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3),
                                   PrimeField(1000003))))
     dim_m, dim_n, nb = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
-                        draw(st.integers(0, 3)))
+                        draw(st.integers(1, 3)))
 
     def mat(n):
         sparse = draw(st.booleans())
@@ -573,7 +573,14 @@ def middle_actions(draw):
 @settings(max_examples=150, deadline=None)
 @given(middle_actions())
 def test_middle_relations_match_kron_and_subtract(args):
-    assert middle_relations(*args) == kron_middle_relations(*args).transpose()
+    _, _, ract, lact, _ = args
+    assert middle_relations(ract, lact) == kron_middle_relations(*args).transpose()
+
+
+def test_middle_relations_refuse_a_middle_algebra_without_basis():
+    # the sizes and the field are read off the first action pair
+    with pytest.raises(ValueError, match="middle algebra with a basis"):
+        middle_relations([], [])
 
 
 def test_pure_respects_middle_relations():
@@ -768,7 +775,7 @@ def test_comp_bar_agrees_with_plain_composition():
             f = QQ
             flat = [f.zero] * (H.dim * H.dim)
             flat[i * H.dim + j] = f.one
-            cls = res.tensor.quot.project(flat)
+            cls = res.tensor.quot.proj.apply(flat)
             expect = H.coords([bi @ bj], "outside").col_list(0)
             assert res.mat.apply(cls) == expect
 

@@ -343,6 +343,24 @@ def test_field_beyond_certified_primality_exits_two(capsys):
     assert "too large" in r["error"]["message"]
 
 
+# regular:matrix:10 passes every size check, but validating it would build
+# the slot product L (mu_A (x) 1) of 100 x 10^6 cells
+OVERSIZED = ["validate", "bimodule", "regular:matrix:10"]
+
+
+def test_an_oversized_product_exits_two(capsys):
+    code, r = run_main(OVERSIZED, capsys)
+    assert code == 2
+    assert "100000000 cells" in r["error"]["message"]
+
+
+def test_an_oversized_product_exits_two_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-m", "centrum", *OVERSIZED],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "100000000 cells" in json.loads(proc.stdout)["error"]["message"]
+
+
 def watch_matrices(monkeypatch, bad_entries):
     """Wrap both ways a Matrix is made, the checked constructor and the
     trusted _fresh, so that bad_entries(matrix) sees every matrix built."""

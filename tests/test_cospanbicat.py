@@ -150,6 +150,10 @@ def test_compose_disjoint_points_collapses():
     second = Cospan(proj1, identity_map(k))
     comp = compose_cospans(second, first)
     assert comp.cospan.apex.dim == 0
+    # the zero apex composes on either side, to the zero apex
+    for c in (compose_cospans(identity_cospan(k), comp.cospan),
+              compose_cospans(comp.cospan, identity_cospan(k))):
+        assert c.cospan.apex.dim == 0
 
 
 def test_compose_with_identity_is_isomorphic():
@@ -173,8 +177,8 @@ def test_pushout_universal_recovers_identity():
     comp = compose_cospans(second, first)
     T, S = first.apex, second.apex
     f = QQ
-    wcols = [comp.quot.project(_pair(T, S, i, None)) for i in range(T.dim)]
-    vcols = [comp.quot.project(_pair(T, S, None, j)) for j in range(S.dim)]
+    wcols = [comp.quot.proj.apply(_pair(T, S, i, None)) for i in range(T.dim)]
+    vcols = [comp.quot.proj.apply(_pair(T, S, None, j)) for j in range(S.dim)]
     w = AlgebraMap(T, comp.cospan.apex, Matrix.from_columns(wcols, comp.quot.dim, f))
     v = AlgebraMap(S, comp.cospan.apex, Matrix.from_columns(vcols, comp.quot.dim, f))
     u = pushout_universal(comp, w, v)
@@ -257,14 +261,14 @@ def _reference_composite(comp):
     ops = [_reference_flat_bilinear_op(quot.sect.col_list(i), LT, LS, f)
            for i in range(d)]
     mult = Matrix.from_columns(
-        [quot.project(ops[i].apply(quot.sect.col_list(j)))
+        [quot.proj.apply(ops[i].apply(quot.sect.col_list(j)))
          for i in range(d) for j in range(d)], d, f)
-    unit = quot.project(_reference_flat_pair(T.unit, S.unit, f))
+    unit = quot.proj.apply(_reference_flat_pair(T.unit, S.unit, f))
     leg_a = Matrix.from_columns(
-        [quot.project(_reference_flat_pair(c, S.unit, f))
+        [quot.proj.apply(_reference_flat_pair(c, S.unit, f))
          for c in first.leg_a.mat.columns()], d, f)
     leg_b = Matrix.from_columns(
-        [quot.project(_reference_flat_pair(T.unit, c, f))
+        [quot.proj.apply(_reference_flat_pair(T.unit, c, f))
          for c in second.leg_b.mat.columns()], d, f)
     return mult, unit, leg_a, leg_b
 

@@ -299,13 +299,13 @@ def center_pair_quotient(tens_src, tens_tgt):
     left = hom_space(m, tens_tgt.left_factor)
     right = hom_space(n, tens_tgt.right_factor)
     zb = center(m.right)
-    zs = [zb.embed(zb.algebra.basis_vector(k)) for k in range(zb.dim)]
+    zs = zb.incl.columns()
     # column (b, k) of each: b composed with the action of zs[k]
     Cs = [H.product_coords(H, [act(z) for z in zs], LEAVES_HOM)
           for H, act in ((left, m.ract_of), (right, n.lact_of))]
     rops, lops = ([C.select_columns(slice(k, None, len(zs))) for k in range(len(zs))]
                   for C in Cs)
-    return cokernel(middle_relations(left.dim, right.dim, rops, lops, m.field))
+    return cokernel(middle_relations(rops, lops))
 
 
 def test_n_general_matches_square_internal_quotient():

@@ -179,6 +179,51 @@ e = q.descend(p.proj, "no")
     assert hand_written_descents(src) == [2, 3]
 
 
+def hand_written_slot_permutations(source: str) -> list:
+    """Line numbers of the select_columns and _rows_at calls in source with
+    an argument that is a comprehension over two or more generators, in the
+    call or through a name that source binds to one: a reordering of tensor
+    slots written out by hand instead of exactla.tensor_permutation_index."""
+    tree = ast.parse(source)
+
+    def multi(node):
+        return (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                and len(node.generators) > 1)
+
+    bound = {t.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and multi(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "select_columns"
+             or getattr(node.func, "id", None) == "_rows_at")
+        and any(multi(a) or isinstance(a, ast.Name) and a.id in bound
+                for a in node.args))
+
+
+def test_src_permutes_tensor_slots_one_way():
+    """Every column or row selection that reorders the slots of a flat
+    tensor goes through tensor_permutation_index."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in hand_written_slot_permutations(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_hand_written_slot_permutations_are_found():
+    src = """
+a = m.select_columns([j * d + i for i in range(d) for j in range(d)])
+swap = [j * n + i for i in range(n) for j in range(k)]
+b = m.select_columns(swap)
+c = _rows_at(V, (k * n + i for i in range(n) for k in range(2)))
+d = m.select_columns([i * 2 for i in range(n)])
+e = m.select_columns(tensor_permutation_index((n, k), (1, 0)))
+f = _rows_at(V, free)
+g = other(swap)
+"""
+    assert hand_written_slot_permutations(src) == [2, 4, 5]
+
+
 def quotient_shapes(source: str):
     """(the Class.descend methods, the classes with both a proj and a free
     attribute) of the module-level classes of source, each sorted.  A

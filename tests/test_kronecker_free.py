@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from fieldref import kron_product_ref
@@ -67,7 +68,6 @@ from centrum.exactla import (
     kron_product,
     mutually_inverse,
     slot_products,
-    stack_rows,
     tensor_permutation_index,
 )
 from centrum.fixtures import (
@@ -255,8 +255,8 @@ def test_tensor_permutation_index_selects_the_permuted_columns(case):
 
 def test_tensor_constructions_form_no_kronecker_product(monkeypatch):
     """Record the function that calls Matrix.kron while the tensor
-    constructions run on fixtures; only tensor_algebra, where the Kronecker
-    product is itself the object, may call it."""
+    constructions run on fixtures, cospan composites included: none may
+    call it."""
     rng = random.Random(11)
     A, B = alg_group_c2(), alg_dual_numbers()
     m, n, p = (random_bimodule(A, A, rng), random_bimodule(A, B, rng),
@@ -289,7 +289,7 @@ def test_tensor_constructions_form_no_kronecker_product(monkeypatch):
     unit_iso_right(tensor_over(n, regular_bimodule(B)))
     assert interchange_check(phi, psi)
     assert verify_m_naturality(xi, zeta).ok
-    assert set(callers) == {"tensor_algebra"}
+    assert callers == []
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +327,13 @@ def check_refusals():
     def relations(rows):
         return lambda *args: Matrix.from_int_rows(rows, QQ)
 
-    def identity_rows(mats):
-        return Matrix.identity(len(mats), QQ)
+    def spoiled(*args):
+        """The composite of the cospans args with every flat coordinate
+        made a relation of its apex."""
+        comp = compose_cospans(*args)
+        q = comp.quot
+        return SimpleNamespace(cospan=comp.cospan, quot=Quotient(
+            q.dims, q.proj, q.free, Matrix.identity(q.ambient, q.field)))
 
     def after_first_call(fn, wrong):
         """fn on the first call and wrong on every later one."""
@@ -345,11 +350,11 @@ def check_refusals():
                                    relations([[1, 0, 0, 0]])),
         "composite product right": (cospanbicat, "middle_relations",
                                     relations([[1, 0, 0, 0], [0, 1, 0, 0]])),
-        # the terms of the composite's actions stacked as an identity, so
-        # the apex relations combine them to the relations themselves
-        "horizontal left action": (cospanbicat, "stack_rows", identity_rows),
-        "horizontal right action": (cospanbicat, "stack_rows",
-                                    after_first_call(stack_rows, identity_rows)),
+        # the composite apexes spoiled on both sides, or on the source
+        # side alone (horizontal_compose composes the sources first)
+        "horizontal left action": (cospanbicat, "compose_cospans", spoiled),
+        "horizontal right action": (cospanbicat, "compose_cospans",
+                                    after_first_call(spoiled, compose_cospans)),
         "interchanger inverse": (cospanbicat, "mutually_inverse",
                                  lambda a, b: mutually_inverse(a.scale(2), b)),
     }
@@ -381,7 +386,7 @@ def check_refusals():
             "multiplication does not descend (left side)"),
         "composite product right": (
             lambda: CospanComposition(identity_cospan(k), scalars),
-            "multiplication does not descend (right side)"),
+            "map does not descend to the quotient"),
         "horizontal left action": (
             lambda: horizontal_compose(back, d2),
             "left action does not respect the apex relations"),
