@@ -134,13 +134,11 @@ class Subalgebra:
         self.subspace = subspace
         # closure: each product of basis columns must be a combination of
         # basis columns, and those coordinates are the induced mult
-        mult = subspace.coords_matrix(parent.products(self.incl, self.incl))
-        if mult is None:
-            raise ValueError("subspace is not closed under multiplication")
-        unit = subspace.coords(parent.unit)
-        if unit is None:
-            raise ValueError("subspace does not contain the unit")
-        self.algebra = Algebra(mult, unit)
+        mult = subspace.coords_matrix(parent.products(self.incl, self.incl),
+                                      "subspace is not closed under multiplication")
+        unit = subspace.coords_matrix(unit_column(parent),
+                                      "subspace does not contain the unit")
+        self.algebra = Algebra(mult, unit.col_list(0))
 
     @property
     def incl(self) -> Matrix:
@@ -402,7 +400,6 @@ def image_central_in(f: AlgebraMap) -> bool:
 def subalgebra_map(sub_src: Subalgebra, sub_tgt: Subalgebra, parent_map: Matrix) -> AlgebraMap:
     """Restrict a parent-level linear map to subalgebras (in their canonical
     bases).  Raises if the image does not land in the target subalgebra."""
-    X = sub_tgt.subspace.coords_matrix(parent_map @ sub_src.incl)
-    if X is None:
-        raise ValueError("image does not land in the target subalgebra")
+    X = sub_tgt.subspace.coords_matrix(
+        parent_map @ sub_src.incl, "image does not land in the target subalgebra")
     return AlgebraMap(sub_src.algebra, sub_tgt.algebra, X)

@@ -51,6 +51,7 @@ from .exactla import (
     kron_product,
     memoised,
     mutually_inverse,
+    refuse,
     same_content,
     slot_products,
     stack_columns,
@@ -237,10 +238,9 @@ class EndAlgebra:
     Multiplication is composition: e_i * e_j acts as hom.basis[i] o
     hom.basis[j]."""
 
-    __slots__ = ("bimodule", "hom", "algebra")
+    __slots__ = ("hom", "algebra")
 
     def __init__(self, m: Bimodule):
-        self.bimodule = m
         H = self.hom = hom_space(m, m)
         mult = H.product_coords(H, H, "endomorphisms must close under composition")
         unit = H.coords([Matrix.identity(m.dim, m.field)],
@@ -250,11 +250,6 @@ class EndAlgebra:
     @property
     def dim(self):
         return self.algebra.dim
-
-    def matrix_of(self, coords) -> Matrix:
-        """The endomorphism with the given coordinates, as a matrix."""
-        m = self.bimodule
-        return combination(coords, self.hom.basis, Matrix.zeros(m.dim, m.dim, m.field))
 
     def __repr__(self):
         return f"EndAlgebra(dim {self.dim})"
@@ -416,9 +411,7 @@ def assoc_iso(m: Bimodule, n: Bimodule, p: Bimodule):
     if not mutually_inverse(fwd, bwd):
         raise ValueError("the associator and its inverse are not mutually inverse")
     iso = BimoduleMap(bl, br, fwd)
-    bad = validate_bimodule_map(iso)
-    if bad:
-        raise ValueError(f"associator is not equivariant: {bad}")
+    refuse(validate_bimodule_map(iso), "associator is not equivariant")
     return bl, br, iso, BimoduleMap(br, bl, bwd)
 
 
@@ -549,7 +542,5 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     mat = tensor.quot.descend(
         comp, "composition does not factor through the middle tensor")
     map_ = BimoduleMap(tensor.product, bim_mp, mat)
-    bad = validate_bimodule_map(map_)
-    if bad:
-        raise ValueError(f"descended composition is not equivariant: {bad}")
+    refuse(validate_bimodule_map(map_), "descended composition is not equivariant")
     return CompBarResult(tensor, mat, map_)

@@ -31,7 +31,6 @@ from .algebra import (
     validate_algebra_map,
 )
 from .bimodule import (
-    Bimodule,
     assoc_iso,
     direct_sum_bimodules,
     free_bimodule,
@@ -72,6 +71,7 @@ from .exactla import (
 from .fixtures import (
     algebra_map_pool,
     col_bimodule,
+    commutative_pool,
     diagonal_inclusion,
     random_bimodule,
     random_hom_element,
@@ -166,13 +166,7 @@ def center_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
 
 
 def _small_algebra_pool(field):
-    return [
-        alg_k(field),
-        alg_product_k(2, field),
-        alg_dual_numbers(field),
-        alg_group_c2(field),
-        alg_matrix(2, field),
-    ]
+    return commutative_pool(field) + [alg_matrix(2, field)]
 
 
 def _random_small_bimodule(a, b, rng, field):
@@ -183,7 +177,7 @@ def _random_small_bimodule(a, b, rng, field):
 def random_pentagon_chain(rng, field=QQ):
     """Four composable random bimodules over small algebras, resampled so the
     four-fold flat tensor stays small enough for exact bulk arithmetic."""
-    small = _small_algebra_pool(field)[:4]
+    small = commutative_pool(field)
     while True:
         algs = [small[rng.randrange(len(small))] for _ in range(5)]
         flat = 1
@@ -201,7 +195,7 @@ def coequalizer_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     triangle identities on random composable instances."""
     rep = CoherenceReport()
     pool = _small_algebra_pool(field)
-    small = pool[:4]
+    small = commutative_pool(field)
 
     def pair(_):
         a, c = (pool[rng.randrange(len(pool))] for _ in range(2))
@@ -379,8 +373,9 @@ def invertibility_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     dim = 4
     fcol = Matrix.from_int_rows([[1], [0], [0], [0]], field)
     gcol = Matrix.from_int_rows([[0], [1], [0], [0]], field)
-    d_sing = TwoDiagram(triv, triv, _plain_bimodule(dim, field), fcol, gcol)
-    e_sing = TwoDiagram(triv, triv, _plain_bimodule(dim, field),
+    plain = free_bimodule(alg_k(field), alg_k(field), dim)
+    d_sing = TwoDiagram(triv, triv, plain, fcol, gcol)
+    e_sing = TwoDiagram(triv, triv, plain,
                         Matrix.zeros(dim, 1, field), Matrix.zeros(dim, 1, field))
     search = find_invertible_3cell(d_sing, e_sing, rng=rng)
     ok = (not search.found) and (not search.certified)
@@ -394,12 +389,6 @@ def invertibility_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
             all(b < threshold for b in bounds),
             f"{len(bounds)} probabilistic searches, max bound {max_txt}")
     return rep
-
-
-def _plain_bimodule(dim, field):
-    k = alg_k(field)
-    ident = Matrix.identity(dim, field)
-    return Bimodule(k, k, dim, [ident], [ident])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +455,7 @@ def interchange_battery(rng, scale=1.0, field=QQ) -> CoherenceReport:
     """The two one-sided-then-other-side composites of induced maps agree
     with the joint induced map on random instances."""
     rep = CoherenceReport()
-    pool = _small_algebra_pool(field)[:4]
+    pool = commutative_pool(field)
 
     def trial(_):
         a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))

@@ -64,6 +64,7 @@ from .exactla import (
     kron_product,
     memoised,
     mutually_inverse,
+    refuse,
     same_content,
     slot_products,
     solve_matrix,
@@ -142,9 +143,7 @@ class CospanComposition:
         B = first.b
         if not same_content(second.a, B):
             raise ValueError("middle algebras must agree")
-        bad = validate_cospan(first) + validate_cospan(second)
-        if bad:
-            raise ValueError(f"invalid cospan: {bad}")
+        refuse(validate_cospan(first) + validate_cospan(second), "invalid cospan")
         T, S = first.apex, second.apex
         quot = _middle_quotient(first.leg_b, second.leg_a, T.right_mult, S.left_mult)
         proj = quot.proj
@@ -162,9 +161,7 @@ class CospanComposition:
         self.second = second
         self.quot = quot
         self.cospan = Cospan(leg_a, leg_b)
-        bad = validate_cospan(self.cospan)
-        if bad:
-            raise ValueError(f"composite is not a valid cospan: {bad}")
+        refuse(validate_cospan(self.cospan), "composite is not a valid cospan")
 
     def __repr__(self):
         return f"CospanComposition({self.cospan!r})"
@@ -192,9 +189,7 @@ def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> 
         raise ValueError("factor map images do not commute")
     mat = comp.quot.descend(cols, "universal map does not descend")
     out = AlgebraMap(comp.cospan.apex, U, mat)
-    bad = validate_algebra_map(out)
-    if bad:
-        raise ValueError(f"universal map is not an algebra map: {bad}")
+    refuse(validate_algebra_map(out), "universal map is not an algebra map")
     return out
 
 
@@ -272,9 +267,7 @@ def identity_2diagram(c: Cospan) -> TwoDiagram:
 def cospan_morphism_2diagram(src: Cospan, tgt: Cospan, h: AlgebraMap) -> TwoDiagram:
     """The 2-diagram induced by a map of cospans h: src apex -> tgt apex
     commuting with both legs: M is the target apex, f = h, g = identity."""
-    bad = validate_algebra_map(h)
-    if bad:
-        raise ValueError(f"not an algebra map: {bad}")
+    refuse(validate_algebra_map(h), "not an algebra map")
     if h.mat @ src.leg_a.mat != tgt.leg_a.mat:
         raise ValueError("does not commute with A legs")
     if h.mat @ src.leg_b.mat != tgt.leg_b.mat:
@@ -455,18 +448,21 @@ def find_3cell(d: TwoDiagram, e: TwoDiagram) -> "ThreeCell | None":
 @dataclass(slots=True, eq=False)
 class InvertibleCellSearch:
     """Outcome of searching the affine family of 3-cells for an invertible
-    one.  certified means the verdict is deterministic; otherwise
-    failure_bound bounds the probability that an invertible cell exists but
-    every sample missed it."""
+    one.  failure_bound, None when the verdict is deterministic (certified),
+    bounds the probability that an invertible cell exists but every sample
+    missed it."""
 
     cell: ThreeCell | None
-    certified: bool
     failure_bound: Fraction | None
     detail: str
 
     @property
     def found(self):
         return self.cell is not None
+
+    @property
+    def certified(self):
+        return self.failure_bound is None
 
     def __repr__(self):
         state = "found" if self.found else "none"
@@ -491,40 +487,40 @@ def find_invertible_3cell(d: TwoDiagram, e: TwoDiagram, rng=None,
     """
     x0, ks = solve_3cell_family(d, e)
     if x0 is None:
-        return InvertibleCellSearch(None, True, None, "no 3-cell exists at all")
+        return InvertibleCellSearch(None, None, "no 3-cell exists at all")
     f = d.M.field
     dim = d.M.dim
     if e.M.dim != dim:
-        return InvertibleCellSearch(None, True, None, "apex dimensions differ")
+        return InvertibleCellSearch(None, None, "apex dimensions differ")
 
     if is_invertible(x0):
-        return InvertibleCellSearch(ThreeCell(d, e, x0), True, None, "found directly")
+        return InvertibleCellSearch(ThreeCell(d, e, x0), None, "found directly")
     p = len(ks)
     if p == 0:
-        return InvertibleCellSearch(None, True, None,
+        return InvertibleCellSearch(None, None,
                                     "unique 3-cell and it is not invertible")
     rng = rng if rng is not None else random.Random(0)
     for _ in range(_TRIES):
         coeffs = [f.from_int(rng.randint(-sample_range, sample_range)) for _ in ks]
         X = combination(coeffs, ks, x0)
         if is_invertible(X):
-            return InvertibleCellSearch(ThreeCell(d, e, X), True, None,
+            return InvertibleCellSearch(ThreeCell(d, e, X), None,
                                         "found by random sampling")
     grid_ok = (dim + 1) ** p <= _GRID_LIMIT and (f.p is None or f.p > dim)
     if grid_ok:
         for point in itertools.product(range(dim + 1), repeat=p):
             X = combination([f.from_int(c) for c in point], ks, x0)
             if is_invertible(X):
-                return InvertibleCellSearch(ThreeCell(d, e, X), True, None,
+                return InvertibleCellSearch(ThreeCell(d, e, X), None,
                                             "found by grid search")
         return InvertibleCellSearch(
-            None, True, None,
+            None, None,
             f"certified by exhausting a degree grid of {(dim + 1) ** p} points")
     n = 2 * sample_range + 1
     hits = 1 if f.p is None else -(-n // f.p)
     bound = min(Fraction(1), Fraction(dim * hits, n)) ** _TRIES
     return InvertibleCellSearch(
-        None, False, bound,
+        None, bound,
         f"no invertible cell found in {_TRIES} samples; "
         f"failure probability at most {bound}")
 
@@ -589,9 +585,8 @@ def beta_cell(d1p: TwoDiagram, d1: TwoDiagram, d2p: TwoDiagram,
         raise ValueError("the interchanger and its inverse are not mutually inverse")
     cell = ThreeCell(src_diag, tgt_diag, beta)
     inverse = ThreeCell(tgt_diag, src_diag, beta_inv)
-    bad = validate_3cell(cell) + validate_3cell(inverse)
-    if bad:
-        raise ValueError(f"interchanger is not a 3-cell: {bad}")
+    refuse(validate_3cell(cell) + validate_3cell(inverse),
+           "interchanger is not a 3-cell")
     return BetaResult(src_diag, tgt_diag, cell, inverse, src_w, tgt_w)
 
 
@@ -675,11 +670,14 @@ class InvertibleCospanResult:
     """Verdict with constructive witnesses: the inverse cospan and invertible
     2-diagrams comparing both composites with the identity cospans."""
 
-    invertible: bool
     reasons: list
     inverse: Cospan | None
     witness_left: TwoDiagram | None
     witness_right: TwoDiagram | None
+
+    @property
+    def invertible(self):
+        return not self.reasons
 
     def __repr__(self):
         return f"InvertibleCospanResult({self.invertible})"
@@ -694,7 +692,7 @@ def is_invertible_cospan(c: Cospan) -> InvertibleCospanResult:
     if is_isomorphism(c.leg_b) is None:
         reasons.append("right leg is not an algebra isomorphism")
     if reasons:
-        return InvertibleCospanResult(False, reasons, None, None, None)
+        return InvertibleCospanResult(reasons, None, None, None)
     inverse = Cospan(c.leg_b, c.leg_a)
     witnesses = []
     for first, second, foot in ((inverse, c, c.a), (c, inverse, c.b)):
@@ -705,7 +703,7 @@ def is_invertible_cospan(c: Cospan) -> InvertibleCospanResult:
             raise ValueError("identity comparison of an invertible cospan"
                              " is not invertible")
         witnesses.append(w)
-    return InvertibleCospanResult(True, [], inverse, *witnesses)
+    return InvertibleCospanResult([], inverse, *witnesses)
 
 
 def functor_A_embed(f: AlgebraMap) -> Cospan:

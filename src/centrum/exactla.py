@@ -34,7 +34,11 @@ of one row of the factor, and an identity factor costs nothing.
 Matrix.kron is left to where the Kronecker product is itself the object.
 An output sized by a product of its inputs' sizes (slot_products,
 Matrix.kron, bimodule.middle_relations) is refused before it is allocated
-when it would hold more than MAX_CELLS cells (check_cells).
+when it would hold more than MAX_CELLS cells (check_cells).  A coordinate
+read refuses with its caller's message: Subspace.coords_matrix, the
+HomSpace reads, which go through it, and Quotient.descend raise
+ValueError(message) for a vector outside.  refuse is the one path for a
+failed validator.
 combination adds scaled matrices term by term, the one loop for a linear
 combination of matrices.  kernel and cokernel eliminate only the distinct
 nonzero rows of their input.  memoised computes a pure construction once
@@ -204,6 +208,13 @@ def check_cells(cells: int, what: str) -> None:
     if cells > MAX_CELLS:
         raise ValueError(f"{what} would hold {cells} cells; one output may"
                          f" hold at most {MAX_CELLS}")
+
+
+def refuse(violations: list, what: str) -> None:
+    """The one refusal of a failed validator: ValueError(f"{what}:
+    {violations}") unless the list of violations is empty."""
+    if violations:
+        raise ValueError(f"{what}: {violations}")
 
 
 def _over_lcm(rows, dens):
@@ -802,18 +813,16 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
-    def coords_matrix(self, M: Matrix) -> "Matrix | None":
-        """Coordinates of the columns of M in the canonical basis, or None if
-        a column lies outside the subspace.  Basis column j is 1 at lead[j]
-        and every other basis column is 0 there, so the coordinates are M's
-        rows at lead; one product checks them, with no elimination."""
+    def coords_matrix(self, M: Matrix, message: str) -> Matrix:
+        """Coordinates of the columns of M in the canonical basis; raises
+        ValueError(message) if a column lies outside the subspace.  Basis
+        column j is 1 at lead[j] and every other basis column is 0 there, so
+        the coordinates are M's rows at lead; one product checks them, with
+        no elimination."""
         X = _rows_at(M, self.lead)
-        return X if self.basis @ X == M else None
-
-    def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None."""
-        X = self.coords_matrix(Matrix.from_columns([vec], self.ambient, self.field))
-        return X.col_list(0) if X is not None else None
+        if self.basis @ X != M:
+            raise ValueError(message)
+        return X
 
 
 class HomSpace:
@@ -832,20 +841,12 @@ class HomSpace:
     def dim(self) -> int:
         return self.span.dim
 
-    def _row_coords(self, V: Matrix, message: str) -> Matrix:
-        """Coordinates of the rows of V, one column per row: V's columns at
-        span.lead, checked by one product (else ValueError(message))."""
-        X = V.select_columns(self.span.lead)
-        if X @ self.vecs != V:
-            raise ValueError(message)
-        return X.transpose()
-
     def coords(self, mats, message: str) -> Matrix:
         """Coordinates of the matrices mats in basis, one column per matrix;
         raises ValueError(message) if one lies outside the span."""
         n, f = self.rows * self.cols, self.span.field
-        return self._row_coords(stack_rows(
-            [Matrix.zeros(0, n, f)] + [M.flatten() for M in mats]), message)
+        V = stack_rows([Matrix.zeros(0, n, f)] + [M.flatten() for M in mats])
+        return self.span.coords_matrix(V.transpose(), message)
 
     def product_coords(self, xs, ys, message: str) -> Matrix:
         """coords of [x @ y for x in xs for y in ys], x-major, where xs or ys
@@ -854,12 +855,13 @@ class HomSpace:
         top = Matrix.zeros(0, self.rows * self.cols, self.span.field)
         if isinstance(ys, HomSpace):
             xs = xs.basis if isinstance(xs, HomSpace) else xs
-            return self._row_coords(stack_rows([top] + slot_products(
-                ys.vecs, [x.transpose() for x in xs], 1, ys.cols)), message)
-        # the k-th slot product has row i at x_i y_k
-        V = stack_rows([top] + slot_products(xs.vecs, ys, xs.rows, 1))
-        return self._row_coords(_rows_at(V, tensor_permutation_index(
-            (xs.dim, len(ys)), (1, 0))), message)
+            V = stack_rows([top] + slot_products(
+                ys.vecs, [x.transpose() for x in xs], 1, ys.cols))
+        else:
+            # the k-th slot product has row i at x_i y_k
+            V = _rows_at(stack_rows([top] + slot_products(xs.vecs, ys, xs.rows, 1)),
+                         tensor_permutation_index((xs.dim, len(ys)), (1, 0)))
+        return self.span.coords_matrix(V.transpose(), message)
 
 
 def kernel(m: Matrix) -> Subspace:

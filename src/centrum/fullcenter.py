@@ -16,7 +16,8 @@ map M -> N (Z_2cell, which returns it) lives on the hom space [M, N]: each
 is a bimodule.hom_space, an exactla.HomSpace, and every operator on one
 has its matrix read off by HomSpace.product_coords when it composes with
 the basis, and by HomSpace.coords otherwise.  m_square's composition tables
-are the action collapses of Z_2cell(induced).M, its hom bimodule.
+are the action collapses of Z_2cell(induced).M, its hom bimodule, and
+verify_m_naturality reads equivariance off that bimodule's actions.
 
 Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
 algebra.center, bimodule.hom_space, bimodule.end_algebra and
@@ -84,6 +85,7 @@ from .exactla import (
     kron_product,
     memoised,
     rank,
+    refuse,
     same_content,
     tensor_induced,
 )
@@ -123,9 +125,7 @@ def Z_hom(f: AlgebraMap) -> ZMorphismResult:
     leg_a = subalgebra_map(za, cz, f.mat)
     leg_b = subalgebra_map(zb, cz, Matrix.identity(f.tgt.dim, f.tgt.field))
     cospan = Cospan(leg_a, leg_b)
-    bad = validate_cospan(cospan)
-    if bad:
-        raise ValueError(f"centralizer cospan is invalid: {bad}")
+    refuse(validate_cospan(cospan), "centralizer cospan is invalid")
     return ZMorphismResult("map", cospan, cz.algebra, cz, za, zb)
 
 
@@ -142,9 +142,7 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
             ops, "central action is not a bimodule map"))
 
     cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
-    bad = validate_cospan(cospan)
-    if bad:
-        raise ValueError(f"endomorphism cospan is invalid: {bad}")
+    refuse(validate_cospan(cospan), "endomorphism cospan is invalid")
     return ZMorphismResult("bimodule", cospan, ea.algebra, ea, zl, zr)
 
 
@@ -158,9 +156,7 @@ def Z_2cell(phi: BimoduleMap) -> TwoDiagram:
     fmat = H.product_coords([phi.mat], zs.realization.hom, LEAVES_HOM)
     gmat = H.product_coords(zt.realization.hom, [phi.mat], LEAVES_HOM)
     d = TwoDiagram(zs.cospan, zt.cospan, hom_bm, fmat, gmat)
-    bad = validate_2diagram(d)
-    if bad:
-        raise ValueError(f"hom-space 2-diagram is invalid: {bad}")
+    refuse(validate_2diagram(d), "hom-space 2-diagram is invalid")
     return d
 
 
@@ -319,10 +315,8 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
 
 def _center_change(zid: ZMorphismResult, sub) -> Matrix:
     """Coordinates of the identity-map centralizer in a center's basis."""
-    out = sub.subspace.coords_matrix(zid.realization.incl)
-    if out is None:
-        raise ValueError("identity centralizer must equal the center")
-    return out
+    return sub.subspace.coords_matrix(zid.realization.incl,
+                                      "identity centralizer must equal the center")
 
 
 def verify_lax_functor(chain) -> CoherenceReport:
@@ -449,9 +443,6 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     sq = m_square(phi, psi)
     bad = validate_3cell(sq.cell)
     rep.add("square is a 3-cell", bad == [], "; ".join(bad))
-    end_src = sq.mult_src.zmn.realization
-    end_tgt = sq.mult_tgt.zmn.realization
-    H = sq.n_res.target
     # its legs compose phi (x) psi after and before
     z_induced = Z_2cell(sq.induced)
     n_mat = sq.n_res.mat
@@ -460,17 +451,14 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     rep.add("upper triangle via multiplication",
             sq.rhs.f == sq.r_inverse @ z_induced.f @ sq.mult_src.mult.mat)
     rep.add("lower triangle", n_mat @ sq.hq.g == z_induced.g @ sq.mult_tgt.mult.mat)
-    # each action on the composite against composition with its image W_k
-    Ws = [end_src.matrix_of(c) for c in sq.mult_src.mult.mat.columns()]
-    pre, e = H.product_coords(H, Ws, LEAVES_HOM), len(Ws)  # column (b, k): b W_k
+    # each action on the composite against the action of its image on
+    # z_induced.M, the hom bimodule on n_mat's target
     rep.add("descended map right equivariant", all([
-        n_mat @ R == pre.select_columns(slice(k, None, e)) @ n_mat
-        for k, R in zip(range(e), sq.hq.M.ract)]))
-    Ws = [end_tgt.matrix_of(c) for c in sq.mult_tgt.mult.mat.columns()]
-    post, d = H.product_coords(Ws, H, LEAVES_HOM), H.dim  # column (k, b): W_k b
+        n_mat @ R == z_induced.M.ract_of(c) @ n_mat
+        for c, R in zip(sq.mult_src.mult.mat.columns(), sq.hq.M.ract)]))
     rep.add("descended map left equivariant", all([
-        n_mat @ L == post.select_columns(slice(k * d, (k + 1) * d)) @ n_mat
-        for k, L in zip(range(len(Ws)), sq.hq.M.lact)]))
+        n_mat @ L == z_induced.M.lact_of(c) @ n_mat
+        for c, L in zip(sq.mult_tgt.mult.mat.columns(), sq.hq.M.lact)]))
     rep.add("unit reduction", check_m_unit_axiom(phi.src.right))
     if phip is not None and psip is not None:
         rep.add("hexagon", check_m_hexagon(phi, phip, psi, psip))
@@ -502,9 +490,7 @@ def morita_center_check(a: Algebra, n: int) -> MoritaReport:
     zb = center(big)
     # z -> I_n (x) z, I_n as its vector of matrix units
     diagonal = Matrix.identity(n, a.field).flatten().transpose().kron(za.incl)
-    iso_mat = zb.subspace.coords_matrix(diagonal)
-    if iso_mat is None:
-        raise ValueError("diagonal image must be central")
+    iso_mat = zb.subspace.coords_matrix(diagonal, "diagonal image must be central")
     iso = AlgebraMap(za.algebra, zb.algebra, iso_mat)
     ok = (validate_algebra_map(iso) == [] and is_isomorphism(iso) is not None
           and za.dim == zb.dim)

@@ -231,7 +231,8 @@ def test_centralizer_brute_force_random():
             assert f.tgt.multiply(z, u) == f.tgt.multiply(u, z)
     # and a random non-diagonal matrix does not lie in it
     probe = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    assert c.subspace.coords(probe) is None
+    with pytest.raises(ValueError, match="outside"):
+        c.subspace.coords_matrix(Matrix.from_columns([probe], 4, QQ), "outside")
 
 
 # -- constructions -----------------------------------------------------------

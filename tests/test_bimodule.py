@@ -603,8 +603,10 @@ def test_induced_map_descends_and_composes():
     n = row_bimodule(2)
     t = tensor_over(m, n)
     end_m = end_algebra(m)
+    zero = Matrix.zeros(m.dim, m.dim, QQ)
     for coords in ([1, 0, 0, 1], [2, 1, 1, 1]):
-        xi = BimoduleMap(m, m, end_m.matrix_of([QQ.from_int(c) for c in coords]))
+        xi = BimoduleMap(m, m, combination([QQ.from_int(c) for c in coords],
+                                           end_m.hom.basis, zero))
         ind = induced_map(xi, identity_bimodule_map(n), t, t)
         assert validate_bimodule_map(ind) == []
 
@@ -672,15 +674,15 @@ def test_interchange():
     end_m = end_algebra(m)
     end_n = end_algebra(n)
     rng = random.Random(3)
+
+    def endomorphism(b, end):
+        coords = [QQ.from_int(rng.randint(-2, 2)) for _ in range(end.dim)]
+        return BimoduleMap(b, b, combination(coords, end.hom.basis,
+                                             Matrix.zeros(b.dim, b.dim, QQ)))
+
     for _ in range(5):
-        xi = BimoduleMap(
-            m, m, end_m.matrix_of([QQ.from_int(rng.randint(-2, 2))
-                                   for _ in range(end_m.dim)])
-        )
-        zeta = BimoduleMap(
-            n, n, end_n.matrix_of([QQ.from_int(rng.randint(-2, 2))
-                                   for _ in range(end_n.dim)])
-        )
+        xi = endomorphism(m, end_m)
+        zeta = endomorphism(n, end_n)
         assert interchange_check(xi, zeta)
 
 

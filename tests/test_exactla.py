@@ -127,7 +127,7 @@ def test_rank_kernel_match_sympy(seed):
     sns = sm.nullspace()
     for v in sns:
         vec = [Fraction(x.p, x.q) for x in v]
-        assert ker.coords(vec) is not None
+        ker.coords_matrix(Matrix.from_columns([vec], c, QQ), "outside")
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -169,8 +169,10 @@ def test_subspace_canonical_equality():
     assert s1 == s2
     assert s1.basis == _row_echelon_basis(b2.transpose())
     assert s1.dim == 2
-    assert s1.coords([Fraction(3), Fraction(5), Fraction(8)]) is not None
-    assert s1.coords([Fraction(0), Fraction(0), Fraction(1)]) is None
+    assert s1.coords_matrix(Matrix.from_int_rows([[3], [5], [8]], QQ), "outside") == \
+        Matrix.from_int_rows([[3], [5]], QQ)
+    with pytest.raises(ValueError, match="outside"):
+        s1.coords_matrix(Matrix.from_int_rows([[0], [0], [1]], QQ), "outside")
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -569,16 +571,29 @@ def span_targets(draw):
 @given(span_targets())
 def test_coords_matrix_matches_solve_matrix(args):
     span, M = args
-    X = span.coords_matrix(M)
-    assert X == solve_matrix(span.basis, M)
-    assert X is None or span.basis @ X == M
+    want = solve_matrix(span.basis, M)
+    if want is None:
+        with pytest.raises(ValueError, match="outside"):
+            span.coords_matrix(M, "outside")
+    else:
+        X = span.coords_matrix(M, "outside")
+        assert X == want
+        assert span.basis @ X == M
 
 
 def test_coords_in_the_zero_subspace():
     zero = Subspace(3, Matrix.zeros(3, 0, QQ), QQ)
-    assert zero.coords_matrix(Matrix.zeros(3, 2, QQ)) == Matrix.zeros(0, 2, QQ)
-    assert zero.coords([QQ.zero] * 3) == []
-    assert zero.coords([QQ.zero, QQ.one, QQ.zero]) is None
+    assert zero.coords_matrix(Matrix.zeros(3, 2, QQ), "outside") == Matrix.zeros(0, 2, QQ)
+    assert zero.coords_matrix(Matrix.zeros(3, 1, QQ), "outside").col_list(0) == []
+    with pytest.raises(ValueError, match="outside"):
+        zero.coords_matrix(Matrix.from_int_rows([[0], [1], [0]], QQ), "outside")
+
+
+def test_refuse_names_the_violations():
+    assert exactla.refuse([], "invalid cospan") is None
+    with pytest.raises(ValueError) as err:
+        exactla.refuse(["left leg: not unital", "apex"], "invalid cospan")
+    assert str(err.value) == "invalid cospan: ['left leg: not unital', 'apex']"
 
 
 @pytest.mark.parametrize("rows", [

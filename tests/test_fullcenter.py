@@ -171,8 +171,7 @@ def test_restriction_agreement_on_the_pool():
         zh = Z_hom(f)
         ev_mat = zh.realization.subspace.coords_matrix(Matrix.from_columns(
             [b.apply(f.tgt.unit) for b in zb.realization.hom.basis],
-            f.tgt.dim, f.tgt.field))
-        assert ev_mat is not None, "evaluation leaves the centralizer"
+            f.tgt.dim, f.tgt.field), "evaluation leaves the centralizer")
         ev = AlgebraMap(zb.apex, zh.apex, ev_mat)
         assert validate_algebra_map(ev) == []
         assert is_isomorphism(ev) is not None

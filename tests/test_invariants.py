@@ -3,7 +3,7 @@ python -O, which strips assert statements, strips none of them.  Each
 refusal is tested by making its invariant fail, in-process and again under
 python -O.  A second scan pins the module-level functions and classes of
 src that no src module calls, or that only such unreferenced code calls, so
-that list can only shrink, and finds no method that no src module calls."""
+that list can only shrink, and finds no method that no src module reads."""
 
 import ast
 import contextlib
@@ -57,14 +57,18 @@ def unreferenced_names(sources) -> list:
 
 def unreferenced_methods(sources) -> list:
     """The non-dunder methods of the module-level classes of the module
-    sources whose name no module uses (as a name or an attribute) outside
-    their own definition, as Class.method, sorted."""
+    sources whose name no module reads as an attribute (x.method) or as a
+    getattr string outside their own definition, as Class.method, sorted.
+    A bare name, such as a local variable, is not a use."""
     trees = [ast.parse(source) for source in sources]
 
     def uses(node) -> Counter:
-        return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                       for n in ast.walk(node)
-                       if isinstance(n, (ast.Name, ast.Attribute)))
+        return Counter(
+            [n.attr for n in ast.walk(node)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+            + [n.args[1].value for n in ast.walk(node)
+               if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+               and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)])
 
     used = sum(map(uses, trees), Counter())
     return sorted(f"{cls.name}.{fn.name}"
@@ -130,7 +134,14 @@ class Shape:
     def sides(self):
         return 4
 
-n = Shape().sides
+    def named(self):
+        return 0
+
+def corners(shape):
+    lonely = shape.sides
+    return lonely + getattr(shape, "named")()
+
+n = corners(Shape())
 __all__ = ["exported"]
 """
     assert unreferenced_names([src]) == ["Lonely", "exported", "helper",
@@ -177,6 +188,107 @@ d = tensor_induced(p, [x, 2], q, "no")
 e = q.descend(p.proj, "no")
 """
     assert hand_written_descents(src) == [2, 3]
+
+
+def scope_nodes(tree) -> list:
+    """The nodes of each scope of tree, the module and every function or
+    lambda, as one list per scope: a nested function is a scope of its
+    own."""
+    out = []
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, (ast.FunctionDef, ast.Lambda))]:
+        nodes, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+        out.append(nodes)
+    return out
+
+
+def hand_written_refusals(source: str) -> list:
+    """Line numbers in source of the two refusals that have one home each:
+    an if that raises ValueError on a name bound from a validate_*(...)
+    call (exactla.refuse), and a coords_matrix(...) result, in the call or
+    through a name bound to one in the same function, tested `is None` or
+    `is not None` (Subspace.coords_matrix raises with its caller's
+    message)."""
+
+    def calls(node, prefix):
+        return any(isinstance(n, ast.Call)
+                   and (getattr(n.func, "id", None) or getattr(n.func, "attr", "")
+                        ).startswith(prefix)
+                   for n in ast.walk(node))
+
+    out = []
+    for nodes in scope_nodes(ast.parse(source)):
+
+        def bound(prefix):
+            return {t.id for node in nodes
+                    if isinstance(node, ast.Assign) and calls(node.value, prefix)
+                    for t in node.targets if isinstance(t, ast.Name)}
+
+        validated, coords = bound("validate_"), bound("coords_matrix")
+        out += [node.lineno for node in nodes
+                if isinstance(node, ast.If)
+                and any(isinstance(n, ast.Name) and n.id in validated
+                        for n in ast.walk(node.test))
+                and any(isinstance(n, ast.Raise) and n.exc is not None
+                        and calls(n.exc, "ValueError")
+                        for stmt in node.body for n in ast.walk(stmt))]
+        out += [node.lineno for node in nodes
+                if isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(c, ast.Constant) and c.value is None
+                        for c in node.comparators)
+                and (calls(node.left, "coords_matrix")
+                     or isinstance(node.left, ast.Name) and node.left.id in coords)]
+    return sorted(out)
+
+
+def test_src_refuses_one_way():
+    """A failed validator refuses through exactla.refuse, and a coordinate
+    read refuses inside Subspace.coords_matrix: no if in src raises
+    ValueError on a validator's result, and no coords_matrix result is
+    tested against None."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in hand_written_refusals(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_hand_written_refusals_are_found():
+    src = """
+bad = validate_cospan(c)
+if bad:
+    raise ValueError(f"invalid cospan: {bad}")
+both = validate_3cell(a) + validate_3cell(b)
+if both:
+    raise ValueError(f"not a 3-cell: {both}")
+X = s.coords_matrix(M)
+if X is None:
+    raise ValueError("outside")
+ok = s.coords_matrix(M) is not None
+bad = CODECS[kind].validate(obj)
+if bad:
+    raise InputError("fails validation", bad)
+flaw = validate_algebra(a)
+if flaw:
+    raise InputError("fails validation", flaw)
+refuse(validate_cospan(c), "invalid cospan")
+Y = s.coords_matrix(M, "outside")
+
+def restrict(sub, M):
+    Z = sub.coords_matrix(M)
+    if Z is None:
+        raise ValueError("outside")
+    return Z
+
+def inverse(m):
+    X = solve_matrix(m, m)
+    return None if X is None else X
+"""
+    assert hand_written_refusals(src) == [3, 6, 9, 11, 23]
 
 
 def hand_written_slot_permutations(source: str) -> list:
@@ -344,18 +456,8 @@ def row_writes(source: str) -> list:
     slice of it, directly or through a name bound to it in the same
     function, and a list-mutating method called on one of those."""
     out = []
-    tree = ast.parse(source)
-    scopes = [tree] + [n for n in ast.walk(tree)
-                       if isinstance(n, (ast.FunctionDef, ast.Lambda))]
-    for scope in scopes:
+    for nodes in scope_nodes(ast.parse(source)):
         names = set()
-        # the scope's own nodes: nested functions are scopes of their own
-        nodes, todo = [], list(ast.iter_child_nodes(scope))
-        while todo:
-            node = todo.pop()
-            nodes.append(node)
-            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                todo.extend(ast.iter_child_nodes(node))
         for node in nodes:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 _bound_rows(node.targets[0], node.value, names)
