@@ -20,10 +20,12 @@ from .exactla import (
     Matrix,
     QQ,
     Subspace,
+    _over_lcm,
     inverse,
     kernel,
     kron_product,
     memoised,
+    refuse,
     same_content,
     stack_rows,
     tensor_permutation_index,
@@ -219,19 +221,19 @@ def product_algebra(parts) -> Algebra:
     if any(p.field != f for p in parts):
         raise ValueError("product_algebra: the factors lie over different fields")
     dim = sum(p.dim for p in parts)
-    rows, dens = [], []
+    nums, den = _over_lcm([p.mult for p in parts])
+    rows = []
     off = 0
-    for p in parts:
+    for p, num in zip(parts, nums):
         d = p.dim
-        for row in p.mult.num:
+        for row in num:
             out = [0] * (dim * dim)
             for i in range(d):
                 start = (off + i) * dim + off
                 out[start:start + d] = row[i * d:(i + 1) * d]
             rows.append(out)
-        dens += p.mult.row_dens()
         off += d
-    mult = Matrix.cleared(rows, dens, f, dim * dim)
+    mult = Matrix.cleared(rows, den, f, dim * dim)
     unit = [x for p in parts for x in p.unit]
     name = " x ".join(p.name for p in parts) if all(p.name for p in parts) else ""
     return Algebra(mult, unit, name)
@@ -386,8 +388,8 @@ def is_isomorphism(f: AlgebraMap) -> "AlgebraMap | None":
     if inv is None:
         return None
     g = AlgebraMap(f.tgt, f.src, inv)
-    if validate_algebra_map(g):
-        raise ValueError("the inverse of an algebra map is not an algebra map")
+    refuse(validate_algebra_map(g),
+           "the inverse of an algebra map is not an algebra map")
     return g
 
 

@@ -35,13 +35,13 @@ quotients in interchange_check), and every unit collapse through unit_collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import Algebra, unit_column
 from .exactla import (
     HomSpace,
     Matrix,
     Quotient,
+    _over_lcm,
     block_diagonal,
     check_cells,
     cokernel,
@@ -286,35 +286,31 @@ def middle_relations(ract_mid, lact_mid) -> Matrix:
 
     Block b is (R_b (x) I - I (x) L_b)^T, written entry by entry: the entry
     at row (j, l), column (i, k) is R_b[i][j] [k == l] - [i == j] L_b[k][l].
-    Over QQ the rows of block b are cleared over the lcm of the row
-    denominators of R_b and L_b."""
+    Over QQ every block is built over the lcm of the denominators of all
+    the R_b and L_b (see exactla._over_lcm)."""
     if not ract_mid:
         raise ValueError("middle relations need a middle algebra with a basis")
     dim_m, dim_n, field = ract_mid[0].rows, lact_mid[0].rows, ract_mid[0].field
     n, p = dim_m * dim_n, field.p
     check_cells(len(ract_mid) * n * n, "the middle relations")
-    data, den = [], []
-    for Rb, Lb in zip(ract_mid, lact_mid):
-        rden, lden = Rb.row_dens(), Lb.row_dens()
-        D = lcm(*rden, *lden)
+    nums, D = _over_lcm(ract_mid + lact_mid)
+    data = []
+    for Rb, Lb in zip(nums, nums[len(ract_mid):]):
         block = [[0] * n for _ in range(n)]
-        for i, Ri in enumerate(Rb.num):
-            s = D // rden[i]
+        for i, Ri in enumerate(Rb):
             for j, a in enumerate(Ri):
                 if a:
                     for k in range(dim_n):
-                        block[j * dim_n + k][i * dim_n + k] = a * s
-        for k, Lk in enumerate(Lb.num):
-            s = D // lden[k]
+                        block[j * dim_n + k][i * dim_n + k] = a
+        for k, Lk in enumerate(Lb):
             for l, a in enumerate(Lk):
                 if a:
                     for i in range(dim_m):
                         row = block[i * dim_n + l]
-                        x = row[i * dim_n + k] - a * s
+                        x = row[i * dim_n + k] - a
                         row[i * dim_n + k] = x % p if p else x
         data += block
-        den += [D] * n
-    return Matrix.cleared(data, den, field, n)
+    return Matrix.cleared(data, D, field, n)
 
 
 def _tensor_quotient(m: Bimodule, n: Bimodule) -> Quotient:

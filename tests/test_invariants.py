@@ -16,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
-from centrum import corpus, cospanbicat, fixtures
+from centrum import algebra, corpus, cospanbicat, fixtures
 from centrum.algebra import alg_matrix, alg_product_k, unit_map
 from centrum.exactla import QQ, Matrix
 
@@ -209,8 +209,9 @@ def scope_nodes(tree) -> list:
 
 def hand_written_refusals(source: str) -> list:
     """Line numbers in source of the two refusals that have one home each:
-    an if that raises ValueError on a name bound from a validate_*(...)
-    call (exactla.refuse), and a coords_matrix(...) result, in the call or
+    an if that raises ValueError on a validate_*(...) call, in its test
+    (any(...) of one included) or through a name bound from one
+    (exactla.refuse), and a coords_matrix(...) result, in the call or
     through a name bound to one in the same function, tested `is None` or
     `is not None` (Subspace.coords_matrix raises with its caller's
     message)."""
@@ -232,8 +233,9 @@ def hand_written_refusals(source: str) -> list:
         validated, coords = bound("validate_"), bound("coords_matrix")
         out += [node.lineno for node in nodes
                 if isinstance(node, ast.If)
-                and any(isinstance(n, ast.Name) and n.id in validated
-                        for n in ast.walk(node.test))
+                and (calls(node.test, "validate_")
+                     or any(isinstance(n, ast.Name) and n.id in validated
+                            for n in ast.walk(node.test)))
                 and any(isinstance(n, ast.Raise) and n.exc is not None
                         and calls(n.exc, "ValueError")
                         for stmt in node.body for n in ast.walk(stmt))]
@@ -287,8 +289,15 @@ def restrict(sub, M):
 def inverse(m):
     X = solve_matrix(m, m)
     return None if X is None else X
+
+if validate_algebra_map(g):
+    raise ValueError("not an algebra map")
+if any(validate_algebra_map(f) for f in autos):
+    raise ValueError("an automorphism is not an algebra map")
+if validate_algebra_map(f):
+    return None
 """
-    assert hand_written_refusals(src) == [3, 6, 9, 11, 23]
+    assert hand_written_refusals(src) == [3, 6, 9, 11, 23, 31, 33]
 
 
 def hand_written_slot_permutations(source: str) -> list:
@@ -541,6 +550,9 @@ def invariant_refusals():
             invertible),
         "functor_A_embed": (none, lambda: cospanbicat.functor_A_embed(
             unit_map(alg_matrix(2)))),
+        "is_isomorphism": (
+            _on_call(algebra, "validate_algebra_map", 2, ["not multiplicative"]),
+            lambda: algebra.is_isomorphism(unit_map(alg_matrix(1)))),
         "_automorphism_pool": (
             _on_call(corpus, "validate_algebra_map", 1, ["not multiplicative"]),
             lambda: corpus._automorphism_pool(QQ)),
