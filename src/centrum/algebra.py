@@ -17,6 +17,7 @@ error, not a warning).
 from __future__ import annotations
 
 from .exactla import (
+    Keyed,
     Matrix,
     QQ,
     Subspace,
@@ -32,7 +33,7 @@ from .exactla import (
 )
 
 
-class Algebra:
+class Algebra(Keyed):
     """An algebra given by its multiplication matrix.  mult is dim x dim^2
     and column i*dim + j is e_i * e_j, so left_mult(e_i) is column block i
     and right_mult(e_i) the columns i, i + dim, i + 2*dim, ...; unit is the
@@ -317,7 +318,7 @@ def named_algebra(spec: str, field=QQ) -> Algebra:
 # algebra maps
 
 
-class AlgebraMap:
+class AlgebraMap(Keyed):
     """A linear map between algebras, given by its matrix on basis coords."""
 
     __slots__ = ("src", "tgt", "mat")
@@ -337,9 +338,6 @@ class AlgebraMap:
 
     def __repr__(self):
         return f"AlgebraMap({self.src!r} -> {self.tgt!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraMap) and same_content(self, other)
 
 
 def validate_algebra_map(f: AlgebraMap) -> list[str]:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, unit_column
 from .exactla import (
     HomSpace,
+    Keyed,
     Matrix,
     Quotient,
     _over_lcm,
@@ -60,7 +61,7 @@ from .exactla import (
 )
 
 
-class Bimodule:
+class Bimodule(Keyed):
     """An (A, B)-bimodule: left action of A, right action of B, commuting."""
 
     __slots__ = ("left", "right", "dim", "lact", "ract", "name")
@@ -181,7 +182,7 @@ def twist_bimodule(m: Bimodule, P: Matrix) -> Bimodule:
 # bimodule maps and hom spaces
 
 
-class BimoduleMap:
+class BimoduleMap(Keyed):
     """A linear map of bimodules over the same pair, as a matrix."""
 
     __slots__ = ("src", "tgt", "mat")

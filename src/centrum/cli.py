@@ -240,8 +240,10 @@ def load_payload(spec):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error or an int past the digit limit
         raise InputError(f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise InputError(f"malformed JSON in {path}: nested too deeply")
 
 
 def require_kind(payload, kind, what):
@@ -740,13 +742,9 @@ def _invertible_2cell(args, s, rep):
             "failure_bound": str(search.failure_bound),
             "detail": search.detail,
         }
-        detail = search.detail
-        if not search.certified:
-            detail += (f"; failure bound"
-                       f" {float(search.failure_bound):.3e}")
         rep.add("invertible 3-cell to the identity 2-diagram",
                 search.found and validate_3cell(search.cell) == [],
-                detail)
+                search.detail)
     else:
         rep.result["identity_comparison"] = {
             "found": False,

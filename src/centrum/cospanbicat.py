@@ -55,6 +55,7 @@ from .bimodule import (
 )
 from .exactla import (
     HomSpace,
+    Keyed,
     Matrix,
     Quotient,
     cokernel,
@@ -79,7 +80,7 @@ from .exactla import (
 # cospans
 
 
-class Cospan:
+class Cospan(Keyed):
     """A -> apex <- B with both leg images central in the apex."""
 
     __slots__ = ("leg_a", "leg_b", "name")

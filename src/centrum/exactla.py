@@ -46,11 +46,11 @@ combination adds scaled matrices term by term, the one loop for a linear
 combination of matrices.  kernel and cokernel eliminate only the distinct
 nonzero rows of their input.  memoised computes a pure construction once
 per argument content, in a bounded least-recently-used cache keyed by
-content_key.  content_key builds the key of an object with slots once and
-serves it again from key_cache, a least-recently-used cache of KEY_BOUND
-entries; each entry holds its object, so that its id cannot pass to
-another object while the key is served.  A Matrix or a list is walked on
-every call.
+content_key.  content_key stores the key of a Keyed object (an algebra,
+algebra map, bimodule, bimodule map or cospan) on the object the first
+time it builds it, so the key lives as long as its object does.  Any other
+object, a Matrix or a list included, is walked on every call.
+same_content is the one comparison by content.
 """
 
 from __future__ import annotations
@@ -754,9 +754,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and same_content(self, other)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
@@ -1015,29 +1012,22 @@ def tensor_induced(q_tgt: Quotient, factors, q_src: Quotient,
 MEMO_BOUND = 64
 
 
-# content keys held by content_key: the objects with slots that a run of
-# verdicts on recurring inputs keys again.  In one in-process pass of
-# bench/run.py's center-gfp pool (seed 1, --seconds 15), keying 1,732
-# distinct objects, a 1-entry cache makes 11,544 object walks that read
-# 664,833 matrix entries; 64 entries make 2,433 walks (118,465 entries),
-# 256 make 1,968, 512 make 1,805 (114,379) and an unbounded cache 1,732
-# (114,125).  A 64-entry cache measured no faster end to end than none.
-KEY_BOUND = 512
+class Keyed:
+    """The base of the objects whose content key is stored on them: _key
+    holds it once content_key has built it.  Such an object must not change
+    once keyed, as a memoised result must not; its name may, since the key
+    leaves it out."""
 
-# id(x) -> (x, content_key(x)), least recently used first (see content_key)
-key_cache = {}
+    __slots__ = ("_key",)
 
 
 def content_key(x):
     """A hashable value, equal exactly for objects equal on the nose: a
     matrix by its field and its canonical rows, a list by its entries, an
     object with slots by its type and slots but its name; a scalar or field
-    by itself.  The key of an object with slots is built once and then
-    served from key_cache, which keeps the KEY_BOUND objects keyed most
-    recently and holds each one, so that its id cannot pass to another
-    object while its key is served; such an object must not change once
-    keyed, as a memoised result must not.  A Matrix or a list is walked on
-    every call."""
+    by itself.  The key of a Keyed object is built once and stored on it
+    (_key is declared on Keyed, so the walk of type(x).__slots__ does not
+    see it); any other object is walked on every call."""
     if type(x) is Matrix:
         return (x.field, x.cols, tuple(map(tuple, x.num)), x.den)
     if type(x) is list:
@@ -1045,18 +1035,19 @@ def content_key(x):
     slots = getattr(type(x), "__slots__", None)
     if slots is None:
         return x
-    held = key_cache.pop(id(x), None)
-    if held is None or held[0] is not x:
-        held = (x, (type(x),) + tuple(content_key(getattr(x, s)) for s in slots
-                                      if s != "name"))
-        if len(key_cache) >= KEY_BOUND:
-            del key_cache[next(iter(key_cache))]
-    key_cache[id(x)] = held
-    return held[1]
+    key = getattr(x, "_key", None)
+    if key is None:
+        key = (type(x),) + tuple(content_key(getattr(x, s)) for s in slots
+                                 if s != "name")
+        if isinstance(x, Keyed):
+            x._key = key
+    return key
 
 
 def same_content(a, b) -> bool:
-    """Whether a and b are one object or equal on the nose."""
+    """Whether a and b are one object or equal on the nose: the one
+    comparison by content of algebras, maps, bimodules, cospans and
+    subspaces, whose classes define no ==."""
     return a is b or content_key(a) == content_key(b)
 
 

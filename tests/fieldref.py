@@ -25,7 +25,8 @@ descend through it.  ``ref_validate_bimodule`` checks the bimodule axioms
 one pair of basis elements at a time on them.  ``ref_solve_3cell_family``
 builds the 3-cell system row by row and solves it on ``rref_ref`` and
 ``kernel_ref``.  ``content_key_ref`` walks an object for its content key
-afresh every time, as ``exactla.content_key`` does before its cache.
+afresh every time, as ``exactla.content_key`` does before it stores the key
+on a ``Keyed`` object.
 """
 
 import contextlib
@@ -168,8 +169,8 @@ def reference_kernels():
 
 
 def content_key_ref(x):
-    """exactla.content_key walked afresh, with no cache: the key every key
-    the cache serves must equal."""
+    """exactla.content_key walked afresh, reading no stored key: the key
+    every key stored on an object must equal."""
     if type(x) is Matrix:
         return (x.field, x.cols, tuple(map(tuple, x.num)), x.den)
     if type(x) is list:

@@ -2,6 +2,8 @@
 envelopes, content hashes, determinism, and the error path for inputs that
 fail their validators."""
 
+import contextlib
+import io
 import json
 import random
 import re
@@ -13,18 +15,22 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_golden import CASES, DATA, command_leaves, run_case
 
 from centrum import corpus
 from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
 from centrum.cli import (
     CODECS,
+    COMMANDS,
     algebra_dict,
     content_hash,
     fmt_matrix,
     fmt_vector,
     main,
 )
-from centrum.exactla import QQ, Matrix, PrimeField, content_key
+from centrum.exactla import QQ, Keyed, Matrix, PrimeField, content_key
 from centrum.fixtures import random_bimodule, random_hom_element
 from centrum.fullcenter import Z_2cell, Z_bimodule
 
@@ -85,12 +91,21 @@ def test_validator_failure_exits_two_with_violations(tmp_path):
                for v in r["error"]["violations"])
 
 
-def test_malformed_json_exits_two(tmp_path):
+def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     code, r = run_cli("validate", "algebra", f"@{path}")
     assert code == 2
     assert "malformed JSON" in r["error"]["message"]
+    # nesting past the recursion limit, and an int past the digit limit
+    for name, text in [("deep.json", "[" * 3000 + "]" * 3000),
+                       ("digits.json", '{"kind": "algebra", "dim": 1%s}'
+                        % ("0" * 5000))]:
+        path = tmp_path / name
+        path.write_text(text)
+        code, r = run_main(["validate", "map", f"@{path}"], capsys)
+        assert code == 2
+        assert r["error"]["message"].startswith(f"malformed JSON in {path}: ")
 
 
 def test_unknown_constructor_exits_two():
@@ -504,3 +519,160 @@ def test_composite_constructor_refusal_exits_two(kind, payload, message,
     code, r = run_main(["validate", kind, f"@{path}"], capsys)
     assert code == 2
     assert r["error"]["message"] == message
+
+
+def test_every_type_keyed_more_than_once_is_keyed(monkeypatch, capsys):
+    """content_key stores the key of a Keyed object on it and walks any
+    other object with slots on every call: over the corpus and the golden
+    cases, each type whose objects are keyed more than once is Keyed, so
+    none of them is walked twice."""
+    import centrum.exactla as exactla
+
+    calls, real = {}, exactla.content_key
+
+    def spy(x):
+        if type(x) is not Matrix and hasattr(type(x), "__slots__"):
+            calls.setdefault(id(x), [x, 0])[1] += 1
+        return real(x)
+
+    monkeypatch.setattr(exactla, "content_key", spy)
+    for field in ("rational", "gfp:3"):
+        assert main(["corpus", "--scale", "0.05", "--field", field]) in (0, 1)
+    capsys.readouterr()
+    monkeypatch.chdir(DATA)
+    for _, argv, _ in CASES:
+        run_case(argv)
+    repeated = {type(x) for x, n in calls.values() if n > 1}
+    assert [t.__name__ for t in repeated if not issubclass(t, Keyed)] == []
+    assert sorted(t.__name__ for t in repeated) == [
+        "Algebra", "AlgebraMap", "Bimodule", "BimoduleMap", "Cospan"]
+
+
+# -- fuzzed input: every run ends in one JSON report or argparse's usage ------
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+
+def report_or_usage(argv):
+    """main(argv) returns 0, 1 or 2 and prints one JSON report whose ok says
+    whether it returned 0, or argparse exits 2 with its usage text; the
+    caller fails on anything else raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert (exc.code, out.getvalue()) == (2, ""), argv
+            assert err.getvalue().startswith("usage: centrum"), argv
+            return
+    assert code in (0, 1, 2), argv
+    assert json.loads(out.getvalue())["ok"] is (code == 0), argv
+
+
+def json_paths(doc, path=()):
+    """The path of every value inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+FUZZ_FIELDS = {"rational": QQ, "gfp:3": PrimeField(3)}
+# JSON texts that replace a value: a bool, a float, a string, a negative
+# int, an int of many digits (past Python's int-digit limit too), a list,
+# null
+REPLACEMENTS = ["true", "false", "1.5", "-0.0", '"x"', '"1/0"', "-1", "-7",
+                "9" * 30, "9" * 5000, "[]", "[1, [2]]", "null"]
+SLOT = "\x00slot\x00"
+
+
+@st.composite
+def mutated_files(draw):
+    """(field, kind, JSON text): the file form of one object of each kind,
+    with one value replaced, dropped or wrapped in nested lists."""
+    field = draw(st.sampled_from(sorted(FUZZ_FIELDS)))
+    objects = codec_fixtures(FUZZ_FIELDS[field], random.Random(5))
+    kind = draw(st.sampled_from(list(objects)))
+    doc = CODECS[kind].encode(objects[kind])
+    *head, last = draw(st.sampled_from(list(json_paths(doc))))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    how = draw(st.sampled_from(["replace", "drop", "nest"]))
+    if how == "drop":
+        del parent[last]
+        return field, kind, json.dumps(doc)
+    if how == "replace":
+        text = draw(st.sampled_from(REPLACEMENTS))
+    else:
+        depth = draw(st.sampled_from([3, 500, 3000]))
+        text = "[" * depth + json.dumps(parent[last]) + "]" * depth
+    parent[last] = SLOT
+    return field, kind, json.dumps(doc).replace(json.dumps(SLOT), text)
+
+
+def test_mutated_json_files_give_one_report(tmp_path):
+    path = tmp_path / "mutated.json"
+
+    @FUZZ
+    @given(mutated_files())
+    def check(case):
+        field, kind, text = case
+        path.write_text(text)
+        report_or_usage(["validate", kind, f"@{path}", "--field", field])
+
+    check()
+
+
+def leaf_arguments(leaf):
+    """The (flag, add_argument options) pairs of a COMMANDS leaf."""
+    _, handler, arguments = COMMANDS[leaf[0]]
+    return handler[leaf[1]][2] if isinstance(handler, dict) else arguments
+
+
+ODD = ["-1", "0", "inf", "nan"]
+SPECS = ["k", "matrix:2", "group:C2", "product:k^2", "dual_numbers", "diag:2",
+         "id:k", "unit:product:k^2", "regular:k", "regular:group:C2",
+         "row:2", "col:2", "free:matrix:2,k", "id:regular:k", "identity:k",
+         "identity:group:C2", "identity:identity:k",
+         "identity:identity:product:k^2", "@algebra.json",
+         "@map.json", "@bimodule.json", "@2diagram.json", "@malformed.json"]
+# the values of a flag, sized within algebra.MAX_DIM and corpus at scale
+# 0.05 at most; any other flag names an object and draws a spec
+FLAG_VALUES = {
+    "--field": ["rational", "gfp:2", "gfp:3", "gfp:4"],
+    "--seed": ["1", "2"],
+    "--bound": ["1", "33554432"],
+    "--n": ["1", "2", "3"],
+    "--scale": ["0.01", "0.05"],
+}
+COMMON = [("--field", {}), ("--seed", {}), ("--bound", {})]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A COMMANDS leaf with its positional arguments and some of its flags,
+    --scale always (its default runs the whole corpus), each flag given a
+    known value or -1, 0, inf or nan."""
+    leaf = draw(st.sampled_from(list(command_leaves())))
+    argv = list(leaf)
+    for flag, options in [*leaf_arguments(leaf), *COMMON]:
+        values = options.get("choices") or FLAG_VALUES.get(flag, SPECS)
+        if flag.startswith("--"):
+            if flag == "--scale" or draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(values + ODD))]
+        else:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+def test_fuzzed_argv_gives_one_report(monkeypatch):
+    monkeypatch.chdir(DATA)
+
+    @FUZZ
+    @given(fuzzed_argv())
+    def check(argv):
+        report_or_usage(argv)
+
+    check()

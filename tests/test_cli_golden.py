@@ -104,6 +104,14 @@ CASES = [
     ("validate-cospan-identity", ["validate", "cospan", "identity:k"], 0),
     ("center-gfp5", ["center", "--algebra", "group:C2", "--field", "gfp:5"],
      0),
+    # GF(p) file input: group:C2 written with unreduced scalars, and with a
+    # fraction, which GF(p) does not parse
+    ("center-gfp5-unreduced-file",
+     ["center", "--algebra", "@algebra_c2_gfp5_unreduced.json",
+      "--field", "gfp:5"], 0),
+    ("center-gfp5-fraction-file",
+     ["center", "--algebra", "@algebra_c2_gfp5_half.json", "--field", "gfp:5"],
+     2),
     # small primes, where a missed reduction shows first, and a large one
     ("center-matrix3-gfp2",
      ["center", "--algebra", "matrix:3", "--field", "gfp:2"], 0),
@@ -231,6 +239,16 @@ def test_golden_report(name, argv, code, monkeypatch):
     got_code, got = run_case(argv)
     assert got_code == code
     assert got == (EXPECTED / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_unreduced_gfp_file_hashes_as_its_canonical_form():
+    """The content hash reads the reduced entries, so group:C2 over GF(5)
+    written with unreduced scalars hashes as the named constructor does."""
+    def algebra_hash(name):
+        report = json.loads((EXPECTED / f"{name}.json").read_text(encoding="utf-8"))
+        return report["inputs"]["algebra"]["hash"]
+
+    assert algebra_hash("center-gfp5-unreduced-file") == algebra_hash("center-gfp5")
 
 
 def test_golden_reports_under_optimize():

@@ -20,9 +20,9 @@ from fieldref import content_key_ref
 from testfixtures import restriction_bimodule
 
 from centrum.exactla import (
-    KEY_BOUND,
     MEMO_BOUND,
     QQ,
+    Keyed,
     Matrix,
     PrimeField,
     cokernel,
@@ -652,7 +652,7 @@ def test_served_results_are_never_mutated():
     for fn in ALL_MEMOISED:
         fn.cache.clear()
     batteries()
-    # keyed by fresh walks: content_key would serve the keys it holds
+    # keyed by fresh walks: content_key would read the keys stored on them
     served = [(fn.__name__, out, content_key_ref(out))
               for fn in ALL_MEMOISED for out in fn.cache.values()]
     assert {name for name, _, _ in served} == {fn.__name__ for fn in ALL_MEMOISED}
@@ -661,50 +661,80 @@ def test_served_results_are_never_mutated():
     assert [name for name, out, key in served if content_key_ref(out) != key] == []
 
 
-class CheckedKeyCache(dict):
-    """A stand-in for exactla.key_cache that checks every key it serves
-    against a fresh walk of its object."""
-
-    def __init__(self):
-        super().__init__()
-        self.served, self.stale = 0, []
-
-    def pop(self, key, default=None):
-        held = super().pop(key, default)
-        if held is not None:
-            self.served += 1
-            if content_key_ref(held[0]) != held[1]:
-                self.stale.append(held[0])
-        return held
+def keyed_objects(roots):
+    """Every Keyed object reachable from roots, through slots, lists,
+    tuples, dicts and instance dicts, whose content key is set."""
+    found, seen, todo = [], set(), list(roots)
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or type(x) is Matrix:
+            continue
+        seen.add(id(x))
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        else:
+            todo.extend(getattr(x, s) for cls in type(x).__mro__
+                        for s in vars(cls).get("__slots__", ())
+                        if s != "_key" and hasattr(x, s))
+            todo.extend(getattr(x, "__dict__", {}).values())
+            if isinstance(x, Keyed) and hasattr(x, "_key"):
+                found.append(x)
+    return found
 
 
 def test_key_cache_serves_each_object_its_own_key(monkeypatch):
+    """The batteries read more than 1,000 keys stored on their objects, and
+    after them the key stored on every object keyed during them, and on
+    every object a memoised result reaches, equals a fresh walk of that
+    object."""
     import centrum.exactla as exactla
 
-    cache = CheckedKeyCache()
-    monkeypatch.setattr(exactla, "key_cache", cache)
+    keyed, served, real = [], [], exactla.content_key
+
+    def spy(x):
+        if isinstance(x, Keyed):
+            keyed.append(x)
+            served.append(hasattr(x, "_key"))
+        return real(x)
+
+    monkeypatch.setattr(exactla, "content_key", spy)
     for fn in ALL_MEMOISED:
         fn.cache.clear()
     field = PrimeField(1000003)
     assert lax_functor_battery(random.Random(1), 0.1, field).ok
     assert semisimple_battery(random.Random(1), 0.1, field).ok
     assert lax_functor_battery(random.Random(1), 0.1, QQ).ok
-    assert cache.served > 1000
-    assert cache.stale == []
+    stored = keyed_objects([keyed] + [out for fn in ALL_MEMOISED
+                                      for out in fn.cache.values()])
+    assert sum(served) > 1000
+    assert [x for x in stored if x._key != content_key_ref(x)] == []
 
 
 def test_key_cache_never_serves_a_dropped_objects_key():
-    """More content-distinct short-lived maps than the cache holds, each
-    dropped once keyed: Python gives the ids of evicted maps to new ones,
-    and each new map still gets its own key."""
+    """Many content-distinct short-lived maps, each dropped once keyed:
+    Python gives the ids of dropped maps to new ones, and each new map
+    still gets its own key."""
     k = alg_k()
     ids = set()
-    for i in range(3 * KEY_BOUND):
+    for i in range(1536):
         f = AlgebraMap(k, k, Matrix.from_int_rows([[i]], QQ))
         ids.add(id(f))
         assert content_key(f) == content_key_ref(f)
         del f
-    assert len(ids) < 3 * KEY_BOUND  # ids were reused
+    assert len(ids) < 1536  # ids were reused
+
+
+def test_keying_an_object_holds_no_reference_to_it():
+    """A content key lives on its object, so keying the object leaves its
+    reference count as it was and the key dies with it."""
+    k = alg_k()
+    f = AlgebraMap(k, k, Matrix.from_int_rows([[7]], QQ))
+    before = sys.getrefcount(f)
+    key = content_key(f)
+    assert sys.getrefcount(f) == before
+    assert content_key(f) is key
 
 
 def test_a_second_lax_verification_walks_no_chain_matrix(monkeypatch):
