@@ -55,6 +55,7 @@ same_content is the one comparison by content.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import update_wrapper
 from itertools import chain, compress
@@ -69,6 +70,11 @@ from operator import add, mul, sub
 def _integral(x):
     """x, or its numerator when x is a Fraction with denominator 1."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+# a QQ scalar string: an integer or n/d.  Fraction alone also reads
+# exponents, which pass Python's int digit limit, decimals and underscores
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 class Rationals:
@@ -90,6 +96,8 @@ class Rationals:
         return int(n)
 
     def parse(self, s: str):
+        if not _RATIONAL.fullmatch(s):
+            raise ValueError("expected an integer n or a fraction n/d")
         return _integral(Fraction(s))
 
     def div(self, a, b):

@@ -124,6 +124,26 @@ def test_a_failing_instance_is_counted_and_located(monkeypatch):
         "ok": False, "detail": "9/10, first failure at instance 2"}]
 
 
+def test_a_refused_instance_is_counted_and_named():
+    """An instance whose trial raises ValueError fails; the first failure
+    carries its message when it refused, and none when it returned false."""
+    def trials(*outcomes):
+        def trial(i):
+            if outcomes[i] is None:
+                raise ValueError("broken")
+            return outcomes[i]
+        return trial
+
+    rep = corpus.CoherenceReport()
+    corpus._tally(rep, "refused first", 3, trials(True, None, False))
+    corpus._tally(rep, "false first", 2, trials(False, None))
+    assert rep.entries == [
+        {"name": "refused first", "ok": False,
+         "detail": "1/3, first failure at instance 1: broken"},
+        {"name": "false first", "ok": False,
+         "detail": "0/2, first failure at instance 0"}]
+
+
 def test_a_failing_lax_chain_is_counted_and_located(monkeypatch):
     broken = corpus.CoherenceReport()
     broken.add("associativity", False)

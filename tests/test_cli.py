@@ -5,6 +5,7 @@ fail their validators."""
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -17,9 +18,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cli_golden import CASES, DATA, command_leaves, run_case
+from test_cli_golden import CASES, DATA, TESTS, command_leaves, run_case
 
-from centrum import corpus
+from centrum import corpus, cospanbicat
 from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
 from centrum.cli import (
     CODECS,
@@ -30,7 +31,15 @@ from centrum.cli import (
     fmt_vector,
     main,
 )
-from centrum.exactla import QQ, Keyed, Matrix, PrimeField, content_key
+from centrum.exactla import (
+    QQ,
+    Keyed,
+    Matrix,
+    PrimeField,
+    Quotient,
+    content_key,
+    memoised,
+)
 from centrum.fixtures import random_bimodule, random_hom_element
 from centrum.fullcenter import Z_2cell, Z_bimodule
 
@@ -442,9 +451,9 @@ def test_corpus_builds_every_matrix_in_canonical_form(field, monkeypatch, capsys
     capsys.readouterr()
 
 
-# ROADMAP 5b: over GF(2) and GF(3) the invertible-3-cell search samples
+# ROADMAP 3a: over GF(2) and GF(3) the invertible-3-cell search samples
 # from too few residues, so its reported failure bound stays above 2^-20;
-# GF(101) does not certify either at this scale.  Fixing 5b means updating
+# GF(101) does not certify either at this scale.  Fixing 3a means updating
 # this list.
 SMALL_FIELD_FAILURE = "invertibility certificates: all reported failure bounds below 2^-20"
 
@@ -460,6 +469,80 @@ def test_corpus_over_four_primes(p, failing, capsys):
     r = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in r["checks"] if not c["ok"]] == failing
     assert code == (1 if failing else 0)
+
+
+INTERCHANGER_REFUSED = (
+    "horizontal interchanger: interchanger two-sided, verified, natural",
+    "0/5, first failure at instance 0: the interchanger and its inverse"
+    " are not mutually inverse")
+
+
+def failing_corpus_checks():
+    """The exit code of corpus at scale 0.05 and its failing checks, as
+    (name, detail) pairs."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["corpus", "--scale", "0.05"])
+    checks = json.loads(out.getvalue())["checks"]
+    return code, [(c["name"], c["detail"]) for c in checks if not c["ok"]]
+
+
+def corpus_with_interchanger_refused():
+    """failing_corpus_checks() with beta_cell refusing every interchanger
+    as not mutually inverse.  Written without assert, so it means the same
+    under python -O."""
+    real = cospanbicat.mutually_inverse
+    cospanbicat.mutually_inverse = lambda a, b: False
+    try:
+        return failing_corpus_checks()
+    finally:
+        cospanbicat.mutually_inverse = real
+
+
+def test_a_refusal_fails_its_instance():
+    """A construction's refusal inside a battery instance fails that
+    instance with its message, and corpus exits 1, not 2 as for bad input."""
+    assert corpus_with_interchanger_refused() == (1, [INTERCHANGER_REFUSED])
+
+
+def test_a_refusal_fails_its_instance_under_optimize():
+    path = [str(TESTS), str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = ("import sys, test_cli as t\n"
+              "print(sys.flags.optimize, t.corpus_with_interchanger_refused()"
+              " == (1, [t.INTERCHANGER_REFUSED]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+
+
+def test_a_refusal_outside_a_family_fails_its_battery(monkeypatch):
+    """With every quotient section refused, a battery that builds a
+    quotient outside its families reports "battery ran to completion"
+    failed, and the run goes on; every failing family names the refusal.
+    The memoised caches are emptied first: a served result would skip the
+    refusal."""
+    message = "quotient section is not a section of the projection"
+
+    def refuse(self, *args):
+        raise ValueError(message)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("centrum."):
+            for fn in vars(module).values():
+                if isinstance(fn, memoised):
+                    fn.cache.clear()
+    monkeypatch.setattr(Quotient, "__init__", refuse)
+    code, failing = failing_corpus_checks()
+    whole = [(name, detail) for name, detail in failing
+             if name.endswith(": battery ran to completion")]
+    assert code == 1
+    assert whole == [
+        ("lax multiplication on algebra maps: battery ran to completion", message),
+        ("semisimple comparison isomorphisms: battery ran to completion", message)]
+    families = [detail for name, detail in failing if (name, detail) not in whole]
+    assert families and all(d.endswith(f": {message}") for d in families)
 
 
 def test_corpus_scale_bound_covers_every_family():
@@ -556,7 +639,8 @@ FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=100
 def report_or_usage(argv):
     """main(argv) returns 0, 1 or 2 and prints one JSON report whose ok says
     whether it returned 0, or argparse exits 2 with its usage text; the
-    caller fails on anything else raised."""
+    caller fails on anything else raised.  Returns (exit code, report), or
+    None after the usage text."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -564,9 +648,11 @@ def report_or_usage(argv):
         except SystemExit as exc:
             assert (exc.code, out.getvalue()) == (2, ""), argv
             assert err.getvalue().startswith("usage: centrum"), argv
-            return
+            return None
     assert code in (0, 1, 2), argv
-    assert json.loads(out.getvalue())["ok"] is (code == 0), argv
+    report = json.loads(out.getvalue())
+    assert report["ok"] is (code == 0), argv
+    return code, report
 
 
 def json_paths(doc, path=()):
@@ -580,10 +666,11 @@ def json_paths(doc, path=()):
 
 FUZZ_FIELDS = {"rational": QQ, "gfp:3": PrimeField(3)}
 # JSON texts that replace a value: a bool, a float, a string, a negative
-# int, an int of many digits (past Python's int-digit limit too), a list,
-# null
+# int, an int of many digits (past Python's int-digit limit too), a string
+# with an exponent or a decimal point, a list, null
 REPLACEMENTS = ["true", "false", "1.5", "-0.0", '"x"', '"1/0"', "-1", "-7",
-                "9" * 30, "9" * 5000, "[]", "[1, [2]]", "null"]
+                "9" * 30, "9" * 5000, '"1e5000"', '"0.5"', "[]", "[1, [2]]",
+                "null"]
 SLOT = "\x00slot\x00"
 
 
@@ -620,7 +707,11 @@ def test_mutated_json_files_give_one_report(tmp_path):
     def check(case):
         field, kind, text = case
         path.write_text(text)
-        report_or_usage(["validate", kind, f"@{path}", "--field", field])
+        code, report = report_or_usage(
+            ["validate", kind, f"@{path}", "--field", field])
+        # a bad file is refused while it is read or validated
+        assert code != 2 or not report["error"]["message"].startswith(
+            "operation failed on the given inputs"), text
 
     check()
 

@@ -157,6 +157,9 @@ CASES = [
     ("map-fails-validator",
      ["centralizer", "--map", "@map_not_multiplicative.json"], 2),
     ("float-scalar", ["validate", "map", "@map_float.json"], 2),
+    # an exponent, which Fraction reads past Python's int digit limit
+    ("exponent-scalar", ["validate", "algebra", "@algebra_exponent_unit.json"],
+     2),
     ("algebra-dim-bool", ["validate", "algebra", "@algebra_dim_bool.json"], 2),
     ("bimodule-dim-bool",
      ["validate", "bimodule", "@bimodule_dim_bool.json"], 2),
@@ -187,6 +190,9 @@ CASES = [
     ("corpus-scale-inf", ["corpus", "--scale", "inf"], 2),
     ("corpus-scale-zero", ["corpus", "--scale", "0"], 2),
     ("corpus-scale-huge", ["corpus", "--scale", "1e300"], 2),
+    # an operation that refuses valid input: the generic bad-input report
+    ("z-bimodule-regular-matrix6-too-large",
+     ["z-bimodule", "--bimodule", "regular:matrix:6"], 2),
     # a report that cannot be written to --out: one error report, on stdout
     ("out-unwritable",
      ["center", "--algebra", "k", "--out", "no-such-dir/report.json"], 2),

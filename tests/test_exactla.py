@@ -83,6 +83,11 @@ def test_field_parsing():
     with pytest.raises(ValueError):
         field_from_name("real")
     assert QQ.parse("-3/4") == Fraction(-3, 4)
+    assert QQ.parse(" 7 ") == 7
+    # Fraction alone reads these too; an exponent passes the int digit limit
+    for s in ("1e5000", "0.5", "1_0"):
+        with pytest.raises(ValueError):
+            QQ.parse(s)
 
 
 def test_matrix_basics():
