@@ -72,9 +72,12 @@ def _integral(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-# a QQ scalar string: an integer or n/d.  Fraction alone also reads
-# exponents, which pass Python's int digit limit, decimals and underscores
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+# a scalar string: an integer, or over QQ also n/d.  Fraction alone also
+# reads exponents, which pass Python's int digit limit, and decimals; int
+# and Fraction both read underscores and non-ASCII digits
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(rf"\s*{_INTEGER}(/[0-9]+)?\s*")
+_PRIME_SCALAR = re.compile(rf"\s*{_INTEGER}\s*")
 
 
 class Rationals:
@@ -167,6 +170,8 @@ class PrimeField:
         return int(n) % self.p
 
     def parse(self, s: str):
+        if not _PRIME_SCALAR.fullmatch(s):
+            raise ValueError("expected an integer n")
         return int(s) % self.p
 
     def __repr__(self):
@@ -183,11 +188,12 @@ QQ = Rationals()
 
 
 def field_from_name(name: str):
-    """Parse a field spec: "rational" or "gfp:<p>"."""
+    """Parse a field spec: "rational" or "gfp:<p>", p in ASCII digits."""
     if name == "rational":
         return QQ
-    if name.startswith("gfp:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+    p = re.fullmatch(f"gfp:({_INTEGER})", name)
+    if p:
+        return PrimeField(int(p[1]))
     raise ValueError(f"unknown field {name!r}")
 
 

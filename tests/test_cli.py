@@ -7,13 +7,11 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -546,10 +544,11 @@ def test_a_refusal_outside_a_family_fails_its_battery(monkeypatch):
 
 
 def test_corpus_scale_bound_covers_every_family():
-    """MAX_SCALE keeps every family within MAX_INSTANCES: no battery asks
-    _count for more than MAX_INSTANCES / MAX_SCALE instances at scale 1."""
-    source = Path(corpus.__file__).read_text(encoding="utf-8")
-    bases = [int(b) for b in re.findall(r"_count\((\d+),", source)]
+    """MAX_SCALE keeps every family within MAX_INSTANCES: no family of
+    corpus.BATTERIES runs more than MAX_INSTANCES / MAX_SCALE instances at
+    scale 1."""
+    bases = [base for families, _ in corpus.BATTERIES.values()
+             for _, base, _ in families]
     assert max(bases) * corpus.MAX_SCALE <= corpus.MAX_INSTANCES
     assert corpus._count(max(bases), corpus.MAX_SCALE) == corpus.MAX_INSTANCES
 
@@ -667,10 +666,10 @@ def json_paths(doc, path=()):
 FUZZ_FIELDS = {"rational": QQ, "gfp:3": PrimeField(3)}
 # JSON texts that replace a value: a bool, a float, a string, a negative
 # int, an int of many digits (past Python's int-digit limit too), a string
-# with an exponent or a decimal point, a list, null
+# with an exponent, a decimal point or an underscore, a list, null
 REPLACEMENTS = ["true", "false", "1.5", "-0.0", '"x"', '"1/0"', "-1", "-7",
-                "9" * 30, "9" * 5000, '"1e5000"', '"0.5"', "[]", "[1, [2]]",
-                "null"]
+                "9" * 30, "9" * 5000, '"1e5000"', '"0.5"', '"1_0"', "[]",
+                "[1, [2]]", "null"]
 SLOT = "\x00slot\x00"
 
 

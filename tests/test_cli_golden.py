@@ -160,6 +160,12 @@ CASES = [
     # an exponent, which Fraction reads past Python's int digit limit
     ("exponent-scalar", ["validate", "algebra", "@algebra_exponent_unit.json"],
      2),
+    # underscores and non-ASCII digits, which int reads
+    ("underscore-scalar-gfp5",
+     ["validate", "algebra", "@algebra_underscore_unit.json", "--field", "gfp:5"],
+     2),
+    ("field-non-ascii-digit",
+     ["center", "--algebra", "k", "--field", "gfp:\u0665"], 2),
     ("algebra-dim-bool", ["validate", "algebra", "@algebra_dim_bool.json"], 2),
     ("bimodule-dim-bool",
      ["validate", "bimodule", "@bimodule_dim_bool.json"], 2),

@@ -621,7 +621,7 @@ def test_solve_3cell_family_matches_the_row_loops(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
 def test_invertibility_battery_bounds_stay_below_2_to_the_minus_20(field):
-    rep = corpus.invertibility_battery(random.Random(0), scale=1.0, field=field)
+    rep = corpus.run_battery("invertibility certificates", 0, 1.0, field)
     entry = next(e for e in rep.entries if "2^-20" in e["name"])
     assert rep.ok and entry["detail"].startswith("1 probabilistic searches")
 

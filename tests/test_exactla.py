@@ -88,6 +88,15 @@ def test_field_parsing():
     for s in ("1e5000", "0.5", "1_0"):
         with pytest.raises(ValueError):
             QQ.parse(s)
+    # int alone reads underscores and non-ASCII digits, also in a field name
+    gf5 = field_from_name("gfp:5")
+    assert (gf5.parse(" 7 "), gf5.parse("-3")) == (2, 2)
+    for s in ("1_000_001", "\u0663", "1/2", "0.5"):
+        with pytest.raises(ValueError):
+            gf5.parse(s)
+    for name in ("gfp:\u0665", "gfp: 5", "gfp:5 ", "gfp:5_0"):
+        with pytest.raises(ValueError, match="unknown field"):
+            field_from_name(name)
 
 
 def test_matrix_basics():

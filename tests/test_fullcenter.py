@@ -63,7 +63,7 @@ from centrum.bimodule import (
     tensor_over,
     twist_bimodule,
 )
-from centrum.corpus import lax_functor_battery, semisimple_battery, semisimple_corpus
+from centrum.corpus import run_battery, semisimple_corpus
 from centrum.cospanbicat import compose_cospans, validate_2diagram, validate_cospan
 from centrum.fixtures import (
     algebra_map_pool,
@@ -646,8 +646,8 @@ def test_served_results_are_never_mutated():
     field = PrimeField(1000003)
 
     def batteries():
-        assert lax_functor_battery(random.Random(1), 0.1, field).ok
-        assert semisimple_battery(random.Random(1), 0.1, field).ok
+        assert run_battery("lax multiplication on algebra maps", 1, 0.1, field).ok
+        assert run_battery("semisimple comparison isomorphisms", 1, 0.1, field).ok
 
     for fn in ALL_MEMOISED:
         fn.cache.clear()
@@ -703,9 +703,9 @@ def test_key_cache_serves_each_object_its_own_key(monkeypatch):
     for fn in ALL_MEMOISED:
         fn.cache.clear()
     field = PrimeField(1000003)
-    assert lax_functor_battery(random.Random(1), 0.1, field).ok
-    assert semisimple_battery(random.Random(1), 0.1, field).ok
-    assert lax_functor_battery(random.Random(1), 0.1, QQ).ok
+    assert run_battery("lax multiplication on algebra maps", 1, 0.1, field).ok
+    assert run_battery("semisimple comparison isomorphisms", 1, 0.1, field).ok
+    assert run_battery("lax multiplication on algebra maps", 1, 0.1, QQ).ok
     stored = keyed_objects([keyed] + [out for fn in ALL_MEMOISED
                                       for out in fn.cache.values()])
     assert sum(served) > 1000

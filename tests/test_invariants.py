@@ -323,6 +323,46 @@ def hand_written_slot_permutations(source: str) -> list:
                 for a in node.args))
 
 
+def random_builders(source: str) -> list:
+    """The module-level functions of source that name Random (as a name or
+    an attribute, called or not), in order; None for a use outside any
+    function."""
+    return [top.name if isinstance(top, ast.FunctionDef) else None
+            for top in ast.parse(source).body for n in ast.walk(top)
+            if getattr(n, "id", None) == "Random"
+            or isinstance(n, ast.Attribute) and n.attr == "Random"]
+
+
+def test_corpus_draws_each_instance_from_its_own_stream():
+    """corpus builds a Random only in run_battery, whose stream seeds
+    f"{seed}/{battery}/{family}/{i}" name one instance each: no battery or
+    family name holds "/", and family names are unique in their battery."""
+    source = (SRC / "corpus.py").read_text(encoding="utf-8")
+    assert set(random_builders(source)) == {"run_battery"}
+    for battery, (families, _) in corpus.BATTERIES.items():
+        names = [family for family, _, _ in families]
+        assert "/" not in battery and not any("/" in n for n in names)
+        assert len(set(names)) == len(names), battery
+
+
+def test_random_builders_are_found():
+    src = """
+import random as _random
+RNG = _random.Random(0)
+
+def battery(rng=None):
+    rng = rng or random.Random(1)
+    return [lambda i: Random(i)]
+
+def run_battery(name, seed):
+    return _random.Random(f"{seed}/{name}")
+
+def draw(rng):
+    return rng.random()
+"""
+    assert random_builders(src) == [None, "battery", "battery", "run_battery"]
+
+
 def test_src_permutes_tensor_slots_one_way():
     """Every column or row selection that reorders the slots of a flat
     tensor goes through tensor_permutation_index."""
