@@ -188,10 +188,11 @@ QQ = Rationals()
 
 
 def field_from_name(name: str):
-    """Parse a field spec: "rational" or "gfp:<p>", p in ASCII digits."""
+    """Parse a field spec: "rational" or "gfp:<p>", p in ASCII digits with
+    no sign and no leading zero, so that a name that parses is field.name."""
     if name == "rational":
         return QQ
-    p = re.fullmatch(f"gfp:({_INTEGER})", name)
+    p = re.fullmatch("gfp:([1-9][0-9]*)", name)
     if p:
         return PrimeField(int(p[1]))
     raise ValueError(f"unknown field {name!r}")

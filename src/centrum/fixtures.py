@@ -42,6 +42,7 @@ from .exactla import (
     combination,
     inverse,
     is_invertible,
+    memoised,
     random_matrix,
     same_content,
 )
@@ -60,11 +61,6 @@ def commutative_pool(field=QQ):
         alg_dual_numbers(field),
         alg_group_c2(field),
     ]
-
-
-def random_commutative(rng, field=QQ) -> Algebra:
-    pool = commutative_pool(field)
-    return pool[rng.randrange(len(pool))]
 
 
 # ---------------------------------------------------------------------------
@@ -122,27 +118,29 @@ def random_signed_permutation(dim: int, rng, field=QQ) -> Matrix:
 def random_interchanger_grid(rng, field=QQ):
     """A 2x2 grid (d1p, d1, d2p, d2) sized for interchanger construction:
     left column over (k, B), right column over (B, k), with B of dimension
-    at most 2 and at most one proper extension per column."""
-    k = alg_k(field)
-    b = random_commutative(rng, field)
-    s1 = tensor_product_cospan(k, b)
-    t1 = tensor_product_cospan(b, k)
-    exts = [a for a in commutative_pool(field) if a.dim == 2]
-    ext_l = exts[rng.randrange(len(exts))]
-    ext_r = exts[rng.randrange(len(exts))]
-    if rng.random() < 0.5:
-        _, d1 = extend_cospan(s1, ext_l)
-        d1p = identity_2diagram(d1.tgt)
-    else:
-        d1 = identity_2diagram(s1)
-        _, d1p = extend_cospan(s1, ext_l)
-    if rng.random() < 0.5:
-        _, d2 = extend_cospan(t1, ext_r)
-        d2p = identity_2diagram(d2.tgt)
-    else:
-        d2 = identity_2diagram(t1)
-        _, d2p = extend_cospan(t1, ext_r)
-    return d1p, d1, d2p, d2
+    at most 2 and at most one proper extension per column.  Five draws, in
+    this order: rng.randrange(4) picks B in commutative_pool, two
+    rng.randrange(3) pick the left and then the right extension among its
+    two-dimensional algebras, and one rng.random() < 0.5 per column, left
+    then right, puts the extension in the column's lower 2-diagram."""
+    b, ext_l, ext_r = rng.randrange(4), rng.randrange(3), rng.randrange(3)
+    low_l, low_r = rng.random() < 0.5, rng.random() < 0.5
+    return (*_grid_column(field, b, ext_l, low_l, True),
+            *_grid_column(field, b, ext_r, low_r, False))
+
+
+@memoised
+def _grid_column(field, b, ext, low, left):
+    """The column (upper, lower) of an interchanger grid: over k (x) B when
+    left and B (x) k otherwise, B the b-th algebra of commutative_pool,
+    extended by its ext-th two-dimensional algebra in the lower 2-diagram
+    when low and in the upper one otherwise; the other is an identity.
+    Built once per field: a grid has 48 possible columns per field."""
+    pool = commutative_pool(field)
+    k, b = alg_k(field), pool[b]
+    base = tensor_product_cospan(k, b) if left else tensor_product_cospan(b, k)
+    _, d = extend_cospan(base, [a for a in pool if a.dim == 2][ext])
+    return (identity_2diagram(d.tgt), d) if low else (d, identity_2diagram(base))
 
 
 # ---------------------------------------------------------------------------

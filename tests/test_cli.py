@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_golden import CASES, DATA, TESTS, command_leaves, run_case
+from test_fullcenter import ALL_MEMOISED
 
 from centrum import corpus, cospanbicat
 from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
@@ -36,7 +37,6 @@ from centrum.exactla import (
     PrimeField,
     Quotient,
     content_key,
-    memoised,
 )
 from centrum.fixtures import random_bimodule, random_hom_element
 from centrum.fullcenter import Z_2cell, Z_bimodule
@@ -526,11 +526,8 @@ def test_a_refusal_outside_a_family_fails_its_battery(monkeypatch):
     def refuse(self, *args):
         raise ValueError(message)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("centrum."):
-            for fn in vars(module).values():
-                if isinstance(fn, memoised):
-                    fn.cache.clear()
+    for fn in ALL_MEMOISED:
+        fn.cache.clear()
     monkeypatch.setattr(Quotient, "__init__", refuse)
     code, failing = failing_corpus_checks()
     whole = [(name, detail) for name, detail in failing

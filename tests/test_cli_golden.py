@@ -166,6 +166,11 @@ CASES = [
      2),
     ("field-non-ascii-digit",
      ["center", "--algebra", "k", "--field", "gfp:\u0665"], 2),
+    # p as typed is the field's name: no sign and no leading zero
+    ("field-signed-prime", ["center", "--algebra", "k", "--field", "gfp:+5"],
+     2),
+    ("field-leading-zero", ["center", "--algebra", "k", "--field", "gfp:05"],
+     2),
     ("algebra-dim-bool", ["validate", "algebra", "@algebra_dim_bool.json"], 2),
     ("bimodule-dim-bool",
      ["validate", "bimodule", "@bimodule_dim_bool.json"], 2),

@@ -3,6 +3,7 @@ both directions, the interchanger, and the coherence checkers."""
 
 import importlib
 import importlib.util
+import itertools
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from fieldref import ref_solve_3cell_family
+from testfixtures import reference_interchanger_grid
 
 from centrum.algebra import (
     AlgebraMap,
@@ -63,14 +65,17 @@ from centrum.cospanbicat import (
     vertical_compose,
 )
 from centrum.exactla import (
+    MEMO_BOUND,
     QQ,
     Matrix,
     PrimeField,
+    content_key,
     is_invertible,
     kron_product,
     random_matrix,
 )
 from centrum.fixtures import (
+    _grid_column,
     extend_cospan,
     random_interchanger_grid,
     random_invertible,
@@ -686,6 +691,59 @@ def test_three_cell_checks_refuse_bad_inputs_under_optimize():
 
 # ---------------------------------------------------------------------------
 # the interchanger
+
+
+@pytest.mark.parametrize("field", FOUR_FIELDS, ids=FOUR_FIELD_IDS)
+def test_interchanger_grids_are_drawn_as_before_their_columns_were_shared(field):
+    """Seeds 0-199: the fixture, whose columns are memoised, gives the grid
+    that building every 2-diagram afresh gives, and leaves the rng where
+    the afresh build leaves it."""
+    for seed in range(200):
+        shared, fresh = random.Random(seed), random.Random(seed)
+        grid = random_interchanger_grid(shared, field)
+        ref = reference_interchanger_grid(fresh, field)
+        assert [content_key(d) for d in grid] == [content_key(d) for d in ref]
+        assert shared.random() == fresh.random()
+
+
+class ScriptedRandom:
+    """Answers each randrange and random call with the next scripted value."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, n):
+        value = next(self.values)
+        assert 0 <= value < n
+        return value
+
+    def random(self):
+        return next(self.values)
+
+
+def every_grid(field):
+    """Each of the 144 interchanger grids over field, drawn once: B, the
+    two extensions and the two placements, scripted."""
+    return [random_interchanger_grid(ScriptedRandom(draws), field)
+            for draws in itertools.product(range(4), range(3), range(3),
+                                           (0.25, 0.75), (0.25, 0.75))]
+
+
+def test_each_grid_column_is_built_once_per_field():
+    """Work counted: drawing all 144 grids twice over QQ builds each of
+    their 48 columns once, the same draws over GF(2) build 48 more, and
+    no 2-diagram of a GF(2) grid is one of a QQ grid's."""
+    _grid_column.cache.clear()
+    misses = _grid_column.misses
+    qq = every_grid(QQ) + every_grid(QQ)
+    assert len({tuple(map(content_key, grid)) for grid in qq}) == 144
+    assert _grid_column.misses - misses == 48
+    gf2 = every_grid(PrimeField(2)) + every_grid(PrimeField(2))
+    assert _grid_column.misses - misses == 96
+    assert {id(d) for grid in qq for d in grid}.isdisjoint(
+        id(d) for grid in gf2 for d in grid)
+    assert {d.M.field for grid in gf2 for d in grid} == {PrimeField(2)}
+    assert len(_grid_column.cache) <= MEMO_BOUND
 
 
 def test_beta_cell_small_grid():

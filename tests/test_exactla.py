@@ -94,9 +94,13 @@ def test_field_parsing():
     for s in ("1_000_001", "\u0663", "1/2", "0.5"):
         with pytest.raises(ValueError):
             gf5.parse(s)
-    for name in ("gfp:\u0665", "gfp: 5", "gfp:5 ", "gfp:5_0"):
+    for name in ("gfp:\u0665", "gfp: 5", "gfp:5 ", "gfp:5_0", "gfp:+5",
+                 "gfp:-5", "gfp:05", "gfp:0", "gfp:"):
         with pytest.raises(ValueError, match="unknown field"):
             field_from_name(name)
+    # a name that parses is the field's own name
+    for name in ("rational", "gfp:2", "gfp:5", "gfp:1000003"):
+        assert field_from_name(name).name == name
 
 
 def test_matrix_basics():

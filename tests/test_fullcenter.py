@@ -8,7 +8,9 @@ against a second instance built from different connecting maps (its matrix
 must not depend on them).
 """
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import pytest
 from fieldref import content_key_ref
 from testfixtures import restriction_bimodule
 
+import centrum
 from centrum.exactla import (
     MEMO_BOUND,
     QQ,
@@ -52,7 +55,6 @@ from centrum.bimodule import (
     BimoduleMap,
     comp_bar,
     direct_sum_bimodules,
-    end_algebra,
     free_bimodule,
     hom_bimodule,
     hom_space,
@@ -66,6 +68,7 @@ from centrum.bimodule import (
 from centrum.corpus import run_battery, semisimple_corpus
 from centrum.cospanbicat import compose_cospans, validate_2diagram, validate_cospan
 from centrum.fixtures import (
+    _grid_column,
     algebra_map_pool,
     col_bimodule,
     conjugation_automorphism,
@@ -477,24 +480,66 @@ def test_theorem58_semisimple_corpus_verdict():
 # -- memoised constructions --------------------------------------------------
 
 
-MEMOISED = (center, Z_hom, Z_bimodule, Z_2cell, mult_transform_bimodule,
-            compose_cospans)
+def memoised_in_src():
+    """Every memoised construction of the centrum modules, found by
+    scanning them, so that a new memo is cleared, bounded and checked by
+    the tests below without being listed."""
+    found = {}
+    for info in pkgutil.iter_modules(centrum.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"centrum.{info.name}")
+            for fn in vars(module).values():
+                if isinstance(fn, memoised):
+                    found.setdefault(id(fn), fn)
+    return tuple(found.values())
+
+
+ALL_MEMOISED = memoised_in_src()
+
+
+def test_every_memo_is_found():
+    assert {fn.__name__ for fn in ALL_MEMOISED} >= {
+        "center", "hom_space", "end_algebra", "compose_cospans", "Z_hom",
+        "Z_bimodule", "Z_2cell", "mult_transform_bimodule", "mult_transform",
+        "_grid_column"}
+    assert len(ALL_MEMOISED) == len({fn.__name__ for fn in ALL_MEMOISED})
+
+
+def fields_in(key):
+    """The fields among the leaves of a content key."""
+    if type(key) is tuple:
+        return set().union(*map(fields_in, key))
+    return {key} if isinstance(key, (type(QQ), PrimeField)) else set()
+
+
+def served_key(out):
+    """A memoised result keyed by a fresh walk; a grid column is a tuple of
+    2-diagrams, so it is walked as their list."""
+    return content_key_ref(list(out) if type(out) is tuple else out)
 
 
 def test_memo_never_shares_an_entry_across_fields():
     """k x k has the same integer mult and unit over QQ, GF(2) and GF(3);
-    each field gets its own center and cospan."""
+    each field gets its own center, cospan and grid column, and every
+    entry of every memo lies over the one field of its arguments."""
     fields = (QQ, PrimeField(2), PrimeField(3))
     algs = [alg_product_k(2, f) for f in fields]
     assert len({content_key(a.mult.data) for a in algs}) == 1
     assert [center(a).algebra.field for a in algs] == list(fields)
     assert [Z_hom(identity_map(a)).apex.field for a in algs] == list(fields)
+    # B = k x k extended by k x k
+    assert [_grid_column(f, 1, 0, True, True)[1].M.field for f in fields] == \
+        list(fields)
+    for fn in ALL_MEMOISED:
+        for key, out in fn.cache.items():
+            assert len(fields_in(key)) == 1
+            assert fields_in(served_key(out)) == fields_in(key), fn.__name__
 
 
 def test_memo_computes_equal_inputs_once(monkeypatch):
     import centrum.fullcenter as fullcenter
 
-    for fn in MEMOISED:
+    for fn in ALL_MEMOISED:
         fn.cache.clear()
     calls = []
     real = fullcenter.centralizer
@@ -533,7 +578,7 @@ def test_memo_keeps_its_bound_most_recently_used_entries():
     assert computed == []
     square(mats[1])
     assert computed == [mats[1]]
-    for fn in MEMOISED:
+    for fn in ALL_MEMOISED:
         assert len(fn.cache) <= MEMO_BOUND
 
 
@@ -567,9 +612,6 @@ def test_lax_maps_and_hom_bases_are_shared_by_content():
         assert hom_space(n, n) is hom_space(m, m)
     with pytest.raises(AttributeError):
         mult_transform.misses = 0
-
-
-ALL_MEMOISED = MEMOISED + (mult_transform, hom_space, end_algebra)
 
 
 def test_memo_holds_the_working_set_of_recurring_lax_chains(monkeypatch):
@@ -648,17 +690,18 @@ def test_served_results_are_never_mutated():
     def batteries():
         assert run_battery("lax multiplication on algebra maps", 1, 0.1, field).ok
         assert run_battery("semisimple comparison isomorphisms", 1, 0.1, field).ok
+        assert run_battery("horizontal interchanger", 1, 0.1, field).ok
 
     for fn in ALL_MEMOISED:
         fn.cache.clear()
     batteries()
     # keyed by fresh walks: content_key would read the keys stored on them
-    served = [(fn.__name__, out, content_key_ref(out))
+    served = [(fn.__name__, out, served_key(out))
               for fn in ALL_MEMOISED for out in fn.cache.values()]
     assert {name for name, _, _ in served} == {fn.__name__ for fn in ALL_MEMOISED}
     assert [leaf for _, _, key in served for leaf in plain_leaves(key)] == []
     batteries()
-    assert [name for name, out, key in served if content_key_ref(out) != key] == []
+    assert [name for name, out, key in served if served_key(out) != key] == []
 
 
 def keyed_objects(roots):
@@ -799,7 +842,7 @@ def invariant_failures():
     }
     out = []
     for name, (call, attr, broken) in cases.items():
-        for fn in MEMOISED:
+        for fn in ALL_MEMOISED:
             fn.cache.clear()
         real = getattr(fullcenter, attr) if attr else None
         if attr:

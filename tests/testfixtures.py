@@ -1,9 +1,12 @@
-"""Fixtures that more than one test module builds and that no centrum
+"""Fixtures and reference builders that the tests use and that no centrum
 command, battery or benchmark runs, so they live with the tests and not in
 src."""
 
-from centrum.algebra import AlgebraMap
+from centrum.algebra import AlgebraMap, alg_k
 from centrum.bimodule import Bimodule
+from centrum.cospanbicat import identity_2diagram
+from centrum.exactla import QQ
+from centrum.fixtures import commutative_pool, extend_cospan, tensor_product_cospan
 
 
 def restriction_bimodule(f: AlgebraMap) -> Bimodule:
@@ -12,3 +15,29 @@ def restriction_bimodule(f: AlgebraMap) -> Bimodule:
     lact = [b.left_mult(f.apply(f.src.basis_vector(i))) for i in range(f.src.dim)]
     ract = [b.right_mult(b.basis_vector(j)) for j in range(b.dim)]
     return Bimodule(f.src, b, b.dim, lact, ract)
+
+
+def reference_interchanger_grid(rng, field=QQ):
+    """fixtures.random_interchanger_grid as it was before its columns were
+    memoised: every 2-diagram built afresh from the same five draws."""
+    k = alg_k(field)
+    pool = commutative_pool(field)
+    b = pool[rng.randrange(len(pool))]
+    s1 = tensor_product_cospan(k, b)
+    t1 = tensor_product_cospan(b, k)
+    exts = [a for a in commutative_pool(field) if a.dim == 2]
+    ext_l = exts[rng.randrange(len(exts))]
+    ext_r = exts[rng.randrange(len(exts))]
+    if rng.random() < 0.5:
+        _, d1 = extend_cospan(s1, ext_l)
+        d1p = identity_2diagram(d1.tgt)
+    else:
+        d1 = identity_2diagram(s1)
+        _, d1p = extend_cospan(s1, ext_l)
+    if rng.random() < 0.5:
+        _, d2 = extend_cospan(t1, ext_r)
+        d2p = identity_2diagram(d2.tgt)
+    else:
+        d2 = identity_2diagram(t1)
+        _, d2p = extend_cospan(t1, ext_r)
+    return d1p, d1, d2p, d2
