@@ -340,6 +340,7 @@ class AlgebraMap(Keyed):
         return f"AlgebraMap({self.src!r} -> {self.tgt!r})"
 
 
+@memoised
 def validate_algebra_map(f: AlgebraMap) -> list[str]:
     """Violations of unitality/multiplicativity; empty == algebra map.
     Column (i, j) of f mult_src is f(e_i e_j), of mult_tgt (f (x) f) it is

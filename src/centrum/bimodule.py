@@ -18,7 +18,8 @@ and R: M (x) B -> M, and the bimodule axioms say that they are associative
 with the algebras' multiplications mu and with each other:
 L (mu_A (x) 1) = L (1 (x) L), R (1 (x) mu_B) = R (R (x) 1) and
 R (L (x) 1) = L (1 (x) R).  validate_bimodule checks each as two
-kron_products whose flat column indices line up.
+kron_products whose flat column indices line up, once per bimodule content
+(memoised).
 
 The hom space [M, N] is an exactla.HomSpace: the bimodule maps as the
 canonical kernel of the intertwining rows (middle_relations) on their
@@ -104,6 +105,7 @@ def _differing_columns(lhs: Matrix, rhs: Matrix) -> set:
     return {c for row in (lhs - rhs).num for c, x in enumerate(row) if x}
 
 
+@memoised
 def validate_bimodule(m: Bimodule) -> list[str]:
     """Violations of the bimodule axioms; empty == valid.  Each
     associativity axiom compares two composites of the structure maps (see
@@ -372,9 +374,11 @@ def induced_map(
 def _bracketing(tree):
     """The tensor product of a bracketing given as nested pairs of
     bimodules, with its quotient of the flat tensor of all leaves:
-    (bimodule, Quotient)."""
+    (bimodule, Quotient).  A subtree may be given built, as such a pair."""
     if isinstance(tree, Bimodule):
         return tree, Quotient.leaf(tree.dim, tree.field)
+    if isinstance(tree[1], Quotient):
+        return tree
     (left, wl), (right, wr) = map(_bracketing, tree)
     t = tensor_over(left, right)
     return t.product, wl.tensor(wr, t.quot)
@@ -462,15 +466,18 @@ def unit_iso_right(t: TensorResult) -> BimoduleMap:
     return BimoduleMap(t.product, m, mat)
 
 
-def pentagon_commutes(tower, rebracket, a, b, c, d) -> bool:
-    """The five bracketings of a four-fold product, built by tower from nested
-    pairs, commute around the pentagon of rebracket's comparisons."""
-    w1, w2, w3, w4, w5 = (tower(tree) for tree in (
-        (((a, b), c), d),
-        ((a, (b, c)), d),
-        ((a, b), (c, d)),
-        (a, ((b, c), d)),
-        (a, (b, (c, d))),
+def pentagon_commutes(tower, root, rebracket, a, b, c, d) -> bool:
+    """The five bracketings of a four-fold product, built from nested pairs
+    by root over subtrees built by tower, commute around the pentagon of
+    rebracket's comparisons.  The products ab, bc and cd are built once
+    each and handed to both bracketings that contain them."""
+    ab, bc, cd = tower((a, b)), tower((b, c)), tower((c, d))
+    w1, w2, w3, w4, w5 = (root(tree) for tree in (
+        ((ab, c), d),
+        ((a, bc), d),
+        (ab, cd),
+        (a, (bc, d)),
+        (a, (b, cd)),
     ))
     two_step = rebracket(w3, w5) @ rebracket(w1, w3)
     three_step = rebracket(w4, w5) @ rebracket(w2, w4) @ rebracket(w1, w2)
@@ -479,7 +486,8 @@ def pentagon_commutes(tower, rebracket, a, b, c, d) -> bool:
 
 def pentagon_check(b1: Bimodule, b2: Bimodule, b3: Bimodule, b4: Bimodule) -> bool:
     """The rebracketing isos of a 4-fold product commute around the pentagon."""
-    return pentagon_commutes(_root_quotient, _rebracket, b1, b2, b3, b4)
+    return pentagon_commutes(_bracketing, _root_quotient, _rebracket,
+                             b1, b2, b3, b4)
 
 
 def triangle_check(m: Bimodule, n: Bimodule) -> bool:

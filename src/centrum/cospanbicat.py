@@ -20,7 +20,8 @@ grid agree up to an explicit invertible interchanger 3-cell, built here
 together with its inverse from the two independent descent presentations.
 
 compose_cospans is memoised by content (exactla.memoised), so each composite
-is built once per pair of cospans and no construction takes prebuilt ones.
+is built once per pair of cospans and no construction takes prebuilt ones;
+validate_cospan is memoised too, so a cospan's verdict is computed once.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ class Cospan(Keyed):
         return f"Cospan({self.a.dim} -> {self.apex.dim} <- {self.b.dim}{tag})"
 
 
+@memoised
 def validate_cospan(c: Cospan) -> list[str]:
     """Violations of the cospan contract; empty == valid."""
     out = []
@@ -614,9 +616,12 @@ def check_beta_naturality(bd: BetaResult, be: BetaResult,
 def _vertical(tree):
     """The vertical composite of a bracketing given as nested pairs (upper,
     lower) of 2-diagrams, with its apex as a Quotient of the flat tensor of
-    all leaves (upper factors major): (TwoDiagram, Quotient)."""
+    all leaves (upper factors major): (TwoDiagram, Quotient).  A subtree
+    may be given built, as such a pair."""
     if isinstance(tree, TwoDiagram):
         return tree, Quotient.leaf(tree.M.dim, tree.M.field)
+    if isinstance(tree[1], Quotient):
+        return tree
     (upper, wu), (lower, wl) = map(_vertical, tree)
     d = vertical_compose(upper, lower)
     return d, wu.tensor(wl, d.quot)
@@ -639,7 +644,8 @@ def check_pentagon(d4: TwoDiagram, d3: TwoDiagram, d2: TwoDiagram,
                    d1: TwoDiagram) -> bool:
     """The five bracketings of a four-fold vertical composite commute around
     the pentagon of canonical comparison 3-cells."""
-    return pentagon_commutes(_vertical, _rebracket_3cell, d4, d3, d2, d1)
+    return pentagon_commutes(_vertical, _vertical, _rebracket_3cell,
+                             d4, d3, d2, d1)
 
 
 def check_triangle(d2: TwoDiagram, d1: TwoDiagram) -> bool:

@@ -44,12 +44,12 @@ ValueError(message) for a vector outside.  refuse is the one path for a
 failed validator.
 combination adds scaled matrices term by term, the one loop for a linear
 combination of matrices.  kernel and cokernel eliminate only the distinct
-nonzero rows of their input.  memoised computes a pure construction once
-per argument content, in a bounded least-recently-used cache keyed by
-content_key.  content_key stores the key of a Keyed object (an algebra,
-algebra map, bimodule, bimodule map or cospan) on the object the first
-time it builds it, so the key lives as long as its object does.  Any other
-object, a Matrix or a list included, is walked on every call.
+nonzero rows of their input.  memoised computes a pure construction or
+verdict once per argument content, in a bounded least-recently-used cache
+keyed by content_key.  content_key stores the key of a Keyed object (an
+algebra, algebra map, bimodule, bimodule map or cospan) on the object the
+first time it builds it, so the key lives as long as its object does.  Any
+other object, a Matrix or a list included, is walked on every call.
 same_content is the one comparison by content.
 """
 

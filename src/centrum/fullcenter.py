@@ -22,8 +22,13 @@ verify_m_naturality reads equivariance off that bimodule's actions.
 Z_hom, Z_bimodule, Z_2cell, mult_transform and mult_transform_bimodule, like
 algebra.center, bimodule.hom_space, bimodule.end_algebra and
 cospanbicat.compose_cospans, are memoised by content (exactla.memoised), so
-each is computed once per input and none takes prebuilt pieces; the checks
-on a served result stay with its caller and run on every call.
+each is computed once per input and none takes prebuilt pieces.  The
+verdicts that recur on equal content are memoised too: verify_lax_functor's
+_unit_checks per map and _pair_checks per composable pair, and the
+validators algebra.validate_algebra_map, cospanbicat.validate_cospan and
+bimodule.validate_bimodule that the constructions call.  A verdict depends
+only on its arguments' content, so each is still checked exactly, once per
+content; the associativity routes are checked on every call.
 """
 
 from __future__ import annotations
@@ -329,22 +334,30 @@ def verify_lax_functor(chain) -> CoherenceReport:
         for checks in _unit_checks(f):
             rep.add(*checks)
     for i in range(len(chain) - 1):
-        f, g = chain[i], chain[i + 1]
-        mt = mult_transform(f, g)
-        rep.add(f"multiplication algebra map {i}",
-                validate_algebra_map(mt.m) == [])
-        rep.add(f"multiplication 2-diagram {i}",
-                validate_2diagram(mt.diagram) == [])
+        is_map, is_diagram = _pair_checks(chain[i], chain[i + 1])
+        rep.add(f"multiplication algebra map {i}", is_map)
+        rep.add(f"multiplication 2-diagram {i}", is_diagram)
     for i in range(len(chain) - 2):
         f, g, h = chain[i], chain[i + 1], chain[i + 2]
         rep.add(f"associativity {i}", _associativity_square(f, g, h))
     return rep
 
 
-def _unit_checks(f: AlgebraMap):
+@memoised
+def _pair_checks(f: AlgebraMap, g: AlgebraMap) -> tuple:
+    """Whether the multiplication map of a composable pair is an algebra
+    map, and whether the 2-diagram it defines is valid."""
+    mt = mult_transform(f, g)
+    return (validate_algebra_map(mt.m) == [],
+            validate_2diagram(mt.diagram) == [])
+
+
+@memoised
+def _unit_checks(f: AlgebraMap) -> tuple:
     """The multiplications with an identity factor against the canonical
     collapses of their composites: z (x) z' -> leg_a(z) z' for the identity
-    first and z (x) z' -> z leg_b(z') for the identity second."""
+    first and z (x) z' -> z leg_b(z') for the identity second, as (name,
+    verdict) pairs."""
     zf = Z_hom(f)
     mt_first = mult_transform(identity_map(f.src), f)
     mt_second = mult_transform(f, identity_map(f.tgt))
@@ -353,11 +366,11 @@ def _unit_checks(f: AlgebraMap):
     collapse_b = zf.cospan.leg_b.mat @ _center_change(zidb, zf.z_right)
     u1 = pushout_universal(mt_first.comp, AlgebraMap(zida.apex, zf.apex, collapse_a), one)
     u2 = pushout_universal(mt_second.comp, one, AlgebraMap(zidb.apex, zf.apex, collapse_b))
-    yield ("identity cospan legs strict",
-           zida.cospan.leg_a.mat == Matrix.identity(zida.apex.dim, f.src.field)
-           and zidb.cospan.leg_b.mat == Matrix.identity(zidb.apex.dim, f.src.field))
-    yield ("unit first factor", mt_first.m.mat == u1.mat)
-    yield ("unit second factor", mt_second.m.mat == u2.mat)
+    return (("identity cospan legs strict",
+             zida.cospan.leg_a.mat == Matrix.identity(zida.apex.dim, f.src.field)
+             and zidb.cospan.leg_b.mat == Matrix.identity(zidb.apex.dim, f.src.field)),
+            ("unit first factor", mt_first.m.mat == u1.mat),
+            ("unit second factor", mt_second.m.mat == u2.mat))
 
 
 def _associativity_square(f, g, h) -> bool:

@@ -372,7 +372,8 @@ def test_malformed_mult_is_refused():
         Algebra(alg_k().mult, [QQ.one, QQ.zero])
 
 
-def test_is_isomorphism_refuses_an_inverse_that_fails_its_check(monkeypatch):
+def test_is_isomorphism_refuses_an_inverse_that_fails_its_check(monkeypatch,
+                                                                fresh_memos):
     d2 = alg_product_k(2)
     swap = AlgebraMap(d2, d2, Matrix.from_int_rows([[0, 1], [1, 0]], QQ))
     calls = []

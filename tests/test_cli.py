@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_golden import CASES, DATA, TESTS, command_leaves, run_case
-from test_fullcenter import ALL_MEMOISED
 
 from centrum import corpus, cospanbicat
 from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
@@ -515,7 +514,7 @@ def test_a_refusal_fails_its_instance_under_optimize():
     assert proc.stdout.split() == ["1", "True"]
 
 
-def test_a_refusal_outside_a_family_fails_its_battery(monkeypatch):
+def test_a_refusal_outside_a_family_fails_its_battery(monkeypatch, fresh_memos):
     """With every quotient section refused, a battery that builds a
     quotient outside its families reports "battery ran to completion"
     failed, and the run goes on; every failing family names the refusal.
@@ -526,8 +525,6 @@ def test_a_refusal_outside_a_family_fails_its_battery(monkeypatch):
     def refuse(self, *args):
         raise ValueError(message)
 
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
     monkeypatch.setattr(Quotient, "__init__", refuse)
     code, failing = failing_corpus_checks()
     whole = [(name, detail) for name, detail in failing

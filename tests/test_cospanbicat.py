@@ -29,6 +29,7 @@ from centrum.algebra import (
     tensor_algebra,
     unit_map,
     validate_algebra,
+    validate_algebra_map,
 )
 from centrum import corpus
 from centrum.bimodule import Bimodule, regular_bimodule, tensor_over
@@ -202,11 +203,30 @@ def _pair(T, S, i, j):
     return out
 
 
-def test_pushout_universal_refuses_a_map_that_fails_its_check(monkeypatch):
+def test_pushout_universal_refuses_a_map_that_fails_its_check(monkeypatch,
+                                                              fresh_memos):
     import centrum.cospanbicat as cospanbicat
 
     c = tensor_product_cospan(alg_product_k(2), alg_group_c2())
     comp = compose_cospans(c, identity_cospan(c.a))
+    monkeypatch.setattr(cospanbicat, "validate_algebra_map",
+                        lambda f: ["forced violation"])
+    with pytest.raises(ValueError, match="universal map is not an algebra map"):
+        pushout_universal(comp, c.leg_a, identity_map(c.apex))
+
+
+def test_a_patched_validator_refuses_over_a_cached_clean_verdict(monkeypatch,
+                                                                 fresh_memos):
+    """pushout_universal caches the clean verdict on its map; a patched
+    validator is still the one called, and its refusal fires."""
+    import centrum.cospanbicat as cospanbicat
+
+    c = tensor_product_cospan(alg_product_k(2), alg_group_c2())
+    comp = compose_cospans(c, identity_cospan(c.a))
+    out = pushout_universal(comp, c.leg_a, identity_map(c.apex))
+    computed = validate_algebra_map.misses
+    assert validate_algebra_map(out) == []
+    assert validate_algebra_map.misses == computed
     monkeypatch.setattr(cospanbicat, "validate_algebra_map",
                         lambda f: ["forced violation"])
     with pytest.raises(ValueError, match="universal map is not an algebra map"):
@@ -813,7 +833,8 @@ def test_beta_cell_composes_each_cospan_once(monkeypatch):
         assert built == {"CospanComposition": rows, "inverse": 0}
 
 
-def test_beta_cell_refuses_an_interchanger_that_is_not_a_3cell(monkeypatch):
+def test_beta_cell_refuses_an_interchanger_that_is_not_a_3cell(monkeypatch,
+                                                               fresh_memos):
     import centrum.cospanbicat as cospanbicat
 
     grid = random_interchanger_grid(random.Random(2))

@@ -8,20 +8,19 @@ against a second instance built from different connecting maps (its matrix
 must not depend on them).
 """
 
-import importlib
+import io
 import os
-import pkgutil
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from fieldref import content_key_ref
-from testfixtures import restriction_bimodule
+from testfixtures import ALL_MEMOISED, clear_memos, restriction_bimodule
 
-import centrum
 from centrum.exactla import (
     MEMO_BOUND,
     QQ,
@@ -64,7 +63,9 @@ from centrum.bimodule import (
     regular_bimodule,
     tensor_over,
     twist_bimodule,
+    validate_bimodule,
 )
+from centrum.cli import main as cli_main
 from centrum.corpus import run_battery, semisimple_corpus
 from centrum.cospanbicat import compose_cospans, validate_2diagram, validate_cospan
 from centrum.fixtures import (
@@ -78,6 +79,8 @@ from centrum.fixtures import (
     row_bimodule,
 )
 from centrum.fullcenter import (
+    _pair_checks,
+    _unit_checks,
     Z_2cell,
     Z_bimodule,
     Z_hom,
@@ -480,28 +483,18 @@ def test_theorem58_semisimple_corpus_verdict():
 # -- memoised constructions --------------------------------------------------
 
 
-def memoised_in_src():
-    """Every memoised construction of the centrum modules, found by
-    scanning them, so that a new memo is cleared, bounded and checked by
-    the tests below without being listed."""
-    found = {}
-    for info in pkgutil.iter_modules(centrum.__path__):
-        if info.name != "__main__":
-            module = importlib.import_module(f"centrum.{info.name}")
-            for fn in vars(module).values():
-                if isinstance(fn, memoised):
-                    found.setdefault(id(fn), fn)
-    return tuple(found.values())
-
-
-ALL_MEMOISED = memoised_in_src()
+# the memos whose results are verdicts, which hold no field object
+VERDICT_MEMOS = (validate_algebra_map, validate_bimodule, validate_cospan,
+                 _pair_checks, _unit_checks)
 
 
 def test_every_memo_is_found():
     assert {fn.__name__ for fn in ALL_MEMOISED} >= {
         "center", "hom_space", "end_algebra", "compose_cospans", "Z_hom",
         "Z_bimodule", "Z_2cell", "mult_transform_bimodule", "mult_transform",
-        "_grid_column"}
+        "_grid_column", "validate_algebra_map", "validate_bimodule",
+        "validate_cospan", "_pair_checks", "_unit_checks"}
+    assert all(fn in ALL_MEMOISED for fn in VERDICT_MEMOS)
     assert len(ALL_MEMOISED) == len({fn.__name__ for fn in ALL_MEMOISED})
 
 
@@ -520,8 +513,9 @@ def served_key(out):
 
 def test_memo_never_shares_an_entry_across_fields():
     """k x k has the same integer mult and unit over QQ, GF(2) and GF(3);
-    each field gets its own center, cospan and grid column, and every
-    entry of every memo lies over the one field of its arguments."""
+    each field gets its own center, cospan and grid column, every entry of
+    every memo is keyed over the one field of its arguments, and every
+    result but a verdict lies over that field too."""
     fields = (QQ, PrimeField(2), PrimeField(3))
     algs = [alg_product_k(2, f) for f in fields]
     assert len({content_key(a.mult.data) for a in algs}) == 1
@@ -533,14 +527,41 @@ def test_memo_never_shares_an_entry_across_fields():
     for fn in ALL_MEMOISED:
         for key, out in fn.cache.items():
             assert len(fields_in(key)) == 1
-            assert fields_in(served_key(out)) == fields_in(key), fn.__name__
+            held = set() if fn in VERDICT_MEMOS else fields_in(key)
+            assert fields_in(served_key(out)) == held, fn.__name__
 
 
-def test_memo_computes_equal_inputs_once(monkeypatch):
+def three_on_k(field):
+    """The linear map [3] on k: an algebra map over GF(2), where 3 = 1, and
+    over QQ one that keeps neither the unit nor the product."""
+    k = alg_k(field)
+    return AlgebraMap(k, k, Matrix.from_int_rows([[3]], field))
+
+
+@pytest.mark.parametrize("fields", [(QQ, PrimeField(2)), (PrimeField(2), QQ)])
+def test_verdict_memos_keep_one_entry_per_field(fields, fresh_memos):
+    """The same integer map, chain and bimodule over QQ and GF(2), in
+    either order, get a verdict each: [3] gets two entries, the verdict
+    over one field is never served for the other, and every verdict memo
+    holds entries over both fields."""
+    before = validate_algebra_map.misses
+    verdicts = {f: validate_algebra_map(three_on_k(f)) for f in fields}
+    assert validate_algebra_map.misses - before == 2
+    assert len(validate_algebra_map.cache) == 2
+    assert verdicts == {
+        PrimeField(2): [],
+        QQ: ["unit is not preserved", "multiplicativity fails at (e0, e0)"]}
+    for f in fields:
+        ident = identity_map(alg_product_k(2, f))
+        assert verify_lax_functor([ident, ident]).ok
+        assert validate_bimodule(regular_bimodule(alg_product_k(2, f))) == []
+    for fn in VERDICT_MEMOS:
+        assert set().union(*map(fields_in, fn.cache)) == set(fields), fn.__name__
+
+
+def test_memo_computes_equal_inputs_once(monkeypatch, fresh_memos):
     import centrum.fullcenter as fullcenter
 
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
     calls = []
     real = fullcenter.centralizer
     monkeypatch.setattr(fullcenter, "centralizer",
@@ -585,7 +606,7 @@ def test_memo_keeps_its_bound_most_recently_used_entries():
 def test_lax_maps_and_hom_bases_are_shared_by_content():
     """Content-equal copies under other display names are served the
     results computed for the originals, so verifying the copied chain
-    computes no multiplication map."""
+    computes no multiplication map and runs no unit or pair check again."""
     chain = random_map_chain(random.Random(5), length=3)
     copies = {}
 
@@ -598,11 +619,13 @@ def test_lax_maps_and_hom_bases_are_shared_by_content():
     twin = [AlgebraMap(copy(f.src), copy(f.tgt), Matrix(f.mat.data, f.mat.field))
             for f in chain]
     first = verify_lax_functor(chain)
-    calls, computed = mult_transform.calls, mult_transform.misses
+    counted = (mult_transform, _unit_checks, _pair_checks)
+    calls = [fn.calls for fn in counted]
+    computed = [fn.misses for fn in counted]
     second = verify_lax_functor(twin)
     assert second.entries == first.entries
-    assert mult_transform.calls > calls
-    assert mult_transform.misses == computed
+    assert all(fn.calls > c for fn, c in zip(counted, calls))
+    assert [fn.misses for fn in counted] == computed
     assert mult_transform(twin[0], twin[1]) is mult_transform(chain[0], chain[1])
     for f in chain:
         m = restriction_bimodule(f)
@@ -633,8 +656,7 @@ def test_memo_holds_the_working_set_of_recurring_lax_chains(monkeypatch):
             for fn in watched:
                 if getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, spy(fn))
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
+    clear_memos()
     rng = random.Random(1)
     maps = algebra_map_pool(PrimeField(1000003))
     chains = [random_map_chain(rng, length=3, pool=maps) for _ in range(6)]
@@ -655,8 +677,7 @@ def rref_calls(monkeypatch, build):
 
     calls, real = [], exactla.rref
     monkeypatch.setattr(exactla, "rref", lambda m: calls.append(1) or real(m))
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
+    clear_memos()
     assert build()
     return len(calls)
 
@@ -682,25 +703,38 @@ def plain_leaves(key):
     return [] if isinstance(key, ok) else [key]
 
 
+VALIDATIONS = (["validate", "map", "unit:product:k^2"],
+               ["validate", "bimodule", "regular:matrix:2"],
+               ["validate", "cospan", "identity:k"])
+
+
 def test_served_results_are_never_mutated():
-    """Every result a memoised construction serves, hom bases included,
-    keeps its content through a second run of batteries that share it."""
+    """Every result a memoised construction serves, hom bases included, and
+    every verdict a memoised check serves, violations included, keep their
+    content through a second run of batteries and `centrum validate`
+    reports that share them, and the reports repeat byte for byte."""
     field = PrimeField(1000003)
 
     def batteries():
         assert run_battery("lax multiplication on algebra maps", 1, 0.1, field).ok
         assert run_battery("semisimple comparison isomorphisms", 1, 0.1, field).ok
         assert run_battery("horizontal interchanger", 1, 0.1, field).ok
+        assert validate_algebra_map(three_on_k(QQ)) != []
+        reports = []
+        for argv in VALIDATIONS:
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli_main(argv) == 0
+            reports.append(out.getvalue())
+        return reports
 
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
-    batteries()
+    clear_memos()
+    reports = batteries()
     # keyed by fresh walks: content_key would read the keys stored on them
     served = [(fn.__name__, out, served_key(out))
               for fn in ALL_MEMOISED for out in fn.cache.values()]
     assert {name for name, _, _ in served} == {fn.__name__ for fn in ALL_MEMOISED}
     assert [leaf for _, _, key in served for leaf in plain_leaves(key)] == []
-    batteries()
+    assert batteries() == reports
     assert [name for name, out, key in served if served_key(out) != key] == []
 
 
@@ -743,8 +777,7 @@ def test_key_cache_serves_each_object_its_own_key(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(exactla, "content_key", spy)
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
+    clear_memos()
     field = PrimeField(1000003)
     assert run_battery("lax multiplication on algebra maps", 1, 0.1, field).ok
     assert run_battery("semisimple comparison isomorphisms", 1, 0.1, field).ok
@@ -799,8 +832,7 @@ def test_a_second_lax_verification_walks_no_chain_matrix(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(exactla, "content_key", spy)
-    for fn in ALL_MEMOISED:
-        fn.cache.clear()
+    clear_memos()
     assert verify_lax_functor(chain).ok
     assert len(walked) == len(watched)
     walked.clear()
@@ -842,8 +874,7 @@ def invariant_failures():
     }
     out = []
     for name, (call, attr, broken) in cases.items():
-        for fn in ALL_MEMOISED:
-            fn.cache.clear()
+        clear_memos()
         real = getattr(fullcenter, attr) if attr else None
         if attr:
             setattr(fullcenter, attr, broken)
@@ -858,7 +889,7 @@ def invariant_failures():
     return out
 
 
-def test_invariant_checks_raise_value_errors():
+def test_invariant_checks_raise_value_errors(fresh_memos):
     assert invariant_failures() == []
 
 

@@ -611,7 +611,7 @@ def invariant_refusals():
     return out
 
 
-def test_invariant_checks_refuse():
+def test_invariant_checks_refuse(fresh_memos):
     assert cospanbicat.is_invertible_cospan(
         cospanbicat.identity_cospan(alg_product_k(2))).invertible
     assert len(corpus._automorphism_pool(QQ)) == 3

@@ -426,7 +426,7 @@ def check_refusals():
     return out
 
 
-def test_construction_checks_are_explicit():
+def test_construction_checks_are_explicit(fresh_memos):
     assert check_refusals() == []
 
 

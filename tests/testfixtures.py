@@ -2,11 +2,38 @@
 command, battery or benchmark runs, so they live with the tests and not in
 src."""
 
+import importlib
+import pkgutil
+
+import centrum
 from centrum.algebra import AlgebraMap, alg_k
 from centrum.bimodule import Bimodule
 from centrum.cospanbicat import identity_2diagram
-from centrum.exactla import QQ
+from centrum.exactla import QQ, memoised
 from centrum.fixtures import commutative_pool, extend_cospan, tensor_product_cospan
+
+
+def memoised_in_src():
+    """Every memoised function of the centrum modules, constructions and
+    verdicts alike, found by scanning them, so that a new memo is cleared,
+    bounded and checked by the tests without being listed."""
+    found = {}
+    for info in pkgutil.iter_modules(centrum.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"centrum.{info.name}")
+            for fn in vars(module).values():
+                if isinstance(fn, memoised):
+                    found.setdefault(id(fn), fn)
+    return tuple(found.values())
+
+
+ALL_MEMOISED = memoised_in_src()
+
+
+def clear_memos():
+    """Empty every memo."""
+    for fn in ALL_MEMOISED:
+        fn.cache.clear()
 
 
 def restriction_bimodule(f: AlgebraMap) -> Bimodule:
