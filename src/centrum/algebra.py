@@ -303,7 +303,12 @@ def named_algebra(spec: str, field=QQ) -> Algebra:
         return alg_k(field)
     for prefix, make in (("matrix:", alg_matrix), ("product:k^", alg_product_k)):
         if spec.startswith(prefix):
-            n = int(spec[len(prefix):])
+            text = spec[len(prefix):]
+            n = int(text)
+            # int also reads a sign, "_", leading zeros and non-ASCII digits
+            if str(n) != text:
+                raise ValueError(f"{spec}: the size must be in ASCII digits"
+                                 " with no sign or leading zero")
             if n < 1:
                 raise ValueError(f"{spec}: the size must be at least 1")
             return make(n, field)

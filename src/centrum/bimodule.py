@@ -317,9 +317,12 @@ def middle_relations(ract_mid, lact_mid) -> Matrix:
 
 
 def _tensor_quotient(m: Bimodule, n: Bimodule) -> Quotient:
-    """The quotient of M (x) N by the relations over the middle algebra B."""
+    """The quotient of M (x) N by the relations over the middle algebra B.
+    Over the zero algebra there are none, and M and N are 0."""
     if not same_content(m.right, n.left):
         raise ValueError("middle algebras must agree")
+    if not m.ract:
+        return cokernel(Matrix.zeros(0, m.dim * n.dim, m.field))
     return cokernel(middle_relations(m.ract, n.lact))
 
 

@@ -5,10 +5,12 @@ deterministic JSON reports.
 Every report follows schema "centrum/1": a single JSON object with the
 command, the field/seed/bound configuration, a manifest of the inputs (source
 spec plus a content hash of the parsed object, so failures are replayable),
-the result payload with audit matrices, and a list of named checks.  Exit
-codes: 0 when every check passes, 1 when some check fails, 2 when an input
-cannot be parsed or fails its validator at load.  argparse's refusals (an
-unknown flag, or a flag of another variant) also exit 2, with no report.
+the result payload with audit matrices, and a list of named checks.  A
+refusal shares that envelope and carries an error in place of the result
+and checks.  Exit codes: 0 when every check passes, 1 when some check fails,
+2 when an input cannot be parsed or fails its validator at load.  argparse's
+refusals (an unknown flag, or a flag of another variant) also exit 2, with
+no report.
 
 Objects are given either by named constructors (`matrix:2`, `id:matrix:2`,
 `regular:group:C2`, ...) or as `@file.json` presentations; the JSON shapes
@@ -183,11 +185,16 @@ def parse_matrix(rows, shape, field, what) -> Matrix:
 
 
 def _matrix_size(text, what) -> int:
-    """The n of a diag:<n>, row:<n> or col:<n> spec, each built on M_n(k)."""
+    """The n of a diag:<n>, row:<n> or col:<n> spec, each built on M_n(k),
+    as written by str(n): int also reads a sign, "_", non-ASCII digits and
+    leading zeros."""
     try:
         n = int(text)
     except ValueError:
         raise InputError(f"{what}: expected an integer, got {text!r}")
+    if str(n) != text:
+        raise InputError(f"{what}: expected the size in ASCII digits with no"
+                         f" sign or leading zero, got {text!r}")
     if n < 1:
         raise InputError(f"{what}: must be at least 1")
     try:
@@ -195,35 +202,6 @@ def _matrix_size(text, what) -> int:
     except ValueError as exc:
         raise InputError(str(exc))
     return n
-
-
-# ---------------------------------------------------------------------------
-# the per-invocation session
-
-
-class Session:
-    """One invocation's input manifest plus its configuration.  Labels are
-    unique and every recorded object passed its validator at insertion."""
-
-    def __init__(self, field, seed: int, bound: int):
-        self.field = field
-        self.seed = seed
-        self.bound = bound
-        self.rng = random.Random(seed)
-        self.objects = {}
-
-    def insert(self, label, source, obj, violations, canonical):
-        if label in self.objects:
-            raise InputError(f"duplicate input label {label!r}")
-        if violations:
-            raise InputError(f"{label} ({source}) fails validation",
-                             violations)
-        self.objects[label] = {"source": source,
-                               "hash": content_hash(canonical)}
-        return obj
-
-    def inputs_manifest(self):
-        return {label: dict(entry) for label, entry in self.objects.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +459,6 @@ def load(kind, spec, field, what=None):
     return obj
 
 
-def resolve(session, kind, spec, label=None):
-    """build, then store the object in the session under label (the kind by
-    default), which runs the validator and records the content hash."""
-    codec = CODECS[kind]
-    obj = build(kind, spec, session.field)
-    return session.insert(label or kind, describe(spec), obj,
-                          codec.validate(obj), codec.encode(obj))
-
-
 def describe(spec) -> str:
     return spec if isinstance(spec, str) else "(inline)"
 
@@ -499,29 +468,53 @@ def describe(spec) -> str:
 
 
 class Report(CoherenceReport):
-    """The checks of one command, with what the envelope reports around
-    them: the command, its session and its result."""
+    """One invocation: the command, its parsed args, the field, the seeded
+    rng, the recorded inputs, the result and the checks.  Input labels are
+    unique and every recorded object passed its validator."""
 
-    __slots__ = ("command", "session", "result")
+    __slots__ = ("command", "args", "field", "rng", "inputs", "result")
 
-    def __init__(self, command, session):
+    def __init__(self, args):
         super().__init__()
-        self.command = command
-        self.session = session
+        self.command = " ".join([args.cmd] + [
+            getattr(args, attr) for attr in ("kind", "how", "what", "property")
+            if getattr(args, attr, None)])
+        self.args = args
+        self.field = None
+        self.rng = random.Random(args.seed)
+        self.inputs = {}
         self.result = {}
 
-    def envelope(self):
-        return {
-            "schema": SCHEMA,
-            "command": self.command,
-            "field": self.session.field.name,
-            "seed": self.session.seed,
-            "bound": self.session.bound,
-            "inputs": self.session.inputs_manifest(),
-            "result": self.result,
-            "checks": self.entries,
-            "ok": self.ok,
-        }
+    def record(self, label, source, kind, obj):
+        """Run the kind's validator on obj, then enter it in the inputs under
+        label with its source and content hash."""
+        if label in self.inputs:
+            raise InputError(f"duplicate input label {label!r}")
+        codec = CODECS[kind]
+        bad = codec.validate(obj)
+        if bad:
+            raise InputError(f"{label} ({source}) fails validation", bad)
+        self.inputs[label] = {"source": source,
+                              "hash": content_hash(codec.encode(obj))}
+        return obj
+
+    def resolve(self, kind, spec, label=None):
+        """build, then record under label (the kind by default)."""
+        return self.record(label or kind, describe(spec), kind,
+                           build(kind, spec, self.field))
+
+    def envelope(self, **body):
+        """The centrum/1 report around body: the result, checks and ok of a
+        run, or the error of a refusal.  The field is echoed as given, which
+        is the field's own name whenever it parses."""
+        args = self.args
+        return {"schema": SCHEMA, "command": self.command, "field": args.field,
+                "seed": args.seed, "bound": args.bound, "inputs": self.inputs,
+                **body}
+
+    def refusal(self, message, violations=()):
+        return self.envelope(error={"message": message,
+                                    "violations": list(violations)}, ok=False)
 
 
 def emit(payload, out_path):
@@ -543,14 +536,14 @@ def _legs(c: Cospan):
     return {"leg_a": fmt_matrix(c.leg_a.mat), "leg_b": fmt_matrix(c.leg_b.mat)}
 
 
-def cmd_validate(args, s, rep):
-    obj = resolve(s, args.kind, args.spec)
+def cmd_validate(args, rep):
+    obj = rep.resolve(args.kind, args.spec)
     rep.result = {"kind": args.kind, **CODECS[args.kind].summary(obj)}
     rep.add("object passes its validator", True)
 
 
-def cmd_center(args, s, rep):
-    a = resolve(s, "algebra", args.algebra)
+def cmd_center(args, rep):
+    a = rep.resolve("algebra", args.algebra)
     z = center(a)
     rep.result = {"dim": z.dim, "basis": fmt_matrix(z.incl)}
     rep.add("center is a commutative subalgebra", is_commutative(z.algebra))
@@ -559,8 +552,8 @@ def cmd_center(args, s, rep):
                      [a.basis_vector(i) for i in range(a.dim)]))
 
 
-def cmd_centralizer(args, s, rep):
-    f = resolve(s, "map", args.map)
+def cmd_centralizer(args, rep):
+    f = rep.resolve("map", args.map)
     c = centralizer(f)
     rep.result = {"dim": c.dim, "basis": fmt_matrix(c.incl)}
     rep.add("centralizer basis commutes with the image (brute force)",
@@ -569,8 +562,8 @@ def cmd_centralizer(args, s, rep):
             True, "certified during subalgebra construction")
 
 
-def cmd_z_hom(args, s, rep):
-    f = resolve(s, "map", args.map)
+def cmd_z_hom(args, rep):
+    f = rep.resolve("map", args.map)
     r = Z_hom(f)
     rep.result = {
         "object": {"apex_dim": r.apex.dim},
@@ -583,8 +576,8 @@ def cmd_z_hom(args, s, rep):
             commutes(f.tgt, r.realization.incl.columns(), f.mat.columns()))
 
 
-def cmd_z_bimodule(args, s, rep):
-    m = resolve(s, "bimodule", args.bimodule)
+def cmd_z_bimodule(args, rep):
+    m = rep.resolve("bimodule", args.bimodule)
     r = Z_bimodule(m)
     rep.result = {
         "object": {"apex_dim": r.apex.dim},
@@ -597,8 +590,8 @@ def cmd_z_bimodule(args, s, rep):
             r.apex.dim == hom_space(m, m).dim)
 
 
-def cmd_z_2cell(args, s, rep):
-    phi = resolve(s, "bimodule-map", args.bimodule_map)
+def cmd_z_2cell(args, rep):
+    phi = rep.resolve("bimodule-map", args.bimodule_map)
     d = Z_2cell(phi)
     rep.result = {"diagram": {**CODECS["2diagram"].summary(d),
                               "f": fmt_matrix(d.f), "g": fmt_matrix(d.g)}}
@@ -606,9 +599,9 @@ def cmd_z_2cell(args, s, rep):
             validate_2diagram(d) == [])
 
 
-def cmd_tensor_over(args, s, rep):
-    m = resolve(s, "bimodule", args.left, "left")
-    n = resolve(s, "bimodule", args.right, "right")
+def cmd_tensor_over(args, rep):
+    m = rep.resolve("bimodule", args.left, "left")
+    n = rep.resolve("bimodule", args.right, "right")
     if not same_content(m.right, n.left):
         raise InputError("the right algebra of --left must equal the left"
                          " algebra of --right")
@@ -623,7 +616,7 @@ def cmd_tensor_over(args, s, rep):
         "section": fmt_matrix(q.sect),
     }
     rep.add("projection splits the section",
-            q.proj @ q.sect == Matrix.identity(q.dim, s.field))
+            q.proj @ q.sect == Matrix.identity(q.dim, rep.field))
     rep.add("relations vanish in the quotient",
             (q.proj @ q.relations).is_zero())
     rep.add("induced bimodule passes its validator",
@@ -633,9 +626,9 @@ def cmd_tensor_over(args, s, rep):
             f"{t.dim} = {q.ambient} - {rel_rank}")
 
 
-def cmd_compose_cospans(args, s, rep):
-    first = resolve(s, "cospan", args.first, "first")
-    second = resolve(s, "cospan", args.second, "second")
+def cmd_compose_cospans(args, rep):
+    first = rep.resolve("cospan", args.first, "first")
+    second = rep.resolve("cospan", args.second, "second")
     if not same_content(first.b, second.a):
         raise InputError("the right foot of --first must equal the left foot"
                          " of --second")
@@ -649,9 +642,9 @@ def cmd_compose_cospans(args, s, rep):
             f"{c.apex.dim} = {comp.quot.ambient} - {rel_rank}")
 
 
-def cmd_compose_2diagrams(args, s, rep):
-    first = resolve(s, "2diagram", args.first, "first")
-    second = resolve(s, "2diagram", args.second, "second")
+def cmd_compose_2diagrams(args, rep):
+    first = rep.resolve("2diagram", args.first, "first")
+    second = rep.resolve("2diagram", args.second, "second")
     if args.how == "vertical":
         if not same_content(first.tgt, second.src):
             raise InputError("vertical composition needs the target cospan of"
@@ -682,19 +675,17 @@ def _all_or_none(values, message) -> bool:
 _GRID = ("d1p", "d1", "d2p", "d2")
 
 
-def cmd_beta_check(args, s, rep):
+def cmd_beta_check(args, rep):
     specs = [getattr(args, label) for label in _GRID]
     if _all_or_none(specs, "provide all four of --d1p --d1 --d2p --d2, or"
                     " none to generate a grid from the seed"):
-        grid = tuple(resolve(s, "2diagram", sp, lbl)
+        grid = tuple(rep.resolve("2diagram", sp, lbl)
                      for lbl, sp in zip(_GRID, specs))
     else:
-        grid = random_interchanger_grid(s.rng, s.field)
+        grid = random_interchanger_grid(rep.rng, rep.field)
         for lbl, d in zip(_GRID, grid):
-            s.insert(lbl, f"generated:seed={s.seed}", d,
-                     validate_2diagram(d), CODECS["2diagram"].encode(d))
+            rep.record(lbl, f"generated:seed={args.seed}", "2diagram", d)
     b = beta_cell(*grid)
-    f = s.field
     rep.result = {
         "src_dim": b.src_diagram.M.dim,
         "tgt_dim": b.tgt_diagram.M.dim,
@@ -703,23 +694,23 @@ def cmd_beta_check(args, s, rep):
     }
     rep.add("interchanger composed with its inverse is the identity",
             b.cell.mat @ b.inverse_cell.mat
-            == Matrix.identity(b.tgt_diagram.M.dim, f))
+            == Matrix.identity(b.tgt_diagram.M.dim, rep.field))
     rep.add("inverse composed with the interchanger is the identity",
             b.inverse_cell.mat @ b.cell.mat
-            == Matrix.identity(b.src_diagram.M.dim, f))
+            == Matrix.identity(b.src_diagram.M.dim, rep.field))
     rep.add("interchanger is a 3-cell", validate_3cell(b.cell) == [])
     rep.add("inverse is a 3-cell", validate_3cell(b.inverse_cell) == [])
 
 
-def _invertible_cospan(args, s, rep):
+def _invertible_cospan(args, rep):
     if (args.cospan is None) == (args.map is None):
         raise InputError("give exactly one of --cospan or --map (the"
                          " latter takes the induced centralizer cospan)")
     if args.map is not None:
-        f = resolve(s, "map", args.map)
+        f = rep.resolve("map", args.map)
         c = Z_hom(f).cospan
     else:
-        c = resolve(s, "cospan", args.cospan)
+        c = rep.resolve("cospan", args.cospan)
     res = is_invertible_cospan(c)
     rep.result = {"invertible": res.invertible, "reasons": res.reasons}
     if res.invertible:
@@ -728,14 +719,14 @@ def _invertible_cospan(args, s, rep):
             res.invertible, "; ".join(res.reasons))
 
 
-def _invertible_2cell(args, s, rep):
-    d = resolve(s, "2diagram", args.diagram, "diagram")
+def _invertible_2cell(args, rep):
+    d = rep.resolve("2diagram", args.diagram, "diagram")
     legs_ok = is_invertible_2diagram(d)
     rep.result = {"legs_invertible": legs_ok}
     rep.add("both legs of the 2-diagram are invertible", legs_ok)
     if same_content(d.src, d.tgt):
         search = find_invertible_3cell(d, identity_2diagram(d.src),
-                                       rng=s.rng, sample_range=s.bound)
+                                       rng=rep.rng, sample_range=args.bound)
         rep.result["identity_comparison"] = {
             "found": search.found,
             "certified": search.certified,
@@ -771,16 +762,16 @@ _BIMODULE_CHAINS = {
 }
 
 
-def _verify_bimodule_chain(args, s, rep):
+def _verify_bimodule_chain(args, rep):
     """One named chain of bimodules, or three seeded ones, each checked."""
     flags, how, check, name = _BIMODULE_CHAINS[args.property]
     specs = [getattr(args, flag) for flag in flags]
     if _all_or_none(specs, f"provide {how} to generate seeded instances"):
-        chains = [[resolve(s, "bimodule", spec, flag)
+        chains = [[rep.resolve("bimodule", spec, flag)
                    for spec, flag in zip(specs, flags)]]
         _check_composable(chains[0])
     else:
-        chains = [corpus.random_pentagon_chain(s.rng, s.field)[:len(flags)]
+        chains = [corpus.random_pentagon_chain(rep.rng, rep.field)[:len(flags)]
                   for _ in range(3)]
     dims = [[m.dim for m in chain] for chain in chains]
     for chain, d in zip(chains, dims):
@@ -788,15 +779,15 @@ def _verify_bimodule_chain(args, s, rep):
     rep.result = {"instances": len(chains), "dims": dims}
 
 
-def _verify_lax(args, s, rep):
+def _verify_lax(args, rep):
     if args.h is not None and None in (args.f, args.g):
         raise InputError("--h needs --f and --g as well")
     if _all_or_none((args.f, args.g), "provide --f and --g (and optionally"
                     " --h), or none to generate seeded chains"):
-        chain = [resolve(s, "map", args.f, "f"),
-                 resolve(s, "map", args.g, "g")]
+        chain = [rep.resolve("map", args.f, "f"),
+                 rep.resolve("map", args.g, "g")]
         if args.h is not None:
-            chain.append(resolve(s, "map", args.h, "h"))
+            chain.append(rep.resolve("map", args.h, "h"))
         for i in range(len(chain) - 1):
             if not same_content(chain[i].tgt, chain[i + 1].src):
                 raise InputError(f"maps {i + 1} and {i + 2} do not compose")
@@ -807,7 +798,7 @@ def _verify_lax(args, s, rep):
     else:
         dims = []
         for i in range(3):
-            chain = random_map_chain(s.rng, length=3, field=s.field)
+            chain = random_map_chain(rep.rng, length=3, field=rep.field)
             dims.append([f.src.dim for f in chain] + [chain[-1].tgt.dim])
             rep.extend(verify_lax_functor(chain), f"chain {i + 1}: ")
         rep.result = {"chains": 3, "dims": dims}
@@ -825,7 +816,7 @@ def _seeded_square_maps(rng, field):
     return phi, psi, phip, psip
 
 
-def _verify_naturality(args, s, rep):
+def _verify_naturality(args, rep):
     named = _all_or_none((args.phi, args.psi), "provide --phi and --psi"
                          " together (and optionally --phip and --psip), or"
                          " none to generate seeded instances")
@@ -833,31 +824,31 @@ def _verify_naturality(args, s, rep):
         raise InputError("--phip and --psip need --phi and --psi as well")
     _all_or_none((args.phip, args.psip), "--phip and --psip go together")
     if named:
-        phi = resolve(s, "bimodule-map", args.phi, "phi")
-        psi = resolve(s, "bimodule-map", args.psi, "psi")
+        phi = rep.resolve("bimodule-map", args.phi, "phi")
+        psi = rep.resolve("bimodule-map", args.psi, "psi")
         if not same_content(phi.src.right, psi.src.left):
             raise InputError("--phi and --psi must share the middle algebra")
         phip = psip = None
         if args.phip is not None:
-            phip = resolve(s, "bimodule-map", args.phip, "phip")
-            psip = resolve(s, "bimodule-map", args.psip, "psip")
+            phip = rep.resolve("bimodule-map", args.phip, "phip")
+            psip = rep.resolve("bimodule-map", args.psip, "psip")
         rep.extend(verify_m_naturality(phi, psi, phip, psip))
         rep.result = {"instances": 1}
     else:
         for i in range(2):
-            phi, psi, phip, psip = _seeded_square_maps(s.rng, s.field)
+            phi, psi, phip, psip = _seeded_square_maps(rep.rng, rep.field)
             rep.extend(verify_m_naturality(phi, psi, phip, psip),
                        f"instance {i + 1}: ")
         rep.result = {"instances": 2}
 
 
-def _verify_morita(args, s, rep):
+def _verify_morita(args, rep):
     if args.algebra is None:
         raise InputError("verify morita needs --algebra (and --n)")
     if args.n < 1:
         raise InputError(f"verify morita: --n must be at least 1, got"
                          f" {args.n}")
-    a = resolve(s, "algebra", args.algebra)
+    a = rep.resolve("algebra", args.algebra)
     try:
         check_dim(args.n * args.n * a.dim, f"verify morita: --n {args.n}")
     except ValueError as exc:
@@ -876,9 +867,9 @@ def _verify_morita(args, s, rep):
             f"dim {res.z_small.dim} -> dim {res.z_big.dim}")
 
 
-def _verify_thm58(args, s, rep):
-    chains, squares = corpus.semisimple_corpus(s.rng, scale=1.0,
-                                               field=s.field)
+def _verify_thm58(args, rep):
+    chains, squares = corpus.semisimple_corpus(rep.rng, scale=1.0,
+                                               field=rep.field)
     res = check_theorem58_hypotheses(chains=chains, squares=squares)
     rep.extend(res)
     rep.add("aggregate verdict is non-lax on this corpus",
@@ -890,13 +881,13 @@ def _verify_thm58(args, s, rep):
     }
 
 
-def cmd_corpus(args, s, rep):
+def cmd_corpus(args, rep):
     if not 0 < args.scale < math.inf:
         raise InputError(f"corpus: --scale must be positive and finite, got {args.scale}")
     if args.scale > corpus.MAX_SCALE:
         raise InputError(f"corpus: --scale must be at most {corpus.MAX_SCALE:g},"
                          f" got {args.scale}")
-    results = corpus.run_all(seed=s.seed, scale=args.scale, field=s.field)
+    results = corpus.run_all(seed=args.seed, scale=args.scale, field=rep.field)
     batteries = []
     for name, coherence in results:
         rep.extend(coherence, f"{name}: ")
@@ -1023,59 +1014,36 @@ def make_parser() -> argparse.ArgumentParser:
 PARSER = make_parser()
 
 
-def command_name(args) -> str:
-    parts = [args.cmd]
-    for attr in ("kind", "how", "what", "property"):
-        if getattr(args, attr, None):
-            parts.append(getattr(args, attr))
-    return " ".join(parts)
-
-
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
-    command = command_name(args)
-    session = None
-
-    def error_payload(message, violations=()):
-        return {
-            "schema": SCHEMA,
-            "command": command,
-            "field": args.field,
-            "seed": args.seed,
-            "bound": args.bound,
-            "inputs": session.inputs_manifest() if session else {},
-            "error": {"message": message, "violations": list(violations)},
-            "ok": False,
-        }
+    rep = Report(args)
 
     def finish(payload, code):
         try:
             emit(payload, args.out)
         except InputError as exc:
-            emit(error_payload(str(exc)), None)
+            emit(rep.refusal(str(exc)), None)
             return 2
         return code
 
     try:
-        field = field_from_name(args.field)
+        rep.field = field_from_name(args.field)
     except ValueError as exc:
-        return finish(error_payload(str(exc)), 2)
-    session = Session(field, args.seed, args.bound)
-    rep = Report(command, session)
+        return finish(rep.refusal(str(exc)), 2)
     try:
         missing = [flag for flag in args.needs
                    if getattr(args, flag[2:].replace("-", "_")) is None]
         if missing:
-            raise InputError(f"{command} needs {' and '.join(missing)}")
-        args.handler(args, session, rep)
+            raise InputError(f"{rep.command} needs {' and '.join(missing)}")
+        args.handler(args, rep)
     except InputError as exc:
-        return finish(error_payload(str(exc), exc.violations), 2)
+        return finish(rep.refusal(str(exc), exc.violations), 2)
     except ValueError as exc:
         message = str(exc) or exc.__class__.__name__
-        return finish(error_payload(
+        return finish(rep.refusal(
             f"operation failed on the given inputs: {message}"), 2)
-    payload = rep.envelope()
-    return finish(payload, 0 if payload["ok"] else 1)
+    return finish(rep.envelope(result=rep.result, checks=rep.entries,
+                               ok=rep.ok), 0 if rep.ok else 1)
 
 
 if __name__ == "__main__":

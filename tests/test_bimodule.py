@@ -583,6 +583,19 @@ def test_middle_relations_refuse_a_middle_algebra_without_basis():
         middle_relations([], [])
 
 
+def test_tensor_over_the_zero_algebra_is_zero():
+    """A bimodule over the 0-dimensional algebra is 0, so M (x)_0 N is the
+    0-dimensional quotient of a 0-dimensional flat tensor, by no relations."""
+    zero = end_algebra(free_bimodule(alg_k(), alg_k(), 0)).algebra
+    assert zero.dim == 0
+    m = Bimodule(alg_k(), zero, 0, [Matrix.identity(0, QQ)], [])
+    n = Bimodule(zero, alg_k(), 0, [], [Matrix.identity(0, QQ)])
+    assert validate_bimodule(m) == validate_bimodule(n) == []
+    t = tensor_over(m, n)
+    assert (t.dim, t.quot.ambient) == (0, 0)
+    assert validate_bimodule(t.product) == []
+
+
 def test_pure_respects_middle_relations():
     b = alg_group_c2()
     m = free_bimodule(alg_k(), b, 1)

@@ -19,10 +19,18 @@ from hypothesis import strategies as st
 from test_cli_golden import CASES, DATA, TESTS, command_leaves, run_case
 
 from centrum import corpus, cospanbicat
-from centrum.algebra import alg_dual_numbers, alg_group_c2, alg_product_k
+from centrum.algebra import (
+    alg_dual_numbers,
+    alg_group_c2,
+    alg_matrix,
+    alg_product_k,
+)
 from centrum.cli import (
     CODECS,
     COMMANDS,
+    PARSER,
+    InputError,
+    Report,
     algebra_dict,
     content_hash,
     fmt_matrix,
@@ -215,6 +223,16 @@ def test_generated_beta_grid_reports_all_four_inputs():
     assert all(v["source"] == "generated:seed=4"
                for v in r["inputs"].values())
     assert len(r["checks"]) == 4
+
+
+def test_a_second_input_under_one_label_is_refused():
+    rep = Report(PARSER.parse_args(["validate", "algebra", "k"]))
+    rep.field = QQ
+    first = rep.resolve("algebra", "k", "a")
+    with pytest.raises(InputError, match="^duplicate input label 'a'$"):
+        rep.record("a", "matrix:2", "algebra", alg_matrix(2))
+    assert rep.inputs == {"a": {"source": "k", "hash": content_hash(
+        algebra_dict(first))}}
 
 
 def test_z_hom_of_diagonal_inclusion():
@@ -721,7 +739,8 @@ SPECS = ["k", "matrix:2", "group:C2", "product:k^2", "dual_numbers", "diag:2",
          "row:2", "col:2", "free:matrix:2,k", "id:regular:k", "identity:k",
          "identity:group:C2", "identity:identity:k",
          "identity:identity:product:k^2", "@algebra.json",
-         "@map.json", "@bimodule.json", "@2diagram.json", "@malformed.json"]
+         "@map.json", "@bimodule.json", "@2diagram.json", "@malformed.json",
+         "matrix:\u0662", "product:k^1_0", "diag:+2", "col:02"]
 # the values of a flag, sized within algebra.MAX_DIM and corpus at scale
 # 0.05 at most; any other flag names an object and draws a spec
 FLAG_VALUES = {

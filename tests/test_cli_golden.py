@@ -90,6 +90,11 @@ CASES = [
     ("verify-naturality-two-squares-regular-k",
      ["verify", "naturality", "--phi", "id:regular:k", "--psi", "id:regular:k",
       "--phip", "id:regular:k", "--psip", "id:regular:k"], 0),
+    # the zero bimodule: its End is the 0-dimensional algebra, over which
+    # the square's tensor products have no relations
+    ("verify-naturality-zero-bimodule-map",
+     ["verify", "naturality", "--phi", "@bimodule_map_zero.json",
+      "--psi", "id:regular:k"], 0),
     # an invertible cospan's report carries its inverse legs
     ("invertible-cospan-identity-product",
      ["invertible", "cospan", "--cospan", "identity:product:k^2"], 0),
@@ -186,6 +191,12 @@ CASES = [
      ["validate", "bimodule", "@bimodule_broken_commute.json"], 2),
     ("algebra-size-not-integer", ["center", "--algebra", "matrix:x"], 2),
     ("diag-size-zero", ["validate", "map", "diag:0"], 2),
+    # a size is written as str(n) writes it: int also reads these
+    ("algebra-size-non-ascii-digit",
+     ["validate", "algebra", "matrix:\u0662"], 2),
+    ("product-size-underscore", ["validate", "algebra", "product:k^1_0"], 2),
+    ("diag-size-signed", ["validate", "map", "diag:+2"], 2),
+    ("col-size-leading-zero", ["validate", "bimodule", "col:02"], 2),
     # sizes past algebra.MAX_DIM, refused before anything is allocated
     ("algebra-size-huge", ["center", "--algebra", "matrix:11"], 2),
     ("product-size-huge", ["validate", "algebra", "product:k^101"], 2),
