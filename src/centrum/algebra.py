@@ -16,6 +16,8 @@ error, not a warning).
 
 from __future__ import annotations
 
+import re
+
 from .exactla import (
     Keyed,
     Matrix,
@@ -296,6 +298,21 @@ def alg_group_c2(field=QQ) -> Algebra:
     return Algebra(mult, [o, z], "group:C2")
 
 
+def read_size(text: str, what: str) -> int:
+    """The size n of a sized constructor (matrix:n, product:k^m, diag:n,
+    row:n, col:n) named what, written as str(n) writes it: ASCII digits
+    with no sign or leading zero, and at least 1.  Refuses (ValueError)
+    text that is no integer, and an integer written another way or below 1,
+    each with one message shape (int alone would read a sign, "_", leading
+    zeros and non-ASCII digits)."""
+    if re.fullmatch("[1-9][0-9]*", text):
+        return int(text)
+    if re.fullmatch("[+-]?[0-9]+", text):
+        raise ValueError(f"{what}: the size must be at least 1, in ASCII digits"
+                         f" with no sign or leading zero; got {text!r}")
+    raise ValueError(f"{what}: expected an integer, got {text!r}")
+
+
 def named_algebra(spec: str, field=QQ) -> Algebra:
     """Parse a named constructor: k, matrix:n, product:k^m, dual_numbers,
     group:C2."""
@@ -303,15 +320,7 @@ def named_algebra(spec: str, field=QQ) -> Algebra:
         return alg_k(field)
     for prefix, make in (("matrix:", alg_matrix), ("product:k^", alg_product_k)):
         if spec.startswith(prefix):
-            text = spec[len(prefix):]
-            n = int(text)
-            # int also reads a sign, "_", leading zeros and non-ASCII digits
-            if str(n) != text:
-                raise ValueError(f"{spec}: the size must be in ASCII digits"
-                                 " with no sign or leading zero")
-            if n < 1:
-                raise ValueError(f"{spec}: the size must be at least 1")
-            return make(n, field)
+            return make(read_size(spec[len(prefix):], prefix.split(":")[0]), field)
     if spec == "dual_numbers":
         return alg_dual_numbers(field)
     if spec == "group:C2":

@@ -21,11 +21,17 @@ R (L (x) 1) = L (1 (x) R).  validate_bimodule checks each as two
 kron_products whose flat column indices line up, once per bimodule content
 (memoised).
 
-The hom space [M, N] is an exactla.HomSpace: the bimodule maps as the
-canonical kernel of the intertwining rows (middle_relations) on their
-vectorisations, built once per pair of bimodules (memoised).  Composites of
-basis maps, in End, the hom bimodules and comp_bar, are read in it with
-HomSpace.product_coords: one slot product each, and no Subspace.
+The hom space [M, N] is an exactla.HomSpace, built once per pair of
+bimodules (memoised) from the presentation of M, built once per bimodule
+(memoised): generators whose orbits under the operators L_a R_b span M,
+and the relations among the orbit columns.  A bimodule map is fixed by the
+images of the generators, so hom_space solves only for the images that the
+relations allow (nothing to solve when the orbit matrix is square), g dim N
+unknowns for g generators, and brings the maps to the canonical (reduced
+column echelon) basis of their vectorisations.  Both bimodules must
+satisfy the axioms (validate_bimodule), as those of every caller do.
+Composites of basis maps, in End, the hom bimodules and comp_bar, are read
+in it with HomSpace.product_coords: one slot product each, and no Subspace.
 
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.
@@ -35,7 +41,10 @@ quotients in interchange_check), and every unit collapse through unit_collapse.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from .algebra import Algebra, unit_column
 from .exactla import (
@@ -43,7 +52,9 @@ from .exactla import (
     Keyed,
     Matrix,
     Quotient,
+    Subspace,
     _over_lcm,
+    _row_echelon_basis,
     block_diagonal,
     check_cells,
     cokernel,
@@ -54,9 +65,11 @@ from .exactla import (
     memoised,
     mutually_inverse,
     refuse,
+    rref,
     same_content,
     slot_products,
     stack_columns,
+    stack_rows,
     tensor_induced,
     tensor_permutation_index,
 )
@@ -219,16 +232,113 @@ def validate_bimodule_map(f: BimoduleMap) -> list[str]:
     return out
 
 
+@dataclass(slots=True, eq=False)
+class Presentation:
+    """A bimodule m with the generators v_1..v_g whose orbits span it.
+
+    ops holds the operator L_a R_b of m at a * right.dim + b as int rows,
+    all over one common denominator that is dropped (a scale changes no
+    span).  The orbit matrix Phi, of rank m.dim, has the column ops[q] v_i
+    at i * len(ops) + q.  gens is g, pivots the columns at which Phi is
+    invertible, inv Phi at pivots inverted, and relations one per other
+    column of Phi: the (column, coefficient) pairs of a combination of it
+    and the pivot columns that vanishes."""
+
+    ops: list
+    gens: int
+    pivots: list
+    inv: Matrix
+    relations: list
+
+
+@memoised
+def presentation(m: Bimodule) -> Presentation:
+    """The generators of m: a fixed generic vector, then the standard basis
+    vectors that each grow the span of its orbit and of those before them,
+    found in one elimination of the orbit beside the identity (they are the
+    pivots of the identity block).  Their orbits then span m, and Phi
+    beside the identity, eliminated, reads Phi at its pivots inverted (the
+    identity block) and each other column of Phi in the pivot columns.
+    Refuses (ValueError) a source that the orbits of its vectors do not
+    span: its actions are not unital."""
+    d, f, p = m.dim, m.field, m.field.p
+    lact = stack_rows([Matrix.zeros(0, d, f)] + m.lact)
+    # the b-th product holds L_a R_b at rows a * d ...
+    prods, _ = _over_lcm(slot_products(lact, m.ract, 1, 1))
+    ops = [prod[a * d:(a + 1) * d] for a in range(m.left.dim) for prod in prods]
+
+    def eliminate(gens):
+        c = len(gens) * len(ops)
+        check_cells(d * (c + d), "the orbit matrix")
+        rows = []
+        for t in range(d):
+            row = [sum(map(mul, O[t], v)) for v in gens for O in ops]
+            rows.append(([x % p for x in row] if p else row)
+                        + [int(t == u) for u in range(d)])
+        return (*rref(Matrix._fresh(rows, f, c + d)), c)
+
+    # entries 1..12 with no pattern: laid out row by row as an n x n matrix
+    # the vector is invertible over QQ and GF(1000003) for every n up to
+    # 10, so its orbit alone spans M_n(k) as a left module over itself
+    gens = [[i * i % 11 + i % 3 + 1 for i in range(d)]] if d else []
+    R, beside, c = eliminate(gens)
+    if beside[bisect_left(beside, c):]:
+        gens += [[int(c + s == j) for s in range(d)] for j in beside if j >= c]
+        R, beside, c = eliminate(gens)
+    pivots = beside[:bisect_left(beside, c)]
+    if len(pivots) < d:
+        raise ValueError("hom space: the orbits of the source's vectors do"
+                         " not span it; its actions are not unital")
+    L = R.den or 1
+    minus_L = -L % p if p else -L
+    relations = [[(col, minus_L)] + [(pc, R.num[r][col])
+                                     for r, pc in enumerate(pivots) if R.num[r][col]]
+                 for col in sorted(set(range(c)) - set(pivots))]
+    return Presentation(ops, len(gens), pivots, R.select_columns(slice(c, None)),
+                        relations)
+
+
 @memoised
 def hom_space(src: Bimodule, tgt: Bimodule) -> HomSpace:
     """The space of bimodule maps src -> tgt over the common pair, as
     (tgt.dim x src.dim) matrices.  Its span is canonical (reduced column
-    echelon), so the same pair of bimodules always yields the same basis."""
-    # X S = T X for every action pair (S of src, T of tgt): its equations on
-    # vec(X) are the rows of (T^T (x) I - I (x) S)^T
-    rel = middle_relations([T.transpose() for T in tgt.lact + tgt.ract],
-                           src.lact + src.ract)
-    return HomSpace(tgt.dim, src.dim, kernel(rel))
+    echelon), so the same pair of bimodules always yields the same basis.
+
+    Precondition: both satisfy the bimodule axioms (validate_bimodule), as
+    the inputs of every caller do.  A map X is then fixed by the images w_i
+    = X v_i of the generators of src's presentation.  The w allowed are
+    those whose orbit columns O_q w_i (O_q the operators of tgt, read off
+    its presentation) satisfy each relation among the columns of Phi, and
+    X = [O_q w_i]_pivots Phi_pivots^-1, with no system to solve when Phi
+    is square.  As rows, w -> vec(X) is Q Phi_pivots^-1 read row by row
+    (reshape), Q holding O_q at the pivots."""
+    if not (same_content(src.left, tgt.left) and same_content(src.right, tgt.right)):
+        raise ValueError("hom space: the bimodules are over different pairs")
+    pres, ops = presentation(src), presentation(tgt).ops
+    f, p, n, d, g = tgt.field, tgt.field.p, tgt.dim, src.dim, pres.gens
+    ab = len(ops)
+    check_cells(len(pres.relations) * n * g * n, "the hom space's relations")
+    rows = []
+    for rel in pres.relations:
+        block = [[0] * (g * n) for _ in range(n)]
+        for c, coeff in rel:
+            off = c // ab * n
+            for row, O_t in zip(block, ops[c % ab]):
+                for s in compress(range(n), O_t):
+                    row[off + s] += coeff * O_t[s]
+        rows += [[x % p for x in row] for row in block] if p else block
+    check_cells(g * n * n * d, "the hom space's basis maps")
+    # Q: row (i, s, t), column j holds O_q[t][s] for the j-th pivot (i, q)
+    Q = [[0] * d for _ in range(g * n * n)]
+    for j, c in enumerate(pres.pivots):
+        off = c // ab * n
+        for t, O_t in enumerate(ops[c % ab]):
+            for s in compress(range(n), O_t):
+                Q[(off + s) * n + t][j] = O_t[s]
+    T = (Matrix._fresh(Q, f, d) @ pres.inv).reshape(g * n, n * d)
+    if rows:
+        T = kernel(Matrix._fresh(rows, f, g * n)).basis.transpose() @ T
+    return HomSpace(n, d, Subspace(n * d, _row_echelon_basis(T), f))
 
 
 # the refusal of a map that a hom-space operator sends out of the space

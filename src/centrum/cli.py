@@ -47,6 +47,7 @@ from .algebra import (
     identity_map,
     is_commutative,
     named_algebra,
+    read_size,
     unit_map,
     validate_algebra,
     validate_algebra_map,
@@ -185,19 +186,9 @@ def parse_matrix(rows, shape, field, what) -> Matrix:
 
 
 def _matrix_size(text, what) -> int:
-    """The n of a diag:<n>, row:<n> or col:<n> spec, each built on M_n(k),
-    as written by str(n): int also reads a sign, "_", non-ASCII digits and
-    leading zeros."""
+    """The n of a diag:<n>, row:<n> or col:<n> spec, each built on M_n(k)."""
     try:
-        n = int(text)
-    except ValueError:
-        raise InputError(f"{what}: expected an integer, got {text!r}")
-    if str(n) != text:
-        raise InputError(f"{what}: expected the size in ASCII digits with no"
-                         f" sign or leading zero, got {text!r}")
-    if n < 1:
-        raise InputError(f"{what}: must be at least 1")
-    try:
+        n = read_size(text, what)
         check_dim(n * n, f"{what}:{n}")
     except ValueError as exc:
         raise InputError(str(exc))

@@ -429,7 +429,7 @@ def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
         raise ValueError("3-cells join parallel 2-diagrams only")
     f = d.M.field
     m1, m2 = d.M.dim, e.M.dim
-    # X S = T X for every action pair (S of d, T of e), as in hom_space
+    # X S = T X for every action pair (S of d, T of e): the intertwining rows
     eqs = middle_relations([T.transpose() for T in e.M.lact + e.M.ract],
                            d.M.lact + d.M.ract)
     # X F = G for both legs: vec(X F) = (I (x) F^T) vec(X)

@@ -36,8 +36,9 @@ vec(A X B^T), P @ (A (x) B (x) ...) is one slot product per factor
 of one row of the factor, and an identity factor costs nothing.
 Matrix.kron is left to where the Kronecker product is itself the object.
 An output sized by a product of its inputs' sizes (slot_products,
-Matrix.kron, bimodule.middle_relations) is refused before it is allocated
-when it would hold more than MAX_CELLS cells (check_cells).  A coordinate
+Matrix.kron, bimodule.middle_relations, and the orbit matrix and systems
+of bimodule.hom_space) is refused before it is allocated when it would
+hold more than MAX_CELLS cells (check_cells).  A coordinate
 read refuses with its caller's message: Subspace.coords_matrix, the
 HomSpace reads, which go through it, and Quotient.descend raise
 ValueError(message) for a vector outside.  refuse is the one path for a

@@ -18,6 +18,7 @@ from refusals import bimodule_refusals, optimized
 from testfixtures import restriction_bimodule
 
 import centrum.bimodule as bimodule
+import centrum.fixtures as fixtures
 from centrum.algebra import (
     alg_dual_numbers,
     alg_group_c2,
@@ -42,6 +43,7 @@ from centrum.bimodule import (
     interchange_check,
     middle_relations,
     pentagon_check,
+    presentation,
     regular_bimodule,
     assoc_iso,
     tensor_over,
@@ -66,7 +68,13 @@ from centrum.exactla import (
     stack_columns,
     stack_rows,
 )
-from centrum.fixtures import random_bimodule, random_hom_element
+from centrum.corpus import semisimple_corpus
+from centrum.fixtures import (
+    commutative_pool,
+    random_bimodule,
+    random_hom_element,
+    random_signed_permutation,
+)
 
 
 def to_sympy(m: Matrix) -> sm.Matrix:
@@ -115,13 +123,12 @@ def row_bimodule(n: int) -> Bimodule:
     return Bimodule(k, a, n, lact, ract, name=f"row({n})")
 
 
-def weighted_point_bimodule(weights) -> Bimodule:
+def weighted_point_bimodule(weights, field=QQ) -> Bimodule:
     """k as a (k^m, k)-bimodule where factor i acts by the 0/1 weight."""
-    a = alg_product_k(len(weights))
-    k = alg_k()
-    f = QQ
-    lact = [Matrix([[f.from_int(w)]], f) for w in weights]
-    ract = [Matrix.identity(1, f)]
+    a = alg_product_k(len(weights), field)
+    k = alg_k(field)
+    lact = [Matrix([[field.from_int(w)]], field) for w in weights]
+    ract = [Matrix.identity(1, field)]
     return Bimodule(a, k, 1, lact, ract)
 
 
@@ -346,6 +353,78 @@ def test_hom_space_matches_kron_and_subtract(seed):
         # hom_space hands its relation rows to kernel untransposed; dense
         # elimination of the Kronecker system agrees
         assert hom_space(s, t).span.basis == kernel_ref(kron_hom_system(s, t))
+
+
+def intertwining_hom_basis(src: Bimodule, tgt: Bimodule) -> Matrix:
+    """Reference: hom_space as it was built before it solved for the images
+    of generators.  X S = T X for every action pair (S of src, T of tgt):
+    its equations on vec(X) are the rows of (T^T (x) I - I (x) S)^T, which
+    middle_relations builds from the T^T and the S; the canonical basis of
+    their kernel."""
+    return kernel(middle_relations([T.transpose() for T in tgt.lact + tgt.ract],
+                                   src.lact + src.ract)).basis
+
+
+def differential_hom_pairs(field):
+    """(src, tgt) pairs over field: the regular bimodule of every algebra of
+    the pool (the commutative pool and M_2, M_3), random bimodules over
+    pairs of pool algebras, sources that no one orbit spans (sums of two
+    free or regular pieces, sums of col/row simples, point modules over
+    k^3) beside those simples, zero-dimensional bimodules, and the
+    one-twisted M_3 chain of semisimple_corpus."""
+    rng = random.Random(43)
+    pool = commutative_pool(field) + [alg_matrix(2, field)]
+    pairs = [(r, r) for r in map(regular_bimodule, pool + [alg_matrix(3, field)])]
+    # twisted rank-2 bimodules over QQ grow large coefficients
+    rank = 1 if field == QQ else 2
+    for _ in range(6):
+        a, b = rng.choice(pool[:4]), rng.choice(pool)
+        src, tgt = (random_bimodule(a, b, rng, max_rank=rank) for _ in range(2))
+        pairs += [(src, tgt), (tgt, src), (src, src)]
+    # sums of two free or regular pieces, twisted twice by signed
+    # permutations, which keep QQ coefficients small
+    for a, b in ((pool[3], pool[3]), (pool[2], pool[0]), (pool[2], pool[1])):
+        piece = regular_bimodule(a) if a is b else free_bimodule(a, b, 1)
+        m = direct_sum_bimodules([piece, free_bimodule(a, b, 1)])
+        src, tgt = (twist_bimodule(m, random_signed_permutation(m.dim, rng, field))
+                    for _ in range(2))
+        pairs += [(src, tgt), (tgt, src)]
+    c2, r3 = fixtures.col_bimodule(2, field), fixtures.row_bimodule(3, field)
+    c222, r33 = direct_sum_bimodules([c2] * 3), direct_sum_bimodules([r3, r3])
+    pts = [weighted_point_bimodule(w, field)
+           for w in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    p001 = direct_sum_bimodules([pts[0], pts[0], pts[2]])
+    pairs += [(c2, c222), (c222, c2), (c222, c222), (r3, r33), (r33, r3),
+              (r33, r33), (p001, p001), (pts[0], p001), (p001, pts[2]),
+              (pts[1], p001)]
+    zero = Matrix.zeros(0, 0, field)
+    z = Bimodule(pts[0].left, pts[0].right, 0, [zero] * 3, [zero])
+    pairs += [(z, z), (z, p001), (p001, z)]
+    chains, _ = semisimple_corpus(random.Random(1), scale=1.0, field=field)
+    m, n, p = chains[3]
+    return pairs + [(m, n), (n, p), (m, p), (m, m)]
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_hom_space_matches_the_intertwining_kernel(field):
+    """hom_space, solved for the images of its source's generators, against
+    the kernel of every intertwining row, on sources that one orbit spans
+    and sources that it does not, in every field."""
+    pairs = differential_hom_pairs(field)
+    assert max(presentation(s).gens for s, _ in pairs) >= 2
+    assert [i for i, (s, t) in enumerate(pairs)
+            if hom_space(s, t).span.basis != intertwining_hom_basis(s, t)] == []
+
+
+def test_hom_space_builds_no_intertwining_rows(monkeypatch, fresh_memos):
+    """src has one hom-space path: hom_space never calls middle_relations,
+    which builds the relations of tensor quotients and 3-cell families."""
+    def refused(*args):
+        raise AssertionError("hom_space built the intertwining rows")
+
+    monkeypatch.setattr(bimodule, "middle_relations", refused)
+    for s, t in differential_hom_pairs(PrimeField(1000003)):
+        hom_space(s, t)
 
 
 def hom_chain(field, rng):

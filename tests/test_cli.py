@@ -344,6 +344,26 @@ def test_center_of_empty_algebra_exits_two(spec, capsys):
     assert "size must be at least 1" in r["error"]["message"]
 
 
+@pytest.mark.parametrize("kind,prefix", [
+    ("algebra", "matrix:"), ("algebra", "product:k^"), ("map", "diag:"),
+    ("bimodule", "row:"), ("bimodule", "col:")])
+def test_every_sized_constructor_reads_its_size_one_way(kind, prefix, capsys):
+    """One size reader: text that is no integer, and an integer written
+    another way or below 1, get the same message shape from every sized
+    constructor."""
+    name = prefix.split(":")[0]
+    for text, message in (
+            ("x", f"{name}: expected an integer, got 'x'"),
+            ("\u0662", f"{name}: expected an integer, got '\u0662'"),
+            ("1_0", f"{name}: expected an integer, got '1_0'"),
+            *((t, f"{name}: the size must be at least 1, in ASCII digits with"
+                  f" no sign or leading zero; got '{t}'")
+              for t in ("0", "-1", "+2", "02"))):
+        code, r = run_main(["validate", kind, prefix + text], capsys)
+        assert code == 2
+        assert r["error"]["message"].startswith(message)
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_morita_with_nonpositive_size_exits_two(n, capsys):
     code, r = run_main(["verify", "morita", "--algebra", "k", "--n", n],

@@ -212,9 +212,14 @@ CASES = [
     ("corpus-scale-inf", ["corpus", "--scale", "inf"], 2),
     ("corpus-scale-zero", ["corpus", "--scale", "0"], 2),
     ("corpus-scale-huge", ["corpus", "--scale", "1e300"], 2),
-    # an operation that refuses valid input: the generic bad-input report
-    ("z-bimodule-regular-matrix6-too-large",
-     ["z-bimodule", "--bimodule", "regular:matrix:6"], 2),
+    # an operation that refuses valid input: the generic bad-input report.
+    # k^85 over (k, k) needs 85 generators, so the basis maps of its
+    # endomorphisms would hold 85^4 cells
+    ("z-bimodule-trivial85-too-large",
+     ["z-bimodule", "--bimodule", "@bimodule_trivial85.json"], 2),
+    # M_6 regular: cyclic, one generator, computed in about a second
+    ("z-bimodule-regular-matrix6",
+     ["z-bimodule", "--bimodule", "regular:matrix:6"], 0),
     # a report that cannot be written to --out: one error report, on stdout
     ("out-unwritable",
      ["center", "--algebra", "k", "--out", "no-such-dir/report.json"], 2),

@@ -13,13 +13,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from fieldref import content_key_ref
-from testfixtures import ALL_MEMOISED, clear_memos, restriction_bimodule
+from testfixtures import ALL_MEMOISED, clear_memos, exactla_calls, restriction_bimodule
 
 from centrum.exactla import (
     MEMO_BOUND,
@@ -670,29 +671,37 @@ def test_memo_holds_the_working_set_of_recurring_lax_chains(monkeypatch):
     assert len(seen["mult_transform"]) > 16  # more than a 16-entry LRU holds
 
 
-def rref_calls(monkeypatch, build):
-    """The rref calls build() makes with every memo cache cleared; no
-    module but exactla calls rref, so rebinding it there sees them all."""
-    import centrum.exactla as exactla
-
-    calls, real = [], exactla.rref
-    monkeypatch.setattr(exactla, "rref", lambda m: calls.append(1) or real(m))
-    clear_memos()
-    assert build()
-    return len(calls)
-
-
 def test_comparison_maps_are_eliminated_once_where_read(monkeypatch):
     """Work counted, not timed, over GF(1000003): a semisimple square's
-    verdicts take one rank per comparison map, and verifying a lax chain
-    ranks none of its multiplication maps."""
+    verdicts take one rank per comparison map (four), and verifying a lax
+    chain ranks none of its multiplication maps; their eliminations in all
+    are pinned too."""
     field = PrimeField(1000003)
     _, squares = semisimple_corpus(random.Random(1), scale=0.1, field=field)
     chain = random_map_chain(random.Random(1), length=3, field=field,
                              pool=algebra_map_pool(field))
-    assert rref_calls(monkeypatch, lambda: check_theorem58_hypotheses(
-        squares=squares[:1]).ok) == 20
-    assert rref_calls(monkeypatch, lambda: verify_lax_functor(chain).ok) == 16
+    verdicts = (lambda: check_theorem58_hypotheses(squares=squares[:1]).ok,
+                lambda: verify_lax_functor(chain).ok)
+    assert [len(exactla_calls(monkeypatch, "rank", v)) for v in verdicts] == [4, 0]
+    assert [len(exactla_calls(monkeypatch, "rref", v)) for v in verdicts] == [33, 16]
+
+
+def test_comp_bar_solves_hom_spaces_for_the_generators_only(monkeypatch):
+    """Work counted on the one-twisted M_3 chain of semisimple_corpus over
+    GF(1000003), whose bimodules are cyclic of dim 9: comp_bar's ten
+    eliminations are one presentation per bimodule (Phi beside the
+    identity, 9 x 18), the echelon form of each of the six hom spaces (9
+    basis maps of 81 entries) and the tensor quotient's relations (162
+    distinct rows), and no hom space solves a system: a return to dim M *
+    dim N unknowns (810 intertwining rows on 81) shows here."""
+    field = PrimeField(1000003)
+    chains, _ = semisimple_corpus(random.Random(1), scale=1.0, field=field)
+    m, n, p = chains[3]
+    assert [x.dim for x in (m, n, p)] == [9, 9, 9] and m.left.dim == 9
+    shapes = Counter(a.shape for a in exactla_calls(
+        monkeypatch, "rref", lambda: comp_bar(m, n, p)))
+    assert shapes == {(9, 18): 3, (9, 81): 6, (162, 81): 1}
+    assert exactla_calls(monkeypatch, "kernel", lambda: comp_bar(m, n, p)) == []
 
 
 def plain_leaves(key):

@@ -4,8 +4,10 @@ src."""
 
 import importlib
 import pkgutil
+import sys
 
 import centrum
+import centrum.exactla as exactla
 from centrum.algebra import AlgebraMap, alg_k
 from centrum.bimodule import Bimodule
 from centrum.cospanbicat import identity_2diagram
@@ -34,6 +36,27 @@ def clear_memos():
     """Empty every memo."""
     for fn in ALL_MEMOISED:
         fn.cache.clear()
+
+
+def exactla_calls(monkeypatch, name, build):
+    """The first argument of each call of the exactla kernel name (rref,
+    rank, kernel, ...) that build() makes, with every memo emptied first:
+    the kernel is rebound in exactla and in every centrum module that
+    imports it, so the calls of every module are seen, and put back on
+    return.  build() must return a true verdict."""
+    real, seen = getattr(exactla, name), []
+
+    def spy(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("centrum") and getattr(module, name, None) is real:
+                patch.setattr(module, name, spy)
+        clear_memos()
+        assert build()
+    return seen
 
 
 def restriction_bimodule(f: AlgebraMap) -> Bimodule:
