@@ -31,7 +31,8 @@ unknowns for g generators, and brings the maps to the canonical (reduced
 column echelon) basis of their vectorisations.  Both bimodules must
 satisfy the axioms (validate_bimodule), as those of every caller do.
 Composites of basis maps, in End, the hom bimodules and comp_bar, are read
-in it with HomSpace.product_coords: one slot product each, and no Subspace.
+in it with HomSpace.product_coords: one slot product each, and no Subspace;
+cospanbicat.solve_3cell_family solves for 3-cells inside it.
 
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.

@@ -8,8 +8,8 @@ The three layers:
     M with a right-module map f: S -> M and a left-module map g: T -> M that
     agree after the legs, and on which the outer actions through either
     cospan coincide;
-  * a 3-cell between parallel 2-diagrams: an equivariant map intertwining the
-    f and g legs.
+  * a 3-cell between parallel 2-diagrams: a bimodule map intertwining the f
+    and g legs, which solve_3cell_family finds inside bimodule.hom_space.
 
 Cospans compose by the fibered tensor product of apexes over the shared outer
 algebra, which carries a well-defined algebra structure because leg images
@@ -45,6 +45,7 @@ from .algebra import (
 from .bimodule import (
     Bimodule,
     BimoduleMap,
+    hom_space,
     middle_relations,
     pentagon_commutes,
     regular_bimodule,
@@ -424,14 +425,14 @@ def compose_3cells(second: ThreeCell, first: ThreeCell) -> ThreeCell:
 
 def solve_3cell_family(d: TwoDiagram, e: TwoDiagram):
     """All 3-cells d -> e as an affine family: (particular solution or None,
-    kernel basis of homogeneous directions), both as matrices."""
+    kernel basis of homogeneous directions), both as matrices.  vec(X) lies
+    in hom_space(d.M, e.M), so both bimodules must satisfy the axioms."""
     if not (same_content(d.src, e.src) and same_content(d.tgt, e.tgt)):
         raise ValueError("3-cells join parallel 2-diagrams only")
     f = d.M.field
     m1, m2 = d.M.dim, e.M.dim
-    # X S = T X for every action pair (S of d, T of e): the intertwining rows
-    eqs = middle_relations([T.transpose() for T in e.M.lact + e.M.ract],
-                           d.M.lact + d.M.ract)
+    # X S = T X for every action pair: rows spanning [d.M, e.M]'s annihilator
+    eqs = kernel(hom_space(d.M, e.M).vecs).basis.transpose()
     # X F = G for both legs: vec(X F) = (I (x) F^T) vec(X)
     I = Matrix.identity(m2, f)
     A = stack_rows([eqs, I.kron(d.f.transpose()), I.kron(d.g.transpose())])
@@ -660,12 +661,10 @@ def check_triangle(d2: TwoDiagram, d1: TwoDiagram) -> bool:
     l_unit = unit_iso_left(tensor_over(mid.M, d1.M))
     left_map = tensor_induced(plain.quot, [r_unit.mat, d1.M.dim], left_comp.quot)
     right_map = tensor_induced(plain.quot, [d2.M.dim, l_unit.mat], right_comp.quot)
-    # the two collapses are 3-cells onto the plain composite
-    if left_map @ left_comp.f != plain.f or left_map @ left_comp.g != plain.g:
-        return False
-    if right_map @ right_comp.f != plain.f or right_map @ right_comp.g != plain.g:
-        return False
-    return right_map @ alpha == left_map
+    # the two collapses are 3-cells onto the plain composite, and agree
+    return (not validate_3cell(ThreeCell(left_comp, plain, left_map))
+            and not validate_3cell(ThreeCell(right_comp, plain, right_map))
+            and right_map @ alpha == left_map)
 
 
 # ---------------------------------------------------------------------------

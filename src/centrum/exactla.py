@@ -20,10 +20,10 @@ GF(p) is a plain int in [0, p), stored with den None, and the kernels
 reduce mod p where the arithmetic happens.  Matrices over different fields
 never combine (ValueError) and never compare equal.  Subspaces are stored
 in reduced column echelon form, so equal subspaces have equal bases; a
-HomSpace is such a subspace of vectorised matrices, whose row-major layout
-only flatten and reshape know, and product_coords reads products with its
-basis in one slot product.  Relations are rows, as kernel and cokernel take
-them.
+HomSpace is such a subspace of vectorised matrices, read row by row as
+flatten and reshape, hom_space's Q rows, product_coords and the leg rows of
+solve_3cell_family all assume; product_coords reads products with its basis
+in one slot product.  Relations are rows, as kernel and cokernel take them.
 A Quotient is a quotient of a flat tensor k^d1 (x) k^d2 (x) ..., one slot
 (a cokernel) or nested (Quotient.tensor): its projection and the free
 coordinates its section selects, with proj at free the identity, checked at

@@ -101,6 +101,13 @@ CASES = [
     # a 2-diagram between different cospans gets the leg verdict only
     ("invertible-2cell-cospans-differ",
      ["invertible", "2cell", "--diagram", "@2diagram_cospans_differ.json"], 1),
+    # a 2-diagram from a file, whose 3-cell to the identity is its leg 3/2
+    ("invertible-2cell-file",
+     ["invertible", "2cell", "--diagram", "@2diagram.json"], 0),
+    # the 0-dimensional 2-diagram: its hom space comes from a presentation
+    # with no generators, and no 3-cell meets the identity's legs
+    ("invertible-2cell-zero-dimensional",
+     ["invertible", "2cell", "--diagram", "@2diagram_zero.json"], 1),
     # the remaining constructors
     ("validate-algebra-product", ["validate", "algebra", "product:k^3"], 0),
     ("validate-map-unit", ["validate", "map", "unit:product:k^2"], 0),

@@ -32,7 +32,12 @@ from centrum.algebra import (
     validate_algebra_map,
 )
 from centrum import corpus
-from centrum.bimodule import Bimodule, regular_bimodule, tensor_over
+from centrum.bimodule import (
+    Bimodule,
+    direct_sum_bimodules,
+    regular_bimodule,
+    tensor_over,
+)
 from centrum.cospanbicat import (
     BetaResult,
     CoherenceReport,
@@ -74,6 +79,7 @@ from centrum.exactla import (
     is_invertible,
     kron_product,
     random_matrix,
+    stack_rows,
 )
 from centrum.fixtures import (
     _grid_column,
@@ -613,25 +619,49 @@ def test_invertible_3cell_in_the_family_of_all_maps(tgt_dim, sample_range, detai
         assert validate_3cell(res.cell) == [] and is_invertible(res.cell.mat)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
-                                   PrimeField(1000003)])
-def test_solve_3cell_family_matches_the_row_loops(field):
-    """x0 and the directions, numerators and denominators, equal those of
-    the system built row by row and solved on the reference kernels: on
-    twisted identity 2-diagrams, an interchanger's source and target, and
-    the singular family (8 directions one way, no 3-cell the other)."""
+def doubled_regular_diagram(c: Cospan, s) -> TwoDiagram:
+    """reg(T) + reg(T) over the cospan c with apex T, both legs [I; sI]."""
+    reg = regular_bimodule(c.apex)
+    ident = Matrix.identity(reg.dim, reg.field)
+    legs = stack_rows([ident, ident.scale(s)])
+    return TwoDiagram(c, c, direct_sum_bimodules([reg, reg]), legs, legs)
+
+
+def differential_3cell_pairs(field):
+    """(d, e) pairs of parallel 2-diagrams over field: twisted identity
+    2-diagrams, families of doubled regular diagrams, an interchanger's
+    source and target, and the singular family (8 directions one way, no
+    3-cell the other), last.  A 3-cell [I; sI] -> [I; s'I] of doubled
+    regular diagrams is a 2 x 2 matrix over the commutative apex T with
+    x11 + s x12 = 1 and x21 + s x22 = s': a family neither unique nor
+    homogeneous, plain and twisted by a random invertible."""
     rng = random.Random(19)
     pairs = []
     for a, b in ((alg_k(field), alg_group_c2(field)),
                  (alg_product_k(2, field), alg_dual_numbers(field))):
-        ident = identity_2diagram(tensor_product_cospan(a, b))
+        c = tensor_product_cospan(a, b)
+        ident = identity_2diagram(c)
         d = twist_2diagram(ident, random_invertible(ident.M.dim, rng, field))
         pairs += [(d, ident), (ident, d)]
+        d, e = (doubled_regular_diagram(c, field.from_int(rng.randint(-3, 3)))
+                for _ in range(2))
+        twisted = twist_2diagram(e, random_invertible(e.M.dim, rng, field, bound=1))
+        pairs += [(d, e), (e, d), (d, twisted), (twisted, d)]
     beta = beta_cell(*random_interchanger_grid(rng, field))
     pairs += [(beta.src_diagram, beta.tgt_diagram),
               (beta.tgt_diagram, beta.src_diagram)]
     d, e = singular_family(field)
-    pairs += [(d, e), (e, d)]
+    return pairs + [(d, e), (e, d)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
+                                   PrimeField(1000003)])
+def test_solve_3cell_family_matches_the_row_loops(field):
+    """x0 and the directions, numerators and denominators, equal those of
+    the system built row by row and solved on the reference kernels, on
+    every differential pair: x0 sets each free entry of X to 0."""
+    pairs = differential_3cell_pairs(field)
+
     def rows(x0, ks):
         return [(m.field, m.shape, m.num, m.den) for m in [x0] + ks if m is not None]
 
@@ -640,8 +670,29 @@ def test_solve_3cell_family_matches_the_row_loops(field):
         ref_x0, ref_ks = ref_solve_3cell_family(d, e)
         assert (x0 is None) == (ref_x0 is None)
         assert rows(x0, ks) == rows(ref_x0, ref_ks)
+    # the doubled regular families: non-unique and non-homogeneous
+    for d, e in pairs[2:6] + pairs[8:12]:
+        assert validate_2diagram(d) == [] and validate_2diagram(e) == []
+        x0, ks = solve_3cell_family(d, e)
+        assert ks and not x0.is_zero()
     assert len(solve_3cell_family(*pairs[-2])[1]) == 8
     assert solve_3cell_family(*pairs[-1]) == (None, [])
+
+
+def test_solve_3cell_family_builds_no_intertwining_rows(monkeypatch, fresh_memos):
+    """solve_3cell_family constrains vec(X) to hom_space, so middle_relations
+    serves only the relations of tensor quotients."""
+    import centrum.bimodule as bimodule
+    import centrum.cospanbicat as cospanbicat
+
+    def refused(*args):
+        raise AssertionError("solve_3cell_family built the intertwining rows")
+
+    pairs = differential_3cell_pairs(PrimeField(1000003))
+    for module in (bimodule, cospanbicat):
+        monkeypatch.setattr(module, "middle_relations", refused)
+    for d, e in pairs:
+        solve_3cell_family(d, e)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
