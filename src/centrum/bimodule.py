@@ -346,32 +346,15 @@ def hom_space(src: Bimodule, tgt: Bimodule) -> HomSpace:
 LEAVES_HOM = "operator leaves the hom space"
 
 
-class EndAlgebra:
-    """The endomorphism algebra of a bimodule, with its acting hom space.
-
-    Multiplication is composition: e_i * e_j acts as hom.basis[i] o
-    hom.basis[j]."""
-
-    __slots__ = ("hom", "algebra")
-
-    def __init__(self, m: Bimodule):
-        H = self.hom = hom_space(m, m)
-        mult = H.product_coords(H, H, "endomorphisms must close under composition")
-        unit = H.coords([Matrix.identity(m.dim, m.field)],
-                        "the identity must lie in the endomorphism space")
-        self.algebra = Algebra(mult, unit.col_list(0))
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    def __repr__(self):
-        return f"EndAlgebra(dim {self.dim})"
-
-
 @memoised
-def end_algebra(m: Bimodule) -> EndAlgebra:
-    return EndAlgebra(m)
+def end_algebra(m: Bimodule) -> Algebra:
+    """The endomorphism algebra of a bimodule on the basis of hom_space(m,
+    m): e_i * e_j is basis[i] o basis[j]."""
+    H = hom_space(m, m)
+    mult = H.product_coords(H, H, "endomorphisms must close under composition")
+    unit = H.coords([Matrix.identity(m.dim, m.field)],
+                    "the identity must lie in the endomorphism space")
+    return Algebra(mult, unit.col_list(0))
 
 
 def hom_bimodule(src: Bimodule, tgt: Bimodule):
@@ -380,12 +363,12 @@ def hom_bimodule(src: Bimodule, tgt: Bimodule):
     Returns (bimodule over the two endomorphism algebras, HomSpace)."""
     end_tgt, end_src = end_algebra(tgt), end_algebra(src)
     H = hom_space(src, tgt)
-    post = H.product_coords(end_tgt.hom, H, LEAVES_HOM)  # column (E, b): E b
-    pre = H.product_coords(H, end_src.hom, LEAVES_HOM)  # column (b, E): b E
+    post = H.product_coords(hom_space(tgt, tgt), H, LEAVES_HOM)  # column (E, b): E b
+    pre = H.product_coords(H, hom_space(src, src), LEAVES_HOM)  # column (b, E): b E
     d, e = H.dim, end_src.dim
     lact = [post.select_columns(slice(k * d, (k + 1) * d)) for k in range(end_tgt.dim)]
     ract = [pre.select_columns(slice(k, None, e)) for k in range(e)]
-    return Bimodule(end_tgt.algebra, end_src.algebra, H.dim, lact, ract), H
+    return Bimodule(end_tgt, end_src, H.dim, lact, ract), H
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +624,12 @@ class CompBarResult:
     """Composition descended to [N,P] (x)_{[N,N]} [M,N] -> [M,P]: the unique
     map whose composite with the quotient map is plain composition.
 
-    Fields: tensor (the fibered product of hom bimodules), mat (matrix in the
-    canonical hom bases of hom_space(n, p), hom_space(m, n) and
-    hom_space(m, p)) and map (as an equivariant map over ([P,P], [M,M]))."""
+    Fields: tensor (the fibered product of hom bimodules) and mat (matrix in
+    the canonical hom bases of hom_space(n, p), hom_space(m, n) and
+    hom_space(m, p)), checked equivariant over ([P,P], [M,M])."""
 
     tensor: TensorResult
     mat: Matrix
-    map: BimoduleMap
 
 
 def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
@@ -660,6 +642,6 @@ def comp_bar(m: Bimodule, n: Bimodule, p: Bimodule) -> CompBarResult:
     comp = hom_mp.product_coords(hom_np, hom_mn, "composite leaves the hom space")
     mat = tensor.quot.descend(
         comp, "composition does not factor through the middle tensor")
-    map_ = BimoduleMap(tensor.product, bim_mp, mat)
-    refuse(validate_bimodule_map(map_), "descended composition is not equivariant")
-    return CompBarResult(tensor, mat, map_)
+    refuse(validate_bimodule_map(BimoduleMap(tensor.product, bim_mp, mat)),
+           "descended composition is not equivariant")
+    return CompBarResult(tensor, mat)

@@ -53,7 +53,6 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     LEAVES_HOM,
-    EndAlgebra,
     TensorResult,
     comp_bar,
     end_algebra,
@@ -105,13 +104,14 @@ class ZMorphismResult:
     """The cospan assigned to a 1-cell (an algebra map or a bimodule).
 
     kind is "map" or "bimodule"; realization is the centralizer Subalgebra
-    respectively the EndAlgebra realizing the apex; z_left / z_right are the
-    centers of the outer algebras, in the coordinates used by the legs."""
+    respectively hom_space(M, M), on whose basis the apex End(M) is
+    written; z_left / z_right are the centers of the outer algebras, in the
+    coordinates used by the legs."""
 
     kind: str
     cospan: Cospan
     apex: Algebra
-    realization: Subalgebra | EndAlgebra
+    realization: Subalgebra | HomSpace
     z_left: Subalgebra
     z_right: Subalgebra
 
@@ -138,17 +138,17 @@ def Z_hom(f: AlgebraMap) -> ZMorphismResult:
 def Z_bimodule(m: Bimodule) -> ZMorphismResult:
     """The cospan Z(A) -> End(M) <- Z(B) with legs z -> (x -> z.x) and
     z' -> (x -> x.z')."""
-    ea = end_algebra(m)
+    end, H = end_algebra(m), hom_space(m, m)
     zl, zr = center(m.left), center(m.right)
 
     def leg(sub, act_of):
         ops = [act_of(x) for x in sub.incl.columns()]
-        return AlgebraMap(sub.algebra, ea.algebra, ea.hom.coords(
+        return AlgebraMap(sub.algebra, end, H.coords(
             ops, "central action is not a bimodule map"))
 
     cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
     refuse(validate_cospan(cospan), "endomorphism cospan is invalid")
-    return ZMorphismResult("bimodule", cospan, ea.algebra, ea, zl, zr)
+    return ZMorphismResult("bimodule", cospan, end, H, zl, zr)
 
 
 @memoised
@@ -158,8 +158,8 @@ def Z_2cell(phi: BimoduleMap) -> TwoDiagram:
     and eta -> eta o phi."""
     zs, zt = Z_bimodule(phi.src), Z_bimodule(phi.tgt)
     hom_bm, H = hom_bimodule(phi.src, phi.tgt)
-    fmat = H.product_coords([phi.mat], zs.realization.hom, LEAVES_HOM)
-    gmat = H.product_coords(zt.realization.hom, [phi.mat], LEAVES_HOM)
+    fmat = H.product_coords([phi.mat], zs.realization, LEAVES_HOM)
+    gmat = H.product_coords(zt.realization, [phi.mat], LEAVES_HOM)
     d = TwoDiagram(zs.cospan, zt.cospan, hom_bm, fmat, gmat)
     refuse(validate_2diagram(d), "hom-space 2-diagram is invalid")
     return d
@@ -221,8 +221,8 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
 
     def factor_map(src_z, factors_of):
         ops = [tensor_induced(tens.quot, factors_of(e), tens.quot)
-               for e in src_z.realization.hom.basis]
-        return AlgebraMap(src_z.apex, zmn.apex, zmn.realization.hom.coords(
+               for e in src_z.realization.basis]
+        return AlgebraMap(src_z.apex, zmn.apex, zmn.realization.coords(
             ops, "factor endomorphism leaves the hom space"))
 
     w = factor_map(zm, lambda e: [e, n_bim.dim])
@@ -232,20 +232,13 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
     return MultBimoduleResult(tens, zmn, mult, diagram)
 
 
-@dataclass(slots=True, eq=False)
-class NGeneralResult:
-    """The descended map [M,M'] (x)_{Z(B)} [N,N'] -> [M (x) N, M' (x) N'],
-    xi (x) zeta -> xi (x) zeta: its matrix, into the hom space target."""
-
-    target: HomSpace
-    mat: Matrix
-
-
 def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
-              pair_quot: Quotient) -> NGeneralResult:
+              pair_quot: Quotient) -> Matrix:
     """Descend the tensor product of bimodule maps M -> M', N -> N' (from
     tens_src = M (x)_B N to tens_tgt = M' (x)_B N') through pair_quot, the
-    quotient of [M,M'] (x) [N,N'] of their fibered product over Z(B)."""
+    quotient of [M,M'] (x) [N,N'] of their fibered product over Z(B): the
+    matrix of [M,M'] (x)_{Z(B)} [N,N'] -> [M (x) N, M' (x) N'], xi (x) zeta
+    -> xi (x) zeta, into the basis of hom_space(M (x) N, M' (x) N')."""
     m, n = tens_src.left_factor, tens_src.right_factor
     mp, np_ = tens_tgt.left_factor, tens_tgt.right_factor
     left, right = hom_space(m, mp), hom_space(n, np_)
@@ -253,9 +246,8 @@ def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
     ops = [tensor_induced(tens_tgt.quot, [xi, zeta], tens_src.quot)
            for xi in left.basis for zeta in right.basis]
     flat = target.coords(ops, "induced map leaves the hom space")
-    mat = pair_quot.descend(
+    return pair_quot.descend(
         flat, "tensor of maps does not respect the middle-center relations")
-    return NGeneralResult(target, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,7 @@ class MSquareResult:
     induced: BimoduleMap  # the induced map on composites
     lhs: TwoDiagram  # the two composite 2-diagrams
     rhs: TwoDiagram
-    n_res: NGeneralResult  # the auxiliary descended map
+    n_res: Matrix  # the auxiliary descended map (n_general)
     r_inverse: Matrix  # the inverse unit collapse
     cell: ThreeCell
 
@@ -302,7 +294,7 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     hom_bm = z_induced.M
     # pre-unit map: the class of x (x) q composes x after the descended map
     mprime = lhs.quot.descend(
-        kron_product(left_action_collapse(hom_bm), [hom_bm.left.dim, n_res.mat]),
+        kron_product(left_action_collapse(hom_bm), [hom_bm.left.dim, n_res]),
         "pre-unit map does not respect the composite relations")
     # the unit collapse between the target hom space and its unit tensor
     _, r_inverse = unit_collapse(rhs.quot, right_action_collapse(hom_bm),
@@ -424,7 +416,7 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
 
     q1dim = sq1.hq.M.dim
     xdim = sq2.mult_tgt.zmn.apex.dim
-    xidim = sq2.n_res.target.dim
+    xidim = sq2.n_res.rows
     vdim = sq1.mult_src.zmn.apex.dim
 
     # row-by-row side
@@ -458,7 +450,7 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     rep.add("square is a 3-cell", bad == [], "; ".join(bad))
     # its legs compose phi (x) psi after and before
     z_induced = Z_2cell(sq.induced)
-    n_mat = sq.n_res.mat
+    n_mat = sq.n_res
     rep.add("upper triangle via n",
             sq.cell.mat @ sq.lhs.f == sq.r_inverse @ n_mat @ sq.hq.f)
     rep.add("upper triangle via multiplication",
@@ -552,7 +544,7 @@ def check_theorem58_hypotheses(chains=(), squares=()) -> Thm58Report:
                 seen.append(alg)
     for m, mp, n, np_ in squares:
         sq = m_square(zero_bimodule_map(m, mp), zero_bimodule_map(n, np_))
-        add_map("descended tensor of maps", sq.n_res.mat)
+        add_map("descended tensor of maps", sq.n_res)
         add_map("square 3-cell", sq.cell.mat, validate_3cell(sq.cell) == [])
         for mt in (sq.mult_src, sq.mult_tgt):
             add_map("multiplication 2-cell", mt.mult.mat)

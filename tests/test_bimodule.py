@@ -32,7 +32,6 @@ from centrum.algebra import (
 from centrum.bimodule import (
     Bimodule,
     BimoduleMap,
-    EndAlgebra,
     comp_bar,
     direct_sum_bimodules,
     end_algebra,
@@ -506,7 +505,7 @@ def test_hom_products_cost_one_product_per_space(monkeypatch):
         hom_space.cache.clear()
         end_algebra.cache.clear()
         del products[:]
-        EndAlgebra(m)
+        end_algebra(m)
         counts.append(len(products))
         end_algebra.cache.clear()
         del products[:], shapes[:]
@@ -555,15 +554,15 @@ def test_end_algebra_of_simple_pair_is_matrix_algebra():
     m = direct_sum_bimodules([col_bimodule(2), col_bimodule(2)])
     end = end_algebra(m)
     assert end.dim == 4
-    assert not is_commutative(end.algebra)
-    assert center(end.algebra).dim == 1
+    assert not is_commutative(end)
+    assert center(end).dim == 1
 
 
 def test_end_algebra_of_regular_is_center():
     a = alg_dual_numbers()
     end = end_algebra(regular_bimodule(a))
     assert end.dim == 2
-    assert is_commutative(end.algebra)
+    assert is_commutative(end)
 
 
 def test_end_algebra_of_free_rank_one():
@@ -571,7 +570,7 @@ def test_end_algebra_of_free_rank_one():
     a = alg_product_k(2)
     end = end_algebra(free_bimodule(a, a, 1))
     assert end.dim == 4
-    assert is_commutative(end.algebra)
+    assert is_commutative(end)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +664,7 @@ def test_middle_relations_refuse_a_middle_algebra_without_basis():
 def test_tensor_over_the_zero_algebra_is_zero():
     """A bimodule over the 0-dimensional algebra is 0, so M (x)_0 N is the
     0-dimensional quotient of a 0-dimensional flat tensor, by no relations."""
-    zero = end_algebra(free_bimodule(alg_k(), alg_k(), 0)).algebra
+    zero = end_algebra(free_bimodule(alg_k(), alg_k(), 0))
     assert zero.dim == 0
     m = Bimodule(alg_k(), zero, 0, [Matrix.identity(0, QQ)], [])
     n = Bimodule(zero, alg_k(), 0, [], [Matrix.identity(0, QQ)])
@@ -694,11 +693,11 @@ def test_induced_map_descends_and_composes():
     m = direct_sum_bimodules([col_bimodule(2), col_bimodule(2)])
     n = row_bimodule(2)
     t = tensor_over(m, n)
-    end_m = end_algebra(m)
+    end_m = hom_space(m, m)
     zero = Matrix.zeros(m.dim, m.dim, QQ)
     for coords in ([1, 0, 0, 1], [2, 1, 1, 1]):
         xi = BimoduleMap(m, m, combination([QQ.from_int(c) for c in coords],
-                                           end_m.hom.basis, zero))
+                                           end_m.basis, zero))
         ind = induced_map(xi, identity_bimodule_map(n), t, t)
         assert validate_bimodule_map(ind) == []
 
@@ -763,13 +762,13 @@ def test_triangle():
 def test_interchange():
     m = direct_sum_bimodules([col_bimodule(2), col_bimodule(2)])
     n = direct_sum_bimodules([row_bimodule(2), row_bimodule(2)])
-    end_m = end_algebra(m)
-    end_n = end_algebra(n)
+    end_m = hom_space(m, m)
+    end_n = hom_space(n, n)
     rng = random.Random(3)
 
     def endomorphism(b, end):
         coords = [QQ.from_int(rng.randint(-2, 2)) for _ in range(end.dim)]
-        return BimoduleMap(b, b, combination(coords, end.hom.basis,
+        return BimoduleMap(b, b, combination(coords, end.basis,
                                              Matrix.zeros(b.dim, b.dim, QQ)))
 
     for _ in range(5):

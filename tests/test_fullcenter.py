@@ -55,6 +55,7 @@ from centrum.bimodule import (
     BimoduleMap,
     comp_bar,
     direct_sum_bimodules,
+    end_algebra,
     free_bimodule,
     hom_bimodule,
     hom_space,
@@ -177,7 +178,7 @@ def test_restriction_agreement_on_the_pool():
         zb = Z_bimodule(restriction_bimodule(f))
         zh = Z_hom(f)
         ev_mat = zh.realization.subspace.coords_matrix(Matrix.from_columns(
-            [b.apply(f.tgt.unit) for b in zb.realization.hom.basis],
+            [b.apply(f.tgt.unit) for b in zb.realization.basis],
             f.tgt.dim, f.tgt.field), "evaluation leaves the centralizer")
         ev = AlgebraMap(zb.apex, zh.apex, ev_mat)
         assert validate_algebra_map(ev) == []
@@ -205,6 +206,24 @@ def test_z_bimodule_free_over_matrix_pair():
     # the full 8-dimensional algebra, with both centers landing centrally
     assert zm.apex.dim == 8
     assert validate_cospan(zm.cospan) == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)])
+def test_end_is_read_on_the_one_hom_space(field, fresh_memos):
+    """End(M) is the Algebra on hom_space(M, M)'s basis: Z_bimodule keeps
+    that hom space itself as its realization and end_algebra as its apex,
+    and the hom bimodules act by the same two End algebras."""
+    rng = random.Random(45)
+    k, a = alg_k(field), alg_matrix(2, field)
+    for m in (regular_bimodule(a), twisted(free_bimodule(a, k, 1), rng)):
+        zm = Z_bimodule(m)
+        assert zm.realization is hom_space(m, m)
+        assert zm.apex is end_algebra(m)
+        assert isinstance(zm.apex, Algebra)
+        n = twisted(m, rng)
+        hom_bm, H = hom_bimodule(m, n)
+        assert H is hom_space(m, n)
+        assert hom_bm.left is end_algebra(n) and hom_bm.right is end_algebra(m)
 
 
 # -- the 2-diagram of a bimodule map ----------------------------------------
@@ -324,8 +343,8 @@ def test_n_general_matches_square_internal_quotient():
     standalone = n_general(sq.mult_src.tens, sq.mult_tgt.tens,
                            center_pair_quotient(sq.mult_src.tens, sq.mult_tgt.tens))
     # the hand-built center quotient coincides with the composite's quotient
-    assert standalone.mat == sq.n_res.mat
-    assert is_invertible(standalone.mat)
+    assert standalone == sq.n_res
+    assert is_invertible(standalone)
 
 
 def test_n_general_rank_drop_over_two_block_middle():
@@ -336,9 +355,9 @@ def test_n_general_rank_drop_over_two_block_middle():
     t_src, t_tgt = tensor_over(m, n), tensor_over(mp, np_)
     res = n_general(t_src, t_tgt, center_pair_quotient(t_src, t_tgt))
     # two of the four target blocks are cross-block and unreachable
-    assert res.mat.shape == (4, 2)
-    assert rank(res.mat) == 2
-    assert not is_invertible(res.mat)
+    assert res.shape == (4, 2)
+    assert rank(res) == 2
+    assert not is_invertible(res)
 
 
 def test_m_square_naturality_small_instances():
