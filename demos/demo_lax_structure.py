@@ -62,16 +62,16 @@ def main():
     f = unit_map(alg_product_k(2))
     g = diagonal_inclusion(2)
     mt = mult_transform(f, g)
-    kv("Z(f) apex dim", mt.zf.apex.dim)
-    kv("Z(g) apex dim", mt.zg.apex.dim)
-    r, dim = rank(mt.m.mat), mt.zgf.apex.dim
+    kv("Z(f) apex dim", mt.comp.first.apex.dim)
+    kv("Z(g) apex dim", mt.comp.second.apex.dim)
+    r, dim = rank(mt.mult.mat), mt.mult.tgt.dim
     kv("Z(g o f) apex dim", dim)
     kv("comparison map rank", r)
-    witness = r == 2 and dim == 4 and validate_algebra_map(mt.m) == []
+    witness = r == 2 and dim == 4 and validate_algebra_map(mt.mult) == []
     all_ok &= witness
     kv("rank 2 < dim 4: comparison is not invertible", mark(witness))
     kv("  yet it is still a verified algebra map",
-       mark(validate_algebra_map(mt.m) == []))
+       mark(validate_algebra_map(mt.mult) == []))
 
     section("semisimple corpus: every comparison map inverts")
     chains, squares = semisimple_corpus(rng, scale=0.5)

@@ -37,9 +37,6 @@ from . import corpus
 from .algebra import (
     Algebra,
     AlgebraMap,
-    alg_dual_numbers,
-    alg_k,
-    alg_product_k,
     center,
     centralizer,
     check_dim,
@@ -86,8 +83,6 @@ from .exactla import Matrix, field_from_name, rank, same_content
 from .fixtures import (
     col_bimodule,
     diagonal_inclusion,
-    random_bimodule,
-    random_hom_element,
     random_interchanger_grid,
     random_map_chain,
     row_bimodule,
@@ -795,18 +790,6 @@ def _verify_lax(args, rep):
         rep.result = {"chains": 3, "dims": dims}
 
 
-def _seeded_square_maps(rng, field):
-    pool = [alg_k(field), alg_product_k(2, field), alg_dual_numbers(field)]
-    a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
-    m, mp, mpp = (random_bimodule(a, b, rng, max_rank=1) for _ in range(3))
-    n, np_, npp = (random_bimodule(b, c, rng, max_rank=1) for _ in range(3))
-    phi = random_hom_element(m, mp, rng)
-    phip = random_hom_element(mp, mpp, rng)
-    psi = random_hom_element(n, np_, rng)
-    psip = random_hom_element(np_, npp, rng)
-    return phi, psi, phip, psip
-
-
 def _verify_naturality(args, rep):
     named = _all_or_none((args.phi, args.psi), "provide --phi and --psi"
                          " together (and optionally --phip and --psip), or"
@@ -827,8 +810,8 @@ def _verify_naturality(args, rep):
         rep.result = {"instances": 1}
     else:
         for i in range(2):
-            phi, psi, phip, psip = _seeded_square_maps(rep.rng, rep.field)
-            rep.extend(verify_m_naturality(phi, psi, phip, psip),
+            squares = corpus.random_naturality_squares(rep.rng, rep.field)
+            rep.extend(verify_m_naturality(*squares),
                        f"instance {i + 1}: ")
         rep.result = {"instances": 2}
 

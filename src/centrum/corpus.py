@@ -192,6 +192,21 @@ def random_pentagon_chain(rng, field=QQ):
             for i in range(4)]
 
 
+def random_naturality_squares(rng, field=QQ):
+    """Two random squares of composable bimodule maps over algebras drawn
+    from k, k^2 and the dual numbers, as (phi, psi, phip, psip) for
+    verify_m_naturality: phip follows phi and psip follows psi."""
+    pool = [alg_k(field), alg_product_k(2, field), alg_dual_numbers(field)]
+    a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
+    m, mp, mpp = (random_bimodule(a, b, rng, max_rank=1) for _ in range(3))
+    n, np_, npp = (random_bimodule(b, c, rng, max_rank=1) for _ in range(3))
+    phi = random_hom_element(m, mp, rng)
+    phip = random_hom_element(mp, mpp, rng)
+    psi = random_hom_element(n, np_, rng)
+    psip = random_hom_element(np_, npp, rng)
+    return phi, psi, phip, psip
+
+
 def _tensor_pair(rng, field):
     """The fibered tensor product of a random pair is a bimodule of the
     dimension its relations leave."""
@@ -254,11 +269,11 @@ def _rank_drop(rep, rng, scale, field):
     scalars -> diagonal -> matrices is an algebra map but not invertible."""
     mt = mult_transform(unit_map(alg_product_k(2, field)),
                         diagonal_inclusion(2, field))
-    r, dim = rank(mt.m.mat), mt.zgf.apex.dim
+    r, dim = rank(mt.mult.mat), mt.mult.tgt.dim
     rep.add("rank-drop witness on scalars -> diagonal -> matrices",
             r == 2 and dim == 4, f"rank {r} < codomain dim {dim}")
     rep.add("witness multiplication map is still an algebra map",
-            validate_algebra_map(mt.m) == [])
+            validate_algebra_map(mt.mult) == [])
 
 
 # ---------------------------------------------------------------------------

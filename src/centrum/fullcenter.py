@@ -4,12 +4,13 @@ Objects (algebras) go to their centers; algebra maps and bimodules go to
 cospans of commutative algebras whose apex is a centralizer respectively an
 endomorphism algebra; bimodule maps go to 2-diagrams between those cospans.
 On top of the assignment sit the comparison maps between the center of a
-composite and the composite of centers -- the multiplication maps -- together
-with executable checks: the lax-functor laws (associativity and units), the
-naturality of the multiplication (its 3-cell property, the two triangle
-identities, the interchanger hexagon, and the unit reduction), the Morita
-invariance of centers, and the invertibility criteria under which the whole
-assignment is a genuine (non-lax) 2-functor.
+composite and the composite of centers -- the multiplication maps, one
+Multiplication record for both kinds of 1-cell -- with executable checks:
+the lax-functor laws (associativity and units), the naturality of the
+multiplication (its 3-cell property, the two triangle identities, the
+interchanger hexagon, and the unit reduction), the Morita invariance of
+centers, and the invertibility criteria under which the whole assignment is
+a genuine (non-lax) 2-functor.
 
 The apex of a bimodule's cospan is End(M), and the 2-diagram of a bimodule
 map M -> N (Z_2cell, which returns it) lives on the hom space [M, N]: each
@@ -103,12 +104,11 @@ from .exactla import (
 class ZMorphismResult:
     """The cospan assigned to a 1-cell (an algebra map or a bimodule).
 
-    kind is "map" or "bimodule"; realization is the centralizer Subalgebra
-    respectively hom_space(M, M), on whose basis the apex End(M) is
-    written; z_left / z_right are the centers of the outer algebras, in the
-    coordinates used by the legs."""
+    realization is the centralizer Subalgebra of an algebra map
+    respectively hom_space(M, M) of a bimodule, on whose basis the apex
+    End(M) is written; z_left / z_right are the centers of the outer
+    algebras, in the coordinates used by the legs."""
 
-    kind: str
     cospan: Cospan
     apex: Algebra
     realization: Subalgebra | HomSpace
@@ -116,7 +116,7 @@ class ZMorphismResult:
     z_right: Subalgebra
 
     def __repr__(self):
-        return f"ZMorphismResult({self.kind}, apex dim {self.apex.dim})"
+        return f"ZMorphismResult(apex dim {self.apex.dim})"
 
 
 @memoised
@@ -131,7 +131,7 @@ def Z_hom(f: AlgebraMap) -> ZMorphismResult:
     leg_b = subalgebra_map(zb, cz, Matrix.identity(f.tgt.dim, f.tgt.field))
     cospan = Cospan(leg_a, leg_b)
     refuse(validate_cospan(cospan), "centralizer cospan is invalid")
-    return ZMorphismResult("map", cospan, cz.algebra, cz, za, zb)
+    return ZMorphismResult(cospan, cz.algebra, cz, za, zb)
 
 
 @memoised
@@ -148,7 +148,7 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
 
     cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
     refuse(validate_cospan(cospan), "endomorphism cospan is invalid")
-    return ZMorphismResult("bimodule", cospan, end, H, zl, zr)
+    return ZMorphismResult(cospan, end, H, zl, zr)
 
 
 @memoised
@@ -170,52 +170,46 @@ def Z_2cell(phi: BimoduleMap) -> TwoDiagram:
 
 
 @dataclass(slots=True, eq=False)
-class MultTransformResult:
-    """The comparison map Z(f) (x)_{Z(B)} Z(g) -> Z(g o f), z (x) z' ->
-    g(z) z', as an algebra map m from the composite cospan's apex to Z(g o f)
-    (its codomain dim is zgf.apex.dim), with the 2-diagram it defines."""
+class Multiplication:
+    """The comparison map Z(X) (x)_{Z(B)} Z(Y) -> Z(X (x)_B Y) of a
+    composable pair of 1-cells: composite is g o f for algebra maps and the
+    TensorResult of M (x)_B N for bimodules; comp composes the factors'
+    cospans (their apexes are comp.first.apex and comp.second.apex); mult is
+    the algebra map from comp's apex to the apex of Z(composite), mult.tgt;
+    diagram is the 2-diagram it defines."""
 
-    gf: AlgebraMap
-    zf: ZMorphismResult
-    zg: ZMorphismResult
-    zgf: ZMorphismResult
+    composite: AlgebraMap | TensorResult
     comp: CospanComposition
-    m: AlgebraMap
-    diagram: TwoDiagram
-
-
-@memoised
-def mult_transform(f: AlgebraMap, g: AlgebraMap) -> MultTransformResult:
-    """The multiplication map for a composable pair of algebra maps
-    (compose_maps refuses a pair that does not compose)."""
-    gf = compose_maps(g, f)
-    zf, zg, zgf = Z_hom(f), Z_hom(g), Z_hom(gf)
-    comp = compose_cospans(zg.cospan, zf.cospan)
-    w = subalgebra_map(zf.realization, zgf.realization, g.mat)
-    v = subalgebra_map(zg.realization, zgf.realization,
-                       Matrix.identity(g.tgt.dim, g.tgt.field))
-    m = pushout_universal(comp, w, v)
-    diagram = cospan_morphism_2diagram(comp.cospan, zgf.cospan, m)
-    return MultTransformResult(gf, zf, zg, zgf, comp, m, diagram)
-
-
-@dataclass(slots=True, eq=False)
-class MultBimoduleResult:
-    """The bimodule-level multiplication map Z(M) (x)_{Z(B)} Z(N) ->
-    Z(M (x)_B N), xi (x) zeta -> xi (x) zeta as endomorphisms, with the
-    tensor witnesses and the induced 2-diagram."""
-
-    tens: TensorResult
-    zmn: ZMorphismResult
     mult: AlgebraMap
     diagram: TwoDiagram
 
 
+def _multiplication(composite, z_first, z_second, z_composite, w, v) -> Multiplication:
+    """The universal map out of the composite of the factors' cospans given
+    by the factor maps w and v into the apex of z_composite."""
+    comp = compose_cospans(z_second.cospan, z_first.cospan)
+    mult = pushout_universal(comp, w, v)
+    diagram = cospan_morphism_2diagram(comp.cospan, z_composite.cospan, mult)
+    return Multiplication(composite, comp, mult, diagram)
+
+
 @memoised
-def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleResult:
-    """The multiplication map for a composable pair of bimodules."""
+def mult_transform(f: AlgebraMap, g: AlgebraMap) -> Multiplication:
+    """The multiplication map z (x) z' -> g(z) z' for a composable pair of
+    algebra maps (compose_maps refuses a pair that does not compose)."""
+    gf = compose_maps(g, f)
+    zf, zg, zgf = Z_hom(f), Z_hom(g), Z_hom(gf)
+    w = subalgebra_map(zf.realization, zgf.realization, g.mat)
+    v = subalgebra_map(zg.realization, zgf.realization,
+                       Matrix.identity(g.tgt.dim, g.tgt.field))
+    return _multiplication(gf, zf, zg, zgf, w, v)
+
+
+@memoised
+def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> Multiplication:
+    """The multiplication map xi (x) zeta -> xi (x) zeta, as endomorphisms,
+    for a composable pair of bimodules."""
     zm, zn = Z_bimodule(m_bim), Z_bimodule(n_bim)
-    comp = compose_cospans(zn.cospan, zm.cospan)
     tens = tensor_over(m_bim, n_bim)
     zmn = Z_bimodule(tens.product)
 
@@ -227,9 +221,7 @@ def mult_transform_bimodule(m_bim: Bimodule, n_bim: Bimodule) -> MultBimoduleRes
 
     w = factor_map(zm, lambda e: [e, n_bim.dim])
     v = factor_map(zn, lambda e: [m_bim.dim, e])
-    mult = pushout_universal(comp, w, v)
-    diagram = cospan_morphism_2diagram(comp.cospan, zmn.cospan, mult)
-    return MultBimoduleResult(tens, zmn, mult, diagram)
+    return _multiplication(tens, zm, zn, zmn, w, v)
 
 
 def n_general(tens_src: TensorResult, tens_tgt: TensorResult,
@@ -265,11 +257,9 @@ class MSquareResult:
     map on the composite, the other applies the pair of maps first and then
     multiplies.  Its matrix is independent of the maps themselves."""
 
-    d1: TwoDiagram  # the two hom-space 2-cells
-    d2: TwoDiagram
-    hq: TwoDiagram  # their horizontal composite
-    mult_src: MultBimoduleResult  # the multiplication data of both rows
-    mult_tgt: MultBimoduleResult
+    hq: TwoDiagram  # the horizontal composite of Z_2cell(phi), Z_2cell(psi)
+    mult_src: Multiplication  # the multiplication data of both rows
+    mult_tgt: Multiplication
     induced: BimoduleMap  # the induced map on composites
     lhs: TwoDiagram  # the two composite 2-diagrams
     rhs: TwoDiagram
@@ -281,15 +271,14 @@ class MSquareResult:
 def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
     """Build the square 3-cell for a pair of bimodule maps; its 3-cell
     axioms are checked by validate_3cell where a verdict is read."""
-    d1, d2 = Z_2cell(phi), Z_2cell(psi)
-    hq = horizontal_compose(d2, d1)
+    hq = horizontal_compose(Z_2cell(psi), Z_2cell(phi))
     mult_src = mult_transform_bimodule(phi.src, psi.src)
     mult_tgt = mult_transform_bimodule(phi.tgt, psi.tgt)
-    induced = induced_map(phi, psi, mult_src.tens, mult_tgt.tens)
+    induced = induced_map(phi, psi, mult_src.composite, mult_tgt.composite)
     z_induced = Z_2cell(induced)
     lhs = vertical_compose(mult_tgt.diagram, hq)
     rhs = vertical_compose(z_induced, mult_src.diagram)
-    n_res = n_general(mult_src.tens, mult_tgt.tens, pair_quot=hq.quot)
+    n_res = n_general(mult_src.composite, mult_tgt.composite, pair_quot=hq.quot)
     # [M (x) N, M' (x) N'] over (End(M' (x) N'), End(M (x) N))
     hom_bm = z_induced.M
     # pre-unit map: the class of x (x) q composes x after the descended map
@@ -301,9 +290,9 @@ def m_square(phi: BimoduleMap, psi: BimoduleMap) -> MSquareResult:
                                  [hom_bm.dim, unit_column(hom_bm.right)],
                                  "the unit collapse")
     cell = ThreeCell(lhs, rhs, r_inverse @ mprime)
-    return MSquareResult(d1=d1, d2=d2, hq=hq, mult_src=mult_src,
-                         mult_tgt=mult_tgt, induced=induced, lhs=lhs, rhs=rhs,
-                         n_res=n_res, r_inverse=r_inverse, cell=cell)
+    return MSquareResult(hq=hq, mult_src=mult_src, mult_tgt=mult_tgt,
+                         induced=induced, lhs=lhs, rhs=rhs, n_res=n_res,
+                         r_inverse=r_inverse, cell=cell)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +329,7 @@ def _pair_checks(f: AlgebraMap, g: AlgebraMap) -> tuple:
     """Whether the multiplication map of a composable pair is an algebra
     map, and whether the 2-diagram it defines is valid."""
     mt = mult_transform(f, g)
-    return (validate_algebra_map(mt.m) == [],
+    return (validate_algebra_map(mt.mult) == [],
             validate_2diagram(mt.diagram) == [])
 
 
@@ -350,10 +339,10 @@ def _unit_checks(f: AlgebraMap) -> tuple:
     collapses of their composites: z (x) z' -> leg_a(z) z' for the identity
     first and z (x) z' -> z leg_b(z') for the identity second, as (name,
     verdict) pairs."""
-    zf = Z_hom(f)
-    mt_first = mult_transform(identity_map(f.src), f)
-    mt_second = mult_transform(f, identity_map(f.tgt))
-    zida, zidb, one = mt_first.zf, mt_second.zg, identity_map(zf.apex)
+    ida, idb = identity_map(f.src), identity_map(f.tgt)
+    zf, zida, zidb = Z_hom(f), Z_hom(ida), Z_hom(idb)
+    mt_first, mt_second = mult_transform(ida, f), mult_transform(f, idb)
+    one = identity_map(zf.apex)
     collapse_a = zf.cospan.leg_a.mat @ _center_change(zida, zf.z_left)
     collapse_b = zf.cospan.leg_b.mat @ _center_change(zidb, zf.z_right)
     u1 = pushout_universal(mt_first.comp, AlgebraMap(zida.apex, zf.apex, collapse_a), one)
@@ -361,21 +350,21 @@ def _unit_checks(f: AlgebraMap) -> tuple:
     return (("identity cospan legs strict",
              zida.cospan.leg_a.mat == Matrix.identity(zida.apex.dim, f.src.field)
              and zidb.cospan.leg_b.mat == Matrix.identity(zidb.apex.dim, f.src.field)),
-            ("unit first factor", mt_first.m.mat == u1.mat),
-            ("unit second factor", mt_second.m.mat == u2.mat))
+            ("unit first factor", mt_first.mult.mat == u1.mat),
+            ("unit second factor", mt_second.mult.mat == u2.mat))
 
 
 def _associativity_square(f, g, h) -> bool:
     """The two routes from flat triples Z(f) (x) Z(g) (x) Z(h) into
     Z(h o g o f) agree."""
     m1 = mult_transform(f, g)
-    m2 = mult_transform(m1.gf, h)
+    m2 = mult_transform(m1.composite, h)
     m1p = mult_transform(g, h)
-    m2p = mult_transform(f, m1p.gf)
-    route_a = m2.m.mat @ kron_product(
-        m2.comp.quot.proj, [m1.m.mat @ m1.comp.quot.proj, m1p.zg.apex.dim])
-    route_b = m2p.m.mat @ kron_product(
-        m2p.comp.quot.proj, [m1.zf.apex.dim, m1p.m.mat @ m1p.comp.quot.proj])
+    m2p = mult_transform(f, m1p.composite)
+    route_a = m2.mult.mat @ kron_product(m2.comp.quot.proj, [
+        m1.mult.mat @ m1.comp.quot.proj, m1p.comp.second.apex.dim])
+    route_b = m2p.mult.mat @ kron_product(m2p.comp.quot.proj, [
+        m1.comp.first.apex.dim, m1p.mult.mat @ m1p.comp.quot.proj])
     return route_a == route_b
 
 
@@ -385,7 +374,7 @@ def check_m_unit_axiom(b: Algebra) -> bool:
     through the endomorphism algebra's own multiplication."""
     reg = regular_bimodule(b)
     sq = m_square(identity_bimodule_map(reg), identity_bimodule_map(reg))
-    alg = sq.mult_src.zmn.apex
+    alg = sq.mult_src.mult.tgt
     lflat = kron_product(alg.mult, [alg.dim, sq.mult_src.mult.mat])
     try:
         l_desc = sq.lhs.quot.descend(lflat, "left collapse does not descend")
@@ -408,16 +397,17 @@ def check_m_hexagon(phi: BimoduleMap, phip: BimoduleMap,
     sq3 = m_square(BimoduleMap(phi.src, phip.tgt, phip.mat @ phi.mat),
                    BimoduleMap(psi.src, psip.tgt, psip.mat @ psi.mat))
 
-    beta = beta_cell(sq2.d1, sq1.d1, sq2.d2, sq1.d2)
+    beta = beta_cell(Z_2cell(phip), Z_2cell(phi), Z_2cell(psip), Z_2cell(psi))
     cb_left = comp_bar(phi.src, phi.tgt, phip.tgt)
     cb_right = comp_bar(psi.src, psi.tgt, psip.tgt)
-    cb_mid = comp_bar(sq1.mult_src.tens.product, sq1.mult_tgt.tens.product,
-                      sq2.mult_tgt.tens.product)
+    cb_mid = comp_bar(sq1.mult_src.composite.product,
+                      sq1.mult_tgt.composite.product,
+                      sq2.mult_tgt.composite.product)
 
     q1dim = sq1.hq.M.dim
-    xdim = sq2.mult_tgt.zmn.apex.dim
+    xdim = sq2.mult_tgt.mult.tgt.dim
     xidim = sq2.n_res.rows
-    vdim = sq1.mult_src.zmn.apex.dim
+    vdim = sq1.mult_src.mult.tgt.dim
 
     # row-by-row side
     m2f = sq2.rhs.quot.sect @ sq2.cell.mat @ sq2.lhs.quot.proj

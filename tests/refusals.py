@@ -13,14 +13,31 @@ import sys
 from pathlib import Path
 
 import centrum.bimodule as bimodule
-from centrum.algebra import alg_k, alg_product_k
+from centrum.algebra import (
+    AlgebraMap,
+    alg_k,
+    alg_matrix,
+    alg_product_k,
+    identity_map,
+    product_algebra,
+    tensor_algebra,
+    unit_map,
+)
 from centrum.bimodule import (
     Bimodule,
     BimoduleMap,
     comp_bar,
     direct_sum_bimodules,
+    hom_space,
     regular_bimodule,
     twist_bimodule,
+)
+from centrum.cospanbicat import (
+    Cospan,
+    CospanComposition,
+    compose_cospans,
+    identity_cospan,
+    pushout_universal,
 )
 from centrum.exactla import (
     QQ,
@@ -114,12 +131,16 @@ def shape_refusals():
 
 
 def bimodule_refusals():
-    """Names of the bimodule construction checks that did not raise a
-    ValueError (with their message) on input that breaks them.  Written
-    without assert, so it means the same under python -O."""
-    k, k2 = alg_k(), alg_product_k(2)
-    one = Matrix.identity(1, QQ)
+    """Names of the algebra, bimodule and cospan construction checks that
+    did not raise a ValueError (with their message) on input that breaks
+    them.  Written without assert, so it means the same under python -O."""
+    k, k2, m2 = alg_k(), alg_product_k(2), alg_matrix(2)
+    k5 = alg_k(PrimeField(5))
+    one, zero = Matrix.identity(1, QQ), Matrix.zeros(1, 1, QQ)
     reg = regular_bimodule(k2)
+    id_k2 = compose_cospans(identity_cospan(k2), identity_cospan(k2))
+    swap = AlgebraMap(k2, k2, Matrix.from_int_rows([[0, 1], [1, 0]], QQ))
+    scalars_m2 = Cospan(unit_map(m2), unit_map(m2))
     ops = {
         "fields": (lambda: Bimodule(k, alg_k(PrimeField(3)), 1, [one], [one]),
                    "different fields"),
@@ -137,6 +158,28 @@ def bimodule_refusals():
                       "matrix shape does not match"),
         "comp_bar equivariance": (lambda: comp_bar(reg, reg, reg),
                                   "descended composition is not equivariant"),
+        "hom_space unital": (
+            lambda: hom_space(Bimodule(k, k, 1, [zero], [zero]),
+                              regular_bimodule(k)),
+            "its actions are not unital"),
+        "hom_space pairs": (lambda: hom_space(regular_bimodule(k), reg),
+                            "over different pairs"),
+        "cospan middles": (
+            lambda: CospanComposition(identity_cospan(k2), identity_cospan(k)),
+            "middle algebras must agree"),
+        "pushout middle": (
+            lambda: pushout_universal(id_k2, identity_map(k2), swap),
+            "factor maps do not agree on the middle algebra"),
+        "pushout commute": (
+            lambda: pushout_universal(compose_cospans(scalars_m2, scalars_m2),
+                                      identity_map(m2), identity_map(m2)),
+            "factor map images do not commute"),
+        "tensor_algebra fields": (lambda: tensor_algebra(k, k5),
+                                  "different fields"),
+        "product_algebra fields": (lambda: product_algebra([k, k5]),
+                                   "different fields"),
+        "algebra map fields": (lambda: AlgebraMap(k, k5, one),
+                               "different fields"),
     }
     real = bimodule.validate_bimodule_map
     out = []

@@ -606,6 +606,25 @@ def test_malformed_bimodule_action_exits_two(monkeypatch, tmp_path, capsys):
     assert r["error"]["message"] == "bimodule: malformed action data"
 
 
+def test_malformed_algebra_structure_exits_two(monkeypatch, capsys):
+    """The Algebra constructor's shape check reaches the report as an input
+    error, also where parsing let a bad unit through."""
+    import centrum.cli as cli
+
+    real = cli.parse_vector
+
+    def oversized(v, n, field, what):
+        if what == "algebra unit":
+            return real(v, n, field, what) + [field.zero]
+        return real(v, n, field, what)
+
+    monkeypatch.setattr(cli, "parse_vector", oversized)
+    monkeypatch.chdir(DATA)
+    code, r = run_main(["validate", "algebra", "@algebra.json"], capsys)
+    assert code == 2
+    assert r["error"]["message"] == "algebra: malformed structure constants"
+
+
 @pytest.mark.parametrize("kind,payload,message", [
     ("map", {"kind": "map", "src": "k", "tgt": "k", "matrix": [[1]]},
      "algebra map: the matrix must be tgt.dim x src.dim"),

@@ -216,6 +216,27 @@ CASES = [
     ("unknown-field", ["center", "--algebra", "k", "--field", "gfp:4"], 2),
     ("tensor-over-mismatch",
      ["tensor-over", "--left", "col:2", "--right", "col:2"], 2),
+    # named inputs that do not compose
+    ("compose-cospans-mismatch",
+     ["compose-cospans", "--first", "identity:k",
+      "--second", "identity:product:k^2"], 2),
+    ("compose-2diagrams-vertical-mismatch",
+     ["compose-2diagrams", "vertical", "--first", "identity:identity:k",
+      "--second", "identity:identity:product:k^2"], 2),
+    ("compose-2diagrams-horizontal-mismatch",
+     ["compose-2diagrams", "horizontal", "--first", "identity:identity:k",
+      "--second", "identity:identity:product:k^2"], 2),
+    ("pentagon-chain-mismatch",
+     ["verify", "pentagon", "--b1", "regular:k", "--b2", "regular:product:k^2",
+      "--b3", "regular:k", "--b4", "regular:k"], 2),
+    ("lax-chain-mismatch",
+     ["verify", "lax", "--f", "id:k", "--g", "id:product:k^2"], 2),
+    ("naturality-middle-mismatch",
+     ["verify", "naturality", "--phi", "id:regular:k",
+      "--psi", "id:regular:product:k^2"], 2),
+    # a right action list of the wrong length
+    ("bimodule-ract-count",
+     ["validate", "bimodule", "@bimodule_ract_count.json"], 2),
     ("corpus-scale-inf", ["corpus", "--scale", "inf"], 2),
     ("corpus-scale-zero", ["corpus", "--scale", "0"], 2),
     ("corpus-scale-huge", ["corpus", "--scale", "1e300"], 2),

@@ -256,20 +256,20 @@ def test_lax_witness_scalars_into_diagonal_into_matrices():
     f = diag_inclusion()
     mt = mult_transform(u, f)
     # Z(f o u) = Z(k -> M_2) = M_2 itself, dimension 4
-    assert mt.zgf.apex.dim == 4
+    assert mt.mult.tgt.dim == 4
     # the composite of centers only reaches the diagonal plane
-    assert rank(mt.m.mat) == 2
-    assert not is_invertible(mt.m.mat)
+    assert rank(mt.mult.mat) == 2
+    assert not is_invertible(mt.mult.mat)
     # injective but not surjective: genuinely lax, not degenerate
-    assert rank(mt.m.mat) == mt.comp.quot.dim
-    assert validate_algebra_map(mt.m) == []
+    assert rank(mt.mult.mat) == mt.comp.quot.dim
+    assert validate_algebra_map(mt.mult) == []
 
 
 def test_mult_transform_iso_for_automorphism_chain():
     m2 = alg_matrix(2)
     g = conjugation_automorphism(m2, Matrix.from_int_rows([[1, 1], [0, 1]], QQ))
     mt = mult_transform(g, identity_map(m2))
-    assert is_invertible(mt.m.mat)
+    assert is_invertible(mt.mult.mat)
 
 
 def test_lax_functor_reports_on_random_chains():
@@ -340,8 +340,8 @@ def test_n_general_matches_square_internal_quotient():
     phi = random_hom_element(m, mp, rng)
     psi = random_hom_element(n, np_, rng)
     sq = m_square(phi, psi)
-    standalone = n_general(sq.mult_src.tens, sq.mult_tgt.tens,
-                           center_pair_quotient(sq.mult_src.tens, sq.mult_tgt.tens))
+    standalone = n_general(sq.mult_src.composite, sq.mult_tgt.composite,
+                           center_pair_quotient(sq.mult_src.composite, sq.mult_tgt.composite))
     # the hand-built center quotient coincides with the composite's quotient
     assert standalone == sq.n_res
     assert is_invertible(standalone)

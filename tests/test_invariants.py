@@ -347,6 +347,42 @@ def test_corpus_draws_each_instance_from_its_own_stream():
         assert len(set(names)) == len(names), battery
 
 
+DRAWS = {"randrange", "random", "randint", "choice", "shuffle", "sample"}
+
+
+def rng_draws(source: str) -> list:
+    """The lines of source that call a draw method on an rng: a name or an
+    attribute ending in "rng", or the random module itself."""
+    def receiver(node):
+        return getattr(node, "id", None) or getattr(node, "attr", "")
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr in DRAWS
+            and (receiver(node.func.value).endswith("rng")
+                 or receiver(node.func.value) in ("random", "_random"))]
+
+
+def test_cli_draws_nothing_itself():
+    """cli seeds rep.rng and hands it to corpus and fixtures, which draw
+    every seeded instance, so a report's draws live beside the batteries'."""
+    assert rng_draws((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_rng_draws_are_found():
+    src = """
+import random
+def seeded(rep, rng, pool):
+    a = rng.randrange(3)
+    b = rep.rng.choice(pool)
+    random.shuffle(pool)
+    pool.sample(2)
+    random.Random(1)
+    return draw_from(rep.rng), a, b, rng.sample(pool, 1)
+"""
+    assert rng_draws(src) == [4, 5, 6, 9]
+
+
 def test_random_builders_are_found():
     src = """
 import random as _random
