@@ -92,6 +92,7 @@ class Algebra(Keyed):
         return v
 
 
+@memoised
 def validate_algebra(a: Algebra) -> list[str]:
     """All violations of associativity/unitality, as human-readable strings.
     Empty list == valid.  The unit's operators must be the identity, and

@@ -79,7 +79,7 @@ from .cospanbicat import (
     validate_cospan,
     vertical_compose,
 )
-from .exactla import Matrix, field_from_name, rank, same_content
+from .exactla import Matrix, field_from_name, memoised, rank, same_content
 from .fixtures import (
     col_bimodule,
     diagonal_inclusion,
@@ -122,11 +122,12 @@ def fmt_matrix(mat: Matrix):
 
 
 def algebra_dict(a: Algebra):
+    """sc[i][j] is e_i * e_j, column i*dim + j of mult."""
+    cols, n = a.mult.columns(), a.dim
     return {
         "kind": "algebra",
-        "dim": a.dim,
-        "sc": [[fmt_vector(a.mult.col_list(i * a.dim + j))
-                for j in range(a.dim)] for i in range(a.dim)],
+        "dim": n,
+        "sc": [list(map(fmt_vector, cols[i * n:(i + 1) * n])) for i in range(n)],
         "unit": fmt_vector(a.unit),
     }
 
@@ -145,6 +146,13 @@ def bimodule_dict(m: Bimodule):
 def content_hash(canonical: dict) -> str:
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@memoised
+def input_hash(kind, obj) -> str:
+    """The content hash of obj's canonical JSON form as an input of this
+    kind: a function of its content, so computed once per content."""
+    return content_hash(CODECS[kind].encode(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +481,9 @@ class Report(CoherenceReport):
 
     def record(self, label, source, kind, obj):
         """Run the kind's validator on obj, then enter it in the inputs under
-        label with its source and content hash."""
+        label with its source and content hash.  input_hash and the
+        validators of every kind but bimodule maps are memoised, so each is
+        computed once per content."""
         if label in self.inputs:
             raise InputError(f"duplicate input label {label!r}")
         codec = CODECS[kind]
@@ -481,7 +491,7 @@ class Report(CoherenceReport):
         if bad:
             raise InputError(f"{label} ({source}) fails validation", bad)
         self.inputs[label] = {"source": source,
-                              "hash": content_hash(codec.encode(obj))}
+                              "hash": input_hash(kind, obj)}
         return obj
 
     def resolve(self, kind, spec, label=None):

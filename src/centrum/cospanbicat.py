@@ -21,7 +21,8 @@ together with its inverse from the two independent descent presentations.
 
 compose_cospans is memoised by content (exactla.memoised), so each composite
 is built once per pair of cospans and no construction takes prebuilt ones;
-validate_cospan is memoised too, so a cospan's verdict is computed once.
+validate_cospan and validate_2diagram are memoised too, so a cospan's or
+a 2-diagram's verdict is computed once.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def pushout_universal(comp: CospanComposition, w: AlgebraMap, v: AlgebraMap) -> 
 # 2-diagrams
 
 
-class TwoDiagram:
+class TwoDiagram(Keyed):
     """A 2-diagram from cospan src to cospan tgt over the same outer pair:
     a (tgt apex, src apex)-bimodule M with leg maps f: src apex -> M (right
     equivariant) and g: tgt apex -> M (left equivariant).
@@ -234,6 +235,7 @@ class TwoDiagram:
         return f"TwoDiagram({self.src.apex.dim} => {self.tgt.apex.dim}; dim {self.M.dim})"
 
 
+@memoised
 def validate_2diagram(d: TwoDiagram) -> list[str]:
     """Violations of the 2-diagram axioms; empty == valid."""
     out = ["bimodule: " + m for m in validate_bimodule(d.M)]

@@ -28,9 +28,10 @@ A Quotient is a quotient of a flat tensor k^d1 (x) k^d2 (x) ..., one slot
 (a cokernel) or nested (Quotient.tensor): its projection and the free
 coordinates its section selects, with proj at free the identity, checked at
 construction; a product of identity columns is an identity column, so a
-nested section is a coordinate list too.  descend reads a map at free and
-refuses it unless that times proj gives the map back.  A cokernel also
-keeps its relations, with proj @ relations == 0 checked.  By (A (x) B) vec(X) =
+nested section is a coordinate list too.  descend refuses a map out of
+another space as a shape mismatch, reads a map at free and refuses it
+unless that times proj gives the map back.  A cokernel also keeps its
+relations, with proj @ relations == 0 checked.  By (A (x) B) vec(X) =
 vec(A X B^T), P @ (A (x) B (x) ...) is one slot product per factor
 (kron_product): each nonzero of a row of P is scattered onto the nonzeros
 of one row of the factor, and an identity factor costs nothing.
@@ -48,9 +49,10 @@ combination of matrices.  kernel and cokernel eliminate only the distinct
 nonzero rows of their input.  memoised computes a pure construction or
 verdict once per argument content, in a bounded least-recently-used cache
 keyed by content_key.  content_key stores the key of a Keyed object (an
-algebra, algebra map, bimodule, bimodule map or cospan) on the object the
-first time it builds it, so the key lives as long as its object does.  Any
-other object, a Matrix or a list included, is walked on every call.
+algebra, algebra map, bimodule, bimodule map, cospan or 2-diagram: the six
+object kinds of the CLI) on the object the first time it builds it, so the
+key lives as long as its object does.  Any other object, a Matrix or a list
+included, is walked on every call.
 same_content is the one comparison by content.
 """
 
@@ -961,7 +963,10 @@ class Quotient:
     def descend(self, down: Matrix, message: str) -> Matrix:
         """The map on the quotient induced by down, a map out of the flat
         tensor: down at free; raises ValueError(message) unless down
-        factors through proj."""
+        factors through proj, and refuses a down out of another space."""
+        if down.cols != self.ambient:
+            raise ValueError(f"shape mismatch: a map out of k^{down.cols}"
+                             f" descended to a quotient of k^{self.ambient}")
         mat = down.select_columns(self.free)
         if mat @ self.proj != down:
             raise ValueError(message)

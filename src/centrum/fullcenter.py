@@ -26,10 +26,12 @@ cospanbicat.compose_cospans, are memoised by content (exactla.memoised), so
 each is computed once per input and none takes prebuilt pieces.  The
 verdicts that recur on equal content are memoised too: verify_lax_functor's
 _unit_checks per map and _pair_checks per composable pair, and the
-validators algebra.validate_algebra_map, cospanbicat.validate_cospan and
-bimodule.validate_bimodule that the constructions call.  A verdict depends
-only on its arguments' content, so each is still checked exactly, once per
-content; the associativity routes are checked on every call.
+validators algebra.validate_algebra, algebra.validate_algebra_map,
+cospanbicat.validate_cospan, cospanbicat.validate_2diagram and
+bimodule.validate_bimodule that the constructions and the CLI call.  A
+verdict depends only on its arguments' content, so each is still checked
+exactly, once per content; the associativity routes are checked on every
+call.
 """
 
 from __future__ import annotations

@@ -108,9 +108,9 @@ def refusal_failures():
 
 
 def shape_refusals():
-    """The misshapen solve and descent that were not refused with a
-    ValueError.  Written without assert, so it means the same under
-    python -O."""
+    """The misshapen solve and descents that were not refused with a
+    ValueError whose message names a shape mismatch.  Written without
+    assert, so it means the same under python -O."""
     q = cokernel(Matrix.from_int_rows([[1], [-1]], QQ).transpose())
     ops = {
         "solve_matrix 2x2 with 3 rows": lambda: solve_matrix(
@@ -119,13 +119,16 @@ def shape_refusals():
             q, [Matrix.zeros(3, 2, QQ)], q),
         "tensor_induced 2x3 from k^2": lambda: tensor_induced(
             q, [Matrix.zeros(2, 3, QQ)], q),
+        "tensor_induced 2x1 from k^2": lambda: tensor_induced(
+            q, [Matrix.zeros(2, 1, QQ)], q),
     }
     out = []
     for name, op in ops.items():
         try:
             op()
-        except ValueError:
-            continue
+        except ValueError as exc:
+            if "shape mismatch" in str(exc):
+                continue
         out.append(name)
     return out
 

@@ -3,6 +3,7 @@ envelopes, content hashes, determinism, and the error path for inputs that
 fail their validators."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -18,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_golden import CASES, DATA, TESTS, command_leaves, run_case
 
-from centrum import corpus, cospanbicat
+from centrum import cli, corpus, cospanbicat
 from centrum.algebra import (
     alg_dual_numbers,
     alg_group_c2,
     alg_matrix,
     alg_product_k,
+    validate_algebra,
 )
 from centrum.cli import (
     CODECS,
@@ -45,6 +47,7 @@ from centrum.exactla import (
     Quotient,
     content_key,
 )
+from centrum.cospanbicat import validate_2diagram
 from centrum.fixtures import random_bimodule, random_hom_element
 from centrum.fullcenter import Z_2cell, Z_bimodule
 
@@ -261,6 +264,40 @@ def test_verify_lax_seeded_deterministic():
 def test_content_hash_is_stable():
     d = algebra_dict(alg_group_c2())
     assert content_hash(d) == content_hash(json.loads(json.dumps(d)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "--algebra", "matrix:3"],
+    ["invertible", "2cell", "--diagram", "identity:identity:group:C2"],
+    ["z-2cell", "--bimodule-map", "id:regular:matrix:2"],
+], ids=" ".join)
+def test_a_repeated_report_checks_encodes_and_hashes_nothing_again(
+        argv, monkeypatch, capsys, fresh_memos):
+    """Run twice in-process, a report comes out byte-identical the second
+    time with no miss of input_hash, validate_algebra or validate_2diagram
+    and no algebra encoded: every input is validated, encoded and hashed
+    once per content.  Work is counted, not timed."""
+    encoded, real = [], cli.algebra_dict
+
+    def spy(a):
+        encoded.append(a)
+        return real(a)
+
+    # the codec table holds algebra_dict itself; bimodule_dict calls it by
+    # its module name
+    monkeypatch.setitem(CODECS, "algebra",
+                        dataclasses.replace(CODECS["algebra"], encode=spy))
+    monkeypatch.setattr(cli, "algebra_dict", spy)
+    memos = (cli.input_hash, validate_algebra, validate_2diagram)
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert encoded
+    misses = [fn.misses for fn in memos]
+    encoded.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert [fn.misses for fn in memos] == misses
+    assert encoded == []
 
 
 def test_scalars_are_written_exactly():
@@ -678,7 +715,8 @@ def test_every_type_keyed_more_than_once_is_keyed(monkeypatch, capsys):
     repeated = {type(x) for x, n in calls.values() if n > 1}
     assert [t.__name__ for t in repeated if not issubclass(t, Keyed)] == []
     assert sorted(t.__name__ for t in repeated) == [
-        "Algebra", "AlgebraMap", "Bimodule", "BimoduleMap", "Cospan"]
+        "Algebra", "AlgebraMap", "Bimodule", "BimoduleMap", "Cospan",
+        "TwoDiagram"]
 
 
 # -- fuzzed input: every run ends in one JSON report or argparse's usage ------

@@ -47,6 +47,7 @@ from centrum.algebra import (
     is_isomorphism,
     product_algebra,
     unit_map,
+    validate_algebra,
     validate_algebra_map,
 )
 from centrum.bimodule import (
@@ -67,9 +68,15 @@ from centrum.bimodule import (
     twist_bimodule,
     validate_bimodule,
 )
-from centrum.cli import main as cli_main
+from centrum.cli import input_hash, main as cli_main
 from centrum.corpus import run_battery, semisimple_corpus
-from centrum.cospanbicat import compose_cospans, validate_2diagram, validate_cospan
+from centrum.cospanbicat import (
+    compose_cospans,
+    identity_2diagram,
+    identity_cospan,
+    validate_2diagram,
+    validate_cospan,
+)
 from centrum.fixtures import (
     _grid_column,
     algebra_map_pool,
@@ -503,17 +510,19 @@ def test_theorem58_semisimple_corpus_verdict():
 # -- memoised constructions --------------------------------------------------
 
 
-# the memos whose results are verdicts, which hold no field object
-VERDICT_MEMOS = (validate_algebra_map, validate_bimodule, validate_cospan,
-                 _pair_checks, _unit_checks)
+# the memos whose results are verdicts or hashes, which hold no field object
+VERDICT_MEMOS = (validate_algebra, validate_algebra_map, validate_bimodule,
+                 validate_cospan, validate_2diagram, _pair_checks, _unit_checks,
+                 input_hash)
 
 
 def test_every_memo_is_found():
     assert {fn.__name__ for fn in ALL_MEMOISED} >= {
         "center", "hom_space", "end_algebra", "compose_cospans", "Z_hom",
         "Z_bimodule", "Z_2cell", "mult_transform_bimodule", "mult_transform",
-        "_grid_column", "validate_algebra_map", "validate_bimodule",
-        "validate_cospan", "_pair_checks", "_unit_checks"}
+        "_grid_column", "validate_algebra", "validate_algebra_map",
+        "validate_bimodule", "validate_cospan", "validate_2diagram",
+        "_pair_checks", "_unit_checks", "input_hash"}
     assert all(fn in ALL_MEMOISED for fn in VERDICT_MEMOS)
     assert len(ALL_MEMOISED) == len({fn.__name__ for fn in ALL_MEMOISED})
 
@@ -558,12 +567,19 @@ def three_on_k(field):
     return AlgebraMap(k, k, Matrix.from_int_rows([[3]], field))
 
 
+def k_times_three(field):
+    """k with e0 e0 = 3 e0 and unit e0: an algebra over GF(2), where 3 = 1,
+    and over QQ one whose unit fails on both sides."""
+    return Algebra(Matrix.from_int_rows([[3]], field), [field.one])
+
+
 @pytest.mark.parametrize("fields", [(QQ, PrimeField(2)), (PrimeField(2), QQ)])
 def test_verdict_memos_keep_one_entry_per_field(fields, fresh_memos):
-    """The same integer map, chain and bimodule over QQ and GF(2), in
-    either order, get a verdict each: [3] gets two entries, the verdict
-    over one field is never served for the other, and every verdict memo
-    holds entries over both fields."""
+    """The same integer algebra, map, chain, bimodule and 2-diagram over QQ
+    and GF(2), in either order, get a verdict each: [3] and k with e0 e0 =
+    3 e0 get two entries, the verdict over one field is never served for
+    the other, and every verdict memo holds entries over both fields, the
+    input hashes included."""
     before = validate_algebra_map.misses
     verdicts = {f: validate_algebra_map(three_on_k(f)) for f in fields}
     assert validate_algebra_map.misses - before == 2
@@ -571,10 +587,23 @@ def test_verdict_memos_keep_one_entry_per_field(fields, fresh_memos):
     assert verdicts == {
         PrimeField(2): [],
         QQ: ["unit is not preserved", "multiplicativity fails at (e0, e0)"]}
+    before = validate_algebra.misses
+    verdicts = {f: validate_algebra(k_times_three(f)) for f in fields}
+    assert validate_algebra.misses - before == 2
+    assert verdicts == {
+        PrimeField(2): [],
+        QQ: ["unit fails on the left at basis 0",
+             "unit fails on the right at basis 0"]}
     for f in fields:
-        ident = identity_map(alg_product_k(2, f))
+        k2 = alg_product_k(2, f)
+        ident = identity_map(k2)
         assert verify_lax_functor([ident, ident]).ok
-        assert validate_bimodule(regular_bimodule(alg_product_k(2, f))) == []
+        assert validate_bimodule(regular_bimodule(k2)) == []
+        assert validate_2diagram(identity_2diagram(identity_cospan(k2))) == []
+        input_hash("algebra", k2)
+    # the hash is of the encoded form, which reads no field
+    assert len({input_hash("algebra", alg_product_k(2, f)) for f in fields}) == 1
+    assert len(input_hash.cache) == 2
     for fn in VERDICT_MEMOS:
         assert set().union(*map(fields_in, fn.cache)) == set(fields), fn.__name__
 

@@ -8,6 +8,7 @@ that list can only shrink, and finds no method that no src module reads."""
 import ast
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,12 +17,15 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+from testfixtures import ALL_MEMOISED
+
 from centrum import algebra, corpus, cospanbicat, fixtures
 from centrum.algebra import alg_matrix, alg_product_k, unit_map
 from centrum.exactla import QQ, Matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "centrum"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_src_holds_no_assert():
@@ -399,6 +403,34 @@ def draw(rng):
     return rng.random()
 """
     assert random_builders(src) == [None, "battery", "battery", "run_battery"]
+
+
+def backticked_names(text: str) -> set:
+    """The names that the backtick spans of text begin with: the dotted
+    name at the start of a span and its last part, so `hom_space(src,
+    tgt)` and `bimodule.hom_space` both name hom_space."""
+    out = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        if dotted := re.match(r"[A-Za-z_][\w.]*", span):
+            out |= {dotted[0], dotted[0].rsplit(".", 1)[-1]}
+    return out
+
+
+def test_readme_names_every_memo():
+    """Each memoised function of src is named in backticks in README.md,
+    so the list of what is computed once per content stays true."""
+    named = backticked_names(README.read_text(encoding="utf-8"))
+    assert sorted(fn.__name__ for fn in ALL_MEMOISED
+                  if fn.__name__ not in named) == []
+
+
+def test_backticked_names_are_found():
+    text = """`hom_space(src, tgt)`, `fullcenter._unit_checks` and Z_hom
+bare; `MEMO_BOUND` (64) and `a + b`, but not `3 x` or `_grid
+column`."""
+    assert backticked_names(text) == {
+        "hom_space", "fullcenter._unit_checks", "_unit_checks", "MEMO_BOUND",
+        "a"}
 
 
 def test_src_permutes_tensor_slots_one_way():
