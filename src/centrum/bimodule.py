@@ -37,7 +37,10 @@ cospanbicat.solve_3cell_family solves for 3-cells inside it.
 Every descended map (induced maps, tensor actions, descended composition)
 verifies the coequalizer property exactly at construction; failure raises.
 Maps of tensor products go through exactla.tensor_induced alone (on bare
-quotients in interchange_check), and every unit collapse through unit_collapse.
+quotients in interchange_check), every unit collapse through unit_collapse,
+every tensor quotient (the cokernel of middle_relations) through
+tensor_quotient, every action through an algebra map (restriction of
+scalars) through restrict, and every equivariance test through unequivariant.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 
-from .algebra import Algebra, unit_column
+from .algebra import Algebra, AlgebraMap, unit_column
 from .exactla import (
     HomSpace,
     Keyed,
@@ -184,6 +187,20 @@ def direct_sum_bimodules(parts) -> Bimodule:
     return Bimodule(a, b, sum(p.dim for p in parts), lact, ract)
 
 
+def restrict(m: Bimodule, left: AlgebraMap = None, right: AlgebraMap = None) -> Bimodule:
+    """Restriction of scalars: m with its left action pulled back along the
+    algebra map left (x acts as left(x) acts on m) and its right action
+    along right; a side given no map keeps its action.  Refuses a map
+    whose target is not the algebra acting on its side."""
+    if any(f and not same_content(f.tgt, acting)
+           for f, acting in ((left, m.left), (right, m.right))):
+        raise ValueError("restrict: the map does not land in the acting algebra")
+    lact = [m.lact_of(x) for x in left.mat.columns()] if left else m.lact
+    ract = [m.ract_of(y) for y in right.mat.columns()] if right else m.ract
+    return Bimodule(left.src if left else m.left, right.src if right else m.right,
+                    m.dim, lact, ract)
+
+
 def twist_bimodule(m: Bimodule, P: Matrix) -> Bimodule:
     """Transport the actions along an invertible change of basis P."""
     Pinv = inverse(P)
@@ -221,16 +238,18 @@ def identity_bimodule_map(m: Bimodule) -> BimoduleMap:
     return BimoduleMap(m, m, Matrix.identity(m.dim, m.field))
 
 
+def unequivariant(X: Matrix, src_ops, tgt_ops) -> list:
+    """The indices i at which X does not intertwine the operator families:
+    X src_ops[i] != tgt_ops[i] X."""
+    return [i for i, (S, T) in enumerate(zip(src_ops, tgt_ops)) if X @ S != T @ X]
+
+
 def validate_bimodule_map(f: BimoduleMap) -> list[str]:
     """Violations of equivariance for both actions; empty == valid."""
-    out = []
-    for i in range(f.src.left.dim):
-        if f.mat @ f.src.lact[i] != f.tgt.lact[i] @ f.mat:
-            out.append(f"does not intertwine left action of e{i}")
-    for j in range(f.src.right.dim):
-        if f.mat @ f.src.ract[j] != f.tgt.ract[j] @ f.mat:
-            out.append(f"does not intertwine right action of e{j}")
-    return out
+    return ([f"does not intertwine left action of e{i}"
+             for i in unequivariant(f.mat, f.src.lact, f.tgt.lact)]
+            + [f"does not intertwine right action of e{j}"
+               for j in unequivariant(f.mat, f.src.ract, f.tgt.ract)])
 
 
 @dataclass(slots=True, eq=False)
@@ -410,7 +429,7 @@ def middle_relations(ract_mid, lact_mid) -> Matrix:
     return Matrix.cleared(data, D, field, n)
 
 
-def _tensor_quotient(m: Bimodule, n: Bimodule) -> Quotient:
+def tensor_quotient(m: Bimodule, n: Bimodule) -> Quotient:
     """The quotient of M (x) N by the relations over the middle algebra B.
     Over the zero algebra there are none, and M and N are 0."""
     if not same_content(m.right, n.left):
@@ -428,7 +447,7 @@ class TensorResult:
     __slots__ = ("left_factor", "right_factor", "quot", "product")
 
     def __init__(self, m: Bimodule, n: Bimodule):
-        quot = _tensor_quotient(m, n)
+        quot = tensor_quotient(m, n)
         # proj @ (L (x) I) for all L in one slot product, proj @ (I (x) R) in another
         lact, ract = ([quot.descend(T, "map does not descend to the quotient")
                        for T in slot_products(quot.proj, ops, left, right)]
@@ -485,7 +504,7 @@ def _root_quotient(tree) -> Quotient:
     """The quotient of a bracketing (a pair) of the flat tensor of all its
     leaves, with no outer action built at the root."""
     (left, wl), (right, wr) = map(_bracketing, tree)
-    return wl.tensor(wr, _tensor_quotient(left, right))
+    return wl.tensor(wr, tensor_quotient(left, right))
 
 
 _TOWER_DESCENT = "flat map does not descend through the towers"
@@ -605,7 +624,7 @@ def interchange_check(xi: BimoduleMap, zeta: BimoduleMap) -> bool:
     as maps M (x)_B N -> M' (x)_B N', each induced on the bare quotients with
     its identity factor as an int."""
     M, Mp, N, Np = xi.src, xi.tgt, zeta.src, zeta.tgt
-    q_m_n, q_mp_n, q_m_np, q_mp_np = (_tensor_quotient(m, n) for m, n in (
+    q_m_n, q_mp_n, q_m_np, q_mp_np = (tensor_quotient(m, n) for m, n in (
         (M, N), (Mp, N), (M, Np), (Mp, Np)))
     first = (tensor_induced(q_mp_np, [xi.mat, Np.dim], q_m_np)
              @ tensor_induced(q_m_np, [M.dim, zeta.mat], q_m_n))

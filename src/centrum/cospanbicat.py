@@ -18,6 +18,8 @@ horizontally (over the shared outer algebra), each composite keeping the
 quotient its bimodule descends from, and the two orders of composing a 2x2
 grid agree up to an explicit invertible interchanger 3-cell, built here
 together with its inverse from the two independent descent presentations.
+Both composites over a middle algebra B are bimodule.tensor_quotient of their
+two factors restricted to B along the legs (bimodule.restrict).
 
 compose_cospans is memoised by content (exactla.memoised), so each composite
 is built once per pair of cospans and no construction takes prebuilt ones;
@@ -47,10 +49,12 @@ from .bimodule import (
     Bimodule,
     BimoduleMap,
     hom_space,
-    middle_relations,
     pentagon_commutes,
     regular_bimodule,
+    restrict,
     tensor_over,
+    tensor_quotient,
+    unequivariant,
     unit_iso_left,
     unit_iso_right,
     validate_bimodule,
@@ -61,7 +65,6 @@ from .exactla import (
     Keyed,
     Matrix,
     Quotient,
-    cokernel,
     combination,
     is_invertible,
     kernel,
@@ -137,10 +140,10 @@ def identity_cospan(a: Algebra) -> Cospan:
 class CospanComposition:
     """The composite of two cospans: apex (first apex) (x)_B (second apex),
     the quotient quot of the flat tensor of the two apexes, built as
-    horizontal_compose builds its apex: _middle_quotient, then e_i (x) e_j
-    acting by the pair of left multiplications, descended by
-    _composite_actions.  The product descends because leg images are
-    central: the relations must form a two-sided ideal."""
+    horizontal_compose builds its apex: tensor_quotient of the regular
+    bimodules restricted to B, then e_i (x) e_j acting by the pair of left
+    multiplications, descended by _composite_actions.  The product descends
+    because leg images are central: the relations must form a two-sided ideal."""
 
     __slots__ = ("first", "second", "cospan", "quot")
 
@@ -150,9 +153,11 @@ class CospanComposition:
             raise ValueError("middle algebras must agree")
         refuse(validate_cospan(first) + validate_cospan(second), "invalid cospan")
         T, S = first.apex, second.apex
-        quot = _middle_quotient(first.leg_b, second.leg_a, T.right_mult, S.left_mult)
+        reg_t, reg_s = regular_bimodule(T), regular_bimodule(S)
+        quot = tensor_quotient(restrict(reg_t, right=first.leg_b),
+                               restrict(reg_s, left=second.leg_a))
         proj = quot.proj
-        acts = _composite_actions(quot, quot, _left_mults(T), _left_mults(S),
+        acts = _composite_actions(quot, quot, reg_t.lact, reg_s.lact,
                                   "multiplication does not descend (left side)")
         # column (a, b) of mult: e_free[a] acting on e_free[b]
         mult = stack_columns([Matrix.zeros(quot.dim, 0, T.field), *acts])
@@ -237,30 +242,25 @@ class TwoDiagram(Keyed):
 
 @memoised
 def validate_2diagram(d: TwoDiagram) -> list[str]:
-    """Violations of the 2-diagram axioms; empty == valid."""
+    """Violations of the 2-diagram axioms; empty == valid.  Over outer
+    algebras that differ, no action or leg is compared."""
     out = ["bimodule: " + m for m in validate_bimodule(d.M)]
-    A, B = d.src.a, d.src.b
     if not (same_content(d.src.a, d.tgt.a) and same_content(d.src.b, d.tgt.b)):
         out.append("source and target cospans have different outer algebras")
-    for i in range(A.dim):
-        x = A.basis_vector(i)
-        if d.M.lact_of(d.tgt.leg_a.apply(x)) != d.M.ract_of(d.src.leg_a.apply(x)):
-            out.append(f"outer action through A disagrees at e{i}")
-    for i in range(B.dim):
-        y = B.basis_vector(i)
-        if d.M.lact_of(d.tgt.leg_b.apply(y)) != d.M.ract_of(d.src.leg_b.apply(y)):
-            out.append(f"outer action through B disagrees at e{i}")
-    S, T = d.src.apex, d.tgt.apex
-    for j in range(S.dim):
-        if d.f @ S.right_mult(S.basis_vector(j)) != d.M.ract[j] @ d.f:
-            out.append(f"f is not a right module map at e{j}")
-    for i in range(T.dim):
-        if d.g @ T.left_mult(T.basis_vector(i)) != d.M.lact[i] @ d.g:
-            out.append(f"g is not a left module map at e{i}")
-    if d.f @ d.src.leg_a.mat != d.g @ d.tgt.leg_a.mat:
-        out.append("legs disagree after the A side")
-    if d.f @ d.src.leg_b.mat != d.g @ d.tgt.leg_b.mat:
-        out.append("legs disagree after the B side")
+        return out
+    sides = (("A", d.src.leg_a, d.tgt.leg_a), ("B", d.src.leg_b, d.tgt.leg_b))
+    # M restricted along the target leg on the left and the source leg on
+    # the right: the two actions of the outer algebra must agree
+    for side, src_leg, tgt_leg in sides:
+        outer = restrict(d.M, left=tgt_leg, right=src_leg)
+        out.extend(f"outer action through {side} disagrees at e{i}"
+                   for i, (L, R) in enumerate(zip(outer.lact, outer.ract)) if L != R)
+    out.extend(f"f is not a right module map at e{j}" for j in unequivariant(
+        d.f, regular_bimodule(d.src.apex).ract, d.M.ract))
+    out.extend(f"g is not a left module map at e{i}" for i in unequivariant(
+        d.g, regular_bimodule(d.tgt.apex).lact, d.M.lact))
+    out.extend(f"legs disagree after the {side} side" for side, src_leg, tgt_leg in sides
+               if d.f @ src_leg.mat != d.g @ tgt_leg.mat)
     return out
 
 
@@ -278,10 +278,8 @@ def cospan_morphism_2diagram(src: Cospan, tgt: Cospan, h: AlgebraMap) -> TwoDiag
         raise ValueError("does not commute with A legs")
     if h.mat @ src.leg_b.mat != tgt.leg_b.mat:
         raise ValueError("does not commute with B legs")
-    T = tgt.apex
-    ract = [T.right_mult(x) for x in h.mat.columns()]
-    M = Bimodule(T, src.apex, T.dim, _left_mults(T), ract)
-    return TwoDiagram(src, tgt, M, h.mat, Matrix.identity(T.dim, T.field))
+    M = restrict(regular_bimodule(tgt.apex), right=h)
+    return TwoDiagram(src, tgt, M, h.mat, Matrix.identity(M.dim, M.field))
 
 
 def two_diagrams_equal(d: TwoDiagram, e: TwoDiagram) -> bool:
@@ -332,7 +330,8 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     src_comp = compose_cospans(right.src, left.src)
     tgt_comp = compose_cospans(right.tgt, left.tgt)
     M1, M2 = left.M, right.M
-    quot = _middle_quotient(left.src.leg_b, right.tgt.leg_a, M1.ract_of, M2.lact_of)
+    quot = tensor_quotient(restrict(M1, right=left.src.leg_b),
+                           restrict(M2, left=right.tgt.leg_a))
     lact = _composite_actions(quot, tgt_comp.quot, M1.lact, M2.lact,
                               "left action does not respect the apex relations")
     ract = _composite_actions(quot, src_comp.quot, M1.ract, M2.ract,
@@ -343,20 +342,6 @@ def horizontal_compose(right: TwoDiagram, left: TwoDiagram) -> TwoDiagram:
     gmat = tensor_induced(quot, [left.g, right.g], tgt_comp.quot,
                           "g leg does not descend to the composite")
     return TwoDiagram(src_comp.cospan, tgt_comp.cospan, M, fmat, gmat, quot)
-
-
-def _left_mults(a: Algebra) -> list:
-    """The left multiplications by the basis of a."""
-    return [a.left_mult(a.basis_vector(i)) for i in range(a.dim)]
-
-
-def _middle_quotient(left_leg: AlgebraMap, right_leg: AlgebraMap, ract_of,
-                     lact_of) -> Quotient:
-    """X (x)_B Y for B the common source of the legs: the quotient of the
-    flat tensor by the middle relations of b acting on X on the right by
-    ract_of(left_leg(b)) and on Y on the left by lact_of(right_leg(b))."""
-    return cokernel(middle_relations([ract_of(x) for x in left_leg.mat.columns()],
-                                     [lact_of(x) for x in right_leg.mat.columns()]))
 
 
 def _composite_actions(tens_quot, apex_quot, left_ops, right_ops, message):

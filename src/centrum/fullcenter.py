@@ -65,8 +65,10 @@ from .bimodule import (
     induced_map,
     left_action_collapse,
     regular_bimodule,
+    restrict,
     right_action_collapse,
     tensor_over,
+    unequivariant,
     unit_collapse,
 )
 from .cospanbicat import (
@@ -142,13 +144,11 @@ def Z_bimodule(m: Bimodule) -> ZMorphismResult:
     z' -> (x -> x.z')."""
     end, H = end_algebra(m), hom_space(m, m)
     zl, zr = center(m.left), center(m.right)
-
-    def leg(sub, act_of):
-        ops = [act_of(x) for x in sub.incl.columns()]
-        return AlgebraMap(sub.algebra, end, H.coords(
-            ops, "central action is not a bimodule map"))
-
-    cospan = Cospan(leg(zl, m.lact_of), leg(zr, m.ract_of))
+    central = restrict(m, left=AlgebraMap(zl.algebra, m.left, zl.incl),
+                       right=AlgebraMap(zr.algebra, m.right, zr.incl))
+    legs = [AlgebraMap(z, end, H.coords(ops, "central action is not a bimodule map"))
+            for z, ops in ((zl.algebra, central.lact), (zr.algebra, central.ract))]
+    cospan = Cospan(*legs)
     refuse(validate_cospan(cospan), "endomorphism cospan is invalid")
     return ZMorphismResult(cospan, end, H, zl, zr)
 
@@ -450,12 +450,11 @@ def verify_m_naturality(phi: BimoduleMap, psi: BimoduleMap,
     rep.add("lower triangle", n_mat @ sq.hq.g == z_induced.g @ sq.mult_tgt.mult.mat)
     # each action on the composite against the action of its image on
     # z_induced.M, the hom bimodule on n_mat's target
-    rep.add("descended map right equivariant", all([
-        n_mat @ R == z_induced.M.ract_of(c) @ n_mat
-        for c, R in zip(sq.mult_src.mult.mat.columns(), sq.hq.M.ract)]))
-    rep.add("descended map left equivariant", all([
-        n_mat @ L == z_induced.M.lact_of(c) @ n_mat
-        for c, L in zip(sq.mult_tgt.mult.mat.columns(), sq.hq.M.lact)]))
+    along = restrict(z_induced.M, left=sq.mult_tgt.mult, right=sq.mult_src.mult)
+    rep.add("descended map right equivariant",
+            not unequivariant(n_mat, sq.hq.M.ract, along.ract))
+    rep.add("descended map left equivariant",
+            not unequivariant(n_mat, sq.hq.M.lact, along.lact))
     rep.add("unit reduction", check_m_unit_axiom(phi.src.right))
     if phip is not None and psip is not None:
         rep.add("hexagon", check_m_hexagon(phi, phip, psi, psip))
@@ -522,7 +521,6 @@ def check_theorem58_hypotheses(chains=(), squares=()) -> Thm58Report:
     If every entry is invertible the assignment restricts to a genuine
     2-functor on the corpus and the verdict says so."""
     rep = Thm58Report()
-    seen = []
 
     def add_map(name, mat, ok=True):
         r = rank(mat)
@@ -531,19 +529,16 @@ def check_theorem58_hypotheses(chains=(), squares=()) -> Thm58Report:
 
     for m, n, p in chains:
         add_map("composition collapse", comp_bar(m, n, p).mat)
-        for alg in (m.left, m.right):
-            if not any(alg is s for s in seen):
-                seen.append(alg)
     for m, mp, n, np_ in squares:
         sq = m_square(zero_bimodule_map(m, mp), zero_bimodule_map(n, np_))
         add_map("descended tensor of maps", sq.n_res)
         add_map("square 3-cell", sq.cell.mat, validate_3cell(sq.cell) == [])
         for mt in (sq.mult_src, sq.mult_tgt):
             add_map("multiplication 2-cell", mt.mult.mat)
-        for alg in (m.left, m.right, n.right):
-            if not any(alg is s for s in seen):
-                seen.append(alg)
-    for alg in seen:
+    # the algebras of the corpus, once each by identity, in order of first use
+    used = ([alg for m, _, _ in chains for alg in (m.left, m.right)]
+            + [alg for m, _, n, _ in squares for alg in (m.left, m.right, n.right)])
+    for alg in {id(alg): alg for alg in used}.values():
         ea = end_algebra(regular_bimodule(alg))
         rep.add("identity center strict", ea.dim == center(alg).dim,
                 f"dim {ea.dim}")

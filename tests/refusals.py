@@ -30,6 +30,7 @@ from centrum.bimodule import (
     direct_sum_bimodules,
     hom_space,
     regular_bimodule,
+    restrict,
     twist_bimodule,
 )
 from centrum.cospanbicat import (
@@ -167,6 +168,9 @@ def bimodule_refusals():
             "its actions are not unital"),
         "hom_space pairs": (lambda: hom_space(regular_bimodule(k), reg),
                             "over different pairs"),
+        # the identity of M_2 lands in M_2, not in the k^2 acting on reg
+        "restrict target": (lambda: restrict(reg, left=identity_map(m2)),
+                            "does not land in the acting algebra"),
         "cospan middles": (
             lambda: CospanComposition(identity_cospan(k2), identity_cospan(k)),
             "middle algebras must agree"),

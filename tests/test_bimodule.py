@@ -44,6 +44,7 @@ from centrum.bimodule import (
     pentagon_check,
     presentation,
     regular_bimodule,
+    restrict,
     assoc_iso,
     tensor_over,
     triangle_check,
@@ -64,6 +65,7 @@ from centrum.exactla import (
     kernel,
     kron_product,
     random_matrix,
+    same_content,
     stack_columns,
     stack_rows,
 )
@@ -169,6 +171,18 @@ def test_restriction_bimodule_valid():
     bim = restriction_bimodule(f)
     assert validate_bimodule(bim) == []
     assert bim.left.dim == 1 and bim.right.dim == 4 and bim.dim == 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)],
+                         ids=["QQ", "GF2", "GF3", "GF1000003"])
+def test_restrict_matches_the_hand_written_restriction(field):
+    """The regular bimodule of f.tgt restricted along f on the left is the
+    hand-written restriction_bimodule(f), and a valid bimodule, for every
+    map of the pool."""
+    for f in fixtures.algebra_map_pool(field):
+        bim = restrict(regular_bimodule(f.tgt), left=f)
+        assert same_content(bim, restriction_bimodule(f))
+        assert validate_bimodule(bim) == []
 
 
 def test_validate_catches_broken_action():

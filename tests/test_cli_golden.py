@@ -192,6 +192,10 @@ CASES = [
      ["validate", "2diagram", "@2diagram_pair_mismatch.json"], 2),
     ("2diagram-bimodule-fails-validator",
      ["validate", "2diagram", "@2diagram_broken_bimodule.json"], 2),
+    # cospans over outer algebras of different dimensions: one violation,
+    # and no action compared
+    ("2diagram-outer-dims",
+     ["validate", "2diagram", "@2diagram_outer_dims.json"], 2),
     ("bimodule-fails-right-action",
      ["validate", "bimodule", "@bimodule_broken_right.json"], 2),
     ("bimodule-fails-commutation",

@@ -35,6 +35,7 @@ from centrum import corpus
 from centrum.bimodule import (
     Bimodule,
     direct_sum_bimodules,
+    free_bimodule,
     regular_bimodule,
     tensor_over,
 )
@@ -166,6 +167,9 @@ def test_compose_disjoint_points_collapses():
     for c in (compose_cospans(identity_cospan(k), comp.cospan),
               compose_cospans(comp.cospan, identity_cospan(k))):
         assert c.cospan.apex.dim == 0
+    # and over the zero algebra itself, as M (x)_0 N = 0 for tensor_over
+    zero = identity_cospan(comp.cospan.apex)
+    assert compose_cospans(zero, zero).cospan.apex.dim == 0
 
 
 def test_compose_with_identity_is_isomorphic():
@@ -400,10 +404,14 @@ def broken_2diagrams():
          ["legs disagree after the A side"]),
         (TwoDiagram(idems, idems, reg, I, mat([1, 0], [0, 2])),
          ["legs disagree after the B side"]),
+        # outer algebras of different dimensions: nothing else is compared
+        (TwoDiagram(identity_cospan(k), identity_cospan(k2), free_bimodule(k2, k, 1),
+                    Matrix.zeros(2, 1, QQ), Z),
+         ["source and target cospans have different outer algebras"]),
     ]
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(9))
 def test_validate_2diagram_names_the_one_broken_axiom(case):
     d, expected = broken_2diagrams()[case]
     assert validate_2diagram(d) == expected
@@ -689,8 +697,9 @@ def test_solve_3cell_family_builds_no_intertwining_rows(monkeypatch, fresh_memos
         raise AssertionError("solve_3cell_family built the intertwining rows")
 
     pairs = differential_3cell_pairs(PrimeField(1000003))
-    for module in (bimodule, cospanbicat):
-        monkeypatch.setattr(module, "middle_relations", refused)
+    # cospanbicat reaches middle_relations only through bimodule
+    assert not hasattr(cospanbicat, "middle_relations")
+    monkeypatch.setattr(bimodule, "middle_relations", refused)
     for d, e in pairs:
         solve_3cell_family(d, e)
 

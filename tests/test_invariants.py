@@ -196,6 +196,84 @@ e = q.descend(p.proj, "no")
     assert hand_written_descents(src) == [2, 3]
 
 
+def action_reads(source: str) -> list:
+    """Line numbers of the reads of an lact_of or ract_of attribute in
+    source: the action of an algebra element taken by hand, where it acts
+    through an algebra map, instead of through bimodule.restrict."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and node.attr in ("lact_of", "ract_of")})
+
+
+def test_src_restricts_scalars_one_way():
+    """Outside bimodule no src module reads Bimodule.lact_of or ract_of:
+    every action through an algebra map goes through bimodule.restrict."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "bimodule.py"
+             for line in action_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_action_reads_are_found():
+    src = """
+a = m.lact_of(x)
+b = [M.ract_of(c) for c in cols]
+legs = leg(zl, m.lact_of), leg(zr, m.ract_of)
+c = m.lact[0] @ m.ract[1]
+d = restrict(m, left=f, right=g).lact
+lact_of = ract_of
+"""
+    assert action_reads(src) == [2, 3, 4]
+
+
+def middle_cokernels(source: str) -> list:
+    """The module-level functions and classes of source that call
+    cokernel(middle_relations(...)), by name or as attributes, once per
+    call and in order; None for a call outside any.  A cokernel of a name
+    bound to the relations, or another use of them, is not caught."""
+
+    def named(node, name):
+        return (isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                == name)
+
+    return [getattr(top, "name", None) for top in ast.parse(source).body
+            for n in ast.walk(top)
+            if named(n, "cokernel") and n.args and named(n.args[0], "middle_relations")]
+
+
+def test_src_builds_tensor_quotients_one_way():
+    """cokernel(middle_relations(...)) is written once in src, in
+    bimodule.tensor_quotient, which builds every fibered tensor quotient.
+    corpus._tensor_pair's rank of the relations is an independent check,
+    not a quotient, and is not caught."""
+    found = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in middle_cokernels(path.read_text(encoding="utf-8"))]
+    assert found == ["bimodule.tensor_quotient"]
+
+
+def test_middle_cokernels_are_found():
+    src = """
+q = cokernel(middle_relations(a, b))
+
+def tensor_quotient(m, n):
+    return cokernel(middle_relations(m.ract, n.lact))
+
+def _middle_quotient(left, right):
+    rel = middle_relations(left, right)
+    return exactla.cokernel(bimodule.middle_relations([x for x in left], right))
+
+class Composite:
+    def __init__(self, m, n):
+        self.quot = cokernel(middle_relations(m.ract, n.lact))
+
+def oracle(m, n):
+    return rank(middle_relations(m.ract, n.lact)) + cokernel(rel).dim
+"""
+    assert middle_cokernels(src) == [None, "tensor_quotient", "_middle_quotient",
+                                     "Composite"]
+
+
 def scope_nodes(tree) -> list:
     """The nodes of each scope of tree, the module and every function or
     lambda, as one list per scope: a nested function is a scope of its

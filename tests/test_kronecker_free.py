@@ -346,9 +346,9 @@ def check_refusals():
                                     lambda f: ["left action"]),
         "left unit inverse": (bimodule, "kron_product", doubled(bimodule.kron_product)),
         "right unit inverse": (bimodule, "kron_product", doubled(bimodule.kron_product)),
-        "composite product left": (cospanbicat, "middle_relations",
+        "composite product left": (bimodule, "middle_relations",
                                    relations([[1, 0, 0, 0]])),
-        "composite product right": (cospanbicat, "middle_relations",
+        "composite product right": (bimodule, "middle_relations",
                                     relations([[1, 0, 0, 0], [0, 1, 0, 0]])),
         # the composite apexes spoiled on both sides, or on the source
         # side alone (horizontal_compose composes the sources first)
